@@ -6,9 +6,8 @@ use crate::extract::{
     bottom_up_with_costs, try_selection_cost, ExtractStats, ExtractionCost, Selection,
 };
 use crate::lang::BoolLang;
+use egraph::pool::for_each_indexed;
 use egraph::{EGraph, FxHashMap, Id, SelectionError};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use techmap::cell::map_to_cells;
 use techmap::library::CellLibrary;
@@ -182,6 +181,20 @@ pub trait ExtractionEngine: Send + Sync {
         roots: &[Id],
         budget: &ExtractBudget,
     ) -> Result<Extraction, ExtractError>;
+
+    /// [`ExtractionEngine::extract`] plus one [`EngineReport`] per engine
+    /// involved: a single row here (carrying the error when the run failed),
+    /// one row per member for a [`PortfolioEngine`].
+    fn extract_with_reports(
+        &self,
+        egraph: &EGraph<BoolLang>,
+        roots: &[Id],
+        budget: &ExtractBudget,
+    ) -> (Result<Extraction, ExtractError>, Vec<EngineReport>) {
+        let result = self.extract(egraph, roots, budget);
+        let report = report_for(egraph, roots, self.name(), &result, result.is_ok());
+        (result, vec![report])
+    }
 }
 
 /// Which engine a flow uses (see `FlowConfig::extractor` and
@@ -222,7 +235,7 @@ pub struct EngineReport {
 }
 
 /// Builds the report row for a single (non-portfolio) engine run.
-pub(crate) fn report_for(
+fn report_for(
     egraph: &EGraph<BoolLang>,
     roots: &[Id],
     name: &str,
@@ -421,14 +434,13 @@ pub(crate) fn synthetic_names(
     (input_names, output_names)
 }
 
-/// Races a set of engines in parallel on scoped threads and keeps the best
-/// result.
+/// Races a set of engines on the worker pool ([`egraph::pool`]) and keeps the
+/// best result.
 ///
 /// The winner is picked **deterministically**: every engine runs to
 /// completion under its budget, all successful results are scored with the
 /// configured [`PortfolioScorer`], and the lowest `(primary, secondary,
-/// engine index)` triple wins — so the fixed engine order breaks exact ties
-/// and the outcome is bit-identical at any thread count.
+/// engine index)` triple wins — the fixed engine order breaks exact ties.
 pub struct PortfolioEngine {
     engines: Vec<Box<dyn ExtractionEngine>>,
     threads: usize,
@@ -466,126 +478,6 @@ impl PortfolioEngine {
     pub fn num_engines(&self) -> usize {
         self.engines.len()
     }
-
-    /// Runs every engine under `budget` and returns the winning extraction
-    /// plus one report per engine (in engine order).
-    ///
-    /// # Errors
-    /// Returns [`ExtractError::NoEngines`] for an empty portfolio and
-    /// [`ExtractError::AllEnginesFailed`] when no engine produced a result.
-    pub fn extract_with_reports(
-        &self,
-        egraph: &EGraph<BoolLang>,
-        roots: &[Id],
-        budget: &ExtractBudget,
-    ) -> Result<(Extraction, Vec<EngineReport>), ExtractError> {
-        if self.engines.is_empty() {
-            return Err(ExtractError::NoEngines);
-        }
-
-        // PR-3 worker-pool pattern: scoped threads pull engine indices from a
-        // shared atomic counter; results land in their slot, so the outcome
-        // is independent of scheduling.
-        let slots: Vec<Mutex<Option<Result<Extraction, ExtractError>>>> =
-            (0..self.engines.len()).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = self.threads.min(self.engines.len()).max(1);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    if index >= self.engines.len() {
-                        break;
-                    }
-                    let result = self.engines[index].extract(egraph, roots, budget);
-                    match slots[index].lock() {
-                        Ok(mut slot) => *slot = Some(result),
-                        Err(poisoned) => *poisoned.into_inner() = Some(result),
-                    }
-                });
-            }
-        });
-        let results: Vec<Result<Extraction, ExtractError>> = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .unwrap_or_else(|| unreachable!("every engine index was processed"))
-            })
-            .collect();
-
-        // Deterministic selection: score successes, lowest
-        // (primary, secondary, engine index) wins.
-        let mut winner: Option<(usize, (f64, f64))> = None;
-        let mut scored: Vec<Option<(f64, f64)>> = Vec::with_capacity(results.len());
-        for (index, result) in results.iter().enumerate() {
-            let score = match result {
-                Ok(extraction) => self.score_or_none(egraph, roots, extraction),
-                Err(_) => None,
-            };
-            if let Some(score) = score {
-                let better = match &winner {
-                    None => true,
-                    // Strict comparison: ties keep the earlier engine.
-                    Some((_, best)) => score < *best,
-                };
-                if better {
-                    winner = Some((index, score));
-                }
-            }
-            scored.push(score);
-        }
-
-        let Some((winner_index, _)) = winner else {
-            let errors: Vec<String> = results
-                .iter()
-                .enumerate()
-                .map(|(i, r)| match r {
-                    Ok(_) => format!("{}: unscorable selection", self.engines[i].name()),
-                    Err(e) => format!("{}: {e}", self.engines[i].name()),
-                })
-                .collect();
-            return Err(ExtractError::AllEnginesFailed(errors.join("; ")));
-        };
-
-        let reports: Vec<EngineReport> = results
-            .iter()
-            .enumerate()
-            .map(|(i, result)| {
-                let mut report = report_for(
-                    egraph,
-                    roots,
-                    self.engines[i].name(),
-                    result,
-                    i == winner_index,
-                );
-                // `report_for` already flags structurally unscorable
-                // selections; this additionally covers scorer-specific
-                // failures (e.g. a mapped score over a valid selection).
-                if result.is_ok() && scored[i].is_none() && report.error.is_none() {
-                    report.error = Some("selection could not be scored".to_string());
-                }
-                report
-            })
-            .collect();
-
-        let mut results = results;
-        let extraction = results
-            .swap_remove(winner_index)
-            .unwrap_or_else(|_| unreachable!("winner was a successful result"));
-        Ok((extraction, reports))
-    }
-
-    /// Scores an extraction, folding score errors (incomplete selection) into
-    /// `None` so a buggy engine loses instead of sinking the portfolio.
-    fn score_or_none(
-        &self,
-        egraph: &EGraph<BoolLang>,
-        roots: &[Id],
-        extraction: &Extraction,
-    ) -> Option<(f64, f64)> {
-        self.scorer.score(egraph, roots, extraction).ok()
-    }
 }
 
 impl std::fmt::Debug for PortfolioEngine {
@@ -612,8 +504,93 @@ impl ExtractionEngine for PortfolioEngine {
         roots: &[Id],
         budget: &ExtractBudget,
     ) -> Result<Extraction, ExtractError> {
-        self.extract_with_reports(egraph, roots, budget)
-            .map(|(extraction, _)| extraction)
+        self.extract_with_reports(egraph, roots, budget).0
+    }
+
+    /// Runs every engine under `budget` and returns the winning extraction
+    /// plus one report per engine (in engine order). An empty portfolio is
+    /// [`ExtractError::NoEngines`], a race nobody finished
+    /// [`ExtractError::AllEnginesFailed`]; both come without reports.
+    fn extract_with_reports(
+        &self,
+        egraph: &EGraph<BoolLang>,
+        roots: &[Id],
+        budget: &ExtractBudget,
+    ) -> (Result<Extraction, ExtractError>, Vec<EngineReport>) {
+        if self.engines.is_empty() {
+            return (Err(ExtractError::NoEngines), Vec::new());
+        }
+
+        // Every task returns `Some`, so flattening keeps slot = engine index.
+        let mut results: Vec<Result<Extraction, ExtractError>> = for_each_indexed(
+            self.engines.len(),
+            self.threads,
+            || (),
+            |index, ()| Some(self.engines[index].extract(egraph, roots, budget)),
+        )
+        .into_iter()
+        .flatten()
+        .collect();
+
+        // Deterministic selection: score successes, lowest
+        // (primary, secondary, engine index) wins.
+        let mut winner: Option<(usize, (f64, f64))> = None;
+        let mut scored: Vec<Option<(f64, f64)>> = Vec::with_capacity(results.len());
+        for (index, result) in results.iter().enumerate() {
+            // A selection the scorer rejects (an engine bug) loses the race
+            // instead of sinking the portfolio.
+            let score = result
+                .as_ref()
+                .ok()
+                .and_then(|extraction| self.scorer.score(egraph, roots, extraction).ok());
+            if let Some(score) = score {
+                let better = match &winner {
+                    None => true,
+                    // Strict comparison: ties keep the earlier engine.
+                    Some((_, best)) => score < *best,
+                };
+                if better {
+                    winner = Some((index, score));
+                }
+            }
+            scored.push(score);
+        }
+
+        let Some((winner_index, _)) = winner else {
+            let errors: Vec<String> = results
+                .iter()
+                .enumerate()
+                .map(|(i, r)| match r {
+                    Ok(_) => format!("{}: unscorable selection", self.engines[i].name()),
+                    Err(e) => format!("{}: {e}", self.engines[i].name()),
+                })
+                .collect();
+            let failed = ExtractError::AllEnginesFailed(errors.join("; "));
+            return (Err(failed), Vec::new());
+        };
+
+        let reports: Vec<EngineReport> = results
+            .iter()
+            .enumerate()
+            .map(|(i, result)| {
+                let mut report = report_for(
+                    egraph,
+                    roots,
+                    self.engines[i].name(),
+                    result,
+                    i == winner_index,
+                );
+                // `report_for` already flags structurally unscorable
+                // selections; this additionally covers scorer-specific
+                // failures (e.g. a mapped score over a valid selection).
+                if result.is_ok() && scored[i].is_none() && report.error.is_none() {
+                    report.error = Some("selection could not be scored".to_string());
+                }
+                report
+            })
+            .collect();
+
+        (results.swap_remove(winner_index), reports)
     }
 }
 
@@ -647,6 +624,13 @@ mod tests {
             assert!(extraction.class_costs.contains_key(id));
         }
         assert!(extraction.stats.nodes_evaluated > 0);
+        // The provided report path: one row, this engine's, marked as kept.
+        let (again, reports) =
+            engine.extract_with_reports(&egraph, &roots, &ExtractBudget::unlimited());
+        assert_eq!(again.unwrap().selection.choices, free.choices);
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].engine, "bottom-up-size");
+        assert!(reports[0].won && reports[0].error.is_none());
     }
 
     #[test]
@@ -710,13 +694,14 @@ mod tests {
         let budget = ExtractBudget::unlimited();
         let serial = default_portfolio()
             .with_threads(1)
-            .extract_with_reports(&egraph, &roots, &budget)
-            .unwrap();
+            .extract_with_reports(&egraph, &roots, &budget);
         let parallel = default_portfolio()
             .with_threads(4)
-            .extract_with_reports(&egraph, &roots, &budget)
-            .unwrap();
-        assert_eq!(serial.0.selection.choices, parallel.0.selection.choices);
+            .extract_with_reports(&egraph, &roots, &budget);
+        assert_eq!(
+            serial.0.unwrap().selection.choices,
+            parallel.0.unwrap().selection.choices
+        );
         let winner = |reports: &[EngineReport]| {
             reports
                 .iter()
@@ -733,11 +718,14 @@ mod tests {
         let (egraph, roots) = saturated_egraph(&aig, 3);
         let budget = ExtractBudget::unlimited();
         let portfolio = default_portfolio();
-        let (best, reports) = portfolio
-            .extract_with_reports(&egraph, &roots, &budget)
-            .unwrap();
-        let best_size =
-            try_selection_cost(&egraph, &best.selection, &roots, ExtractionCost::Size).unwrap();
+        let (best, reports) = portfolio.extract_with_reports(&egraph, &roots, &budget);
+        let best_size = try_selection_cost(
+            &egraph,
+            &best.unwrap().selection,
+            &roots,
+            ExtractionCost::Size,
+        )
+        .unwrap();
         for report in &reports {
             assert!(
                 report.error.is_none(),
@@ -765,6 +753,13 @@ mod tests {
             .extract(&egraph, &roots, &ExtractBudget::unlimited())
             .unwrap_err();
         assert!(matches!(err, ExtractError::NoEngines));
+        let (result, reports) = PortfolioEngine::new(Vec::new()).extract_with_reports(
+            &egraph,
+            &roots,
+            &ExtractBudget::unlimited(),
+        );
+        assert!(matches!(result, Err(ExtractError::NoEngines)));
+        assert!(reports.is_empty());
     }
 
     #[test]

@@ -251,22 +251,6 @@ pub fn try_selection_cost(
     }
 }
 
-/// Computes the structural cost of a selection at the given roots.
-///
-/// # Panics
-/// Panics if a reachable class has no selected node or the selection is
-/// cyclic; [`try_selection_cost`] reports the same conditions as a typed
-/// [`SelectionError`] instead.
-pub fn selection_cost(
-    egraph: &EGraph<BoolLang>,
-    selection: &Selection,
-    roots: &[Id],
-    cost_kind: ExtractionCost,
-) -> u64 {
-    #[allow(clippy::panic)] // the panic is the documented contract of this wrapper
-    try_selection_cost(egraph, selection, roots, cost_kind).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Test-only helper shared by the engine modules' unit tests.
 #[cfg(test)]
 pub(crate) mod test_util {
@@ -307,8 +291,9 @@ mod tests {
         let (egraph, roots) = saturated_egraph(&aig, 3);
         let (sel_p, _, _) = bottom_up_with_costs(&egraph, ExtractionCost::Depth, true);
         let (sel_u, _, _) = bottom_up_with_costs(&egraph, ExtractionCost::Depth, false);
-        let cost_p = selection_cost(&egraph, &sel_p, &roots, ExtractionCost::Depth);
-        let cost_u = selection_cost(&egraph, &sel_u, &roots, ExtractionCost::Depth);
+        let cost_p = try_selection_cost(&egraph, &sel_p, &roots, ExtractionCost::Depth);
+        let cost_u = try_selection_cost(&egraph, &sel_u, &roots, ExtractionCost::Depth);
+        assert!(cost_p.is_ok());
         assert_eq!(cost_p, cost_u);
     }
 
@@ -353,8 +338,9 @@ mod tests {
         let (egraph, roots) = saturated_egraph(&aig, 4);
         let (sel_depth, _) = bottom_up_extract(&egraph, ExtractionCost::Depth);
         let (sel_size, _) = bottom_up_extract(&egraph, ExtractionCost::Size);
-        let d_depth = selection_cost(&egraph, &sel_depth, &roots, ExtractionCost::Depth);
-        let d_size = selection_cost(&egraph, &sel_size, &roots, ExtractionCost::Depth);
+        let d_depth =
+            try_selection_cost(&egraph, &sel_depth, &roots, ExtractionCost::Depth).unwrap();
+        let d_size = try_selection_cost(&egraph, &sel_size, &roots, ExtractionCost::Depth).unwrap();
         assert!(d_depth <= d_size);
     }
 
@@ -389,12 +375,9 @@ mod tests {
             let err = try_selection_cost(&egraph, &empty, &roots, kind).unwrap_err();
             assert!(matches!(err, SelectionError::Missing(_)), "{err}");
         }
-        // A complete selection reports Ok and matches the panicking wrapper.
+        // A complete selection reports Ok: at least one gate per root class.
         let (selection, _) = bottom_up_extract(&egraph, ExtractionCost::Size);
         let ok = try_selection_cost(&egraph, &selection, &roots, ExtractionCost::Size).unwrap();
-        assert_eq!(
-            ok,
-            selection_cost(&egraph, &selection, &roots, ExtractionCost::Size)
-        );
+        assert!(ok > 0);
     }
 }

@@ -5,8 +5,8 @@
 //! controlled amount of randomness, evaluates each candidate with a
 //! [`CostEvaluator`] (technology mapping or the learned model), and accepts
 //! or rejects moves with the Metropolis criterion under the Section IV-A
-//! cooling schedule. Several annealing chains run in parallel threads and the
-//! best mapped solution wins. [`SaEngine`] adapts the extractor to the
+//! cooling schedule. Several annealing chains run in parallel ([`egraph::pool`])
+//! and the best mapped solution wins. [`SaEngine`] adapts the extractor to the
 //! [`ExtractionEngine`] trait.
 
 use crate::convert::{selection_to_aig, ConversionResult};
@@ -19,6 +19,7 @@ use crate::extract::{
 use crate::lang::BoolLang;
 use aig::Aig;
 use costmodel::CostEvaluator;
+use egraph::pool::for_each_indexed;
 use egraph::{EGraph, FxHashMap, Id, Language};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -207,45 +208,36 @@ fn extract_from_parts(
     );
     let initial_cost = evaluator.evaluate(&initial_aig);
 
-    let threads = options.threads.max(1);
-    let chain_outputs: Vec<(Selection, Aig, f64, ChainResult)> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for chain_index in 0..threads {
-            let options = options.clone();
-            let initial_selection = initial_selection.clone();
-            let initial_aig = initial_aig.clone();
-            handles.push(scope.spawn(move || {
-                run_chain(
-                    egraph,
-                    roots,
-                    input_names,
-                    output_names,
-                    name,
-                    evaluator,
-                    initial_selection,
-                    initial_aig,
-                    initial_cost,
-                    &options,
-                    iterations,
-                    chain_index,
-                )
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
+    // One worker per chain; every chain returns `Some`.
+    let chain_count = options.threads.max(1);
+    let chain_outputs = for_each_indexed(
+        chain_count,
+        chain_count,
+        || (),
+        |chain_index, ()| {
+            Some(run_chain(
+                egraph,
+                roots,
+                input_names,
+                output_names,
+                name,
+                evaluator,
+                initial_selection.clone(),
+                initial_aig.clone(),
+                initial_cost,
+                options,
+                iterations,
+                chain_index,
+            ))
+        },
+    );
 
     let mut best_aig = initial_aig;
     let mut best_selection = initial_selection;
     let mut best_cost = initial_cost;
-    let mut chains = Vec::with_capacity(chain_outputs.len());
+    let mut chains = Vec::with_capacity(chain_count);
     let mut stats = ExtractStats::default();
-    for (selection, aig, cost, chain) in chain_outputs {
+    for (selection, aig, cost, chain) in chain_outputs.into_iter().flatten() {
         if cost < best_cost {
             best_cost = cost;
             best_aig = aig;

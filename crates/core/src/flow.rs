@@ -13,9 +13,21 @@
 //!
 //! Both flows record a wall-clock breakdown (conventional optimization,
 //! e-graph conversion, SA extraction) used to regenerate Fig. 9.
+//!
+//! Each stage is written once; every flow, window and server job runs these:
+//!
+//! * **saturate** — `saturate`: the only `Runner` recipe (limits, scheduler,
+//!   threads, deadline, interrupt), behind [`saturate_network`], the
+//!   monolithic map path and every window.
+//! * **parallelism** — [`egraph::pool::for_each_indexed`]: search shards,
+//!   windows, annealing chains, portfolio engines; the thread-count
+//!   contract is stated there.
+//! * **windows** — `drive_windows` in [`crate::windowed`]: partition, carve
+//!   the limits, saturate per window on the pool.
+//! * **extract** — `run_extraction`: one `match` from [`ExtractorKind`] to
+//!   engine, run through [`ExtractionEngine::extract_with_reports`].
 
 use crate::convert::aig_to_egraph;
-use crate::extract::engine::report_for;
 use crate::extract::sa::{SaEngine, SaOptions};
 use crate::extract::{
     BottomUpEngine, EngineReport, ExtractBudget, ExtractError, Extraction, ExtractionCost,
@@ -36,8 +48,9 @@ use choices::{
     ClassSelection, ExportStats,
 };
 use costmodel::{CostEvaluator, LearnedCost, TechMapCost};
-use egraph::{EGraph, Id, Runner, Scheduler};
+use egraph::{EGraph, Id, Rewrite, Runner, Scheduler};
 use logic_opt::{dch_like, DchOptions};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use techmap::cell::{map_to_cells, try_map_to_cells, try_map_to_cells_with_choices, Netlist};
@@ -75,10 +88,10 @@ pub struct FlowConfig {
     /// is split across each rule's candidate-class shards, so with parallel
     /// search every thread count sees the same per-shard budgets.
     pub match_limit: usize,
-    /// Worker threads for the saturation search phase (1 = serial). Results
-    /// are bit-identical for every value — only wall-clock time changes —
-    /// unless the runner's wall-clock limit fires mid-search (which shards a
-    /// deadline cuts off is inherently timing-dependent).
+    /// Worker threads for the saturation search phase, or for racing whole
+    /// windows on the windowed path (1 = serial). Only wall-clock time
+    /// depends on it: see [`egraph::pool`] for the contract and its one
+    /// exception, a wall-clock limit that fires mid-phase.
     pub search_threads: usize,
     /// Simulated-annealing extraction options.
     pub sa: SaOptions,
@@ -108,7 +121,9 @@ pub struct FlowConfig {
     /// Wall-clock limit for the saturation phase (`None` keeps the runner's
     /// default). The job server maps per-job budgets onto this knob; like
     /// any wall-clock limit, a run that actually hits it stops at a
-    /// timing-dependent point.
+    /// timing-dependent point. On the windowed path it is a deadline for the
+    /// whole phase: each window gets the time left, later windows are
+    /// skipped.
     pub saturation_time_limit: Option<Duration>,
     /// When set, the resynthesis phase runs windowed instead of monolithic:
     /// the design is carved into reconvergence-bounded windows, each window
@@ -221,52 +236,38 @@ impl FlowConfig {
     }
 }
 
-/// Runs the configured extraction engine and returns its result plus one
-/// report per engine involved (one row for a single engine, one per member
-/// for a portfolio).
-#[allow(clippy::too_many_arguments)]
+/// Runs the extraction engine `kind` names under `config`'s SA options,
+/// library and budget, and returns its result plus one report per engine
+/// involved (one row for a single engine, one per member for a portfolio).
 fn run_extraction(
     kind: ExtractorKind,
-    sa_options: &SaOptions,
+    config: &FlowConfig,
     evaluator: Arc<dyn CostEvaluator>,
-    library: &CellLibrary,
     structural_cost: ExtractionCost,
     delay_first: bool,
     egraph: &EGraph<BoolLang>,
     roots: &[Id],
-    budget: &ExtractBudget,
 ) -> (Result<Extraction, ExtractError>, Vec<EngineReport>) {
-    match kind {
-        ExtractorKind::Portfolio => {
-            let portfolio = PortfolioEngine::new(vec![
+    let sa = || SaEngine::new(config.sa.clone(), Arc::clone(&evaluator));
+    let engine: Box<dyn ExtractionEngine> = match kind {
+        ExtractorKind::Sa => Box::new(sa()),
+        ExtractorKind::BottomUp => Box::new(BottomUpEngine::new(structural_cost)),
+        ExtractorKind::GlobalGreedyDag => Box::new(GlobalGreedyDagEngine::new()),
+        ExtractorKind::SlackAware => Box::new(SlackAwareEngine::new()),
+        ExtractorKind::Portfolio => Box::new(
+            PortfolioEngine::new(vec![
                 Box::new(BottomUpEngine::new(structural_cost)),
                 Box::new(GlobalGreedyDagEngine::new()),
                 Box::new(SlackAwareEngine::new()),
-                Box::new(SaEngine::new(sa_options.clone(), evaluator)),
+                Box::new(sa()),
             ])
             .with_scorer(PortfolioScorer::Mapped {
-                library: library.clone(),
+                library: config.library.clone(),
                 delay_first,
-            });
-            match portfolio.extract_with_reports(egraph, roots, budget) {
-                Ok((extraction, reports)) => (Ok(extraction), reports),
-                Err(e) => (Err(e), Vec::new()),
-            }
-        }
-        _ => {
-            let engine: Box<dyn ExtractionEngine> = match kind {
-                ExtractorKind::Sa => Box::new(SaEngine::new(sa_options.clone(), evaluator)),
-                ExtractorKind::BottomUp => Box::new(BottomUpEngine::new(structural_cost)),
-                ExtractorKind::GlobalGreedyDag => Box::new(GlobalGreedyDagEngine::new()),
-                ExtractorKind::SlackAware => Box::new(SlackAwareEngine::new()),
-                ExtractorKind::Portfolio => unreachable!("handled above"),
-            };
-            let result = engine.extract(egraph, roots, budget);
-            let won = result.is_ok();
-            let report = report_for(egraph, roots, engine.name(), &result, won);
-            (result, vec![report])
-        }
-    }
+            }),
+        ),
+    };
+    engine.extract_with_reports(egraph, roots, &config.extract_budget)
 }
 
 /// Translates an engine extraction into the choice exporter's per-class
@@ -342,28 +343,53 @@ pub fn saturate_network(current: &Aig, config: &FlowConfig) -> SaturatedState {
 pub fn saturate_network_with_interrupt(
     current: &Aig,
     config: &FlowConfig,
-    interrupt: Option<Arc<std::sync::atomic::AtomicBool>>,
+    interrupt: Option<Arc<AtomicBool>>,
+) -> SaturatedState {
+    saturate(
+        current,
+        config,
+        config.node_limit,
+        config.search_threads,
+        &all_rules(),
+        config.saturation_time_limit,
+        interrupt,
+    )
+}
+
+/// The saturation stage: forward conversion, then the one `Runner` recipe
+/// of the flows. Whole designs take the node limit, search threads and time
+/// limit from the config; a window passes its carved node limit, serial
+/// search, its worker's rule set and the time left to the phase deadline.
+/// `time_limit == None` keeps the runner's default.
+pub(crate) fn saturate(
+    aig: &Aig,
+    config: &FlowConfig,
+    node_limit: usize,
+    search_threads: usize,
+    rules: &[Rewrite<BoolLang>],
+    time_limit: Option<Duration>,
+    interrupt: Option<Arc<AtomicBool>>,
 ) -> SaturatedState {
     let t_convert = Instant::now();
-    let conversion = aig_to_egraph(current);
+    let conversion = aig_to_egraph(aig);
     let conversion_time = t_convert.elapsed();
 
     let t_saturate = Instant::now();
     let mut runner = Runner::with_egraph(conversion.egraph)
         .with_iter_limit(config.rewrite_iterations)
-        .with_node_limit(config.node_limit)
+        .with_node_limit(node_limit)
         .with_scheduler(Scheduler::Backoff {
             match_limit: config.match_limit,
             ban_length: 2,
         })
-        .with_search_threads(config.search_threads);
-    if let Some(limit) = config.saturation_time_limit {
+        .with_search_threads(search_threads);
+    if let Some(limit) = time_limit {
         runner = runner.with_time_limit(limit);
     }
     if let Some(flag) = interrupt {
         runner = runner.with_interrupt(flag);
     }
-    let runner = runner.run(&all_rules());
+    let runner = runner.run(rules);
     let roots: Vec<Id> = conversion
         .roots
         .iter()
@@ -399,14 +425,12 @@ pub fn extract_network(
     // mapped (delay, area).
     let (extraction, mut engines) = run_extraction(
         config.extractor,
-        &config.sa,
+        config,
         evaluator,
-        &config.library,
         ExtractionCost::Size,
         true,
         &state.egraph,
         &state.roots,
-        &config.extract_budget,
     );
     let extracted = match extraction {
         Ok(extraction) => match crate::convert::try_selection_to_aig(
@@ -975,19 +999,14 @@ fn effective_choice_config(config: &MapFlowConfig) -> ChoiceConfig {
 
 /// Builds the choice space from one e-graph over the whole design.
 fn monolithic_choice_space(aig: &Aig, config: &MapFlowConfig) -> Result<ChoiceSpace, MapFlowError> {
-    // Saturation (same knobs as `emorphic_flow`).
-    let conversion = aig_to_egraph(&aig.strash_copy());
-    let runner = Runner::with_egraph(conversion.egraph)
-        .with_iter_limit(config.flow.rewrite_iterations)
-        .with_node_limit(config.flow.node_limit)
-        .with_scheduler(Scheduler::Backoff {
-            match_limit: config.flow.match_limit,
-            ban_length: 2,
-        })
-        .with_search_threads(config.flow.search_threads)
-        .run(&all_rules());
-    let egraph = runner.egraph;
-    let roots: Vec<egraph::Id> = conversion.roots.iter().map(|&r| egraph.find(r)).collect();
+    let SaturatedState {
+        egraph,
+        roots,
+        name,
+        input_names,
+        output_names,
+        ..
+    } = saturate_network(&aig.strash_copy(), &config.flow);
     let audit_level = config.flow.audit_level;
     let mut audit = AuditReport::new();
     audit.absorb("saturate", audit_egraph(&egraph, audit_level));
@@ -1002,14 +1021,12 @@ fn monolithic_choice_space(aig: &Aig, config: &MapFlowConfig) -> Result<ChoiceSp
     let evaluator: Arc<dyn CostEvaluator> = Arc::new(TechMapCost::new(config.flow.library.clone()));
     let (extraction, engines) = run_extraction(
         config.extractor,
-        &config.flow.sa,
+        &config.flow,
         evaluator,
-        &config.flow.library,
         structural_cost,
         config.objective == MapObjective::Delay,
         &egraph,
         &roots,
-        &config.flow.extract_budget,
     );
     let extraction = extraction?;
     let selection = extraction_to_class_selection(&egraph, &extraction);
@@ -1018,9 +1035,9 @@ fn monolithic_choice_space(aig: &Aig, config: &MapFlowConfig) -> Result<ChoiceSp
     let (network, export) = egraph_to_choices_with_selection(
         &egraph,
         &roots,
-        &conversion.input_names,
-        &conversion.output_names,
-        &conversion.name,
+        &input_names,
+        &output_names,
+        &name,
         &effective_choice_config(config),
         &selection,
     )?;
@@ -1374,6 +1391,36 @@ mod tests {
         assert!(result.export.live_classes > 0);
         assert!(result.verified);
         assert!(result.qor.area_um2 > 0.0);
+    }
+
+    #[test]
+    fn map_flow_honours_the_saturation_time_limit() {
+        // Regression: the map flow's own copies of the saturation recipe
+        // predated `saturation_time_limit` and silently ignored it, on the
+        // monolithic and on the windowed path.
+        let circuit = benchgen::multiplier(4).aig;
+        for partitioning in [None, Some(WindowOptions::default())] {
+            let run = |limit: Option<Duration>| {
+                let config = MapFlowConfig {
+                    flow: FlowConfig {
+                        saturation_time_limit: limit,
+                        partitioning: partitioning.clone(),
+                        ..FlowConfig::fast()
+                    },
+                    ..MapFlowConfig::fast()
+                };
+                emorphic_map_flow(&circuit, &config).unwrap()
+            };
+            let unlimited = run(None);
+            let limited = run(Some(Duration::ZERO));
+            assert!(limited.egraph_nodes < unlimited.egraph_nodes);
+            assert!(limited.verified, "a cut-short run still verifies");
+            // Windows that start past the phase deadline are skipped.
+            if let Some(report) = &limited.window {
+                assert!(report.windows > 0);
+                assert_eq!(report.windows_skipped, report.windows);
+            }
+        }
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! budgets of [`crate::flow::FlowConfig`] bite long before industrial sizes.
 //! This module drives the [`window`] subsystem instead: the host AIG is
 //! carved into reconvergence-bounded windows, every window is saturated as
-//! an *independent* e-graph (each with serial search, so results are
-//! bit-identical at any worker count — parallelism comes from racing whole
-//! windows across the pool), and the per-window e-spaces are either
+//! an *independent* e-graph (serial search inside; parallelism comes from
+//! racing whole windows across [`egraph::pool`], whose contract makes the
+//! result independent of the worker count), and the per-window e-spaces are
+//! either
 //!
 //! * stitched into one global [`choices::ChoiceAig`] for choice-aware
 //!   mapping ([`saturate_windows`], used by `emorphic_map_flow`), or
@@ -18,18 +19,15 @@
 //! the extraction budget are divided across windows (with a floor so tiny
 //! shares stay useful), which is what makes the wall-clock cost grow with
 //! the number of windows — linear in design size — instead of with the
-//! superlinear cost of one giant e-graph.
+//! superlinear cost of one giant e-graph. A saturation time limit is a
+//! deadline for the whole phase: each window gets the time left to it.
 
-use crate::convert::aig_to_egraph;
 use crate::extract::{BottomUpEngine, ExtractBudget, ExtractionCost, ExtractionEngine};
-use crate::flow::FlowConfig;
-use crate::lang::BoolLang;
+use crate::flow::{saturate, FlowConfig, SaturatedState};
 use crate::rules::all_rules;
 use aig::{Aig, Lit, NodeId};
 use choices::ChoiceConfig;
-use egraph::{EGraph, Id, Runner, Scheduler};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use egraph::pool::for_each_indexed;
 use std::time::{Duration, Instant};
 use window::{
     partition, stitch, Partition, Stitched, Window, WindowChoiceSpace, WindowError, WindowOptions,
@@ -136,81 +134,78 @@ fn dead_interior(
     dead.into_iter().collect()
 }
 
-/// Runs `count` window tasks on `threads` workers pulling from a shared
-/// index. Results are stored by window index, so the outcome is independent
-/// of scheduling order (and therefore of the worker count). `init` builds
-/// per-worker state once (the rewrite-rule set is not cheap enough to build
-/// per window).
-fn run_windows<R, C, I, F>(count: usize, threads: usize, init: I, task: F) -> Vec<Option<R>>
-where
-    R: Send,
-    I: Fn() -> C + Sync,
-    F: Fn(usize, &C) -> Option<R> + Sync,
-{
-    let workers = threads.max(1).min(count.max(1));
-    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..count).map(|_| None).collect());
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let ctx = init();
-                loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= count {
-                        break;
-                    }
-                    let out = task(idx, &ctx);
-                    match results.lock() {
-                        Ok(mut slots) => slots[idx] = out,
-                        Err(mut poisoned) => poisoned.get_mut()[idx] = out,
-                    }
-                }
-            });
-        }
-    });
-    match results.into_inner() {
-        Ok(slots) => slots,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// The saturated e-graph of one window cone, with canonicalized roots and
-/// the name context needed to convert back out.
-struct SaturatedCone {
-    egraph: EGraph<BoolLang>,
-    roots: Vec<Id>,
-    input_names: Vec<String>,
-    output_names: Vec<String>,
-    name: String,
-}
-
-/// Saturates one window cone with serial search (window-level parallelism
-/// keeps the result thread-count independent).
-fn saturate_cone(
-    cone: &Aig,
+/// The windowed driver shared by both entry points: partition → report
+/// header → carved limits → per-window saturation on the pool (one rule set
+/// per worker, serial search per window). `per_window` turns a window's
+/// saturated e-graph into that entry point's per-window product, or `None`
+/// for a window that yields nothing usable. Products come back in window
+/// order; e-graph sizes are summed over the windows that produced something,
+/// the rest — including windows that would start past the saturation
+/// deadline — are counted in `windows_skipped`.
+fn drive_windows<R: Send>(
+    aig: &Aig,
+    opts: &WindowOptions,
     config: &FlowConfig,
-    node_limit: usize,
-    rules: &[egraph::Rewrite<BoolLang>],
-) -> SaturatedCone {
-    let conversion = aig_to_egraph(cone);
-    let runner = Runner::with_egraph(conversion.egraph)
-        .with_iter_limit(config.rewrite_iterations)
-        .with_node_limit(node_limit)
-        .with_scheduler(Scheduler::Backoff {
-            match_limit: config.match_limit,
-            ban_length: 2,
+    per_window: impl Fn(&Window, &SaturatedState, &ExtractBudget) -> Option<R> + Sync,
+) -> Result<(Partition, WindowReport, Vec<Option<R>>), WindowError> {
+    let t_part = Instant::now();
+    let part = partition(aig, opts)?;
+    let mut report = WindowReport {
+        windows: part.windows.len(),
+        total_leaves: part.stats.total_leaves,
+        covered_ands: part.stats.covered_ands,
+        partition_time: t_part.elapsed(),
+        ..WindowReport::default()
+    };
+
+    let node_limit = carve_node_limit(config.node_limit, part.windows.len());
+    let budget = carve_budget(&config.extract_budget, part.windows.len());
+    let t_sat = Instant::now();
+    let results = for_each_indexed(
+        part.windows.len(),
+        config.search_threads,
+        all_rules,
+        |i, rules| {
+            let time_left = match config.saturation_time_limit {
+                None => None,
+                Some(limit) => match limit.checked_sub(t_sat.elapsed()) {
+                    Some(left) if !left.is_zero() => Some(left),
+                    _ => return None,
+                },
+            };
+            let window = &part.windows[i];
+            let state = saturate(
+                &window.cone.aig,
+                config,
+                node_limit,
+                1,
+                rules,
+                time_left,
+                None,
+            );
+            let product = per_window(window, &state, &budget)?;
+            Some((
+                product,
+                state.egraph.total_nodes(),
+                state.egraph.num_classes(),
+            ))
+        },
+    );
+    report.saturation_time = t_sat.elapsed();
+
+    let products = results
+        .into_iter()
+        .map(|result| {
+            let Some((product, nodes, classes)) = result else {
+                report.windows_skipped += 1;
+                return None;
+            };
+            report.egraph_nodes += nodes;
+            report.egraph_classes += classes;
+            Some(product)
         })
-        .with_search_threads(1)
-        .run(rules);
-    let egraph = runner.egraph;
-    let roots = conversion.roots.iter().map(|&r| egraph.find(r)).collect();
-    SaturatedCone {
-        egraph,
-        roots,
-        input_names: conversion.input_names,
-        output_names: conversion.output_names,
-        name: conversion.name,
-    }
+        .collect();
+    Ok((part, report, products))
 }
 
 /// Carve → saturate per window → export choice classes → stitch into one
@@ -229,57 +224,25 @@ pub fn saturate_windows(
     config: &FlowConfig,
     choices: &ChoiceConfig,
 ) -> Result<(Stitched, Partition, WindowReport), WindowError> {
-    let t_part = Instant::now();
-    let part = partition(aig, opts)?;
-    let mut report = WindowReport {
-        windows: part.windows.len(),
-        total_leaves: part.stats.total_leaves,
-        covered_ands: part.stats.covered_ands,
-        partition_time: t_part.elapsed(),
-        ..WindowReport::default()
-    };
-
-    let node_limit = carve_node_limit(config.node_limit, part.windows.len());
-    let t_sat = Instant::now();
-    let results = run_windows(
-        part.windows.len(),
-        config.search_threads,
-        all_rules,
-        |i, rules| {
-            let window = &part.windows[i];
-            let sat = saturate_cone(&window.cone.aig, config, node_limit, rules);
-            let exported = choices::egraph_to_choices(
-                &sat.egraph,
-                &sat.roots,
-                &sat.input_names,
-                &sat.output_names,
-                &sat.name,
-                choices,
-            )
-            .ok()?;
-            Some((
-                exported.0,
-                sat.egraph.total_nodes(),
-                sat.egraph.num_classes(),
-            ))
-        },
-    );
-    report.saturation_time = t_sat.elapsed();
-
-    let mut spaces = Vec::new();
-    for (i, result) in results.into_iter().enumerate() {
-        match result {
-            Some((network, nodes, classes)) => {
-                report.egraph_nodes += nodes;
-                report.egraph_classes += classes;
-                spaces.push(WindowChoiceSpace {
-                    window: i,
-                    choices: network,
-                });
-            }
-            None => report.windows_skipped += 1,
-        }
-    }
+    let (part, mut report, networks) = drive_windows(aig, opts, config, |_, state, _| {
+        choices::egraph_to_choices(
+            &state.egraph,
+            &state.roots,
+            &state.input_names,
+            &state.output_names,
+            &state.name,
+            choices,
+        )
+        .ok()
+        .map(|(network, _stats)| network)
+    })?;
+    let spaces: Vec<WindowChoiceSpace> = networks
+        .into_iter()
+        .enumerate()
+        .filter_map(|(window, network)| {
+            network.map(|choices| WindowChoiceSpace { window, choices })
+        })
+        .collect();
 
     let t_stitch = Instant::now();
     let stitched = stitch(aig, &part, &spaces)?;
@@ -305,50 +268,22 @@ pub fn windowed_resynthesis(
     opts: &WindowOptions,
     config: &FlowConfig,
 ) -> Result<(Aig, Partition, WindowReport), WindowError> {
-    let t_part = Instant::now();
-    let part = partition(aig, opts)?;
-    let mut report = WindowReport {
-        windows: part.windows.len(),
-        total_leaves: part.stats.total_leaves,
-        covered_ands: part.stats.covered_ands,
-        partition_time: t_part.elapsed(),
-        ..WindowReport::default()
-    };
-
-    let node_limit = carve_node_limit(config.node_limit, part.windows.len());
-    let budget = carve_budget(&config.extract_budget, part.windows.len());
-    let t_sat = Instant::now();
-    let results = run_windows(
-        part.windows.len(),
-        config.search_threads,
-        all_rules,
-        |i, rules| {
-            let window = &part.windows[i];
-            let sat = saturate_cone(&window.cone.aig, config, node_limit, rules);
+    let (part, mut report, candidates) =
+        drive_windows(aig, opts, config, |window, state, budget| {
             let engine = BottomUpEngine::new(ExtractionCost::Size);
-            let extraction = engine.extract(&sat.egraph, &sat.roots, &budget).ok()?;
+            let extraction = engine.extract(&state.egraph, &state.roots, budget).ok()?;
             let candidate = crate::convert::try_selection_to_aig(
-                &sat.egraph,
+                &state.egraph,
                 &extraction.selection,
-                &sat.roots,
-                &sat.input_names,
-                &sat.output_names,
-                &sat.name,
+                &state.roots,
+                &state.input_names,
+                &state.output_names,
+                &state.name,
             )
             .ok()?
             .strash_copy();
-            if candidate.num_ands() < window.cone.aig.num_ands() {
-                Some((
-                    candidate,
-                    sat.egraph.total_nodes(),
-                    sat.egraph.num_classes(),
-                ))
-            } else {
-                None
-            }
-        },
-    );
-    report.saturation_time = t_sat.elapsed();
+            (candidate.num_ands() < window.cone.aig.num_ands()).then_some(candidate)
+        })?;
 
     // Greedy commit with exact dead-logic accounting. Windows overlap, so a
     // candidate that merely beats its own cone can still grow the host: the
@@ -366,14 +301,11 @@ pub fn windowed_resynthesis(
     let mut claimed: aig::FxHashSet<NodeId> = aig::FxHashSet::default();
     let mut live_leaves: aig::FxHashSet<NodeId> = aig::FxHashSet::default();
     let mut replacement_of: aig::FxHashMap<NodeId, Aig> = aig::FxHashMap::default();
-    for (i, result) in results.into_iter().enumerate() {
-        let Some((candidate, nodes, classes)) = result else {
-            report.windows_skipped += 1;
+    for (w, candidate) in part.windows.iter().zip(candidates) {
+        // Windows without a candidate were already counted as skipped.
+        let Some(candidate) = candidate else {
             continue;
         };
-        report.egraph_nodes += nodes;
-        report.egraph_classes += classes;
-        let w = &part.windows[i];
         // A replacement reads its leaves and redirects its root; neither may
         // be logic an earlier commit already counted as dead.
         if claimed.contains(&w.root) || w.leaves.iter().any(|l| claimed.contains(l)) {

@@ -172,37 +172,9 @@ impl<L: Language> DagSelection<L> {
     }
 
     /// Number of distinct classes reachable from `roots` under the selection
-    /// (the DAG size of the extracted circuit).
-    ///
-    /// Debug builds assert that every reachable class has a selected node; in
-    /// release builds an unselected class silently contributes size 1 and is
-    /// not traversed (the historical permissive behavior). Use
-    /// [`DagSelection::try_dag_size`] to surface incomplete selections as a
-    /// typed error instead.
-    pub fn dag_size(&self, egraph: &EGraph<L>, roots: &[Id]) -> usize {
-        let mut seen: FxHashSet<Id> = FxHashSet::default();
-        let mut stack: Vec<Id> = roots.iter().map(|&r| egraph.find(r)).collect();
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
-                continue;
-            }
-            debug_assert!(
-                self.choices.contains_key(&id),
-                "dag_size over an incomplete selection: class {id} has no node"
-            );
-            if let Some(node) = self.choices.get(&id) {
-                for &c in node.children() {
-                    stack.push(egraph.find(c));
-                }
-            }
-        }
-        seen.len()
-    }
-
-    /// Like [`DagSelection::dag_size`], but reports a reachable class without
-    /// a selected node as a typed [`SelectionError`] instead of silently
-    /// treating it as a zero-cost leaf (which lets an engine bug masquerade
-    /// as an excellent extraction).
+    /// (the DAG size of the extracted circuit). A reachable class without a
+    /// selected node is a typed [`SelectionError`], never a zero-cost leaf
+    /// (which would let an engine bug masquerade as an excellent extraction).
     ///
     /// # Errors
     /// Returns [`SelectionError::Missing`] if a class reachable from the
@@ -222,51 +194,8 @@ impl<L: Language> DagSelection<L> {
         Ok(seen.len())
     }
 
-    /// Longest path (in chosen nodes) from any root to a leaf.
-    ///
-    /// Debug builds assert the selection is complete over the reachable
-    /// classes; release builds keep the historical permissive behavior
-    /// (missing classes count as depth 0). Use [`DagSelection::try_depth`]
-    /// for the typed-error variant.
-    pub fn depth(&self, egraph: &EGraph<L>, roots: &[Id]) -> usize {
-        let mut memo: FxHashMap<Id, usize> = FxHashMap::default();
-        fn rec<L: Language>(
-            sel: &DagSelection<L>,
-            egraph: &EGraph<L>,
-            id: Id,
-            memo: &mut FxHashMap<Id, usize>,
-        ) -> usize {
-            if let Some(&d) = memo.get(&id) {
-                return d;
-            }
-            memo.insert(id, 0); // guard against cycles
-            debug_assert!(
-                sel.choices.contains_key(&id),
-                "depth over an incomplete selection: class {id} has no node"
-            );
-            let d = match sel.choices.get(&id) {
-                Some(node) => {
-                    1 + node
-                        .children()
-                        .iter()
-                        .map(|&c| rec(sel, egraph, egraph.find(c), memo))
-                        .max()
-                        .unwrap_or(0)
-                }
-                None => 0,
-            };
-            memo.insert(id, d);
-            d
-        }
-        roots
-            .iter()
-            .map(|&r| rec(self, egraph, egraph.find(r), &mut memo))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Like [`DagSelection::depth`], but reports incomplete and cyclic
-    /// selections as typed [`SelectionError`]s instead of folding them into
+    /// Longest path (in chosen nodes) from any root to a leaf. Incomplete
+    /// and cyclic selections are typed [`SelectionError`]s, never folded into
     /// a too-small depth.
     ///
     /// # Errors
@@ -447,8 +376,8 @@ mod tests {
         let ex = Extractor::new(&eg, AstSize);
         let sel = ex.selection();
         // Classes: a, b, (* a b), (+ ..): 4 distinct.
-        assert_eq!(sel.dag_size(&eg, &[root]), 4);
-        assert_eq!(sel.depth(&eg, &[root]), 3);
+        assert_eq!(sel.try_dag_size(&eg, &[root]), Ok(4));
+        assert_eq!(sel.try_depth(&eg, &[root]), Ok(3));
         let expr_back = sel.to_recexpr(&eg, root);
         assert_eq!(expr_back.to_string(), "(+ (* a b) (* a b))");
     }

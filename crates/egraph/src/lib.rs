@@ -13,6 +13,9 @@
 //!   e-matching; rewriting is non-destructive (it only adds equalities).
 //! * [`Runner`] — the equality-saturation loop with node/iteration/time
 //!   limits and match-throttling schedulers.
+//! * [`pool`] — the one indexed worker pool every parallel stage of the
+//!   workspace runs on, and the home of the thread-count-independence
+//!   contract.
 //! * [`Extractor`] with pluggable [`CostFunction`]s — greedy bottom-up
 //!   extraction of a best term per the chosen cost.
 //! * [`serialize`] — a JSON-serializable snapshot of an e-graph, the basis of
@@ -43,6 +46,7 @@ mod extract;
 mod id;
 mod language;
 mod pattern;
+pub mod pool;
 mod rewrite;
 mod runner;
 pub mod serialize;

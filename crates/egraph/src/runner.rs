@@ -3,7 +3,7 @@
 
 use crate::{EGraph, Id, Language, RecExpr, Rewrite, SearchMatches};
 use fxhash::FxHashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -133,19 +133,6 @@ struct SearchJob<'a> {
     quota: usize,
 }
 
-/// A shard's search result: its matches and whether the scan was complete.
-type ShardResult = (Vec<SearchMatches>, bool);
-
-/// Scalar inputs of one iteration's search phase.
-struct SearchParams {
-    match_limit: usize,
-    iteration: usize,
-    threads: usize,
-    start: Instant,
-    time_limit: Duration,
-    interrupt: Option<Arc<AtomicBool>>,
-}
-
 /// The merged outcome of one iteration's search phase.
 struct SearchOutcome {
     /// Matches per rule, concatenated in shard order (= rotated class order).
@@ -159,32 +146,24 @@ struct SearchOutcome {
 }
 
 /// Searches all non-banned rules over the (immutable) e-graph, sharded into
-/// `(rule × class-range)` work items that run inline or on a scoped worker
-/// pool, and merges the results in deterministic `(rule index, shard index)`
-/// order.
+/// `(rule × class-range)` work items that run on [`crate::pool`], and merges
+/// the results in deterministic `(rule index, shard index)` order.
 ///
 /// Each rule's per-iteration match budget is split across its shards before
 /// any searching starts (quotas sum exactly to `match_limit`), so every
 /// shard's result is a pure function of the e-graph and the job — thread
-/// scheduling cannot change it. The shared atomic counters only *accumulate*
-/// the per-shard match counts (addition commutes, so the totals are
-/// deterministic too); they cannot be used to stop other shards early, since
-/// a rule's total can only reach its budget after every one of its shards
-/// has already used its full quota.
+/// scheduling cannot change it. No shard can stop another early either: a
+/// rule's total only reaches its budget after every one of its shards has
+/// used its full quota.
 fn search_phase<L: Language>(
     egraph: &EGraph<L>,
     rewrites: &[Rewrite<L>],
     banned: &[bool],
-    params: SearchParams,
+    match_limit: usize,
+    iteration: usize,
+    threads: usize,
+    stop_requested: &(dyn Fn() -> Option<StopReason> + Sync),
 ) -> SearchOutcome {
-    let SearchParams {
-        match_limit,
-        iteration,
-        threads,
-        start,
-        time_limit,
-        interrupt,
-    } = params;
     // The scan start rotates by a fixed odd-prime stride each iteration
     // (staggered per rule) so finite budgets sweep the whole e-graph over
     // time instead of re-finding the same matches in the earliest classes
@@ -244,77 +223,33 @@ fn search_phase<L: Language>(
         }
     }
 
-    // Per-rule match totals, accumulated atomically as shards finish.
-    let totals: Vec<AtomicUsize> = (0..rewrites.len()).map(|_| AtomicUsize::new(0)).collect();
-    let run_job = |job: &SearchJob| -> ShardResult {
-        let (matches, complete) = rewrites[job.rule].search_classes(egraph, job.classes, job.quota);
-        let found: usize = matches.iter().map(|m| m.substs.len()).sum();
-        totals[job.rule].fetch_add(found, Ordering::Relaxed);
-        (matches, complete)
-    };
-    let over_deadline = || {
-        start.elapsed() > time_limit
-            || interrupt
-                .as_ref()
-                .is_some_and(|f| f.load(Ordering::Relaxed))
-    };
-
-    // Execute: inline in job order for one thread, otherwise scoped workers
-    // pulling jobs off a shared atomic index. A job skipped because the
-    // deadline passed leaves its slot `None`, marking the rule incomplete.
-    let mut outputs: Vec<Option<ShardResult>> = Vec::new();
-    outputs.resize_with(jobs.len(), || None);
-    let threads = threads.clamp(1, jobs.len().max(1));
-    if threads == 1 {
-        for (slot, job) in outputs.iter_mut().zip(&jobs) {
-            if over_deadline() {
-                break;
-            }
-            *slot = Some(run_job(job));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let collected: Vec<Vec<(usize, ShardResult)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= jobs.len() || over_deadline() {
-                                break;
-                            }
-                            local.push((i, run_job(&jobs[i])));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        for worker_results in collected {
-            for (i, out) in worker_results {
-                outputs[i] = Some(out);
-            }
-        }
-    }
+    // One shard per task: its matches and whether the scan was complete. A
+    // shard that starts after a stop was requested is skipped; its slot
+    // stays `None`, marking the rule incomplete.
+    let outputs = crate::pool::for_each_indexed(
+        jobs.len(),
+        threads,
+        || (),
+        |i, ()| {
+            let job = &jobs[i];
+            stop_requested()
+                .is_none()
+                .then(|| rewrites[job.rule].search_classes(egraph, job.classes, job.quota))
+        },
+    );
 
     // Deterministic merge: jobs were created in (rule, shard) order, so one
     // stable pass reassembles each rule's matches exactly as a serial scan
     // of the same sharded budgets would produce them.
     let mut all_matches: Vec<Vec<SearchMatches>> =
         (0..rewrites.len()).map(|_| Vec::new()).collect();
+    let mut totals = vec![0; rewrites.len()];
     let mut rule_complete = vec![true; rewrites.len()];
     for (job, output) in jobs.iter().zip(outputs) {
         match output {
             Some((matches, complete)) => {
                 rule_complete[job.rule] &= complete;
+                totals[job.rule] += matches.iter().map(|m| m.substs.len()).sum::<usize>();
                 all_matches[job.rule].extend(matches);
             }
             None => rule_complete[job.rule] = false,
@@ -323,7 +258,7 @@ fn search_phase<L: Language>(
     let incomplete = banned.iter().any(|&b| b) || rule_complete.iter().any(|&c| !c);
     SearchOutcome {
         all_matches,
-        totals: totals.into_iter().map(AtomicUsize::into_inner).collect(),
+        totals,
         incomplete,
     }
 }
@@ -415,11 +350,10 @@ impl<L: Language> Runner<L> {
     }
 
     /// Sets the number of worker threads for the search phase (`0` and `1`
-    /// both mean serial). The search results are bit-identical for every
-    /// thread count: sharding and budget splitting never depend on it, only
-    /// which thread executes which shard does. The one exception is a run
-    /// that crosses its wall-clock limit *mid-search*: which shards the
-    /// deadline cuts off depends on timing, as with any wall-clock limit.
+    /// both mean serial). Sharding and budget splitting never depend on it,
+    /// so under [`crate::pool`]'s contract the search results are the same
+    /// for every thread count (a wall-clock limit crossed *mid-search*
+    /// excepted, as stated there).
     #[must_use]
     pub fn with_search_threads(mut self, threads: usize) -> Self {
         self.search_threads = threads.max(1);
@@ -453,21 +387,28 @@ impl<L: Language> Runner<L> {
         if self.egraph.is_dirty() {
             self.egraph.rebuild();
         }
+        // The interrupt flag and the wall-clock limit, checked together (in
+        // this order) between iterations, between search shards and between
+        // rule applications.
         let interrupt = self.interrupt.clone();
-        let interrupted = || {
-            interrupt
+        let time_limit = self.limits.time_limit;
+        let stop_requested = || {
+            if interrupt
                 .as_ref()
                 .is_some_and(|f| f.load(Ordering::Relaxed))
+            {
+                Some(StopReason::Interrupted)
+            } else if start.elapsed() > time_limit {
+                Some(StopReason::TimeLimit)
+            } else {
+                None
+            }
         };
 
         for iteration in 0..self.limits.iter_limit {
             let iter_start = Instant::now();
-            if interrupted() {
-                self.stop_reason = Some(StopReason::Interrupted);
-                break;
-            }
-            if start.elapsed() > self.limits.time_limit {
-                self.stop_reason = Some(StopReason::TimeLimit);
+            if let Some(reason) = stop_requested() {
+                self.stop_reason = Some(reason);
                 break;
             }
 
@@ -489,14 +430,10 @@ impl<L: Language> Runner<L> {
                 &self.egraph,
                 rewrites,
                 &banned,
-                SearchParams {
-                    match_limit,
-                    iteration,
-                    threads: self.search_threads,
-                    start,
-                    time_limit: self.limits.time_limit,
-                    interrupt: interrupt.clone(),
-                },
+                match_limit,
+                iteration,
+                self.search_threads,
+                &stop_requested,
             );
             let search_time = search_start.elapsed();
             let all_matches = outcome.all_matches;
@@ -530,12 +467,8 @@ impl<L: Language> Runner<L> {
                     hit_limit = Some(StopReason::NodeLimit);
                     break;
                 }
-                if interrupted() {
-                    hit_limit = Some(StopReason::Interrupted);
-                    break;
-                }
-                if start.elapsed() > self.limits.time_limit {
-                    hit_limit = Some(StopReason::TimeLimit);
+                hit_limit = stop_requested();
+                if hit_limit.is_some() {
                     break;
                 }
             }
@@ -570,12 +503,8 @@ impl<L: Language> Runner<L> {
                 self.stop_reason = Some(StopReason::NodeLimit);
                 break;
             }
-            if interrupted() {
-                self.stop_reason = Some(StopReason::Interrupted);
-                break;
-            }
-            if start.elapsed() > self.limits.time_limit {
-                self.stop_reason = Some(StopReason::TimeLimit);
+            if let Some(reason) = stop_requested() {
+                self.stop_reason = Some(reason);
                 break;
             }
         }

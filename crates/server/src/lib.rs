@@ -97,7 +97,8 @@ pub enum JobState {
     /// clean outcome, never a corrupted one — the runner's cooperative
     /// checkpoints leave every structure consistent.
     Preempted,
-    /// The flow failed with a typed error (recorded on the status).
+    /// The job cannot be served; the reason is recorded on the status. Today
+    /// that is a request for windowed saturation (`config.partitioning`).
     Failed,
 }
 
@@ -484,6 +485,12 @@ fn finish(
     }
 }
 
+/// Why a job that asks for windowed saturation fails instead of being served
+/// from one monolithic e-graph, which is not what it asked for.
+const WINDOWED_UNSUPPORTED: &str = "windowed saturation (FlowConfig::partitioning) is not \
+    served: a partitioned run has no single saturated e-graph to checkpoint; submit the job with \
+    partitioning: None";
+
 /// Executes one job through cache → checkpoint → flow.
 fn serve_job(inner: &Inner, id: JobId, request: JobRequest) {
     let cancel = {
@@ -504,6 +511,11 @@ fn serve_job(inner: &Inner, id: JobId, request: JobRequest) {
         mut config,
         budget,
     } = request;
+    if config.partitioning.is_some() {
+        let error = Some(WINDOWED_UNSUPPORTED.to_string());
+        finish(inner, id, JobState::Failed, None, false, error);
+        return;
+    }
     // The per-job budget tightens the saturation limit; it never loosens a
     // limit the config already sets.
     if let Some(budget) = budget {

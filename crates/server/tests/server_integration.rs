@@ -188,3 +188,30 @@ fn batch_of_duplicates_is_served_deterministically() {
     assert_eq!(server.cached_results(), 1);
     assert_eq!(server.stats().saturations, 1);
 }
+
+#[test]
+fn windowed_job_fails_typed_and_the_worker_keeps_serving() {
+    // Regression: a job with `partitioning: Some(_)` used to be saturated
+    // monolithically without a word. The windowed path has no checkpoint
+    // unit, so such a job fails with a reason — and the single worker is
+    // back in the pool for the next job.
+    let server = SynthesisServer::start(&ServerOptions { workers: 1 });
+    let circuit = benchgen::adder(6).aig;
+    let windowed = FlowConfig::fast().with_partitioning(window::WindowOptions::default());
+
+    let failed = server.submit(JobRequest::new(circuit.clone(), windowed));
+    let failed = server.wait(failed).unwrap();
+    assert_eq!(failed.state, JobState::Failed);
+    assert!(failed.result.is_none());
+    let error = failed.error.expect("a failed job says why");
+    assert!(error.contains("partitioning"), "{error}");
+
+    let next = server.submit(JobRequest::new(circuit, FlowConfig::fast()));
+    let next = server.wait(next).unwrap();
+    assert_eq!(next.state, JobState::Completed);
+
+    let stats = server.stats();
+    assert_eq!(stats.failed, 1);
+    assert_eq!(stats.completed, 1);
+    assert_eq!(stats.saturations, 1, "the failed job never saturated");
+}
