@@ -121,6 +121,32 @@ mod tests {
         }
     }
 
+    /// Regression for the vendored JSON parser's quadratic string parsing
+    /// (85.7 s on a 6.8 MB checkpoint): a checkpoint of this size must parse
+    /// back equal well inside the bound, even in a debug build. Parsed on a
+    /// helper thread so a quadratic parser fails instead of hanging the suite.
+    #[test]
+    fn large_checkpoint_roundtrips_through_json() {
+        let config = FlowConfig {
+            rewrite_iterations: 1,
+            ..FlowConfig::fast()
+        };
+        let state = saturate_network(&benchgen::multiplier(32).aig, &config);
+        let checkpoint = FlowCheckpoint::capture(&state);
+        assert!(
+            checkpoint.num_enodes() >= 20_000,
+            "{}",
+            checkpoint.num_enodes()
+        );
+        let json = checkpoint.to_json();
+        let (done, parsed) = std::sync::mpsc::channel();
+        std::thread::spawn(move || done.send(FlowCheckpoint::from_json(&json)));
+        let back = parsed
+            .recv_timeout(Duration::from_secs(60))
+            .expect("parsing the checkpoint exceeded 60 s");
+        assert_eq!(back.unwrap(), checkpoint);
+    }
+
     #[test]
     fn corrupt_checkpoint_is_rejected() {
         let aig = benchgen::adder(3).aig;

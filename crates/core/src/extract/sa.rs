@@ -6,10 +6,10 @@
 //! [`CostEvaluator`] (technology mapping or the learned model), and accepts
 //! or rejects moves with the Metropolis criterion under the Section IV-A
 //! cooling schedule. Several annealing chains run in parallel ([`egraph::pool`])
-//! and the best mapped solution wins. [`SaEngine`] adapts the extractor to the
+//! and the best mapped solution wins. [`SaEngine`] is the extractor behind the
 //! [`ExtractionEngine`] trait.
 
-use crate::convert::{selection_to_aig, ConversionResult};
+use crate::convert::selection_to_aig;
 use crate::extract::engine::{
     synthetic_names, ExtractBudget, ExtractError, Extraction, ExtractionEngine,
 };
@@ -17,7 +17,6 @@ use crate::extract::{
     bottom_up_extract, bottom_up_with_costs, ExtractStats, ExtractionCost, Selection,
 };
 use crate::lang::BoolLang;
-use aig::Aig;
 use costmodel::CostEvaluator;
 use egraph::pool::for_each_indexed;
 use egraph::{EGraph, FxHashMap, Id, Language};
@@ -129,12 +128,10 @@ pub struct ChainResult {
     pub stats: ExtractStats,
 }
 
-/// The overall result of SA extraction.
+/// The detailed result of one SA run ([`SaEngine::anneal`]).
 #[derive(Debug)]
 pub struct SaResult {
-    /// The best extracted circuit across all chains.
-    pub best_aig: Aig,
-    /// The e-node selection realizing [`SaResult::best_aig`].
+    /// The best e-node selection across all chains.
     pub best_selection: Selection,
     /// Its evaluator cost.
     pub best_cost: f64,
@@ -149,64 +146,31 @@ pub struct SaResult {
     pub runtime: Duration,
 }
 
-/// The simulated-annealing extractor.
-#[derive(Debug, Clone)]
-pub struct SaExtractor {
-    /// The options in effect.
-    pub options: SaOptions,
-}
-
-impl SaExtractor {
-    /// Creates an extractor with the given options.
-    pub fn new(options: SaOptions) -> Self {
-        SaExtractor { options }
-    }
-
-    /// Runs parallel simulated-annealing extraction on a converted circuit.
-    pub fn extract(
-        &self,
-        conversion: &ConversionResult,
-        evaluator: &dyn CostEvaluator,
-    ) -> SaResult {
-        extract_from_parts(
-            &conversion.egraph,
-            &conversion.roots,
-            &conversion.input_names,
-            &conversion.output_names,
-            &conversion.name,
-            evaluator,
-            &self.options,
-            self.options.iterations,
-        )
-    }
-}
-
-/// The core SA run, shared by [`SaExtractor`] (caller-provided port names)
-/// and [`SaEngine`] (synthetic names, budget-capped iterations).
-#[allow(clippy::too_many_arguments)]
-fn extract_from_parts(
+/// The core SA run. Port names are synthesized once for the candidate
+/// circuits (evaluators map the netlist; names are irrelevant to cost).
+fn anneal(
     egraph: &EGraph<BoolLang>,
     roots: &[Id],
-    input_names: &[String],
-    output_names: &[String],
-    name: &str,
     evaluator: &dyn CostEvaluator,
     options: &SaOptions,
     iterations: usize,
 ) -> SaResult {
     let start = Instant::now();
+    let (input_names, output_names) = synthetic_names(egraph, roots.len());
+    let candidate_cost = |selection: &Selection| {
+        evaluator.evaluate(&selection_to_aig(
+            egraph,
+            selection,
+            roots,
+            &input_names,
+            &output_names,
+            "sa-extracted",
+        ))
+    };
 
     // Greedy initial solution shared by all chains.
     let (initial_selection, _) = bottom_up_extract(egraph, options.neighbor_cost);
-    let initial_aig = selection_to_aig(
-        egraph,
-        &initial_selection,
-        roots,
-        input_names,
-        output_names,
-        name,
-    );
-    let initial_cost = evaluator.evaluate(&initial_aig);
+    let initial_cost = candidate_cost(&initial_selection);
 
     // One worker per chain; every chain returns `Some`.
     let chain_count = options.threads.max(1);
@@ -217,13 +181,8 @@ fn extract_from_parts(
         |chain_index, ()| {
             Some(run_chain(
                 egraph,
-                roots,
-                input_names,
-                output_names,
-                name,
-                evaluator,
-                initial_selection.clone(),
-                initial_aig.clone(),
+                &candidate_cost,
+                &initial_selection,
                 initial_cost,
                 options,
                 iterations,
@@ -232,15 +191,13 @@ fn extract_from_parts(
         },
     );
 
-    let mut best_aig = initial_aig;
     let mut best_selection = initial_selection;
     let mut best_cost = initial_cost;
     let mut chains = Vec::with_capacity(chain_count);
     let mut stats = ExtractStats::default();
-    for (selection, aig, cost, chain) in chain_outputs.into_iter().flatten() {
-        if cost < best_cost {
-            best_cost = cost;
-            best_aig = aig;
+    for (selection, chain) in chain_outputs.into_iter().flatten() {
+        if chain.best_cost < best_cost {
+            best_cost = chain.best_cost;
             best_selection = selection;
         }
         stats.nodes_evaluated += chain.stats.nodes_evaluated;
@@ -251,7 +208,6 @@ fn extract_from_parts(
     stats.runtime = runtime;
 
     SaResult {
-        best_aig,
         best_selection,
         best_cost,
         initial_cost,
@@ -261,27 +217,20 @@ fn extract_from_parts(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_chain(
     egraph: &EGraph<BoolLang>,
-    roots: &[Id],
-    input_names: &[String],
-    output_names: &[String],
-    name: &str,
-    evaluator: &dyn CostEvaluator,
-    initial_selection: Selection,
-    initial_aig: Aig,
+    candidate_cost: &(dyn Fn(&Selection) -> f64 + Sync),
+    initial_selection: &Selection,
     initial_cost: f64,
     options: &SaOptions,
     iterations: usize,
     chain_index: usize,
-) -> (Selection, Aig, f64, ChainResult) {
+) -> (Selection, ChainResult) {
     let mut rng =
         StdRng::seed_from_u64(options.seed ^ (chain_index as u64).wrapping_mul(0x9E37_79B9));
     let mut current_selection = initial_selection.clone();
     let mut current_cost = initial_cost;
-    let mut best_selection = initial_selection;
-    let mut best_aig = initial_aig;
+    let mut best_selection = initial_selection.clone();
     let mut best_cost = initial_cost;
     let mut temperature = options.initial_temperature;
     let mut stats = ExtractStats::default();
@@ -297,11 +246,9 @@ fn run_chain(
             options.p_random,
             &mut rng,
         );
-        let candidate_aig =
-            selection_to_aig(egraph, &neighbor, roots, input_names, output_names, name);
-        let candidate_cost = evaluator.evaluate(&candidate_aig);
+        let neighbor_cost = candidate_cost(&neighbor);
         stats.nodes_evaluated += 1;
-        let delta = candidate_cost - current_cost;
+        let delta = neighbor_cost - current_cost;
 
         let accept = if delta < 0.0 {
             true
@@ -312,11 +259,10 @@ fn run_chain(
         };
         if accept {
             current_selection = neighbor;
-            current_cost = candidate_cost;
+            current_cost = neighbor_cost;
             stats.improvements += 1;
-            if candidate_cost < best_cost {
-                best_cost = candidate_cost;
-                best_aig = candidate_aig;
+            if neighbor_cost < best_cost {
+                best_cost = neighbor_cost;
                 best_selection = current_selection.clone();
             }
         }
@@ -324,22 +270,15 @@ fn run_chain(
         temperature = cooled_temperature(temperature, delta, iteration, iterations);
     }
 
-    (
-        best_selection,
-        best_aig,
-        best_cost,
-        ChainResult { best_cost, stats },
-    )
+    (best_selection, ChainResult { best_cost, stats })
 }
 
-/// The [`ExtractionEngine`] adapter of the SA extractor.
+/// The SA extractor, as an [`ExtractionEngine`].
 ///
-/// Port names are synthesized for the candidate circuits (evaluators map the
-/// netlist; names are irrelevant to cost), and the selection realizing the
-/// best circuit is returned. The budget's `max_evaluations` caps the total
-/// candidate evaluations across all chains by shortening each chain
-/// deterministically; the wall-clock backstop is not consulted (chains check
-/// no clocks, keeping results machine-independent).
+/// The budget's `max_evaluations` caps the total candidate evaluations
+/// across all chains by shortening each chain deterministically; the
+/// wall-clock backstop is not consulted (chains check no clocks, keeping
+/// results machine-independent).
 pub struct SaEngine {
     options: SaOptions,
     evaluator: Arc<dyn CostEvaluator>,
@@ -349,6 +288,53 @@ impl SaEngine {
     /// Creates an SA engine annealing under the given evaluator.
     pub fn new(options: SaOptions, evaluator: Arc<dyn CostEvaluator>) -> Self {
         SaEngine { options, evaluator }
+    }
+
+    /// Runs the annealing and returns its detailed result (initial and best
+    /// cost, per-chain outcomes); [`ExtractionEngine::extract`] keeps only
+    /// the best selection.
+    ///
+    /// # Errors
+    /// [`ExtractError::Unrealizable`] if a root class has no realizable term.
+    pub fn anneal(
+        &self,
+        egraph: &EGraph<BoolLang>,
+        roots: &[Id],
+        budget: &ExtractBudget,
+    ) -> Result<SaResult, ExtractError> {
+        self.run(egraph, roots, budget).map(|(result, _)| result)
+    }
+
+    /// The SA run plus the size costs of the realizability check.
+    fn run(
+        &self,
+        egraph: &EGraph<BoolLang>,
+        roots: &[Id],
+        budget: &ExtractBudget,
+    ) -> Result<(SaResult, FxHashMap<Id, u64>), ExtractError> {
+        let threads = self.options.threads.max(1);
+        let iterations = match budget.max_evaluations {
+            Some(max) => (max as usize / threads).min(self.options.iterations),
+            None => self.options.iterations,
+        };
+        // Realizability check up front: SA's greedy seed panics on
+        // unrealizable roots, the engine API reports them as typed errors.
+        let (seed_selection, class_costs, _) =
+            bottom_up_with_costs(egraph, ExtractionCost::Size, true);
+        for &root in roots {
+            let root = egraph.find(root);
+            if !seed_selection.choices.contains_key(&root) {
+                return Err(ExtractError::Unrealizable(root));
+            }
+        }
+        let result = anneal(
+            egraph,
+            roots,
+            self.evaluator.as_ref(),
+            &self.options,
+            iterations,
+        );
+        Ok((result, class_costs))
     }
 }
 
@@ -373,32 +359,7 @@ impl ExtractionEngine for SaEngine {
         budget: &ExtractBudget,
     ) -> Result<Extraction, ExtractError> {
         let start = Instant::now();
-        let threads = self.options.threads.max(1);
-        let iterations = match budget.max_evaluations {
-            Some(max) => (max as usize / threads).min(self.options.iterations),
-            None => self.options.iterations,
-        };
-        let (input_names, output_names) = synthetic_names(egraph, roots.len());
-        // Realizability check up front: SA's greedy seed panics on
-        // unrealizable roots, the engine API reports them as typed errors.
-        let (seed_selection, class_costs, _) =
-            bottom_up_with_costs(egraph, ExtractionCost::Size, true);
-        for &root in roots {
-            let root = egraph.find(root);
-            if !seed_selection.choices.contains_key(&root) {
-                return Err(ExtractError::Unrealizable(root));
-            }
-        }
-        let result = extract_from_parts(
-            egraph,
-            roots,
-            &input_names,
-            &output_names,
-            "sa-extracted",
-            self.evaluator.as_ref(),
-            &self.options,
-            iterations,
-        );
+        let (result, class_costs) = self.run(egraph, roots, budget)?;
         let mut stats = result.stats;
         stats.runtime = start.elapsed();
         Ok(Extraction {
@@ -513,8 +474,9 @@ pub fn generate_neighbor(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convert::aig_to_egraph;
+    use crate::convert::{aig_to_egraph, ConversionResult};
     use crate::rules::all_rules;
+    use aig::Aig;
     use cec::{check_equivalence, CecOptions};
     use costmodel::TechMapCost;
     use egraph::{Runner, Scheduler};
@@ -608,22 +570,26 @@ mod tests {
         }
     }
 
+    fn anneal_with(conv: &ConversionResult, options: SaOptions) -> SaResult {
+        SaEngine::new(options, Arc::new(TechMapCost::new(asap7_like())))
+            .anneal(&conv.egraph, &conv.roots, &ExtractBudget::unlimited())
+            .unwrap()
+    }
+
     #[test]
     fn sa_extraction_finds_valid_and_not_worse_solution() {
         let aig = benchgen::adder(5).aig;
         let conv = saturated_conversion(&aig, 3);
-        let evaluator = TechMapCost::new(asap7_like());
-        let extractor = SaExtractor::new(SaOptions::fast());
-        let result = extractor.extract(&conv, &evaluator);
+        let result = anneal_with(&conv, SaOptions::fast());
         assert!(result.best_cost <= result.initial_cost);
-        assert!(check_equivalence(&aig, &result.best_aig, &CecOptions::default()).is_equivalent());
         assert_eq!(result.chains.len(), 2);
         for chain in &result.chains {
             assert_eq!(chain.stats.nodes_evaluated, 2);
             assert!(chain.stats.improvements <= chain.stats.nodes_evaluated);
         }
         assert_eq!(result.stats.nodes_evaluated, 4);
-        // The reported best selection realizes the reported best circuit.
+        // The reported best selection realizes a circuit equivalent to the
+        // input, at the reported best cost.
         let realized = selection_to_aig(
             &conv.egraph,
             &result.best_selection,
@@ -632,22 +598,21 @@ mod tests {
             &conv.output_names,
             &conv.name,
         );
-        assert!(
-            check_equivalence(&realized, &result.best_aig, &CecOptions::default()).is_equivalent()
-        );
+        assert!(check_equivalence(&aig, &realized, &CecOptions::default()).is_equivalent());
+        let realized_cost = TechMapCost::new(asap7_like()).evaluate(&realized);
+        assert_eq!(realized_cost, result.best_cost);
     }
 
     #[test]
     fn deterministic_given_seed_and_single_thread() {
         let aig = benchgen::adder(4).aig;
         let conv = saturated_conversion(&aig, 2);
-        let evaluator = TechMapCost::new(asap7_like());
         let options = SaOptions::new()
             .with_threads(1)
             .with_iterations(2)
             .with_seed(7);
-        let a = SaExtractor::new(options.clone()).extract(&conv, &evaluator);
-        let b = SaExtractor::new(options).extract(&conv, &evaluator);
+        let a = anneal_with(&conv, options.clone());
+        let b = anneal_with(&conv, options);
         assert_eq!(a.best_cost, b.best_cost);
         assert_eq!(
             a.chains[0].stats.improvements,
@@ -659,21 +624,9 @@ mod tests {
     fn more_threads_never_hurt_best_cost() {
         let aig = benchgen::adder(4).aig;
         let conv = saturated_conversion(&aig, 3);
-        let evaluator = TechMapCost::new(asap7_like());
-        let single = SaExtractor::new(
-            SaOptions::new()
-                .with_threads(1)
-                .with_iterations(2)
-                .with_seed(3),
-        )
-        .extract(&conv, &evaluator);
-        let quad = SaExtractor::new(
-            SaOptions::new()
-                .with_threads(4)
-                .with_iterations(2)
-                .with_seed(3),
-        )
-        .extract(&conv, &evaluator);
+        let options = SaOptions::new().with_iterations(2).with_seed(3);
+        let single = anneal_with(&conv, options.clone().with_threads(1));
+        let quad = anneal_with(&conv, options.with_threads(4));
         // The single-thread chain is one of the four (same seed), so the
         // parallel best can only be equal or better.
         assert!(quad.best_cost <= single.best_cost + 1e-9);

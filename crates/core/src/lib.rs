@@ -49,7 +49,7 @@ pub mod windowed;
 pub use audit::{AuditLevel, AuditReport};
 pub use checkpoint::FlowCheckpoint;
 pub use convert::{aig_to_egraph, selection_to_aig, try_selection_to_aig, ConversionResult};
-pub use extract::sa::{SaEngine, SaExtractor, SaOptions, SaResult};
+pub use extract::sa::{SaEngine, SaOptions, SaResult};
 pub use extract::{
     bottom_up_extract, BottomUpEngine, EngineReport, ExtractBudget, ExtractError, ExtractStats,
     Extraction, ExtractionCost, ExtractionEngine, ExtractorKind, GlobalGreedyDagEngine,

@@ -12,7 +12,7 @@
 //!
 //! The previous-generation solver is kept as [`ReferenceSolver`]: an
 //! independent implementation used as a differential-testing oracle by the
-//! property tests and by the `sat_qor` benchmark gate.
+//! property tests and by the `repro sat` gate.
 //!
 //! # Example
 //!

@@ -652,11 +652,3 @@ fn serve_job(inner: &Inner, id: JobId, request: JobRequest) {
         None => finish(inner, id, JobState::Preempted, None, false, None),
     }
 }
-
-/// Convenience: serve one job synchronously on a throwaway server. Used by
-/// examples and tests that don't need a persistent pool.
-pub fn serve_one(request: JobRequest) -> Option<JobStatus> {
-    let server = SynthesisServer::start(&ServerOptions { workers: 1 });
-    let id = server.submit(request);
-    server.wait(id)
-}

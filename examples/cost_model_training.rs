@@ -6,8 +6,8 @@
 
 use costmodel::metrics::{kendall_tau, mape};
 use costmodel::{CircuitFeatures, CostEvaluator, LearnedCost, TechMapCost};
-use emorphic::extract::sa::{SaExtractor, SaOptions};
-use emorphic::{aig_to_egraph, all_rules};
+use emorphic::extract::sa::{SaEngine, SaOptions};
+use emorphic::{aig_to_egraph, all_rules, selection_to_aig, ExtractBudget};
 use logic_opt::{balance, refactor, rewrite};
 use techmap::library::asap7_like;
 
@@ -87,13 +87,34 @@ fn main() {
         egraph: runner.egraph,
         ..conversion
     };
-    let sa = SaExtractor::new(SaOptions {
-        iterations: 3,
-        threads: 2,
-        ..SaOptions::default()
-    });
-    let guided = sa.extract(&saturated, &model);
-    let true_delay = mapper.qor(&guided.best_aig).delay_ps;
+    let sa = SaEngine::new(
+        SaOptions {
+            iterations: 3,
+            threads: 2,
+            ..SaOptions::default()
+        },
+        std::sync::Arc::new(model),
+    );
+    let guided = match sa.anneal(
+        &saturated.egraph,
+        &saturated.roots,
+        &ExtractBudget::unlimited(),
+    ) {
+        Ok(guided) => guided,
+        Err(e) => {
+            println!("SA extraction failed: {e}");
+            return;
+        }
+    };
+    let guided_aig = selection_to_aig(
+        &saturated.egraph,
+        &guided.best_selection,
+        &saturated.roots,
+        &saturated.input_names,
+        &saturated.output_names,
+        &saturated.name,
+    );
+    let true_delay = mapper.qor(&guided_aig).delay_ps;
     println!(
         "\nSA guided by the learned model: predicted cost {:.1}, true mapped delay {:.1} ps \
          (extraction took {:.2}s)",
@@ -101,7 +122,7 @@ fn main() {
         true_delay,
         guided.runtime.as_secs_f64()
     );
-    let ok = cec::check_equivalence(&probe, &guided.best_aig, &cec::CecOptions::default());
+    let ok = cec::check_equivalence(&probe, &guided_aig, &cec::CecOptions::default());
     println!(
         "extracted circuit equivalent to the original: {}",
         ok.is_equivalent()
