@@ -1297,6 +1297,7 @@ mod tests {
         assert_eq!(serial.egraph_classes, parallel.egraph_classes);
         assert_eq!(serial.saturation.len(), parallel.saturation.len());
         for (a, b) in serial.saturation.iter().zip(&parallel.saturation) {
+            assert_eq!(a.matched, b.matched);
             assert_eq!(a.applied, b.applied);
             assert_eq!(a.egraph_nodes, b.egraph_nodes);
             assert_eq!(a.search_complete, b.search_complete);

@@ -57,7 +57,7 @@ pub use extract::{AstDepth, AstSize, CostFunction, DagSelection, Extractor, Sele
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use id::Id;
 pub use language::{op_key_of, FromOp, Language, RecExpr, SymbolLang};
-pub use pattern::{ENodeOrVar, Pattern, SearchMatches, Subst, Var};
+pub use pattern::{ENodeOrVar, MatchScratch, Pattern, SearchMatches, Subst, Var};
 pub use rewrite::Rewrite;
 pub use runner::{IterationReport, Runner, RunnerLimits, Scheduler, StopReason};
 pub use unionfind::UnionFind;

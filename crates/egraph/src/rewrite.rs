@@ -1,7 +1,7 @@
 //! Rewrite rules: a named left-hand-side pattern and a right-hand-side
 //! pattern, applied non-destructively by adding equalities to the e-graph.
 
-use crate::{EGraph, FromOp, Id, Language, ParseError, Pattern, SearchMatches};
+use crate::{EGraph, FromOp, Language, ParseError, Pattern, SearchMatches};
 
 /// A rewrite rule `lhs => rhs`.
 ///
@@ -14,7 +14,8 @@ pub struct Rewrite<L> {
     pub name: String,
     /// The pattern to search for.
     pub lhs: Pattern<L>,
-    /// The pattern to instantiate and union with each match.
+    /// The pattern to instantiate and union with each match, compiled
+    /// against `lhs`'s variable slots (see [`Rewrite::parse`]).
     pub rhs: Pattern<L>,
 }
 
@@ -27,15 +28,10 @@ impl<L: FromOp> Rewrite<L> {
     pub fn parse(name: impl Into<String>, lhs: &str, rhs: &str) -> Result<Self, ParseError> {
         let name = name.into();
         let lhs: Pattern<L> = lhs.parse()?;
-        let rhs: Pattern<L> = rhs.parse()?;
-        let bound = lhs.vars();
-        for var in rhs.vars() {
-            if !bound.contains(&var) {
-                return Err(ParseError(format!(
-                    "rewrite '{name}': rhs variable {var} is not bound by the lhs"
-                )));
-            }
-        }
+        // Compiling the right-hand side against the left-hand side's slots
+        // is also what rejects a variable the left-hand side does not bind.
+        let rhs = Pattern::parse_scoped(rhs, Some(&lhs.vars()))
+            .map_err(|ParseError(e)| ParseError(format!("rewrite '{name}': rhs: {e}")))?;
         Ok(Rewrite { name, lhs, rhs })
     }
 }
@@ -44,34 +40,6 @@ impl<L: Language> Rewrite<L> {
     /// Searches the left-hand side over the whole e-graph.
     pub fn search(&self, egraph: &EGraph<L>, match_limit: usize) -> Vec<SearchMatches> {
         self.lhs.search(egraph, match_limit)
-    }
-
-    /// Searches with a rotated class-scan start, also reporting whether the
-    /// scan was complete; see [`Pattern::search_rotated`].
-    pub fn search_rotated(
-        &self,
-        egraph: &EGraph<L>,
-        match_limit: usize,
-        rotation: usize,
-    ) -> (Vec<SearchMatches>, bool) {
-        self.lhs.search_rotated(egraph, match_limit, rotation)
-    }
-
-    /// Candidate classes of the left-hand side, in deterministic order; see
-    /// [`Pattern::candidate_classes`].
-    pub fn candidate_classes(&self, egraph: &EGraph<L>) -> Vec<Id> {
-        self.lhs.candidate_classes(egraph)
-    }
-
-    /// Searches the left-hand side over one contiguous shard of candidate
-    /// classes under its own budget; see [`Pattern::search_classes`].
-    pub fn search_classes(
-        &self,
-        egraph: &EGraph<L>,
-        classes: &[Id],
-        match_limit: usize,
-    ) -> (Vec<SearchMatches>, bool) {
-        self.lhs.search_classes(egraph, classes, match_limit)
     }
 
     /// Applies the rewrite to previously found matches. Returns the number of

@@ -1,8 +1,9 @@
 //! The equality-saturation loop: repeatedly search and apply rewrites until
 //! the e-graph saturates or a resource limit is hit.
 
-use crate::{EGraph, Id, Language, RecExpr, Rewrite, SearchMatches};
+use crate::{EGraph, Id, Language, MatchScratch, RecExpr, Rewrite, SearchMatches};
 use fxhash::FxHashMap;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -78,6 +79,10 @@ pub struct IterationReport {
     pub egraph_nodes: usize,
     /// Number of e-classes after the iteration.
     pub egraph_classes: usize,
+    /// Per-rule number of substitutions the search found (0 for a rule that
+    /// sat the iteration out banned). A rule whose count reaches the
+    /// scheduler's match limit is banned from the next iterations.
+    pub matched: Vec<(String, usize)>,
     /// Per-rule number of unions that changed the e-graph.
     pub applied: Vec<(String, usize)>,
     /// Unions added by congruence during rebuild.
@@ -129,8 +134,18 @@ const SHARDS_PER_RULE: usize = 8;
 /// One `(rule × candidate-class-range)` work item of the search phase.
 struct SearchJob<'a> {
     rule: usize,
-    classes: &'a [Id],
+    /// The shard's range of the rule's rotated candidate order: a range of
+    /// the unrotated list and, where it wraps around the end, the range that
+    /// continues it from the start.
+    classes: [&'a [Id]; 2],
     quota: usize,
+}
+
+/// The part of `positions` — a range of some longer order in which `ids`
+/// occupies the positions from `from` on — that falls inside `ids`.
+fn clip(ids: &[Id], from: usize, positions: std::ops::Range<usize>) -> &[Id] {
+    let at = |pos: usize| pos.saturating_sub(from).min(ids.len());
+    &ids[at(positions.start)..at(positions.end)]
 }
 
 /// The merged outcome of one iteration's search phase.
@@ -172,28 +187,15 @@ fn search_phase<L: Language>(
     // would restart the scan at the same class.
     const ROTATION_STRIDE: usize = 9973;
 
-    // Rotated candidate-class lists per rule (empty for banned rules).
-    let candidates: Vec<Vec<Id>> = rewrites
-        .iter()
-        .enumerate()
-        .map(|(ri, rw)| {
-            if banned[ri] {
-                return Vec::new();
-            }
-            let ids = rw.candidate_classes(egraph);
-            if ids.is_empty() {
-                return Vec::new();
-            }
-            let rotation = iteration
-                .wrapping_mul(ROTATION_STRIDE)
-                .wrapping_add(ri * 17);
-            let split = rotation % ids.len();
-            let mut rotated = Vec::with_capacity(ids.len());
-            rotated.extend_from_slice(&ids[split..]);
-            rotated.extend_from_slice(&ids[..split]);
-            rotated
-        })
-        .collect();
+    // One candidate-class list per distinct left-hand-side root operator:
+    // rules with the same root share it, each reading it from its own
+    // rotation point.
+    let mut candidates: FxHashMap<Option<u64>, Vec<Id>> = FxHashMap::default();
+    for (rw, _) in rewrites.iter().zip(banned).filter(|(_, &b)| !b) {
+        candidates
+            .entry(rw.lhs.root_op_key())
+            .or_insert_with(|| rw.lhs.candidate_classes(egraph));
+    }
 
     // Contiguous class-range shards with deterministically split budgets.
     // Never create more shards than the match budget: a quota-0 shard can
@@ -202,21 +204,32 @@ fn search_phase<L: Language>(
     // budgets. (`match_limit.max(1)` keeps the degenerate budget-0 case a
     // single — honestly incomplete — shard.)
     let mut jobs: Vec<SearchJob> = Vec::new();
-    for (ri, classes) in candidates.iter().enumerate() {
-        if classes.is_empty() {
-            continue;
-        }
-        let shards = SHARDS_PER_RULE.min(classes.len()).min(match_limit.max(1));
-        let class_base = classes.len() / shards;
-        let class_rem = classes.len() % shards;
+    for (ri, rw) in rewrites.iter().enumerate() {
+        let ids = match candidates.get(&rw.lhs.root_op_key()) {
+            Some(ids) if !banned[ri] && !ids.is_empty() => ids.as_slice(),
+            _ => continue,
+        };
+        let rotation = iteration
+            .wrapping_mul(ROTATION_STRIDE)
+            .wrapping_add(ri * 17);
+        // The rule scans `ids[split..]`, then wraps around to `ids[..split]`.
+        let (wrapped, first) = ids.split_at(rotation % ids.len());
+        let shards = SHARDS_PER_RULE.min(ids.len()).min(match_limit.max(1));
+        let class_base = ids.len() / shards;
+        let class_rem = ids.len() % shards;
         let quota_base = match_limit / shards;
         let quota_rem = match_limit % shards;
         let mut offset = 0;
         for shard in 0..shards {
             let len = class_base + usize::from(shard < class_rem);
+            let range = offset..offset + len;
+            let classes = [
+                clip(first, 0, range.clone()),
+                clip(wrapped, first.len(), range),
+            ];
             jobs.push(SearchJob {
                 rule: ri,
-                classes: &classes[offset..offset + len],
+                classes,
                 quota: quota_base + usize::from(shard < quota_rem),
             });
             offset += len;
@@ -225,16 +238,22 @@ fn search_phase<L: Language>(
 
     // One shard per task: its matches and whether the scan was complete. A
     // shard that starts after a stop was requested is skipped; its slot
-    // stays `None`, marking the rule incomplete.
+    // stays `None`, marking the rule incomplete. Each worker matches over
+    // its own scratch rows, reused from shard to shard.
     let outputs = crate::pool::for_each_indexed(
         jobs.len(),
         threads,
-        || (),
-        |i, ()| {
+        || RefCell::new(MatchScratch::default()),
+        |i, scratch| {
             let job = &jobs[i];
-            stop_requested()
-                .is_none()
-                .then(|| rewrites[job.rule].search_classes(egraph, job.classes, job.quota))
+            stop_requested().is_none().then(|| {
+                rewrites[job.rule].lhs.search_classes(
+                    egraph,
+                    job.classes.iter().copied().flatten().copied(),
+                    job.quota,
+                    &mut scratch.borrow_mut(),
+                )
+            })
         },
     );
 
@@ -438,6 +457,11 @@ impl<L: Language> Runner<L> {
             let search_time = search_start.elapsed();
             let all_matches = outcome.all_matches;
             let search_incomplete = outcome.incomplete;
+            let matched = rewrites
+                .iter()
+                .zip(&outcome.totals)
+                .map(|(rw, &total)| (rw.name.clone(), total))
+                .collect();
             // Backoff banning from the deterministic per-rule match totals.
             if let Scheduler::Backoff {
                 match_limit,
@@ -480,6 +504,7 @@ impl<L: Language> Runner<L> {
                 iteration,
                 egraph_nodes: self.egraph.total_nodes(),
                 egraph_classes: self.egraph.num_classes(),
+                matched,
                 applied,
                 rebuild_unions,
                 elapsed: iter_start.elapsed(),
@@ -608,6 +633,33 @@ mod tests {
         assert!(first.egraph_nodes >= 5);
         assert_eq!(first.applied.len(), 1);
         assert!(first.applied[0].1 >= 1);
+        // One match found, one union applied, reported under the rule's name.
+        assert_eq!(first.matched, [("distribute".to_string(), 1)]);
+    }
+
+    #[test]
+    fn clipped_parts_spell_the_rotated_order() {
+        // Any range of the rotated order `ids[split..] ++ ids[..split]` is
+        // its part inside `ids[split..]` followed by its part inside
+        // `ids[..split]`.
+        let ids: Vec<Id> = (0..7usize).map(Id::from).collect();
+        for split in 0..ids.len() {
+            let (wrapped, first) = ids.split_at(split);
+            let rotated = [first, wrapped].concat();
+            for start in 0..=ids.len() {
+                for end in start..=ids.len() {
+                    let parts = [
+                        clip(first, 0, start..end),
+                        clip(wrapped, first.len(), start..end),
+                    ];
+                    assert_eq!(
+                        parts.concat(),
+                        rotated[start..end],
+                        "{split} {start}..{end}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -705,6 +757,7 @@ mod tests {
         for (ia, ib) in a.iterations.iter().zip(&b.iterations) {
             assert_eq!(ia.egraph_nodes, ib.egraph_nodes);
             assert_eq!(ia.egraph_classes, ib.egraph_classes);
+            assert_eq!(ia.matched, ib.matched);
             assert_eq!(ia.applied, ib.applied);
             assert_eq!(ia.rebuild_unions, ib.rebuild_unions);
             assert_eq!(ia.search_complete, ib.search_complete);

@@ -6,12 +6,18 @@
 //!    partitions, canonical node forms, and union counts — under random
 //!    interleavings of `add`, `union` and `rebuild`.
 //! 2. The [`Runner`]'s parallel sharded search must be *bit-identical* to the
-//!    serial path: identical per-iteration reports (matches applied,
+//!    serial path: identical per-iteration reports (matches found and applied,
 //!    `search_complete`, node/class counts), stop reasons, and final class
 //!    partitions for every thread count, across randomized rule sets and
 //!    match budgets.
+//! 3. The compiled matcher ([`Pattern::search_classes`]) must be *observably
+//!    the interpreter it replaced*: the recursive pattern interpreter lives
+//!    on below as [`Oracle`], and for random e-graphs, patterns, class
+//!    sequences and match budgets the two must return the same matches in
+//!    the same order with the same completeness flag.
 //!
-//! Run with `PROPTEST_CASES=5000` (or higher) for the PR gate.
+//! CI runs this file at `PROPTEST_CASES=1000` on every PR and at 5000 weekly
+//! (`proptest-deep.yml`).
 
 // Helper fns here run outside #[test] context, so the clippy.toml
 // test relaxation does not reach them.
@@ -20,7 +26,9 @@
 // oracle for these differential tests; `audit` carries the typed rules.
 #![allow(deprecated)]
 
-use egraph::{EGraph, FxHashMap, Id, Language, Rewrite, Runner, Scheduler, SymbolLang};
+use egraph::{
+    EGraph, FxHashMap, Id, Language, MatchScratch, Pattern, Rewrite, Runner, Scheduler, SymbolLang,
+};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -121,6 +129,211 @@ fn class_signatures(
     out
 }
 
+/// A pattern as the oracle reads it: built by the test, printed to the
+/// s-expression the library parses, so the two sides share no pattern code.
+#[derive(Debug, Clone)]
+enum Pat {
+    /// `?p<n>`
+    Var(u8),
+    /// An operator applied to sub-patterns (none: a ground leaf).
+    Node(String, Vec<Pat>),
+}
+
+impl Pat {
+    /// Decodes a pattern from a byte stream: variables (from a pool of
+    /// `nvars`, so a small pool makes non-linear patterns), the leaves and
+    /// binary operators [`workload`] builds its graphs from, nodes down to
+    /// `levels_left` levels below this one. The root is an operator three
+    /// times in four, a position below it half the time. An exhausted stream
+    /// reads as zeros, i.e. variables.
+    fn decode(
+        bytes: &mut impl Iterator<Item = u8>,
+        levels_left: usize,
+        nvars: u8,
+        root: bool,
+    ) -> Pat {
+        let byte = bytes.next().unwrap_or(0);
+        let (kind, arg) = (byte % 8, byte / 8);
+        match kind {
+            0 => Pat::Var(arg % nvars),
+            1 => Pat::Node(format!("v{}", arg % 6), Vec::new()),
+            2 | 3 if !root => Pat::Var(arg % nvars),
+            _ if levels_left == 0 => Pat::Var(arg % nvars),
+            _ => Pat::Node(
+                format!("f{}", arg % 4),
+                vec![
+                    Pat::decode(bytes, levels_left - 1, nvars, false),
+                    Pat::decode(bytes, levels_left - 1, nvars, false),
+                ],
+            ),
+        }
+    }
+
+    fn sexpr(&self) -> String {
+        match self {
+            Pat::Var(v) => format!("?p{v}"),
+            Pat::Node(op, children) if children.is_empty() => op.clone(),
+            Pat::Node(op, children) => {
+                let children: Vec<String> = children.iter().map(Pat::sexpr).collect();
+                format!("({op} {})", children.join(" "))
+            }
+        }
+    }
+}
+
+/// Variable bindings in the order the oracle made them.
+type Bindings = Vec<(u8, Id)>;
+
+/// Steps charged per allowed match; the library's `STEPS_PER_MATCH`.
+const STEPS_PER_MATCH: usize = 100;
+
+/// The e-matching oracle: the recursive pattern interpreter that
+/// `Pattern::search_classes` ran before patterns were compiled, kept here
+/// unchanged in its traversal order, its truncation points and the points at
+/// which it charges the step budget. Two things were added: `cut`, the
+/// corrected completeness accounting (the interpreter reported a scan
+/// complete whenever it reached the end of the class list), and `work`, a
+/// test-only valve that abandons enumerations too large to finish, which an
+/// unlimited match budget allows.
+struct Oracle<'a> {
+    egraph: &'a EGraph<SymbolLang>,
+    limit: usize,
+    steps: usize,
+    cut: bool,
+    work: usize,
+}
+
+impl Oracle<'_> {
+    /// Calls to [`Oracle::match_in_class`] after which a case is abandoned.
+    const MAX_WORK: usize = 200_000;
+
+    /// `None`: the enumeration was abandoned as too large.
+    #[allow(clippy::type_complexity)]
+    fn search_classes(
+        egraph: &EGraph<SymbolLang>,
+        pat: &Pat,
+        classes: &[Id],
+        match_limit: usize,
+    ) -> Option<(Vec<(Id, Vec<Bindings>)>, bool)> {
+        let mut oracle = Oracle {
+            egraph,
+            limit: match_limit,
+            steps: match_limit.saturating_mul(STEPS_PER_MATCH),
+            cut: false,
+            work: 0,
+        };
+        let mut results = Vec::new();
+        for &id in classes {
+            if oracle.limit == 0 || oracle.steps == 0 {
+                return Some((results, false));
+            }
+            let eclass = egraph.find(id);
+            let substs = oracle.match_in_class(pat, eclass, Bindings::new());
+            if oracle.work > Self::MAX_WORK {
+                return None;
+            }
+            if !substs.is_empty() {
+                oracle.limit -= substs.len();
+                results.push((eclass, substs));
+            }
+        }
+        Some((results, !oracle.cut))
+    }
+
+    fn match_in_class(&mut self, pat: &Pat, eclass: Id, subst: Bindings) -> Vec<Bindings> {
+        self.work += 1;
+        if self.work > Self::MAX_WORK {
+            return Vec::new();
+        }
+        if self.steps == 0 {
+            self.cut = true;
+            return Vec::new();
+        }
+        self.steps -= 1;
+        match pat {
+            Pat::Var(v) => {
+                let id = self.egraph.find(eclass);
+                match subst.iter().find(|(bound, _)| bound == v) {
+                    Some(&(_, existing)) if existing != id => vec![],
+                    Some(_) => vec![subst],
+                    None => {
+                        let mut subst = subst;
+                        subst.push((*v, id));
+                        vec![subst]
+                    }
+                }
+            }
+            Pat::Node(op, pchildren) => {
+                let mut out = Vec::new();
+                let Some(class) = self.egraph.get_class(eclass) else {
+                    return out;
+                };
+                let matches = |n: &SymbolLang| n.op == *op && n.children.len() == pchildren.len();
+                for (i, enode) in class.nodes.iter().enumerate() {
+                    if self.steps == 0 {
+                        self.cut |= class.nodes[i..].iter().any(matches);
+                        break;
+                    }
+                    if !matches(enode) {
+                        continue;
+                    }
+                    // Match children left to right, threading substitutions.
+                    let mut partial = vec![subst.clone()];
+                    for (pchild, echild) in pchildren.iter().zip(&enode.children) {
+                        let mut next = Vec::new();
+                        let count = partial.len();
+                        for (k, s) in partial.into_iter().enumerate() {
+                            next.extend(self.match_in_class(pchild, *echild, s));
+                            if next.len() >= self.limit {
+                                self.cut |= next.len() > self.limit || k + 1 < count;
+                                next.truncate(self.limit);
+                                break;
+                            }
+                        }
+                        partial = next;
+                        if partial.is_empty() {
+                            break;
+                        }
+                    }
+                    out.extend(partial);
+                    if out.len() >= self.limit {
+                        self.cut |=
+                            out.len() > self.limit || class.nodes[i + 1..].iter().any(matches);
+                        out.truncate(self.limit);
+                        break;
+                    }
+                }
+                out
+            }
+        }
+    }
+}
+
+/// The library's matches in the oracle's terms: per class, per match, the
+/// `(variable number, class)` pairs in slot order — which, slots being
+/// numbered by first occurrence, is the order the oracle binds in.
+fn named_matches(
+    pattern: &Pattern<SymbolLang>,
+    matches: &[egraph::SearchMatches],
+) -> Vec<(Id, Vec<Bindings>)> {
+    let numbers: Vec<u8> = pattern
+        .vars()
+        .iter()
+        .map(|var| var.0[1..].parse().expect("variables are named p<n>"))
+        .collect();
+    matches
+        .iter()
+        .map(|m| {
+            let substs = m
+                .substs
+                .iter()
+                .map(|subst| subst.iter().map(|(slot, id)| (numbers[slot], id)).collect())
+                .collect();
+            (m.eclass, substs)
+        })
+        .collect()
+}
+
 /// The pool of rewrite rules the runner differential draws from. SymbolLang
 /// attaches no semantics, so any structurally well-formed rule is fair game;
 /// the mix covers growing rules (commutativity, associativity,
@@ -143,8 +356,16 @@ fn rule_pool() -> Vec<Rewrite<SymbolLang>> {
 /// the rebuild differential above, no renumbering is needed — bit-identical
 /// runs perform the same unions in the same order, so even the raw class ids
 /// must coincide.
-/// `(iteration, nodes, classes, applied, rebuild_unions, search_complete)`
-type IterationSig = (usize, usize, usize, Vec<(String, usize)>, usize, bool);
+/// `(iteration, nodes, classes, matched, applied, rebuild_unions, search_complete)`
+type IterationSig = (
+    usize,
+    usize,
+    usize,
+    Vec<(String, usize)>,
+    Vec<(String, usize)>,
+    usize,
+    bool,
+);
 
 #[derive(Debug, PartialEq)]
 struct RunSignature {
@@ -184,6 +405,7 @@ fn run_signature(
                 it.iteration,
                 it.egraph_nodes,
                 it.egraph_classes,
+                it.matched.clone(),
                 it.applied.clone(),
                 it.rebuild_unions,
                 it.search_complete,
@@ -290,6 +512,76 @@ proptest! {
         for threads in [2usize, 4] {
             let parallel = run_signature(&ops, &rules, threads, iter_limit, match_limit, ban_length);
             prop_assert_eq!(&serial, &parallel, "{} search threads diverged from serial", threads);
+        }
+    }
+
+    /// The matcher differential: the compiled program returns exactly what
+    /// the interpreter oracle returns — same classes, same substitutions,
+    /// same order, same completeness flag — for random e-graphs, random
+    /// patterns (ground, linear, non-linear, variable-rooted; up to four
+    /// levels below the root and twelve distinct variables), random class
+    /// sequences (unordered, with repeats and non-canonical ids), before and
+    /// after some saturation, and match budgets on both sides of the step
+    /// budget's reach. One scratch serves every search of a case, so a stale
+    /// row would show.
+    #[test]
+    fn compiled_matcher_matches_interpreter_oracle(
+        ops in workload(),
+        shape in proptest::collection::vec(any::<u8>(), 31),
+        nvars in 1u8..13,
+        picks in proptest::collection::vec(0usize..1000, 0..48),
+        grow in 0usize..4,
+    ) {
+        // A few rounds of rewriting fill classes with same-shaped nodes, so
+        // one class yields many matches and the caps bite at inner levels.
+        let (egraph, ids) = apply(&ops, false);
+        let egraph = Runner::with_egraph(egraph)
+            .with_iter_limit(grow)
+            .with_node_limit(3_000)
+            .run(&rule_pool())
+            .egraph;
+        let pat = Pat::decode(&mut shape.into_iter(), 4, nvars, true);
+        let pattern: Pattern<SymbolLang> = pat.sexpr().parse().expect("generated patterns parse");
+        // Half the picks go to the classes with the most nodes, where one
+        // class yields many matches and the caps bite at inner levels; each
+        // of those is also searched alone, as the last class of its
+        // sequence, where only the matcher's own accounting decides the flag.
+        let mut largest: Vec<Id> = egraph.class_ids_sorted();
+        largest.sort_by_key(|&id| std::cmp::Reverse(egraph.class(id).len()));
+        largest.truncate(6);
+        let picked: Vec<Id> = picks
+            .iter()
+            .map(|p| match p % 2 {
+                0 => ids[p / 2 % ids.len()],
+                _ => largest[p / 2 % largest.len()],
+            })
+            .collect();
+        let sequences = std::iter::once(picked).chain(largest.iter().map(|&id| vec![id]));
+        let mut scratch = MatchScratch::default();
+        for classes in sequences {
+            for match_limit in [0, 1, 2, 7, usize::MAX] {
+                let Some((expected, complete)) =
+                    Oracle::search_classes(&egraph, &pat, &classes, match_limit)
+                else {
+                    continue;
+                };
+                let (found, found_complete) = pattern.search_classes(
+                    &egraph,
+                    classes.iter().copied(),
+                    match_limit,
+                    &mut scratch,
+                );
+                prop_assert_eq!(
+                    named_matches(&pattern, &found),
+                    expected,
+                    "{} in {:?} with match_limit {}", pattern, classes, match_limit
+                );
+                prop_assert_eq!(
+                    found_complete,
+                    complete,
+                    "{} in {:?} with match_limit {}: completeness", pattern, classes, match_limit
+                );
+            }
         }
     }
 
