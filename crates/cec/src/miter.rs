@@ -3,7 +3,7 @@
 use crate::sweep::{SatSweeper, SweepOptions};
 use crate::tseitin::AigCnf;
 use aig::{Aig, Simulator};
-use sat::{cnf, Lit as SLit, SatResult, Solver};
+use sat::{Lit as SLit, SatResult, Solver};
 
 /// Options controlling a CEC run.
 #[derive(Debug, Clone)]
@@ -15,9 +15,6 @@ pub struct CecOptions {
     /// Conflict budget per SAT call (`None` = unlimited). Defaults to the
     /// same bounded [`crate::DEFAULT_CONFLICT_BUDGET`] as [`SweepOptions`].
     pub conflict_budget: Option<u64>,
-    /// Check each output pair with its own SAT call instead of one global
-    /// miter (usually faster for many-output circuits).
-    pub per_output: bool,
 }
 
 impl Default for CecOptions {
@@ -26,7 +23,6 @@ impl Default for CecOptions {
             sim_words: 16,
             sim_seed: 0xE5EED,
             conflict_budget: Some(crate::DEFAULT_CONFLICT_BUDGET),
-            per_output: true,
         }
     }
 }
@@ -83,55 +79,29 @@ pub fn check_equivalence(golden: &Aig, revised: &Aig, options: &CecOptions) -> C
     let cnf_a = AigCnf::encode(&mut solver, golden, Some(&shared));
     let cnf_b = AigCnf::encode(&mut solver, revised, Some(&shared));
 
-    if options.per_output {
-        // A budget-exhausted output must not short-circuit the loop: a later
-        // output may still be cheaply refutable, and NotEquivalent always
-        // outranks Unknown.
-        let mut any_unknown = false;
-        for o in 0..golden.num_outputs() {
-            let res = solve_output_pair(
-                &mut solver,
-                &shared,
-                cnf_a.output_lits[o],
-                cnf_b.output_lits[o],
-            );
-            match res {
-                OutputVerdict::Equal => {}
-                OutputVerdict::Differs(inputs) => {
-                    return CecResult::NotEquivalent(Counterexample { inputs, output: o })
-                }
-                OutputVerdict::Unknown => any_unknown = true,
+    // One SAT call per output pair. A budget-exhausted output must not
+    // short-circuit the loop: a later output may still be cheaply refutable,
+    // and NotEquivalent always outranks Unknown.
+    let mut any_unknown = false;
+    for o in 0..golden.num_outputs() {
+        let res = solve_output_pair(
+            &mut solver,
+            &shared,
+            cnf_a.output_lits[o],
+            cnf_b.output_lits[o],
+        );
+        match res {
+            OutputVerdict::Equal => {}
+            OutputVerdict::Differs(inputs) => {
+                return CecResult::NotEquivalent(Counterexample { inputs, output: o })
             }
+            OutputVerdict::Unknown => any_unknown = true,
         }
-        if any_unknown {
-            CecResult::Unknown
-        } else {
-            CecResult::Equivalent
-        }
+    }
+    if any_unknown {
+        CecResult::Unknown
     } else {
-        // Single global miter: OR of all pairwise XORs must be unsatisfiable.
-        let mut xor_outs = Vec::with_capacity(golden.num_outputs());
-        for o in 0..golden.num_outputs() {
-            let x = SLit::pos(solver.new_var());
-            cnf::encode_xor(&mut solver, x, cnf_a.output_lits[o], cnf_b.output_lits[o]);
-            xor_outs.push(x);
-        }
-        solver.add_clause(&xor_outs);
-        match solver.solve() {
-            SatResult::Unsat => CecResult::Equivalent,
-            SatResult::Unknown => CecResult::Unknown,
-            SatResult::Sat => {
-                let inputs = shared
-                    .iter()
-                    .map(|&l| solver.value(l).unwrap_or(false))
-                    .collect::<Vec<bool>>();
-                let output = xor_outs
-                    .iter()
-                    .position(|&x| solver.value(x) == Some(true))
-                    .unwrap_or(0);
-                CecResult::NotEquivalent(Counterexample { inputs, output })
-            }
-        }
+        CecResult::Equivalent
     }
 }
 
@@ -369,7 +339,6 @@ mod tests {
         b.add_output(g.not(), "f");
         let opts = CecOptions {
             sim_words: 0,
-            per_output: true,
             ..CecOptions::default()
         };
         let res = check_equivalence(&a, &b, &opts);
@@ -379,17 +348,6 @@ mod tests {
             }
             other => panic!("expected NotEquivalent, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn global_miter_mode_agrees() {
-        let a = adder(3, true);
-        let b = adder(3, false);
-        let opts = CecOptions {
-            per_output: false,
-            ..CecOptions::default()
-        };
-        assert!(check_equivalence(&a, &b, &opts).is_equivalent());
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! small nodes that duplicate logic globally.
 
 use crate::extract::engine::{ExtractBudget, ExtractError, Extraction, ExtractionEngine};
-use crate::extract::{bottom_up_with_costs, node_cost, ExtractStats, ExtractionCost, Selection};
+use crate::extract::{
+    bottom_up_with_costs, node_cost, selection_heights, ExtractStats, ExtractionCost, Selection,
+};
 use crate::lang::BoolLang;
-use egraph::{EGraph, FxHashMap, FxHashSet, Id, Language};
+use egraph::{EGraph, FxHashMap, Id, Language};
 use std::time::Instant;
 
 /// Greedy DAG-cost refinement.
@@ -36,58 +38,6 @@ impl GlobalGreedyDagEngine {
     pub fn new() -> Self {
         GlobalGreedyDagEngine
     }
-}
-
-/// Heights of every selected class: leaves are 0, every selection edge adds 1
-/// (including through `Not`, which is free in gates but still an edge a cycle
-/// could run through). The selection is acyclic by invariant; a cycle guard
-/// still pins in-progress classes re-met by the DFS so a violated invariant
-/// terminates (loudly, in debug builds) instead of hanging the walk.
-fn selection_heights(
-    egraph: &EGraph<BoolLang>,
-    selection: &FxHashMap<Id, BoolLang>,
-) -> FxHashMap<Id, u64> {
-    let mut heights: FxHashMap<Id, u64> = FxHashMap::default();
-    let mut open: FxHashSet<Id> = FxHashSet::default();
-    let mut stack: Vec<(Id, bool)> = Vec::new();
-    for &start in selection.keys() {
-        stack.push((start, false));
-        while let Some((id, ready)) = stack.pop() {
-            if heights.contains_key(&id) {
-                continue;
-            }
-            let Some(node) = selection.get(&id) else {
-                // Unreferenced stale entry pointing outside the selection;
-                // height 0 keeps it inert (it can never be admitted anyway).
-                heights.insert(id, 0);
-                continue;
-            };
-            if ready {
-                open.remove(&id);
-                let mut h = 0u64;
-                for &c in node.children() {
-                    h = h.max(1 + heights.get(&egraph.find(c)).copied().unwrap_or(0));
-                }
-                heights.insert(id, h);
-            } else {
-                if !open.insert(id) {
-                    // Re-met while its own subtree is still being resolved:
-                    // the selection contains a cycle through this class.
-                    debug_assert!(false, "cycle in selection through class {id}");
-                    heights.insert(id, 0);
-                    continue;
-                }
-                stack.push((id, true));
-                for &c in node.children() {
-                    let c = egraph.find(c);
-                    if !heights.contains_key(&c) {
-                        stack.push((c, false));
-                    }
-                }
-            }
-        }
-    }
-    heights
 }
 
 /// Incremental liveness tracker over a selection: per-class reference counts
@@ -405,23 +355,6 @@ mod tests {
         let dag_size =
             try_selection_cost(&eg, &extraction.selection, &roots, ExtractionCost::Size).unwrap();
         assert!(dag_size <= tree_size, "dag {dag_size} vs tree {tree_size}");
-    }
-
-    /// The height walk's cycle guard terminates (and trips in debug builds)
-    /// on a cyclic selection instead of spinning forever.
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "cycle in selection")]
-    fn selection_heights_flags_a_cyclic_selection() {
-        let mut eg: EGraph<BoolLang> = EGraph::new();
-        let x = eg.add(BoolLang::Var(0));
-        let p = eg.add(BoolLang::and(x, x));
-        let q = eg.add(BoolLang::and(p, x));
-        eg.rebuild();
-        let mut selection: FxHashMap<Id, BoolLang> = FxHashMap::default();
-        selection.insert(p, BoolLang::and(q, q));
-        selection.insert(q, BoolLang::and(p, p));
-        selection_heights(&eg, &selection);
     }
 
     #[test]

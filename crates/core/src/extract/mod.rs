@@ -29,7 +29,7 @@ pub use sa::SaEngine;
 pub use slack::SlackAwareEngine;
 
 use crate::lang::BoolLang;
-use egraph::{DagSelection, EGraph, FxHashMap, Id, Language, SelectionError};
+use egraph::{DagSelection, EGraph, FxHashMap, FxHashSet, Id, Language, SelectionError};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -251,6 +251,60 @@ pub fn try_selection_cost(
     }
 }
 
+/// Heights of every selected class: leaves are 0, every selection edge adds 1
+/// (including through `Not`, which is free in gates but still an edge a cycle
+/// could run through), so walking classes in strictly decreasing height order
+/// sees every parent before any of its selection children. The selection is
+/// acyclic by invariant; a cycle guard still pins in-progress classes re-met
+/// by the DFS so a violated invariant terminates (loudly, in debug builds)
+/// instead of hanging the walk.
+pub(crate) fn selection_heights(
+    egraph: &EGraph<BoolLang>,
+    selection: &FxHashMap<Id, BoolLang>,
+) -> FxHashMap<Id, u64> {
+    let mut heights: FxHashMap<Id, u64> = FxHashMap::default();
+    let mut open: FxHashSet<Id> = FxHashSet::default();
+    let mut stack: Vec<(Id, bool)> = Vec::new();
+    for &start in selection.keys() {
+        stack.push((start, false));
+        while let Some((id, ready)) = stack.pop() {
+            if heights.contains_key(&id) {
+                continue;
+            }
+            let Some(node) = selection.get(&id) else {
+                // Unreferenced stale entry pointing outside the selection;
+                // height 0 keeps it inert (it can never be admitted anyway).
+                heights.insert(id, 0);
+                continue;
+            };
+            if ready {
+                open.remove(&id);
+                let mut h = 0u64;
+                for &c in node.children() {
+                    h = h.max(1 + heights.get(&egraph.find(c)).copied().unwrap_or(0));
+                }
+                heights.insert(id, h);
+            } else {
+                if !open.insert(id) {
+                    // Re-met while its own subtree is still being resolved:
+                    // the selection contains a cycle through this class.
+                    debug_assert!(false, "cycle in selection through class {id}");
+                    heights.insert(id, 0);
+                    continue;
+                }
+                stack.push((id, true));
+                for &c in node.children() {
+                    let c = egraph.find(c);
+                    if !heights.contains_key(&c) {
+                        stack.push((c, false));
+                    }
+                }
+            }
+        }
+    }
+    heights
+}
+
 /// Test-only helper shared by the engine modules' unit tests.
 #[cfg(test)]
 pub(crate) mod test_util {
@@ -281,6 +335,41 @@ mod tests {
     use super::test_util::saturated_egraph;
     use super::*;
     use crate::convert::aig_to_egraph;
+
+    /// A selection with the cycle `p -> q -> p` (both classes exist in the
+    /// e-graph; only the selection is corrupt).
+    fn cyclic_selection() -> (EGraph<BoolLang>, FxHashMap<Id, BoolLang>, [Id; 2]) {
+        let mut eg: EGraph<BoolLang> = EGraph::new();
+        let x = eg.add(BoolLang::Var(0));
+        let p = eg.add(BoolLang::and(x, x));
+        let q = eg.add(BoolLang::and(p, x));
+        eg.rebuild();
+        let mut selection: FxHashMap<Id, BoolLang> = FxHashMap::default();
+        selection.insert(p, BoolLang::and(q, q));
+        selection.insert(q, BoolLang::and(p, p));
+        (eg, selection, [p, q])
+    }
+
+    /// The height walk's cycle guard trips in debug builds on a cyclic
+    /// selection instead of spinning forever.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "cycle in selection")]
+    fn selection_heights_flags_a_cyclic_selection() {
+        let (eg, selection, _) = cyclic_selection();
+        selection_heights(&eg, &selection);
+    }
+
+    /// Without debug assertions the same walk terminates and returns a
+    /// height for every class (the copy the slack engine used to carry
+    /// re-pushed the in-progress class forever).
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn selection_heights_returns_on_a_cyclic_selection_in_release() {
+        let (eg, selection, classes) = cyclic_selection();
+        let heights = selection_heights(&eg, &selection);
+        assert!(classes.iter().all(|c| heights.contains_key(c)));
+    }
 
     #[test]
     fn pruned_and_unpruned_agree_on_cost() {

@@ -3,7 +3,9 @@
 //! structurally smaller alternatives.
 
 use crate::extract::engine::{ExtractBudget, ExtractError, Extraction, ExtractionEngine};
-use crate::extract::{bottom_up_with_costs, node_cost, ExtractStats, ExtractionCost, Selection};
+use crate::extract::{
+    bottom_up_with_costs, node_cost, selection_heights, ExtractStats, ExtractionCost, Selection,
+};
 use crate::lang::BoolLang;
 use egraph::{EGraph, FxHashMap, Id, Language};
 use std::time::Instant;
@@ -43,45 +45,6 @@ impl SlackAwareEngine {
         self.extra_levels = levels;
         self
     }
-}
-
-/// Heights over the depth-optimal selection (every edge counts one level, so
-/// processing classes in strictly decreasing height order sees every parent
-/// before any of its selection children).
-fn selection_heights(
-    egraph: &EGraph<BoolLang>,
-    selection: &FxHashMap<Id, BoolLang>,
-) -> FxHashMap<Id, u64> {
-    let mut heights: FxHashMap<Id, u64> = FxHashMap::default();
-    let mut stack: Vec<(Id, bool)> = Vec::new();
-    for &start in selection.keys() {
-        stack.push((start, false));
-        while let Some((id, ready)) = stack.pop() {
-            if heights.contains_key(&id) {
-                continue;
-            }
-            let Some(node) = selection.get(&id) else {
-                heights.insert(id, 0);
-                continue;
-            };
-            if ready {
-                let mut h = 0u64;
-                for &c in node.children() {
-                    h = h.max(1 + heights.get(&egraph.find(c)).copied().unwrap_or(0));
-                }
-                heights.insert(id, h);
-            } else {
-                stack.push((id, true));
-                for &c in node.children() {
-                    let c = egraph.find(c);
-                    if !heights.contains_key(&c) {
-                        stack.push((c, false));
-                    }
-                }
-            }
-        }
-    }
-    heights
 }
 
 impl ExtractionEngine for SlackAwareEngine {

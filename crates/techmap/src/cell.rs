@@ -1,13 +1,15 @@
 //! Standard-cell technology mapping by NPN Boolean matching on priority cuts.
 //!
 //! Every AND node is covered by a library cell implementing the function of
-//! one of its (at most 4-input) cuts; covering is delay-oriented with an
-//! area-flow recovery pass, mirroring the structure of the paper's
-//! `(st; dch; map)` step. Complemented edges internal to a cut are absorbed
-//! into the matched cell function; only complemented primary outputs require
-//! explicit inverters.
+//! one of its (at most 4-input) cuts, mirroring the paper's `(st; dch; map)`
+//! step: [`crate::cover`] — the one statement of the *map → required →
+//! recover* algorithm — run under the cell model below, and an emitter that
+//! turns the kept cover into a timing-annotated [`Netlist`]. Complemented
+//! edges internal to a cut are absorbed into the matched cell function; only
+//! complemented primary outputs require explicit inverters.
 
-use crate::cuts::{enumerate_cuts, enumerate_cuts_with_choices, CutSet, CutsOptions};
+use crate::cover::{cover, CostModel, MAX_LEAVES};
+use crate::cuts::{enumerate_cuts, enumerate_cuts_with_choices, Cut, CutSet, CutsOptions};
 use crate::library::CellLibrary;
 use crate::qor::Qor;
 use crate::timing::{assign_pin_delays, gate_arrival};
@@ -16,24 +18,6 @@ use crate::{MapError, MapOptions};
 use aig::{Aig, AigNode, Lit, NodeId};
 use choices::ChoiceAig;
 use std::collections::HashMap;
-
-/// Slop for floating-point timing comparisons.
-const EPS: f64 = 1e-9;
-
-/// Gathers a cut's leaf arrivals into a caller-provided stack buffer (cuts
-/// are capped at 6 leaves), so the mapper's innermost loops stay
-/// allocation-free end to end, matching the fixed-buffer design of
-/// [`crate::timing`].
-fn gather_leaf_arrivals<'a>(
-    cut: &crate::cuts::Cut,
-    arrival: &[f64],
-    buf: &'a mut [f64; 8],
-) -> &'a [f64] {
-    for (slot, leaf) in buf.iter_mut().zip(&cut.leaves) {
-        *slot = arrival[leaf.index()];
-    }
-    &buf[..cut.leaves.len()]
-}
 
 /// One instantiated cell in the mapped netlist.
 #[derive(Debug, Clone)]
@@ -270,90 +254,51 @@ fn synthesize_truth(aig: &mut Aig, truth: u64, leaves: &[Lit]) -> Lit {
     aig.mux(leaves[k], f1, f0)
 }
 
-#[derive(Clone)]
-struct Choice {
-    cut_index: usize,
-    cell: usize,
-    arrival: f64,
-    area_flow: f64,
+/// The standard-cell cost model: a cut is implemented by the library's best
+/// NPN match of its function (memoized per 4-variable truth table), timed
+/// through the conservative sorted pin pairing of [`crate::timing`]; a
+/// complemented primary output costs one inverter.
+struct CellModel<'a> {
+    library: &'a CellLibrary,
+    /// `(delay_ps, area_um2)` of the library's inverter.
+    inverter: (f64, f64),
+    matches: HashMap<u16, Option<usize>>,
 }
 
-/// One cover derived from a per-node cut selection: which nodes are used,
-/// their freshly recomputed arrival times, and the exact (not flow-estimated)
-/// area/delay of the induced netlist.
-struct Cover {
-    needed: Vec<bool>,
-    /// Per-node arrival in ps, recomputed bottom-up over the cover only —
-    /// this is the timing the final netlist reports, independent of any
-    /// stale DP state.
-    arrival: Vec<f64>,
-    area_um2: f64,
-    delay_ps: f64,
-}
+impl CostModel for CellModel<'_> {
+    /// Index of the matched cell in the library.
+    type Impl = usize;
 
-/// Derives the cover induced by `choice` and measures it exactly.
-fn derive_cover(
-    aig: &Aig,
-    cuts: &CutSet,
-    choice: &[Option<Choice>],
-    library: &CellLibrary,
-    inv_delay_ps: f64,
-    inv_area_um2: f64,
-) -> Cover {
-    let mut needed = vec![false; aig.num_nodes()];
-    let mut stack: Vec<NodeId> = aig
-        .outputs()
-        .iter()
-        .map(|l| l.node())
-        .filter(|n| aig.node(*n).is_and())
-        .collect();
-    while let Some(id) = stack.pop() {
-        if needed[id.index()] {
-            continue;
+    fn implement(&mut self, cut: &Cut) -> Option<usize> {
+        // NPN tables are `u16`: matching is 4-input limited.
+        if cut.size() > 4 {
+            return None;
         }
-        needed[id.index()] = true;
-        let ch = choice[id.index()]
-            .as_ref()
-            .unwrap_or_else(|| unreachable!("mapped node"));
-        for leaf in &cuts.cuts(id)[ch.cut_index].leaves {
-            if aig.node(*leaf).is_and() {
-                stack.push(*leaf);
-            }
-        }
+        let tt4 = expand_to_4(cut.truth, cut.size());
+        let library = self.library;
+        *self
+            .matches
+            .entry(tt4)
+            .or_insert_with(|| library.match_function(tt4))
     }
-    let mut arrival = vec![0f64; aig.num_nodes()];
-    let mut area = 0.0;
-    for id in aig.and_ids() {
-        if !needed[id.index()] {
-            continue;
-        }
-        let ch = choice[id.index()]
-            .as_ref()
-            .unwrap_or_else(|| unreachable!("mapped node"));
-        let cut = &cuts.cuts(id)[ch.cut_index];
-        let cell = library.cell(ch.cell);
-        let mut buf = [0.0f64; 8];
-        let leaf_arrivals = gather_leaf_arrivals(cut, &arrival, &mut buf);
-        arrival[id.index()] = gate_arrival(leaf_arrivals, &cell.pin_delays_ps);
-        area += cell.area_um2;
+
+    fn arrival(&self, cell: usize, leaf_arrivals: &[f64]) -> f64 {
+        gate_arrival(leaf_arrivals, &self.library.cell(cell).pin_delays_ps)
     }
-    let mut delay = 0f64;
-    for &po in aig.outputs() {
-        if matches!(aig.node(po.node()), AigNode::Const) {
-            continue;
-        }
-        let mut arr = arrival[po.node().index()];
-        if po.is_complemented() {
-            arr += inv_delay_ps;
-            area += inv_area_um2;
-        }
-        delay = delay.max(arr);
+
+    fn area(&self, cell: usize) -> f64 {
+        self.library.cell(cell).area_um2
     }
-    Cover {
-        needed,
-        arrival,
-        area_um2: area,
-        delay_ps: delay,
+
+    fn leaf_delays(&self, cell: usize, leaf_arrivals: &[f64]) -> [f64; MAX_LEAVES] {
+        let mut delays = [0.0; MAX_LEAVES];
+        let assigned = assign_pin_delays(leaf_arrivals, &self.library.cell(cell).pin_delays_ps);
+        delays[..assigned.len()].copy_from_slice(&assigned);
+        delays
+    }
+
+    fn output_inverter(&self) -> (f64, f64) {
+        self.inverter
     }
 }
 
@@ -411,168 +356,34 @@ fn cell_cut_options(options: &MapOptions) -> CutsOptions {
     }
 }
 
-/// The shared covering core: the classic *map → required → recover* loop.
-///
-/// 1. A delay-optimal first pass selects, for every node, the cut/cell pair
-///    with the earliest arrival under the pin-to-pin model (ties broken by
-///    area flow). Over a choice network the cut sets already pool every
-///    e-class member's structures, so this pass is depth-optimal across the
-///    whole recorded e-space.
-/// 2. Required times are propagated backward from the primary outputs at the
-///    effective target (the requested delay target, floored at the achieved
-///    critical path) through the selected cuts.
-/// 3. Each area-recovery pass re-selects cheaper cuts on nodes whose slack
-///    allows it — over a choice network this can swap in a *different
-///    e-class member's* cut — then measures the induced cover exactly and
-///    keeps it only if it strictly reduces area without busting the target,
-///    so more passes are monotonically never worse.
+/// Covers `aig` over `cuts` under the [`CellModel`] and emits the kept cover
+/// as a netlist with per-gate timing annotation.
 fn map_with_cuts(
     aig: &Aig,
     cuts: &CutSet,
     library: &CellLibrary,
     options: &MapOptions,
 ) -> Result<Netlist, MapError> {
-    let fanouts = aig.fanout_counts();
-    let inverter = library.inverter().ok_or(MapError::MissingInverter)?;
-    let inv_cell = library.cell(inverter);
-    let (inv_delay, inv_area) = (inv_cell.delay_ps, inv_cell.area_um2);
-
-    // Memoized Boolean matching: cut truth (4-var expanded) -> best cell.
-    let mut match_cache: HashMap<u16, Option<usize>> = HashMap::new();
-    let mut match_fn = |truth: u64, nvars: usize| -> Option<usize> {
-        let tt4 = expand_to_4(truth, nvars);
-        *match_cache
-            .entry(tt4)
-            .or_insert_with(|| library.match_function(tt4))
+    let inverter = library.cell(library.inverter().ok_or(MapError::MissingInverter)?);
+    let mut model = CellModel {
+        library,
+        inverter: (inverter.delay_ps, inverter.area_um2),
+        matches: HashMap::new(),
     };
+    let covering = cover(
+        aig,
+        cuts,
+        &mut model,
+        options.area_passes,
+        options.delay_target_ps,
+    )?;
 
-    let mut arrival = vec![0f64; aig.num_nodes()];
-    let mut area_flow = vec![0f64; aig.num_nodes()];
-    let mut choice: Vec<Option<Choice>> = (0..aig.num_nodes()).map(|_| None).collect();
-
-    // Delay-optimal covering pass.
-    for id in aig.and_ids() {
-        let mut best: Option<Choice> = None;
-        for (ci, cut) in cuts.cuts(id).iter().enumerate() {
-            if cut.leaves == [id] || cut.size() > 4 {
-                continue;
-            }
-            let Some(cell_idx) = match_fn(cut.truth, cut.size()) else {
-                continue;
-            };
-            let cell = library.cell(cell_idx);
-            let mut buf = [0.0f64; 8];
-            let leaf_arrivals = gather_leaf_arrivals(cut, &arrival, &mut buf);
-            let arr = gate_arrival(leaf_arrivals, &cell.pin_delays_ps);
-            let af = cell.area_um2
-                + cut
-                    .leaves
-                    .iter()
-                    .map(|l| area_flow[l.index()] / f64::max(1.0, fanouts[l.index()] as f64))
-                    .sum::<f64>();
-            let better = match &best {
-                None => true,
-                Some(b) => (arr, af) < (b.arrival, b.area_flow),
-            };
-            if better {
-                best = Some(Choice {
-                    cut_index: ci,
-                    cell: cell_idx,
-                    arrival: arr,
-                    area_flow: af,
-                });
-            }
-        }
-        let best = best.ok_or(MapError::NoMatchableCut { node: id })?;
-        arrival[id.index()] = best.arrival;
-        area_flow[id.index()] = best.area_flow;
-        choice[id.index()] = Some(best);
-    }
-
-    // The delay-optimal cover is the initial best snapshot; its critical
-    // path floors the effective delay target (a tighter request cannot be
-    // met by this cut set and is *reported* as such, never faked).
-    let mut best_cover = derive_cover(aig, cuts, &choice, library, inv_delay, inv_area);
-    let target = match options.delay_target_ps {
-        Some(t) => t.max(best_cover.delay_ps),
-        None => best_cover.delay_ps,
-    };
-    let mut best_state = (choice.clone(), arrival.clone(), area_flow.clone());
-
-    // Area-recovery passes: re-select off-critical nodes for area, measure
-    // the induced cover exactly, and keep it only if it is strictly smaller
-    // without exceeding the target. A failed pass is rolled back, so the
-    // sequence of accepted covers is monotone in both metrics.
-    for _ in 0..options.area_passes {
-        let required = compute_required(aig, cuts, &choice, &arrival, target, library, inv_delay);
-        for id in aig.and_ids() {
-            let mut best: Option<Choice> = None;
-            for (ci, cut) in cuts.cuts(id).iter().enumerate() {
-                if cut.leaves == [id] || cut.size() > 4 {
-                    continue;
-                }
-                let Some(cell_idx) = match_fn(cut.truth, cut.size()) else {
-                    continue;
-                };
-                let cell = library.cell(cell_idx);
-                let mut buf = [0.0f64; 8];
-                let leaf_arrivals = gather_leaf_arrivals(cut, &arrival, &mut buf);
-                let arr = gate_arrival(leaf_arrivals, &cell.pin_delays_ps);
-                if arr > required[id.index()] + EPS {
-                    continue;
-                }
-                let af = cell.area_um2
-                    + cut
-                        .leaves
-                        .iter()
-                        .map(|l| area_flow[l.index()] / f64::max(1.0, fanouts[l.index()] as f64))
-                        .sum::<f64>();
-                let better = match &best {
-                    None => true,
-                    Some(b) => (af, arr) < (b.area_flow, b.arrival),
-                };
-                if better {
-                    best = Some(Choice {
-                        cut_index: ci,
-                        cell: cell_idx,
-                        arrival: arr,
-                        area_flow: af,
-                    });
-                }
-            }
-            if let Some(best) = best {
-                arrival[id.index()] = best.arrival;
-                area_flow[id.index()] = best.area_flow;
-                choice[id.index()] = Some(best);
-            }
-        }
-        let cover = derive_cover(aig, cuts, &choice, library, inv_delay, inv_area);
-        if cover.delay_ps <= target + EPS && cover.area_um2 < best_cover.area_um2 - EPS {
-            best_cover = cover;
-            best_state = (choice.clone(), arrival.clone(), area_flow.clone());
-        } else {
-            // Roll back so the next pass restarts from the accepted state:
-            // running k+1 passes can never end worse than running k.
-            (choice, arrival, area_flow) = best_state.clone();
-        }
-    }
-    let (choice, _, _) = best_state;
-    let cover = best_cover;
-
-    // Emit the netlist from the best cover, with per-gate timing annotation.
     let mut gates = Vec::new();
     let mut gate_index: HashMap<NodeId, usize> = HashMap::new();
     let mut arrival_ps = Vec::new();
     let mut level = vec![0u32; aig.num_nodes()];
-    for id in aig.and_ids() {
-        if !cover.needed[id.index()] {
-            continue;
-        }
-        let ch = choice[id.index()]
-            .as_ref()
-            .unwrap_or_else(|| unreachable!("mapped node"));
-        let cut = &cuts.cuts(id)[ch.cut_index];
-        let cell = library.cell(ch.cell);
+    for (id, cut, cell_index) in covering.roots(aig, cuts) {
+        let cell = library.cell(cell_index);
         level[id.index()] = 1 + cut
             .leaves
             .iter()
@@ -580,9 +391,9 @@ fn map_with_cuts(
             .max()
             .unwrap_or(0);
         gate_index.insert(id, gates.len());
-        arrival_ps.push(cover.arrival[id.index()]);
+        arrival_ps.push(covering.cover.arrival[id.index()]);
         gates.push(MappedGate {
-            cell: ch.cell,
+            cell: cell_index,
             cell_name: cell.name.clone(),
             root: id,
             leaves: cut.leaves.clone(),
@@ -616,19 +427,7 @@ fn map_with_cuts(
         outputs.push(driver);
     }
 
-    // Required times over the emitted netlist: the same backward propagation
-    // the recovery loop uses, evaluated on the final cover's fresh arrivals,
-    // so meeting the target at the outputs implies non-negative slack on
-    // every gate.
-    let required = compute_required(
-        aig,
-        cuts,
-        &choice,
-        &cover.arrival,
-        target,
-        library,
-        inv_delay,
-    );
+    let required = covering.required(aig, cuts, &model);
     let required_ps: Vec<f64> = gates.iter().map(|g| required[g.root.index()]).collect();
 
     Ok(Netlist {
@@ -636,69 +435,14 @@ fn map_with_cuts(
         gates,
         outputs,
         num_inverters,
-        area_um2: cover.area_um2,
-        delay_ps: cover.delay_ps,
+        area_um2: covering.cover.area,
+        delay_ps: covering.cover.delay,
         levels,
         arrival_ps,
         required_ps,
-        target_ps: target,
+        target_ps: covering.target,
         gate_index,
     })
-}
-
-/// Backward required-time propagation over the *current selection*: every
-/// primary output must settle by `target` (minus an output inverter where
-/// the PO is complemented), and each selected cut distributes its root's
-/// requirement to its leaves through the same conservative pin pairing the
-/// forward arrivals use (`arrival` supplies the per-node arrival times the
-/// pairing ranks by — the DP state during recovery, the final cover's fresh
-/// times when annotating the emitted netlist). Nodes outside the current
-/// cover stay permissive at `target`; the recovery loop re-measures the
-/// real cover after every pass, so an over-permissive requirement can waste
-/// a pass but never corrupt the result.
-fn compute_required(
-    aig: &Aig,
-    cuts: &crate::cuts::CutSet,
-    choice: &[Option<Choice>],
-    arrival: &[f64],
-    target: f64,
-    library: &CellLibrary,
-    inv_delay_ps: f64,
-) -> Vec<f64> {
-    let mut required = vec![f64::INFINITY; aig.num_nodes()];
-    for po in aig.outputs() {
-        let idx = po.node().index();
-        let req = if po.is_complemented() {
-            target - inv_delay_ps
-        } else {
-            target
-        };
-        required[idx] = required[idx].min(req);
-    }
-    for id in aig.and_ids().collect::<Vec<_>>().into_iter().rev() {
-        if !required[id.index()].is_finite() {
-            continue;
-        }
-        if let Some(ch) = &choice[id.index()] {
-            let cell = library.cell(ch.cell);
-            let cut = &cuts.cuts(id)[ch.cut_index];
-            let mut buf = [0.0f64; 8];
-            let leaf_arrivals = gather_leaf_arrivals(cut, arrival, &mut buf);
-            let assigned = assign_pin_delays(leaf_arrivals, &cell.pin_delays_ps);
-            for (leaf, d) in cut.leaves.iter().zip(&assigned) {
-                let req = required[id.index()] - d;
-                if required[leaf.index()] > req {
-                    required[leaf.index()] = req;
-                }
-            }
-        }
-    }
-    for r in &mut required {
-        if !r.is_finite() {
-            *r = target;
-        }
-    }
-    required
 }
 
 #[cfg(test)]

@@ -1,0 +1,362 @@
+//! The covering core under both mappers: the classic *map → required →
+//! recover* loop over an enumerated cut set, written once and monomorphised
+//! over a [`CostModel`].
+//!
+//! 1. A delay-optimal first pass selects, for every node, the cut (and the
+//!    model's implementation of it) with the earliest arrival, ties broken
+//!    by area flow. Over a choice network the cut sets already pool every
+//!    class member's structures, so this pass is depth-optimal across the
+//!    whole recorded e-space.
+//! 2. Required times are propagated backward from the primary outputs at the
+//!    effective target (the requested delay target, floored at the achieved
+//!    critical path) through the selected cuts.
+//! 3. Each area-recovery pass re-selects, by area flow, among the cuts whose
+//!    arrival meets the node's required time — over a choice network this
+//!    can swap in a *different class member's* cut — then measures the
+//!    induced cover exactly and keeps it only if it is strictly smaller
+//!    without busting the target; a failed pass is rolled back, so running
+//!    `k + 1` passes never ends worse than running `k`.
+//!
+//! The LUT mapper runs it under unit delay and unit area (levels and LUT
+//! counts are exact in `f64`, so every comparison below orders them as
+//! integers would), the standard-cell mapper under NPN matching and the
+//! pin-to-pin model of [`crate::timing`].
+
+use crate::cuts::{Cut, CutSet};
+use crate::MapError;
+use aig::{Aig, AigNode, NodeId};
+
+/// Slop for floating-point timing and area comparisons.
+const EPS: f64 = 1e-9;
+
+/// Cuts carry at most 6 leaves; per-cut scratch lives in stack buffers of
+/// this size (the one [`crate::timing`] uses) so the candidate loop never
+/// allocates.
+pub(crate) const MAX_LEAVES: usize = 8;
+
+/// What the covering core asks of a mapping target.
+pub(crate) trait CostModel {
+    /// How a cut is implemented (a library cell; nothing for a LUT).
+    type Impl: Copy;
+
+    /// The implementation of `cut`, or `None` if the target has none.
+    fn implement(&mut self, cut: &Cut) -> Option<Self::Impl>;
+
+    /// Arrival time at the output of `imp` given its leaves' arrivals.
+    fn arrival(&self, imp: Self::Impl, leaf_arrivals: &[f64]) -> f64;
+
+    /// Area of `imp` itself, without its leaves' cones.
+    fn area(&self, imp: Self::Impl) -> f64;
+
+    /// The delay from each leaf (in leaf order) to the output of `imp`: a
+    /// root required at `t` requires leaf `i` at `t - leaf_delays[i]`.
+    fn leaf_delays(&self, imp: Self::Impl, leaf_arrivals: &[f64]) -> [f64; MAX_LEAVES];
+
+    /// `(delay, area)` a complemented primary output adds.
+    fn output_inverter(&self) -> (f64, f64);
+}
+
+/// The cut selected for a node and its implementation.
+#[derive(Clone, Copy)]
+struct Pick<I> {
+    cut_index: usize,
+    imp: I,
+}
+
+/// The dynamic program's state: a selection for every AND node (on or off
+/// the cover) and the arrival / area-flow values it was made under.
+#[derive(Clone)]
+struct State<I> {
+    pick: Vec<Option<Pick<I>>>,
+    arrival: Vec<f64>,
+    area_flow: Vec<f64>,
+}
+
+/// The cover a selection induces from the primary outputs, measured exactly
+/// (not flow-estimated).
+pub(crate) struct Cover {
+    needed: Vec<bool>,
+    /// Per-node arrival recomputed bottom-up over the cover only (0 off
+    /// it) — the timing the result reports, independent of any stale DP
+    /// state.
+    pub arrival: Vec<f64>,
+    /// Exact area, output inverters included.
+    pub area: f64,
+    /// Critical-path delay.
+    pub delay: f64,
+}
+
+/// The result of [`cover`]: the kept selection and its measured cover.
+pub(crate) struct Covering<I> {
+    pick: Vec<Option<Pick<I>>>,
+    /// The kept cover.
+    pub cover: Cover,
+    /// The effective required time at the primary outputs: the requested
+    /// target, floored at the delay-optimal critical path.
+    pub target: f64,
+}
+
+impl<I: Copy> Covering<I> {
+    /// The covered nodes in topological order, each with its selected cut
+    /// and implementation.
+    pub fn roots<'a>(
+        &'a self,
+        aig: &'a Aig,
+        cuts: &'a CutSet,
+    ) -> impl Iterator<Item = (NodeId, &'a Cut, I)> + 'a {
+        aig.and_ids()
+            .filter(|id| self.cover.needed[id.index()])
+            .map(|id| {
+                let pick = picked(&self.pick, id);
+                (id, &cuts.cuts(id)[pick.cut_index], pick.imp)
+            })
+    }
+
+    /// Required time of every node over the cover's own arrivals, so a
+    /// cover that meets the target has non-negative slack on every root.
+    pub fn required<M: CostModel<Impl = I>>(
+        &self,
+        aig: &Aig,
+        cuts: &CutSet,
+        model: &M,
+    ) -> Vec<f64> {
+        compute_required(
+            aig,
+            cuts,
+            model,
+            &self.pick,
+            &self.cover.arrival,
+            self.target,
+        )
+    }
+}
+
+fn picked<I: Copy>(pick: &[Option<Pick<I>>], id: NodeId) -> Pick<I> {
+    pick[id.index()]
+        .unwrap_or_else(|| unreachable!("the delay pass selects a cut on every AND node"))
+}
+
+/// Gathers a cut's leaf arrivals into a caller-provided stack buffer.
+fn gather_leaf_arrivals<'a>(
+    cut: &Cut,
+    arrival: &[f64],
+    buf: &'a mut [f64; MAX_LEAVES],
+) -> &'a [f64] {
+    for (slot, leaf) in buf.iter_mut().zip(&cut.leaves) {
+        *slot = arrival[leaf.index()];
+    }
+    &buf[..cut.leaves.len()]
+}
+
+/// Covers `aig` with cuts from `cuts` under `model`.
+///
+/// # Errors
+/// [`MapError::NoMatchableCut`] if the model implements no cut of some node.
+pub(crate) fn cover<M: CostModel>(
+    aig: &Aig,
+    cuts: &CutSet,
+    model: &mut M,
+    area_passes: usize,
+    delay_target: Option<f64>,
+) -> Result<Covering<M::Impl>, MapError> {
+    let fanouts = aig.fanout_counts();
+    let mut state = State {
+        pick: vec![None; aig.num_nodes()],
+        arrival: vec![0.0; aig.num_nodes()],
+        area_flow: vec![0.0; aig.num_nodes()],
+    };
+    select(aig, cuts, &fanouts, model, &mut state, None)?;
+
+    // The delay-optimal cover is the initial best snapshot; its critical
+    // path floors the effective target (a tighter request cannot be met by
+    // this cut set and is *reported* as such, never faked).
+    let mut best_cover = derive_cover(aig, cuts, model, &state.pick);
+    let target = delay_target.map_or(best_cover.delay, |t| t.max(best_cover.delay));
+    let mut best_state = state.clone();
+
+    for _ in 0..area_passes {
+        let required = compute_required(aig, cuts, model, &state.pick, &state.arrival, target);
+        select(aig, cuts, &fanouts, model, &mut state, Some(&required))?;
+        let cover = derive_cover(aig, cuts, model, &state.pick);
+        if cover.delay <= target + EPS && cover.area < best_cover.area - EPS {
+            best_cover = cover;
+            best_state = state.clone();
+        } else {
+            // Roll back the whole DP state (selection *and* the arrival /
+            // area-flow arrays), so the next pass evaluates candidates
+            // against the accepted selection, not the rejected one.
+            state = best_state.clone();
+        }
+    }
+
+    Ok(Covering {
+        pick: best_state.pick,
+        cover: best_cover,
+        target,
+    })
+}
+
+/// One candidate-selection pass in topological order. Without `required`
+/// it is the delay-optimal pass: every implementable cut competes on
+/// (arrival, area flow) and a node without one is an error. With `required`
+/// it is a recovery pass: only cuts arriving by the node's required time
+/// compete, on (area flow, arrival), and a node none of whose cuts qualifies
+/// keeps its selection.
+fn select<M: CostModel>(
+    aig: &Aig,
+    cuts: &CutSet,
+    fanouts: &[u32],
+    model: &mut M,
+    state: &mut State<M::Impl>,
+    required: Option<&[f64]>,
+) -> Result<(), MapError> {
+    for id in aig.and_ids() {
+        let mut best: Option<(Pick<M::Impl>, f64, f64)> = None;
+        for (cut_index, cut) in cuts.cuts(id).iter().enumerate() {
+            if cut.leaves == [id] {
+                continue; // the trivial cut cannot implement the node
+            }
+            let Some(imp) = model.implement(cut) else {
+                continue;
+            };
+            let mut buf = [0.0; MAX_LEAVES];
+            let arr = model.arrival(imp, gather_leaf_arrivals(cut, &state.arrival, &mut buf));
+            if required.is_some_and(|required| arr > required[id.index()] + EPS) {
+                continue;
+            }
+            let af = model.area(imp)
+                + cut
+                    .leaves
+                    .iter()
+                    .map(|l| state.area_flow[l.index()] / f64::max(1.0, fanouts[l.index()] as f64))
+                    .sum::<f64>();
+            let better = match (&best, required) {
+                (None, _) => true,
+                (Some((_, b_arr, b_af)), None) => (arr, af) < (*b_arr, *b_af),
+                (Some((_, b_arr, b_af)), Some(_)) => (af, arr) < (*b_af, *b_arr),
+            };
+            if better {
+                best = Some((Pick { cut_index, imp }, arr, af));
+            }
+        }
+        match best {
+            Some((pick, arr, af)) => {
+                state.pick[id.index()] = Some(pick);
+                state.arrival[id.index()] = arr;
+                state.area_flow[id.index()] = af;
+            }
+            None if required.is_none() => return Err(MapError::NoMatchableCut { node: id }),
+            None => {}
+        }
+    }
+    Ok(())
+}
+
+/// Derives the cover induced by `pick` and measures it exactly.
+fn derive_cover<M: CostModel>(
+    aig: &Aig,
+    cuts: &CutSet,
+    model: &M,
+    pick: &[Option<Pick<M::Impl>>],
+) -> Cover {
+    let mut needed = vec![false; aig.num_nodes()];
+    let mut stack: Vec<NodeId> = aig
+        .outputs()
+        .iter()
+        .map(|l| l.node())
+        .filter(|n| aig.node(*n).is_and())
+        .collect();
+    while let Some(id) = stack.pop() {
+        if needed[id.index()] {
+            continue;
+        }
+        needed[id.index()] = true;
+        for leaf in &cuts.cuts(id)[picked(pick, id).cut_index].leaves {
+            if aig.node(*leaf).is_and() {
+                stack.push(*leaf);
+            }
+        }
+    }
+    let mut arrival = vec![0.0; aig.num_nodes()];
+    let mut area = 0.0;
+    for id in aig.and_ids() {
+        if !needed[id.index()] {
+            continue;
+        }
+        let Pick { cut_index, imp } = picked(pick, id);
+        let mut buf = [0.0; MAX_LEAVES];
+        let leaf_arrivals = gather_leaf_arrivals(&cuts.cuts(id)[cut_index], &arrival, &mut buf);
+        arrival[id.index()] = model.arrival(imp, leaf_arrivals);
+        area += model.area(imp);
+    }
+    let (inv_delay, inv_area) = model.output_inverter();
+    let mut delay = 0f64;
+    for &po in aig.outputs() {
+        if matches!(aig.node(po.node()), AigNode::Const) {
+            continue;
+        }
+        let mut arr = arrival[po.node().index()];
+        if po.is_complemented() {
+            arr += inv_delay;
+            area += inv_area;
+        }
+        delay = delay.max(arr);
+    }
+    Cover {
+        needed,
+        arrival,
+        area,
+        delay,
+    }
+}
+
+/// Backward required-time propagation over the selection `pick`: every
+/// primary output must settle by `target` (minus an output inverter where
+/// the PO is complemented), and each selected cut hands its root's
+/// requirement to its leaves through [`CostModel::leaf_delays`] (`arrival`
+/// supplies the leaf arrivals the model ranks pins by — the DP state during
+/// recovery, the final cover's fresh times when annotating the result).
+/// Nodes outside the current cover stay permissive at `target`; the recovery
+/// loop re-measures the real cover after every pass, so an over-permissive
+/// requirement can waste a pass but never corrupt the result.
+fn compute_required<M: CostModel>(
+    aig: &Aig,
+    cuts: &CutSet,
+    model: &M,
+    pick: &[Option<Pick<M::Impl>>],
+    arrival: &[f64],
+    target: f64,
+) -> Vec<f64> {
+    let (inv_delay, _) = model.output_inverter();
+    let mut required = vec![f64::INFINITY; aig.num_nodes()];
+    for po in aig.outputs() {
+        let idx = po.node().index();
+        let req = if po.is_complemented() {
+            target - inv_delay
+        } else {
+            target
+        };
+        required[idx] = required[idx].min(req);
+    }
+    for id in aig.and_ids().collect::<Vec<_>>().into_iter().rev() {
+        if !required[id.index()].is_finite() {
+            continue;
+        }
+        let Pick { cut_index, imp } = picked(pick, id);
+        let cut = &cuts.cuts(id)[cut_index];
+        let mut buf = [0.0; MAX_LEAVES];
+        let delays = model.leaf_delays(imp, gather_leaf_arrivals(cut, arrival, &mut buf));
+        for (leaf, d) in cut.leaves.iter().zip(delays) {
+            let req = required[id.index()] - d;
+            if required[leaf.index()] > req {
+                required[leaf.index()] = req;
+            }
+        }
+    }
+    for r in &mut required {
+        if !r.is_finite() {
+            *r = target;
+        }
+    }
+    required
+}

@@ -294,30 +294,7 @@ fn set_estimate(est: &mut Estimates, id: NodeId, arr: u32, area: f64) {
 /// # Panics
 /// Panics if `options.cut_size` exceeds 6 (truth tables are stored in `u64`).
 pub fn enumerate_cuts(aig: &Aig, options: &CutsOptions) -> CutSet {
-    assert!(options.cut_size <= 6, "cut size is limited to 6 leaves");
-    assert!(options.cut_size >= 2, "cut size must be at least 2");
-    let mut all: Vec<Vec<Cut>> = Vec::with_capacity(aig.num_nodes());
-    let mut est = Estimates::new(aig.num_nodes());
-    for id in aig.node_ids() {
-        let cuts = match aig.node(id) {
-            AigNode::Const => {
-                set_estimate(&mut est, id, 0, 0.0);
-                vec![Cut {
-                    leaves: Vec::new(),
-                    truth: 0,
-                }]
-            }
-            AigNode::Input { .. } => {
-                set_estimate(&mut est, id, 0, 0.0);
-                vec![Cut::trivial(id)]
-            }
-            AigNode::And { fanin0, fanin1 } => {
-                and_node_cuts(id, *fanin0, *fanin1, &all, &mut est, options)
-            }
-        };
-        all.push(cuts);
-    }
-    CutSet { cuts: all }
+    enumerate(aig, None, options)
 }
 
 /// Merges the cut sets of every member of a choice class into the class cuts
@@ -392,9 +369,15 @@ fn finalize_class(
 /// # Panics
 /// Panics if `options.cut_size` exceeds 6 (truth tables are stored in `u64`).
 pub fn enumerate_cuts_with_choices(choices: &ChoiceAig, options: &CutsOptions) -> CutSet {
+    enumerate(choices.aig(), Some(choices), options)
+}
+
+/// The one bottom-up enumeration pass. With `choices`, a fanin's class is
+/// finalized right before its first fanout merges its cuts — the only step
+/// the plain path skips.
+fn enumerate(aig: &Aig, choices: Option<&ChoiceAig>, options: &CutsOptions) -> CutSet {
     assert!(options.cut_size <= 6, "cut size is limited to 6 leaves");
     assert!(options.cut_size >= 2, "cut size must be at least 2");
-    let aig = choices.aig();
     let mut all: Vec<Vec<Cut>> = Vec::with_capacity(aig.num_nodes());
     let mut est = Estimates::new(aig.num_nodes());
     let mut finalized: Vec<bool> = vec![false; aig.num_nodes()];
@@ -412,32 +395,23 @@ pub fn enumerate_cuts_with_choices(choices: &ChoiceAig, options: &CutsOptions) -
                 vec![Cut::trivial(id)]
             }
             AigNode::And { fanin0, fanin1 } => {
-                let (fanin0, fanin1) = (*fanin0, *fanin1);
-                finalize_class(
-                    fanin0.node(),
-                    choices,
-                    &mut all,
-                    &mut est,
-                    &mut finalized,
-                    options,
-                );
-                finalize_class(
-                    fanin1.node(),
-                    choices,
-                    &mut all,
-                    &mut est,
-                    &mut finalized,
-                    options,
-                );
-                and_node_cuts(id, fanin0, fanin1, &all, &mut est, options)
+                if let Some(choices) = choices {
+                    for fanin in [fanin0, fanin1] {
+                        let node = fanin.node();
+                        finalize_class(node, choices, &mut all, &mut est, &mut finalized, options);
+                    }
+                }
+                and_node_cuts(id, *fanin0, *fanin1, &all, &mut est, options)
             }
         };
         all.push(cuts);
     }
-    // Classes only consumed by the outputs (or not at all) are finalized now
-    // so the mapper sees their choices too.
-    for id in aig.node_ids() {
-        finalize_class(id, choices, &mut all, &mut est, &mut finalized, options);
+    // Classes only consumed by the outputs (or not at all) are finalized
+    // last, in node order, so the mapper sees their choices too.
+    if let Some(choices) = choices {
+        for node in aig.node_ids() {
+            finalize_class(node, choices, &mut all, &mut est, &mut finalized, options);
+        }
     }
     CutSet { cuts: all }
 }

@@ -4,7 +4,13 @@
 //! provides the pieces the paper's synthesis flows are built from:
 //!
 //! * [`cuts`] — K-feasible *priority cut* enumeration with per-cut truth
-//!   tables (the `if -K 6 -C 8` machinery).
+//!   tables (the `if -K 6 -C 8` machinery), plain or pooled over choice
+//!   classes.
+//! * `cover` (crate-private) — the one statement of the covering algorithm
+//!   both mappers run: delay-optimal selection, backward required times,
+//!   area-flow recovery passes that are measured exactly and rolled back
+//!   unless they help. [`lut`] and [`cell`] are a cost model and an emitter
+//!   over it.
 //! * [`lut`] — delay-oriented LUT mapping with area-flow recovery.
 //! * [`sop`] — SOP balancing (`if -g`): delay-driven resynthesis of the
 //!   network from balanced sum-of-products forms of the selected cuts.
@@ -36,6 +42,7 @@
 #![warn(missing_docs)]
 
 pub mod cell;
+pub(crate) mod cover;
 pub mod cuts;
 pub mod library;
 pub mod lut;
@@ -95,9 +102,6 @@ pub struct MapOptions {
     /// recovery passes trade the extra slack for area. Targets below the
     /// achievable critical path are floored at it.
     pub delay_target_ps: Option<f64>,
-    /// Delay target for LUT mapping in levels (the unit-delay analogue of
-    /// [`MapOptions::delay_target_ps`]).
-    pub delay_target_levels: Option<u32>,
 }
 
 impl Default for MapOptions {
@@ -107,7 +111,6 @@ impl Default for MapOptions {
             cut_limit: 8,
             area_passes: 1,
             delay_target_ps: None,
-            delay_target_levels: None,
         }
     }
 }

@@ -1,14 +1,14 @@
 //! Delay-oriented K-LUT mapping with area-flow recovery.
 //!
-//! This is the `if -K k -C c` analogue: every AND node picks the cut that
-//! minimizes its arrival time (LUT levels), an optional area-flow pass then
-//! re-selects cuts off the critical path to reduce the LUT count, and the
-//! final cover is derived from the primary outputs.
+//! This is the `if -K k -C c` analogue: [`crate::cover`] — the one statement
+//! of the *map → required → recover* algorithm — run over K-feasible cuts
+//! under the unit model (every LUT costs one level and one unit of area, and
+//! a complemented output is free: LUTs absorb inverters).
 
-use crate::cuts::{enumerate_cuts, enumerate_cuts_with_choices, Cut, CutSet, CutsOptions};
+use crate::cover::{cover, CostModel, MAX_LEAVES};
+use crate::cuts::{enumerate_cuts, Cut, CutsOptions};
 use crate::MapOptions;
 use aig::{Aig, AigNode, NodeId};
-use choices::ChoiceAig;
 
 /// One mapped LUT: a root node implemented as a lookup table over the cut
 /// leaves.
@@ -27,18 +27,6 @@ pub struct LutMapping {
     pub luts: Vec<Lut>,
     /// LUT depth of the mapping (levels on the longest PI→PO path).
     pub depth: u32,
-    /// Per-node arrival times in LUT levels over the *final cover* (LUTs
-    /// use the load-independent unit-delay model: every pin costs 1 level).
-    /// Inputs, constants and AND nodes outside the cover read 0 — only
-    /// covered roots carry a meaningful arrival.
-    pub arrival: Vec<u32>,
-    /// Per-node required times in LUT levels, propagated backward from the
-    /// effective depth target (nodes off the cover stay at the target).
-    pub required: Vec<u32>,
-    /// The effective depth target: the requested
-    /// [`crate::MapOptions::delay_target_levels`], floored at the
-    /// delay-optimal depth.
-    pub target_levels: u32,
 }
 
 impl LutMapping {
@@ -46,21 +34,34 @@ impl LutMapping {
     pub fn num_luts(&self) -> usize {
         self.luts.len()
     }
-
-    /// Slack of a *covered* node in levels: required minus arrival
-    /// (saturating at 0 from below; the unit-delay model cannot miss its
-    /// own floor). Off-cover nodes read the full target — their arrival
-    /// slot is 0 and their requirement is permissive.
-    pub fn slack(&self, node: NodeId) -> u32 {
-        self.required[node.index()].saturating_sub(self.arrival[node.index()])
-    }
 }
 
-#[derive(Clone)]
-struct Choice {
-    cut_index: usize,
-    arrival: u32,
-    area_flow: f64,
+/// Unit delay, unit area, every cut implementable. The arrival is `1 + max`
+/// over the leaves, not [`crate::timing`]'s pin pairing.
+struct UnitModel;
+
+impl CostModel for UnitModel {
+    type Impl = ();
+
+    fn implement(&mut self, _cut: &Cut) -> Option<()> {
+        Some(())
+    }
+
+    fn arrival(&self, (): (), leaf_arrivals: &[f64]) -> f64 {
+        1.0 + leaf_arrivals.iter().copied().fold(0.0, f64::max)
+    }
+
+    fn area(&self, (): ()) -> f64 {
+        1.0
+    }
+
+    fn leaf_delays(&self, (): (), _leaf_arrivals: &[f64]) -> [f64; MAX_LEAVES] {
+        [1.0; MAX_LEAVES]
+    }
+
+    fn output_inverter(&self) -> (f64, f64) {
+        (0.0, 0.0)
+    }
 }
 
 /// Maps `aig` onto K-input LUTs.
@@ -70,256 +71,19 @@ pub fn map_to_luts(aig: &Aig, options: &MapOptions) -> LutMapping {
         cut_limit: options.cut_limit,
     };
     let cuts = enumerate_cuts(aig, &cut_options);
-    map_luts_with_cuts(aig, &cuts, options)
-}
-
-/// Maps a choice network onto K-input LUTs: every choice-class
-/// representative selects its cut (and thus its LUT function) across the cut
-/// sets of *all* members of the class, so the cover can mix structures from
-/// different recorded implementations.
-pub fn map_to_luts_with_choices(choices: &ChoiceAig, options: &MapOptions) -> LutMapping {
-    let cut_options = CutsOptions {
-        cut_size: options.cut_size,
-        cut_limit: options.cut_limit,
-    };
-    let cuts = enumerate_cuts_with_choices(choices, &cut_options);
-    map_luts_with_cuts(choices.aig(), &cuts, options)
-}
-
-/// The shared LUT covering core over an already enumerated cut set.
-fn map_luts_with_cuts(aig: &Aig, cuts: &CutSet, options: &MapOptions) -> LutMapping {
-    let fanouts = aig.fanout_counts();
-
-    let mut arrival = vec![0u32; aig.num_nodes()];
-    let mut area_flow = vec![0f64; aig.num_nodes()];
-    let mut choice: Vec<Option<Choice>> = (0..aig.num_nodes()).map(|_| None).collect();
-
-    // Delay-oriented pass.
-    for id in aig.and_ids() {
-        let node_cuts = cuts.cuts(id);
-        let mut best: Option<Choice> = None;
-        for (ci, cut) in node_cuts.iter().enumerate() {
-            if cut.leaves == [id] {
-                continue; // trivial cut cannot implement the node
-            }
-            let arr = 1 + cut
-                .leaves
-                .iter()
-                .map(|l| arrival[l.index()])
-                .max()
-                .unwrap_or(0);
-            let af = 1.0
-                + cut
-                    .leaves
-                    .iter()
-                    .map(|l| area_flow[l.index()] / f64::max(1.0, fanouts[l.index()] as f64))
-                    .sum::<f64>();
-            let better = match &best {
-                None => true,
-                Some(b) => (arr, af) < (b.arrival, b.area_flow),
-            };
-            if better {
-                best = Some(Choice {
-                    cut_index: ci,
-                    arrival: arr,
-                    area_flow: af,
-                });
-            }
-        }
-        let best =
-            best.unwrap_or_else(|| unreachable!("every AND node has at least one non-trivial cut"));
-        arrival[id.index()] = best.arrival;
-        area_flow[id.index()] = best.area_flow;
-        choice[id.index()] = Some(best);
-    }
-
-    let depth = aig
-        .outputs()
-        .iter()
-        .map(|l| arrival[l.node().index()])
-        .max()
-        .unwrap_or(0);
-    // The effective depth target: a requested target below the achievable
-    // depth is floored at it; a looser one frees slack for area recovery.
-    let target = options.delay_target_levels.unwrap_or(depth).max(depth);
-
-    let mut best_cover = measure_cover(aig, cuts, &choice);
-    let mut best_state = (choice.clone(), arrival.clone(), area_flow.clone());
-
-    // Area-flow recovery passes: keep arrival within the required time while
-    // minimizing area flow; each pass is measured exactly and rolled back
-    // unless it strictly shrinks the cover without exceeding the target.
-    for _ in 0..options.area_passes {
-        let required = compute_required(aig, cuts, &choice, target);
-        for id in aig.and_ids() {
-            let node_cuts = cuts.cuts(id);
-            let mut best: Option<Choice> = None;
-            for (ci, cut) in node_cuts.iter().enumerate() {
-                if cut.leaves == [id] {
-                    continue;
-                }
-                let arr = 1 + cut
-                    .leaves
-                    .iter()
-                    .map(|l| arrival[l.index()])
-                    .max()
-                    .unwrap_or(0);
-                if arr > required[id.index()] {
-                    continue;
-                }
-                let af = 1.0
-                    + cut
-                        .leaves
-                        .iter()
-                        .map(|l| area_flow[l.index()] / f64::max(1.0, fanouts[l.index()] as f64))
-                        .sum::<f64>();
-                let better = match &best {
-                    None => true,
-                    Some(b) => (af, arr) < (b.area_flow, b.arrival),
-                };
-                if better {
-                    best = Some(Choice {
-                        cut_index: ci,
-                        arrival: arr,
-                        area_flow: af,
-                    });
-                }
-            }
-            if let Some(best) = best {
-                arrival[id.index()] = best.arrival;
-                area_flow[id.index()] = best.area_flow;
-                choice[id.index()] = Some(best);
-            }
-        }
-        let cover = measure_cover(aig, cuts, &choice);
-        if cover.1 <= target && cover.0 < best_cover.0 {
-            best_cover = cover;
-            best_state = (choice.clone(), arrival.clone(), area_flow.clone());
-        } else {
-            // Roll back the whole DP state (selection *and* the arrival /
-            // area-flow arrays), so the next pass evaluates candidates
-            // against the accepted selection, not the rejected one.
-            (choice, arrival, area_flow) = best_state.clone();
-        }
-    }
-    let (choice, _, _) = best_state;
-
-    // Derive the cover and its fresh arrival times from the kept selection.
-    let (needed, arrival) = cover_arrivals(aig, cuts, &choice);
-    let mut luts = Vec::new();
-    for id in aig.and_ids() {
-        if needed[id.index()] {
-            let ch = choice[id.index()]
-                .as_ref()
-                .unwrap_or_else(|| unreachable!("mapped node"));
-            luts.push(Lut {
-                root: id,
-                cut: cuts.cuts(id)[ch.cut_index].clone(),
-            });
-        }
-    }
-    let required = compute_required(aig, cuts, &choice, target);
-
+    let covering = cover(aig, &cuts, &mut UnitModel, options.area_passes, None)
+        .unwrap_or_else(|_| unreachable!("every AND node has a non-trivial cut"));
     LutMapping {
-        luts,
-        depth: best_cover.1,
-        arrival,
-        required,
-        target_levels: target,
+        luts: covering
+            .roots(aig, &cuts)
+            .map(|(root, cut, ())| Lut {
+                root,
+                cut: cut.clone(),
+            })
+            .collect(),
+        // Levels are small integers, exact in `f64`.
+        depth: covering.cover.delay as u32,
     }
-}
-
-/// Marks the cover induced by `choice` and recomputes its arrival times
-/// bottom-up over the covered nodes only.
-fn cover_arrivals(
-    aig: &Aig,
-    cuts: &crate::cuts::CutSet,
-    choice: &[Option<Choice>],
-) -> (Vec<bool>, Vec<u32>) {
-    let mut needed = vec![false; aig.num_nodes()];
-    let mut stack: Vec<NodeId> = aig
-        .outputs()
-        .iter()
-        .map(|l| l.node())
-        .filter(|n| aig.node(*n).is_and())
-        .collect();
-    while let Some(id) = stack.pop() {
-        if needed[id.index()] {
-            continue;
-        }
-        needed[id.index()] = true;
-        let ch = choice[id.index()]
-            .as_ref()
-            .unwrap_or_else(|| unreachable!("mapped node"));
-        for leaf in &cuts.cuts(id)[ch.cut_index].leaves {
-            if aig.node(*leaf).is_and() {
-                stack.push(*leaf);
-            }
-        }
-    }
-    let mut arrival = vec![0u32; aig.num_nodes()];
-    for id in aig.and_ids() {
-        if !needed[id.index()] {
-            continue;
-        }
-        let ch = choice[id.index()]
-            .as_ref()
-            .unwrap_or_else(|| unreachable!("mapped node"));
-        arrival[id.index()] = 1 + cuts.cuts(id)[ch.cut_index]
-            .leaves
-            .iter()
-            .map(|l| arrival[l.index()])
-            .max()
-            .unwrap_or(0);
-    }
-    (needed, arrival)
-}
-
-/// Exact (LUT count, depth) of the cover induced by `choice`.
-fn measure_cover(aig: &Aig, cuts: &crate::cuts::CutSet, choice: &[Option<Choice>]) -> (usize, u32) {
-    let (needed, arrival) = cover_arrivals(aig, cuts, choice);
-    let num_luts = needed.iter().filter(|&&n| n).count();
-    let depth = aig
-        .outputs()
-        .iter()
-        .map(|l| arrival[l.node().index()])
-        .max()
-        .unwrap_or(0);
-    (num_luts, depth)
-}
-
-fn compute_required(
-    aig: &Aig,
-    cuts: &crate::cuts::CutSet,
-    choice: &[Option<Choice>],
-    target: u32,
-) -> Vec<u32> {
-    let mut required = vec![u32::MAX; aig.num_nodes()];
-    for po in aig.outputs() {
-        let idx = po.node().index();
-        required[idx] = target;
-    }
-    // Reverse topological order.
-    for id in aig.and_ids().collect::<Vec<_>>().into_iter().rev() {
-        if required[id.index()] == u32::MAX {
-            continue;
-        }
-        if let Some(ch) = &choice[id.index()] {
-            let req = required[id.index()].saturating_sub(1);
-            for leaf in &cuts.cuts(id)[ch.cut_index].leaves {
-                if required[leaf.index()] > req {
-                    required[leaf.index()] = req;
-                }
-            }
-        }
-    }
-    // Unconstrained nodes keep a permissive requirement.
-    for r in &mut required {
-        if *r == u32::MAX {
-            *r = target;
-        }
-    }
-    required
 }
 
 /// Evaluates a LUT mapping on one input pattern (used for verification).

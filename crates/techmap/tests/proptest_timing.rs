@@ -11,6 +11,10 @@
 //! f64 agreement is exact; any drift in the pairing rule, the cover
 //! derivation, or the output-inverter handling shows up as a hard mismatch.
 //!
+//! The LUT mapper runs the same covering core under the unit model; the same
+//! generator feeds it too: the mapped LUT network computes the circuit's
+//! function, and one more recovery pass is never deeper and never larger.
+//!
 //! `PROPTEST_CASES` scales the coverage (CI pins 2000).
 
 // Helper fns here run outside #[test] context, so the clippy.toml
@@ -22,6 +26,7 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 use techmap::cell::{try_map_to_cells, Netlist, OutputDriver};
 use techmap::library::asap7_like;
+use techmap::lut::{evaluate_mapping, map_to_luts};
 use techmap::MapOptions;
 
 /// The oracle's own pairing: worst-case assignment of pin delays to leaves.
@@ -123,7 +128,9 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// Mapper DP arrivals equal the oracle's on random circuits, across cut
-    /// limits, recovery-pass counts and delay targets.
+    /// limits, recovery-pass counts and delay targets. On the same circuit
+    /// and knobs the LUT cover computes the circuit's function, and one more
+    /// recovery pass is never deeper and never uses more LUTs.
     #[test]
     fn mapper_dp_times_match_oracle(
         seed in 0u64..100_000,
@@ -132,6 +139,7 @@ proptest! {
         num_outputs in 1usize..4,
         cut_limit in 2usize..10,
         area_passes in 0usize..4,
+        lut_size in 2usize..7,
         // Below 0.5 means "no target" (the vendored proptest stand-in has
         // no Option strategy).
         target_scale in 0.0f64..3.0,
@@ -159,6 +167,24 @@ proptest! {
         prop_assert!(netlist.delay_ps() >= base.delay_ps() - 1e-9);
         prop_assert!(netlist.delay_ps() <= netlist.delay_target_ps() + 1e-9);
         prop_assert!(netlist.worst_slack_ps() >= -1e-9);
+
+        let lut_options =
+            MapOptions { cut_size: lut_size, cut_limit, area_passes, ..MapOptions::default() };
+        let mapping = map_to_luts(&circuit, &lut_options);
+        for lut in &mapping.luts {
+            prop_assert!(lut.cut.leaves.len() <= lut_size);
+        }
+        for pattern in 0..1usize << num_inputs {
+            let bits: Vec<bool> = (0..num_inputs).map(|i| pattern >> i & 1 == 1).collect();
+            prop_assert_eq!(
+                evaluate_mapping(&circuit, &mapping, &bits),
+                circuit.evaluate(&bits),
+                "LUT cover differs on pattern {}", pattern
+            );
+        }
+        let more = map_to_luts(&circuit, &lut_options.with_area_passes(area_passes + 1));
+        prop_assert!(more.depth <= mapping.depth, "depth {} > {}", more.depth, mapping.depth);
+        prop_assert!(more.num_luts() <= mapping.num_luts());
     }
 
     /// The same differential check over choice networks built from real
