@@ -273,6 +273,8 @@ pub(crate) fn sat(run: &mut Run) {
         "circuit",
         "cex",
         "sat_calls",
+        "windows",
+        "cnf_nodes",
         "classes",
         "redundant",
         "resim",
@@ -302,6 +304,8 @@ pub(crate) fn sat(run: &mut Run) {
                 name.clone(),
                 if cex_refinement { "on" } else { "off" }.into(),
                 stats.sat_calls.to_string(),
+                stats.window_proofs.to_string(),
+                stats.cnf_nodes_loaded.to_string(),
                 proved.to_string(),
                 classes.num_redundant().to_string(),
                 stats.resimulations.to_string(),

@@ -128,20 +128,31 @@ pub fn check_equivalence_swept(
     }
 
     let stacked = aig::stack_over_shared_inputs(golden, revised, "_b");
-    let (reduced, _stats) = SatSweeper::new(sweep.clone()).sweep(&stacked);
+    let (reduced, stats) = SatSweeper::new(sweep.clone()).sweep(&stacked);
+    debug_assert_eq!(
+        stats.proved + stats.disproved + stats.unknown,
+        stats.sat_calls + stats.window_proofs,
+        "every pair the sweep queried ends in one verdict"
+    );
 
     let n = golden.num_outputs();
+    let outputs = reduced.outputs();
+    let survivors: Vec<usize> = (0..n).filter(|&o| outputs[o] != outputs[o + n]).collect();
+    if survivors.is_empty() {
+        // A proof the sweep abandoned (`stats.unknown`) leaves its pair
+        // unmerged: it can add a survivor, never hide one.
+        return CecResult::Equivalent;
+    }
+
+    // What the sweep refuted, never paired up or ran out of budget on is
+    // decided on the reduced network.
     let mut solver = Solver::new();
     solver.set_conflict_budget(options.conflict_budget);
     let cnf = AigCnf::encode(&mut solver, &reduced, None);
-    let shared = cnf.input_lits.clone();
     let mut any_unknown = false;
-    for o in 0..n {
-        let (la, lb) = (reduced.outputs()[o], reduced.outputs()[o + n]);
-        if la == lb {
-            continue; // the sweep already merged this output pair
-        }
-        match solve_output_pair(&mut solver, &shared, cnf.lit(la), cnf.lit(lb)) {
+    for o in survivors {
+        let (la, lb) = (cnf.lit(outputs[o]), cnf.lit(outputs[o + n]));
+        match solve_output_pair(&mut solver, &cnf.input_lits, la, lb) {
             OutputVerdict::Equal => {}
             OutputVerdict::Differs(inputs) => {
                 return CecResult::NotEquivalent(Counterexample { inputs, output: o })
@@ -214,7 +225,9 @@ fn solve_output_pair(
     out_b: SLit,
 ) -> OutputVerdict {
     // a != b is satisfiable in exactly two phases; check both with assumptions
-    // so the solver stays reusable for the next output.
+    // so the solver stays reusable for the next output. A budget-exhausted
+    // phase must not hide a cheap counterexample in the other one.
+    let mut unknown = false;
     for (phase_a, phase_b) in [(true, false), (false, true)] {
         let assumptions = [
             if phase_a { out_a } else { !out_a },
@@ -228,11 +241,15 @@ fn solve_output_pair(
                     .collect();
                 return OutputVerdict::Differs(inputs);
             }
-            SatResult::Unknown => return OutputVerdict::Unknown,
+            SatResult::Unknown => unknown = true,
             SatResult::Unsat => {}
         }
     }
-    OutputVerdict::Equal
+    if unknown {
+        OutputVerdict::Unknown
+    } else {
+        OutputVerdict::Equal
+    }
 }
 
 fn recover_pattern(aig: &Aig, options: &CecOptions, pattern_index: usize) -> Vec<bool> {
@@ -362,5 +379,79 @@ mod tests {
         assert!(matches!(res, CecResult::NotEquivalent(_)));
         let res_same = check_equivalence(&a, &a, &CecOptions::default());
         assert!(res_same.is_equivalent());
+    }
+
+    #[test]
+    fn exhausted_first_phase_does_not_hide_a_cheap_counterexample() {
+        // golden = h & !h' for two structures of one parity function: the
+        // constant false, but only a search proves it. revised = the plain
+        // input x. The phase "golden true, revised false" exhausts a tiny
+        // budget; the phase "golden false, revised true" is satisfied by
+        // any assignment with x = 1 and must still be reported.
+        let build = |constant_side: bool| {
+            let mut aig = Aig::new("phases");
+            let v: Vec<Lit> = (0..12).map(|i| aig.add_input(format!("v{i}"))).collect();
+            let x = aig.add_input("x");
+            let out = if constant_side {
+                let h = v[1..].iter().fold(v[0], |acc, &vi| aig.xor(acc, vi));
+                let h2 = v[..11]
+                    .iter()
+                    .rev()
+                    .fold(v[11], |acc, &vi| aig.xor(vi, acc));
+                aig.and(h, h2.not())
+            } else {
+                x
+            };
+            aig.add_output(out, "f");
+            aig
+        };
+        let (golden, revised) = (build(true), build(false));
+        let opts = CecOptions {
+            sim_words: 0,
+            conflict_budget: Some(2),
+            ..CecOptions::default()
+        };
+        match check_equivalence(&golden, &revised, &opts) {
+            CecResult::NotEquivalent(cex) => {
+                assert_ne!(golden.evaluate(&cex.inputs), revised.evaluate(&cex.inputs));
+            }
+            other => panic!("expected a counterexample, got {other:?}"),
+        }
+        // The budget really is too small for the first phase on its own.
+        let unknown = check_equivalence(
+            &golden,
+            &{
+                let mut zero = build(false);
+                zero.set_output(0, Lit::FALSE);
+                zero
+            },
+            &opts,
+        );
+        assert_eq!(unknown, CecResult::Unknown);
+    }
+
+    #[test]
+    fn swept_cec_merges_equal_outputs_and_decides_the_survivors() {
+        // No simulation, so both verdicts come from the sweep and its tail.
+        let opts = CecOptions {
+            sim_words: 0,
+            ..CecOptions::default()
+        };
+        let sweep = SweepOptions::default();
+        let golden = adder(4, true);
+        let same = check_equivalence_swept(&golden, &adder(4, false), &opts, &sweep);
+        assert!(same.is_equivalent(), "got {same:?}");
+
+        // Invert the carry out: every sum pair still merges, one pair survives.
+        let mut buggy = adder(4, false);
+        let cout = buggy.outputs()[4];
+        buggy.set_output(4, cout.not());
+        match check_equivalence_swept(&golden, &buggy, &opts, &sweep) {
+            CecResult::NotEquivalent(cex) => {
+                assert_eq!(cex.output, 4);
+                assert_ne!(golden.evaluate(&cex.inputs), buggy.evaluate(&cex.inputs));
+            }
+            other => panic!("expected a counterexample, got {other:?}"),
+        }
     }
 }

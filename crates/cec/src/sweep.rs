@@ -1,22 +1,70 @@
 //! SAT sweeping (fraig-style): detect and merge functionally equivalent
-//! internal nodes of an AIG.
+//! internal nodes of an AIG. This is the engine behind the `dch`-style
+//! structural choice computation in `logic-opt` and behind
+//! [`crate::check_equivalence_swept`].
 //!
-//! Sweeping is the mechanism behind the `dch`-style structural choice
-//! computation used by `logic-opt`: candidate equivalences are proposed by
-//! bit-parallel random simulation and then proved (or refuted) with SAT on a
-//! single incremental solver shared across the whole sweep.
+//! # The engine
 //!
-//! When a proof attempt *fails*, the SAT model is a distinguishing input
-//! pattern. With [`SweepOptions::cex_refinement`] enabled (the default) that
-//! pattern is resimulated through the network and used to split the current
-//! and all still-pending candidate classes (ABC fraig-style counterexample
-//! refinement), so one refuted pair prunes every other candidate pair the
-//! pattern distinguishes — without further SAT calls.
+//! **Candidates.** Bit-parallel random simulation groups the AND nodes (and
+//! the constant) by signature up to complement. Each group is a *candidate
+//! class*; its lowest-id member is the representative. Only a proof ever
+//! merges anything — simulation merely proposes.
+//!
+//! **Walk order.** The nodes are visited once, in id (= topological) order.
+//! A non-representative candidate is queried against its class
+//! representative *when the walk reaches it* — its class is read at that
+//! moment, after every split so far — so by then every node of its fanin
+//! cone has been queried and, if equivalent to something earlier, merged.
+//! Two restructurings of one function therefore meet as small local
+//! problems over already-shared fanins instead of as two unrelated cones.
+//!
+//! **`repr`.** `repr[n]` is the literal node `n` has been *proved* equal
+//! to: the class representative (with the member's phase) once a proof
+//! succeeded, `n` itself otherwise. It is the only record of a merge: the
+//! CNF, the window proofs and the returned classes all read it, and nothing
+//! but a proof writes it — a refutation or an exhausted budget leaves
+//! `repr[n] = n` and adds no clause.
+//!
+//! **Window proofs.** Before any SAT call the pair is tried on a small
+//! window: starting from the two roots, the largest-id node of the frontier
+//! is expanded through its canonical (`repr`) fanins, up to
+//! [`WINDOW_INNER`] inner nodes, and whenever the frontier has at most
+//! [`WINDOW_LEAVES`] leaves the two roots' truth tables *over the leaves*
+//! are compared. Equal for every leaf value implies equal for every input
+//! value, so equality counts as proved. The test is one-sided: the leaves
+//! are internal nodes, not free variables, so a leaf assignment on which the
+//! tables differ may be unreachable from the inputs. A mismatch proves
+//! nothing and the pair goes to SAT.
+//!
+//! **Lazy, merged CNF.** One incremental solver serves the whole sweep, but
+//! a node gets a variable only when a query needs its cone
+//! ([`ConeCnf::load`]), and the cone is encoded over canonical fanins, so
+//! merged logic never enters the formula. After a SAT proof the two (now
+//! loaded) roots are tied with `a ↔ b` clauses. Propagation thus never
+//! enters fanout that no query has asked about.
+//!
+//! **Counterexamples.** A `Sat` answer assigns only the loaded cones.
+//! Primary inputs without a variable are outside both cones and cannot
+//! influence either root, so the model is completed by reading them as
+//! `false`; the completed pattern is resimulated through the *original*
+//! network ([`Aig::evaluate_nodes`]) and must separate the pair. With
+//! [`SweepOptions::cex_refinement`] (the default) the pattern then splits
+//! every candidate class, ABC-fraig style: in each class the members the
+//! walk has not reached yet that disagree with the representative move to a
+//! class of their own (members already passed stay where they are — their
+//! verdict is in), so one refuted pair prunes every candidate pair the
+//! pattern distinguishes without further SAT calls. With refinement off a
+//! refuted member is simply left unproved.
 
-use crate::tseitin::AigCnf;
-use aig::{Aig, Lit as ALit, Simulator};
+use crate::tseitin::{canonical, ConeCnf};
+use aig::{Aig, AigNode, Lit as ALit, NodeId, Simulator};
 use sat::{Lit as SLit, SatResult, Solver};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, HashMap};
+
+/// Most inner nodes a window proof expands before giving up.
+const WINDOW_INNER: usize = 64;
+/// Most frontier leaves a window proof builds truth tables over.
+const WINDOW_LEAVES: usize = 8;
 
 /// Options controlling a sweep.
 #[derive(Debug, Clone)]
@@ -46,12 +94,15 @@ impl Default for SweepOptions {
     }
 }
 
-/// Statistics of a sweep run.
+/// Statistics of a sweep run. Every queried pair ends in exactly one
+/// verdict, so `proved + disproved + unknown == sat_calls + window_proofs`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// Number of candidate pairs submitted to SAT.
     pub sat_calls: usize,
-    /// Pairs proved equivalent.
+    /// Pairs closed by a window truth-table comparison, without SAT.
+    pub window_proofs: usize,
+    /// Pairs proved equivalent (by SAT or by a window).
     pub proved: usize,
     /// Pairs refuted.
     pub disproved: usize,
@@ -64,6 +115,8 @@ pub struct SweepStats {
     /// Candidate members moved out of their class by a counterexample
     /// (each avoided at least one SAT call).
     pub cex_splits: usize,
+    /// AIG nodes (constant, inputs, ANDs) that were given a SAT variable.
+    pub cnf_nodes_loaded: usize,
 }
 
 /// Groups of functionally equivalent literals.
@@ -98,136 +151,80 @@ impl SatSweeper {
         SatSweeper { options }
     }
 
-    /// Finds proved equivalence classes among the nodes of `aig`.
+    /// Finds proved equivalence classes among the nodes of `aig`: one walk
+    /// in topological order, each candidate tried on a window and then on
+    /// the lazily loaded CNF (see the module documentation).
     pub fn find_equivalences(&self, aig: &Aig) -> (EquivClasses, SweepStats) {
         let mut stats = SweepStats::default();
-        if aig.num_inputs() == 0 {
+        let Some(mut candidates) = Candidates::from_simulation(aig, &self.options) else {
             return (EquivClasses::default(), stats);
-        }
-        let sim = Simulator::random(aig, self.options.sim_words, self.options.sim_seed);
+        };
 
-        // Group nodes by canonical signature (complement so that bit 0 is 0).
-        use std::collections::HashMap;
-        let mut groups: HashMap<Vec<u64>, Vec<ALit>> = HashMap::new();
-        for id in aig.node_ids() {
-            let node = aig.node(id);
-            if !(node.is_and() || node.is_const()) {
-                continue;
-            }
-            let sig = sim.node_signature(id);
-            let complemented = sig.first().is_some_and(|w| w & 1 == 1);
-            let canon: Vec<u64> = if complemented {
-                sig.iter().map(|w| !w).collect()
-            } else {
-                sig.clone()
-            };
-            groups
-                .entry(canon)
-                .or_default()
-                .push(ALit::new(id, complemented));
-        }
-
-        let mut candidate_classes: Vec<Vec<ALit>> = groups
-            .into_values()
-            .filter(|g| g.len() >= 2 && g.len() <= self.options.max_class_size)
-            .collect();
-        // Deterministic order: by the representative node id.
-        for class in &mut candidate_classes {
-            class.sort_by_key(|l| l.node());
-        }
-        candidate_classes.sort_by_key(|c| c[0].node());
-
-        if candidate_classes.is_empty() {
-            return (EquivClasses::default(), stats);
-        }
-
-        // One solver instance for all proofs.
         let mut solver = Solver::new();
         solver.set_conflict_budget(self.options.conflict_budget);
-        let cnf = AigCnf::encode(&mut solver, aig, None);
+        let mut cnf = ConeCnf::new(aig);
+        let mut window = Window::new(aig);
+        let mut repr: Vec<ALit> = aig.node_ids().map(NodeId::lit).collect();
 
-        let mut pending: VecDeque<Vec<ALit>> = candidate_classes.into();
-        let mut proved_classes = Vec::new();
-        while let Some(mut class) = pending.pop_front() {
-            let rep = class[0];
-            // The representative is stored uncomplemented; members carry the
-            // relative phase.
-            let rep_node = rep.node();
-            let mut proved: Vec<ALit> = vec![ALit::new(rep_node, false)];
-            let mut idx = 1;
-            while idx < class.len() {
-                let member = class[idx];
-                let phase = member.is_complemented() != rep.is_complemented();
-                let a = cnf.node(rep_node);
-                let b = cnf.node(member.node());
-                let b = if phase { !b } else { b };
-                match prove_equal(&mut solver, a, b, &mut stats) {
-                    Verdict::Equal => {
-                        proved.push(ALit::new(member.node(), phase));
-                        idx += 1;
-                    }
-                    Verdict::Unknown => idx += 1,
-                    Verdict::Different => {
-                        if !self.options.cex_refinement {
-                            idx += 1;
-                            continue;
-                        }
-                        // The SAT model is a distinguishing input pattern:
-                        // resimulate it and split every candidate class it
-                        // distinguishes. The refuted member is guaranteed to
-                        // disagree with the representative, so the current
-                        // class always shrinks.
-                        let pattern: Vec<bool> = cnf
-                            .input_lits
-                            .iter()
-                            .map(|&l| solver.value(l).unwrap_or(false))
-                            .collect();
-                        let values = aig.evaluate_nodes(&pattern);
-                        stats.resimulations += 1;
-                        let rep_val = values[rep_node.index()] ^ rep.is_complemented();
-                        let tail: Vec<ALit> = class.split_off(idx);
-                        let (agree, disagree): (Vec<ALit>, Vec<ALit>) =
-                            tail.into_iter().partition(|m| {
-                                values[m.node().index()] ^ m.is_complemented() == rep_val
-                            });
-                        stats.cex_splits += disagree.len();
-                        class.extend(agree);
-                        // The split-off group is still internally candidate-
-                        // equivalent; node order (and thus the topologically
-                        // earliest representative) is preserved.
-                        if disagree.len() >= 2 {
-                            pending.push_back(disagree);
-                        }
-                        let mut new_classes: Vec<Vec<ALit>> = Vec::new();
-                        for queued in pending.iter_mut() {
-                            let old: Vec<ALit> = std::mem::take(queued);
-                            let q_rep_val =
-                                values[old[0].node().index()] ^ old[0].is_complemented();
-                            let (same, split): (Vec<ALit>, Vec<ALit>) =
-                                old.into_iter().partition(|m| {
-                                    values[m.node().index()] ^ m.is_complemented() == q_rep_val
-                                });
-                            stats.cex_splits += split.len();
-                            *queued = same;
-                            if split.len() >= 2 {
-                                new_classes.push(split);
-                            }
-                        }
-                        pending.retain(|c| c.len() >= 2);
-                        pending.extend(new_classes);
-                    }
+        for id in aig.node_ids() {
+            let Some((rep, phase)) = candidates.query_of(id) else {
+                continue;
+            };
+            if window.proves_equal(aig, &repr, rep, id, phase) {
+                stats.window_proofs += 1;
+                stats.proved += 1;
+                repr[id.index()] = ALit::new(rep, phase);
+                continue;
+            }
+            let a = cnf.load(&mut solver, aig, &repr, rep);
+            let b = cnf.load(&mut solver, aig, &repr, id);
+            let b = if phase { !b } else { b };
+            match prove_equal(&mut solver, a, b, &mut stats) {
+                Verdict::Equal => {
+                    repr[id.index()] = ALit::new(rep, phase);
+                    solver.add_clause(&[!a, b]);
+                    solver.add_clause(&[a, !b]);
+                }
+                Verdict::Unknown => {}
+                Verdict::Different if !self.options.cex_refinement => {}
+                Verdict::Different => {
+                    // Inputs outside the two loaded cones have no variable
+                    // and cannot influence either root: read them as false.
+                    let pattern: Vec<bool> = aig
+                        .inputs()
+                        .iter()
+                        .map(|&i| cnf.get(i).and_then(|l| solver.value(l)).unwrap_or(false))
+                        .collect();
+                    let values = aig.evaluate_nodes(&pattern);
+                    stats.resimulations += 1;
+                    // If the pattern did not separate the pair, `id` would
+                    // stay in its class, passed by the walk and unproved.
+                    debug_assert_ne!(
+                        values[rep.index()],
+                        values[id.index()] ^ phase,
+                        "the completed SAT model must separate the refuted pair"
+                    );
+                    stats.cex_splits += candidates.refine(&values, id);
                 }
             }
-            if proved.len() >= 2 {
-                proved_classes.push(proved);
+        }
+        stats.cnf_nodes_loaded = cnf.loaded();
+
+        // `repr` is the whole result: members in id order under their
+        // representative, classes in representative order.
+        let mut classes: BTreeMap<NodeId, Vec<ALit>> = BTreeMap::new();
+        for id in aig.node_ids() {
+            let rep = repr[id.index()];
+            if rep.node() != id {
+                classes
+                    .entry(rep.node())
+                    .or_insert_with(|| vec![rep.node().lit()])
+                    .push(ALit::new(id, rep.is_complemented()));
             }
         }
-        // Splitting appends refined classes out of order; restore the
-        // deterministic by-representative order.
-        proved_classes.sort_by_key(|c| c[0].node());
         (
             EquivClasses {
-                classes: proved_classes,
+                classes: classes.into_values().collect(),
             },
             stats,
         )
@@ -309,6 +306,250 @@ fn prove_equal(solver: &mut Solver, a: SLit, b: SLit, stats: &mut SweepStats) ->
     } else {
         stats.proved += 1;
         Verdict::Equal
+    }
+}
+
+/// The candidate equivalence classes proposed by simulation, refined by
+/// counterexamples as the walk proceeds.
+struct Candidates {
+    /// Members in ascending node order; the complement bit is the phase of
+    /// the node's simulation signature, so two members are candidates for
+    /// `x == y ^ (phase_x != phase_y)`. `classes[c][0]` is the representative.
+    classes: Vec<Vec<ALit>>,
+    /// Node index → index into `classes`, [`Candidates::NONE`] if the node
+    /// is in no class.
+    class_of: Vec<u32>,
+}
+
+impl Candidates {
+    const NONE: u32 = u32::MAX;
+
+    /// Groups the AND and constant nodes of `aig` by random-simulation
+    /// signature up to complement. `None` if no group has two members.
+    fn from_simulation(aig: &Aig, options: &SweepOptions) -> Option<Self> {
+        if aig.num_inputs() == 0 {
+            return None;
+        }
+        let sim = Simulator::random(aig, options.sim_words, options.sim_seed);
+        // Canonical signature: complemented so that bit 0 is 0.
+        let mut groups: HashMap<Vec<u64>, Vec<ALit>> = HashMap::new();
+        for id in aig.node_ids() {
+            if matches!(aig.node(id), AigNode::Input { .. }) {
+                continue;
+            }
+            let sig = sim.node_signature(id);
+            let complemented = sig.first().is_some_and(|w| w & 1 == 1);
+            let canon: Vec<u64> = if complemented {
+                sig.iter().map(|w| !w).collect()
+            } else {
+                sig.clone()
+            };
+            // Ids ascend, so every group is already in node order.
+            groups
+                .entry(canon)
+                .or_default()
+                .push(ALit::new(id, complemented));
+        }
+        let mut classes: Vec<Vec<ALit>> = groups
+            .into_values()
+            .filter(|g| g.len() >= 2 && g.len() <= options.max_class_size)
+            .collect();
+        if classes.is_empty() {
+            return None;
+        }
+        // Hash order is arbitrary; class order must not be.
+        classes.sort_by_key(|c| c[0].node());
+        let mut class_of = vec![Self::NONE; aig.num_nodes()];
+        for (c, class) in classes.iter().enumerate() {
+            for member in class {
+                class_of[member.node().index()] = c as u32;
+            }
+        }
+        Some(Candidates { classes, class_of })
+    }
+
+    /// The query the walk owes `node`: its class representative and the
+    /// phase under which the two are candidates (`node == rep ^ phase`).
+    /// `None` for a node in no class and for a representative.
+    fn query_of(&self, node: NodeId) -> Option<(NodeId, bool)> {
+        let class = self.classes.get(self.class_of[node.index()] as usize)?;
+        let rep = class[0];
+        if rep.node() == node {
+            return None;
+        }
+        let member = class[class
+            .binary_search_by_key(&node, |m| m.node())
+            .unwrap_or_else(|_| unreachable!("class_of points at the class holding the node"))];
+        Some((
+            rep.node(),
+            member.is_complemented() != rep.is_complemented(),
+        ))
+    }
+
+    /// Splits every class on one simulated pattern (`values[n]` = value of
+    /// node `n`): members at or after `from` — those the walk has not passed
+    /// — that disagree with their representative leave the class, together
+    /// as a new class if there are at least two of them. Returns the number
+    /// of members moved. Sound for any pattern: nodes that differ on some
+    /// input are not equivalent.
+    fn refine(&mut self, values: &[bool], from: NodeId) -> usize {
+        let value = |m: ALit| values[m.node().index()] ^ m.is_complemented();
+        let mut moved_total = 0;
+        // Classes appended below already agree on the pattern.
+        for c in 0..self.classes.len() {
+            let class = &mut self.classes[c];
+            let rep_value = value(class[0]);
+            let start = class.partition_point(|m| m.node() < from);
+            if class[start..].iter().all(|&m| value(m) == rep_value) {
+                continue;
+            }
+            let (kept, moved): (Vec<ALit>, Vec<ALit>) =
+                class.drain(start..).partition(|&m| value(m) == rep_value);
+            class.extend(kept);
+            moved_total += moved.len();
+            let target = if moved.len() >= 2 {
+                self.classes.len() as u32
+            } else {
+                Self::NONE
+            };
+            for member in &moved {
+                self.class_of[member.node().index()] = target;
+            }
+            if moved.len() >= 2 {
+                self.classes.push(moved);
+            }
+        }
+        moved_total
+    }
+}
+
+/// A truth table over [`WINDOW_LEAVES`] variables.
+type TruthTable = [u64; 4];
+
+/// `LEAF_TABLES[i]` is the truth table of variable `i`.
+const LEAF_TABLES: [TruthTable; WINDOW_LEAVES] = [
+    [0xAAAA_AAAA_AAAA_AAAA; 4],
+    [0xCCCC_CCCC_CCCC_CCCC; 4],
+    [0xF0F0_F0F0_F0F0_F0F0; 4],
+    [0xFF00_FF00_FF00_FF00; 4],
+    [0xFFFF_0000_FFFF_0000; 4],
+    [0xFFFF_FFFF_0000_0000; 4],
+    [0, u64::MAX, 0, u64::MAX],
+    [0, 0, u64::MAX, u64::MAX],
+];
+
+/// Scratch space of the window proofs (see the module documentation),
+/// allocated once per sweep.
+struct Window {
+    /// AND nodes on the frontier, ascending, so the next to expand is last.
+    open: Vec<NodeId>,
+    /// Primary inputs on the frontier: leaves that can never be expanded.
+    inputs: Vec<NodeId>,
+    /// Expanded nodes, in expansion (= descending id) order.
+    inner: Vec<NodeId>,
+    /// Node index → index into `tables`; valid for the window's nodes only.
+    slot: Vec<u32>,
+    tables: Vec<TruthTable>,
+}
+
+impl Window {
+    fn new(aig: &Aig) -> Self {
+        Window {
+            open: Vec::new(),
+            inputs: Vec::new(),
+            inner: Vec::new(),
+            slot: vec![0; aig.num_nodes()],
+            tables: Vec::with_capacity(WINDOW_LEAVES + WINDOW_INNER),
+        }
+    }
+
+    /// Tries to prove `b == a ^ phase` on a window around the two nodes.
+    /// `true` is a proof; `false` says nothing.
+    fn proves_equal(
+        &mut self,
+        aig: &Aig,
+        repr: &[ALit],
+        a: NodeId,
+        b: NodeId,
+        phase: bool,
+    ) -> bool {
+        self.open.clear();
+        self.inputs.clear();
+        self.inner.clear();
+        self.reach(aig, a);
+        self.reach(aig, b);
+        while self.inner.len() < WINDOW_INNER {
+            // Largest id first: every window node that reads `top` has
+            // been expanded already, and `top` is never reached again.
+            let Some(top) = self.open.pop() else {
+                break;
+            };
+            self.inner.push(top);
+            let (f0, f1) = aig.fanins(top);
+            self.reach(aig, canonical(repr, f0).node());
+            self.reach(aig, canonical(repr, f1).node());
+            if self.open.len() + self.inputs.len() <= WINDOW_LEAVES
+                && self.tables_agree(aig, repr, a, b, phase)
+            {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Puts `node` on the frontier unless it is the constant or already there.
+    fn reach(&mut self, aig: &Aig, node: NodeId) {
+        match aig.node(node) {
+            AigNode::Const => {}
+            AigNode::Input { .. } => {
+                if !self.inputs.contains(&node) {
+                    self.inputs.push(node);
+                }
+            }
+            AigNode::And { .. } => {
+                if let Err(at) = self.open.binary_search(&node) {
+                    self.open.insert(at, node);
+                }
+            }
+        }
+    }
+
+    /// Compares the truth tables of `a ^ phase` and `b` over the frontier.
+    fn tables_agree(
+        &mut self,
+        aig: &Aig,
+        repr: &[ALit],
+        a: NodeId,
+        b: NodeId,
+        phase: bool,
+    ) -> bool {
+        self.tables.clear();
+        for &leaf in self.inputs.iter().chain(&self.open) {
+            self.slot[leaf.index()] = self.tables.len() as u32;
+            self.tables.push(LEAF_TABLES[self.tables.len()]);
+        }
+        // Ascending ids: canonical fanins are leaves or earlier inner nodes.
+        for &node in self.inner.iter().rev() {
+            let (f0, f1) = aig.fanins(node);
+            let t0 = self.table_of(canonical(repr, f0));
+            let t1 = self.table_of(canonical(repr, f1));
+            self.slot[node.index()] = self.tables.len() as u32;
+            self.tables.push(std::array::from_fn(|w| t0[w] & t1[w]));
+        }
+        self.table_of(ALit::new(a, phase)) == self.table_of(b.lit())
+    }
+
+    fn table_of(&self, lit: ALit) -> TruthTable {
+        let base = if lit.node() == NodeId::CONST {
+            [0; 4]
+        } else {
+            self.tables[self.slot[lit.node().index()] as usize]
+        };
+        if lit.is_complemented() {
+            base.map(|w| !w)
+        } else {
+            base
+        }
     }
 }
 
@@ -409,5 +650,113 @@ mod tests {
         assert!(has_const_class);
         let (reduced, _) = sweeper.sweep(&aig);
         assert!(check_equivalence(&aig, &reduced, &CecOptions::default()).is_equivalent());
+    }
+
+    /// XOR of `inputs` associated from the left or from the right: one
+    /// function, two cones that share nothing but the inputs.
+    fn xor_chains(width: usize) -> (Aig, ALit, ALit) {
+        let mut aig = Aig::new("xor_chains");
+        let x: Vec<ALit> = (0..width).map(|i| aig.add_input(format!("x{i}"))).collect();
+        let left = x[1..].iter().fold(x[0], |acc, &xi| aig.xor(acc, xi));
+        let right = x[..width - 1]
+            .iter()
+            .rev()
+            .fold(x[width - 1], |acc, &xi| aig.xor(xi, acc));
+        aig.add_output(left, "left");
+        aig.add_output(right, "right");
+        (aig, left, right)
+    }
+
+    fn identity_repr(aig: &Aig) -> Vec<ALit> {
+        aig.node_ids().map(NodeId::lit).collect()
+    }
+
+    #[test]
+    fn window_proves_small_cones_and_gives_up_on_wide_ones() {
+        // Eight inputs fit the window's leaves: the truth tables decide.
+        let (aig, left, right) = xor_chains(WINDOW_LEAVES);
+        let phase = left.is_complemented() != right.is_complemented();
+        let mut window = Window::new(&aig);
+        let repr = identity_repr(&aig);
+        assert!(window.proves_equal(&aig, &repr, left.node(), right.node(), phase));
+        assert!(!window.proves_equal(&aig, &repr, left.node(), right.node(), !phase));
+
+        // Twelve do not, and on the way every small frontier holds internal
+        // nodes whose tables cannot agree: no proof — and no refutation, the
+        // pair is equal and SAT says so.
+        let (aig, left, right) = xor_chains(12);
+        let phase = left.is_complemented() != right.is_complemented();
+        let mut window = Window::new(&aig);
+        let repr = identity_repr(&aig);
+        assert!(!window.proves_equal(&aig, &repr, left.node(), right.node(), phase));
+        let (classes, stats) = SatSweeper::default().find_equivalences(&aig);
+        assert!(stats.sat_calls > 0 && stats.disproved == 0, "{stats:?}");
+        let merged = classes
+            .classes
+            .iter()
+            .any(|c| c[0].node() == left.node() && c.iter().any(|m| m.node() == right.node()));
+        assert!(merged, "the two chains were not merged: {classes:?}");
+    }
+
+    #[test]
+    fn refine_moves_only_members_the_walk_has_not_passed() {
+        let lit = |n: u32| ALit::new(NodeId(n), false);
+        let mut candidates = Candidates {
+            classes: vec![vec![lit(2), lit(5), lit(7), lit(9), lit(11)]],
+            class_of: vec![Candidates::NONE; 12],
+        };
+        for n in [2, 5, 7, 9, 11] {
+            candidates.class_of[n] = 0;
+        }
+        // 5 (passed) and 9, 11 (ahead) disagree with the representative; 7,
+        // the node the walk stands on, does not: a pattern that fails to
+        // separate the queried pair.
+        let mut values = vec![false; 12];
+        for n in [5, 9, 11] {
+            values[n] = true;
+        }
+        assert_eq!(candidates.refine(&values, NodeId(7)), 2);
+        assert_eq!(candidates.classes[0], vec![lit(2), lit(5), lit(7)]);
+        assert_eq!(candidates.classes[1], vec![lit(9), lit(11)]);
+        // 7 is still owed nothing new and stays unproved with its class; 11
+        // is now queried against 9.
+        assert_eq!(candidates.query_of(NodeId(7)), Some((NodeId(2), false)));
+        assert_eq!(candidates.query_of(NodeId(9)), None);
+        assert_eq!(candidates.query_of(NodeId(11)), Some((NodeId(9), false)));
+    }
+
+    #[test]
+    fn exhausted_budget_merges_nothing_it_did_not_prove() {
+        // `a * b` stacked with `b * a`: equal output for output, but one
+        // conflict is not enough to prove the deep pairs.
+        let golden = benchgen::multiplier(4).aig;
+        let mut stacked = Aig::new("commuted");
+        let inputs: Vec<ALit> = (0..8).map(|i| stacked.add_input(format!("i{i}"))).collect();
+        let swapped: Vec<ALit> = inputs[4..].iter().chain(&inputs[..4]).copied().collect();
+        for operands in [&inputs, &swapped] {
+            let map = golden.copy_logic_into(&mut stacked, operands);
+            for &po in golden.outputs() {
+                let lit = map[po.node().index()].xor(po.is_complemented());
+                stacked.add_output(lit, "p");
+            }
+        }
+        let sweep_with = |conflict_budget| {
+            SatSweeper::new(SweepOptions {
+                conflict_budget,
+                ..SweepOptions::default()
+            })
+            .find_equivalences(&stacked)
+        };
+        let (classes, stats) = sweep_with(Some(0));
+        assert!(stats.unknown > 0, "{stats:?}");
+        assert_eq!(stats.proved, classes.num_redundant());
+        let exact = Simulator::exhaustive(&stacked);
+        for class in &classes.classes {
+            for member in class {
+                assert!(exact.lits_equal(class[0], *member), "merged {class:?}");
+            }
+        }
+        let (full, _) = sweep_with(None);
+        assert!(classes.num_redundant() < full.num_redundant());
     }
 }

@@ -1,7 +1,40 @@
-//! Tseitin encoding of AIGs into CNF.
+//! Tseitin encoding of AIGs into CNF: the whole network at once
+//! ([`AigCnf`]) or cone by cone as queries need it ([`ConeCnf`]). Both go
+//! through the same two node encoders below — this module is the only place
+//! in the crate that writes a gate into clauses.
 
 use aig::{Aig, AigNode, Lit as ALit, NodeId};
 use sat::{cnf, ClauseSink, Lit as SLit};
+
+/// A fresh variable pinned to constant false (AIG node 0).
+fn const_false<S: ClauseSink>(sink: &mut S) -> SLit {
+    let lit = SLit::pos(sink.new_var());
+    sink.add_clause(&[!lit]);
+    lit
+}
+
+/// A fresh variable defined as `a AND b`.
+fn and_gate<S: ClauseSink>(sink: &mut S, a: SLit, b: SLit) -> SLit {
+    let out = SLit::pos(sink.new_var());
+    cnf::encode_and(sink, out, a, b);
+    out
+}
+
+/// `lit` with its node replaced by what the node was proved equal to:
+/// `repr` maps each node index to that literal (the node itself if unmerged).
+#[inline]
+pub(crate) fn canonical(repr: &[ALit], lit: ALit) -> ALit {
+    repr[lit.node().index()].xor(lit.is_complemented())
+}
+
+#[inline]
+fn lift(base: SLit, complemented: bool) -> SLit {
+    if complemented {
+        !base
+    } else {
+        base
+    }
+}
 
 /// The CNF image of an AIG inside a [`ClauseSink`] (a solver, the reference
 /// oracle or a plain CNF container): one SAT variable per AIG node plus a
@@ -35,11 +68,7 @@ impl AigCnf {
             );
         }
         let mut node_lits: Vec<SLit> = Vec::with_capacity(aig.num_nodes());
-        // Node 0: constant false.
-        let const_var = solver.new_var();
-        let const_lit = SLit::pos(const_var);
-        solver.add_clause(&[!const_lit]);
-        node_lits.push(const_lit);
+        node_lits.push(const_false(solver));
 
         let mut input_lits = Vec::with_capacity(aig.num_inputs());
         for id in aig.node_ids().skip(1) {
@@ -54,11 +83,9 @@ impl AigCnf {
                     lit
                 }
                 AigNode::And { fanin0, fanin1 } => {
-                    let out = SLit::pos(solver.new_var());
                     let a = Self::lift(&node_lits, *fanin0);
                     let b = Self::lift(&node_lits, *fanin1);
-                    cnf::encode_and(solver, out, a, b);
-                    out
+                    and_gate(solver, a, b)
                 }
             };
             node_lits.push(lit);
@@ -76,12 +103,7 @@ impl AigCnf {
     }
 
     fn lift(node_lits: &[SLit], lit: ALit) -> SLit {
-        let base = node_lits[lit.node().index()];
-        if lit.is_complemented() {
-            !base
-        } else {
-            base
-        }
+        lift(node_lits[lit.node().index()], lit.is_complemented())
     }
 
     /// Returns the SAT literal of an AIG literal.
@@ -92,6 +114,92 @@ impl AigCnf {
     /// Returns the SAT literal of an AIG node (uncomplemented).
     pub fn node(&self, node: NodeId) -> SLit {
         self.node_lits[node.index()]
+    }
+}
+
+/// The CNF image of an AIG loaded *cone by cone*: a node gets a SAT variable
+/// only when [`ConeCnf::load`] is asked for a cone that contains it, so
+/// unit propagation and models never touch logic no query has needed.
+///
+/// Cones are encoded over *canonical* fanins: the caller passes `repr`, the
+/// literal each node has been proved equal to (itself while unmerged), and
+/// every AND is written over `repr` of its fanins. A merged node therefore
+/// never enters the CNF through its fanout — the sweeper's merges shrink
+/// the formula the same way they shrink the network.
+#[derive(Debug)]
+pub(crate) struct ConeCnf {
+    node_lits: Vec<Option<SLit>>,
+    loaded: usize,
+    stack: Vec<NodeId>,
+}
+
+impl ConeCnf {
+    /// An image of `aig` with nothing loaded.
+    pub(crate) fn new(aig: &Aig) -> Self {
+        ConeCnf {
+            node_lits: vec![None; aig.num_nodes()],
+            loaded: 0,
+            stack: Vec::new(),
+        }
+    }
+
+    /// Number of nodes (constant, inputs and ANDs) that have a variable.
+    pub(crate) fn loaded(&self) -> usize {
+        self.loaded
+    }
+
+    /// The SAT literal of `node`, if a cone containing it was loaded.
+    pub(crate) fn get(&self, node: NodeId) -> Option<SLit> {
+        self.node_lits[node.index()]
+    }
+
+    /// Loads the cone of `root` down to the primary inputs, following
+    /// `repr[fanin]` instead of each fanin, and returns `root`'s literal.
+    /// `repr` is indexed by node id and must map every node to a literal of
+    /// an equivalent node with an id no larger than its own.
+    pub(crate) fn load<S: ClauseSink>(
+        &mut self,
+        sink: &mut S,
+        aig: &Aig,
+        repr: &[ALit],
+        root: NodeId,
+    ) -> SLit {
+        self.stack.push(root);
+        while let Some(&node) = self.stack.last() {
+            if self.node_lits[node.index()].is_some() {
+                self.stack.pop();
+                continue;
+            }
+            let lit = match aig.node(node) {
+                AigNode::Const => const_false(sink),
+                AigNode::Input { .. } => SLit::pos(sink.new_var()),
+                AigNode::And { fanin0, fanin1 } => {
+                    let (c0, c1) = (canonical(repr, *fanin0), canonical(repr, *fanin1));
+                    match (self.get(c0.node()), self.get(c1.node())) {
+                        (Some(a), Some(b)) => and_gate(
+                            sink,
+                            lift(a, c0.is_complemented()),
+                            lift(b, c1.is_complemented()),
+                        ),
+                        (a, b) => {
+                            // Revisit `node` once its missing fanins exist.
+                            if a.is_none() {
+                                self.stack.push(c0.node());
+                            }
+                            if b.is_none() {
+                                self.stack.push(c1.node());
+                            }
+                            continue;
+                        }
+                    }
+                }
+            };
+            self.node_lits[node.index()] = Some(lit);
+            self.loaded += 1;
+            self.stack.pop();
+        }
+        self.get(root)
+            .unwrap_or_else(|| unreachable!("root was just loaded"))
     }
 }
 

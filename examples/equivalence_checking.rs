@@ -78,8 +78,9 @@ g = (a * b * d) + (t1 * !c);
     let sweeper = SatSweeper::default();
     let (reduced, stats) = sweeper.sweep(&golden);
     println!(
-        "SAT sweeping: {} SAT calls, {} proved, {} merged nodes; {} -> {} ANDs",
+        "SAT sweeping: {} SAT calls + {} window proofs, {} proved, {} merged nodes; {} -> {} ANDs",
         stats.sat_calls,
+        stats.window_proofs,
         stats.proved,
         stats.merged_nodes,
         golden.num_ands(),
