@@ -1,7 +1,8 @@
 //! Checkers over [`choices::ChoiceAig`]: the class bookkeeping invariants
 //! (repr-last ordering, member validity, phase/duplicate hygiene) plus the
-//! expensive exhaustive-simulation equivalence check that replaces the
-//! deprecated `check_members_equivalent`.
+//! expensive exhaustive-simulation equivalence check (the public successor
+//! of the string-typed `check_members_equivalent`, now a private helper of
+//! the `choices` unit tests).
 
 use aig::NodeId;
 use choices::ChoiceAig;

@@ -1,6 +1,7 @@
-//! Checkers over [`egraph::EGraph`]: the typed successors of the deprecated
-//! stringly-typed `EGraph::check_invariants`, split one rule per failure
-//! class so mutation tests can pin each detection.
+//! Checkers over [`egraph::EGraph`]: the typed successors of the
+//! string-typed `EGraph::check_invariants` (now a private helper of the
+//! `egraph` unit tests), split one rule per failure class so mutation tests
+//! can pin each detection.
 //!
 //! All checkers read through the raw audit accessors
 //! ([`EGraph::memo_entries`], [`EGraph::raw_classes`], …), never the

@@ -9,9 +9,9 @@
 //! blow-up — with configurable budget limits so the comparison can be run
 //! safely inside the benchmark harness.
 
-use crate::lang::BoolLang;
 use aig::{Aig, AigNode, NodeId};
 use egraph::{EGraph, Id, RecExpr};
+use emorphic::BoolLang;
 use std::time::{Duration, Instant};
 
 /// Resource limits for the baseline conversion.
@@ -218,7 +218,7 @@ pub fn esyn_backward(
     output_names: &[String],
     limits: &EsynLimits,
 ) -> Result<(Aig, Duration), EsynFailure> {
-    use crate::extract::{BottomUpEngine, ExtractBudget, ExtractionCost, ExtractionEngine};
+    use emorphic::extract::{BottomUpEngine, ExtractBudget, ExtractionCost, ExtractionEngine};
     let start = Instant::now();
     let extraction = BottomUpEngine::new(ExtractionCost::Size)
         .extract(

@@ -7,10 +7,13 @@
 //! [`Run::scaling_suite`], [`flow_config_for`]), the table printer
 //! ([`Table`]), the named-gate counter that sets the exit code
 //! ([`Run::check`]) and the result writer ([`Run::to_json`], written to
-//! `BENCH_repro.json`).
+//! `BENCH_repro.json`). [`esyn`] is the E-Syn S-expression conversion
+//! baseline Table III compares the direct DAG-to-DAG conversion against; the
+//! table is its only caller.
 
 #![warn(missing_docs)]
 
+pub mod esyn;
 mod gates;
 mod paper;
 mod sat_gate;

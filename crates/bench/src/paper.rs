@@ -2,13 +2,13 @@
 //! three printers over one [`sweep`]; Table III, Fig. 1 and the ablations
 //! are self-contained.
 
+use crate::esyn::{esyn_backward, esyn_forward, flattened_tree_size, EsynLimits};
 use crate::training::train_learned_model;
 use crate::{geomean, num, saturated, Run, Table};
 use benchgen::SuiteScale;
 use costmodel::metrics::{kendall_tau, mape};
 use costmodel::{CostEvaluator, TechMapCost};
 use egraph::{AstSize, Extractor};
-use emorphic::esyn::{esyn_backward, esyn_forward, flattened_tree_size, EsynLimits};
 use emorphic::extract::sa::{SaEngine, SaOptions};
 use emorphic::extract::{
     bottom_up_extract, BottomUpEngine, ExtractBudget, ExtractionCost, ExtractionEngine,

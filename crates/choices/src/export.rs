@@ -465,7 +465,6 @@ pub fn egraph_to_choices_with_selection<L: BoolNode>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[allow(deprecated)] // the string-typed shim remains a handy oracle in tests
     use crate::network::check_members_equivalent;
     use egraph::{RecExpr, SymbolLang};
 
@@ -527,7 +526,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // keeps the legacy check_members_equivalent shim covered
     fn exports_equivalent_alternatives() {
         // Two shapes of the same function in one class.
         let (eg, root) = saturate(&["(| (& x0 x1) x2)", "(& (| x0 x2) (| x1 x2))"]);

@@ -40,8 +40,6 @@ pub use export::{
     egraph_to_choices, egraph_to_choices_with_selection, greedy_class_selection, BoolExpr,
     BoolNode, ChoiceConfig, ChoiceCost, ClassSelection, ExportStats,
 };
-#[allow(deprecated)]
-pub use network::check_members_equivalent;
 pub use network::{filter_ordering, ChoiceAig, ChoiceClass, RebuildStats};
 
 /// Errors produced while building or validating a choice network.

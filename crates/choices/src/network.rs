@@ -1,7 +1,9 @@
 //! The choice-annotated AIG network type.
 
 use crate::ChoiceError;
-use aig::{Aig, AigNode, Lit, NodeId};
+#[cfg(test)]
+use aig::AigNode;
+use aig::{Aig, Lit, NodeId};
 use fxhash::{FxHashMap, FxHashSet};
 
 /// DFS colors for the cycle-safe rebuild.
@@ -506,13 +508,12 @@ pub fn filter_ordering(classes: Vec<ChoiceClass>) -> (Vec<ChoiceClass>, usize) {
 }
 
 /// Checks (by exhaustive simulation, inputs ≤ 16) that every member of every
-/// class evaluates to the class function. Intended for tests.
-#[deprecated(
-    note = "use `audit::audit_choices` at `AuditLevel::Paranoid` for typed \
-            per-rule diagnostics; this stringly-typed shim is kept for \
-            legacy call sites"
-)]
-pub fn check_members_equivalent(choices: &ChoiceAig) -> Result<(), String> {
+/// class evaluates to the class function: the oracle of this crate's unit
+/// tests. Everything outside the crate asserts through `audit::audit_choices`
+/// at `AuditLevel::Paranoid`, which a lib-test build of this crate cannot
+/// link.
+#[cfg(test)]
+pub(crate) fn check_members_equivalent(choices: &ChoiceAig) -> Result<(), String> {
     let aig = choices.aig();
     assert!(aig.num_inputs() <= 16, "exhaustive check needs ≤16 inputs");
     for pattern in 0..(1usize << aig.num_inputs()) {
@@ -540,6 +541,7 @@ pub fn check_members_equivalent(choices: &ChoiceAig) -> Result<(), String> {
 }
 
 /// Evaluates every node of `aig` on one input assignment.
+#[cfg(test)]
 fn node_values(aig: &Aig, inputs: &[bool]) -> Vec<bool> {
     let mut values = vec![false; aig.num_nodes()];
     for id in aig.node_ids() {
@@ -556,7 +558,6 @@ fn node_values(aig: &Aig, inputs: &[bool]) -> Vec<bool> {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // legacy string-typed check_members_equivalent shim is still exercised here
 mod tests {
     use super::*;
 

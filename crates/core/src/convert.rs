@@ -9,7 +9,7 @@
 
 use crate::lang::BoolLang;
 use aig::{Aig, AigNode, Lit, NodeId};
-use egraph::{DagSelection, EGraph, FxHashMap, Id, RecExpr, SelectionError};
+use egraph::{DagSelection, EGraph, Id, RecExpr, SelectionError};
 use std::time::{Duration, Instant};
 
 /// The result of converting a circuit into an e-graph.
@@ -136,55 +136,17 @@ pub fn try_selection_to_aig(
         .iter()
         .map(|n| aig.add_input(n.clone()))
         .collect();
-    let mut cache: FxHashMap<Id, Lit> = FxHashMap::default();
-
-    fn build(
-        egraph: &EGraph<BoolLang>,
-        selection: &DagSelection<BoolLang>,
-        id: Id,
-        aig: &mut Aig,
-        inputs: &[Lit],
-        cache: &mut FxHashMap<Id, Lit>,
-        depth: usize,
-    ) -> Result<Lit, SelectionError> {
-        let id = egraph.find(id);
-        if let Some(&lit) = cache.get(&id) {
-            return Ok(lit);
-        }
-        if depth > egraph.num_classes() + 1 {
-            return Err(SelectionError::Cyclic(id));
-        }
-        let node = selection
-            .node(id)
-            .ok_or(SelectionError::Missing(id))?
-            .clone();
-        let lit = match node {
-            BoolLang::Const(b) => {
-                if b {
-                    Lit::TRUE
-                } else {
-                    Lit::FALSE
-                }
-            }
-            BoolLang::Var(i) => inputs[i as usize],
-            BoolLang::Not(c) => build(egraph, selection, c, aig, inputs, cache, depth + 1)?.not(),
-            BoolLang::And([a, b]) => {
-                let la = build(egraph, selection, a, aig, inputs, cache, depth + 1)?;
-                let lb = build(egraph, selection, b, aig, inputs, cache, depth + 1)?;
-                aig.and(la, lb)
-            }
-            BoolLang::Or([a, b]) => {
-                let la = build(egraph, selection, a, aig, inputs, cache, depth + 1)?;
-                let lb = build(egraph, selection, b, aig, inputs, cache, depth + 1)?;
-                aig.or(la, lb)
-            }
-        };
-        cache.insert(id, lit);
-        Ok(lit)
-    }
-
-    for (root, name) in roots.iter().zip(output_names) {
-        let lit = build(egraph, selection, *root, &mut aig, &inputs, &mut cache, 0)?;
+    // Children before parents, left to right: the order the AIG's nodes are
+    // created (and structurally hashed) in.
+    let outputs = selection.try_fold(egraph, roots, |node, children: &[Lit]| match node {
+        BoolLang::Const(true) => Lit::TRUE,
+        BoolLang::Const(false) => Lit::FALSE,
+        BoolLang::Var(i) => inputs[*i as usize],
+        BoolLang::Not(_) => children[0].not(),
+        BoolLang::And(_) => aig.and(children[0], children[1]),
+        BoolLang::Or(_) => aig.or(children[0], children[1]),
+    })?;
+    for (lit, name) in outputs.into_iter().zip(output_names) {
         aig.add_output(lit, name.clone());
     }
     Ok(aig.cleanup())
@@ -230,7 +192,7 @@ pub fn recexpr_to_aig(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use egraph::{AstSize, Extractor};
+    use egraph::{AstSize, Extractor, FxHashMap};
 
     fn sample() -> Aig {
         let mut aig = Aig::new("sample");

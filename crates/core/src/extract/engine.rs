@@ -3,7 +3,8 @@
 //! [`PortfolioEngine`] that races several engines in parallel.
 
 use crate::extract::{
-    bottom_up_with_costs, try_selection_cost, ExtractStats, ExtractionCost, Selection,
+    bottom_up_unpruned, bottom_up_with_costs, try_selection_cost, ExtractStats, ExtractionCost,
+    Selection,
 };
 use crate::lang::BoolLang;
 use egraph::pool::for_each_indexed;
@@ -320,8 +321,11 @@ impl ExtractionEngine for BottomUpEngine {
         _budget: &ExtractBudget,
     ) -> Result<Extraction, ExtractError> {
         let start = Instant::now();
-        let (selection, class_costs, mut stats) =
-            bottom_up_with_costs(egraph, self.cost, self.pruned);
+        let (selection, class_costs, mut stats) = if self.pruned {
+            bottom_up_with_costs(egraph, &egraph.parent_index(), self.cost)
+        } else {
+            bottom_up_unpruned(egraph, self.cost)
+        };
         for &root in roots {
             let root = egraph.find(root);
             if !selection.choices.contains_key(&root) {

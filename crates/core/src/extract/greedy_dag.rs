@@ -115,7 +115,7 @@ impl ExtractionEngine for GlobalGreedyDagEngine {
     ) -> Result<Extraction, ExtractError> {
         let start = Instant::now();
         let (base, class_costs, base_stats) =
-            bottom_up_with_costs(egraph, ExtractionCost::Size, true);
+            bottom_up_with_costs(egraph, &egraph.parent_index(), ExtractionCost::Size);
         let mut selection = base.choices;
         let roots: Vec<Id> = roots.iter().map(|&r| egraph.find(r)).collect();
         for &root in &roots {

@@ -1,5 +1,5 @@
 //! E-graph extraction: the [`ExtractionEngine`] trait, its engines, and the
-//! shared bottom-up dynamic program they build on.
+//! two primitives they are all written in.
 //!
 //! Four engines ship behind the one trait:
 //!
@@ -14,6 +14,50 @@
 //!
 //! [`PortfolioEngine`] races any set of them in parallel and picks the best
 //! result deterministically.
+//!
+//! # The walk: reading a selection
+//!
+//! Everything that reads a finished [`Selection`] — [`try_selection_cost`]
+//! under both costs, [`crate::convert::try_selection_to_aig`], and
+//! `try_to_recexpr` / `try_dag_size` / `try_depth` on the selection itself —
+//! is a fold over [`DagSelection::try_fold`], the one iterative post-order
+//! walk: roots in the order given, a node's children left to right, every
+//! canonical class reachable under the selection exactly once and only after
+//! all of its children (which is what fixes the `Aig` node creation order of
+//! the back-conversion). It keeps its own stack, so selection depth is never
+//! call depth. `Missing(c)` names the first class the walk reaches that has
+//! no selected node; `Cyclic(c)` names the class an edge re-enters while the
+//! walk is still below it. The only other walk is `selection_heights`,
+//! which says why it is not a fold.
+//!
+//! # The kernel: costing the e-graph
+//!
+//! The pruned DP (`bottom_up_with_costs`) and Algorithm 1's neighbour
+//! generation ([`sa::generate_neighbor`]) are the same least-fixpoint
+//! worklist, `cost_fixpoint`, under two acceptance rules:
+//!
+//! * **Seed order.** The queue starts with every leaf e-node, classes in
+//!   `classes_in_seed_order` and nodes in class order. That function is the
+//!   single place the extraction order depends on the e-graph's container,
+//!   hence the single site a deterministic class order has to pin.
+//! * **Pop.** Work items `(class, node)` leave the queue first in, first
+//!   out. A node with an uncosted child is dropped — that child's first cost
+//!   enqueues it again. Otherwise `combine` prices it from its children
+//!   (sum or max, plus the node's own gate) and the caller's
+//!   `accept(previous cost of the class, new cost)` decides.
+//! * **Tie-break.** The DP accepts strict improvements only, so among
+//!   equally cheap nodes of a class the first one popped stays selected.
+//!   The neighbour generator additionally vetoes an improvement with
+//!   probability `p_random`; it draws from the RNG exactly once per popped
+//!   node that strictly improves an already-costed class, and at no other
+//!   point.
+//! * **Propagate.** An accepted node becomes the class's selection and the
+//!   class's parents, from a parent index the caller built and lends
+//!   ([`EGraph::parent_index`], in that index's order), join the queue.
+//!
+//! The unpruned sweeps `BottomUpEngine::with_pruning(false)` runs are the
+//! Fig. 6 ablation's reference and deliberately not the kernel; they share
+//! its seed order and its `combine`.
 
 pub mod engine;
 pub mod greedy_dag;
@@ -29,12 +73,20 @@ pub use sa::SaEngine;
 pub use slack::SlackAwareEngine;
 
 use crate::lang::BoolLang;
-use egraph::{DagSelection, EGraph, FxHashMap, FxHashSet, Id, Language, SelectionError};
+use egraph::{DagSelection, EClass, EGraph, FxHashMap, FxHashSet, Id, Language, SelectionError};
 use std::collections::VecDeque;
 use std::time::Duration;
 
 /// A concrete choice of one e-node per e-class over the Boolean language.
 pub type Selection = DagSelection<BoolLang>;
+
+/// [`EGraph::parent_index`] over the Boolean language: for every class, the
+/// `(parent class, parent node)` pairs that reference it.
+pub(crate) type ParentIndex = FxHashMap<Id, Vec<(Id, BoolLang)>>;
+
+/// What a cost fixpoint produces: the selection, the per-class costs it
+/// realizes, and the work it took.
+pub(crate) type Costed = (Selection, FxHashMap<Id, u64>, ExtractStats);
 
 /// The structural cost driving bottom-up extraction and neighbor generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,122 +118,118 @@ pub struct ExtractStats {
     pub runtime: Duration,
 }
 
-/// The shared bottom-up dynamic program: per-class least-fixpoint cost and
-/// the node realizing it. `pruned` selects between the worklist algorithm
-/// (solution-space pruning, Fig. 6) and the naive fixpoint sweeps it is
-/// ablated against; both converge to the same per-class costs.
+/// The class order every cost fixpoint is seeded and swept in (see the
+/// module docs): today the e-graph's own iteration order.
+fn classes_in_seed_order(egraph: &EGraph<BoolLang>) -> impl Iterator<Item = &EClass<BoolLang>> {
+    egraph.classes()
+}
+
+/// Prices `node` from the costs of its children — their sum or their
+/// maximum, plus the node's own gate. `None` while a child is uncosted.
+fn combine(
+    egraph: &EGraph<BoolLang>,
+    costs: &FxHashMap<Id, u64>,
+    cost_kind: ExtractionCost,
+    node: &BoolLang,
+) -> Option<u64> {
+    let mut combined = 0u64;
+    for &child in node.children() {
+        let cost = *costs.get(&egraph.find(child))?;
+        combined = match cost_kind {
+            ExtractionCost::Size => combined.saturating_add(cost),
+            ExtractionCost::Depth => combined.max(cost),
+        };
+    }
+    Some(combined.saturating_add(node_cost(node)))
+}
+
+/// The worklist kernel (contract in the module docs): the least fixpoint of
+/// per-class costs under `accept`, written over `selection`.
+pub(crate) fn cost_fixpoint(
+    egraph: &EGraph<BoolLang>,
+    parents: &ParentIndex,
+    cost_kind: ExtractionCost,
+    mut selection: Selection,
+    mut accept: impl FnMut(Option<u64>, u64) -> bool,
+) -> Costed {
+    let mut costs: FxHashMap<Id, u64> = FxHashMap::default();
+    let mut stats = ExtractStats::default();
+    let mut queue: VecDeque<(Id, BoolLang)> = VecDeque::new();
+    for class in classes_in_seed_order(egraph) {
+        let leaves = class.nodes.iter().filter(|node| node.is_leaf());
+        queue.extend(leaves.map(|node| (class.id, node.clone())));
+    }
+    while let Some((class_id, node)) = queue.pop_front() {
+        let Some(new_cost) = combine(egraph, &costs, cost_kind, &node) else {
+            continue;
+        };
+        stats.nodes_evaluated += 1;
+        if accept(costs.get(&class_id).copied(), new_cost) {
+            costs.insert(class_id, new_cost);
+            selection.set(class_id, node);
+            stats.improvements += 1;
+            queue.extend(parents.get(&class_id).into_iter().flatten().cloned());
+        }
+    }
+    (selection, costs, stats)
+}
+
+/// The shared bottom-up dynamic program with **solution-space pruning**
+/// (Fig. 6): per-class least-fixpoint cost and the node realizing it. A
+/// class's parents are only re-examined when the class's best cost improves,
+/// and e-nodes are never re-evaluated when none of their children changed.
 pub(crate) fn bottom_up_with_costs(
     egraph: &EGraph<BoolLang>,
+    parents: &ParentIndex,
     cost_kind: ExtractionCost,
-    pruned: bool,
-) -> (Selection, FxHashMap<Id, u64>, ExtractStats) {
+) -> Costed {
+    let empty = Selection {
+        choices: FxHashMap::default(),
+    };
+    cost_fixpoint(egraph, parents, cost_kind, empty, |previous, new_cost| {
+        previous.is_none_or(|prev| new_cost < prev)
+    })
+}
+
+/// The unpruned baseline the Fig. 6 ablation contrasts against: sweep every
+/// e-node of every class until nothing changes, re-evaluating node costs
+/// even when nothing changed underneath. Converges to the same per-class
+/// costs as [`bottom_up_with_costs`].
+pub(crate) fn bottom_up_unpruned(egraph: &EGraph<BoolLang>, cost_kind: ExtractionCost) -> Costed {
     let mut stats = ExtractStats::default();
     let mut costs: FxHashMap<Id, u64> = FxHashMap::default();
     let mut choices: FxHashMap<Id, BoolLang> = FxHashMap::default();
-
-    if pruned {
-        // Worklist seeded with the leaf e-nodes; a class's parents are only
-        // re-examined when the class's best cost improves, and e-nodes are
-        // never re-evaluated when none of their children changed.
-        let parent_index = egraph.parent_index();
-        let mut queue: VecDeque<(Id, BoolLang)> = VecDeque::new();
-        for class in egraph.classes() {
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for class in classes_in_seed_order(egraph) {
             for node in &class.nodes {
-                if node.is_leaf() {
-                    queue.push_back((class.id, node.clone()));
-                }
-            }
-        }
-        while let Some((class_id, node)) = queue.pop_front() {
-            // All children must already have a cost, otherwise the node will
-            // be re-enqueued when the missing child class gets one.
-            let mut ready = true;
-            let mut combined = 0u64;
-            for &child in node.children() {
-                match costs.get(&egraph.find(child)) {
-                    Some(&c) => {
-                        combined = match cost_kind {
-                            ExtractionCost::Size => combined.saturating_add(c),
-                            ExtractionCost::Depth => combined.max(c),
-                        }
-                    }
-                    None => {
-                        ready = false;
-                        break;
-                    }
-                }
-            }
-            if !ready {
-                continue;
-            }
-            stats.nodes_evaluated += 1;
-            let new_cost = combined.saturating_add(node_cost(&node));
-            let previous = costs.get(&class_id).copied();
-            if previous.is_none_or(|prev| new_cost < prev) {
-                costs.insert(class_id, new_cost);
-                choices.insert(class_id, node);
-                stats.improvements += 1;
-                if let Some(parents) = parent_index.get(&class_id) {
-                    for (parent_class, parent_node) in parents {
-                        queue.push_back((*parent_class, parent_node.clone()));
-                    }
-                }
-            }
-        }
-    } else {
-        // Unpruned baseline: repeatedly sweep every e-node of every class
-        // until a fixpoint, re-evaluating node costs even when nothing
-        // changed underneath (the behaviour Fig. 6 contrasts against).
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for class in egraph.classes() {
-                for node in &class.nodes {
-                    let mut ready = true;
-                    let mut combined = 0u64;
-                    for &child in node.children() {
-                        match costs.get(&egraph.find(child)) {
-                            Some(&c) => {
-                                combined = match cost_kind {
-                                    ExtractionCost::Size => combined.saturating_add(c),
-                                    ExtractionCost::Depth => combined.max(c),
-                                }
-                            }
-                            None => {
-                                ready = false;
-                                break;
-                            }
-                        }
-                    }
-                    if !ready {
-                        continue;
-                    }
-                    stats.nodes_evaluated += 1;
-                    let new_cost = combined.saturating_add(node_cost(node));
-                    if costs.get(&class.id).is_none_or(|&prev| new_cost < prev) {
-                        costs.insert(class.id, new_cost);
-                        choices.insert(class.id, node.clone());
-                        stats.improvements += 1;
-                        changed = true;
-                    }
+                let Some(new_cost) = combine(egraph, &costs, cost_kind, node) else {
+                    continue;
+                };
+                stats.nodes_evaluated += 1;
+                if costs.get(&class.id).is_none_or(|&prev| new_cost < prev) {
+                    costs.insert(class.id, new_cost);
+                    choices.insert(class.id, node.clone());
+                    stats.improvements += 1;
+                    changed = true;
                 }
             }
         }
     }
-
     (Selection { choices }, costs, stats)
 }
 
 /// Greedy bottom-up extraction with **solution-space pruning** (Fig. 6).
 ///
-/// Kept as a plain function for the annealing chains and the tests; external
+/// Kept as a plain function for the tests and the bench harness; external
 /// callers should go through [`BottomUpEngine`], which also reports the
 /// per-class cost map.
 pub fn bottom_up_extract(
     egraph: &EGraph<BoolLang>,
     cost_kind: ExtractionCost,
 ) -> (Selection, ExtractStats) {
-    let (selection, _, stats) = bottom_up_with_costs(egraph, cost_kind, true);
+    let (selection, _, stats) = bottom_up_with_costs(egraph, &egraph.parent_index(), cost_kind);
     (selection, stats)
 }
 
@@ -192,7 +240,7 @@ pub fn bottom_up_extract(
 ///
 /// # Errors
 /// Returns [`SelectionError::Missing`] if a reachable class has no selected
-/// node, or [`SelectionError::Cyclic`] if the depth cost meets a cycle.
+/// node, or [`SelectionError::Cyclic`] if the selection loops.
 pub fn try_selection_cost(
     egraph: &EGraph<BoolLang>,
     selection: &Selection,
@@ -201,52 +249,16 @@ pub fn try_selection_cost(
 ) -> Result<u64, SelectionError> {
     match cost_kind {
         ExtractionCost::Size => {
-            // Count distinct gate classes reachable under the selection.
-            let mut seen: egraph::FxHashSet<Id> = egraph::FxHashSet::default();
-            let mut stack: Vec<Id> = roots.iter().map(|&r| egraph.find(r)).collect();
+            // Distinct gate classes reachable under the selection.
             let mut total = 0u64;
-            while let Some(id) = stack.pop() {
-                if !seen.insert(id) {
-                    continue;
-                }
-                let node = selection.node(id).ok_or(SelectionError::Missing(id))?;
-                total += node_cost(node);
-                for &child in node.children() {
-                    stack.push(egraph.find(child));
-                }
-            }
+            selection.try_fold(egraph, roots, |node, _: &[()]| total += node_cost(node))?;
             Ok(total)
         }
         ExtractionCost::Depth => {
-            // Two-color memo: `None` marks an in-progress class, so a back
-            // edge surfaces as `Cyclic` instead of reading a guard value.
-            let mut memo: FxHashMap<Id, Option<u64>> = FxHashMap::default();
-            fn depth_of(
-                egraph: &EGraph<BoolLang>,
-                selection: &Selection,
-                id: Id,
-                memo: &mut FxHashMap<Id, Option<u64>>,
-            ) -> Result<u64, SelectionError> {
-                match memo.get(&id) {
-                    Some(Some(d)) => return Ok(*d),
-                    Some(None) => return Err(SelectionError::Cyclic(id)),
-                    None => {}
-                }
-                memo.insert(id, None);
-                let node = selection.node(id).ok_or(SelectionError::Missing(id))?;
-                let mut child_max = 0u64;
-                for &c in node.children() {
-                    child_max = child_max.max(depth_of(egraph, selection, egraph.find(c), memo)?);
-                }
-                let d = child_max + node_cost(node);
-                memo.insert(id, Some(d));
-                Ok(d)
-            }
-            let mut best = 0u64;
-            for &r in roots {
-                best = best.max(depth_of(egraph, selection, egraph.find(r), &mut memo)?);
-            }
-            Ok(best)
+            let depths = selection.try_fold(egraph, roots, |node, children: &[u64]| {
+                children.iter().copied().max().unwrap_or(0) + node_cost(node)
+            })?;
+            Ok(depths.into_iter().max().unwrap_or(0))
         }
     }
 }
@@ -258,6 +270,13 @@ pub fn try_selection_cost(
 /// acyclic by invariant; a cycle guard still pins in-progress classes re-met
 /// by the DFS so a violated invariant terminates (loudly, in debug builds)
 /// instead of hanging the walk.
+///
+/// This is the one walk that is not a [`DagSelection::try_fold`]. The fold is
+/// strict: it stops at the first `Missing` or `Cyclic` class. This walk
+/// answers for every key even over a corrupt selection — an entry pointing
+/// outside the selection reads as height 0, a cycle is pinned and walked
+/// past, and the two tests below hold it to that — and a fold that carried
+/// on past errors would be a second mode of the walk.
 pub(crate) fn selection_heights(
     egraph: &EGraph<BoolLang>,
     selection: &FxHashMap<Id, BoolLang>,
@@ -378,8 +397,8 @@ mod tests {
         // tree cost, so equally-optimal selections may differ in DAG sharing).
         let aig = benchgen::adder(4).aig;
         let (egraph, roots) = saturated_egraph(&aig, 3);
-        let (sel_p, _, _) = bottom_up_with_costs(&egraph, ExtractionCost::Depth, true);
-        let (sel_u, _, _) = bottom_up_with_costs(&egraph, ExtractionCost::Depth, false);
+        let (sel_p, _) = bottom_up_extract(&egraph, ExtractionCost::Depth);
+        let (sel_u, _, _) = bottom_up_unpruned(&egraph, ExtractionCost::Depth);
         let cost_p = try_selection_cost(&egraph, &sel_p, &roots, ExtractionCost::Depth);
         let cost_u = try_selection_cost(&egraph, &sel_u, &roots, ExtractionCost::Depth);
         assert!(cost_p.is_ok());
@@ -390,8 +409,8 @@ mod tests {
     fn pruning_reduces_evaluations() {
         let aig = benchgen::adder(5).aig;
         let (egraph, _roots) = saturated_egraph(&aig, 3);
-        let (_, _, stats_p) = bottom_up_with_costs(&egraph, ExtractionCost::Size, true);
-        let (_, _, stats_u) = bottom_up_with_costs(&egraph, ExtractionCost::Size, false);
+        let (_, stats_p) = bottom_up_extract(&egraph, ExtractionCost::Size);
+        let (_, _, stats_u) = bottom_up_unpruned(&egraph, ExtractionCost::Size);
         assert!(
             stats_p.nodes_evaluated < stats_u.nodes_evaluated,
             "pruned {} vs unpruned {}",

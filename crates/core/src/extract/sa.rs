@@ -14,15 +14,14 @@ use crate::extract::engine::{
     synthetic_names, ExtractBudget, ExtractError, Extraction, ExtractionEngine,
 };
 use crate::extract::{
-    bottom_up_extract, bottom_up_with_costs, ExtractStats, ExtractionCost, Selection,
+    bottom_up_with_costs, cost_fixpoint, ExtractStats, ExtractionCost, ParentIndex, Selection,
 };
 use crate::lang::BoolLang;
 use costmodel::CostEvaluator;
 use egraph::pool::for_each_indexed;
-use egraph::{EGraph, FxHashMap, Id, Language};
+use egraph::{EGraph, FxHashMap, Id};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -150,6 +149,7 @@ pub struct SaResult {
 /// circuits (evaluators map the netlist; names are irrelevant to cost).
 fn anneal(
     egraph: &EGraph<BoolLang>,
+    parents: &ParentIndex,
     roots: &[Id],
     evaluator: &dyn CostEvaluator,
     options: &SaOptions,
@@ -168,8 +168,19 @@ fn anneal(
         ))
     };
 
+    let neighbor_of = |current: &Selection, rng: &mut StdRng| {
+        generate_neighbor(
+            egraph,
+            parents,
+            current,
+            options.neighbor_cost,
+            options.p_random,
+            rng,
+        )
+    };
+
     // Greedy initial solution shared by all chains.
-    let (initial_selection, _) = bottom_up_extract(egraph, options.neighbor_cost);
+    let (initial_selection, _, _) = bottom_up_with_costs(egraph, parents, options.neighbor_cost);
     let initial_cost = candidate_cost(&initial_selection);
 
     // One worker per chain; every chain returns `Some`.
@@ -180,7 +191,7 @@ fn anneal(
         || (),
         |chain_index, ()| {
             Some(run_chain(
-                egraph,
+                &neighbor_of,
                 &candidate_cost,
                 &initial_selection,
                 initial_cost,
@@ -218,7 +229,7 @@ fn anneal(
 }
 
 fn run_chain(
-    egraph: &EGraph<BoolLang>,
+    neighbor_of: &(dyn Fn(&Selection, &mut StdRng) -> Selection + Sync),
     candidate_cost: &(dyn Fn(&Selection) -> f64 + Sync),
     initial_selection: &Selection,
     initial_cost: f64,
@@ -234,18 +245,9 @@ fn run_chain(
     let mut best_cost = initial_cost;
     let mut temperature = options.initial_temperature;
     let mut stats = ExtractStats::default();
-    // One parent-index build per chain, shared by every neighbor generation.
-    let parent_index = egraph.parent_index();
 
     for iteration in 1..=iterations {
-        let neighbor = generate_neighbor(
-            egraph,
-            &parent_index,
-            &current_selection,
-            options.neighbor_cost,
-            options.p_random,
-            &mut rng,
-        );
+        let neighbor = neighbor_of(&current_selection, &mut rng);
         let neighbor_cost = candidate_cost(&neighbor);
         stats.nodes_evaluated += 1;
         let delta = neighbor_cost - current_cost;
@@ -317,10 +319,13 @@ impl SaEngine {
             Some(max) => (max as usize / threads).min(self.options.iterations),
             None => self.options.iterations,
         };
+        // One parent-index build per run, lent to the realizability check,
+        // the greedy seed and every chain's neighbor generation.
+        let parents = egraph.parent_index();
         // Realizability check up front: SA's greedy seed panics on
         // unrealizable roots, the engine API reports them as typed errors.
         let (seed_selection, class_costs, _) =
-            bottom_up_with_costs(egraph, ExtractionCost::Size, true);
+            bottom_up_with_costs(egraph, &parents, ExtractionCost::Size);
         for &root in roots {
             let root = egraph.find(root);
             if !seed_selection.choices.contains_key(&root) {
@@ -329,6 +334,7 @@ impl SaEngine {
         }
         let result = anneal(
             egraph,
+            &parents,
             roots,
             self.evaluator.as_ref(),
             &self.options,
@@ -416,65 +422,20 @@ pub fn generate_neighbor(
     p_random: f64,
     rng: &mut StdRng,
 ) -> Selection {
-    let mut new_selection = current.clone();
-    let mut costs: FxHashMap<Id, u64> = FxHashMap::default();
-
-    let mut queue: VecDeque<(Id, BoolLang)> = VecDeque::new();
-    for class in egraph.classes() {
-        for node in &class.nodes {
-            if node.is_leaf() {
-                queue.push_back((class.id, node.clone()));
-            }
-        }
-    }
-
-    while let Some((class_id, node)) = queue.pop_front() {
-        let mut ready = true;
-        let mut combined = 0u64;
-        for &child in node.children() {
-            match costs.get(&egraph.find(child)) {
-                Some(&c) => {
-                    combined = match cost_kind {
-                        ExtractionCost::Size => combined.saturating_add(c),
-                        ExtractionCost::Depth => combined.max(c),
-                    }
-                }
-                None => {
-                    ready = false;
-                    break;
-                }
-            }
-        }
-        if !ready {
-            continue;
-        }
-        let new_cost = combined.saturating_add(super::node_cost(&node));
-        let previous = costs.get(&class_id).copied();
-        let improves = previous.is_none_or(|prev| new_cost < prev);
-        // Line 15 of Algorithm 1: accept the update when the class is
-        // uncosted, or when it improves and the random draw does not veto it.
-        let take = match previous {
-            None => true,
-            Some(_) => improves && rng.random::<f64>() >= p_random,
-        };
-        if take {
-            costs.insert(class_id, new_cost);
-            new_selection.set(class_id, node);
-            if let Some(parents) = parent_index.get(&class_id) {
-                for (parent_class, parent_node) in parents {
-                    queue.push_back((*parent_class, parent_node.clone()));
-                }
-            }
-        }
-    }
-
-    new_selection
+    // Line 15 of Algorithm 1: accept the update when the class is uncosted,
+    // or when it improves and the random draw does not veto it.
+    let accept = |previous: Option<u64>, new_cost: u64| match previous {
+        None => true,
+        Some(prev) => new_cost < prev && rng.random::<f64>() >= p_random,
+    };
+    cost_fixpoint(egraph, parent_index, cost_kind, current.clone(), accept).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::convert::{aig_to_egraph, ConversionResult};
+    use crate::extract::bottom_up_extract;
     use crate::rules::all_rules;
     use aig::Aig;
     use cec::{check_equivalence, CecOptions};

@@ -59,9 +59,11 @@ impl ExtractionEngine for SlackAwareEngine {
         budget: &ExtractBudget,
     ) -> Result<Extraction, ExtractError> {
         let start = Instant::now();
+        let parents = egraph.parent_index();
         let (depth_sel, arrivals, depth_stats) =
-            bottom_up_with_costs(egraph, ExtractionCost::Depth, true);
-        let (_, size_costs, size_stats) = bottom_up_with_costs(egraph, ExtractionCost::Size, true);
+            bottom_up_with_costs(egraph, &parents, ExtractionCost::Depth);
+        let (_, size_costs, size_stats) =
+            bottom_up_with_costs(egraph, &parents, ExtractionCost::Size);
         let mut selection = depth_sel.choices;
         let roots: Vec<Id> = roots.iter().map(|&r| egraph.find(r)).collect();
         for &root in &roots {

@@ -108,9 +108,12 @@ pub struct FlowConfig {
     /// bounded: suite circuits include multipliers, whose miters plain CDCL
     /// cannot close, and an unlimited budget wedges the whole flow.
     pub cec: CecOptions,
-    /// Sweep options used by the fraig-style CEC gate (and anywhere the flow
-    /// SAT-sweeps). Budgeted in lockstep with [`FlowConfig::cec`] so one knob
-    /// bounds every SAT call on the flow's critical path.
+    /// Sweep options used by the fraig-style CEC gate, budgeted in lockstep
+    /// with [`FlowConfig::cec`] so the verification tail has one bound. The
+    /// `dch` step of every conventional round does *not* read this field: it
+    /// sweeps under [`FlowConfig::dch_options`]`.sweep`, which no
+    /// configuration here sets, so it runs at `cec`'s default conflict budget
+    /// (10 000) whatever this one says.
     pub sweep: cec::SweepOptions,
     /// How much invariant auditing the flow performs at phase boundaries
     /// (saturate, extract, choice-export, map): [`AuditLevel::Off`] costs

@@ -8,8 +8,8 @@
 //! * [`lang`] — the Boolean term language used inside the e-graph and the
 //!   Table-I rewrite-rule set ([`rules`]).
 //! * [`convert`] — **direct DAG-to-DAG conversion** between AIGs and e-graphs
-//!   (Section III-D1), with the S-expression-based E-Syn baseline in
-//!   [`esyn`] for the Table III comparison.
+//!   (Section III-D1). (The S-expression-based E-Syn baseline it is compared
+//!   against in Table III lives with that table, in `emorphic-bench`.)
 //! * [`dsl`] — the intermediate JSON DSL of Fig. 7.
 //! * [`extract`] — the [`ExtractionEngine`] API over bottom-up extraction
 //!   with **solution-space pruning** (Fig. 6), DAG-cost and slack-aware
@@ -38,7 +38,6 @@
 pub mod checkpoint;
 pub mod convert;
 pub mod dsl;
-pub mod esyn;
 pub mod extract;
 pub mod flow;
 pub mod lang;

@@ -58,60 +58,6 @@ impl CostEvaluator for TechMapCost {
     }
 }
 
-/// Timing-driven cost: full standard-cell mapping against a delay target.
-///
-/// The mapper runs its map → required-time → area-recovery loop at the
-/// given target; the cost is the recovered area plus a heavy penalty per ps
-/// of target violation, so candidates that meet timing are ranked by area
-/// and candidates that miss it are ranked by how badly they miss.
-#[derive(Debug, Clone)]
-pub struct TimingCost {
-    /// The cell library used for mapping.
-    pub library: CellLibrary,
-    /// Mapper options (the delay target is injected on top).
-    pub options: MapOptions,
-    /// Delay target in ps.
-    pub delay_target_ps: f64,
-    /// Cost added per ps of delay beyond the target.
-    pub violation_weight: f64,
-}
-
-impl TimingCost {
-    /// Creates a timing-driven cost with a strong violation penalty.
-    pub fn new(library: CellLibrary, delay_target_ps: f64) -> Self {
-        TimingCost {
-            library,
-            options: MapOptions {
-                area_passes: 2,
-                ..MapOptions::default()
-            },
-            delay_target_ps,
-            violation_weight: 100.0,
-        }
-    }
-
-    /// Maps the circuit at the target and returns the full QoR record.
-    pub fn qor(&self, aig: &Aig) -> Qor {
-        let options = MapOptions {
-            delay_target_ps: Some(self.delay_target_ps),
-            ..self.options.clone()
-        };
-        map_to_cells(aig, &self.library, &options).qor()
-    }
-}
-
-impl CostEvaluator for TimingCost {
-    fn evaluate(&self, aig: &Aig) -> f64 {
-        let qor = self.qor(aig);
-        let violation = (qor.delay_ps - self.delay_target_ps).max(0.0);
-        qor.area_um2 + self.violation_weight * violation
-    }
-
-    fn name(&self) -> &str {
-        "techmap-timing"
-    }
-}
-
 /// Runtime-prioritized cost: predicted delay from structural features.
 #[derive(Debug, Clone)]
 pub struct LearnedCost {
@@ -187,46 +133,6 @@ mod tests {
         let deep = evaluator.evaluate(&chain(32));
         assert!(deep > shallow);
         assert_eq!(evaluator.name(), "techmap-delay");
-    }
-
-    #[test]
-    fn timing_cost_penalizes_violations_and_ranks_by_area_when_met() {
-        let lib = asap7_like();
-        // A generous target both adders meet: cost degenerates to area, so
-        // the wider adder costs more.
-        let met = TimingCost::new(lib.clone(), 1e6);
-        let small = met.evaluate(&adder(3));
-        let large = met.evaluate(&adder(8));
-        assert!(large > small);
-        assert_eq!(met.name(), "techmap-timing");
-        // An impossible target: the deep chain misses it by more than the
-        // shallow one, and the violation term dominates the area term.
-        let tight = TimingCost::new(lib, 1.0);
-        let shallow = tight.evaluate(&chain(4));
-        let deep = tight.evaluate(&chain(64));
-        assert!(deep > shallow + tight.violation_weight);
-    }
-
-    #[test]
-    fn timing_cost_qor_respects_loose_targets() {
-        let lib = asap7_like();
-        let circuit = adder(6);
-        // The pure delay-optimal mapping (no recovery) is the reference: a
-        // loose target may trade its slack for area but never busts the
-        // target nor exceeds the delay-optimal area (keep-best recovery).
-        let optimal = map_to_cells(
-            &circuit,
-            &lib,
-            &MapOptions {
-                area_passes: 0,
-                ..MapOptions::default()
-            },
-        )
-        .qor();
-        let loose = TimingCost::new(lib, optimal.delay_ps * 2.0);
-        let qor = loose.qor(&circuit);
-        assert!(qor.delay_ps <= optimal.delay_ps * 2.0 + 1e-6);
-        assert!(qor.area_um2 <= optimal.area_um2 + 1e-6);
     }
 
     #[test]

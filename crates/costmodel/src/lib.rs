@@ -22,6 +22,6 @@ pub mod features;
 pub mod metrics;
 pub mod regression;
 
-pub use evaluator::{CostEvaluator, LearnedCost, TechMapCost, TimingCost};
+pub use evaluator::{CostEvaluator, LearnedCost, TechMapCost};
 pub use features::CircuitFeatures;
 pub use regression::RidgeModel;

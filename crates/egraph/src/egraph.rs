@@ -625,15 +625,15 @@ impl<L: Language> EGraph<L> {
         &mut self.unionfind
     }
 
-    /// Checks internal invariants (used by tests and property tests):
+    /// Checks internal invariants (the oracle of this crate's unit tests):
     /// every class key is canonical, every node's children are canonical,
     /// no two distinct classes contain the same canonical node, the node
     /// counter matches the class lists, every canonical hashcons entry points
     /// to the class holding its node, and every child edge is covered by the
-    /// child's parent list.
-    #[deprecated(note = "use `audit::audit_egraph` for typed per-rule diagnostics; \
-                this stringly-typed shim is kept for legacy call sites")]
-    pub fn check_invariants(&self) -> Result<(), String> {
+    /// child's parent list. Everything outside this crate asserts through
+    /// `audit::audit_egraph`, which a lib-test build of this crate cannot link.
+    #[cfg(test)]
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
         if self.is_dirty() {
             return Err("e-graph is dirty; call rebuild() first".into());
         }
@@ -734,46 +734,9 @@ impl<L: Language> EGraph<L> {
         }
         Ok(())
     }
-
-    /// Extracts an arbitrary concrete term from a class (smallest node first),
-    /// mainly for debugging. Use [`crate::Extractor`] for cost-aware extraction.
-    pub fn id_to_expr(&self, root: Id) -> RecExpr<L> {
-        let mut expr = RecExpr::default();
-        let mut cache: FxHashMap<Id, Id> = FxHashMap::default();
-        self.id_to_expr_rec(self.find(root), &mut expr, &mut cache, 0);
-        expr
-    }
-
-    fn id_to_expr_rec(
-        &self,
-        id: Id,
-        expr: &mut RecExpr<L>,
-        cache: &mut FxHashMap<Id, Id>,
-        depth: usize,
-    ) -> Id {
-        if let Some(&done) = cache.get(&id) {
-            return done;
-        }
-        assert!(
-            depth < 10_000,
-            "id_to_expr recursion too deep (cyclic choice?)"
-        );
-        let class = self.class(id);
-        // Prefer leaves to avoid infinite recursion through cyclic classes.
-        let node = class
-            .nodes
-            .iter()
-            .min_by_key(|n| n.children().len())
-            .unwrap_or_else(|| unreachable!("non-empty class"));
-        let node = node.map_children(|c| self.id_to_expr_rec(self.find(c), expr, cache, depth + 1));
-        let out = expr.add(node);
-        cache.insert(id, out);
-        out
-    }
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // legacy string-typed check_invariants shim is still exercised here
 mod tests {
     use super::*;
     use crate::SymbolLang;
@@ -853,16 +816,6 @@ mod tests {
         assert_eq!(eg.find(root), root);
         eg.rebuild();
         eg.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn id_to_expr_roundtrip() {
-        let mut eg: EGraph<SymbolLang> = EGraph::new();
-        let expr: RecExpr<SymbolLang> = "(+ (* a b) c)".parse().unwrap();
-        let root = eg.add_expr(&expr);
-        eg.rebuild();
-        let back = eg.id_to_expr(root);
-        assert_eq!(back.to_string(), "(+ (* a b) c)");
     }
 
     #[test]

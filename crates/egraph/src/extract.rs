@@ -7,7 +7,7 @@
 //! greedy pass to produce initial solutions.
 
 use crate::{EGraph, Id, Language, RecExpr};
-use fxhash::{FxHashMap, FxHashSet};
+use fxhash::FxHashMap;
 use std::fmt::Debug;
 
 /// A cost function over e-nodes.
@@ -117,6 +117,75 @@ impl<L: Language> DagSelection<L> {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
+    /// The one walk over a selection: an iterative post-order fold from
+    /// `roots`.
+    ///
+    /// Roots are taken in order and a node's children left to right; every
+    /// canonical class reachable under the selection is visited exactly once,
+    /// after all of its children, and `visit(node, child_values)` receives
+    /// its chosen node with the values already computed for the node's
+    /// children, in child order. Returns the values of the roots, in root
+    /// order. The stack is explicit, so a selection of any depth walks on a
+    /// thread of any stack size.
+    ///
+    /// # Errors
+    /// [`SelectionError::Missing`] names the first class the walk reaches
+    /// that has no selected node; [`SelectionError::Cyclic`] names the class
+    /// an edge re-enters while the walk is still below it.
+    pub fn try_fold<T: Clone>(
+        &self,
+        egraph: &EGraph<L>,
+        roots: &[Id],
+        mut visit: impl FnMut(&L, &[T]) -> T,
+    ) -> Result<Vec<T>, SelectionError> {
+        // Two colours: `None` marks an open class (entered, children not all
+        // done), `Some` a finished one; an edge into an open class is a cycle.
+        let mut memo: FxHashMap<Id, Option<T>> = FxHashMap::default();
+        // Open classes, outermost first: (class, its chosen node, where its
+        // children's values start in `values`).
+        let mut stack: Vec<(Id, &L, usize)> = Vec::new();
+        // The values of the roots finished so far, then those of the finished
+        // children of each open class in turn — so an open class's next child
+        // is the one past the values it has collected.
+        let mut values: Vec<T> = Vec::new();
+        for &root in roots {
+            self.enter(egraph.find(root), &mut memo, &mut stack, &mut values)?;
+            while let Some(&(id, node, base)) = stack.last() {
+                if let Some(&child) = node.children().get(values.len() - base) {
+                    self.enter(egraph.find(child), &mut memo, &mut stack, &mut values)?;
+                } else {
+                    let value = visit(node, &values[base..]);
+                    values.truncate(base);
+                    values.push(value.clone());
+                    memo.insert(id, Some(value));
+                    stack.pop();
+                }
+            }
+        }
+        Ok(values)
+    }
+
+    /// One edge of [`DagSelection::try_fold`] into `id`: hands over the value
+    /// of a finished class, opens a new one.
+    fn enter<'a, T: Clone>(
+        &'a self,
+        id: Id,
+        memo: &mut FxHashMap<Id, Option<T>>,
+        stack: &mut Vec<(Id, &'a L, usize)>,
+        values: &mut Vec<T>,
+    ) -> Result<(), SelectionError> {
+        match memo.get(&id) {
+            Some(Some(value)) => values.push(value.clone()),
+            Some(None) => return Err(SelectionError::Cyclic(id)),
+            None => {
+                let node = self.choices.get(&id).ok_or(SelectionError::Missing(id))?;
+                memo.insert(id, None);
+                stack.push((id, node, values.len()));
+            }
+        }
+        Ok(())
+    }
+
     /// Builds the term rooted at `root`, reporting missing or cyclic
     /// selections as a typed error instead of panicking.
     ///
@@ -129,46 +198,14 @@ impl<L: Language> DagSelection<L> {
         root: Id,
     ) -> Result<RecExpr<L>, SelectionError> {
         let mut expr = RecExpr::default();
-        let mut cache: FxHashMap<Id, Id> = FxHashMap::default();
-        self.build(egraph, egraph.find(root), &mut expr, &mut cache, 0)?;
+        self.try_fold(egraph, &[root], |node, children: &[Id]| {
+            let mut position = 0;
+            expr.add(node.map_children(|_| {
+                position += 1;
+                children[position - 1]
+            }))
+        })?;
         Ok(expr)
-    }
-
-    fn build(
-        &self,
-        egraph: &EGraph<L>,
-        id: Id,
-        expr: &mut RecExpr<L>,
-        cache: &mut FxHashMap<Id, Id>,
-        depth: usize,
-    ) -> Result<Id, SelectionError> {
-        if let Some(&done) = cache.get(&id) {
-            return Ok(done);
-        }
-        if depth > egraph.num_classes() {
-            return Err(SelectionError::Cyclic(id));
-        }
-        let node = self
-            .choices
-            .get(&id)
-            .ok_or(SelectionError::Missing(id))?
-            .clone();
-        let mut failed = None;
-        let node = node.map_children(|c| {
-            match self.build(egraph, egraph.find(c), expr, cache, depth + 1) {
-                Ok(done) => done,
-                Err(e) => {
-                    failed.get_or_insert(e);
-                    c
-                }
-            }
-        });
-        if let Some(e) = failed {
-            return Err(e);
-        }
-        let out = expr.add(node);
-        cache.insert(id, out);
-        Ok(out)
     }
 
     /// Number of distinct classes reachable from `roots` under the selection
@@ -177,21 +214,12 @@ impl<L: Language> DagSelection<L> {
     /// (which would let an engine bug masquerade as an excellent extraction).
     ///
     /// # Errors
-    /// Returns [`SelectionError::Missing`] if a class reachable from the
-    /// roots has no selected node.
+    /// Returns [`SelectionError::Missing`] if a reachable class has no
+    /// selected node, or [`SelectionError::Cyclic`] if the selection loops.
     pub fn try_dag_size(&self, egraph: &EGraph<L>, roots: &[Id]) -> Result<usize, SelectionError> {
-        let mut seen: FxHashSet<Id> = FxHashSet::default();
-        let mut stack: Vec<Id> = roots.iter().map(|&r| egraph.find(r)).collect();
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
-                continue;
-            }
-            let node = self.choices.get(&id).ok_or(SelectionError::Missing(id))?;
-            for &c in node.children() {
-                stack.push(egraph.find(c));
-            }
-        }
-        Ok(seen.len())
+        let mut size = 0;
+        self.try_fold(egraph, roots, |_, _: &[()]| size += 1)?;
+        Ok(size)
     }
 
     /// Longest path (in chosen nodes) from any root to a leaf. Incomplete
@@ -202,35 +230,10 @@ impl<L: Language> DagSelection<L> {
     /// Returns [`SelectionError::Missing`] if a reachable class has no
     /// selected node, or [`SelectionError::Cyclic`] if the selection loops.
     pub fn try_depth(&self, egraph: &EGraph<L>, roots: &[Id]) -> Result<usize, SelectionError> {
-        // Two-color DFS: `None` in `memo` marks an in-progress class, so a
-        // back edge is detected as a cycle instead of reading the guard 0.
-        let mut memo: FxHashMap<Id, Option<usize>> = FxHashMap::default();
-        fn rec<L: Language>(
-            sel: &DagSelection<L>,
-            egraph: &EGraph<L>,
-            id: Id,
-            memo: &mut FxHashMap<Id, Option<usize>>,
-        ) -> Result<usize, SelectionError> {
-            match memo.get(&id) {
-                Some(Some(d)) => return Ok(*d),
-                Some(None) => return Err(SelectionError::Cyclic(id)),
-                None => {}
-            }
-            memo.insert(id, None);
-            let node = sel.choices.get(&id).ok_or(SelectionError::Missing(id))?;
-            let mut max_child = 0usize;
-            for &c in node.children() {
-                max_child = max_child.max(rec(sel, egraph, egraph.find(c), memo)?);
-            }
-            let d = 1 + max_child;
-            memo.insert(id, Some(d));
-            Ok(d)
-        }
-        let mut best = 0usize;
-        for &r in roots {
-            best = best.max(rec(self, egraph, egraph.find(r), &mut memo)?);
-        }
-        Ok(best)
+        let depths = self.try_fold(egraph, roots, |_, children: &[usize]| {
+            1 + children.iter().copied().max().unwrap_or(0)
+        })?;
+        Ok(depths.into_iter().max().unwrap_or(0))
     }
 }
 
@@ -380,6 +383,42 @@ mod tests {
         assert_eq!(sel.try_depth(&eg, &[root]), Ok(3));
         let expr_back = sel.to_recexpr(&eg, root);
         assert_eq!(expr_back.to_string(), "(+ (* a b) (* a b))");
+    }
+
+    #[test]
+    fn fold_visits_each_class_once_children_first_left_to_right() {
+        let mut eg: EGraph<SymbolLang> = EGraph::new();
+        let root = eg.add_expr(&"(+ (* a b) (- b (* a b)))".parse().unwrap());
+        let other = eg.add_expr(&"(- b (* a b))".parse().unwrap());
+        eg.rebuild();
+        let sel = Extractor::new(&eg, AstSize).selection();
+        let mut order = Vec::new();
+        let sizes = sel
+            .try_fold(&eg, &[root, other, root], |node, children: &[u64]| {
+                order.push(node.op_str());
+                1 + children.iter().sum::<u64>()
+            })
+            .unwrap();
+        // `b` and `(* a b)` are shared and the second and third roots were
+        // already walked: five visits, yet every root reports its tree size.
+        assert_eq!(order, ["a", "b", "*", "-", "+"]);
+        assert_eq!(sizes, [9, 5, 9]);
+    }
+
+    #[test]
+    fn fold_names_the_class_a_cycle_re_enters() {
+        let mut eg: EGraph<SymbolLang> = EGraph::new();
+        let a = eg.add(SymbolLang::leaf("a"));
+        let f = eg.add(SymbolLang::new("f", vec![a]));
+        let g = eg.add(SymbolLang::new("g", vec![f]));
+        eg.rebuild();
+        // g -> f -> g under the selection; `a` is never reached.
+        let mut choices = FxHashMap::default();
+        choices.insert(g, SymbolLang::new("g", vec![f]));
+        choices.insert(f, SymbolLang::new("f", vec![g]));
+        let sel = DagSelection { choices };
+        assert_eq!(sel.try_dag_size(&eg, &[g]), Err(SelectionError::Cyclic(g)));
+        assert_eq!(sel.try_depth(&eg, &[f]), Err(SelectionError::Cyclic(f)));
     }
 
     #[test]

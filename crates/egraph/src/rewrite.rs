@@ -66,7 +66,6 @@ impl<L: Language> Rewrite<L> {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // legacy string-typed check_invariants shim is still exercised here
 mod tests {
     use super::*;
     use crate::{RecExpr, SymbolLang};

@@ -22,15 +22,24 @@
 // Helper fns here run outside #[test] context, so the clippy.toml
 // test relaxation does not reach them.
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
-// The deprecated string-typed `check_invariants` shim stays the reference
-// oracle for these differential tests; `audit` carries the typed rules.
-#![allow(deprecated)]
 
+use audit::{audit_egraph, AuditLevel};
 use egraph::{
     EGraph, FxHashMap, Id, Language, MatchScratch, Pattern, Rewrite, Runner, Scheduler, SymbolLang,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+
+/// Every e-graph invariant, through the typed auditor with all of its rules
+/// on; the failure text lists each diagnostic.
+fn check_invariants<L: Language>(egraph: &EGraph<L>) -> Result<(), String> {
+    let report = audit_egraph(egraph, AuditLevel::Paranoid);
+    if report.is_clean() {
+        Ok(())
+    } else {
+        Err(report.to_string())
+    }
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -465,8 +474,8 @@ proptest! {
             "canonical forms diverge"
         );
 
-        inc.check_invariants().map_err(|e| TestCaseError(format!("incremental: {e}")))?;
-        refe.check_invariants().map_err(|e| TestCaseError(format!("reference: {e}")))?;
+        check_invariants(&inc).map_err(|e| TestCaseError(format!("incremental: {e}")))?;
+        check_invariants(&refe).map_err(|e| TestCaseError(format!("reference: {e}")))?;
     }
 
     /// An incremental rebuild after a reference rebuild (and vice versa) on
@@ -477,12 +486,12 @@ proptest! {
         let (mut egraph, _) = apply(&ops, false);
         prop_assert_eq!(egraph.rebuild_reference(), 0);
         prop_assert_eq!(egraph.rebuild(), 0);
-        egraph.check_invariants().map_err(TestCaseError)?;
+        check_invariants(&egraph).map_err(TestCaseError)?;
 
         let (mut egraph, _) = apply(&ops, true);
         prop_assert_eq!(egraph.rebuild(), 0);
         prop_assert_eq!(egraph.rebuild_reference(), 0);
-        egraph.check_invariants().map_err(TestCaseError)?;
+        check_invariants(&egraph).map_err(TestCaseError)?;
     }
 
     /// The parallel-search differential: sharded search on 2 and 4 worker
@@ -612,11 +621,11 @@ proptest! {
                         egraph.rebuild();
                     }
                     flip = !flip;
-                    egraph.check_invariants().map_err(TestCaseError)?;
+                    check_invariants(&egraph).map_err(TestCaseError)?;
                 }
             }
         }
         egraph.rebuild();
-        egraph.check_invariants().map_err(TestCaseError)?;
+        check_invariants(&egraph).map_err(TestCaseError)?;
     }
 }

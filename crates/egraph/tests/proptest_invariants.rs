@@ -6,14 +6,23 @@
 // Helper fns here run outside #[test] context, so the clippy.toml
 // test relaxation does not reach them.
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
-// The deprecated string-typed `check_invariants` shim stays the reference
-// oracle for these differential tests; `audit` carries the typed rules.
-#![allow(deprecated)]
 
+use audit::{audit_egraph, AuditLevel};
 use egraph::{
     AstSize, EGraph, Extractor, FxHashMap, Id, Language, RecExpr, Rewrite, Runner, SymbolLang,
 };
 use proptest::prelude::*;
+
+/// Every e-graph invariant, through the typed auditor with all of its rules
+/// on; the failure text lists each diagnostic.
+fn check_invariants<L: Language>(egraph: &EGraph<L>) -> Result<(), String> {
+    let report = audit_egraph(egraph, AuditLevel::Paranoid);
+    if report.is_clean() {
+        Ok(())
+    } else {
+        Err(report.to_string())
+    }
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -96,7 +105,7 @@ proptest! {
     fn rebuild_restores_invariants(ops in workload()) {
         let (mut egraph, ids) = apply(&ops);
         egraph.rebuild();
-        prop_assert!(egraph.check_invariants().is_ok(), "{:?}", egraph.check_invariants());
+        prop_assert!(check_invariants(&egraph).is_ok(), "{:?}", check_invariants(&egraph));
         // find() of every id stays within the graph and is canonical.
         for &id in &ids {
             let root = egraph.find(id);
@@ -146,12 +155,12 @@ proptest! {
         let mut egraph: EGraph<SymbolLang> = EGraph::new();
         egraph.add_expr(&expr);
         egraph.rebuild();
-        egraph.check_invariants().map_err(TestCaseError)?;
+        check_invariants(&egraph).map_err(TestCaseError)?;
         for _ in 0..iters {
             for rule in &rules {
                 rule.run(&mut egraph, 200);
                 egraph.rebuild();
-                egraph.check_invariants().map_err(TestCaseError)?;
+                check_invariants(&egraph).map_err(TestCaseError)?;
             }
             assert_parent_index_agrees(&egraph)?;
         }
@@ -225,6 +234,6 @@ proptest! {
         let extractor = Extractor::new(&runner.egraph, AstSize);
         let (cost, best) = extractor.find_best(runner.roots[0]);
         prop_assert!(cost <= original_size, "extracted {best} cost {cost} > original {original_size}");
-        runner.egraph.check_invariants().unwrap();
+        check_invariants(&runner.egraph).unwrap();
     }
 }

@@ -192,8 +192,8 @@ mod tests {
         // Every member literal evaluates to its class function. (Whether any
         // class survives depends on how different the rewritten structure
         // is; the invariants must hold either way.)
-        #[allow(deprecated)] // string-typed oracle; audit carries the typed rules
-        ::choices::check_members_equivalent(&network).unwrap();
+        let report = audit::audit_choices(&network, audit::AuditLevel::Paranoid);
+        assert!(report.is_clean(), "{report}");
         assert_eq!(rebuild.classes, network.num_classes());
         let _ = sweep;
     }

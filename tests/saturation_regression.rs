@@ -7,15 +7,23 @@
 //! * Randomized saturation runs over the Boolean logic language keep the
 //!   e-graph invariants intact after every single `rebuild()`.
 
-// The deprecated string-typed `check_invariants` shim stays the reference
-// oracle for these differential tests; `audit` carries the typed rules.
-#![allow(deprecated)]
-
+use audit::{audit_egraph, AuditLevel};
 use cec::{check_equivalence, CecOptions};
-use egraph::Language;
+use egraph::{EGraph, Language};
 use emorphic::flow::{emorphic_flow, FlowConfig};
 use emorphic::{aig_to_egraph, all_rules};
 use proptest::prelude::*;
+
+/// Every e-graph invariant, through the typed auditor with all of its rules
+/// on; the failure text lists each diagnostic.
+fn check_invariants<L: Language>(egraph: &EGraph<L>) -> Result<(), String> {
+    let report = audit_egraph(egraph, AuditLevel::Paranoid);
+    if report.is_clean() {
+        Ok(())
+    } else {
+        Err(report.to_string())
+    }
+}
 
 #[test]
 fn emorphic_flow_verified_with_monotone_saturation_reports() {
@@ -81,14 +89,13 @@ proptest! {
         let circuit = benchgen::random_aig(inputs, ands, 2, seed);
         let conversion = aig_to_egraph(&circuit);
         let mut egraph = conversion.egraph;
-        egraph.check_invariants().map_err(TestCaseError)?;
+        check_invariants(&egraph).map_err(TestCaseError)?;
         let rules = all_rules();
         for iteration in 0..2usize {
             for rule in &rules {
                 rule.run(&mut egraph, 100);
                 egraph.rebuild();
-                egraph
-                    .check_invariants()
+                check_invariants(&egraph)
                     .map_err(|e| TestCaseError(format!(
                         "iteration {iteration}, rule {}: {e}", rule.name
                     )))?;
