@@ -84,15 +84,15 @@ pub fn resynthesize(aig: &Aig, options: &ResynthOptions) -> Aig {
         // leaves; keep the cheapest one measured in newly created nodes.
         let mut best: Option<(Lit, usize)> = None;
         for cut in cuts.cuts(id) {
-            if cut.leaves == [id] || cut.leaves.len() < 3 {
+            if cut.leaves() == [id] || cut.leaves().len() < 3 {
                 continue;
             }
             let leaf_lits: Vec<Lit> = cut
-                .leaves
+                .leaves()
                 .iter()
                 .map(|l| map[l.index()].unwrap_or_else(|| unreachable!("leaf built before root")))
                 .collect();
-            let cubes: Vec<FactorCube> = isop(cut.truth, cut.leaves.len())
+            let cubes: Vec<FactorCube> = isop(cut.truth, cut.leaves().len())
                 .iter()
                 .map(|c| FactorCube {
                     pos: c.pos as u16,

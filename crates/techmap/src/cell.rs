@@ -385,7 +385,7 @@ fn map_with_cuts(
     for (id, cut, cell_index) in covering.roots(aig, cuts) {
         let cell = library.cell(cell_index);
         level[id.index()] = 1 + cut
-            .leaves
+            .leaves()
             .iter()
             .map(|l| level[l.index()])
             .max()
@@ -396,7 +396,7 @@ fn map_with_cuts(
             cell: cell_index,
             cell_name: cell.name.clone(),
             root: id,
-            leaves: cut.leaves.clone(),
+            leaves: cut.leaves().to_vec(),
             truth: cut.truth,
             area_um2: cell.area_um2,
             delay_ps: cell.delay_ps,

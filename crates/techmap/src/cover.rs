@@ -142,10 +142,10 @@ fn gather_leaf_arrivals<'a>(
     arrival: &[f64],
     buf: &'a mut [f64; MAX_LEAVES],
 ) -> &'a [f64] {
-    for (slot, leaf) in buf.iter_mut().zip(&cut.leaves) {
+    for (slot, leaf) in buf.iter_mut().zip(cut.leaves()) {
         *slot = arrival[leaf.index()];
     }
-    &buf[..cut.leaves.len()]
+    &buf[..cut.leaves().len()]
 }
 
 /// Covers `aig` with cuts from `cuts` under `model`.
@@ -213,7 +213,7 @@ fn select<M: CostModel>(
     for id in aig.and_ids() {
         let mut best: Option<(Pick<M::Impl>, f64, f64)> = None;
         for (cut_index, cut) in cuts.cuts(id).iter().enumerate() {
-            if cut.leaves == [id] {
+            if cut.leaves() == [id] {
                 continue; // the trivial cut cannot implement the node
             }
             let Some(imp) = model.implement(cut) else {
@@ -226,7 +226,7 @@ fn select<M: CostModel>(
             }
             let af = model.area(imp)
                 + cut
-                    .leaves
+                    .leaves()
                     .iter()
                     .map(|l| state.area_flow[l.index()] / f64::max(1.0, fanouts[l.index()] as f64))
                     .sum::<f64>();
@@ -271,7 +271,7 @@ fn derive_cover<M: CostModel>(
             continue;
         }
         needed[id.index()] = true;
-        for leaf in &cuts.cuts(id)[picked(pick, id).cut_index].leaves {
+        for leaf in cuts.cuts(id)[picked(pick, id).cut_index].leaves() {
             if aig.node(*leaf).is_and() {
                 stack.push(*leaf);
             }
@@ -346,7 +346,7 @@ fn compute_required<M: CostModel>(
         let cut = &cuts.cuts(id)[cut_index];
         let mut buf = [0.0; MAX_LEAVES];
         let delays = model.leaf_delays(imp, gather_leaf_arrivals(cut, arrival, &mut buf));
-        for (leaf, d) in cut.leaves.iter().zip(delays) {
+        for (leaf, d) in cut.leaves().iter().zip(delays) {
             let req = required[id.index()] - d;
             if required[leaf.index()] > req {
                 required[leaf.index()] = req;

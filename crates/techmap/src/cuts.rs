@@ -27,6 +27,11 @@ impl Cut {
         }
     }
 
+    /// The leaf nodes, sorted by id.
+    pub fn leaves(&self) -> &[NodeId] {
+        &self.leaves
+    }
+
     /// Number of leaves.
     pub fn size(&self) -> usize {
         self.leaves.len()

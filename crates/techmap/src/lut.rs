@@ -94,7 +94,7 @@ pub fn evaluate_mapping(aig: &Aig, mapping: &LutMapping, inputs: &[bool]) -> Vec
     }
     for lut in &mapping.luts {
         let mut minterm = 0usize;
-        for (i, leaf) in lut.cut.leaves.iter().enumerate() {
+        for (i, leaf) in lut.cut.leaves().iter().enumerate() {
             if values[leaf.index()] {
                 minterm |= 1 << i;
             }

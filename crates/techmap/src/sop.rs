@@ -33,15 +33,15 @@ pub fn sop_balance(aig: &Aig, options: &MapOptions) -> Aig {
     for lut in &mapping.luts {
         let leaf_lits: Vec<Lit> = lut
             .cut
-            .leaves
+            .leaves()
             .iter()
             .map(|l| map[l.index()].unwrap_or_else(|| unreachable!("leaf built before root")))
             .collect();
-        let leaf_levels: Vec<u32> = lut.cut.leaves.iter().map(|l| level[l.index()]).collect();
+        let leaf_levels: Vec<u32> = lut.cut.leaves().iter().map(|l| level[l.index()]).collect();
         let (lit, lev) = build_balanced_sop(
             &mut fresh,
             lut.cut.truth,
-            lut.cut.leaves.len(),
+            lut.cut.leaves().len(),
             &leaf_lits,
             &leaf_levels,
         );

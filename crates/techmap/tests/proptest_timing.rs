@@ -172,7 +172,7 @@ proptest! {
             MapOptions { cut_size: lut_size, cut_limit, area_passes, ..MapOptions::default() };
         let mapping = map_to_luts(&circuit, &lut_options);
         for lut in &mapping.luts {
-            prop_assert!(lut.cut.leaves.len() <= lut_size);
+            prop_assert!(lut.cut.leaves().len() <= lut_size);
         }
         for pattern in 0..1usize << num_inputs {
             let bits: Vec<bool> = (0..num_inputs).map(|i| pattern >> i & 1 == 1).collect();

@@ -46,8 +46,8 @@ fn fold_lut_mapping(h: &mut FxHasher, mapping: &LutMapping) {
     h.write_usize(mapping.luts.len());
     for lut in &mapping.luts {
         h.write_usize(lut.root.index());
-        h.write_usize(lut.cut.leaves.len());
-        for leaf in &lut.cut.leaves {
+        h.write_usize(lut.cut.leaves().len());
+        for leaf in lut.cut.leaves() {
             h.write_usize(leaf.index());
         }
         h.write_u64(lut.cut.truth);
