@@ -179,7 +179,9 @@ impl Check<MappedDesign<'_>> for TimingConsistent {
         }
         let mut recomputed: FxHashMap<NodeId, f64> = FxHashMap::default();
         for (i, gate) in netlist.gates.iter().enumerate() {
-            if gate.leaves.len() > 8 || gate.leaves.iter().any(|leaf| leaf.index() >= n) {
+            if gate.leaves.len() > techmap::MAX_CUT_LEAVES
+                || gate.leaves.iter().any(|leaf| leaf.index() >= n)
+            {
                 // Out of the timing model (CoverLegal owns shape errors) —
                 // trust the stored annotation so downstream propagation
                 // still compares against something meaningful.

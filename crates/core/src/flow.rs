@@ -298,8 +298,7 @@ fn extraction_to_class_selection(
 pub fn prepare_network(aig: &Aig, config: &FlowConfig) -> Aig {
     let mut current = aig.clone();
     for _ in 0..config.rounds.saturating_sub(1) {
-        let (next, _) = conventional_round(&current, config, true);
-        current = next;
+        current = restructure(&current, config, true);
     }
     sop_balance(&current.strash_copy(), &config.lut_options)
 }
@@ -543,13 +542,19 @@ pub struct FlowResult {
     pub window: Option<WindowReport>,
 }
 
-fn conventional_round(aig: &Aig, config: &FlowConfig, with_sop: bool) -> (Aig, Netlist) {
+/// The technology-independent half of a conventional round: `st; [if -g;]
+/// st; dch`. The next round starts from this network, never from a mapped
+/// one, so only a round whose netlist is read goes on to map it.
+fn restructure(aig: &Aig, config: &FlowConfig, with_sop: bool) -> Aig {
     let mut current = aig.strash_copy();
     if with_sop {
         current = sop_balance(&current, &config.lut_options);
     }
-    current = current.strash_copy();
-    current = dch_like(&current, &config.dch_options);
+    dch_like(&current.strash_copy(), &config.dch_options)
+}
+
+fn conventional_round(aig: &Aig, config: &FlowConfig, with_sop: bool) -> (Aig, Netlist) {
+    let current = restructure(aig, config, with_sop);
     let netlist = map_to_cells(&current, &config.library, &config.map_options);
     (current, netlist)
 }
@@ -558,17 +563,17 @@ fn conventional_round(aig: &Aig, config: &FlowConfig, with_sop: bool) -> (Aig, N
 pub fn baseline_flow(aig: &Aig, config: &FlowConfig) -> FlowResult {
     let start = Instant::now();
     let mut current = aig.clone();
-    let mut qor = map_to_cells(&current, &config.library, &config.map_options).qor();
-    let mut audit = AuditReport::new();
-    for round in 0..config.rounds {
-        let (next, netlist) = conventional_round(&current, config, true);
-        qor = netlist.qor();
-        if round + 1 == config.rounds {
-            audit.absorb("map", audit_netlist(&next, &netlist, config.audit_level));
-            audit.absorb("map", audit_aig_dag_only(&next, config.audit_level));
-        }
-        current = next;
+    for _ in 0..config.rounds {
+        current = restructure(&current, config, true);
     }
+    // Only the last round's netlist is reported and audited.
+    let netlist = map_to_cells(&current, &config.library, &config.map_options);
+    let mut audit = AuditReport::new();
+    if config.rounds > 0 {
+        audit.absorb("map", audit_netlist(&current, &netlist, config.audit_level));
+        audit.absorb("map", audit_aig_dag_only(&current, config.audit_level));
+    }
+    let mut qor = netlist.qor();
     qor.name = aig.name().to_string();
     let runtime = start.elapsed();
     FlowResult {
@@ -1204,6 +1209,61 @@ mod tests {
         assert_eq!(result.qor.name, "adder");
         assert!(result.verified);
         assert_eq!(result.breakdown.conversion, Duration::ZERO);
+    }
+
+    #[test]
+    fn prepare_network_and_baseline_are_unchanged_by_skipping_unread_maps() {
+        // Recorded at `8b9e8b8`, when every round still ran a full
+        // `map_to_cells` whose netlist only the last round's caller read.
+        // Three rounds, so two technology-independent rounds precede the
+        // final `st; if -g`.
+        let config = FlowConfig {
+            rounds: 3,
+            audit_level: AuditLevel::PhaseBoundaries,
+            ..FlowConfig::fast()
+        };
+        let golden: [(&str, Aig, u128, u128, Qor); 2] = [
+            (
+                "adder",
+                benchgen::adder(8).aig,
+                0x8aa3_7947_339d_20dc_e312_1d8e_ccfb_fb46,
+                0xaf76_6423_791c_76f9_e0f7_269f_4529_f9d5,
+                Qor {
+                    name: "adder".to_string(),
+                    area_um2: f64::from_bits(0x4029_b9c0_ebed_fa48),
+                    delay_ps: f64::from_bits(0x405f_8000_0000_0000),
+                    levels: 7,
+                    gates: 157,
+                },
+            ),
+            (
+                "multiplier",
+                benchgen::multiplier(4).aig,
+                0x9493_8752_e362_4c85_591f_56e2_900a_3d62,
+                0x9a0e_d128_3c29_8d21_405a_5074_9506_023c,
+                Qor {
+                    name: "multiplier".to_string(),
+                    area_um2: f64::from_bits(0x4036_e3fe_5c91_d155),
+                    delay_ps: f64::from_bits(0x4065_c000_0000_0000),
+                    levels: 11,
+                    gates: 272,
+                },
+            ),
+        ];
+        for (name, circuit, prepared, final_aig, qor) in golden {
+            let got = prepare_network(&circuit, &config).structural_fingerprint();
+            assert_eq!(got, prepared, "{name}: prepared network");
+            let baseline = baseline_flow(&circuit, &config);
+            assert_eq!(
+                baseline.final_aig.structural_fingerprint(),
+                final_aig,
+                "{name}: baseline network"
+            );
+            assert_eq!(baseline.qor, qor, "{name}");
+            // Only the last round's netlist is audited, as before.
+            assert!(baseline.audit.is_clean(), "{name}: {:?}", baseline.audit);
+            assert_eq!(baseline.audit.checks_run, 7, "{name}");
+        }
     }
 
     #[test]

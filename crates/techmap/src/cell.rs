@@ -8,14 +8,14 @@
 //! edges internal to a cut are absorbed into the matched cell function; only
 //! complemented primary outputs require explicit inverters.
 
-use crate::cover::{cover, CostModel, MAX_LEAVES};
-use crate::cuts::{enumerate_cuts, enumerate_cuts_with_choices, Cut, CutSet, CutsOptions};
+use crate::cover::{cover, CostModel};
+use crate::cuts::{try_enumerate, Cut, CutSet, CutsOptions, MAX_CUT_LEAVES};
 use crate::library::CellLibrary;
 use crate::qor::Qor;
 use crate::timing::{assign_pin_delays, gate_arrival};
 use crate::truth::{expand_to_4, full_mask};
 use crate::{MapError, MapOptions};
-use aig::{Aig, AigNode, Lit, NodeId};
+use aig::{Aig, AigNode, FxHashMap, Lit, NodeId};
 use choices::ChoiceAig;
 use std::collections::HashMap;
 
@@ -262,7 +262,7 @@ struct CellModel<'a> {
     library: &'a CellLibrary,
     /// `(delay_ps, area_um2)` of the library's inverter.
     inverter: (f64, f64),
-    matches: HashMap<u16, Option<usize>>,
+    matches: FxHashMap<u16, Option<usize>>,
 }
 
 impl CostModel for CellModel<'_> {
@@ -290,11 +290,8 @@ impl CostModel for CellModel<'_> {
         self.library.cell(cell).area_um2
     }
 
-    fn leaf_delays(&self, cell: usize, leaf_arrivals: &[f64]) -> [f64; MAX_LEAVES] {
-        let mut delays = [0.0; MAX_LEAVES];
-        let assigned = assign_pin_delays(leaf_arrivals, &self.library.cell(cell).pin_delays_ps);
-        delays[..assigned.len()].copy_from_slice(&assigned);
-        delays
+    fn leaf_delays(&self, cell: usize, leaf_arrivals: &[f64]) -> [f64; MAX_CUT_LEAVES] {
+        assign_pin_delays(leaf_arrivals, &self.library.cell(cell).pin_delays_ps)
     }
 
     fn output_inverter(&self) -> (f64, f64) {
@@ -306,8 +303,9 @@ impl CostModel for CellModel<'_> {
 ///
 /// # Panics
 /// Panics if the library lacks an inverter or cannot realize a 2-input AND
-/// (every well-formed library can); [`try_map_to_cells`] reports the same
-/// conditions as a typed [`MapError`] instead.
+/// (every well-formed library can), or if `options.cut_limit` or the network
+/// is too large for the cut enumerator; [`try_map_to_cells`] reports the
+/// same conditions as a typed [`MapError`] instead.
 // The panic is the documented contract; `try_map_to_cells` is the
 // non-panicking form.
 #[allow(clippy::panic)]
@@ -319,32 +317,32 @@ pub fn map_to_cells(aig: &Aig, library: &CellLibrary, options: &MapOptions) -> N
 /// inputs as a typed error.
 ///
 /// # Errors
-/// Returns a [`MapError`] if the library lacks an inverter or some node has
-/// no realizable cut.
+/// Returns a [`MapError`] if the library lacks an inverter, some node has
+/// no realizable cut, or `options.cut_limit` / the network is too large for
+/// the cut enumerator ([`MapError::CutSetTooLarge`]).
 pub fn try_map_to_cells(
     aig: &Aig,
     library: &CellLibrary,
     options: &MapOptions,
 ) -> Result<Netlist, MapError> {
-    let cuts = enumerate_cuts(aig, &cell_cut_options(options));
+    let cuts = try_enumerate(aig, None, &cell_cut_options(options))?;
     map_with_cuts(aig, &cuts, library, options)
 }
 
 /// Maps a choice network onto the given standard-cell library: cuts are
 /// enumerated across *all* members of every choice class (see
-/// [`enumerate_cuts_with_choices`]), so each covered signal picks the
+/// [`crate::cuts::enumerate_cuts_with_choices`]), so each covered signal picks the
 /// cheapest realization over all recorded structures, not just the extracted
 /// representative.
 ///
 /// # Errors
-/// Returns a [`MapError`] if the library lacks an inverter or some node has
-/// no realizable cut.
+/// Returns a [`MapError`] under the conditions of [`try_map_to_cells`].
 pub fn try_map_to_cells_with_choices(
     choices: &ChoiceAig,
     library: &CellLibrary,
     options: &MapOptions,
 ) -> Result<Netlist, MapError> {
-    let cuts = enumerate_cuts_with_choices(choices, &cell_cut_options(options));
+    let cuts = try_enumerate(choices.aig(), Some(choices), &cell_cut_options(options))?;
     map_with_cuts(choices.aig(), &cuts, library, options)
 }
 
@@ -368,7 +366,7 @@ fn map_with_cuts(
     let mut model = CellModel {
         library,
         inverter: (inverter.delay_ps, inverter.area_um2),
-        matches: HashMap::new(),
+        matches: FxHashMap::default(),
     };
     let covering = cover(
         aig,
@@ -640,6 +638,60 @@ mod tests {
         let empty = CellLibrary::new();
         let err = try_map_to_cells(&aig, &empty, &MapOptions::default()).unwrap_err();
         assert_eq!(err, crate::MapError::MissingInverter);
+    }
+
+    #[test]
+    fn an_oversized_cut_limit_is_a_typed_error() {
+        // One past what the enumerator's 16-bit parent-cut indices hold.
+        let lib = asap7_like();
+        let at = |cut_limit| MapOptions {
+            cut_limit,
+            ..MapOptions::default()
+        };
+        let aig = adder(2);
+        let too_large = |nodes| MapError::CutSetTooLarge {
+            nodes,
+            cut_limit: 65_535,
+        };
+        assert_eq!(
+            try_map_to_cells(&aig, &lib, &at(65_535)).unwrap_err(),
+            too_large(aig.num_nodes())
+        );
+        let network = choice_network();
+        assert_eq!(
+            try_map_to_cells_with_choices(&network, &lib, &at(65_535)).unwrap_err(),
+            too_large(network.aig().num_nodes())
+        );
+        // The largest accepted limit maps like any limit the cut sets never reach.
+        let widest = try_map_to_cells(&aig, &lib, &at(65_534)).unwrap();
+        let default = try_map_to_cells(&aig, &lib, &at(8)).unwrap();
+        assert_eq!(widest.area_um2(), default.area_um2());
+        assert_eq!(widest.delay_ps(), default.delay_ps());
+    }
+
+    #[test]
+    fn a_network_too_large_for_the_cut_arena_is_a_typed_error() {
+        // 70 000 nodes × 65 535 cuts per set is beyond 32-bit arena offsets;
+        // the refusal comes before any cut is computed.
+        let mut aig = Aig::new("chain");
+        let inputs = aig.add_inputs("x", 8);
+        let mut acc = inputs[0];
+        for i in 0..70_000 {
+            acc = aig.and(acc.not(), inputs[1 + i % 7]);
+        }
+        aig.add_output(acc, "f");
+        assert!(aig.num_ands() >= 70_000);
+        let options = MapOptions {
+            cut_limit: 65_534,
+            ..MapOptions::default()
+        };
+        assert_eq!(
+            try_map_to_cells(&aig, &asap7_like(), &options).unwrap_err(),
+            MapError::CutSetTooLarge {
+                nodes: aig.num_nodes(),
+                cut_limit: 65_534
+            }
+        );
     }
 
     #[test]

@@ -22,17 +22,12 @@
 //! integers would), the standard-cell mapper under NPN matching and the
 //! pin-to-pin model of [`crate::timing`].
 
-use crate::cuts::{Cut, CutSet};
+use crate::cuts::{Cut, CutSet, MAX_CUT_LEAVES};
 use crate::MapError;
 use aig::{Aig, AigNode, NodeId};
 
 /// Slop for floating-point timing and area comparisons.
 const EPS: f64 = 1e-9;
-
-/// Cuts carry at most 6 leaves; per-cut scratch lives in stack buffers of
-/// this size (the one [`crate::timing`] uses) so the candidate loop never
-/// allocates.
-pub(crate) const MAX_LEAVES: usize = 8;
 
 /// What the covering core asks of a mapping target.
 pub(crate) trait CostModel {
@@ -50,7 +45,7 @@ pub(crate) trait CostModel {
 
     /// The delay from each leaf (in leaf order) to the output of `imp`: a
     /// root required at `t` requires leaf `i` at `t - leaf_delays[i]`.
-    fn leaf_delays(&self, imp: Self::Impl, leaf_arrivals: &[f64]) -> [f64; MAX_LEAVES];
+    fn leaf_delays(&self, imp: Self::Impl, leaf_arrivals: &[f64]) -> [f64; MAX_CUT_LEAVES];
 
     /// `(delay, area)` a complemented primary output adds.
     fn output_inverter(&self) -> (f64, f64);
@@ -140,7 +135,7 @@ fn picked<I: Copy>(pick: &[Option<Pick<I>>], id: NodeId) -> Pick<I> {
 fn gather_leaf_arrivals<'a>(
     cut: &Cut,
     arrival: &[f64],
-    buf: &'a mut [f64; MAX_LEAVES],
+    buf: &'a mut [f64; MAX_CUT_LEAVES],
 ) -> &'a [f64] {
     for (slot, leaf) in buf.iter_mut().zip(cut.leaves()) {
         *slot = arrival[leaf.index()];
@@ -219,7 +214,7 @@ fn select<M: CostModel>(
             let Some(imp) = model.implement(cut) else {
                 continue;
             };
-            let mut buf = [0.0; MAX_LEAVES];
+            let mut buf = [0.0; MAX_CUT_LEAVES];
             let arr = model.arrival(imp, gather_leaf_arrivals(cut, &state.arrival, &mut buf));
             if required.is_some_and(|required| arr > required[id.index()] + EPS) {
                 continue;
@@ -284,7 +279,7 @@ fn derive_cover<M: CostModel>(
             continue;
         }
         let Pick { cut_index, imp } = picked(pick, id);
-        let mut buf = [0.0; MAX_LEAVES];
+        let mut buf = [0.0; MAX_CUT_LEAVES];
         let leaf_arrivals = gather_leaf_arrivals(&cuts.cuts(id)[cut_index], &arrival, &mut buf);
         arrival[id.index()] = model.arrival(imp, leaf_arrivals);
         area += model.area(imp);
@@ -344,7 +339,7 @@ fn compute_required<M: CostModel>(
         }
         let Pick { cut_index, imp } = picked(pick, id);
         let cut = &cuts.cuts(id)[cut_index];
-        let mut buf = [0.0; MAX_LEAVES];
+        let mut buf = [0.0; MAX_CUT_LEAVES];
         let delays = model.leaf_delays(imp, gather_leaf_arrivals(cut, arrival, &mut buf));
         for (leaf, d) in cut.leaves().iter().zip(delays) {
             let req = required[id.index()] - d;

@@ -3,44 +3,148 @@
 //! This reproduces the cut computation behind ABC's `if -K <k> -C <c>`
 //! mapper: every AND node stores at most `C` non-trivial cuts of at most `K`
 //! leaves, merged bottom-up from its fanins, plus its trivial cut.
+//!
+//! # The kernel contract
+//!
+//! One bottom-up pass in node order. Everything below is pinned — cut for
+//! cut, in order, truth tables included — by `tests/cuts_golden.rs` and by
+//! the reference enumerator in `tests/proptest_cuts.rs` (the readable
+//! statement of the same algorithm, one heap `Vec` per cut).
+//!
+//! * **Candidates.** The cuts of an AND node are the unions `c0 ∪ c1` over
+//!   the stored cuts of its two fanins, `c0`-major / `c1`-minor, of at most
+//!   `K` leaves. Two pairs with the same union are one candidate and the
+//!   *first* pair wins: both derive the node's function on every leaf
+//!   assignment the network can produce, but they may differ on the
+//!   unreachable ones, so "first" chooses the stored table.
+//! * **Ranking.** Candidates are sorted by (arrival estimate, size, area
+//!   estimate by `f64::total_cmp`, leaves lexicographically) — a total order
+//!   over distinct leaf sets, so the sort algorithm is unobservable. The
+//!   arrival estimate is one level above the deepest leaf, the area estimate
+//!   `1.0 +` the leaves' estimates summed in leaf order.
+//! * **Dominance.** In rank order a candidate is dropped iff an already kept
+//!   cut has a subset of its leaves, an arrival no later and an area no
+//!   larger.
+//! * **Cap and anchor.** The survivors are truncated to `C`; if none of the
+//!   first `C` lies inside the anchor (the node's two fanin nodes), the
+//!   best-ranked survivor that does replaces the last kept cut, so the cell
+//!   mapper always sees a trivially matchable cut. The node's estimates
+//!   become the minima over the kept cuts.
+//! * **Layout of a cut set.** Kept cuts in rank order (a rescued anchor
+//!   last), then the node's trivial cut. Inputs have only the trivial cut,
+//!   the constant one cut with no leaves and table 0.
+//! * **Choice classes.** Right before a representative's first fanout reads
+//!   its cuts (and, for classes no AND consumes, in a trailing pass in node
+//!   order) the class is finalized: its members' stored cuts are pooled in
+//!   member order, skipping every member's own trivial cut, complemented
+//!   where member and representative differ in phase, de-duplicated by leaf
+//!   set (first wins again), and ranked, pruned and capped exactly like an
+//!   AND node's candidates; the representative's trivial cut goes last.
+//!
+//! # How it stays cheap
+//!
+//! Nothing is allocated per cut. A [`Cut`] is `Copy` with its leaves inline;
+//! a [`CutSet`] is one arena of cuts plus a `(start, len)` range per node.
+//! Finalizing a class appends the pooled set and re-points the
+//! representative's range (the superseded range stays in the arena, dead,
+//! and is not counted). Candidates live in per-enumeration scratch reused
+//! across nodes.
+//!
+//! Truth tables are lazy: of the up to `(C + 1)²` pairs of a node only the
+//! `≤ C` survivors of the cap are ever stored, so a candidate carries just
+//! the indices of the pair that first produced it and the survivors' tables
+//! are computed afterwards, by bit-parallel expansion of the two parent
+//! tables onto the merged leaves.
+//!
+//! A 64-bit leaf signature (bit `id mod 64` per leaf) rejects a pair whose
+//! union must exceed `K` before the exact sorted merge runs. It is a sound
+//! pre-filter only — colliding ids can hide an overflow, never invent one —
+//! and the exact merge decides every pair it lets through.
+//!
+//! The parent-pair indices are `u16` and the arena offsets `u32`; a
+//! `cut_limit` or a network too large for them is refused up front
+//! ([`MapError::CutSetTooLarge`]), never wrapped.
 
 use crate::truth::{full_mask, VAR_MASK};
+use crate::MapError;
 use aig::{Aig, AigNode, Lit, NodeId};
 use choices::ChoiceAig;
 
+/// The most leaves a cut can carry: truth tables are stored in a `u64`.
+/// Every per-cut stack buffer of the crate — a [`Cut`]'s inline leaves, the
+/// covering core's arrival scratch, [`crate::timing`]'s pin pairing — has
+/// this size.
+pub const MAX_CUT_LEAVES: usize = 6;
+
+/// The largest `cut_limit` the kernel accepts: a full cut set (the limit
+/// plus the trivial cut) must be indexable by the `u16` parent-pair indices.
+const MAX_CUT_LIMIT: usize = u16::MAX as usize - 1;
+
 /// A cut: a set of leaves that separates a node from the primary inputs,
 /// together with the node's function over those leaves.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Cut {
-    /// Leaf nodes, sorted by id. Variable `i` of [`Cut::truth`] is `leaves[i]`.
-    pub leaves: Vec<NodeId>,
+    /// Leaf nodes sorted by id; the slots from `len` on hold
+    /// [`NodeId::CONST`], so the derived `Eq` compares leaf sets exactly.
+    leaves: [NodeId; MAX_CUT_LEAVES],
+    len: u8,
     /// Truth table of the root in terms of the leaves (low `2^n` bits).
+    /// Variable `i` is `leaves()[i]`.
     pub truth: u64,
 }
 
 impl Cut {
+    /// The cut with no leaves and an all-zero table (the constant node's).
+    const EMPTY: Cut = Cut {
+        leaves: [NodeId::CONST; MAX_CUT_LEAVES],
+        len: 0,
+        truth: 0,
+    };
+
     /// Creates the trivial cut of a node (the node itself as single leaf).
     pub fn trivial(node: NodeId) -> Self {
-        Cut {
-            leaves: vec![node],
-            truth: VAR_MASK[0] & full_mask(1),
-        }
+        let mut cut = Cut::EMPTY;
+        cut.leaves[0] = node;
+        cut.len = 1;
+        cut.truth = VAR_MASK[0] & full_mask(1);
+        cut
     }
 
     /// The leaf nodes, sorted by id.
+    #[inline]
     pub fn leaves(&self) -> &[NodeId] {
-        &self.leaves
+        &self.leaves[..usize::from(self.len)]
     }
 
     /// Number of leaves.
+    #[inline]
     pub fn size(&self) -> usize {
-        self.leaves.len()
+        usize::from(self.len)
     }
 
     /// Returns `true` if `self`'s leaves are a subset of `other`'s leaves.
     pub fn dominates(&self, other: &Cut) -> bool {
-        self.leaves.iter().all(|l| other.leaves.contains(l))
+        is_subset(self.leaves(), other.leaves())
     }
+
+    /// `true` if both cuts have the same leaves (whatever their tables).
+    #[inline]
+    fn same_leaves(&self, other: &Cut) -> bool {
+        self.len == other.len && self.leaves == other.leaves
+    }
+}
+
+impl std::fmt::Debug for Cut {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Cut")
+            .field("leaves", &self.leaves())
+            .field("truth", &self.truth)
+            .finish()
+    }
+}
+
+fn is_subset(leaves: &[NodeId], of: &[NodeId]) -> bool {
+    leaves.iter().all(|l| of.contains(l))
 }
 
 /// Options for cut enumeration.
@@ -61,52 +165,151 @@ impl Default for CutsOptions {
     }
 }
 
+/// Where a node's cuts live in the arena.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn range(self) -> std::ops::Range<usize> {
+        let start = self.start as usize;
+        start..start + self.len as usize
+    }
+}
+
 /// Cut sets for every node of an AIG.
 #[derive(Debug, Clone)]
 pub struct CutSet {
-    cuts: Vec<Vec<Cut>>,
+    /// Every cut set ever stored, back to back.
+    arena: Vec<Cut>,
+    /// The live range of each node.
+    spans: Vec<Span>,
 }
 
 impl CutSet {
     /// Returns the cuts of a node (the last one is always the trivial cut,
     /// except for primary inputs and the constant which only have it).
     pub fn cuts(&self, node: NodeId) -> &[Cut] {
-        &self.cuts[node.index()]
+        &self.arena[self.spans[node.index()].range()]
     }
 
     /// Total number of stored cuts.
     pub fn total_cuts(&self) -> usize {
-        self.cuts.iter().map(|c| c.len()).sum()
+        self.spans.iter().map(|span| span.len as usize).sum()
+    }
+
+    /// Appends one cut set to the arena and returns its range.
+    /// `check_capacity` bounds the arena by `u32::MAX` cuts, so the offsets
+    /// cannot truncate.
+    fn store(&mut self, cuts: impl Iterator<Item = Cut>) -> Span {
+        let start = self.arena.len();
+        self.arena.extend(cuts);
+        Span {
+            start: start as u32,
+            len: (self.arena.len() - start) as u32,
+        }
     }
 }
 
-/// Expands a cut's truth table to a superset leaf ordering.
-fn expand_truth(cut: &Cut, merged: &[NodeId]) -> u64 {
-    let positions: Vec<usize> = cut
-        .leaves
-        .iter()
-        .map(|l| {
-            merged
-                .iter()
-                .position(|m| m == l)
-                .unwrap_or_else(|| unreachable!("leaf present in merged cut"))
+/// Refuses what the kernel's narrowed indices cannot hold: a cut set longer
+/// than `u16` parent-pair indices reach, or more cuts than `u32` arena
+/// offsets — every node stores one set, every class finalization appends
+/// another, and a set is at most `cut_limit` cuts (one, the rescued anchor,
+/// at limit 0) plus the trivial cut.
+fn check_capacity(nodes: usize, classes: usize, options: &CutsOptions) -> Result<(), MapError> {
+    let fits = options.cut_limit <= MAX_CUT_LIMIT
+        && (nodes + classes)
+            .checked_mul(options.cut_limit.max(1) + 1)
+            .is_some_and(|cuts| u32::try_from(cuts).is_ok());
+    if fits {
+        Ok(())
+    } else {
+        Err(MapError::CutSetTooLarge {
+            nodes,
+            cut_limit: options.cut_limit,
         })
-        .collect();
-    let bits = 1usize << merged.len();
-    let mut out = 0u64;
-    for m in 0..bits {
-        // Build the source minterm over the cut's own leaves.
-        let mut src = 0usize;
-        for (i, &pos) in positions.iter().enumerate() {
-            if m >> pos & 1 == 1 {
-                src |= 1 << i;
-            }
+    }
+}
+
+/// One bit per leaf, `id mod 64`: `popcount(sig(a) | sig(b))` never exceeds
+/// the size of `a ∪ b`, so a pair whose popcount is over `K` cannot merge.
+fn signature(leaves: &[NodeId]) -> u64 {
+    leaves.iter().fold(0, |sig, l| sig | 1u64 << (l.0 & 63))
+}
+
+/// The sorted union of two sorted leaf lists as a cut without a table, or
+/// `None` if it has more than `max` leaves.
+fn merge_leaves(a: &[NodeId], b: &[NodeId], max: usize) -> Option<Cut> {
+    let mut cut = Cut::EMPTY;
+    let (mut i, mut j, mut n) = (0, 0, 0);
+    while i < a.len() || j < b.len() {
+        if n == max {
+            return None;
         }
-        if cut.truth >> src & 1 == 1 {
-            out |= 1 << m;
+        cut.leaves[n] = if j == b.len() || (i < a.len() && a[i] <= b[j]) {
+            if j < b.len() && a[i] == b[j] {
+                j += 1;
+            }
+            i += 1;
+            a[i - 1]
+        } else {
+            j += 1;
+            b[j - 1]
+        };
+        n += 1;
+    }
+    // `n <= max <= MAX_CUT_LEAVES`.
+    cut.len = n as u8;
+    Some(cut)
+}
+
+/// Exchanges variables `var` and `var + 1` of a six-variable truth table.
+#[inline]
+fn swap_adjacent(tt: u64, var: usize) -> u64 {
+    let (lo, hi) = (VAR_MASK[var], VAR_MASK[var + 1]);
+    let shift = 1 << var;
+    (tt & !(lo ^ hi)) | ((tt & lo & !hi) << shift) | ((tt & !lo & hi) >> shift)
+}
+
+/// Re-expresses `truth`, a table over the sorted leaves `from`, over the
+/// sorted superset `to`: bit-parallel, no minterm loop. The table is first
+/// replicated to all six variables (it then ignores every variable from
+/// `from.len()` up); then each variable, last first, is moved up to its
+/// position in `to` by adjacent swaps — everything it passes is a variable
+/// the table ignores, because the later variables have already moved beyond
+/// its target. Bits above `2^to.len()` are left replicated; callers mask.
+fn expand_truth(truth: u64, from: &[NodeId], to: &[NodeId]) -> u64 {
+    let mut tt = truth;
+    for var in from.len()..MAX_CUT_LEAVES {
+        tt |= tt << (1 << var);
+    }
+    let mut target = to.len();
+    for (var, leaf) in from.iter().enumerate().rev() {
+        target -= 1;
+        while to[target] != *leaf {
+            target -= 1;
+        }
+        for v in var..target {
+            tt = swap_adjacent(tt, v);
         }
     }
-    out
+    tt
+}
+
+/// The table of an AND node over `leaves`, the union of one cut of each
+/// fanin.
+fn and_truth(c0: &Cut, c1: &Cut, fanin0: Lit, fanin1: Lit, leaves: &[NodeId]) -> u64 {
+    let mut t0 = expand_truth(c0.truth, c0.leaves(), leaves);
+    let mut t1 = expand_truth(c1.truth, c1.leaves(), leaves);
+    if fanin0.is_complemented() {
+        t0 = !t0;
+    }
+    if fanin1.is_complemented() {
+        t1 = !t1;
+    }
+    t0 & t1 & full_mask(leaves.len())
 }
 
 /// Library-independent per-node estimates driving the 3-dimensional
@@ -118,17 +321,9 @@ struct Estimates {
 }
 
 impl Estimates {
-    fn new(capacity: usize) -> Self {
-        Estimates {
-            arr: Vec::with_capacity(capacity),
-            area: Vec::with_capacity(capacity),
-        }
-    }
-
     /// Unit-delay arrival estimate of a cut: one level above its deepest leaf.
-    fn cut_arr(&self, cut: &Cut) -> u32 {
-        1 + cut
-            .leaves
+    fn cut_arr(&self, leaves: &[NodeId]) -> u32 {
+        1 + leaves
             .iter()
             .map(|l| self.arr[l.index()])
             .max()
@@ -136,228 +331,244 @@ impl Estimates {
     }
 
     /// Optimistic area estimate of a cut: itself plus its leaves' best areas.
-    fn cut_area(&self, cut: &Cut) -> f64 {
-        1.0 + cut.leaves.iter().map(|l| self.area[l.index()]).sum::<f64>()
+    fn cut_area(&self, leaves: &[NodeId]) -> f64 {
+        1.0 + leaves.iter().map(|l| self.area[l.index()]).sum::<f64>()
     }
 }
 
-fn merge_cuts(a: &Cut, b: &Cut, fanin0: Lit, fanin1: Lit, max_size: usize) -> Option<Cut> {
-    let mut leaves: Vec<NodeId> = a.leaves.clone();
-    for &l in &b.leaves {
-        if !leaves.contains(&l) {
-            leaves.push(l);
-        }
-    }
-    if leaves.len() > max_size {
-        return None;
-    }
-    leaves.sort_unstable();
-    let mask = full_mask(leaves.len());
-    let mut ta = expand_truth(a, &leaves);
-    let mut tb = expand_truth(b, &leaves);
-    if fanin0.is_complemented() {
-        ta = !ta & mask;
-    }
-    if fanin1.is_complemented() {
-        tb = !tb & mask;
-    }
-    Some(Cut {
-        leaves,
-        truth: ta & tb & mask,
-    })
+/// A candidate cut of the node being processed.
+#[derive(Clone, Copy)]
+struct Candidate {
+    /// The leaves; the table is filled in once the candidate survives (AND
+    /// nodes) or copied from the member's stored cut (class pooling).
+    cut: Cut,
+    sig: u64,
+    arr: u32,
+    area: f64,
+    /// The first `(i0, i1)` fanin-cut pair with this union (AND nodes only).
+    pair: (u16, u16),
 }
 
-/// Computes the non-trivial cuts of an AND node by merging its fanins' cut
-/// sets, with per-node dominance pruning and the priority-cut limit applied;
-/// the trivial cut is appended last.
-fn and_node_cuts(
-    id: NodeId,
-    fanin0: Lit,
-    fanin1: Lit,
-    all: &[Vec<Cut>],
-    est: &mut Estimates,
-    options: &CutsOptions,
-) -> Vec<Cut> {
-    let mut merged: Vec<Cut> = Vec::new();
-    let cuts0 = &all[fanin0.node().index()];
-    let cuts1 = &all[fanin1.node().index()];
-    for c0 in cuts0 {
-        for c1 in cuts1 {
-            if let Some(cut) = merge_cuts(c0, c1, fanin0, fanin1, options.cut_size) {
-                // Skip duplicates.
-                if !merged.iter().any(|m| m.leaves == cut.leaves) {
-                    merged.push(cut);
-                }
-            }
-        }
+/// The direct fanin cut's leaves (sorted, without repetition): the "anchor"
+/// every AND node must keep (or a subset of it) so the standard-cell mapper
+/// always sees a cut with a trivially matchable function.
+fn anchor_leaves(fanin0: Lit, fanin1: Lit) -> Cut {
+    let (a, b) = (fanin0.node(), fanin1.node());
+    let mut anchor = Cut::EMPTY;
+    anchor.leaves[0] = a.min(b);
+    anchor.len = 1;
+    if a != b {
+        anchor.leaves[1] = a.max(b);
+        anchor.len = 2;
     }
-    let anchor = anchor_leaves(fanin0, fanin1);
-    prune_and_cap(merged, id, Some(anchor), est, options)
-}
-
-/// The direct fanin cut's leaves (sorted): the "anchor" every AND node must
-/// keep (or a subset of it) so the standard-cell mapper always sees a cut
-/// with a trivially matchable function.
-fn anchor_leaves(fanin0: Lit, fanin1: Lit) -> Vec<NodeId> {
-    let mut anchor = vec![fanin0.node(), fanin1.node()];
-    anchor.sort_unstable();
-    anchor.dedup();
     anchor
 }
 
-/// Three-dimensional dominance pruning (inputs × area × arrival): a cut is
-/// dropped only if another cut has a *subset* of its leaves, an arrival
-/// estimate no later, and an area estimate no larger — so a wider cut that
-/// reaches shallower logic survives next to a narrow-but-deep one. Survivors
-/// are ranked arrival-first (then size, then area) and truncated to the
-/// priority limit, except that a cut covering the `anchor` (the direct
-/// fanin cut or a subset of it) is always retained so the node stays
-/// library-matchable; the trivial cut is appended last. Finally the node's
-/// own estimates are updated from the kept cuts.
-fn prune_and_cap(
-    merged: Vec<Cut>,
-    id: NodeId,
-    anchor: Option<Vec<NodeId>>,
-    est: &mut Estimates,
-    options: &CutsOptions,
-) -> Vec<Cut> {
-    let mut scored: Vec<(Cut, u32, f64)> = merged
-        .into_iter()
-        .map(|c| {
-            let arr = est.cut_arr(&c);
-            let area = est.cut_area(&c);
-            (c, arr, area)
-        })
-        .collect();
-    scored.sort_by(|a, b| {
-        a.1.cmp(&b.1)
-            .then(a.0.size().cmp(&b.0.size()))
-            .then(a.2.total_cmp(&b.2))
-            .then(a.0.leaves.cmp(&b.0.leaves))
-    });
-    let mut kept: Vec<(Cut, u32, f64)> = Vec::new();
-    for (cut, arr, area) in scored {
-        let dominated = kept
-            .iter()
-            .any(|(k, karr, karea)| k.dominates(&cut) && *karr <= arr && *karea <= area);
-        if !dominated {
-            kept.push((cut, arr, area));
-        }
-    }
-    // The anchor (or a leaf-subset of it, which is what can have displaced
-    // it in the dominance filter) must survive the truncation.
-    let is_sub = |c: &Cut, anchor: &[NodeId]| c.leaves.iter().all(|l| anchor.contains(l));
-    let rescue = anchor.and_then(|anchor| {
-        let inside = kept
-            .iter()
-            .take(options.cut_limit)
-            .any(|(c, _, _)| is_sub(c, &anchor));
-        if inside {
-            None
-        } else {
-            kept.iter()
-                .position(|(c, _, _)| is_sub(c, &anchor))
-                .map(|pos| kept[pos].clone())
-        }
-    });
-    kept.truncate(options.cut_limit);
-    if let Some(rescued) = rescue {
-        if kept.len() == options.cut_limit {
-            kept.pop();
-        }
-        kept.push(rescued);
-    }
-    let node_arr = kept.iter().map(|(_, arr, _)| *arr).min().unwrap_or(0);
-    let node_area = kept
-        .iter()
-        .map(|(_, _, area)| *area)
-        .fold(f64::INFINITY, f64::min);
-    set_estimate(
-        est,
-        id,
-        node_arr,
-        if kept.is_empty() { 0.0 } else { node_area },
-    );
-    let mut cuts: Vec<Cut> = kept.into_iter().map(|(c, _, _)| c).collect();
-    cuts.push(Cut::trivial(id));
-    cuts
+/// The state of one enumeration: the cut sets stored so far, the estimates
+/// that rank candidates, and scratch reused across nodes.
+struct Kernel<'a> {
+    options: &'a CutsOptions,
+    set: CutSet,
+    est: Estimates,
+    /// The current node's candidates, de-duplicated by leaf set.
+    candidates: Vec<Candidate>,
+    /// What `prune_and_cap` keeps of them, in stored order.
+    kept: Vec<Candidate>,
+    /// Signatures of the second fanin's cuts.
+    sigs: Vec<u64>,
+    /// Which nodes `finalize_class` has already visited.
+    finalized: Vec<bool>,
 }
 
-/// Records a node's estimates, growing or overwriting as needed (class
-/// finalization revisits the representative after its initial pass).
-fn set_estimate(est: &mut Estimates, id: NodeId, arr: u32, area: f64) {
-    if id.index() >= est.arr.len() {
-        est.arr.resize(id.index() + 1, 0);
-        est.area.resize(id.index() + 1, 0.0);
+/// Adds a candidate unless its leaf set is already present (first wins).
+fn offer(candidates: &mut Vec<Candidate>, est: &Estimates, cut: Cut, sig: u64, pair: (u16, u16)) {
+    let seen = candidates
+        .iter()
+        .any(|c| c.sig == sig && c.cut.same_leaves(&cut));
+    if !seen {
+        candidates.push(Candidate {
+            cut,
+            sig,
+            arr: est.cut_arr(cut.leaves()),
+            area: est.cut_area(cut.leaves()),
+            pair,
+        });
     }
-    est.arr[id.index()] = arr;
-    est.area[id.index()] = area;
+}
+
+impl Kernel<'_> {
+    /// Stores a node that has exactly one cut (an input or the constant).
+    fn single_cut(&mut self, cut: Cut) {
+        let span = self.set.store(std::iter::once(cut));
+        self.set.spans.push(span);
+    }
+
+    /// Stores the kept cuts followed by `id`'s trivial cut.
+    fn store_kept(&mut self, id: NodeId) -> Span {
+        let kept = self.kept.iter().map(|k| k.cut);
+        self.set
+            .store(kept.chain(std::iter::once(Cut::trivial(id))))
+    }
+
+    /// Computes the non-trivial cuts of an AND node by merging its fanins'
+    /// cut sets, with per-node dominance pruning and the priority-cut limit
+    /// applied; the trivial cut is appended last.
+    fn and_node_cuts(&mut self, id: NodeId, fanin0: Lit, fanin1: Lit) {
+        let cut_size = self.options.cut_size;
+        let cuts0 = &self.set.arena[self.set.spans[fanin0.node().index()].range()];
+        let cuts1 = &self.set.arena[self.set.spans[fanin1.node().index()].range()];
+        self.candidates.clear();
+        self.sigs.clear();
+        self.sigs
+            .extend(cuts1.iter().map(|c| signature(c.leaves())));
+        for (i0, c0) in cuts0.iter().enumerate() {
+            let sig0 = signature(c0.leaves());
+            for (i1, c1) in cuts1.iter().enumerate() {
+                let sig = sig0 | self.sigs[i1];
+                if sig.count_ones() as usize > cut_size {
+                    continue;
+                }
+                if let Some(cut) = merge_leaves(c0.leaves(), c1.leaves(), cut_size) {
+                    // `check_capacity` bounds a cut set by `u16::MAX` cuts.
+                    let pair = (i0 as u16, i1 as u16);
+                    offer(&mut self.candidates, &self.est, cut, sig, pair);
+                }
+            }
+        }
+        let anchor = anchor_leaves(fanin0, fanin1);
+        self.prune_and_cap(id, Some(anchor.leaves()));
+        // Only now, for the few survivors, the tables.
+        let cuts0 = &self.set.arena[self.set.spans[fanin0.node().index()].range()];
+        let cuts1 = &self.set.arena[self.set.spans[fanin1.node().index()].range()];
+        for kept in &mut self.kept {
+            let c0 = &cuts0[usize::from(kept.pair.0)];
+            let c1 = &cuts1[usize::from(kept.pair.1)];
+            kept.cut.truth = and_truth(c0, c1, fanin0, fanin1, kept.cut.leaves());
+        }
+        let span = self.store_kept(id);
+        self.set.spans.push(span);
+    }
+
+    /// Three-dimensional dominance pruning (inputs × area × arrival) of
+    /// `candidates` into `kept`: a cut is dropped only if another cut has a
+    /// *subset* of its leaves, an arrival estimate no later, and an area
+    /// estimate no larger — so a wider cut that reaches shallower logic
+    /// survives next to a narrow-but-deep one. Survivors are ranked
+    /// arrival-first (then size, then area) and truncated to the priority
+    /// limit, except that a cut covering the `anchor` (the direct fanin cut
+    /// or a subset of it) is always retained so the node stays
+    /// library-matchable. Finally the node's own estimates are updated from
+    /// the kept cuts.
+    fn prune_and_cap(&mut self, id: NodeId, anchor: Option<&[NodeId]>) {
+        let cut_limit = self.options.cut_limit;
+        let (candidates, kept) = (&mut self.candidates, &mut self.kept);
+        // Leaf sets are distinct, so the key is total and an unstable sort
+        // (no allocation) yields the one possible order.
+        candidates.sort_unstable_by(|a, b| {
+            a.arr
+                .cmp(&b.arr)
+                .then(a.cut.len.cmp(&b.cut.len))
+                .then(a.area.total_cmp(&b.area))
+                .then_with(|| a.cut.leaves().cmp(b.cut.leaves()))
+        });
+        kept.clear();
+        for cand in candidates.iter() {
+            let dominated = kept.iter().any(|k| {
+                k.arr <= cand.arr
+                    && k.area <= cand.area
+                    && k.sig & !cand.sig == 0
+                    && k.cut.dominates(&cand.cut)
+            });
+            if !dominated {
+                kept.push(*cand);
+            }
+        }
+        // The anchor (or a leaf-subset of it, which is what can have
+        // displaced it in the dominance filter) must survive the truncation:
+        // if the best-ranked such cut sits beyond the limit, rescue it.
+        let rescue = anchor.and_then(|anchor| {
+            let inside = kept
+                .iter()
+                .position(|k| is_subset(k.cut.leaves(), anchor))?;
+            (inside >= cut_limit).then(|| kept[inside])
+        });
+        kept.truncate(cut_limit);
+        if let Some(rescued) = rescue {
+            if kept.len() == cut_limit {
+                kept.pop();
+            }
+            kept.push(rescued);
+        }
+        let node_arr = kept.iter().map(|k| k.arr).min().unwrap_or(0);
+        let node_area = kept.iter().map(|k| k.area).fold(f64::INFINITY, f64::min);
+        self.est.arr[id.index()] = node_arr;
+        self.est.area[id.index()] = if kept.is_empty() { 0.0 } else { node_area };
+    }
+
+    /// Merges the cut sets of every member of a choice class into the class
+    /// cuts stored on the representative node: each member's non-trivial
+    /// cuts are phase-adjusted so their truth tables compute the
+    /// *representative node's* function, deduplicated, dominance-pruned per
+    /// class, capped at the priority limit, and the representative's trivial
+    /// cut is appended.
+    fn finalize_class(&mut self, node: NodeId, choices: &ChoiceAig) {
+        if std::mem::replace(&mut self.finalized[node.index()], true) {
+            return;
+        }
+        let Some(class) = choices.class_of(node) else {
+            return;
+        };
+        let repr = class.repr();
+        self.candidates.clear();
+        for &member in &class.members {
+            // The stored member cuts compute the member node's function; the
+            // class convention makes `member ^ compl` the class function and
+            // `repr ^ compl` the representative node's function, so the
+            // relative phase below re-expresses each cut in terms of the
+            // representative.
+            let adjust = member.is_complemented() ^ repr.is_complemented();
+            for cut in &self.set.arena[self.set.spans[member.node().index()].range()] {
+                if cut.leaves() == [member.node()] && member.node() != node {
+                    continue; // a non-representative trivial cut leaks the member
+                }
+                if cut.leaves() == [node] {
+                    continue; // the representative's trivial cut is re-appended
+                }
+                let mut pooled = *cut;
+                if adjust {
+                    pooled.truth = !cut.truth & full_mask(cut.size());
+                }
+                let sig = signature(cut.leaves());
+                offer(&mut self.candidates, &self.est, pooled, sig, (0, 0));
+            }
+        }
+        // Re-pruning over the pooled member cuts also refreshes the
+        // representative's depth/area estimates, so a class whose alternative
+        // member reaches shallower logic advertises the better (depth-optimal)
+        // estimate to every fanout — the choice-aware analogue of the
+        // depth-optimal first pass.
+        let anchor = match choices.aig().node(node) {
+            AigNode::And { fanin0, fanin1 } => Some(anchor_leaves(*fanin0, *fanin1)),
+            _ => None,
+        };
+        self.prune_and_cap(node, anchor.as_ref().map(Cut::leaves));
+        // The pooled set supersedes the representative's own: append it and
+        // re-point the range.
+        self.set.spans[node.index()] = self.store_kept(node);
+    }
 }
 
 /// Enumerates priority cuts for every node of `aig`.
 ///
 /// # Panics
-/// Panics if `options.cut_size` exceeds 6 (truth tables are stored in `u64`).
+/// Panics if `options.cut_size` exceeds 6 (truth tables are stored in `u64`)
+/// or is below 2, and if `options.cut_limit` or the network is too large for
+/// the enumerator's index types (see [`MapError::CutSetTooLarge`]).
+// The panics are the documented contract; the mappers' `try_` entry points
+// report the capacity refusal as a typed error instead.
+#[allow(clippy::panic)]
 pub fn enumerate_cuts(aig: &Aig, options: &CutsOptions) -> CutSet {
-    enumerate(aig, None, options)
-}
-
-/// Merges the cut sets of every member of a choice class into the class cuts
-/// stored on the representative node: each member's non-trivial cuts are
-/// phase-adjusted so their truth tables compute the *representative node's*
-/// function, deduplicated, dominance-pruned per class, capped at the priority
-/// limit, and the representative's trivial cut is appended.
-fn finalize_class(
-    node: NodeId,
-    choices: &ChoiceAig,
-    all: &mut [Vec<Cut>],
-    est: &mut Estimates,
-    finalized: &mut [bool],
-    options: &CutsOptions,
-) {
-    if finalized[node.index()] {
-        return;
-    }
-    finalized[node.index()] = true;
-    let Some(class) = choices.class_of(node) else {
-        return;
-    };
-    let repr = class.repr();
-    let mut merged: Vec<Cut> = Vec::new();
-    for &member in &class.members {
-        // The stored member cuts compute the member node's function; the
-        // class convention makes `member ^ compl` the class function and
-        // `repr ^ compl` the representative node's function, so the relative
-        // phase below re-expresses each cut in terms of the representative.
-        let adjust = member.is_complemented() ^ repr.is_complemented();
-        for cut in &all[member.node().index()] {
-            if cut.leaves.len() == 1 && cut.leaves[0] == member.node() && member.node() != node {
-                continue; // a non-representative trivial cut leaks the member
-            }
-            if cut.leaves.len() == 1 && cut.leaves[0] == node {
-                continue; // the representative's trivial cut is re-appended
-            }
-            if merged.iter().any(|m| m.leaves == cut.leaves) {
-                continue;
-            }
-            let mask = full_mask(cut.size());
-            let truth = if adjust { !cut.truth & mask } else { cut.truth };
-            merged.push(Cut {
-                leaves: cut.leaves.clone(),
-                truth,
-            });
-        }
-    }
-    // Re-pruning over the pooled member cuts also refreshes the
-    // representative's depth/area estimates, so a class whose alternative
-    // member reaches shallower logic advertises the better (depth-optimal)
-    // estimate to every fanout — the choice-aware analogue of the
-    // depth-optimal first pass.
-    let anchor = match choices.aig().node(node) {
-        AigNode::And { fanin0, fanin1 } => Some(anchor_leaves(*fanin0, *fanin1)),
-        _ => None,
-    };
-    all[node.index()] = prune_and_cap(merged, node, anchor, est, options);
+    try_enumerate(aig, None, options).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Enumerates priority cuts over a choice network: the cuts stored on a
@@ -372,53 +583,70 @@ fn finalize_class(
 /// finalize each class before the first time it is consumed.
 ///
 /// # Panics
-/// Panics if `options.cut_size` exceeds 6 (truth tables are stored in `u64`).
+/// Panics under the same conditions as [`enumerate_cuts`].
+// See `enumerate_cuts`.
+#[allow(clippy::panic)]
 pub fn enumerate_cuts_with_choices(choices: &ChoiceAig, options: &CutsOptions) -> CutSet {
-    enumerate(choices.aig(), Some(choices), options)
+    try_enumerate(choices.aig(), Some(choices), options).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The one bottom-up enumeration pass. With `choices`, a fanin's class is
 /// finalized right before its first fanout merges its cuts — the only step
 /// the plain path skips.
-fn enumerate(aig: &Aig, choices: Option<&ChoiceAig>, options: &CutsOptions) -> CutSet {
-    assert!(options.cut_size <= 6, "cut size is limited to 6 leaves");
+///
+/// # Errors
+/// [`MapError::CutSetTooLarge`] if `check_capacity` refuses the request.
+///
+/// # Panics
+/// Panics if `options.cut_size` is outside `2..=6`.
+pub(crate) fn try_enumerate(
+    aig: &Aig,
+    choices: Option<&ChoiceAig>,
+    options: &CutsOptions,
+) -> Result<CutSet, MapError> {
+    assert!(
+        options.cut_size <= MAX_CUT_LEAVES,
+        "cut size is limited to 6 leaves"
+    );
     assert!(options.cut_size >= 2, "cut size must be at least 2");
-    let mut all: Vec<Vec<Cut>> = Vec::with_capacity(aig.num_nodes());
-    let mut est = Estimates::new(aig.num_nodes());
-    let mut finalized: Vec<bool> = vec![false; aig.num_nodes()];
+    let nodes = aig.num_nodes();
+    check_capacity(nodes, choices.map_or(0, ChoiceAig::num_classes), options)?;
+    let mut kernel = Kernel {
+        options,
+        set: CutSet {
+            arena: Vec::new(),
+            spans: Vec::with_capacity(nodes),
+        },
+        est: Estimates {
+            arr: vec![0; nodes],
+            area: vec![0.0; nodes],
+        },
+        candidates: Vec::new(),
+        kept: Vec::new(),
+        sigs: Vec::new(),
+        finalized: vec![false; nodes],
+    };
     for id in aig.node_ids() {
-        let cuts = match aig.node(id) {
-            AigNode::Const => {
-                set_estimate(&mut est, id, 0, 0.0);
-                vec![Cut {
-                    leaves: Vec::new(),
-                    truth: 0,
-                }]
-            }
-            AigNode::Input { .. } => {
-                set_estimate(&mut est, id, 0, 0.0);
-                vec![Cut::trivial(id)]
-            }
+        match aig.node(id) {
+            AigNode::Const => kernel.single_cut(Cut::EMPTY),
+            AigNode::Input { .. } => kernel.single_cut(Cut::trivial(id)),
             AigNode::And { fanin0, fanin1 } => {
                 if let Some(choices) = choices {
-                    for fanin in [fanin0, fanin1] {
-                        let node = fanin.node();
-                        finalize_class(node, choices, &mut all, &mut est, &mut finalized, options);
-                    }
+                    kernel.finalize_class(fanin0.node(), choices);
+                    kernel.finalize_class(fanin1.node(), choices);
                 }
-                and_node_cuts(id, *fanin0, *fanin1, &all, &mut est, options)
+                kernel.and_node_cuts(id, *fanin0, *fanin1);
             }
-        };
-        all.push(cuts);
+        }
     }
     // Classes only consumed by the outputs (or not at all) are finalized
     // last, in node order, so the mapper sees their choices too.
     if let Some(choices) = choices {
         for node in aig.node_ids() {
-            finalize_class(node, choices, &mut all, &mut est, &mut finalized, options);
+            kernel.finalize_class(node, choices);
         }
     }
-    CutSet { cuts: all }
+    Ok(kernel.set)
 }
 
 #[cfg(test)]
@@ -445,7 +673,7 @@ mod tests {
         let cuts = enumerate_cuts(&aig, &CutsOptions::default());
         for &pi in aig.inputs() {
             assert_eq!(cuts.cuts(pi).len(), 1);
-            assert_eq!(cuts.cuts(pi)[0].leaves, vec![pi]);
+            assert_eq!(cuts.cuts(pi)[0].leaves(), [pi]);
         }
     }
 
@@ -458,7 +686,7 @@ mod tests {
         let inputs: Vec<NodeId> = aig.inputs().to_vec();
         let full = root_cuts
             .iter()
-            .find(|c| c.leaves == inputs)
+            .find(|c| c.leaves() == inputs)
             .expect("4-input cut exists");
         // Its truth table must match exhaustive simulation: (a&b)&(c|d).
         let expected = small_truth_table(&aig, 0);
@@ -512,7 +740,7 @@ mod tests {
         let c = cuts
             .cuts(f.node())
             .iter()
-            .find(|c| c.leaves.len() == 2)
+            .find(|c| c.leaves().len() == 2)
             .unwrap();
         assert_eq!(c.truth, small_truth_table(&aig, 0));
     }
@@ -529,15 +757,20 @@ mod tests {
         let mut depth = vec![0u32; aig.num_nodes()];
         let mut area = vec![0f64; aig.num_nodes()];
         let cut_depth = |c: &Cut, depth: &[u32]| {
-            1 + c.leaves.iter().map(|l| depth[l.index()]).max().unwrap_or(0)
+            1 + c
+                .leaves()
+                .iter()
+                .map(|l| depth[l.index()])
+                .max()
+                .unwrap_or(0)
         };
         let cut_area =
-            |c: &Cut, area: &[f64]| 1.0 + c.leaves.iter().map(|l| area[l.index()]).sum::<f64>();
+            |c: &Cut, area: &[f64]| 1.0 + c.leaves().iter().map(|l| area[l.index()]).sum::<f64>();
         for id in aig.and_ids() {
             let non_trivial: Vec<&Cut> = cuts
                 .cuts(id)
                 .iter()
-                .filter(|c| c.leaves != vec![id])
+                .filter(|c| c.leaves() != [id])
                 .collect();
             assert!(!non_trivial.is_empty());
             for (i, a) in non_trivial.iter().enumerate() {
@@ -546,13 +779,14 @@ mod tests {
                         continue;
                     }
                     let fully_dominated = a.dominates(b)
-                        && a.leaves != b.leaves
+                        && a.leaves() != b.leaves()
                         && cut_depth(a, &depth) <= cut_depth(b, &depth)
                         && cut_area(a, &area) <= cut_area(b, &area);
                     assert!(
                         !fully_dominated,
                         "cut {:?} is 3-D dominated by {:?} at node {id}",
-                        b.leaves, a.leaves
+                        b.leaves(),
+                        a.leaves()
                     );
                 }
             }
@@ -612,7 +846,7 @@ mod tests {
         // The alternative's fanin cut {a_or_c, b_or_c} must appear.
         let alt_cut = repr_cuts
             .iter()
-            .find(|cut| cut.leaves == vec![a_or_c.node(), b_or_c.node()])
+            .find(|cut| cut.leaves() == [a_or_c.node(), b_or_c.node()])
             .expect("cut from the alternative structure");
         // All cuts compute the representative node's function: check by
         // simulation on every input pattern.
@@ -630,7 +864,7 @@ mod tests {
                 };
             }
             let mut minterm = 0usize;
-            for (i, leaf) in alt_cut.leaves.iter().enumerate() {
+            for (i, leaf) in alt_cut.leaves().iter().enumerate() {
                 if values[leaf.index()] {
                     minterm |= 1 << i;
                 }
@@ -662,8 +896,8 @@ mod tests {
         let cuts = enumerate_cuts_with_choices(&network, &CutsOptions::default());
         for cut in cuts.cuts(f1.node()) {
             assert_ne!(
-                cut.leaves,
-                vec![f2.node()],
+                cut.leaves(),
+                [f2.node()],
                 "a member's trivial cut must not become a class cut"
             );
         }
@@ -692,7 +926,7 @@ mod tests {
             }
             for cut in cuts.cuts(f.node()) {
                 let mut minterm = 0usize;
-                for (i, leaf) in cut.leaves.iter().enumerate() {
+                for (i, leaf) in cut.leaves().iter().enumerate() {
                     if values[leaf.index()] {
                         minterm |= 1 << i;
                     }
@@ -701,9 +935,275 @@ mod tests {
                     cut.truth >> minterm & 1 == 1,
                     node_value,
                     "cut {:?} pattern {pattern}",
-                    cut.leaves
+                    cut.leaves()
                 );
             }
         }
+    }
+
+    /// `expand_truth` by its definition: one minterm at a time.
+    fn expand_by_minterms(truth: u64, from: &[NodeId], to: &[NodeId]) -> u64 {
+        let positions: Vec<usize> = from
+            .iter()
+            .map(|l| to.iter().position(|m| m == l).unwrap())
+            .collect();
+        let mut out = 0u64;
+        for m in 0..1usize << to.len() {
+            let mut src = 0usize;
+            for (i, &pos) in positions.iter().enumerate() {
+                if m >> pos & 1 == 1 {
+                    src |= 1 << i;
+                }
+            }
+            if truth >> src & 1 == 1 {
+                out |= 1 << m;
+            }
+        }
+        out
+    }
+
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    #[test]
+    fn bit_parallel_expansion_matches_the_minterm_definition() {
+        // Every leaf subset of every superset of up to six leaves, on random
+        // tables (and the all-zero / all-one ones).
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for size in 0..=MAX_CUT_LEAVES {
+            let to: Vec<NodeId> = (0..size).map(|i| NodeId(10 + 3 * i as u32)).collect();
+            for subset in 0..1usize << size {
+                let from: Vec<NodeId> = (0..size)
+                    .filter(|i| subset >> i & 1 == 1)
+                    .map(|i| to[i])
+                    .collect();
+                let mask = full_mask(from.len());
+                let mut tables = vec![0, mask];
+                tables.extend((0..8).map(|_| xorshift(&mut state) & mask));
+                for truth in tables {
+                    assert_eq!(
+                        expand_truth(truth, &from, &to) & full_mask(size),
+                        expand_by_minterms(truth, &from, &to),
+                        "table {truth:#x} over {from:?} onto {to:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn swapping_adjacent_variables_permutes_the_minterms() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for var in 0..MAX_CUT_LEAVES - 1 {
+            let tt = xorshift(&mut state);
+            let swapped = swap_adjacent(tt, var);
+            for m in 0..64usize {
+                let (lo, hi) = (m >> var & 1, m >> (var + 1) & 1);
+                let source = m & !(3 << var) | hi << var | lo << (var + 1);
+                assert_eq!(swapped >> m & 1, tt >> source & 1, "var {var} minterm {m}");
+            }
+            assert_eq!(swap_adjacent(swapped, var), tt);
+        }
+    }
+
+    #[test]
+    fn signature_never_rejects_a_feasible_pair() {
+        // Ids chosen to collide mod 64: the signature may undercount a
+        // union, never overcount it.
+        let pool: Vec<NodeId> = [1u32, 2, 65, 66, 129, 130, 3, 67]
+            .iter()
+            .map(|&i| NodeId(i))
+            .collect();
+        let subsets: Vec<Vec<NodeId>> = (0..1usize << pool.len())
+            .map(|bits| {
+                let mut s: Vec<NodeId> = (0..pool.len())
+                    .filter(|i| bits >> i & 1 == 1)
+                    .map(|i| pool[i])
+                    .collect();
+                s.sort_unstable();
+                s
+            })
+            .filter(|s| s.len() <= 4)
+            .collect();
+        let mut hidden_overflow = false;
+        for a in &subsets {
+            for b in &subsets {
+                let mut union = a.clone();
+                union.extend(b.iter().filter(|l| !a.contains(l)));
+                let popcount = (signature(a) | signature(b)).count_ones() as usize;
+                assert!(popcount <= union.len(), "{a:?} ∪ {b:?}");
+                for k in 2..=MAX_CUT_LEAVES {
+                    let merged = merge_leaves(a, b, k);
+                    assert_eq!(merged.is_some(), union.len() <= k);
+                    if popcount > k {
+                        assert!(merged.is_none(), "{a:?} ∪ {b:?} wrongly rejected at {k}");
+                    }
+                    hidden_overflow |= popcount <= k && merged.is_none();
+                }
+            }
+        }
+        // The collisions are real: some overflow was left to the exact merge.
+        assert!(hidden_overflow);
+    }
+
+    #[test]
+    fn merge_leaves_is_the_exact_sorted_union() {
+        let n = |ids: &[u32]| ids.iter().map(|&i| NodeId(i)).collect::<Vec<_>>();
+        let merged = |a: &[u32], b: &[u32], max| {
+            merge_leaves(&n(a), &n(b), max).map(|cut| {
+                assert_eq!(cut.truth, 0);
+                cut.leaves().to_vec()
+            })
+        };
+        // Equal, disjoint (both interleavings), nested, empty.
+        assert_eq!(merged(&[3, 5, 9], &[3, 5, 9], 3), Some(n(&[3, 5, 9])));
+        assert_eq!(merged(&[1, 4], &[2, 8], 4), Some(n(&[1, 2, 4, 8])));
+        assert_eq!(merged(&[7, 8], &[1, 2], 4), Some(n(&[1, 2, 7, 8])));
+        assert_eq!(merged(&[2, 4, 6, 8], &[4, 8], 4), Some(n(&[2, 4, 6, 8])));
+        assert_eq!(merged(&[4, 8], &[2, 4, 6, 8], 4), Some(n(&[2, 4, 6, 8])));
+        assert_eq!(merged(&[], &[5], 2), Some(n(&[5])));
+        assert_eq!(merged(&[], &[], 2), Some(n(&[])));
+        // Overflow, detected wherever the extra leaf sorts.
+        assert_eq!(merged(&[1, 2, 3], &[4], 3), None);
+        assert_eq!(merged(&[2, 3, 4], &[1], 3), None);
+        assert_eq!(merged(&[1, 2, 3, 4, 5, 6], &[7], 6), None);
+        assert_eq!(
+            merged(&[1, 2, 3], &[4, 5, 6], 6),
+            Some(n(&[1, 2, 3, 4, 5, 6]))
+        );
+        // Unused slots stay canonical, so equal leaf sets are equal cuts.
+        let a = merge_leaves(&n(&[1, 9]), &n(&[9]), 6).unwrap();
+        let b = merge_leaves(&n(&[1]), &n(&[1, 9]), 6).unwrap();
+        assert_eq!(a, b);
+    }
+
+    /// The two-member class of `class_cuts_cover_all_members`.
+    fn class_network() -> (ChoiceAig, NodeId) {
+        let mut aig = Aig::new("choice");
+        let a = aig.add_input("a");
+        let b = aig.add_input("b");
+        let c = aig.add_input("c");
+        let a_or_c = aig.or(a, c);
+        let b_or_c = aig.or(b, c);
+        let f2 = aig.and(a_or_c, b_or_c);
+        let ab = aig.and(a, b);
+        let f1 = aig.or(ab, c);
+        aig.add_output(f1, "f");
+        let classes = vec![choices::ChoiceClass {
+            members: vec![Lit::new(f1.node(), false), Lit::new(f2.node(), true)],
+        }];
+        (ChoiceAig::new(aig, classes).unwrap(), f1.node())
+    }
+
+    #[test]
+    fn a_replaced_class_range_is_not_counted() {
+        let (network, repr) = class_network();
+        let options = CutsOptions::default();
+        let pooled = enumerate_cuts_with_choices(&network, &options);
+        let plain = enumerate_cuts(network.aig(), &options);
+        // `total_cuts` is what `cuts()` hands out, node by node ...
+        let live: usize = network
+            .aig()
+            .node_ids()
+            .map(|id| pooled.cuts(id).len())
+            .sum();
+        assert_eq!(pooled.total_cuts(), live);
+        // ... which differs from the plain count only on the representative,
+        assert_eq!(
+            pooled.total_cuts() - pooled.cuts(repr).len(),
+            plain.total_cuts() - plain.cuts(repr).len()
+        );
+        assert_eq!(plain.total_cuts(), plain.arena.len());
+        // ... while the arena still holds the range finalization superseded.
+        assert_eq!(
+            pooled.arena.len(),
+            pooled.total_cuts() + plain.cuts(repr).len()
+        );
+    }
+
+    #[test]
+    fn the_largest_cut_limit_is_accepted_and_one_more_refused() {
+        let (aig, _) = sample();
+        let at = |cut_limit| CutsOptions {
+            cut_size: 4,
+            cut_limit,
+        };
+        let widest = try_enumerate(&aig, None, &at(MAX_CUT_LIMIT)).unwrap();
+        let default = enumerate_cuts(&aig, &at(8));
+        for id in aig.node_ids() {
+            assert_eq!(widest.cuts(id), default.cuts(id));
+        }
+        assert_eq!(
+            try_enumerate(&aig, None, &at(MAX_CUT_LIMIT + 1)).unwrap_err(),
+            MapError::CutSetTooLarge {
+                nodes: aig.num_nodes(),
+                cut_limit: MAX_CUT_LIMIT + 1
+            }
+        );
+        assert!(try_enumerate(&aig, None, &at(usize::MAX)).is_err());
+    }
+
+    #[test]
+    fn a_network_beyond_the_arena_offsets_is_refused() {
+        // 2^32 / (MAX_CUT_LIMIT + 1) is just over 65 537 nodes.
+        assert!(check_capacity(
+            65_537,
+            0,
+            &CutsOptions {
+                cut_size: 4,
+                cut_limit: MAX_CUT_LIMIT
+            }
+        )
+        .is_ok());
+        assert!(check_capacity(
+            65_538,
+            0,
+            &CutsOptions {
+                cut_size: 4,
+                cut_limit: MAX_CUT_LIMIT
+            }
+        )
+        .is_err());
+        // Every class finalization appends one more set.
+        assert!(check_capacity(
+            40_000,
+            30_000,
+            &CutsOptions {
+                cut_size: 4,
+                cut_limit: MAX_CUT_LIMIT
+            }
+        )
+        .is_err());
+        assert!(check_capacity(usize::MAX / 2, 0, &CutsOptions::default()).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "cut limit 65535")]
+    fn enumerate_cuts_panics_on_an_oversized_cut_limit() {
+        let (aig, _) = sample();
+        let _ = enumerate_cuts(
+            &aig,
+            &CutsOptions {
+                cut_size: 4,
+                cut_limit: MAX_CUT_LIMIT + 1,
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "cut limit 65535")]
+    fn enumerate_cuts_with_choices_panics_on_an_oversized_cut_limit() {
+        let (network, _) = class_network();
+        let _ = enumerate_cuts_with_choices(
+            &network,
+            &CutsOptions {
+                cut_size: 4,
+                cut_limit: MAX_CUT_LIMIT + 1,
+            },
+        );
     }
 }

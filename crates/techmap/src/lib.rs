@@ -5,7 +5,7 @@
 //!
 //! * [`cuts`] — K-feasible *priority cut* enumeration with per-cut truth
 //!   tables (the `if -K 6 -C 8` machinery), plain or pooled over choice
-//!   classes.
+//!   classes: an allocation-free kernel over inline-leaf cuts in one arena.
 //! * `cover` (crate-private) — the one statement of the covering algorithm
 //!   both mappers run: delay-optimal selection, backward required times,
 //!   area-flow recovery passes that are measured exactly and rolled back
@@ -53,7 +53,7 @@ pub mod truth;
 pub mod verilog;
 
 pub use cell::{MappedGate, Netlist};
-pub use cuts::{Cut, CutSet, CutsOptions};
+pub use cuts::{Cut, CutSet, CutsOptions, MAX_CUT_LEAVES};
 pub use library::{Cell, CellLibrary};
 pub use lut::{Lut, LutMapping};
 pub use qor::Qor;
@@ -70,6 +70,16 @@ pub enum MapError {
     },
     /// The cell library contains no inverter.
     MissingInverter,
+    /// The requested cut sets do not fit the enumerator's index types:
+    /// `cut_limit` is beyond what its 16-bit parent-cut indices reach, or
+    /// `nodes × (cut_limit + 1)` cuts are beyond its 32-bit arena offsets.
+    /// Refused before any cut is computed.
+    CutSetTooLarge {
+        /// Number of nodes of the network.
+        nodes: usize,
+        /// The requested priority-cut limit.
+        cut_limit: usize,
+    },
 }
 
 impl std::fmt::Display for MapError {
@@ -80,6 +90,10 @@ impl std::fmt::Display for MapError {
                 "node {node} has no matchable cut; the library cannot realize AND2"
             ),
             MapError::MissingInverter => write!(f, "cell library must contain an inverter"),
+            MapError::CutSetTooLarge { nodes, cut_limit } => write!(
+                f,
+                "cut limit {cut_limit} over {nodes} nodes exceeds the cut enumerator's index range"
+            ),
         }
     }
 }

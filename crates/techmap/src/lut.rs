@@ -5,8 +5,8 @@
 //! under the unit model (every LUT costs one level and one unit of area, and
 //! a complemented output is free: LUTs absorb inverters).
 
-use crate::cover::{cover, CostModel, MAX_LEAVES};
-use crate::cuts::{enumerate_cuts, Cut, CutsOptions};
+use crate::cover::{cover, CostModel};
+use crate::cuts::{enumerate_cuts, Cut, CutsOptions, MAX_CUT_LEAVES};
 use crate::MapOptions;
 use aig::{Aig, AigNode, NodeId};
 
@@ -55,8 +55,8 @@ impl CostModel for UnitModel {
         1.0
     }
 
-    fn leaf_delays(&self, (): (), _leaf_arrivals: &[f64]) -> [f64; MAX_LEAVES] {
-        [1.0; MAX_LEAVES]
+    fn leaf_delays(&self, (): (), _leaf_arrivals: &[f64]) -> [f64; MAX_CUT_LEAVES] {
+        [1.0; MAX_CUT_LEAVES]
     }
 
     fn output_inverter(&self) -> (f64, f64) {
@@ -65,6 +65,11 @@ impl CostModel for UnitModel {
 }
 
 /// Maps `aig` onto K-input LUTs.
+///
+/// # Panics
+/// Panics under the conditions of [`enumerate_cuts`]: `options.cut_size`
+/// outside `2..=6`, or a `cut_limit` or network too large for the
+/// enumerator's index types.
 pub fn map_to_luts(aig: &Aig, options: &MapOptions) -> LutMapping {
     let cut_options = CutsOptions {
         cut_size: options.cut_size,
@@ -76,10 +81,7 @@ pub fn map_to_luts(aig: &Aig, options: &MapOptions) -> LutMapping {
     LutMapping {
         luts: covering
             .roots(aig, &cuts)
-            .map(|(root, cut, ())| Lut {
-                root,
-                cut: cut.clone(),
-            })
+            .map(|(root, cut, ())| Lut { root, cut: *cut })
             .collect(),
         // Levels are small integers, exact in `f64`.
         depth: covering.cover.delay as u32,
@@ -145,6 +147,16 @@ mod tests {
                 "pattern {pattern}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "cut limit 65535")]
+    fn an_oversized_cut_limit_panics_as_documented() {
+        let options = MapOptions {
+            cut_limit: 65_535,
+            ..MapOptions::lut6()
+        };
+        let _ = map_to_luts(&adder(2), &options);
     }
 
     #[test]

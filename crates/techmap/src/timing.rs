@@ -13,16 +13,16 @@
 //! LUT mapping uses the degenerate form of the same model: every pin of a
 //! LUT has unit delay (one level), making arrival times plain LUT depths.
 
-/// Cuts carry at most 6 leaves and cells at most 4 pins, so all the pairing
-/// scratch space fits in fixed stack buffers — these helpers run in the
-/// mapper's innermost loop (per node × cut × cell, repeated every recovery
-/// pass) and must not allocate.
-const MAX_PINS: usize = 8;
+// Cuts carry at most `MAX_CUT_LEAVES` leaves and cells at most 4 pins, so all
+// the pairing scratch space fits in fixed stack buffers of that size — these
+// helpers run in the mapper's innermost loop (per node × cut × cell, repeated
+// every recovery pass) and must not allocate.
+use crate::cuts::MAX_CUT_LEAVES;
 
 /// Sorts the first `n` slots of a fixed buffer descending (insertion sort:
-/// n ≤ 8, and comparisons only — float `max`/compare never round, so the
+/// n ≤ 6, and comparisons only — float `max`/compare never round, so the
 /// result is bitwise independent of the sort algorithm).
-fn sort_desc(buf: &mut [f64; MAX_PINS], n: usize) {
+fn sort_desc(buf: &mut [f64; MAX_CUT_LEAVES], n: usize) {
     for i in 1..n {
         let mut j = i;
         while j > 0 && buf[j] > buf[j - 1] {
@@ -36,9 +36,9 @@ fn sort_desc(buf: &mut [f64; MAX_PINS], n: usize) {
 /// slowest pin up to `n` entries (a cut can have more leaves than the
 /// matched cell has pins when its function does not depend on every leaf;
 /// the extras conservatively get the slowest pin).
-fn sorted_pins(pin_delays_ps: &[f64], n: usize) -> [f64; MAX_PINS] {
-    let mut pins = [0.0f64; MAX_PINS];
-    let m = pin_delays_ps.len().min(MAX_PINS);
+fn sorted_pins(pin_delays_ps: &[f64], n: usize) -> [f64; MAX_CUT_LEAVES] {
+    let mut pins = [0.0f64; MAX_CUT_LEAVES];
+    let m = pin_delays_ps.len().min(MAX_CUT_LEAVES);
     pins[..m].copy_from_slice(&pin_delays_ps[..m]);
     sort_desc(&mut pins, m);
     let slowest = pins[0];
@@ -51,7 +51,8 @@ fn sorted_pins(pin_delays_ps: &[f64], n: usize) -> [f64; MAX_PINS] {
 /// Assigns one pin delay to each cut leaf: leaves are ranked by arrival time
 /// (descending, ties broken by position so the pairing is deterministic) and
 /// the `rank`-th slowest leaf receives the `rank`-th slowest pin delay.
-/// Returns the assigned delay per leaf *in the original leaf order*.
+/// Returns the assigned delay per leaf *in the original leaf order*, in the
+/// first `leaf_arrivals.len()` slots of a fixed array (the rest are 0).
 ///
 /// A cut can have more leaves than the matched cell has pins (the cut
 /// function may not depend on every leaf); the extra leaves conservatively
@@ -59,11 +60,14 @@ fn sorted_pins(pin_delays_ps: &[f64], n: usize) -> [f64; MAX_PINS] {
 /// contributes only its slowest `leaf_arrivals.len()` pins.
 ///
 /// # Panics
-/// Panics if there are more than 8 leaves (cut sizes are capped at 6).
-pub fn assign_pin_delays(leaf_arrivals: &[f64], pin_delays_ps: &[f64]) -> Vec<f64> {
+/// Panics if there are more than [`MAX_CUT_LEAVES`] leaves.
+pub fn assign_pin_delays(leaf_arrivals: &[f64], pin_delays_ps: &[f64]) -> [f64; MAX_CUT_LEAVES] {
     let n = leaf_arrivals.len();
-    assert!(n <= MAX_PINS, "cuts are limited to {MAX_PINS} leaves");
-    let mut order = [0usize; MAX_PINS];
+    assert!(
+        n <= MAX_CUT_LEAVES,
+        "cuts are limited to {MAX_CUT_LEAVES} leaves"
+    );
+    let mut order = [0usize; MAX_CUT_LEAVES];
     for (i, slot) in order.iter_mut().take(n).enumerate() {
         *slot = i;
     }
@@ -74,7 +78,7 @@ pub fn assign_pin_delays(leaf_arrivals: &[f64], pin_delays_ps: &[f64]) -> Vec<f6
             .then(a.cmp(&b))
     });
     let pins = sorted_pins(pin_delays_ps, n);
-    let mut assigned = vec![0.0; n];
+    let mut assigned = [0.0; MAX_CUT_LEAVES];
     for (rank, &leaf) in order[..n].iter().enumerate() {
         assigned[leaf] = pins[rank];
     }
@@ -89,11 +93,14 @@ pub fn assign_pin_delays(leaf_arrivals: &[f64], pin_delays_ps: &[f64]) -> Vec<f6
 /// rank by rank, computed here allocation-free.
 ///
 /// # Panics
-/// Panics if there are more than 8 leaves (cut sizes are capped at 6).
+/// Panics if there are more than [`MAX_CUT_LEAVES`] leaves.
 pub fn gate_arrival(leaf_arrivals: &[f64], pin_delays_ps: &[f64]) -> f64 {
     let n = leaf_arrivals.len();
-    assert!(n <= MAX_PINS, "cuts are limited to {MAX_PINS} leaves");
-    let mut arrivals = [0.0f64; MAX_PINS];
+    assert!(
+        n <= MAX_CUT_LEAVES,
+        "cuts are limited to {MAX_CUT_LEAVES} leaves"
+    );
+    let mut arrivals = [0.0f64; MAX_CUT_LEAVES];
     arrivals[..n].copy_from_slice(leaf_arrivals);
     sort_desc(&mut arrivals, n);
     let pins = sorted_pins(pin_delays_ps, n);
@@ -144,13 +151,13 @@ mod tests {
     fn assignment_preserves_leaf_order() {
         let assigned = assign_pin_delays(&[1.0, 9.0], &[4.0, 2.0]);
         // Leaf 1 arrives last, so it gets the slow pin.
-        assert_eq!(assigned, vec![2.0, 4.0]);
+        assert_eq!(assigned, [2.0, 4.0, 0.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]
     fn extra_leaves_get_the_slowest_pin() {
         let assigned = assign_pin_delays(&[1.0, 2.0, 3.0], &[7.0]);
-        assert_eq!(assigned, vec![7.0, 7.0, 7.0]);
+        assert_eq!(assigned[..3], [7.0, 7.0, 7.0]);
         // More pins than leaves: only the slowest pins are used.
         let arr = gate_arrival(&[1.0], &[2.0, 9.0]);
         assert_eq!(arr, 10.0);
@@ -159,7 +166,7 @@ mod tests {
     #[test]
     fn ties_break_by_position_deterministically() {
         let a = assign_pin_delays(&[5.0, 5.0], &[3.0, 1.0]);
-        assert_eq!(a, vec![3.0, 1.0]);
+        assert_eq!(a[..2], [3.0, 1.0]);
     }
 
     #[test]
