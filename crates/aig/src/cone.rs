@@ -83,6 +83,10 @@ pub fn extract_cone(aig: &Aig, roots: &[Lit], leaves: Option<&[NodeId]>) -> Cone
 
 /// Fallible variant of [`extract_cone`] for machine-derived cuts.
 ///
+/// Not an [`Aig::rebuild`] rule: the walk is partial (the roots' fanin down to
+/// the cut, nothing else) and the cone's inputs are the cut leaves, not the
+/// host's inputs.
+///
 /// Empty `roots` are allowed (the cone then has the given leaves as inputs
 /// and no outputs), and duplicate leaves map onto one cone input each.
 ///
@@ -218,26 +222,27 @@ pub fn try_extract_cone(
 /// exhausted — possible when `node` itself dangles and shares logic with
 /// other dangling nodes — never underflows.
 pub fn mffc_size(aig: &Aig, node: NodeId, fanout_counts: &[u32]) -> usize {
-    fn deref(aig: &Aig, node: NodeId, counts: &mut [u32]) -> usize {
-        if !aig.node(node).is_and() {
-            return 0;
-        }
-        let (f0, f1) = aig.fanins(node);
-        let mut size = 1;
-        for child in [f0.node(), f1.node()] {
-            let c = &mut counts[child.index()];
-            *c = c.saturating_sub(1);
-            if *c == 0 {
-                size += deref(aig, child, counts);
-            }
-        }
-        size
-    }
     if node.index() >= aig.num_nodes() {
         return 0;
     }
     let mut counts = fanout_counts.to_vec();
-    deref(aig, node, &mut counts)
+    let mut size = 0;
+    // Dereference over an explicit stack: a cone is as deep as the network.
+    let mut stack = vec![node];
+    while let Some(id) = stack.pop() {
+        let AigNode::And { fanin0, fanin1 } = aig.node(id) else {
+            continue;
+        };
+        size += 1;
+        for child in [fanin0.node(), fanin1.node()] {
+            let c = &mut counts[child.index()];
+            *c = c.saturating_sub(1);
+            if *c == 0 {
+                stack.push(child);
+            }
+        }
+    }
+    size
 }
 
 #[cfg(test)]

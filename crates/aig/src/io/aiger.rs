@@ -226,24 +226,12 @@ pub fn read_aiger(text: &str) -> Result<Aig> {
 
     // Rebuild with proper names: outputs and renamed inputs.
     let mut named = Aig::new(design_name.unwrap_or_else(|| "aiger".to_string()));
-    let mut map: Vec<Option<Lit>> = vec![None; aig.num_nodes()];
-    map[0] = Some(Lit::FALSE);
-    for (idx, &node) in aig.inputs().iter().enumerate() {
-        let name = input_names[idx]
-            .clone()
-            .unwrap_or_else(|| format!("i{idx}"));
-        map[node.index()] = Some(named.add_input(name));
-    }
-    for id in aig.and_ids() {
-        let (f0, f1) = aig.fanins(id);
-        let a = map[f0.node().index()]
-            .unwrap_or_else(|| unreachable!("topological"))
-            .xor(f0.is_complemented());
-        let b = map[f1.node().index()]
-            .unwrap_or_else(|| unreachable!("topological"))
-            .xor(f1.is_complemented());
-        map[id.index()] = Some(named.and(a, b));
-    }
+    let named_inputs: Vec<Lit> = input_names
+        .into_iter()
+        .enumerate()
+        .map(|(idx, name)| named.add_input(name.unwrap_or_else(|| format!("i{idx}"))))
+        .collect();
+    let map = aig.copy_logic_into(&mut named, &named_inputs);
     for (idx, raw) in output_raws.iter().enumerate() {
         let var = (raw / 2) as usize;
         if var >= lit_map.len() {
@@ -254,13 +242,7 @@ pub fn read_aiger(text: &str) -> Result<Aig> {
         let lit_in_tmp = lit_map[var]
             .ok_or_else(|| AigError::Parse(format!("output literal {raw} undefined")))?
             .xor(raw % 2 == 1);
-        let mapped = if lit_in_tmp.node() == NodeId::CONST {
-            lit_in_tmp
-        } else {
-            map[lit_in_tmp.node().index()]
-                .unwrap_or_else(|| unreachable!("defined"))
-                .xor(lit_in_tmp.is_complemented())
-        };
+        let mapped = map[lit_in_tmp.node().index()].xor(lit_in_tmp.is_complemented());
         let name = output_names[idx]
             .clone()
             .unwrap_or_else(|| format!("o{idx}"));

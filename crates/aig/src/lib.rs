@@ -39,7 +39,7 @@ mod stats;
 pub use cone::{extract_cone, mffc_size, tfi, try_extract_cone, Cone, TopoIter};
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use lit::{Lit, NodeId};
-pub use network::{stack_over_shared_inputs, Aig, AigNode};
+pub use network::{stack_over_shared_inputs, Aig, AigNode, RebuildView};
 pub use sim::{small_truth_table, SimVector, Simulator};
 pub use stats::AigStats;
 

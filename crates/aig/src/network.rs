@@ -405,48 +405,98 @@ impl Aig {
     }
 
     // ------------------------------------------------------------------
-    // Rebuilding
+    // Rebuilding (the contract is stated once, on `try_rebuild`)
     // ------------------------------------------------------------------
+
+    /// Rebuilds the network under a rule: the one way a network is rebuilt.
+    ///
+    /// Makes a fresh network with the same name and inputs, hands every AND
+    /// gate, in id order, to `rule(fresh, id, view)`, which returns the
+    /// literal of `fresh` the gate becomes, then translates and names the
+    /// outputs. Returns the rebuilt network and, for every node of `self`,
+    /// the literal it rebuilt to.
+    ///
+    /// Id order is topological, so when the rule sees a gate every node the
+    /// gate can depend on already has its literal, and the rule reads them
+    /// through the [`RebuildView`]: the constant, every input and every AND
+    /// with a smaller id, never a later one. The rule may add any logic to
+    /// the fresh network (a factored cut, a window's replacement) before it
+    /// answers. A rule that gives a gate no image of its own (dangling
+    /// logic, the interior of a tree it flattens) answers `Lit::FALSE` and
+    /// must then never read that gate. Nodes are created in the order the
+    /// rule creates them, which is what makes a rebuild reproducible bit
+    /// for bit. A rule that can strand logic (it redirects a gate, or skips
+    /// some) is followed by [`Aig::cleanup`]; one whose every gate still
+    /// feeds an output needs none. [`Aig::copy_logic_into`] is the same walk
+    /// into a network that already exists, the inputs driven by literals the
+    /// caller supplies.
+    ///
+    /// # Errors
+    /// The first error `rule` returns; it stops the walk.
+    pub fn try_rebuild<E>(
+        &self,
+        rule: impl FnMut(&mut Aig, NodeId, &RebuildView<'_>) -> std::result::Result<Lit, E>,
+    ) -> std::result::Result<(Aig, Vec<Lit>), E> {
+        let mut fresh = Aig::new(self.name.clone());
+        let inputs: Vec<Lit> = self
+            .input_names
+            .iter()
+            .map(|name| fresh.add_input(name.clone()))
+            .collect();
+        let table = self.replay(&mut fresh, &inputs, rule)?;
+        for (lit, name) in self.outputs.iter().zip(&self.output_names) {
+            let mapped = table[lit.node().index()].xor(lit.is_complemented());
+            fresh.add_output(mapped, name.clone());
+        }
+        Ok((fresh, table))
+    }
+
+    /// [`Aig::try_rebuild`] under a rule that cannot fail.
+    pub fn rebuild(
+        &self,
+        mut rule: impl FnMut(&mut Aig, NodeId, &RebuildView<'_>) -> Lit,
+    ) -> (Aig, Vec<Lit>) {
+        infallible(self.try_rebuild(|fresh, id, view| Ok(rule(fresh, id, view))))
+    }
+
+    /// The one walk: seeds the table with the constant and the input
+    /// drivers, then asks `rule` for every AND gate in id order.
+    fn replay<E>(
+        &self,
+        dst: &mut Aig,
+        inputs: &[Lit],
+        mut rule: impl FnMut(&mut Aig, NodeId, &RebuildView<'_>) -> std::result::Result<Lit, E>,
+    ) -> std::result::Result<Vec<Lit>, E> {
+        let mut table: Vec<Lit> = vec![Lit::FALSE; self.nodes.len()];
+        for (&pi, &driver) in self.inputs.iter().zip(inputs) {
+            table[pi.index()] = driver;
+        }
+        for (i, node) in self.nodes.iter().enumerate() {
+            if node.is_and() {
+                let id = NodeId(i as u32);
+                let view = RebuildView {
+                    source: self,
+                    table: &table,
+                    current: id,
+                };
+                table[i] = rule(dst, id, &view)?;
+            }
+        }
+        Ok(table)
+    }
 
     /// Produces a structurally hashed copy containing only the logic
     /// reachable from the primary outputs (the ABC `strash`/sweep analogue).
     pub fn strash_copy(&self) -> Aig {
-        let mut fresh = Aig::new(self.name.clone());
-        let mut map: Vec<Option<Lit>> = vec![None; self.nodes.len()];
-        map[0] = Some(Lit::FALSE);
-        for (idx, &input) in self.inputs.iter().enumerate() {
-            let lit = fresh.add_input(self.input_names[idx].clone());
-            map[input.index()] = Some(lit);
-        }
-        // Nodes are already topologically ordered.
-        for (i, node) in self.nodes.iter().enumerate() {
-            if let AigNode::And { fanin0, fanin1 } = node {
-                let a = map[fanin0.node().index()]
-                    .unwrap_or_else(|| unreachable!("fanin visited"))
-                    .xor(fanin0.is_complemented());
-                let b = map[fanin1.node().index()]
-                    .unwrap_or_else(|| unreachable!("fanin visited"))
-                    .xor(fanin1.is_complemented());
-                map[i] = Some(fresh.and(a, b));
-            }
-        }
-        for (idx, lit) in self.outputs.iter().enumerate() {
-            let mapped = map[lit.node().index()]
-                .unwrap_or_else(|| unreachable!("output driver visited"))
-                .xor(lit.is_complemented());
-            fresh.add_output(mapped, self.output_names[idx].clone());
-        }
-        fresh.cleanup()
+        self.rebuild(|fresh, id, view| view.copy_gate(fresh, id))
+            .0
+            .cleanup()
     }
 
     /// Removes dangling nodes (not reachable from any output), preserving the
     /// input list, and returns the compacted network.
     pub fn cleanup(&self) -> Aig {
         let mut reachable = vec![false; self.nodes.len()];
-        reachable[0] = true;
-        for &input in &self.inputs {
-            reachable[input.index()] = true;
-        }
         let mut stack: Vec<NodeId> = self.outputs.iter().map(|l| l.node()).collect();
         while let Some(id) = stack.pop() {
             if reachable[id.index()] {
@@ -458,34 +508,14 @@ impl Aig {
                 stack.push(fanin1.node());
             }
         }
-        let mut fresh = Aig::new(self.name.clone());
-        let mut map: Vec<Option<Lit>> = vec![None; self.nodes.len()];
-        map[0] = Some(Lit::FALSE);
-        for (idx, &input) in self.inputs.iter().enumerate() {
-            let lit = fresh.add_input(self.input_names[idx].clone());
-            map[input.index()] = Some(lit);
-        }
-        for (i, node) in self.nodes.iter().enumerate() {
-            if !reachable[i] {
-                continue;
+        self.rebuild(|fresh, id, view| {
+            if reachable[id.index()] {
+                view.copy_gate(fresh, id)
+            } else {
+                Lit::FALSE
             }
-            if let AigNode::And { fanin0, fanin1 } = node {
-                let a = map[fanin0.node().index()]
-                    .unwrap_or_else(|| unreachable!("fanin visited"))
-                    .xor(fanin0.is_complemented());
-                let b = map[fanin1.node().index()]
-                    .unwrap_or_else(|| unreachable!("fanin visited"))
-                    .xor(fanin1.is_complemented());
-                map[i] = Some(fresh.and(a, b));
-            }
-        }
-        for (idx, lit) in self.outputs.iter().enumerate() {
-            let mapped = map[lit.node().index()]
-                .unwrap_or_else(|| unreachable!("output driver visited"))
-                .xor(lit.is_complemented());
-            fresh.add_output(mapped, self.output_names[idx].clone());
-        }
-        fresh
+        })
+        .0
     }
 
     /// Replays this network's AND gates into `dst`, driving the primary
@@ -493,7 +523,7 @@ impl Aig {
     /// for every node of `self`, the literal in `dst` computing its function
     /// — callers derive output or internal-signal literals by indexing the
     /// map and applying the edge complement. The shared building block
-    /// behind circuit stacking, output trimming and cone views.
+    /// behind circuit stacking, window replacement and input renaming.
     ///
     /// # Panics
     /// Panics if `inputs.len()` differs from the number of primary inputs.
@@ -503,20 +533,7 @@ impl Aig {
             self.inputs.len(),
             "one driving literal per primary input"
         );
-        // Nodes are topologically ordered, so every AND's fanins are mapped
-        // before the AND itself; constants stay `Lit::FALSE`.
-        let mut map: Vec<Lit> = vec![Lit::FALSE; self.nodes.len()];
-        for (idx, &pi) in self.inputs.iter().enumerate() {
-            map[pi.index()] = inputs[idx];
-        }
-        for (i, node) in self.nodes.iter().enumerate() {
-            if let AigNode::And { fanin0, fanin1 } = node {
-                let a = map[fanin0.node().index()].xor(fanin0.is_complemented());
-                let b = map[fanin1.node().index()].xor(fanin1.is_complemented());
-                map[i] = dst.and(a, b);
-            }
-        }
-        map
+        infallible(self.replay(dst, inputs, |dst, id, view| Ok(view.copy_gate(dst, id))))
     }
 
     // ------------------------------------------------------------------
@@ -578,6 +595,51 @@ impl Aig {
     #[doc(hidden)]
     pub fn tamper_outputs_mut(&mut self) -> &mut Vec<Lit> {
         &mut self.outputs
+    }
+}
+
+/// The result of a walk whose rule cannot fail.
+fn infallible<T>(result: std::result::Result<T, std::convert::Infallible>) -> T {
+    match result {
+        Ok(value) => value,
+        Err(never) => match never {},
+    }
+}
+
+/// What a rebuild rule may read (see [`Aig::try_rebuild`]): where the nodes
+/// of the source network that precede the current gate went.
+#[derive(Debug, Clone, Copy)]
+pub struct RebuildView<'a> {
+    source: &'a Aig,
+    table: &'a [Lit],
+    current: NodeId,
+}
+
+impl RebuildView<'_> {
+    /// The literal source node `id` rebuilt to. `id` must be the constant,
+    /// an input or an AND gate before the current one.
+    #[inline]
+    pub fn node(&self, id: NodeId) -> Lit {
+        debug_assert!(
+            id < self.current || !self.source.node(id).is_and(),
+            "gate {id} is rebuilt after gate {}",
+            self.current
+        );
+        self.table[id.index()]
+    }
+
+    /// The translation of a source literal (complement carried over).
+    #[inline]
+    pub fn lit(&self, lit: Lit) -> Lit {
+        self.node(lit.node()).xor(lit.is_complemented())
+    }
+
+    /// The rule that changes nothing: source gate `id` as an AND of its
+    /// translated fanins in `dst`.
+    #[inline]
+    pub fn copy_gate(&self, dst: &mut Aig, id: NodeId) -> Lit {
+        let (f0, f1) = self.source.fanins(id);
+        dst.and(self.lit(f0), self.lit(f1))
     }
 }
 
@@ -729,6 +791,96 @@ mod tests {
             let b = bits & 2 != 0;
             assert_eq!(aig.evaluate(&[a, b]), copy.evaluate(&[a, b]));
         }
+    }
+
+    /// An input declared after a gate that does not read it: ids are still
+    /// topological, but inputs and gates interleave.
+    fn late_input_net() -> Aig {
+        let mut aig = Aig::new("late");
+        let a = aig.add_input("a");
+        let b = aig.add_input("b");
+        let ab = aig.and(a, b);
+        let c = aig.add_input("c");
+        let f = aig.and(ab.not(), c);
+        aig.add_output(f, "f");
+        aig.add_output(ab, "g");
+        aig
+    }
+
+    #[test]
+    fn rebuild_hands_every_gate_to_the_rule_in_id_order() {
+        let aig = late_input_net();
+        let mut seen = Vec::new();
+        let (copy, table) = aig.rebuild(|fresh, id, view| {
+            seen.push(id);
+            view.copy_gate(fresh, id)
+        });
+        assert_eq!(seen, aig.and_ids().collect::<Vec<_>>());
+        assert_eq!(copy.name(), "late");
+        assert_eq!(copy.input_names(), aig.input_names());
+        assert_eq!(copy.output_names(), aig.output_names());
+        // Inputs come first in the rebuilt network, whatever their old ids.
+        assert_eq!(copy.inputs(), &[NodeId(1), NodeId(2), NodeId(3)]);
+        assert_eq!(table.len(), aig.num_nodes());
+        assert_eq!(table[aig.inputs()[2].index()], copy.inputs()[2].lit());
+        for bits in 0..8u32 {
+            let pattern = [bits & 1 != 0, bits & 2 != 0, bits & 4 != 0];
+            assert_eq!(aig.evaluate(&pattern), copy.evaluate(&pattern));
+        }
+    }
+
+    #[test]
+    fn rebuild_rule_may_redirect_a_gate_and_build_logic_first() {
+        let (aig, x) = xor_net();
+        // Replace the XOR's top gate by an OR built from scratch.
+        let (rebuilt, _) = aig.rebuild(|fresh, id, view| {
+            if id == x.node() {
+                let a = view.node(aig.inputs()[0]);
+                let b = view.node(aig.inputs()[1]);
+                fresh.or(a, b).xor(x.is_complemented())
+            } else {
+                view.copy_gate(fresh, id)
+            }
+        });
+        assert_eq!(rebuilt.evaluate(&[true, true]), vec![true]);
+        assert_eq!(rebuilt.evaluate(&[false, false]), vec![false]);
+        // The two gates under the old XOR dangle until a cleanup.
+        assert_eq!(rebuilt.num_ands(), 3);
+        assert_eq!(rebuilt.cleanup().num_ands(), 1);
+    }
+
+    #[test]
+    fn try_rebuild_stops_at_the_first_error() {
+        let (aig, _) = xor_net();
+        let mut calls = 0;
+        let result = aig.try_rebuild(|fresh, id, view| {
+            calls += 1;
+            if calls == 2 {
+                Err(id)
+            } else {
+                Ok(view.copy_gate(fresh, id))
+            }
+        });
+        assert_eq!(result.map(|_| ()), Err(aig.and_ids().nth(1).unwrap()));
+        assert_eq!(calls, 2);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "is rebuilt after gate")]
+    fn rebuild_view_refuses_a_later_gate() {
+        let (aig, x) = xor_net();
+        aig.rebuild(|_, _, view| view.node(x.node()));
+    }
+
+    #[test]
+    fn copy_logic_into_replays_over_caller_supplied_drivers() {
+        let (aig, x) = xor_net();
+        let mut dst = Aig::new("dst");
+        let p = dst.add_input("p");
+        let map = aig.copy_logic_into(&mut dst, &[p, p.not()]);
+        // a ^ !a is constant true, folded while replaying.
+        assert_eq!(map[x.node().index()].xor(x.is_complemented()), Lit::TRUE);
     }
 
     #[test]

@@ -27,19 +27,10 @@ fn commuted(aig: &Aig) -> Aig {
     let w = n / 2;
     let mut fresh = Aig::new(format!("{}_comm", aig.name()));
     let fresh_inputs: Vec<aig::Lit> = (0..n).map(|i| fresh.add_input(aig.input_name(i))).collect();
-    let mut map: Vec<Option<aig::Lit>> = vec![None; aig.num_nodes()];
-    map[0] = Some(aig::Lit::FALSE);
-    for (idx, &input) in aig.inputs().iter().enumerate() {
-        map[input.index()] = Some(fresh_inputs[(idx + w) % n]);
-    }
-    for id in aig.and_ids() {
-        let (f0, f1) = aig.fanins(id);
-        let a = map[f0.node().index()].unwrap().xor(f0.is_complemented());
-        let b = map[f1.node().index()].unwrap().xor(f1.is_complemented());
-        map[id.index()] = Some(fresh.and(a, b));
-    }
+    let rotated: Vec<aig::Lit> = (0..n).map(|idx| fresh_inputs[(idx + w) % n]).collect();
+    let map = aig.copy_logic_into(&mut fresh, &rotated);
     for (idx, &po) in aig.outputs().iter().enumerate() {
-        let lit = map[po.node().index()].unwrap().xor(po.is_complemented());
+        let lit = map[po.node().index()].xor(po.is_complemented());
         fresh.add_output(lit, aig.output_name(idx));
     }
     fresh

@@ -244,38 +244,15 @@ impl SatSweeper {
             }
         }
 
-        let mut fresh = Aig::new(aig.name().to_string());
-        let mut map: Vec<Option<ALit>> = vec![None; aig.num_nodes()];
-        map[0] = Some(ALit::FALSE);
-        for (idx, &input) in aig.inputs().iter().enumerate() {
-            map[input.index()] = Some(fresh.add_input(aig.input_name(idx)));
-        }
-        for id in aig.and_ids() {
-            // If this node is replaced, point it at the (already built)
-            // representative instead of building a gate.
-            if let Some(rep_lit) = replacement[id.index()] {
-                let base = map[rep_lit.node().index()].unwrap_or_else(|| {
-                    unreachable!("representative precedes member in topological order")
-                });
-                map[id.index()] = Some(base.xor(rep_lit.is_complemented()));
+        // A replaced node points at its representative, which precedes it in
+        // topological order and so is already built, instead of a gate.
+        let (fresh, _) = aig.rebuild(|fresh, id, view| match replacement[id.index()] {
+            Some(rep_lit) => {
                 stats.merged_nodes += 1;
-                continue;
+                view.lit(rep_lit)
             }
-            let (f0, f1) = aig.fanins(id);
-            let a = map[f0.node().index()]
-                .unwrap_or_else(|| unreachable!("fanin built"))
-                .xor(f0.is_complemented());
-            let b = map[f1.node().index()]
-                .unwrap_or_else(|| unreachable!("fanin built"))
-                .xor(f1.is_complemented());
-            map[id.index()] = Some(fresh.and(a, b));
-        }
-        for (idx, &po) in aig.outputs().iter().enumerate() {
-            let lit = map[po.node().index()]
-                .unwrap_or_else(|| unreachable!("output driver built"))
-                .xor(po.is_complemented());
-            fresh.add_output(lit, aig.output_name(idx));
-        }
+            None => view.copy_gate(fresh, id),
+        });
         (fresh.cleanup(), stats)
     }
 }

@@ -221,7 +221,9 @@ impl ChoiceAig {
     /// ordering invariant), and *drops* members whose realization would pass
     /// through their own class representative — the cycle-safe selection.
     /// Classes over constants or primary inputs are folded into plain
-    /// representative substitution.
+    /// representative substitution. (Not an [`Aig::rebuild`] rule: the walk is
+    /// demand-driven from the outputs, realizes a class's members before its
+    /// representative whatever their ids, and backs out of cycles.)
     ///
     /// # Errors
     /// Returns a [`ChoiceError`] if a class literal is out of range or the

@@ -1,12 +1,19 @@
-//! Checkpoint/restore of a saturated e-graph.
+//! The e-graph document: the intermediate JSON DSL of Fig. 7, and the
+//! checkpoint of a saturated e-graph. They are one format.
 //!
-//! A [`FlowCheckpoint`] snapshots the product of the (dominant) saturation
-//! phase — the e-graph, its roots, and the circuit interface — through the
-//! hardened [`egraph::serialize`] layer. One expensive saturation can then
+//! A [`FlowCheckpoint`] stores an e-graph — one entry per e-class with its
+//! e-nodes (operator plus child class ids) and its parent classes, every
+//! circuit signal referred to by a unique id — with its roots and the
+//! circuit interface, through the hardened [`egraph::serialize`] layer:
+//! exactly the information needed to rebuild either the e-graph or the
+//! circuit without parsing S-expressions. Taken from a forward conversion it
+//! is the paper's Fig. 7 document of the initial e-graph; taken from the
+//! product of the (dominant) saturation phase it is a checkpoint, which can
 //! be restored any number of times and re-extracted / re-mapped under
-//! different [`crate::ExtractorKind`] / cost-function / delay-target knobs,
-//! which is what the synthesis server's checkpoint store amortizes.
+//! different [`crate::ExtractorKind`] / cost-function / delay-target knobs —
+//! what the synthesis server's checkpoint store amortizes.
 
+use crate::convert::ConversionResult;
 use crate::flow::SaturatedState;
 use crate::lang::BoolLang;
 use egraph::serialize::{from_serialized, to_serialized, SerializedEGraph};
@@ -14,7 +21,8 @@ use egraph::ParseError;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
-/// A serializable snapshot of a [`SaturatedState`].
+/// A serializable e-graph with its circuit interface: a snapshot of a
+/// [`SaturatedState`] or of a [`ConversionResult`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FlowCheckpoint {
     /// Design name.
@@ -23,11 +31,22 @@ pub struct FlowCheckpoint {
     pub inputs: Vec<String>,
     /// Primary-output names, aligned with `egraph.roots`.
     pub outputs: Vec<String>,
-    /// The saturated e-graph, with the output classes as roots.
+    /// The e-graph body (the `"egraph"` object of Fig. 7), with the output
+    /// classes as roots.
     pub egraph: SerializedEGraph,
 }
 
 impl FlowCheckpoint {
+    /// Snapshots the initial e-graph of a forward conversion (Fig. 7).
+    pub fn from_conversion(conversion: &ConversionResult) -> Self {
+        FlowCheckpoint {
+            name: conversion.name.clone(),
+            inputs: conversion.input_names.clone(),
+            outputs: conversion.output_names.clone(),
+            egraph: to_serialized(&conversion.egraph, &conversion.roots),
+        }
+    }
+
     /// Snapshots a saturated state.
     pub fn capture(state: &SaturatedState) -> Self {
         FlowCheckpoint {
@@ -38,7 +57,8 @@ impl FlowCheckpoint {
         }
     }
 
-    /// Rebuilds the saturated state this checkpoint was captured from.
+    /// Rebuilds the state this document was taken from: the e-graph, its
+    /// roots and the circuit interface.
     ///
     /// The restored e-graph preserves all class partitions and root
     /// equivalences of the original (pinned by the round-trip proptest), so
@@ -90,7 +110,53 @@ impl FlowCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convert::{aig_to_egraph, selection_to_aig};
     use crate::flow::{extract_network, saturate_network, FlowConfig};
+    use egraph::{AstSize, Extractor};
+
+    #[test]
+    fn document_roundtrips_through_json() {
+        let aig = benchgen::adder(4).aig;
+        let conv = aig_to_egraph(&aig);
+        let doc = FlowCheckpoint::from_conversion(&conv);
+        let json = doc.to_json();
+        assert!(json.contains("\"egraph\""));
+        assert!(json.contains("\"parents\""));
+        let back = FlowCheckpoint::from_json(&json).unwrap();
+        assert_eq!(doc, back);
+        assert!(FlowCheckpoint::from_json("{").is_err());
+    }
+
+    #[test]
+    fn reconstructed_egraph_preserves_circuit_function() {
+        let aig = benchgen::adder(3).aig;
+        let conv = aig_to_egraph(&aig);
+        let doc = FlowCheckpoint::from_conversion(&conv);
+        let restored = doc.restore().unwrap();
+        assert_eq!(restored.egraph.num_classes(), conv.egraph.num_classes());
+        let extractor = Extractor::new(&restored.egraph, AstSize);
+        let back = selection_to_aig(
+            &restored.egraph,
+            &extractor.selection(),
+            &restored.roots,
+            &restored.input_names,
+            &restored.output_names,
+            &restored.name,
+        );
+        for p in 0..(1usize << aig.num_inputs()) {
+            let bits: Vec<bool> = (0..aig.num_inputs()).map(|i| p >> i & 1 == 1).collect();
+            assert_eq!(aig.evaluate(&bits), back.evaluate(&bits), "pattern {p}");
+        }
+    }
+
+    #[test]
+    fn enode_counts_match_paper_style_reporting() {
+        let aig = benchgen::multiplier(4).aig;
+        let conv = aig_to_egraph(&aig);
+        let doc = FlowCheckpoint::from_conversion(&conv);
+        assert_eq!(doc.num_enodes(), conv.egraph.total_nodes());
+        assert!(doc.num_enodes() >= aig.num_ands());
+    }
 
     #[test]
     fn checkpoint_roundtrips_and_reextracts() {

@@ -477,11 +477,6 @@ impl PortfolioEngine {
         self.scorer = scorer;
         self
     }
-
-    /// Number of member engines.
-    pub fn num_engines(&self) -> usize {
-        self.engines.len()
-    }
 }
 
 impl std::fmt::Debug for PortfolioEngine {

@@ -8,8 +8,13 @@
 //!   inserted before the final mapping round: DAG-to-DAG conversion, a small
 //!   number of Table-I rewriting iterations, and parallel simulated-annealing
 //!   extraction guided by either the technology mapper (quality mode) or the
-//!   learned cost model (runtime mode). The result is verified against the
-//!   input with SAT-based CEC, mirroring the paper's use of `cec`.
+//!   learned cost model (runtime mode). The resynthesized network is checked
+//!   with SAT-based CEC, mirroring the paper's use of `cec`, against the
+//!   *prepared* network it was saturated from — not against the flow's
+//!   input — and before the final `st; dch; map` round, which runs after the
+//!   check. Only [`emorphic_map_flow`] (on the mapped netlist) and the job
+//!   server (on the resynthesized network) verify against the circuit they
+//!   were given; see [`verify_and_map`].
 //!
 //! Both flows record a wall-clock breakdown (conventional optimization,
 //! e-graph conversion, SA extraction) used to regenerate Fig. 9.
@@ -42,7 +47,10 @@ use audit::{
     audit_aig_dag_only, audit_choices, audit_egraph, audit_netlist, audit_partition,
     audit_stitched, AuditLevel, AuditReport,
 };
-use cec::{check_equivalence, CecOptions};
+/// The verifier a driver that checks against the *submitted* circuit hands
+/// [`verify_and_map`] (the job server does).
+pub use cec::check_equivalence_swept;
+use cec::{check_equivalence, CecOptions, CecResult};
 use choices::{
     egraph_to_choices_with_selection, BoolNode, ChoiceConfig, ChoiceCost, ChoiceError,
     ClassSelection, ExportStats,
@@ -210,13 +218,6 @@ impl FlowConfig {
         self
     }
 
-    /// Sets the extraction work budget.
-    #[must_use]
-    pub fn with_extract_budget(mut self, budget: ExtractBudget) -> Self {
-        self.extract_budget = budget;
-        self
-    }
-
     /// Sets the phase-boundary audit level.
     #[must_use]
     pub fn with_audit_level(mut self, level: AuditLevel) -> Self {
@@ -228,13 +229,6 @@ impl FlowConfig {
     #[must_use]
     pub fn with_partitioning(mut self, opts: WindowOptions) -> Self {
         self.partitioning = Some(opts);
-        self
-    }
-
-    /// Caps the saturation phase's wall-clock time (per-job budgets).
-    #[must_use]
-    pub fn with_saturation_time_limit(mut self, limit: Duration) -> Self {
-        self.saturation_time_limit = Some(limit);
         self
     }
 }
@@ -464,6 +458,43 @@ pub fn map_network(aig: &Aig, config: &FlowConfig) -> (Aig, Netlist) {
     conventional_round(aig, config, false)
 }
 
+/// The tail every resynthesis driver ends in: keep the extracted network, or
+/// the prepared one if extraction produced nothing; if the config asks for
+/// verification, run `verify` on it and fall back to the prepared network on
+/// a proven mismatch; then run the final `st; dch; map` round. Returns the
+/// pre-mapping network, the netlist and whether `verify` answered
+/// "equivalent" (`true` when the config skips verification).
+///
+/// What `verified` proves is the caller's choice of `verify`:
+/// [`emorphic_flow`] checks against the prepared network with plain
+/// [`check_equivalence`], the job server against the circuit it was
+/// submitted, with [`check_equivalence_swept`]. Either way the check sees the
+/// network *before* the final round, whose `dch` and mapping run after it.
+/// An exhausted SAT budget keeps the resynthesized network (the simulation
+/// inside the checkers already failed to refute it) but leaves `verified`
+/// false.
+pub fn verify_and_map(
+    prepared: &Aig,
+    extracted: Option<Aig>,
+    config: &FlowConfig,
+    verify: impl FnOnce(&Aig) -> CecResult,
+) -> (Aig, Netlist, bool) {
+    let mut resynthesized = extracted.unwrap_or_else(|| prepared.clone());
+    let mut verified = true;
+    if config.verify {
+        match verify(&resynthesized) {
+            CecResult::Equivalent => {}
+            CecResult::NotEquivalent(_) => {
+                verified = false;
+                resynthesized = prepared.clone();
+            }
+            CecResult::Unknown => verified = false,
+        }
+    }
+    let (final_aig, netlist) = conventional_round(&resynthesized, config, false);
+    (final_aig, netlist, verified)
+}
+
 /// Wall-clock breakdown of a flow run (the Fig. 9 data).
 ///
 /// The four parts are measured over *disjoint* intervals of the flow — the
@@ -517,9 +548,13 @@ pub struct FlowResult {
     pub breakdown: RuntimeBreakdown,
     /// The technology-independent network right before the final mapping.
     pub final_aig: Aig,
-    /// Whether CEC *proved* equivalence against the input (always `true`
-    /// when verification is disabled). `false` also covers an exhausted SAT
-    /// budget: the resynthesized network is kept in that case — random
+    /// Whether CEC *proved* the resynthesized network equivalent to the
+    /// prepared network ([`prepare_network`]'s result, which the e-graph was
+    /// built from) — not to the flow's input, and before the final
+    /// `st; dch; map` round that produces `final_aig` and the netlist.
+    /// Always `true` when verification is disabled and for the baseline
+    /// flow, which resynthesizes nothing. `false` also covers an exhausted
+    /// SAT budget: the resynthesized network is kept in that case — random
     /// simulation found no mismatch — but the proof did not complete.
     pub verified: bool,
     /// Statistics of the rewriting phase (empty for the baseline flow).
@@ -692,6 +727,11 @@ fn windowed_resynthesis_phase(
 
 /// Runs the E-morphic flow: the baseline rounds with e-graph resynthesis
 /// inserted before the final mapping round.
+///
+/// `verified` in the result is the verdict of plain [`check_equivalence`] on
+/// the resynthesized network against the *prepared* network (`aig` after the
+/// conventional rounds and `st; if -g`), taken before the final
+/// `st; dch; map` round: it covers the e-graph phase and nothing else.
 pub fn emorphic_flow(aig: &Aig, config: &FlowConfig) -> FlowResult {
     let start = Instant::now();
     let mut conventional_time = Duration::ZERO;
@@ -720,35 +760,24 @@ pub fn emorphic_flow(aig: &Aig, config: &FlowConfig) -> FlowResult {
         window,
     } = phase;
 
-    // Verify, and fall back to the pre-resynthesis network on a proven
-    // mismatch. An exhausted SAT budget keeps the resynthesized network
-    // (simulation inside `check_equivalence` already failed to refute it)
-    // but leaves `verified` false.
-    let mut verified = true;
-    let mut resynthesized = extracted_aig.unwrap_or_else(|| current.clone());
-    let t_verify = Instant::now();
-    if config.verify {
-        match check_equivalence(&current, &resynthesized, &config.cec) {
-            cec::CecResult::Equivalent => {}
-            cec::CecResult::NotEquivalent(_) => {
-                verified = false;
-                resynthesized = current.clone();
-            }
-            cec::CecResult::Unknown => verified = false,
-        }
-    }
-    let verification_time = t_verify.elapsed();
-
-    // Backward conversion time is part of the extraction phase already; the
-    // remaining work is the final (st; dch; map) round.
-    let t_final = Instant::now();
-    let (final_aig, netlist) = conventional_round(&resynthesized, config, false);
+    // Verify against the prepared network, fall back to it on a proven
+    // mismatch, then run the final (st; dch; map) round. Backward conversion
+    // time is part of the extraction phase already.
+    let t_tail = Instant::now();
+    let mut verification_time = Duration::ZERO;
+    let (final_aig, netlist, verified) =
+        verify_and_map(&current, extracted_aig, config, |resynthesized| {
+            let t_verify = Instant::now();
+            let result = check_equivalence(&current, resynthesized, &config.cec);
+            verification_time = t_verify.elapsed();
+            result
+        });
     audit.absorb(
         "map",
         audit_netlist(&final_aig, &netlist, config.audit_level),
     );
     audit.absorb("map", audit_aig_dag_only(&final_aig, config.audit_level));
-    conventional_time += t_final.elapsed();
+    conventional_time += t_tail.elapsed().saturating_sub(verification_time);
 
     let mut qor = netlist.qor();
     qor.name = aig.name().to_string();

@@ -10,7 +10,8 @@
 //! * [`convert`] — **direct DAG-to-DAG conversion** between AIGs and e-graphs
 //!   (Section III-D1). (The S-expression-based E-Syn baseline it is compared
 //!   against in Table III lives with that table, in `emorphic-bench`.)
-//! * [`dsl`] — the intermediate JSON DSL of Fig. 7.
+//! * [`checkpoint`] — the intermediate JSON DSL of Fig. 7, which is also the
+//!   checkpoint format of a saturated e-graph.
 //! * [`extract`] — the [`ExtractionEngine`] API over bottom-up extraction
 //!   with **solution-space pruning** (Fig. 6), DAG-cost and slack-aware
 //!   refinement, and the **simulated-annealing extractor** of Algorithm 1 /
@@ -37,7 +38,6 @@
 
 pub mod checkpoint;
 pub mod convert;
-pub mod dsl;
 pub mod extract;
 pub mod flow;
 pub mod lang;
@@ -56,8 +56,8 @@ pub use extract::{
 };
 pub use flow::{
     baseline_flow, emorphic_flow, emorphic_map_flow, extract_network, map_network, prepare_network,
-    saturate_network, saturate_network_with_interrupt, FlowConfig, FlowResult, MapFlowConfig,
-    MapFlowError, MapFlowResult, SaturatedState,
+    saturate_network, saturate_network_with_interrupt, verify_and_map, FlowConfig, FlowResult,
+    MapFlowConfig, MapFlowError, MapFlowResult, SaturatedState,
 };
 pub use lang::BoolLang;
 pub use rules::{all_rules, rule_set_id, table1_rules};

@@ -330,50 +330,22 @@ pub fn windowed_resynthesis(
     // of replaced windows are still rebuilt — other fanouts may read them —
     // and the final cleanup drops whichever end up dangling.
     let t_rebuild = Instant::now();
-    let mut g = Aig::new(aig.name());
-    let mut table: Vec<Option<Lit>> = vec![None; aig.num_nodes()];
-    table[NodeId::CONST.index()] = Some(Lit::FALSE);
-    for (i, &input) in aig.inputs().iter().enumerate() {
-        table[input.index()] = Some(g.add_input(aig.input_name(i)));
-    }
-    let translate = |lit: Lit, table: &[Option<Lit>]| -> Result<Lit, WindowError> {
-        table[lit.node().index()]
-            .map(|l| l.xor(lit.is_complemented()))
-            .ok_or_else(|| {
-                WindowError::Translation(format!(
-                    "host node {} has no rebuilt literal yet",
-                    lit.node()
-                ))
-            })
-    };
-    for id in aig.and_ids() {
-        if let Some(replacement) = replacement_of.get(&id) {
-            let window = &part.windows[window_of_root[&id]];
-            let mut leaf_lits = Vec::with_capacity(window.leaves.len());
-            for &leaf in &window.leaves {
-                leaf_lits.push(translate(leaf.lit(), &table)?);
-            }
-            // `copy_logic_into` returns the node map of the replacement;
-            // translate its (single) output literal through it.
-            let map = replacement.copy_logic_into(&mut g, &leaf_lits);
-            let out = replacement.outputs().first().copied().ok_or_else(|| {
-                WindowError::Translation(format!(
-                    "window {} replacement produced no output",
-                    window.id
-                ))
-            })?;
-            table[id.index()] = Some(map[out.node().index()].xor(out.is_complemented()));
-        } else {
-            let (f0, f1) = aig.fanins(id);
-            let a = translate(f0, &table)?;
-            let b = translate(f1, &table)?;
-            table[id.index()] = Some(g.and(a, b));
-        }
-    }
-    for (i, out) in aig.outputs().iter().enumerate() {
-        let lit = translate(*out, &table)?;
-        g.add_output(lit, aig.output_name(i));
-    }
+    let (g, _) = aig.try_rebuild::<WindowError>(|g, id, view| {
+        let Some(replacement) = replacement_of.get(&id) else {
+            return Ok(view.copy_gate(g, id));
+        };
+        let window = &part.windows[window_of_root[&id]];
+        // A window's leaves precede its root, so the walk has rebuilt them.
+        let leaf_lits: Vec<Lit> = window.leaves.iter().map(|&leaf| view.node(leaf)).collect();
+        let map = replacement.copy_logic_into(g, &leaf_lits);
+        let out = replacement.outputs().first().ok_or_else(|| {
+            WindowError::Translation(format!(
+                "window {} replacement produced no output",
+                window.id
+            ))
+        })?;
+        Ok(map[out.node().index()].xor(out.is_complemented()))
+    })?;
     let rebuilt = g.cleanup();
     report.stitch_time = t_rebuild.elapsed();
     Ok((rebuilt, part, report))

@@ -5,7 +5,9 @@
 //! earlier-arriving operands are combined first, minimizing the depth of the
 //! result.
 
-use aig::{Aig, AigNode, Lit, NodeId};
+use aig::{Aig, Lit};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Rebuilds `aig` with every AND tree balanced by arrival time.
 ///
@@ -14,13 +16,6 @@ use aig::{Aig, AigNode, Lit, NodeId};
 /// smaller for skewed chains.
 pub fn balance(aig: &Aig) -> Aig {
     let fanouts = aig.fanout_counts();
-    let mut fresh = Aig::new(aig.name().to_string());
-    let mut map: Vec<Option<Lit>> = vec![None; aig.num_nodes()];
-    let mut level: Vec<u32> = vec![0; aig.num_nodes()];
-    map[NodeId::CONST.index()] = Some(Lit::FALSE);
-    for (idx, &pi) in aig.inputs().iter().enumerate() {
-        map[pi.index()] = Some(fresh.add_input(aig.input_name(idx)));
-    }
 
     // Which nodes must be materialized as balanced tree roots: multi-fanout
     // nodes, nodes referenced through a complemented edge (tree boundaries in
@@ -41,65 +36,53 @@ pub fn balance(aig: &Aig) -> Aig {
         is_root[po.node().index()] = true;
     }
 
-    // Collect the leaves of the maximal AND tree rooted at `root`: descend
-    // through non-complemented, single-fanout AND fanins.
-    fn collect_leaves(
-        aig: &Aig,
-        root: NodeId,
-        is_root: &[bool],
-        leaves: &mut Vec<Lit>,
-        depth: usize,
-    ) {
-        let (f0, f1) = aig.fanins(root);
-        for lit in [f0, f1] {
+    // Arrival level of every tree root in the rebuilt network.
+    let mut level: Vec<u32> = vec![0; aig.num_nodes()];
+    // Scratch reused across roots: the leaf collection's stack, the operands
+    // of the reduction, and their queue of (arrival level, operand index).
+    let mut pending: Vec<Lit> = Vec::new();
+    let mut operands: Vec<Lit> = Vec::new();
+    let mut queue: BinaryHeap<(Reverse<u32>, usize)> = BinaryHeap::new();
+    let (fresh, _) = aig.rebuild(|fresh, id, view| {
+        if !is_root[id.index()] {
+            // Interior to some root's tree: flattened into that root, never
+            // read on its own.
+            return Lit::FALSE;
+        }
+        // Collect the leaves of the maximal AND tree rooted here, left to
+        // right: descend through non-complemented, single-fanout AND fanins.
+        // A tree is as deep as the network, so the walk keeps its own stack.
+        operands.clear();
+        let (f0, f1) = aig.fanins(id);
+        pending.extend([f1, f0]);
+        while let Some(lit) = pending.pop() {
             let child = lit.node();
-            let expandable = !lit.is_complemented()
-                && aig.node(child).is_and()
-                && !is_root[child.index()]
-                && depth < 10_000;
+            let expandable =
+                !lit.is_complemented() && aig.node(child).is_and() && !is_root[child.index()];
             if expandable {
-                collect_leaves(aig, child, is_root, leaves, depth + 1);
+                let (f0, f1) = aig.fanins(child);
+                pending.extend([f1, f0]);
             } else {
-                leaves.push(lit);
+                queue.push((Reverse(level[child.index()]), operands.len()));
+                operands.push(view.lit(lit));
             }
         }
-    }
-
-    for id in aig.and_ids() {
-        if !is_root[id.index()] {
-            continue;
-        }
-        let mut leaves = Vec::new();
-        collect_leaves(aig, id, &is_root, &mut leaves, 0);
-        // Map leaves into the new network with their arrival levels.
-        let mut operands: Vec<(Lit, u32)> = leaves
-            .iter()
-            .map(|l| {
-                let base =
-                    map[l.node().index()].unwrap_or_else(|| unreachable!("leaf built before root"));
-                (base.xor(l.is_complemented()), level[l.node().index()])
-            })
-            .collect();
-        // Huffman-style reduction: combine the two earliest operands first.
-        while operands.len() > 1 {
-            operands.sort_by_key(|(_, lev)| std::cmp::Reverse(*lev));
-            let (a, la) = operands.pop().unwrap_or_else(|| unreachable!("len > 1"));
-            let (b, lb) = operands.pop().unwrap_or_else(|| unreachable!("len > 1"));
-            let lit = fresh.and(a, b);
-            operands.push((lit, la.max(lb) + 1));
-        }
-        let (lit, lev) = operands.pop().unwrap_or((Lit::TRUE, 0));
-        map[id.index()] = Some(lit);
-        level[id.index()] = lev;
-    }
-
-    for (idx, po) in aig.outputs().iter().enumerate() {
-        let base = match aig.node(po.node()) {
-            AigNode::Const => Lit::FALSE,
-            _ => map[po.node().index()].unwrap_or_else(|| unreachable!("output driver built")),
+        // Huffman-style reduction: combine the two earliest operands first;
+        // among operands of one level the latest made (for leaves, the
+        // rightmost) goes first.
+        let (lit, lev) = loop {
+            let Some((Reverse(la), a)) = queue.pop() else {
+                break (Lit::TRUE, 0);
+            };
+            let Some((Reverse(lb), b)) = queue.pop() else {
+                break (operands[a], la);
+            };
+            queue.push((Reverse(la.max(lb) + 1), operands.len()));
+            operands.push(fresh.and(operands[a], operands[b]));
         };
-        fresh.add_output(base.xor(po.is_complemented()), aig.output_name(idx));
-    }
+        level[id.index()] = lev;
+        lit
+    });
     fresh.cleanup()
 }
 

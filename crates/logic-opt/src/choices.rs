@@ -9,7 +9,7 @@
 //! a single (usually better) implementation.
 
 use crate::{balance, rewrite};
-use aig::{Aig, Lit};
+use aig::Aig;
 use cec::{SatSweeper, SweepOptions, SweepStats};
 use choices::{ChoiceAig, ChoiceError, RebuildStats};
 
@@ -81,46 +81,22 @@ pub fn dch_choices(
     Ok((network, rebuild_stats, sweep_stats))
 }
 
-/// Keeps the first `count` outputs but, unlike [`keep_first_outputs`], does
-/// not drop the logic of the removed outputs — the whole node space is
-/// preserved (ids unchanged) so equivalence classes computed on the full
-/// network remain valid.
+/// Keeps the first `count` outputs and every node: the logic of the removed
+/// outputs stays, dangling, with its ids unchanged, so equivalence classes
+/// computed on the full network remain valid.
 fn keep_outputs_with_dangling(aig: &Aig, count: usize) -> Aig {
-    let mut trimmed = strip_outputs(aig);
-    for i in 0..count {
-        trimmed.add_output(aig.outputs()[i], aig.output_name(i).to_string());
+    let mut trimmed = aig.clone();
+    trimmed.clear_outputs();
+    for (idx, &po) in aig.outputs().iter().take(count).enumerate() {
+        trimmed.add_output(po, aig.output_name(idx));
     }
     trimmed
 }
 
-/// Returns a copy of `aig` with the same nodes but no outputs. Because
-/// every construction path strashes, the replay is id-stable: node ids in
-/// the copy match `aig`.
-fn strip_outputs(aig: &Aig) -> Aig {
-    let mut out = Aig::new(aig.name().to_string());
-    let inputs: Vec<Lit> = aig
-        .input_names()
-        .iter()
-        .map(|n| out.add_input(n.clone()))
-        .collect();
-    aig.copy_logic_into(&mut out, &inputs);
-    out
-}
-
-/// Keeps only the first `count` outputs of a network.
+/// Keeps only the first `count` outputs of a network and the logic they
+/// reach.
 fn keep_first_outputs(aig: &Aig, count: usize) -> Aig {
-    let mut trimmed = Aig::new(aig.name().to_string());
-    let inputs: Vec<Lit> = aig
-        .input_names()
-        .iter()
-        .map(|n| trimmed.add_input(n.clone()))
-        .collect();
-    let map = aig.copy_logic_into(&mut trimmed, &inputs);
-    for (idx, po) in aig.outputs().iter().take(count).enumerate() {
-        let lit = map[po.node().index()].xor(po.is_complemented());
-        trimmed.add_output(lit, aig.output_name(idx));
-    }
-    trimmed.cleanup()
+    keep_outputs_with_dangling(aig, count).cleanup()
 }
 
 #[cfg(test)]

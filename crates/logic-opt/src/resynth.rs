@@ -8,7 +8,7 @@
 //! network and diversifies its shape before mapping.
 
 use crate::factor::{factor_cover, FactorCube};
-use aig::{mffc_size, Aig, AigNode, Lit, NodeId};
+use aig::{mffc_size, Aig, Lit};
 use techmap::cuts::{enumerate_cuts, CutsOptions};
 use techmap::truth::isop;
 
@@ -61,22 +61,7 @@ pub fn resynthesize(aig: &Aig, options: &ResynthOptions) -> Aig {
     let cuts = enumerate_cuts(aig, &cut_options);
     let fanouts = aig.fanout_counts();
 
-    let mut fresh = Aig::new(aig.name().to_string());
-    let mut map: Vec<Option<Lit>> = vec![None; aig.num_nodes()];
-    map[NodeId::CONST.index()] = Some(Lit::FALSE);
-    for (idx, &pi) in aig.inputs().iter().enumerate() {
-        map[pi.index()] = Some(fresh.add_input(aig.input_name(idx)));
-    }
-
-    for id in aig.and_ids() {
-        let (f0, f1) = aig.fanins(id);
-        let default_a = map[f0.node().index()]
-            .unwrap_or_else(|| unreachable!("fanin built"))
-            .xor(f0.is_complemented());
-        let default_b = map[f1.node().index()]
-            .unwrap_or_else(|| unreachable!("fanin built"))
-            .xor(f1.is_complemented());
-
+    let (fresh, _) = aig.rebuild(|fresh, id, view| {
         // Budget: how many nodes the old implementation of this cone pays for.
         let budget = mffc_size(aig, id, &fanouts);
 
@@ -87,11 +72,7 @@ pub fn resynthesize(aig: &Aig, options: &ResynthOptions) -> Aig {
             if cut.leaves() == [id] || cut.leaves().len() < 3 {
                 continue;
             }
-            let leaf_lits: Vec<Lit> = cut
-                .leaves()
-                .iter()
-                .map(|l| map[l.index()].unwrap_or_else(|| unreachable!("leaf built before root")))
-                .collect();
+            let leaf_lits: Vec<Lit> = cut.leaves().iter().map(|&l| view.node(l)).collect();
             let cubes: Vec<FactorCube> = isop(cut.truth, cut.leaves().len())
                 .iter()
                 .map(|c| FactorCube {
@@ -101,7 +82,7 @@ pub fn resynthesize(aig: &Aig, options: &ResynthOptions) -> Aig {
                 .collect();
             let tree = factor_cover(&cubes);
             let before = fresh.num_nodes();
-            let lit = tree.build(&mut fresh, &leaf_lits);
+            let lit = tree.build(fresh, &leaf_lits);
             let cost = fresh.num_nodes() - before;
             if best.as_ref().is_none_or(|(_, c)| cost < *c) {
                 best = Some((lit, cost));
@@ -119,19 +100,11 @@ pub fn resynthesize(aig: &Aig, options: &ResynthOptions) -> Aig {
             }
             None => None,
         };
-        map[id.index()] = Some(match accepted {
+        match accepted {
             Some(lit) => lit,
-            None => fresh.and(default_a, default_b),
-        });
-    }
-
-    for (idx, po) in aig.outputs().iter().enumerate() {
-        let base = match aig.node(po.node()) {
-            AigNode::Const => Lit::FALSE,
-            _ => map[po.node().index()].unwrap_or_else(|| unreachable!("output driver built")),
-        };
-        fresh.add_output(base.xor(po.is_complemented()), aig.output_name(idx));
-    }
+            None => view.copy_gate(fresh, id),
+        }
+    });
     let result = fresh.cleanup();
     // The per-node gain estimate is a heuristic (shared trial structures can
     // make candidates look cheaper than they end up being); guarantee the

@@ -18,8 +18,8 @@
 //!    delay-target requests, amortizing the dominant phase (paper Fig. 9).
 //! 3. **The flow itself** — the split entry points `prepare_network` →
 //!    `saturate_network_with_interrupt` → `extract_network` →
-//!    `map_network`, with the served netlist CEC-verified against the
-//!    submitted input.
+//!    `verify_and_map`, the resynthesized network CEC-verified against the
+//!    submitted input before the final `st; dch; map` round.
 //!
 //! Jobs carry optional wall-clock budgets (mapped onto the saturation time
 //! limit) and can be cancelled cooperatively: cancellation sets a per-job
@@ -28,10 +28,10 @@
 //! its worker to the pool with no corrupted state.
 
 use aig::Aig;
-use cec::{check_equivalence_swept, CecResult};
 use emorphic::checkpoint::FlowCheckpoint;
 use emorphic::flow::{
-    extract_network, map_network, prepare_network, saturate_network_with_interrupt, FlowConfig,
+    check_equivalence_swept, extract_network, prepare_network, saturate_network_with_interrupt,
+    verify_and_map, FlowConfig,
 };
 use emorphic::rules::rule_set_id;
 use fxhash::{FxHashMap, FxHashSet};
@@ -599,29 +599,19 @@ fn serve_job(inner: &Inner, id: JobId, request: JobRequest) {
         // Layer 3: extract, verify against the *submitted* input, map.
         let (extracted, _reports) = extract_network(&state, &config);
         let egraph_nodes = state.egraph.total_nodes();
-        let mut resynthesized = extracted.unwrap_or_else(|| prepared.clone());
         if cancel.load(Ordering::Relaxed) {
             break 'flow None;
         }
-        let mut verified = true;
-        if config.verify {
-            // Swept CEC proves the served netlist against the *submitted*
-            // circuit (not just the prepared network): equivalence-class
-            // sweeping closes the arithmetic miters the monolithic check
-            // cannot within the conflict budget.
-            match check_equivalence_swept(&aig, &resynthesized, &config.cec, &config.sweep) {
-                CecResult::Equivalent => {}
-                CecResult::NotEquivalent(_) => {
-                    // A proven mismatch falls back to the prepared network,
-                    // the same containment the flow applies; the served
-                    // result says so via `verified = false`.
-                    verified = false;
-                    resynthesized = prepared.clone();
-                }
-                CecResult::Unknown => verified = false,
-            }
-        }
-        let (final_aig, netlist) = map_network(&resynthesized, &config);
+        // Swept CEC proves the resynthesized network against the *submitted*
+        // circuit (not just the prepared network): equivalence-class
+        // sweeping closes the arithmetic miters the monolithic check cannot
+        // within the conflict budget. A proven mismatch falls back to the
+        // prepared network, the same containment the flow applies; the
+        // served result says so via `verified = false`.
+        let (final_aig, netlist, verified) =
+            verify_and_map(&prepared, extracted, &config, |resynthesized| {
+                check_equivalence_swept(&aig, resynthesized, &config.cec, &config.sweep)
+            });
         let mut qor = netlist.qor();
         qor.name = aig.name().to_string();
 

@@ -201,6 +201,10 @@ impl Netlist {
     ///
     /// `source` is the AIG the netlist was mapped from; it supplies the
     /// node-id space of the gate roots/leaves and the input/output names.
+    ///
+    /// Not an [`Aig::rebuild`] rule: the walk is over the netlist's own gate
+    /// list, and the name and the output drivers are the netlist's, not the
+    /// source's.
     pub fn to_aig(&self, source: &Aig) -> Aig {
         let mut fresh = Aig::new(self.name.clone());
         let mut lits: Vec<Option<Lit>> = vec![None; source.num_nodes()];

@@ -11,7 +11,7 @@
 use crate::lut::map_to_luts;
 use crate::truth::{isop, Cube};
 use crate::MapOptions;
-use aig::{Aig, AigNode, Lit, NodeId};
+use aig::{Aig, Lit};
 
 /// Rebuilds `aig` by SOP-balancing every mapped cut.
 ///
@@ -20,42 +20,24 @@ use aig::{Aig, AigNode, Lit, NodeId};
 pub fn sop_balance(aig: &Aig, options: &MapOptions) -> Aig {
     let mapping = map_to_luts(aig, options);
 
-    let mut fresh = Aig::new(aig.name().to_string());
-    // Map from old node id to (literal in new AIG, arrival level estimate).
-    let mut map: Vec<Option<Lit>> = vec![None; aig.num_nodes()];
+    // Arrival level estimate of every LUT root in the rebuilt network.
     let mut level: Vec<u32> = vec![0; aig.num_nodes()];
-    map[NodeId::CONST.index()] = Some(Lit::FALSE);
-    for (idx, &input) in aig.inputs().iter().enumerate() {
-        map[input.index()] = Some(fresh.add_input(aig.input_name(idx)));
-    }
-
-    // LUTs are stored in topological order, so leaves are always ready.
-    for lut in &mapping.luts {
-        let leaf_lits: Vec<Lit> = lut
-            .cut
-            .leaves()
-            .iter()
-            .map(|l| map[l.index()].unwrap_or_else(|| unreachable!("leaf built before root")))
-            .collect();
-        let leaf_levels: Vec<u32> = lut.cut.leaves().iter().map(|l| level[l.index()]).collect();
-        let (lit, lev) = build_balanced_sop(
-            &mut fresh,
-            lut.cut.truth,
-            lut.cut.leaves().len(),
-            &leaf_lits,
-            &leaf_levels,
-        );
-        map[lut.root.index()] = Some(lit);
-        level[lut.root.index()] = lev;
-    }
-
-    for (idx, po) in aig.outputs().iter().enumerate() {
-        let base = match aig.node(po.node()) {
-            AigNode::Const => Lit::FALSE,
-            _ => map[po.node().index()].unwrap_or_else(|| unreachable!("output driver built")),
+    // LUTs are stored in topological order, as the walk visits their roots.
+    let mut luts = mapping.luts.iter().peekable();
+    let (fresh, _) = aig.rebuild(|fresh, id, view| {
+        let Some(lut) = luts.next_if(|lut| lut.root == id) else {
+            // Interior to the LUTs that cover it, never read on its own.
+            return Lit::FALSE;
         };
-        fresh.add_output(base.xor(po.is_complemented()), aig.output_name(idx));
-    }
+        let leaves = lut.cut.leaves();
+        let leaf_lits: Vec<Lit> = leaves.iter().map(|&l| view.node(l)).collect();
+        let leaf_levels: Vec<u32> = leaves.iter().map(|l| level[l.index()]).collect();
+        let (lit, lev) =
+            build_balanced_sop(fresh, lut.cut.truth, leaves.len(), &leaf_lits, &leaf_levels);
+        level[id.index()] = lev;
+        lit
+    });
+    debug_assert!(luts.next().is_none(), "LUT roots out of id order");
     fresh.cleanup()
 }
 

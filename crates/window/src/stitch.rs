@@ -13,7 +13,7 @@
 //! structural hashing collapsed their representative onto older host logic.
 
 use crate::{Partition, WindowError};
-use aig::{Aig, Lit, NodeId};
+use aig::{Aig, Lit, NodeId, RebuildView};
 use choices::{filter_ordering, ChoiceAig, ChoiceClass};
 use fxhash::{FxHashMap, FxHashSet};
 
@@ -77,8 +77,8 @@ impl Stitched {
 ///
 /// # Errors
 /// * [`WindowError::Translation`] — a space references a window index outside
-///   the partition, or a boundary literal misses the table (internal
-///   inconsistency, surfaced typed).
+///   the partition, or its choice network does not fit the window (more
+///   inputs than the cone has leaves, no output).
 /// * [`WindowError::Stitch`] — the assembled class list failed
 ///   [`ChoiceAig::new`] validation.
 pub fn stitch(
@@ -98,36 +98,17 @@ pub fn stitch(
         root_space.entry(window.root).or_insert(space);
     }
 
-    let mut g = Aig::new(format!("{}_stitched", host.name()));
-    let mut table: Vec<Option<Lit>> = vec![None; host.num_nodes()];
-    table[NodeId::CONST.index()] = Some(Lit::FALSE);
-    for (i, &input) in host.inputs().iter().enumerate() {
-        table[input.index()] = Some(g.add_input(host.input_name(i)));
-    }
-
     let mut stats = StitchStats::default();
     let mut classes: Vec<ChoiceClass> = Vec::new();
     let mut used_nodes: FxHashSet<NodeId> = FxHashSet::default();
 
-    let translate = |lit: Lit, table: &[Option<Lit>]| -> Result<Lit, WindowError> {
-        table[lit.node().index()]
-            .map(|l| l.xor(lit.is_complemented()))
-            .ok_or_else(|| {
-                WindowError::Translation(format!(
-                    "host node {} has no stitched literal yet",
-                    lit.node()
-                ))
-            })
-    };
-
-    for id in host.and_ids() {
-        let space = root_space.get(&id).copied();
+    let (mut g, table) = host.try_rebuild::<WindowError>(|g, id, view| {
         let mut root_members: Vec<Lit> = Vec::new();
-        if let Some(space) = space {
+        if let Some(space) = root_space.get(&id) {
             let window = &partition.windows[space.window];
             root_members = replay_space(
-                &mut g,
-                &table,
+                g,
+                view,
                 window,
                 space,
                 &mut classes,
@@ -135,15 +116,11 @@ pub fn stitch(
                 &mut stats,
             )?;
         }
-        let (f0, f1) = host.fanins(id);
-        let a = translate(f0, &table)?;
-        let b = translate(f1, &table)?;
-        let here = g.and(a, b);
-        table[id.index()] = Some(here);
+        let here = view.copy_gate(g, id);
         if !root_members.is_empty() {
             stats.boundary_literals += 1; // the root crossing
             link_class(
-                &g,
+                g,
                 here,
                 root_members,
                 &mut classes,
@@ -151,12 +128,9 @@ pub fn stitch(
                 &mut stats,
             );
         }
-    }
-
-    for (i, out) in host.outputs().iter().enumerate() {
-        let lit = translate(*out, &table)?;
-        g.add_output(lit, host.output_name(i));
-    }
+        Ok(here)
+    })?;
+    g.set_name(format!("{}_stitched", host.name()));
 
     let (kept, dropped) = filter_ordering(classes);
     stats.dropped_ordering += dropped;
@@ -165,7 +139,7 @@ pub fn stitch(
     let network = ChoiceAig::new(g, kept)?;
     Ok(Stitched {
         network,
-        table,
+        table: table.into_iter().map(Some).collect(),
         stats,
     })
 }
@@ -175,7 +149,7 @@ pub fn stitch(
 /// output phase applied), which the caller folds into the link class.
 fn replay_space(
     g: &mut Aig,
-    table: &[Option<Lit>],
+    view: &RebuildView<'_>,
     window: &crate::Window,
     space: &WindowChoiceSpace,
     classes: &mut Vec<ChoiceClass>,
@@ -183,10 +157,11 @@ fn replay_space(
     stats: &mut StitchStats,
 ) -> Result<Vec<Lit>, WindowError> {
     let waig = space.choices.aig();
-    let mut local: Vec<Option<Lit>> = vec![None; waig.num_nodes()];
-    local[NodeId::CONST.index()] = Some(Lit::FALSE);
-    for (pos, &win) in waig.inputs().iter().enumerate() {
-        let host_leaf = window.cone.leaf_map.get(pos).ok_or_else(|| {
+    let leaves = window
+        .cone
+        .leaf_map
+        .get(..waig.num_inputs())
+        .ok_or_else(|| {
             WindowError::Translation(format!(
                 "window {} choice network has {} inputs but the cone has {} leaves",
                 window.id,
@@ -194,34 +169,11 @@ fn replay_space(
                 window.cone.leaf_map.len()
             ))
         })?;
-        let lit = table[host_leaf.index()].ok_or_else(|| {
-            WindowError::Translation(format!(
-                "window {} leaf {host_leaf} has no stitched literal",
-                window.id
-            ))
-        })?;
-        local[win.index()] = Some(lit);
-        stats.boundary_literals += 1;
-    }
-    for wid in waig.and_ids() {
-        let (f0, f1) = waig.fanins(wid);
-        let fetch = |f: Lit, local: &[Option<Lit>]| -> Result<Lit, WindowError> {
-            local[f.node().index()]
-                .map(|l| l.xor(f.is_complemented()))
-                .ok_or_else(|| {
-                    WindowError::Translation(format!(
-                        "window {} node {} reads unreplayed fanin {}",
-                        window.id,
-                        wid,
-                        f.node()
-                    ))
-                })
-        };
-        let a = fetch(f0, &local)?;
-        let b = fetch(f1, &local)?;
-        local[wid.index()] = Some(g.and(a, b));
-        stats.replayed_nodes += 1;
-    }
+    // A window's leaves precede its root, so the walk has rebuilt them.
+    let leaf_lits: Vec<Lit> = leaves.iter().map(|&leaf| view.node(leaf)).collect();
+    stats.boundary_literals += leaf_lits.len();
+    let local = waig.copy_logic_into(g, &leaf_lits);
+    stats.replayed_nodes += waig.num_ands();
 
     let out = waig.outputs().first().copied().ok_or_else(|| {
         WindowError::Translation(format!("window {} choice network has no output", window.id))
@@ -240,13 +192,11 @@ fn replay_space(
 
     let mut root_members = Vec::new();
     for class in space.choices.classes() {
-        let mut translated: Vec<Lit> = Vec::new();
-        for member in &class.members {
-            let Some(lit) = local[member.node().index()] else {
-                continue; // member outside the replayed region (cyclic drop)
-            };
-            translated.push(lit.xor(member.is_complemented()));
-        }
+        let translated: Vec<Lit> = class
+            .members
+            .iter()
+            .map(|member| local[member.node().index()].xor(member.is_complemented()))
+            .collect();
         if root_class.is_some_and(|rc| std::ptr::eq(rc, class)) {
             // The root class is folded into the caller's link class; the
             // phase correction makes every member evaluate to the root

@@ -9,8 +9,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use egraph::{AstDepth, AstSize, EGraph, Extractor, RecExpr, Runner, StopReason};
-use emorphic::dsl::DslDocument;
 use emorphic::lang::BoolLang;
+use emorphic::FlowCheckpoint;
 use emorphic::{aig_to_egraph, all_rules, table1_rules};
 
 fn main() {
@@ -71,7 +71,7 @@ fn main() {
         runner.egraph.total_nodes()
     );
 
-    let doc = DslDocument::from_conversion(&conversion);
+    let doc = FlowCheckpoint::from_conversion(&conversion);
     let json = doc.to_json();
     println!(
         "\nintermediate DSL (Fig. 7): {} classes, {} bytes of JSON; first lines:",

@@ -5,7 +5,7 @@
 use aig::io::{read_aiger, read_eqn, write_aiger, write_eqn};
 use aig::Simulator;
 use emorphic::aig_to_egraph;
-use emorphic::dsl::DslDocument;
+use emorphic::FlowCheckpoint;
 
 fn same_function(a: &aig::Aig, b: &aig::Aig) -> bool {
     assert_eq!(a.num_inputs(), b.num_inputs());
@@ -53,13 +53,16 @@ fn eqn_roundtrip_on_benchmark_suite() {
 fn dsl_document_roundtrip_on_benchmark_circuit() {
     let circuit = benchgen::multiplier(4).aig;
     let conversion = aig_to_egraph(&circuit);
-    let doc = DslDocument::from_conversion(&conversion);
+    let doc = FlowCheckpoint::from_conversion(&conversion);
     let json = doc.to_json();
-    let parsed = DslDocument::from_json(&json).expect("valid JSON");
+    let parsed = FlowCheckpoint::from_json(&json).expect("valid JSON");
     assert_eq!(parsed, doc);
-    let (egraph, roots) = parsed.to_egraph().expect("reconstructible");
-    assert_eq!(egraph.num_classes(), conversion.egraph.num_classes());
-    assert_eq!(roots.len(), circuit.num_outputs());
+    let restored = parsed.restore().expect("reconstructible");
+    assert_eq!(
+        restored.egraph.num_classes(),
+        conversion.egraph.num_classes()
+    );
+    assert_eq!(restored.roots.len(), circuit.num_outputs());
 }
 
 #[test]
