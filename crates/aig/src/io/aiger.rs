@@ -3,7 +3,7 @@
 //! Only the combinational subset is supported; files containing latches are
 //! rejected with [`AigError::Unsupported`].
 
-use crate::{Aig, AigError, AigNode, Lit, NodeId, Result};
+use crate::{Aig, AigError, AigNode, FxHashMap, Lit, NodeId, Result};
 
 /// Serializes a combinational AIG into the ASCII AIGER format.
 ///
@@ -100,16 +100,27 @@ pub fn read_aiger(text: &str) -> Result<Aig> {
         ));
     }
 
-    let mut aig = Aig::new("aiger");
-    // Map from AIGER variable index to literal in the new AIG.
-    let mut lit_map: Vec<Option<Lit>> = vec![None; (max_var + 1) as usize];
-    lit_map[0] = Some(Lit::FALSE);
+    // The counts are whatever the file says: hold them against the lines
+    // that are there before anything is sized by them.
+    let body: Vec<&str> = lines.collect();
+    let declared = u64::from(num_inputs) + u64::from(num_outputs) + u64::from(num_ands);
+    if declared > body.len() as u64 {
+        return Err(AigError::Parse(format!(
+            "header declares {declared} input, output and AND lines, {} follow",
+            body.len()
+        )));
+    }
+    let (input_lines, rest) = body.split_at(num_inputs as usize);
+    let (output_lines, rest) = rest.split_at(num_outputs as usize);
+    let (and_lines, symbol_lines) = rest.split_at(num_ands as usize);
 
-    let mut input_vars = Vec::with_capacity(num_inputs as usize);
-    for i in 0..num_inputs {
-        let line = lines
-            .next()
-            .ok_or_else(|| AigError::Parse("missing input line".into()))?;
+    let mut aig = Aig::new("aiger");
+    // Map from AIGER variable index to literal in the new AIG, one entry per
+    // definition read: `max_var` bounds the indices, it sizes nothing.
+    let mut lit_map: FxHashMap<u32, Lit> = FxHashMap::default();
+    lit_map.insert(0, Lit::FALSE);
+
+    for (i, line) in input_lines.iter().enumerate() {
         let raw = parse_num(line.trim())?;
         if raw % 2 != 0 {
             return Err(AigError::Parse(format!(
@@ -118,33 +129,25 @@ pub fn read_aiger(text: &str) -> Result<Aig> {
         }
         let lit = aig.add_input(format!("i{i}"));
         let var = raw / 2;
-        if var as usize >= lit_map.len() {
+        if var > max_var {
             return Err(AigError::OutOfRange(format!(
                 "input variable {var} exceeds max {max_var}"
             )));
         }
-        if lit_map[var as usize].is_some() {
+        if lit_map.insert(var, lit).is_some() {
             return Err(AigError::Duplicate(format!(
                 "input variable {var} is already defined"
             )));
         }
-        lit_map[var as usize] = Some(lit);
-        input_vars.push(var);
     }
 
-    let mut output_raws = Vec::with_capacity(num_outputs as usize);
-    for _ in 0..num_outputs {
-        let line = lines
-            .next()
-            .ok_or_else(|| AigError::Parse("missing output line".into()))?;
+    let mut output_raws = Vec::with_capacity(output_lines.len());
+    for line in output_lines {
         output_raws.push(parse_num(line.trim())?);
     }
 
-    let mut and_defs = Vec::with_capacity(num_ands as usize);
-    for _ in 0..num_ands {
-        let line = lines
-            .next()
-            .ok_or_else(|| AigError::Parse("missing AND line".into()))?;
+    let mut and_defs = Vec::with_capacity(and_lines.len());
+    for line in and_lines {
         let nums: Vec<&str> = line.split_whitespace().collect();
         if nums.len() != 3 {
             return Err(AigError::Parse(format!("bad AND line: {line}")));
@@ -168,32 +171,31 @@ pub fn read_aiger(text: &str) -> Result<Aig> {
     // AIGER guarantees topological order of AND definitions (lhs strictly
     // increasing, rhs < lhs), so one pass suffices.
     for (lhs, rhs0, rhs1) in &and_defs {
-        let resolve = |raw: u32, lit_map: &[Option<Lit>]| -> Result<Lit> {
-            let var = (raw / 2) as usize;
-            let base =
-                lit_map.get(var).copied().flatten().ok_or_else(|| {
-                    AigError::Parse(format!("literal {raw} used before definition"))
-                })?;
+        let resolve = |raw: u32, lit_map: &FxHashMap<u32, Lit>| -> Result<Lit> {
+            let base = lit_map
+                .get(&(raw / 2))
+                .copied()
+                .ok_or_else(|| AigError::Parse(format!("literal {raw} used before definition")))?;
             Ok(base.xor(raw % 2 == 1))
         };
         let a = resolve(*rhs0, &lit_map)?;
         let b = resolve(*rhs1, &lit_map)?;
-        if lit_map[(*lhs / 2) as usize].is_some() {
+        if lit_map.contains_key(&(lhs / 2)) {
             return Err(AigError::Duplicate(format!(
                 "AND variable {} is already defined",
                 lhs / 2
             )));
         }
         let lit = aig.and(a, b);
-        lit_map[(*lhs / 2) as usize] = Some(lit);
+        lit_map.insert(lhs / 2, lit);
     }
 
     // Symbol table (optional).
-    let mut input_names: Vec<Option<String>> = vec![None; num_inputs as usize];
-    let mut output_names: Vec<Option<String>> = vec![None; num_outputs as usize];
+    let mut input_names: Vec<Option<String>> = vec![None; input_lines.len()];
+    let mut output_names: Vec<Option<String>> = vec![None; output_lines.len()];
     let mut design_name: Option<String> = None;
     let mut in_comment = false;
-    for line in lines {
+    for line in symbol_lines {
         let line = line.trim();
         if in_comment {
             if design_name.is_none() && !line.is_empty() {
@@ -233,13 +235,14 @@ pub fn read_aiger(text: &str) -> Result<Aig> {
         .collect();
     let map = aig.copy_logic_into(&mut named, &named_inputs);
     for (idx, raw) in output_raws.iter().enumerate() {
-        let var = (raw / 2) as usize;
-        if var >= lit_map.len() {
+        let var = raw / 2;
+        if var > max_var {
             return Err(AigError::OutOfRange(format!(
                 "output literal {raw} exceeds the declared maximum variable {max_var}"
             )));
         }
-        let lit_in_tmp = lit_map[var]
+        let lit_in_tmp = lit_map
+            .get(&var)
             .ok_or_else(|| AigError::Parse(format!("output literal {raw} undefined")))?
             .xor(raw % 2 == 1);
         let mapped = map[lit_in_tmp.node().index()].xor(lit_in_tmp.is_complemented());
@@ -333,6 +336,30 @@ mod tests {
         // Input variable out of range.
         let input = "aag 1 2 0 0 0\n2\n6\n";
         assert!(matches!(read_aiger(input), Err(AigError::OutOfRange(_))));
+    }
+
+    #[test]
+    fn header_counts_size_nothing() {
+        // `max_var + 1` used to wrap (release) or overflow (debug) and index
+        // an empty table; a huge M is only a bound on the indices.
+        let aig = read_aiger("aag 4294967295 0 0 0 0\n").unwrap();
+        assert_eq!((aig.num_inputs(), aig.num_outputs()), (0, 0));
+        let sparse = read_aiger("aag 4294967295 1 0 1 0\n8589934590\n");
+        assert!(matches!(sparse, Err(AigError::Parse(_))), "not a u32");
+        let sparse = read_aiger("aag 4294967295 1 0 1 0\n4294967294\n4294967295\n").unwrap();
+        assert_eq!(sparse.evaluate(&[true]), vec![false]);
+        // Counts the file does not back are refused before any allocation.
+        for text in [
+            "aag 1 4294967295 0 0 0\n2\n",
+            "aag 1 0 0 4294967295 0\n0\n",
+            "aag 1 0 0 0 4294967295\n",
+            "aag 7 4294967295 0 4294967295 4294967295\n2\n4\n",
+        ] {
+            match read_aiger(text) {
+                Err(AigError::Parse(msg)) => assert!(msg.contains("follow"), "{msg}"),
+                other => panic!("expected a header-count error for {text:?}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

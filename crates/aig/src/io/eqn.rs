@@ -136,76 +136,93 @@ fn tokenize(expr: &str) -> Result<Vec<Token>> {
     Ok(tokens)
 }
 
-struct Parser<'a> {
-    tokens: Vec<Token>,
-    pos: usize,
-    aig: &'a mut Aig,
-    env: &'a FxHashMap<String, Lit>,
+/// Binding strength of a binary operator, loosest first; 0 for anything else.
+fn precedence(token: &Token) -> u8 {
+    match token {
+        Token::Or => 1,
+        Token::Xor => 2,
+        Token::And => 3,
+        _ => 0,
+    }
 }
 
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+/// Applies the pending binary operators that bind at least as tightly as
+/// `min`, most recent first, stopping at an open parenthesis.
+fn reduce(pending: &mut Vec<Token>, operands: &mut Vec<Lit>, aig: &mut Aig, min: u8) {
+    while pending.last().map_or(0, precedence) >= min {
+        let (Some(op), Some(rhs), Some(lhs)) = (pending.pop(), operands.pop(), operands.pop())
+        else {
+            return;
+        };
+        operands.push(match op {
+            Token::Or => aig.or(lhs, rhs),
+            Token::Xor => aig.xor(lhs, rhs),
+            _ => aig.and(lhs, rhs),
+        });
     }
+}
 
-    fn bump(&mut self) -> Option<Token> {
-        let tok = self.tokens.get(self.pos).cloned();
-        self.pos += 1;
-        tok
-    }
-
-    // expr := xor_term ('+' xor_term)*
-    fn expr(&mut self) -> Result<Lit> {
-        let mut acc = self.xor_term()?;
-        while matches!(self.peek(), Some(Token::Or)) {
-            self.bump();
-            let rhs = self.xor_term()?;
-            acc = self.aig.or(acc, rhs);
-        }
-        Ok(acc)
-    }
-
-    // xor_term := term ('^' term)*
-    fn xor_term(&mut self) -> Result<Lit> {
-        let mut acc = self.term()?;
-        while matches!(self.peek(), Some(Token::Xor)) {
-            self.bump();
-            let rhs = self.term()?;
-            acc = self.aig.xor(acc, rhs);
-        }
-        Ok(acc)
-    }
-
-    // term := factor ('*' factor)*
-    fn term(&mut self) -> Result<Lit> {
-        let mut acc = self.factor()?;
-        while matches!(self.peek(), Some(Token::And)) {
-            self.bump();
-            let rhs = self.factor()?;
-            acc = self.aig.and(acc, rhs);
-        }
-        Ok(acc)
-    }
-
-    // factor := '!' factor | '(' expr ')' | ident | const
-    fn factor(&mut self) -> Result<Lit> {
-        match self.bump() {
-            Some(Token::Not) => Ok(self.factor()?.not()),
-            Some(Token::LParen) => {
-                let inner = self.expr()?;
-                match self.bump() {
-                    Some(Token::RParen) => Ok(inner),
-                    _ => Err(AigError::Parse("missing closing parenthesis".into())),
+/// Parses one right-hand side:
+///
+/// ```text
+/// expr     := xor_term ('+' xor_term)*
+/// xor_term := term ('^' term)*
+/// term     := factor ('*' factor)*
+/// factor   := '!' factor | '(' expr ')' | ident | const
+/// ```
+///
+/// An operator-precedence parse over two explicit stacks, so that nesting —
+/// any run of `(` or `!` a file cares to contain — costs heap, not call stack.
+/// An operator is applied as soon as its right operand is complete, left to
+/// right: the order a recursive descent over the grammar builds gates in.
+fn parse_expr(tokens: Vec<Token>, aig: &mut Aig, env: &FxHashMap<String, Lit>) -> Result<Lit> {
+    // Operators and open parentheses still waiting for their right side, and
+    // the finished operands they will take.
+    let mut pending: Vec<Token> = Vec::new();
+    let mut operands: Vec<Lit> = Vec::new();
+    let mut want_operand = true;
+    for token in tokens {
+        let mut operand = match (want_operand, token) {
+            (true, token @ (Token::Not | Token::LParen)) => {
+                pending.push(token);
+                continue;
+            }
+            (true, Token::Const(value)) => Lit::FALSE.xor(value),
+            (true, Token::Ident(name)) => *env
+                .get(&name)
+                .ok_or_else(|| AigError::Parse(format!("undefined signal '{name}'")))?,
+            (false, token @ (Token::And | Token::Or | Token::Xor)) => {
+                reduce(&mut pending, &mut operands, aig, precedence(&token));
+                pending.push(token);
+                want_operand = true;
+                continue;
+            }
+            (false, Token::RParen) => {
+                reduce(&mut pending, &mut operands, aig, 1);
+                match (pending.pop(), operands.pop()) {
+                    (Some(Token::LParen), Some(inner)) => inner,
+                    _ => return Err(AigError::Parse("unmatched closing parenthesis".into())),
                 }
             }
-            Some(Token::Const(b)) => Ok(if b { Lit::TRUE } else { Lit::FALSE }),
-            Some(Token::Ident(name)) => self
-                .env
-                .get(&name)
-                .copied()
-                .ok_or_else(|| AigError::Parse(format!("undefined signal '{name}'"))),
-            other => Err(AigError::Parse(format!("unexpected token {other:?}"))),
+            (_, other) => return Err(AigError::Parse(format!("unexpected token {other:?}"))),
+        };
+        // A finished factor takes the `!`s written in front of it.
+        while pending.last() == Some(&Token::Not) {
+            pending.pop();
+            operand = operand.not();
         }
+        operands.push(operand);
+        want_operand = false;
+    }
+    if want_operand {
+        return Err(AigError::Parse(
+            "expression ends where an operand is expected".into(),
+        ));
+    }
+    reduce(&mut pending, &mut operands, aig, 1);
+    match (pending.is_empty(), operands.pop()) {
+        (true, Some(lit)) => Ok(lit),
+        _ => Err(AigError::Parse("missing closing parenthesis".into())),
     }
 }
 
@@ -277,19 +294,7 @@ pub fn read_eqn(text: &str) -> Result<Aig> {
                 }
             }
             name => {
-                let tokens = tokenize(rhs)?;
-                let mut parser = Parser {
-                    tokens,
-                    pos: 0,
-                    aig: &mut aig,
-                    env: &env,
-                };
-                let lit = parser.expr()?;
-                if parser.pos != parser.tokens.len() {
-                    return Err(AigError::Parse(format!(
-                        "trailing tokens in expression for '{name}'"
-                    )));
-                }
+                let lit = parse_expr(tokenize(rhs)?, &mut aig, &env)?;
                 // Reassigning a signal (or shadowing an input) used to be
                 // accepted silently, with the last assignment winning.
                 if env.insert(name.to_string(), lit).is_some() {
@@ -432,11 +437,76 @@ cout = (a * b) + (cin * w1);
         assert!(matches!(read_eqn(dup_input), Err(AigError::Duplicate(_))));
     }
 
+    /// Runs `f` on a 2 MiB stack, the size a pool worker or a test thread
+    /// parses a submitted file on.
+    fn on_a_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let thread = std::thread::Builder::new().stack_size(2 << 20).spawn(f);
+        thread.unwrap().join().unwrap()
+    }
+
+    #[test]
+    fn nesting_depth_is_not_bounded_by_the_stack() {
+        // One call frame per `(` or `!` aborted the process on a 2 MiB stack
+        // (release; far earlier in debug).
+        const DEPTH: usize = 200_000;
+        for (open, close) in [("(", ")"), ("!", ""), ("!(", ")")] {
+            let text = format!(
+                "INORDER = a b;\nOUTORDER = f;\nf = {}a * b{};\n",
+                open.repeat(DEPTH),
+                close.repeat(DEPTH)
+            );
+            let aig = on_a_small_stack(move || read_eqn(&text)).unwrap();
+            // An even number of `!`s cancels; without parentheses they bind
+            // to `a` alone, which makes no difference at an even count.
+            assert_eq!(aig.evaluate(&[true, true]), vec![true], "{open}");
+            assert_eq!(aig.evaluate(&[true, false]), vec![false], "{open}");
+        }
+        let unclosed = format!("INORDER = a;\nOUTORDER = f;\nf = {}a;\n", "(".repeat(DEPTH));
+        assert!(on_a_small_stack(move || read_eqn(&unclosed)).is_err());
+    }
+
+    #[test]
+    fn precedence_and_grouping_match_the_grammar() {
+        // Every operator pair, both orders, against the grouping the grammar
+        // gives it; parentheses and `!` override and bind as written.
+        type Spec = fn(bool, bool, bool) -> bool;
+        let cases: [(&str, Spec); 10] = [
+            ("a + b ^ c", |a, b, c| a | (b ^ c)),
+            ("a ^ b + c", |a, b, c| (a ^ b) | c),
+            ("a ^ b * c", |a, b, c| a ^ (b & c)),
+            ("a * b ^ c", |a, b, c| (a & b) ^ c),
+            ("a * b + c * a", |a, b, c| (a & b) | (c & a)),
+            ("a ^ b ^ c * !a", |a, b, c| a ^ b ^ (c & !a)),
+            ("(a + b) * c", |a, b, c| (a | b) & c),
+            ("!(a + b) * !!c", |a, b, c| !(a | b) & c),
+            ("!a ^ !(b * (c + a))", |a, b, c| !a ^ !(b & (c | a))),
+            ("((a)) + (!(b)) * c", |a, b, c| a | (!b & c)),
+        ];
+        for (expr, expected) in cases {
+            let text = format!("INORDER = a b c;\nOUTORDER = f;\nf = {expr};\n");
+            let aig = read_eqn(&text).unwrap();
+            for p in 0..8u32 {
+                let (a, b, c) = (p & 1 != 0, p & 2 != 0, p & 4 != 0);
+                assert_eq!(
+                    aig.evaluate(&[a, b, c]),
+                    vec![expected(a, b, c)],
+                    "{expr} at {p}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn error_on_bad_syntax() {
         let text = "INORDER = a b;\nOUTORDER = f;\nf = (a * b;\n";
         assert!(read_eqn(text).is_err());
         let text2 = "INORDER = a b;\nOUTORDER = f;\nf = a ** b;\n";
         assert!(read_eqn(text2).is_err());
+        for rhs in [
+            "a b", "a )", "( )", "a * ", "", "!", "a ! b", "(a * b))", "a + * b",
+        ] {
+            let text = format!("INORDER = a b;\nOUTORDER = f;\nf = {rhs};\n");
+            assert!(matches!(read_eqn(&text), Err(AigError::Parse(_))), "{rhs}");
+        }
     }
 }

@@ -490,6 +490,16 @@ pub(crate) fn server(run: &mut Run) {
             speedup >= 10.0,
             &[("cold_ms", cold_ms), ("warm_ms", warm_ms)],
         );
+        // The key is the config's value, not the object: a client that
+        // builds its config per request hits the cache like one that clones.
+        let rebuilt = run.flow_config();
+        let (_, rebuilt_hit, _) = serve(run, circuit, rebuilt, "rebuilt");
+        run.check(
+            "rebuilt-config-is-cache-hit",
+            &circuit.name,
+            rebuilt_hit,
+            &[],
+        );
         // A different extraction engine is a different result key but the
         // same saturation key: the checkpoint must be restored and the
         // e-graph NOT rebuilt.

@@ -5,13 +5,14 @@ use crate::tseitin::AigCnf;
 use aig::{Aig, Simulator};
 use sat::{Lit as SLit, SatResult, Solver};
 
+/// Seed of the random simulation that refutes before any SAT call.
+const SIM_SEED: u64 = 0xE5EED;
+
 /// Options controlling a CEC run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CecOptions {
     /// Number of 64-bit random simulation words used for fast refutation.
     pub sim_words: usize,
-    /// Seed for random simulation.
-    pub sim_seed: u64,
     /// Conflict budget per SAT call (`None` = unlimited). Defaults to the
     /// same bounded [`crate::DEFAULT_CONFLICT_BUDGET`] as [`SweepOptions`].
     pub conflict_budget: Option<u64>,
@@ -21,7 +22,6 @@ impl Default for CecOptions {
     fn default() -> Self {
         CecOptions {
             sim_words: 16,
-            sim_seed: 0xE5EED,
             conflict_budget: Some(crate::DEFAULT_CONFLICT_BUDGET),
         }
     }
@@ -194,8 +194,8 @@ fn simulation_counterexample(
     if golden.num_inputs() == 0 || options.sim_words == 0 {
         return None;
     }
-    let sim_a = Simulator::random(golden, options.sim_words, options.sim_seed);
-    let sim_b = Simulator::random(revised, options.sim_words, options.sim_seed);
+    let sim_a = Simulator::random(golden, options.sim_words, SIM_SEED);
+    let sim_b = Simulator::random(revised, options.sim_words, SIM_SEED);
     let outs_a = sim_a.output_signatures(golden);
     let outs_b = sim_b.output_signatures(revised);
     for (o, (sa, sb)) in outs_a.iter().zip(outs_b.iter()).enumerate() {
@@ -256,7 +256,7 @@ fn recover_pattern(aig: &Aig, options: &CecOptions, pattern_index: usize) -> Vec
     // Re-generate the same random stimulus to recover the differing pattern.
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(options.sim_seed);
+    let mut rng = StdRng::seed_from_u64(SIM_SEED);
     let words = options.sim_words;
     let mut inputs = Vec::with_capacity(aig.num_inputs());
     for _ in 0..aig.num_inputs() {
@@ -409,7 +409,6 @@ mod tests {
         let opts = CecOptions {
             sim_words: 0,
             conflict_budget: Some(2),
-            ..CecOptions::default()
         };
         match check_equivalence(&golden, &revised, &opts) {
             CecResult::NotEquivalent(cex) => {

@@ -57,26 +57,26 @@
 //! refuted member is simply left unproved.
 
 use crate::tseitin::{canonical, ConeCnf};
-use aig::{Aig, AigNode, Lit as ALit, NodeId, Simulator};
+use aig::{Aig, AigNode, FxHashMap, Lit as ALit, NodeId, Simulator};
 use sat::{Lit as SLit, SatResult, Solver};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Most inner nodes a window proof expands before giving up.
 const WINDOW_INNER: usize = 64;
 /// Most frontier leaves a window proof builds truth tables over.
 const WINDOW_LEAVES: usize = 8;
+/// Seed of the candidate simulation.
+const SIM_SEED: u64 = 0x5EED;
+/// Candidate classes larger than this are skipped (guards worst-case blowup).
+const MAX_CLASS_SIZE: usize = 64;
 
 /// Options controlling a sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepOptions {
     /// Number of 64-bit random simulation words used to form candidates.
     pub sim_words: usize,
-    /// Seed for the candidate simulation.
-    pub sim_seed: u64,
     /// Conflict budget per SAT proof (`None` = unlimited).
     pub conflict_budget: Option<u64>,
-    /// Skip candidate classes larger than this (guards worst-case blowup).
-    pub max_class_size: usize,
     /// Resimulate SAT counterexamples to split remaining candidate classes
     /// before spending further SAT calls on them.
     pub cex_refinement: bool,
@@ -86,9 +86,7 @@ impl Default for SweepOptions {
     fn default() -> Self {
         SweepOptions {
             sim_words: 8,
-            sim_seed: 0x5EEDu64,
             conflict_budget: Some(crate::DEFAULT_CONFLICT_BUDGET),
-            max_class_size: 64,
             cex_refinement: true,
         }
     }
@@ -307,9 +305,9 @@ impl Candidates {
         if aig.num_inputs() == 0 {
             return None;
         }
-        let sim = Simulator::random(aig, options.sim_words, options.sim_seed);
+        let sim = Simulator::random(aig, options.sim_words, SIM_SEED);
         // Canonical signature: complemented so that bit 0 is 0.
-        let mut groups: HashMap<Vec<u64>, Vec<ALit>> = HashMap::new();
+        let mut groups: FxHashMap<Vec<u64>, Vec<ALit>> = FxHashMap::default();
         for id in aig.node_ids() {
             if matches!(aig.node(id), AigNode::Input { .. }) {
                 continue;
@@ -329,7 +327,7 @@ impl Candidates {
         }
         let mut classes: Vec<Vec<ALit>> = groups
             .into_values()
-            .filter(|g| g.len() >= 2 && g.len() <= options.max_class_size)
+            .filter(|g| g.len() >= 2 && g.len() <= MAX_CLASS_SIZE)
             .collect();
         if classes.is_empty() {
             return None;

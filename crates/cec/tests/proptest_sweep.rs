@@ -21,9 +21,10 @@ use std::collections::BTreeMap;
 
 /// The candidate groups the sweeper forms — AND and constant nodes grouped
 /// by random-simulation signature up to complement, members in id order —
-/// restated here so the oracle refines the same starting point.
+/// restated here, with the sweeper's simulation seed and class-size cap, so
+/// the oracle refines the same starting point.
 fn candidate_groups(aig: &Aig, options: &SweepOptions) -> Vec<Vec<ALit>> {
-    let sim = Simulator::random(aig, options.sim_words, options.sim_seed);
+    let sim = Simulator::random(aig, options.sim_words, 0x5EED);
     let mut groups: BTreeMap<Vec<u64>, Vec<ALit>> = BTreeMap::new();
     for id in aig.node_ids().filter(|&id| !aig.node(id).is_input()) {
         let sig = sim.node_signature(id);
@@ -36,7 +37,7 @@ fn candidate_groups(aig: &Aig, options: &SweepOptions) -> Vec<Vec<ALit>> {
     }
     groups
         .into_values()
-        .filter(|g| g.len() >= 2 && g.len() <= options.max_class_size)
+        .filter(|g| g.len() >= 2 && g.len() <= 64)
         .collect()
 }
 
@@ -128,7 +129,6 @@ fn options(sim_words: usize, cex_refinement: bool) -> SweepOptions {
         sim_words,
         cex_refinement,
         conflict_budget: None,
-        ..SweepOptions::default()
     }
 }
 

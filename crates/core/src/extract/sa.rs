@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Options of the simulated-annealing extractor.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SaOptions {
     /// Number of annealing iterations per chain (the paper uses 4).
     pub iterations: usize,

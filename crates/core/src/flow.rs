@@ -67,7 +67,7 @@ use techmap::{sop::sop_balance, MapError, MapOptions, Qor};
 use window::{WindowError, WindowOptions};
 
 /// Which cost model guides the SA extraction (paper Section III-C).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CostMode {
     /// Quality-prioritized: evaluate candidates with the real mapper.
     Quality,
@@ -75,17 +75,17 @@ pub enum CostMode {
     Runtime(LearnedCost),
 }
 
-/// Configuration of the synthesis flows.
-#[derive(Debug, Clone)]
+/// Configuration of the synthesis flows. Two configurations are equal when
+/// every knob holds the same value, which is the comparison the job server
+/// keys its result cache on.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowConfig {
-    /// Number of `(st; if -g)(st; dch; map)` rounds (4 in the paper).
+    /// Number of `(st; if -g)(st; dch; map)` rounds (4 in the paper). SOP
+    /// balancing always runs as `if -g -K 6 -C 8` and `dch` under
+    /// [`DchOptions::default`].
     pub rounds: usize,
-    /// LUT-mapping options used by SOP balancing (`if -g -K 6 -C 8`).
-    pub lut_options: MapOptions,
     /// Standard-cell mapping options.
     pub map_options: MapOptions,
-    /// Structural-choice (dch) options.
-    pub dch_options: DchOptions,
     /// The standard-cell library.
     pub library: CellLibrary,
     /// Number of e-graph rewriting iterations (5 in the paper).
@@ -119,9 +119,8 @@ pub struct FlowConfig {
     /// Sweep options used by the fraig-style CEC gate, budgeted in lockstep
     /// with [`FlowConfig::cec`] so the verification tail has one bound. The
     /// `dch` step of every conventional round does *not* read this field: it
-    /// sweeps under [`FlowConfig::dch_options`]`.sweep`, which no
-    /// configuration here sets, so it runs at `cec`'s default conflict budget
-    /// (10 000) whatever this one says.
+    /// sweeps under [`DchOptions::default`], at `cec`'s default conflict
+    /// budget (10 000) whatever this one says.
     pub sweep: cec::SweepOptions,
     /// How much invariant auditing the flow performs at phase boundaries
     /// (saturate, extract, choice-export, map): [`AuditLevel::Off`] costs
@@ -150,9 +149,7 @@ impl FlowConfig {
     pub fn paper() -> Self {
         FlowConfig {
             rounds: 4,
-            lut_options: MapOptions::lut6(),
             map_options: MapOptions::default(),
-            dch_options: DchOptions::default(),
             library: asap7_like(),
             rewrite_iterations: 5,
             node_limit: 200_000,
@@ -231,6 +228,40 @@ impl FlowConfig {
         self.partitioning = Some(opts);
         self
     }
+
+    /// The part of this configuration that identifies a saturation.
+    pub fn saturation_key(&self) -> SaturationKey {
+        SaturationKey {
+            rounds: self.rounds,
+            rewrite_iterations: self.rewrite_iterations,
+            node_limit: self.node_limit,
+            match_limit: self.match_limit,
+            time_limit: self.saturation_time_limit,
+        }
+    }
+}
+
+/// What identifies a saturation: the knobs [`prepare_network`] and the
+/// saturation stage run under. Both take them from this value, not from the
+/// [`FlowConfig`], so a knob one of them starts to read has to be added here
+/// first, and two configurations with equal keys turn one circuit into the
+/// same saturated e-graph — what the job server's checkpoint store relies
+/// on. Nothing before extraction reads the library or the mapping, extraction
+/// and verification options, and `search_threads` only changes wall-clock
+/// time ([`egraph::pool`]), so none of those is in it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SaturationKey {
+    /// [`FlowConfig::rounds`]: the rounds that shape the saturated network.
+    pub rounds: usize,
+    /// [`FlowConfig::rewrite_iterations`].
+    pub rewrite_iterations: usize,
+    /// [`FlowConfig::node_limit`], or a window's share of it.
+    pub node_limit: usize,
+    /// [`FlowConfig::match_limit`].
+    pub match_limit: usize,
+    /// [`FlowConfig::saturation_time_limit`], or what a window has left of it
+    /// (`None` keeps the runner's default).
+    pub time_limit: Option<Duration>,
 }
 
 /// Runs the extraction engine `kind` names under `config`'s SA options,
@@ -290,11 +321,12 @@ fn extraction_to_class_selection(
 /// rounds 1..N-1 followed by the final round's `st; if -g` (SOP balancing).
 /// The result is the network the resynthesis phase saturates.
 pub fn prepare_network(aig: &Aig, config: &FlowConfig) -> Aig {
+    let knobs = config.saturation_key();
     let mut current = aig.clone();
-    for _ in 0..config.rounds.saturating_sub(1) {
-        current = restructure(&current, config, true);
+    for _ in 0..knobs.rounds.saturating_sub(1) {
+        current = restructure(&current, true);
     }
-    sop_balance(&current.strash_copy(), &config.lut_options)
+    sop_balance(&current.strash_copy(), &MapOptions::lut6())
 }
 
 /// A saturated e-graph plus the circuit interface needed to extract a
@@ -343,27 +375,22 @@ pub fn saturate_network_with_interrupt(
 ) -> SaturatedState {
     saturate(
         current,
-        config,
-        config.node_limit,
+        &config.saturation_key(),
         config.search_threads,
         &all_rules(),
-        config.saturation_time_limit,
         interrupt,
     )
 }
 
 /// The saturation stage: forward conversion, then the one `Runner` recipe
-/// of the flows. Whole designs take the node limit, search threads and time
-/// limit from the config; a window passes its carved node limit, serial
-/// search, its worker's rule set and the time left to the phase deadline.
-/// `time_limit == None` keeps the runner's default.
+/// of the flows. Whole designs run under their config's key and search
+/// threads; a window passes the key with its carved node limit and the time
+/// left to the phase deadline, serial search and its worker's rule set.
 pub(crate) fn saturate(
     aig: &Aig,
-    config: &FlowConfig,
-    node_limit: usize,
+    knobs: &SaturationKey,
     search_threads: usize,
     rules: &[Rewrite<BoolLang>],
-    time_limit: Option<Duration>,
     interrupt: Option<Arc<AtomicBool>>,
 ) -> SaturatedState {
     let t_convert = Instant::now();
@@ -372,14 +399,14 @@ pub(crate) fn saturate(
 
     let t_saturate = Instant::now();
     let mut runner = Runner::with_egraph(conversion.egraph)
-        .with_iter_limit(config.rewrite_iterations)
-        .with_node_limit(node_limit)
+        .with_iter_limit(knobs.rewrite_iterations)
+        .with_node_limit(knobs.node_limit)
         .with_scheduler(Scheduler::Backoff {
-            match_limit: config.match_limit,
+            match_limit: knobs.match_limit,
             ban_length: 2,
         })
         .with_search_threads(search_threads);
-    if let Some(limit) = time_limit {
+    if let Some(limit) = knobs.time_limit {
         runner = runner.with_time_limit(limit);
     }
     if let Some(flag) = interrupt {
@@ -580,16 +607,16 @@ pub struct FlowResult {
 /// The technology-independent half of a conventional round: `st; [if -g;]
 /// st; dch`. The next round starts from this network, never from a mapped
 /// one, so only a round whose netlist is read goes on to map it.
-fn restructure(aig: &Aig, config: &FlowConfig, with_sop: bool) -> Aig {
+fn restructure(aig: &Aig, with_sop: bool) -> Aig {
     let mut current = aig.strash_copy();
     if with_sop {
-        current = sop_balance(&current, &config.lut_options);
+        current = sop_balance(&current, &MapOptions::lut6());
     }
-    dch_like(&current.strash_copy(), &config.dch_options)
+    dch_like(&current.strash_copy(), &DchOptions::default())
 }
 
 fn conventional_round(aig: &Aig, config: &FlowConfig, with_sop: bool) -> (Aig, Netlist) {
-    let current = restructure(aig, config, with_sop);
+    let current = restructure(aig, with_sop);
     let netlist = map_to_cells(&current, &config.library, &config.map_options);
     (current, netlist)
 }
@@ -599,7 +626,7 @@ pub fn baseline_flow(aig: &Aig, config: &FlowConfig) -> FlowResult {
     let start = Instant::now();
     let mut current = aig.clone();
     for _ in 0..config.rounds {
-        current = restructure(&current, config, true);
+        current = restructure(&current, true);
     }
     // Only the last round's netlist is reported and audited.
     let netlist = map_to_cells(&current, &config.library, &config.map_options);

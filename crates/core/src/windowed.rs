@@ -23,7 +23,7 @@
 //! deadline for the whole phase: each window gets the time left to it.
 
 use crate::extract::{BottomUpEngine, ExtractBudget, ExtractionCost, ExtractionEngine};
-use crate::flow::{saturate, FlowConfig, SaturatedState};
+use crate::flow::{saturate, FlowConfig, SaturatedState, SaturationKey};
 use crate::rules::all_rules;
 use aig::{Aig, Lit, NodeId};
 use choices::ChoiceConfig;
@@ -174,15 +174,12 @@ fn drive_windows<R: Send>(
                 },
             };
             let window = &part.windows[i];
-            let state = saturate(
-                &window.cone.aig,
-                config,
+            let knobs = SaturationKey {
                 node_limit,
-                1,
-                rules,
-                time_left,
-                None,
-            );
+                time_limit: time_left,
+                ..config.saturation_key()
+            };
+            let state = saturate(&window.cone.aig, &knobs, 1, rules, None);
             let product = per_window(window, &state, &budget)?;
             Some((
                 product,

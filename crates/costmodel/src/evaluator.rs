@@ -19,38 +19,33 @@ pub trait CostEvaluator: Send + Sync {
     fn name(&self) -> &str;
 }
 
-/// Quality-prioritized cost: full standard-cell mapping, cost = delay (ps)
-/// plus a small area tie-breaker.
+/// Weight of area (µm²) added to the delay cost as a tie-breaker.
+const AREA_WEIGHT: f64 = 0.01;
+
+/// Quality-prioritized cost: full standard-cell mapping under the default
+/// [`MapOptions`], cost = delay (ps) plus a small area tie-breaker.
 #[derive(Debug, Clone)]
 pub struct TechMapCost {
     /// The cell library used for mapping.
     pub library: CellLibrary,
-    /// Mapper options.
-    pub options: MapOptions,
-    /// Weight of area (µm²) added to the delay cost as a tie-breaker.
-    pub area_weight: f64,
 }
 
 impl TechMapCost {
     /// Creates a delay-dominated cost with a mild area tie-breaker.
     pub fn new(library: CellLibrary) -> Self {
-        TechMapCost {
-            library,
-            options: MapOptions::default(),
-            area_weight: 0.01,
-        }
+        TechMapCost { library }
     }
 
     /// Maps the circuit and returns the full QoR record (used for reporting).
     pub fn qor(&self, aig: &Aig) -> Qor {
-        map_to_cells(aig, &self.library, &self.options).qor()
+        map_to_cells(aig, &self.library, &MapOptions::default()).qor()
     }
 }
 
 impl CostEvaluator for TechMapCost {
     fn evaluate(&self, aig: &Aig) -> f64 {
         let qor = self.qor(aig);
-        qor.delay_ps + self.area_weight * qor.area_um2
+        qor.delay_ps + AREA_WEIGHT * qor.area_um2
     }
 
     fn name(&self) -> &str {
@@ -59,7 +54,7 @@ impl CostEvaluator for TechMapCost {
 }
 
 /// Runtime-prioritized cost: predicted delay from structural features.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LearnedCost {
     /// The trained regression model.
     pub model: RidgeModel,

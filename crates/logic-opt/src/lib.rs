@@ -27,5 +27,5 @@ mod script;
 pub use balance::balance;
 pub use choices::{dch_choices, dch_like, DchOptions};
 pub use factor::{factor_cover, FactorTree};
-pub use resynth::{refactor, rewrite, ResynthOptions};
+pub use resynth::{refactor, rewrite};
 pub use script::{OptScript, Pass};

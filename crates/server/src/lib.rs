@@ -1,51 +1,73 @@
 //! Synthesis-as-a-service: a persistent, thread-based synthesis daemon.
 //!
 //! The server keeps a pool of plain `std::thread` workers alive across
-//! submissions (ROADMAP item 3: "a stream of jobs against warm state", not
-//! one CLI invocation per design) and serves each job through three layers:
+//! submissions ("a stream of jobs against warm state", not one CLI
+//! invocation per design) and is a cache keyed at two stage boundaries of
+//! the flow. A boundary maps a key to a slot that is absent, being computed
+//! by exactly one job, or ready:
 //!
-//! 1. **Content-addressed result cache** — keyed on
-//!    `(aig::structural_fingerprint, rules::rule_set_id, flow-config
-//!    fingerprint)`. Identical or repeated submissions return instantly with
-//!    the *same* result object: the first completion for a key defines the
-//!    answer and every later submission of that key is served from the
-//!    cache, which is the bit-identity serving contract.
-//! 2. **Checkpoint store** — keyed on the *saturation-relevant* subset of
-//!    the flow config (the extraction / verification knobs are excluded).
-//!    One expensive saturation is snapshotted once through
-//!    [`emorphic::FlowCheckpoint`] and re-extracted / re-mapped many times
-//!    under different [`emorphic::ExtractorKind`] / cost-function /
-//!    delay-target requests, amortizing the dominant phase (paper Fig. 9).
-//! 3. **The flow itself** — the split entry points `prepare_network` →
-//!    `saturate_network_with_interrupt` → `extract_network` →
-//!    `verify_and_map`, the resynthesized network CEC-verified against the
-//!    submitted input before the final `st; dch; map` round.
+//! 1. **Results** — keyed on `(aig::structural_fingerprint,
+//!    rules::rule_set_id)` and the job's whole [`FlowConfig`]; a repeated
+//!    submission is answered with the *same* result object.
+//! 2. **Checkpoints** — keyed on the same circuit and the config's
+//!    [`SaturationKey`], the knobs `prepare_network` and the saturation stage
+//!    run under, defined next to them. One saturation is snapshotted through
+//!    [`FlowCheckpoint`] and re-extracted / re-mapped under any other
+//!    extractor, cost function, delay target or library, amortizing the
+//!    dominant phase (paper Fig. 9).
 //!
-//! Jobs carry optional wall-clock budgets (mapped onto the saturation time
-//! limit) and can be cancelled cooperatively: cancellation sets a per-job
-//! flag that the saturation runner checks at the same points as its other
-//! limits, so a preempted job reports [`JobState::Preempted`] and returns
-//! its worker to the pool with no corrupted state.
+//! **Keys are compared by value**: two configs are one key when `==` says so,
+//! however they were built; nothing is rendered to text or hashed in place
+//! of the comparison. `search_threads` is a field of the config, so it is in
+//! the result key, but not in the saturation key: the thread count never
+//! changes a saturated e-graph ([`egraph::pool`]).
+//!
+//! **Both boundaries are single-flight.** Of the jobs that want an absent key
+//! one computes it; the others sleep, each on its worker, until the value is
+//! published — duplicates are served the result, jobs sharing a saturation
+//! *restore* its checkpoint — or the claim is released, and then one of them
+//! takes the computation over. Keys are made at submission and a worker
+//! takes a job's claims in the step that pops it, so claims are taken in
+//! submission order: which job of a batch saturates, and so what each one
+//! serves, does not depend on how the pool interleaves. A miss runs the flow
+//! itself, the resynthesized network CEC-verified against the submitted input
+//! before the final `st; dch; map` round.
+//!
+//! **Every job ends.** A job that turned [`JobState::Running`] ends
+//! `Completed`, `Preempted` or `Failed` however its worker leaves it, and its
+//! claims are released on the same exits. Cancellation sets a per-job flag
+//! that the saturation runner checks at the same points as its other limits
+//! and that wakes a job asleep on another job's claim. A flow that panics is
+//! caught: the client sees `Failed` with the panic message in
+//! [`JobStatus::error`], the worker takes the next job. A
+//! [`JobRequest::budget`] tightens the saturation time limit before the keys
+//! are made, so a budgeted job is another key at both boundaries.
 
 use aig::Aig;
 use emorphic::checkpoint::FlowCheckpoint;
 use emorphic::flow::{
     check_equivalence_swept, extract_network, prepare_network, saturate_network_with_interrupt,
-    verify_and_map, FlowConfig,
+    verify_and_map, FlowConfig, SaturationKey,
 };
 use emorphic::rules::rule_set_id;
-use fxhash::{FxHashMap, FxHashSet};
+use fxhash::FxHashMap;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 use techmap::Qor;
 
-/// Locks a mutex, tolerating poisoning: a worker that panicked (which the
-/// workspace lints forbid in library code anyway) must not wedge the whole
-/// server, so the data is taken as-is.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Locks the server state, tolerating poisoning. Every critical section is a
+/// few field updates that call no flow code, and the guards below lock from
+/// `Drop`, where a second panic would abort the process.
+fn lock(m: &Mutex<State>) -> MutexGuard<'_, State> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Sleeps on `cv`, with the same tolerance.
+fn wait<'a>(cv: &Condvar, state: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+    cv.wait(state).unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Identifier of a submitted job.
@@ -61,7 +83,9 @@ pub struct JobRequest {
     /// Flow knobs (saturation limits, extraction engine, CEC budgets, ...).
     pub config: FlowConfig,
     /// Per-job budget, mapped onto the saturation wall-clock limit (the
-    /// tightest of this and `config.saturation_time_limit` wins).
+    /// tightest of this and `config.saturation_time_limit` wins). The job is
+    /// keyed on the config *after* that, so it shares a result or a
+    /// checkpoint only with jobs under the same effective limit.
     pub budget: Option<Duration>,
 }
 
@@ -97,8 +121,9 @@ pub enum JobState {
     /// clean outcome, never a corrupted one — the runner's cooperative
     /// checkpoints leave every structure consistent.
     Preempted,
-    /// The job cannot be served; the reason is recorded on the status. Today
-    /// that is a request for windowed saturation (`config.partitioning`).
+    /// The job cannot be served; the reason is recorded on the status: a
+    /// request for windowed saturation (`config.partitioning`), or a flow
+    /// that panicked (the panic message).
     Failed,
 }
 
@@ -112,8 +137,8 @@ impl JobState {
     }
 }
 
-/// The deterministic payload served for a cache key: the first completion
-/// for a key produces it, every later submission of the same key receives
+/// The deterministic payload served for a result key: the one job that
+/// computes the key produces it, every other submission of the key receives
 /// the identical object.
 #[derive(Debug, Clone)]
 pub struct SynthesisResult {
@@ -142,6 +167,32 @@ pub struct JobStatus {
     pub cache_hit: bool,
     /// Typed failure description when `state` is [`JobState::Failed`].
     pub error: Option<String>,
+}
+
+impl JobStatus {
+    fn in_state(state: JobState) -> Self {
+        JobStatus {
+            state,
+            result: None,
+            cache_hit: false,
+            error: None,
+        }
+    }
+
+    fn completed(result: Arc<SynthesisResult>, cache_hit: bool) -> Self {
+        JobStatus {
+            result: Some(result),
+            cache_hit,
+            ..JobStatus::in_state(JobState::Completed)
+        }
+    }
+
+    fn failed(reason: impl Into<String>) -> Self {
+        JobStatus {
+            error: Some(reason.into()),
+            ..JobStatus::in_state(JobState::Failed)
+        }
+    }
 }
 
 /// Aggregate serving statistics.
@@ -177,83 +228,156 @@ impl Default for ServerOptions {
 }
 
 struct JobEntry {
-    state: JobState,
+    status: JobStatus,
     cancel: Arc<AtomicBool>,
-    result: Option<Arc<SynthesisResult>>,
-    cache_hit: bool,
-    error: Option<String>,
 }
 
-/// Queue + job table + stats behind one mutex (no lock ordering to get
-/// wrong); the caches live behind their own locks so a long flow never
-/// blocks submissions.
-struct Shared {
-    queue: VecDeque<(JobId, JobRequest)>,
+/// What a boundary holds for a key; a key without a slot is free to claim.
+enum Slot<V> {
+    /// One running job is computing the value. Only that job's [`Claim`]
+    /// changes the slot.
+    Claimed,
+    /// The published value.
+    Ready(Arc<V>),
+}
+
+/// One stage boundary: a slot per key, found by `==`. A scan — a config has
+/// no hash — over one entry per distinct circuit and config served.
+type Slots<K, V> = Vec<(K, Slot<V>)>;
+
+fn num_ready<K, V>(slots: &Slots<K, V>) -> usize {
+    let ready = slots.iter().filter(|(_, s)| matches!(s, Slot::Ready(_)));
+    ready.count()
+}
+
+/// Picks one of the two boundaries out of the locked state.
+type Select<K, V> = fn(&mut State) -> &mut Slots<K, V>;
+
+/// The circuit half of both keys: structural fingerprint × rule-set id.
+type Circuit = (u128, u64);
+
+/// Everything the server shares, behind one mutex: no lock order to get
+/// wrong, and a slot is checked and claimed in one step.
+struct State {
+    queue: VecDeque<(JobId, Circuit, JobRequest)>,
     jobs: FxHashMap<JobId, JobEntry>,
-    /// Result keys currently being computed by some worker. Duplicates of
-    /// an in-flight key wait for the publication instead of repeating the
-    /// work, so a batch of identical jobs costs one saturation.
-    in_flight: FxHashSet<(u128, u64, u64)>,
     stats: ServerStats,
     next_id: u64,
     shutdown: bool,
+    results: Slots<(Circuit, FlowConfig), SynthesisResult>,
+    checkpoints: Slots<(Circuit, SaturationKey), FlowCheckpoint>,
 }
-
-/// Result-cache key: circuit fingerprint × rule-set id × full flow-config
-/// fingerprint.
-type ResultKey = (u128, u64, u64);
-/// Checkpoint-store key: circuit fingerprint × rule-set id ×
-/// saturation-relevant config fingerprint.
-type SaturationKey = (u128, u64, u64);
 
 struct Inner {
-    shared: Mutex<Shared>,
+    state: Mutex<State>,
+    /// [`rule_set_id`] of the rules this build saturates with.
+    rules: u64,
     /// Wakes workers when work arrives or shutdown is requested.
     work_cv: Condvar,
-    /// Wakes `wait()` callers when any job reaches a terminal state.
-    done_cv: Condvar,
-    result_cache: Mutex<FxHashMap<ResultKey, Arc<SynthesisResult>>>,
-    checkpoints: Mutex<FxHashMap<SaturationKey, Arc<FlowCheckpoint>>>,
+    /// Wakes `wait()` callers and jobs asleep on a claimed slot: notified
+    /// when a job ends, when a claim is published or released, and by
+    /// `cancel()`.
+    changed_cv: Condvar,
 }
 
-/// Deterministic string hash (fxhash-style, fixed constants).
-fn hash_str(s: &str) -> u64 {
-    const K: u64 = 0x517c_c1b7_2722_0a95;
-    let mut acc: u64 = s.len() as u64;
-    for b in s.as_bytes() {
-        acc = (acc.rotate_left(5) ^ u64::from(*b)).wrapping_mul(K);
+/// The right and the duty to compute one key's value. Dropping the claim
+/// settles the slot — ready if a value was published, absent again if not,
+/// which is what happens when the job is preempted, fails or unwinds — and
+/// wakes the jobs asleep on it.
+struct Claim<'a, K: PartialEq + Clone, V> {
+    inner: &'a Inner,
+    select: Select<K, V>,
+    key: K,
+    value: Option<Arc<V>>,
+}
+
+impl<K: PartialEq + Clone, V> Claim<'_, K, V> {
+    fn publish(mut self, value: Arc<V>) {
+        self.value = Some(value);
     }
-    acc
 }
 
-/// Fingerprint of the whole flow configuration (the result-cache component).
-/// Hashing the `Debug` rendering over-keys — any knob change, relevant or
-/// not, invalidates the cache entry — which is the safe direction for a
-/// content-addressed cache.
-fn full_config_fingerprint(config: &FlowConfig) -> u64 {
-    hash_str(&format!("{config:?}"))
+impl<K: PartialEq + Clone, V> Drop for Claim<'_, K, V> {
+    fn drop(&mut self) {
+        let mut state = lock(&self.inner.state);
+        let slots = (self.select)(&mut state);
+        slots.retain(|(k, _)| *k != self.key);
+        if let Some(value) = self.value.take() {
+            slots.push((self.key.clone(), Slot::Ready(value)));
+        }
+        drop(state);
+        self.inner.changed_cv.notify_all();
+    }
 }
 
-/// Fingerprint of the saturation-relevant subset of the config: everything
-/// that shapes the prepared network or the saturated e-graph, and nothing
-/// that only affects extraction, mapping or verification — so a job that
-/// merely switches `ExtractorKind`, cost model or delay target still hits
-/// the checkpoint store.
-fn saturation_config_fingerprint(config: &FlowConfig) -> u64 {
-    hash_str(&format!(
-        "rounds={:?} lut={:?} map={:?} dch={:?} library={:?} iters={:?} nodes={:?} \
-         matches={:?} threads={:?} sat_limit={:?}",
-        config.rounds,
-        config.lut_options,
-        config.map_options,
-        config.dch_options,
-        config.library,
-        config.rewrite_iterations,
-        config.node_limit,
-        config.match_limit,
-        config.search_threads,
-        config.saturation_time_limit,
-    ))
+/// What a job gets at a boundary.
+enum Acquired<'a, K: PartialEq + Clone, V> {
+    /// The value is there: a hit.
+    Ready(Arc<V>),
+    /// The value is this job's to compute.
+    Claimed(Claim<'a, K, V>),
+}
+
+/// Checks the key's slot and claims it if it is free, sleeping while another
+/// job holds the claim. `None` if the job is cancelled before a value or the
+/// claim is there. The lock is handed back so that the caller's next step is
+/// part of the same critical section.
+fn acquire<'a, K: PartialEq + Clone, V>(
+    inner: &'a Inner,
+    mut state: MutexGuard<'a, State>,
+    select: Select<K, V>,
+    key: &K,
+    cancel: &AtomicBool,
+) -> (MutexGuard<'a, State>, Option<Acquired<'a, K, V>>) {
+    loop {
+        let acquired = match select(&mut state).iter().find(|(k, _)| k == key) {
+            Some((_, Slot::Ready(value))) => Some(Acquired::Ready(Arc::clone(value))),
+            _ if cancel.load(Ordering::Relaxed) => None,
+            Some((_, Slot::Claimed)) => {
+                state = wait(&inner.changed_cv, state);
+                continue;
+            }
+            None => {
+                select(&mut state).push((key.clone(), Slot::Claimed));
+                let claim = Claim {
+                    inner,
+                    select,
+                    key: key.clone(),
+                    value: None,
+                };
+                Some(Acquired::Claimed(claim))
+            }
+        };
+        return (state, acquired);
+    }
+}
+
+/// Owns a running job's terminal state: however the worker leaves the job,
+/// dropping this records `status` — `Failed` until the flow returns
+/// something else — and wakes the job's `wait()` callers.
+struct RunningJob<'a> {
+    inner: &'a Inner,
+    id: JobId,
+    status: JobStatus,
+}
+
+impl Drop for RunningJob<'_> {
+    fn drop(&mut self) {
+        let mut state = lock(&self.inner.state);
+        match self.status.state {
+            JobState::Completed => state.stats.completed += 1,
+            JobState::Preempted => state.stats.preempted += 1,
+            _ => state.stats.failed += 1,
+        }
+        if self.status.cache_hit {
+            state.stats.cache_hits += 1;
+        }
+        if let Some(entry) = state.jobs.get_mut(&self.id) {
+            entry.status = self.status.clone();
+        }
+        drop(state);
+        self.inner.changed_cv.notify_all();
+    }
 }
 
 /// The persistent synthesis daemon. Dropping the server shuts the pool
@@ -268,18 +392,18 @@ impl SynthesisServer {
     /// Starts the daemon with `options.workers` pool threads.
     pub fn start(options: &ServerOptions) -> Self {
         let inner = Arc::new(Inner {
-            shared: Mutex::new(Shared {
+            state: Mutex::new(State {
                 queue: VecDeque::new(),
                 jobs: FxHashMap::default(),
-                in_flight: FxHashSet::default(),
                 stats: ServerStats::default(),
                 next_id: 0,
                 shutdown: false,
+                results: Vec::new(),
+                checkpoints: Vec::new(),
             }),
+            rules: rule_set_id(),
             work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-            result_cache: Mutex::new(FxHashMap::default()),
-            checkpoints: Mutex::new(FxHashMap::default()),
+            changed_cv: Condvar::new(),
         });
         let workers = (0..options.workers.max(1))
             .map(|_| {
@@ -292,96 +416,72 @@ impl SynthesisServer {
 
     /// Enqueues one job and returns its id.
     pub fn submit(&self, request: JobRequest) -> JobId {
-        let mut shared = lock(&self.inner.shared);
-        let id = JobId(shared.next_id);
-        shared.next_id += 1;
-        shared.stats.submitted += 1;
-        shared.jobs.insert(
+        // Keyed here, on the caller's thread, so that the worker that pops
+        // the job can take its claims in the same step.
+        let circuit = (request.aig.structural_fingerprint(), self.inner.rules);
+        let mut state = lock(&self.inner.state);
+        let id = JobId(state.next_id);
+        state.next_id += 1;
+        state.stats.submitted += 1;
+        state.jobs.insert(
             id,
             JobEntry {
-                state: JobState::Queued,
+                status: JobStatus::in_state(JobState::Queued),
                 cancel: Arc::new(AtomicBool::new(false)),
-                result: None,
-                cache_hit: false,
-                error: None,
             },
         );
-        shared.queue.push_back((id, request));
-        drop(shared);
+        state.queue.push_back((id, circuit, request));
+        drop(state);
         self.inner.work_cv.notify_one();
         id
     }
 
     /// Batch mode: enqueues every request and returns the ids in order. The
     /// jobs multiplex over the worker pool; answers are deterministic per
-    /// cache key (the first completion for a key defines it, duplicates are
-    /// served from the cache).
+    /// result key (one job computes it, duplicates are served its object).
     pub fn submit_batch(&self, requests: Vec<JobRequest>) -> Vec<JobId> {
-        let ids: Vec<JobId> = requests.into_iter().map(|r| self.submit(r)).collect();
-        self.inner.work_cv.notify_all();
-        ids
+        requests.into_iter().map(|r| self.submit(r)).collect()
     }
 
     /// Requests cooperative cancellation. A queued job is preempted
     /// immediately; a running job's cancel flag is set and the worker stops
-    /// at the saturation runner's next limit checkpoint (or the next phase
-    /// boundary). Returns `false` for unknown or already-terminal jobs.
+    /// at the saturation runner's next limit checkpoint, at the next phase
+    /// boundary, or at once if the job is waiting for another job's value.
+    /// Returns `false` for unknown or already-terminal jobs.
     pub fn cancel(&self, id: JobId) -> bool {
-        let mut shared = lock(&self.inner.shared);
-        let Some(entry) = shared.jobs.get_mut(&id) else {
+        let mut state = lock(&self.inner.state);
+        let Some(entry) = state.jobs.get_mut(&id) else {
             return false;
         };
-        match entry.state {
-            JobState::Queued => {
-                entry.state = JobState::Preempted;
-                entry.cancel.store(true, Ordering::Relaxed);
-                shared.stats.preempted += 1;
-                drop(shared);
-                self.inner.done_cv.notify_all();
-                true
-            }
-            JobState::Running => {
-                entry.cancel.store(true, Ordering::Relaxed);
-                true
-            }
-            _ => false,
+        if entry.status.state.is_terminal() {
+            return false;
         }
+        entry.cancel.store(true, Ordering::Relaxed);
+        if entry.status.state == JobState::Queued {
+            entry.status.state = JobState::Preempted;
+            state.stats.preempted += 1;
+        }
+        drop(state);
+        self.inner.changed_cv.notify_all();
+        true
     }
 
     /// Returns the job's current status (`None` for unknown ids).
     pub fn status(&self, id: JobId) -> Option<JobStatus> {
-        let shared = lock(&self.inner.shared);
-        shared.jobs.get(&id).map(|e| JobStatus {
-            state: e.state,
-            result: e.result.clone(),
-            cache_hit: e.cache_hit,
-            error: e.error.clone(),
-        })
+        let state = lock(&self.inner.state);
+        state.jobs.get(&id).map(|e| e.status.clone())
     }
 
     /// Blocks until the job reaches a terminal state and returns its status.
     /// Returns `None` for unknown ids.
     pub fn wait(&self, id: JobId) -> Option<JobStatus> {
-        let mut shared = lock(&self.inner.shared);
+        let mut state = lock(&self.inner.state);
         loop {
-            match shared.jobs.get(&id) {
-                None => return None,
-                Some(e) if e.state.is_terminal() => {
-                    return Some(JobStatus {
-                        state: e.state,
-                        result: e.result.clone(),
-                        cache_hit: e.cache_hit,
-                        error: e.error.clone(),
-                    });
-                }
-                Some(_) => {
-                    shared = self
-                        .inner
-                        .done_cv
-                        .wait(shared)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
+            let status = &state.jobs.get(&id)?.status;
+            if status.state.is_terminal() {
+                return Some(status.clone());
             }
+            state = wait(&self.inner.changed_cv, state);
         }
     }
 
@@ -393,43 +493,33 @@ impl SynthesisServer {
 
     /// Current aggregate statistics.
     pub fn stats(&self) -> ServerStats {
-        lock(&self.inner.shared).stats
+        lock(&self.inner.state).stats
     }
 
     /// Number of entries in the result cache.
     pub fn cached_results(&self) -> usize {
-        lock(&self.inner.result_cache).len()
+        num_ready(&lock(&self.inner.state).results)
     }
 
     /// Number of stored saturation checkpoints.
     pub fn stored_checkpoints(&self) -> usize {
-        lock(&self.inner.checkpoints).len()
+        num_ready(&lock(&self.inner.state).checkpoints)
     }
 }
 
 impl Drop for SynthesisServer {
     fn drop(&mut self) {
-        {
-            let mut shared = lock(&self.inner.shared);
-            shared.shutdown = true;
-            // Cancel everything still queued or running so shutdown is
-            // bounded by one job, not the whole backlog.
-            let mut preempted = 0;
-            for entry in shared.jobs.values_mut() {
-                entry.cancel.store(true, Ordering::Relaxed);
-                if entry.state == JobState::Queued {
-                    entry.state = JobState::Preempted;
-                    preempted += 1;
-                }
-            }
-            shared.queue.clear();
-            shared.stats.preempted += preempted;
+        // Cancel everything still queued or running so shutdown is bounded
+        // by one job, not the whole backlog.
+        let ids: Vec<JobId> = lock(&self.inner.state).jobs.keys().copied().collect();
+        for id in ids {
+            self.cancel(id);
         }
+        lock(&self.inner.state).shutdown = true;
         self.inner.work_cv.notify_all();
-        self.inner.done_cv.notify_all();
         for handle in self.workers.drain(..) {
-            // A worker that panicked already poisoned nothing we rely on
-            // (all locks are poison-tolerant); ignore the join error.
+            // A worker only ends by returning from its loop: panics of the
+            // flow are caught per job.
             let _ = handle.join();
         }
     }
@@ -438,50 +528,37 @@ impl Drop for SynthesisServer {
 /// One pool thread: pop → serve → repeat until shutdown.
 fn worker_loop(inner: &Inner) {
     loop {
-        let (id, request) = {
-            let mut shared = lock(&inner.shared);
-            loop {
-                if let Some(job) = shared.queue.pop_front() {
-                    break job;
-                }
-                if shared.shutdown {
-                    return;
-                }
-                shared = inner
-                    .work_cv
-                    .wait(shared)
-                    .unwrap_or_else(PoisonError::into_inner);
+        let mut state = lock(&inner.state);
+        let (id, circuit, request) = loop {
+            if let Some(job) = state.queue.pop_front() {
+                break job;
             }
+            if state.shutdown {
+                return;
+            }
+            state = wait(&inner.work_cv, state);
         };
-        serve_job(inner, id, request);
-        inner.done_cv.notify_all();
-    }
-}
-
-/// Terminal-state bookkeeping shared by every outcome path.
-fn finish(
-    inner: &Inner,
-    id: JobId,
-    state: JobState,
-    result: Option<Arc<SynthesisResult>>,
-    cache_hit: bool,
-    error: Option<String>,
-) {
-    let mut shared = lock(&inner.shared);
-    match state {
-        JobState::Completed => shared.stats.completed += 1,
-        JobState::Preempted => shared.stats.preempted += 1,
-        JobState::Failed => shared.stats.failed += 1,
-        _ => {}
-    }
-    if cache_hit {
-        shared.stats.cache_hits += 1;
-    }
-    if let Some(entry) = shared.jobs.get_mut(&id) {
-        entry.state = state;
-        entry.result = result;
-        entry.cache_hit = cache_hit;
-        entry.error = error;
+        // Cancelled while queued (state already terminal): nothing to do.
+        let entry = state.jobs.get_mut(&id);
+        let Some(entry) = entry.filter(|e| e.status.state == JobState::Queued) else {
+            continue;
+        };
+        entry.status.state = JobState::Running;
+        let cancel = Arc::clone(&entry.cancel);
+        let mut job = RunningJob {
+            inner,
+            id,
+            status: JobStatus::failed("the worker left the job without an outcome"),
+        };
+        // The job's own data dies with the closure, and shared state only
+        // changes in critical sections that call no flow code, so nothing a
+        // panic tore is looked at again.
+        let flow = AssertUnwindSafe(|| serve_job(inner, state, circuit, request, &cancel));
+        job.status = catch_unwind(flow).unwrap_or_else(|payload| {
+            let text = payload.downcast_ref::<&str>().copied();
+            let text = text.or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+            JobStatus::failed(format!("the flow panicked: {}", text.unwrap_or("?")))
+        });
     }
 }
 
@@ -491,154 +568,99 @@ const WINDOWED_UNSUPPORTED: &str = "windowed saturation (FlowConfig::partitionin
     served: a partitioned run has no single saturated e-graph to checkpoint; submit the job with \
     partitioning: None";
 
-/// Executes one job through cache → checkpoint → flow.
-fn serve_job(inner: &Inner, id: JobId, request: JobRequest) {
-    let cancel = {
-        let mut shared = lock(&inner.shared);
-        let Some(entry) = shared.jobs.get_mut(&id) else {
-            return;
-        };
-        // Cancelled while queued (state already terminal): nothing to do.
-        if entry.state != JobState::Queued {
-            return;
-        }
-        entry.state = JobState::Running;
-        Arc::clone(&entry.cancel)
-    };
-
-    let JobRequest {
-        aig,
-        mut config,
-        budget,
-    } = request;
+/// Executes one job through result boundary → checkpoint boundary → flow.
+/// `state` is still the critical section that popped the job.
+fn serve_job<'a>(
+    inner: &'a Inner,
+    state: MutexGuard<'a, State>,
+    circuit: Circuit,
+    request: JobRequest,
+    cancel: &Arc<AtomicBool>,
+) -> JobStatus {
+    let (aig, mut config) = (request.aig, request.config);
     if config.partitioning.is_some() {
-        let error = Some(WINDOWED_UNSUPPORTED.to_string());
-        finish(inner, id, JobState::Failed, None, false, error);
-        return;
+        return JobStatus::failed(WINDOWED_UNSUPPORTED);
     }
-    // The per-job budget tightens the saturation limit; it never loosens a
-    // limit the config already sets.
-    if let Some(budget) = budget {
-        config.saturation_time_limit = Some(
-            config
-                .saturation_time_limit
-                .map_or(budget, |limit| limit.min(budget)),
-        );
-    }
+    // The tighter of the job's budget and the config's saturation limit: a
+    // budget never loosens a limit the config already sets.
+    let budget = request.budget.into_iter();
+    config.saturation_time_limit = budget.chain(config.saturation_time_limit).min();
+    let preempted = || JobStatus::in_state(JobState::Preempted);
 
-    let fingerprint = aig.structural_fingerprint();
-    let rules_id = rule_set_id();
-    let result_key: ResultKey = (fingerprint, rules_id, full_config_fingerprint(&config));
-
-    // Layer 1: the result cache, with in-flight coalescing — a duplicate of
-    // a key some worker is already computing waits for that publication
-    // instead of repeating the work, so a batch of identical jobs costs one
-    // saturation no matter how the pool interleaves.
-    loop {
-        if let Some(result) = lock(&inner.result_cache).get(&result_key).cloned() {
-            finish(inner, id, JobState::Completed, Some(result), true, None);
-            return;
-        }
-        if cancel.load(Ordering::Relaxed) {
-            finish(inner, id, JobState::Preempted, None, false, None);
-            return;
-        }
-        let mut shared = lock(&inner.shared);
-        if shared.in_flight.insert(result_key) {
-            break;
-        }
-        // Someone else is computing the key right now; sleep briefly, then
-        // re-check (timed so a cancellation of *this* job is still seen).
-        let (guard, _timed_out) = inner
-            .done_cv
-            .wait_timeout(shared, Duration::from_millis(20))
-            .unwrap_or_else(PoisonError::into_inner);
-        drop(guard);
-    }
-
-    let outcome = 'flow: {
-        // Technology-independent prefix (conventional rounds + SOP
-        // balancing).
-        let prepared = prepare_network(&aig, &config);
-        if cancel.load(Ordering::Relaxed) {
-            break 'flow None;
-        }
-
-        // Layer 2: the checkpoint store — restore a prior saturation of the
-        // same (circuit, rules, saturation-knobs) key, or saturate and
-        // store.
-        let saturation_key: SaturationKey = (
-            fingerprint,
-            rules_id,
-            saturation_config_fingerprint(&config),
-        );
-        let stored = lock(&inner.checkpoints).get(&saturation_key).cloned();
-        let (state, reused_checkpoint) = match stored.as_ref().and_then(|cp| cp.restore().ok()) {
-            Some(state) => {
-                lock(&inner.shared).stats.checkpoint_hits += 1;
-                (state, true)
-            }
-            None => {
-                let state =
-                    saturate_network_with_interrupt(&prepared, &config, Some(Arc::clone(&cancel)));
-                if state.stop_reason == Some(egraph::StopReason::Interrupted) {
-                    break 'flow None;
-                }
-                lock(&inner.shared).stats.saturations += 1;
-                let checkpoint = Arc::new(FlowCheckpoint::capture(&state));
-                lock(&inner.checkpoints)
-                    .entry(saturation_key)
-                    .or_insert(checkpoint);
-                (state, false)
-            }
-        };
-        if cancel.load(Ordering::Relaxed) {
-            break 'flow None;
-        }
-
-        // Layer 3: extract, verify against the *submitted* input, map.
-        let (extracted, _reports) = extract_network(&state, &config);
-        let egraph_nodes = state.egraph.total_nodes();
-        if cancel.load(Ordering::Relaxed) {
-            break 'flow None;
-        }
-        // Swept CEC proves the resynthesized network against the *submitted*
-        // circuit (not just the prepared network): equivalence-class
-        // sweeping closes the arithmetic miters the monolithic check cannot
-        // within the conflict budget. A proven mismatch falls back to the
-        // prepared network, the same containment the flow applies; the
-        // served result says so via `verified = false`.
-        let (final_aig, netlist, verified) =
-            verify_and_map(&prepared, extracted, &config, |resynthesized| {
-                check_equivalence_swept(&aig, resynthesized, &config.cec, &config.sweep)
-            });
-        let mut qor = netlist.qor();
-        qor.name = aig.name().to_string();
-
-        let result = Arc::new(SynthesisResult {
-            final_aig,
-            qor,
-            verified,
-            reused_checkpoint,
-            egraph_nodes,
-        });
-        // First completion wins: if a concurrent duplicate of the same key
-        // got here first, serve *its* object so every submission of the key
-        // returns the identical result.
-        Some(Arc::clone(
-            lock(&inner.result_cache)
-                .entry(result_key)
-                .or_insert(result),
-        ))
+    // Both boundaries before the lock is let go, so that of two jobs the one
+    // submitted first claims first: it saturates, the other restores.
+    let result_key = (circuit, config);
+    let (state, result) = acquire(inner, state, |s| &mut s.results, &result_key, cancel);
+    let result_claim = match result {
+        Some(Acquired::Ready(result)) => return JobStatus::completed(result, true),
+        Some(Acquired::Claimed(claim)) => claim,
+        None => return preempted(),
+    };
+    let config = &result_key.1;
+    let saturation_key = (circuit, config.saturation_key());
+    let (state, checkpoint) = acquire(
+        inner,
+        state,
+        |s| &mut s.checkpoints,
+        &saturation_key,
+        cancel,
+    );
+    drop(state);
+    let Some(checkpoint) = checkpoint else {
+        return preempted();
     };
 
-    // Publish-or-release: the in-flight claim is dropped on every path so
-    // coalesced waiters proceed — to the cache on success, to their own
-    // computation on preemption.
-    lock(&inner.shared).in_flight.remove(&result_key);
-    inner.done_cv.notify_all();
-    match outcome {
-        Some(result) => finish(inner, id, JobState::Completed, Some(result), false, None),
-        None => finish(inner, id, JobState::Preempted, None, false, None),
+    // Technology-independent prefix (conventional rounds + SOP balancing).
+    let prepared = prepare_network(&aig, config);
+    if cancel.load(Ordering::Relaxed) {
+        return preempted();
     }
+    let (saturated, reused_checkpoint) = match checkpoint {
+        Acquired::Ready(checkpoint) => match checkpoint.restore() {
+            Ok(restored) => {
+                lock(&inner.state).stats.checkpoint_hits += 1;
+                (restored, true)
+            }
+            Err(e) => return JobStatus::failed(format!("stored checkpoint: {e}")),
+        },
+        Acquired::Claimed(claim) => {
+            let fresh =
+                saturate_network_with_interrupt(&prepared, config, Some(Arc::clone(cancel)));
+            if fresh.stop_reason == Some(egraph::StopReason::Interrupted) {
+                return preempted();
+            }
+            lock(&inner.state).stats.saturations += 1;
+            claim.publish(Arc::new(FlowCheckpoint::capture(&fresh)));
+            (fresh, false)
+        }
+    };
+    if cancel.load(Ordering::Relaxed) {
+        return preempted();
+    }
+
+    let (extracted, _reports) = extract_network(&saturated, config);
+    let egraph_nodes = saturated.egraph.total_nodes();
+    if cancel.load(Ordering::Relaxed) {
+        return preempted();
+    }
+    // Swept CEC proves the resynthesized network against the *submitted*
+    // circuit, not just the prepared network: equivalence-class sweeping
+    // closes the arithmetic miters the monolithic check cannot within the
+    // conflict budget. `verify_and_map` has the fallback on a mismatch.
+    let (final_aig, netlist, verified) =
+        verify_and_map(&prepared, extracted, config, |resynthesized| {
+            check_equivalence_swept(&aig, resynthesized, &config.cec, &config.sweep)
+        });
+    let mut qor = netlist.qor();
+    qor.name = aig.name().to_string();
+
+    let result = Arc::new(SynthesisResult {
+        final_aig,
+        qor,
+        verified,
+        reused_checkpoint,
+        egraph_nodes,
+    });
+    result_claim.publish(Arc::clone(&result));
+    JobStatus::completed(result, false)
 }

@@ -177,16 +177,21 @@ fn batch_of_duplicates_is_served_deterministically() {
 
     let statuses = server.run_batch(requests);
     let mut bytes: Vec<String> = Vec::new();
+    let mut misses = 0;
     for status in statuses {
         let status = status.unwrap();
         assert_eq!(status.state, JobState::Completed);
+        misses += usize::from(!status.cache_hit);
         bytes.push(aig_bytes(&status.result.unwrap().final_aig));
     }
     // Every duplicate of the key gets the identical answer, no matter which
     // worker computed it or how the pool interleaved.
     assert!(bytes.windows(2).all(|w| w[0] == w[1]));
+    // One job computes the key; the other five are served its result.
+    assert_eq!(misses, 1);
     assert_eq!(server.cached_results(), 1);
     assert_eq!(server.stats().saturations, 1);
+    assert_eq!(server.stats().checkpoint_hits, 0);
 }
 
 #[test]

@@ -17,7 +17,6 @@ use crate::truth::{expand_to_4, full_mask};
 use crate::{MapError, MapOptions};
 use aig::{Aig, AigNode, FxHashMap, Lit, NodeId};
 use choices::ChoiceAig;
-use std::collections::HashMap;
 
 /// One instantiated cell in the mapped netlist.
 #[derive(Debug, Clone)]
@@ -76,7 +75,7 @@ pub struct Netlist {
     /// target, floored at the delay-optimal critical path.
     target_ps: f64,
     /// Gate index by root node.
-    gate_index: HashMap<NodeId, usize>,
+    gate_index: FxHashMap<NodeId, usize>,
 }
 
 impl Netlist {
@@ -381,7 +380,7 @@ fn map_with_cuts(
     )?;
 
     let mut gates = Vec::new();
-    let mut gate_index: HashMap<NodeId, usize> = HashMap::new();
+    let mut gate_index: FxHashMap<NodeId, usize> = FxHashMap::default();
     let mut arrival_ps = Vec::new();
     let mut level = vec![0u32; aig.num_nodes()];
     for (id, cut, cell_index) in covering.roots(aig, cuts) {
@@ -577,7 +576,7 @@ mod tests {
         let lib = asap7_like();
         let netlist = map_to_cells(&aig, &lib, &MapOptions::default());
         // Recompute every gate arrival independently in topological order.
-        let mut arr: std::collections::HashMap<aig::NodeId, f64> = HashMap::new();
+        let mut arr: FxHashMap<aig::NodeId, f64> = FxHashMap::default();
         for (g, gate) in netlist.gates.iter().enumerate() {
             let leaf_arrivals: Vec<f64> = gate
                 .leaves

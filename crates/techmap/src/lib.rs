@@ -101,7 +101,7 @@ impl std::fmt::Display for MapError {
 impl std::error::Error for MapError {}
 
 /// Options shared by the mapping passes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MapOptions {
     /// Maximum cut size (K).
     pub cut_size: usize,

@@ -7,8 +7,8 @@
 //! function, the area and a single pin-to-output delay matter to the mapper.
 
 use crate::truth::{expand_to_4, npn_canon4};
+use aig::FxHashMap;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A combinational standard cell.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -89,10 +89,10 @@ impl Cell {
 }
 
 /// A set of cells indexed by NPN class for Boolean matching.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellLibrary {
     cells: Vec<Cell>,
-    by_npn: HashMap<u16, Vec<usize>>,
+    by_npn: FxHashMap<u16, Vec<usize>>,
     inverter: Option<usize>,
     buffer: Option<usize>,
 }
