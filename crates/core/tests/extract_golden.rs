@@ -31,6 +31,7 @@ use emorphic::extract::{
     bottom_up_extract, try_selection_cost, BottomUpEngine, ExtractBudget, Extraction,
     ExtractionCost, ExtractionEngine, GlobalGreedyDagEngine, Selection, SlackAwareEngine,
 };
+use emorphic::flow::{prepare_network, saturate_network, FlowConfig};
 use emorphic::{aig_to_egraph, all_rules, try_selection_to_aig, BoolLang};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -277,4 +278,74 @@ fn extraction_engines_reproduce_the_recorded_digests() {
         })
         .collect();
     assert_eq!(got, GOLDEN, "got {got:#x?}");
+}
+
+/// A circuit taken the way the job server takes it under `serve-mix`:
+/// `prepare_network` with three rounds, then `saturate_network` under the
+/// ledger's `base_flow(1)` limits.
+fn saturate_as_served(aig: &Aig) -> ConversionResult {
+    let config = FlowConfig {
+        rounds: 3,
+        rewrite_iterations: 4,
+        node_limit: 60_000,
+        match_limit: 1_000,
+        search_threads: 1,
+        ..FlowConfig::paper()
+    };
+    let state = saturate_network(&prepare_network(aig, &config), &config);
+    ConversionResult {
+        egraph: state.egraph,
+        roots: state.roots,
+        name: state.name,
+        input_names: state.input_names,
+        output_names: state.output_names,
+        forward_time: state.conversion_time,
+    }
+}
+
+/// Name, e-classes and e-nodes of the served space, the greedy-DAG digest and
+/// the switches the engine accepted.
+type ServedRow = (&'static str, usize, usize, u64, usize);
+
+/// Recorded at `1931a6b`, the last commit whose greedy-DAG engine recomputed
+/// every height after each accepted switch.
+const GOLDEN_SERVED: [ServedRow; 2] = [
+    ("adder48", 18_396, 37_545, 0xcb46_a90b_3385_b3bb, 290),
+    ("crossbar12x12", 18_892, 31_526, 0x0c99_4157_524f_6ba0, 312),
+];
+
+/// The greedy-DAG engine at the size `serve-mix` re-extracts: the four
+/// circuits above give it at most a few dozen accepted switches, these two
+/// hundreds, which is what an update of the heights per accepted switch has
+/// to reproduce. Release-only: the debug build checks every such update
+/// against a whole-selection walk.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn greedy_dag_reproduces_the_recorded_digests_at_serve_mix_size() {
+    let circuits = [
+        ("adder48", benchgen::adder(48).aig),
+        ("crossbar12x12", benchgen::crossbar(12, 12).aig),
+    ];
+    let got: Vec<ServedRow> = circuits
+        .iter()
+        .map(|(name, aig)| {
+            let space = saturate_as_served(aig);
+            let extraction = GlobalGreedyDagEngine::new()
+                .extract(&space.egraph, &space.roots, &ExtractBudget::unlimited())
+                .expect("extraction succeeds");
+            let mut h = FxHasher::default();
+            fold_extraction(&mut h, &space, &extraction);
+            (
+                *name,
+                space.egraph.num_classes(),
+                space.egraph.total_nodes(),
+                h.finish(),
+                extraction.stats.improvements,
+            )
+        })
+        .collect();
+    assert_eq!(got, GOLDEN_SERVED, "got {got:#x?}");
+    // The case is here for the accepted switches; it must not silently stop
+    // exercising them.
+    assert!(got.iter().all(|row| row.4 >= 200), "got {got:#x?}");
 }
