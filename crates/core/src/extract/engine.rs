@@ -54,14 +54,17 @@ impl ExtractBudget {
     }
 
     /// Returns `true` once `evaluations` work units exhaust the budget or the
-    /// elapsed time passes the backstop (checked by the caller at a coarse
-    /// granularity).
+    /// elapsed time passes the backstop. Engines ask before every evaluation:
+    /// the cap is compared each time, so a budget of `n` admits exactly `n`,
+    /// and only the clock is read coarsely, every 256th evaluation.
     pub(crate) fn exhausted(&self, evaluations: u64, started: Instant) -> bool {
         if self.max_evaluations.is_some_and(|max| evaluations >= max) {
             return true;
         }
-        self.time_limit
-            .is_some_and(|limit| started.elapsed() >= limit)
+        evaluations.is_multiple_of(256)
+            && self
+                .time_limit
+                .is_some_and(|limit| started.elapsed() >= limit)
     }
 }
 

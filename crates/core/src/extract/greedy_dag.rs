@@ -8,6 +8,8 @@ use crate::extract::{
 };
 use crate::lang::BoolLang;
 use egraph::{EGraph, FxHashMap, Id, Language};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// Greedy DAG-cost refinement.
@@ -26,6 +28,14 @@ use std::time::Instant;
 /// a child back to the class, which would force the class's height below the
 /// child's — contradicting the admission check — so no admissible switch can
 /// create a cycle.
+///
+/// Heights are kept exact across switches without being recomputed: the map
+/// is seeded once by `selection_heights`, and an accepted switch re-derives
+/// only the switched class and those of its transitive users whose height
+/// moves (`Heights::switch`). An accepted switch therefore costs the cone it
+/// touches, not the size of the selection; a rejected candidate never touches
+/// the heights. `selection_heights` stays the seed and, in debug builds, the
+/// oracle the kept map is compared with after every accepted switch.
 ///
 /// The refinement loop is deterministic (classes in sorted-id order, nodes in
 /// class order) and *anytime*: an exhausted [`ExtractBudget`] simply stops
@@ -102,6 +112,85 @@ impl Liveness {
     }
 }
 
+/// The heights of a selection (`selection_heights`), kept exact while the
+/// engine switches one class at a time.
+struct Heights {
+    heights: FxHashMap<Id, u64>,
+    /// Class → the classes whose selected node has it as a child, one entry
+    /// per child slot: `And(c, c)` lists its class twice under `c`.
+    users: FxHashMap<Id, Vec<Id>>,
+    /// Heights re-derived by [`Heights::switch`] so far: the work the
+    /// accepted switches cost, as a count.
+    pub(crate) rederived: u64,
+}
+
+impl Heights {
+    fn new(egraph: &EGraph<BoolLang>, selection: &FxHashMap<Id, BoolLang>) -> Self {
+        let mut users: FxHashMap<Id, Vec<Id>> = FxHashMap::default();
+        for (&class_id, node) in selection {
+            for &c in node.children() {
+                users.entry(egraph.find(c)).or_default().push(class_id);
+            }
+        }
+        Heights {
+            heights: selection_heights(egraph, selection),
+            users,
+            rederived: 0,
+        }
+    }
+
+    fn get(&self, id: Id) -> Option<u64> {
+        self.heights.get(&id).copied()
+    }
+
+    /// Brings the heights up to date after `selection[class_id]` was switched
+    /// away from `old`. The admission rule put every new child strictly below
+    /// the class, so its height can only fall, and so can those of its
+    /// transitive users — which the switch leaves acyclic, with the edges
+    /// they had. Their old heights are therefore a topological order of that
+    /// cone: popped lowest first, a class is re-derived once, after every
+    /// child of it that moves, and the walk stops where a height stays.
+    fn switch(
+        &mut self,
+        egraph: &EGraph<BoolLang>,
+        selection: &FxHashMap<Id, BoolLang>,
+        class_id: Id,
+        old: &BoolLang,
+    ) {
+        for &c in old.children() {
+            let users = self.users.get_mut(&egraph.find(c));
+            let users = users.unwrap_or_else(|| unreachable!("a selected child has users"));
+            let slot = users.iter().position(|&u| u == class_id);
+            users.swap_remove(slot.unwrap_or_else(|| unreachable!("the class used its child")));
+        }
+        for &c in selection[&class_id].children() {
+            self.users.entry(egraph.find(c)).or_default().push(class_id);
+        }
+
+        let mut queue = BinaryHeap::from([Reverse((self.heights[&class_id], class_id))]);
+        let mut previous = None;
+        while let Some(Reverse(entry)) = queue.pop() {
+            // A class with two children that moved was queued by both.
+            if previous.replace(entry) == Some(entry) {
+                continue;
+            }
+            let (old_height, x) = entry;
+            self.rederived += 1;
+            let children = selection[&x].children().iter();
+            let height = children
+                .map(|&c| 1 + self.heights.get(&egraph.find(c)).copied().unwrap_or(0))
+                .max()
+                .unwrap_or(0);
+            if height != old_height {
+                self.heights.insert(x, height);
+                let users = self.users.get(&x).into_iter().flatten();
+                queue.extend(users.map(|&u| Reverse((self.heights[&u], u))));
+            }
+        }
+        debug_assert_eq!(self.heights, selection_heights(egraph, selection));
+    }
+}
+
 impl ExtractionEngine for GlobalGreedyDagEngine {
     fn name(&self) -> &'static str {
         "global-greedy-dag"
@@ -113,6 +202,18 @@ impl ExtractionEngine for GlobalGreedyDagEngine {
         roots: &[Id],
         budget: &ExtractBudget,
     ) -> Result<Extraction, ExtractError> {
+        Self::refine(egraph, roots, budget).map(|(extraction, _)| extraction)
+    }
+}
+
+impl GlobalGreedyDagEngine {
+    /// The engine, handing back the heights it kept beside the extraction
+    /// (the unit tests read what the accepted switches cost from them).
+    fn refine(
+        egraph: &EGraph<BoolLang>,
+        roots: &[Id],
+        budget: &ExtractBudget,
+    ) -> Result<(Extraction, Heights), ExtractError> {
         let start = Instant::now();
         let (base, class_costs, base_stats) =
             bottom_up_with_costs(egraph, &egraph.parent_index(), ExtractionCost::Size);
@@ -129,7 +230,7 @@ impl ExtractionEngine for GlobalGreedyDagEngine {
             improvements: 0,
             runtime: Default::default(),
         };
-        let mut heights = selection_heights(egraph, &selection);
+        let mut heights = Heights::new(egraph, &selection);
         let mut live = Liveness::new(egraph, &selection, &roots);
         let class_order = egraph.class_ids_sorted();
 
@@ -144,7 +245,7 @@ impl ExtractionEngine for GlobalGreedyDagEngine {
                     continue;
                 }
                 for node in &egraph.class(class_id).nodes {
-                    if evaluations.is_multiple_of(256) && budget.exhausted(evaluations, start) {
+                    if budget.exhausted(evaluations, start) {
                         break 'refine;
                     }
                     evaluations += 1;
@@ -157,16 +258,16 @@ impl ExtractionEngine for GlobalGreedyDagEngine {
                     // Height admission: every child must sit strictly below
                     // this class, and be realizable at all. The class's own
                     // height must be re-read for every candidate: an accepted
-                    // switch for an earlier node of this same class recomputes
-                    // all heights and can *lower* this class's height, and
+                    // switch for an earlier node of this same class updates
+                    // the heights and can *lower* this class's height, and
                     // admitting against the stale larger value would let a
                     // child whose selection path reaches back here slip
                     // through, creating a cycle.
-                    let class_height = heights.get(&class_id).copied().unwrap_or(0);
+                    let class_height = heights.get(class_id).unwrap_or(0);
                     let admissible = node.children().iter().all(|&c| {
                         let c = egraph.find(c);
                         selection.contains_key(&c)
-                            && heights.get(&c).is_some_and(|&ch| ch < class_height)
+                            && heights.get(c).is_some_and(|ch| ch < class_height)
                     });
                     if !admissible {
                         continue;
@@ -189,7 +290,7 @@ impl ExtractionEngine for GlobalGreedyDagEngine {
                     if live.live_gates < before {
                         stats.improvements += 1;
                         accepted_this_pass = true;
-                        heights = selection_heights(egraph, &selection);
+                        heights.switch(egraph, &selection, class_id, &old);
                     } else {
                         // Revert exactly: put the old node back and undo the
                         // reference-count changes in reverse.
@@ -215,11 +316,12 @@ impl ExtractionEngine for GlobalGreedyDagEngine {
         }
 
         stats.runtime = start.elapsed();
-        Ok(Extraction {
+        let extraction = Extraction {
             selection: Selection { choices: selection },
             class_costs,
             stats,
-        })
+        };
+        Ok((extraction, heights))
     }
 }
 
@@ -304,6 +406,79 @@ mod tests {
             .extract(&egraph, &roots, &tight)
             .unwrap();
         try_selection_cost(&egraph, &extraction.selection, &roots, ExtractionCost::Size).unwrap();
+    }
+
+    /// Regression: the cap used to be consulted on every 256th evaluation
+    /// only, so a budget of 1 admitted 256 refinement evaluations.
+    #[test]
+    fn a_budget_of_n_admits_exactly_n_refinement_evaluations() {
+        let aig = benchgen::adder(5).aig;
+        let (egraph, roots) = saturated_egraph(&aig, 3);
+        let unlimited = ExtractBudget::unlimited();
+        let base = BottomUpEngine::new(ExtractionCost::Size)
+            .extract(&egraph, &roots, &unlimited)
+            .unwrap();
+        for n in [1, 100, 257] {
+            let budget = unlimited.with_max_evaluations(n);
+            let cut = GlobalGreedyDagEngine::new()
+                .extract(&egraph, &roots, &budget)
+                .unwrap();
+            assert_eq!(
+                cut.stats.nodes_evaluated,
+                base.stats.nodes_evaluated + n as usize
+            );
+        }
+    }
+
+    const CHAIN: usize = 10_000;
+
+    /// `CHAIN` AND classes stacked on `bottom`; returns the topmost.
+    fn chain_over(eg: &mut EGraph<BoolLang>, bottom: Id, y: Id) -> Id {
+        (0..CHAIN).fold(bottom, |below, _| eg.add(BoolLang::and(below, y)))
+    }
+
+    /// A class the tree DP gives a tall node — five ANDs over `below`, then
+    /// `And(_, x)`: height + 6 — and whose other node `And(m, m)`, `m` three
+    /// ORs over `below`, costs the tree DP more but leaves two gates fewer
+    /// live, at height + 4: the one switch the engine accepts.
+    fn class_with_a_profitable_switch(eg: &mut EGraph<BoolLang>, below: Id, x: Id) -> Id {
+        let tall = (0..5).fold(below, |a, _| eg.add(BoolLang::and(a, x)));
+        let short = (0..3).fold(below, |m, _| eg.add(BoolLang::or(m, x)));
+        let class = eg.add(BoolLang::and(tall, x));
+        let other = eg.add(BoolLang::and(short, short));
+        eg.union(class, other);
+        eg.rebuild();
+        eg.find(class)
+    }
+
+    /// The work an accepted switch costs is the cone above it, as a count:
+    /// one height at the top of a 10 000-class chain, the chain above the
+    /// switch at its bottom — the selection is as large either way.
+    #[test]
+    fn an_accepted_switch_rederives_the_cone_above_it_only() {
+        let budget = ExtractBudget::unlimited();
+
+        let mut top: EGraph<BoolLang> = EGraph::new();
+        let (x, y) = (top.add(BoolLang::Var(0)), top.add(BoolLang::Var(1)));
+        let chain = chain_over(&mut top, x, y);
+        let root = class_with_a_profitable_switch(&mut top, chain, x);
+        let (extraction, heights) = GlobalGreedyDagEngine::refine(&top, &[root], &budget).unwrap();
+        assert!(extraction.selection.choices.len() > CHAIN);
+        assert_eq!(extraction.stats.improvements, 1);
+        assert_eq!(heights.get(root), Some(CHAIN as u64 + 4));
+        assert_eq!(heights.rederived, 1);
+
+        let mut bottom: EGraph<BoolLang> = EGraph::new();
+        let (x, y) = (bottom.add(BoolLang::Var(0)), bottom.add(BoolLang::Var(1)));
+        let switched = class_with_a_profitable_switch(&mut bottom, y, x);
+        let root = chain_over(&mut bottom, switched, y);
+        let root = bottom.find(root);
+        let (extraction, heights) =
+            GlobalGreedyDagEngine::refine(&bottom, &[root], &budget).unwrap();
+        assert!(extraction.selection.choices.len() > CHAIN);
+        assert_eq!(extraction.stats.improvements, 1);
+        assert_eq!(heights.get(root), Some(CHAIN as u64 + 4));
+        assert_eq!(heights.rederived, CHAIN as u64 + 1);
     }
 
     /// Regression: the per-class height must be re-read after an accepted

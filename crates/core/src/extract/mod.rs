@@ -271,6 +271,11 @@ pub fn try_selection_cost(
 /// by the DFS so a violated invariant terminates (loudly, in debug builds)
 /// instead of hanging the walk.
 ///
+/// The slack-aware engine walks its base selection with it once. The greedy
+/// DAG engine seeds the heights it keeps with it and, in debug builds, holds
+/// them to it after every accepted switch — it costs the whole selection, so
+/// it is not what an engine calls per switch.
+///
 /// This is the one walk that is not a [`DagSelection::try_fold`]. The fold is
 /// strict: it stops at the first `Missing` or `Cyclic` class. This walk
 /// answers for every key even over a corrupt selection — an entry pointing

@@ -114,7 +114,7 @@ impl ExtractionEngine for SlackAwareEngine {
             // Pick the smallest admissible node that still meets R.
             let mut best: Option<(u64, usize)> = None;
             for (pos, node) in egraph.class(class_id).nodes.iter().enumerate() {
-                if evaluations.is_multiple_of(256) && budget.exhausted(evaluations, start) {
+                if budget.exhausted(evaluations, start) {
                     break 'walk;
                 }
                 evaluations += 1;
@@ -302,6 +302,27 @@ mod tests {
         for p in 0..(1usize << aig.num_inputs()) {
             let bits: Vec<bool> = (0..aig.num_inputs()).map(|i| p >> i & 1 == 1).collect();
             assert_eq!(aig.evaluate(&bits), back.evaluate(&bits), "pattern {p}");
+        }
+    }
+
+    /// Regression: the cap used to be consulted on every 256th evaluation
+    /// only, so a budget of 1 admitted 256 of the walk's evaluations.
+    #[test]
+    fn a_budget_of_n_admits_exactly_n_walk_evaluations() {
+        let aig = benchgen::adder(5).aig;
+        let (egraph, roots) = saturated_egraph(&aig, 3);
+        let unlimited = ExtractBudget::unlimited();
+        let dp_evaluations: usize = [ExtractionCost::Depth, ExtractionCost::Size]
+            .map(|cost| BottomUpEngine::new(cost).extract(&egraph, &roots, &unlimited))
+            .into_iter()
+            .map(|base| base.unwrap().stats.nodes_evaluated)
+            .sum();
+        for n in [1, 100, 257] {
+            let budget = unlimited.with_max_evaluations(n);
+            let cut = SlackAwareEngine::new()
+                .extract(&egraph, &roots, &budget)
+                .unwrap();
+            assert_eq!(cut.stats.nodes_evaluated, dp_evaluations + n as usize);
         }
     }
 

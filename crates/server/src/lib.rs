@@ -14,7 +14,11 @@
 //!    run under, defined next to them. One saturation is snapshotted through
 //!    [`FlowCheckpoint`] and re-extracted / re-mapped under any other
 //!    extractor, cost function, delay target or library, amortizing the
-//!    dominant phase (paper Fig. 9).
+//!    dominant phase (paper Fig. 9). The network `prepare_network` made of
+//!    the circuit is stored beside the snapshot, so a hit costs restore,
+//!    extraction and verify + map: the key holds every knob
+//!    `prepare_network` reads, and the circuit half of it is the name- and
+//!    numbering-blind fingerprint the result boundary already trusts.
 //!
 //! **Keys are compared by value**: two configs are one key when `==` says so,
 //! however they were built; nothing is rendered to text or hashed in place
@@ -250,6 +254,17 @@ fn num_ready<K, V>(slots: &Slots<K, V>) -> usize {
     ready.count()
 }
 
+/// What the checkpoint boundary stores for a key, published in one piece by
+/// the job that saturates.
+struct Saturation {
+    /// The network `prepare_network` made of that job's circuit: what was
+    /// saturated, and what a job falls back to when extraction yields nothing
+    /// or the CEC refutes it.
+    prepared: Aig,
+    /// The saturated e-graph.
+    checkpoint: FlowCheckpoint,
+}
+
 /// Picks one of the two boundaries out of the locked state.
 type Select<K, V> = fn(&mut State) -> &mut Slots<K, V>;
 
@@ -265,7 +280,7 @@ struct State {
     next_id: u64,
     shutdown: bool,
     results: Slots<(Circuit, FlowConfig), SynthesisResult>,
-    checkpoints: Slots<(Circuit, SaturationKey), FlowCheckpoint>,
+    checkpoints: Slots<(Circuit, SaturationKey), Saturation>,
 }
 
 struct Inner {
@@ -610,30 +625,36 @@ fn serve_job<'a>(
         return preempted();
     };
 
-    // Technology-independent prefix (conventional rounds + SOP balancing).
-    let prepared = prepare_network(&aig, config);
-    if cancel.load(Ordering::Relaxed) {
-        return preempted();
-    }
-    let (saturated, reused_checkpoint) = match checkpoint {
-        Acquired::Ready(checkpoint) => match checkpoint.restore() {
+    let (stored, saturated, reused_checkpoint) = match checkpoint {
+        Acquired::Ready(stored) => match stored.checkpoint.restore() {
             Ok(restored) => {
                 lock(&inner.state).stats.checkpoint_hits += 1;
-                (restored, true)
+                (stored, restored, true)
             }
             Err(e) => return JobStatus::failed(format!("stored checkpoint: {e}")),
         },
         Acquired::Claimed(claim) => {
+            // Technology-independent prefix (conventional rounds + SOP
+            // balancing).
+            let prepared = prepare_network(&aig, config);
+            if cancel.load(Ordering::Relaxed) {
+                return preempted();
+            }
             let fresh =
                 saturate_network_with_interrupt(&prepared, config, Some(Arc::clone(cancel)));
             if fresh.stop_reason == Some(egraph::StopReason::Interrupted) {
                 return preempted();
             }
             lock(&inner.state).stats.saturations += 1;
-            claim.publish(Arc::new(FlowCheckpoint::capture(&fresh)));
-            (fresh, false)
+            let stored = Arc::new(Saturation {
+                checkpoint: FlowCheckpoint::capture(&fresh),
+                prepared,
+            });
+            claim.publish(Arc::clone(&stored));
+            (stored, fresh, false)
         }
     };
+    let prepared = &stored.prepared;
     if cancel.load(Ordering::Relaxed) {
         return preempted();
     }
@@ -648,7 +669,7 @@ fn serve_job<'a>(
     // closes the arithmetic miters the monolithic check cannot within the
     // conflict budget. `verify_and_map` has the fallback on a mismatch.
     let (final_aig, netlist, verified) =
-        verify_and_map(&prepared, extracted, config, |resynthesized| {
+        verify_and_map(prepared, extracted, config, |resynthesized| {
             check_equivalence_swept(&aig, resynthesized, &config.cec, &config.sweep)
         });
     let mut qor = netlist.qor();

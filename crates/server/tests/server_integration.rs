@@ -8,7 +8,12 @@
 // test relaxation does not reach them.
 #![allow(clippy::unwrap_used)]
 
-use emorphic::flow::FlowConfig;
+use aig::{Aig, AigNode, Lit, NodeId};
+use emorphic::checkpoint::FlowCheckpoint;
+use emorphic::flow::{
+    check_equivalence_swept, extract_network, prepare_network, saturate_network, verify_and_map,
+    FlowConfig,
+};
 use emorphic::ExtractorKind;
 use emorphic_server::{JobRequest, JobState, ServerOptions, SynthesisServer};
 use std::time::{Duration, Instant};
@@ -16,7 +21,7 @@ use std::time::{Duration, Instant};
 /// Bit-identity proxy: `Aig` intentionally has no `PartialEq` (equality of
 /// networks is a semantic question), so the serving contract is checked on
 /// the exact serialized bytes.
-fn aig_bytes(aig: &aig::Aig) -> String {
+fn aig_bytes(aig: &Aig) -> String {
     serde_json::to_string(aig).unwrap()
 }
 
@@ -219,4 +224,87 @@ fn windowed_job_fails_typed_and_the_worker_keeps_serving() {
     assert_eq!(stats.failed, 1);
     assert_eq!(stats.completed, 1);
     assert_eq!(stats.saturations, 1, "the failed job never saturated");
+}
+
+/// The same network under another name with its ANDs created in another
+/// order: outputs last to first, second fanin before the first.
+fn renumbered(aig: &Aig, name: &str) -> Aig {
+    let mut copy = Aig::new(name);
+    let mut table: Vec<Option<Lit>> = vec![None; aig.num_nodes()];
+    table[NodeId::CONST.index()] = Some(Lit::FALSE);
+    for (&input, input_name) in aig.inputs().iter().zip(aig.input_names()) {
+        table[input.index()] = Some(copy.add_input(input_name.clone()));
+    }
+    let mut stack: Vec<NodeId> = aig.outputs().iter().map(|lit| lit.node()).collect();
+    while let Some(&id) = stack.last() {
+        let AigNode::And { fanin0, fanin1 } = *aig.node(id) else {
+            stack.pop();
+            continue;
+        };
+        let mapped = |lit: Lit| table[lit.node().index()].map(|m| m.xor(lit.is_complemented()));
+        match (mapped(fanin1), mapped(fanin0)) {
+            (Some(b), Some(a)) => {
+                if table[id.index()].is_none() {
+                    table[id.index()] = Some(copy.and(b, a));
+                }
+                stack.pop();
+            }
+            (b, a) => {
+                stack.extend(a.is_none().then(|| fanin0.node()));
+                stack.extend(b.is_none().then(|| fanin1.node()));
+            }
+        }
+    }
+    for (lit, output_name) in aig.outputs().iter().zip(aig.output_names()) {
+        let mapped = table[lit.node().index()]
+            .unwrap()
+            .xor(lit.is_complemented());
+        copy.add_output(mapped, output_name.clone());
+    }
+    copy
+}
+
+#[test]
+fn a_reextract_job_serves_the_hand_composed_restore_path() {
+    // What a checkpoint hit serves, spelled out of the flow's public stages:
+    // the first submitter's circuit prepared and saturated, the e-graph taken
+    // through capture → restore, extracted under the second job's config,
+    // and the swept CEC run against the circuit the second job submitted.
+    let first = benchgen::adder(6).aig;
+    let cold_config = FlowConfig::fast().with_extractor(ExtractorKind::BottomUp);
+    let config = FlowConfig::fast().with_extractor(ExtractorKind::GlobalGreedyDag);
+    let clone = renumbered(&first, "adder6_renumbered");
+    assert_eq!(
+        clone.structural_fingerprint(),
+        first.structural_fingerprint()
+    );
+    assert_ne!(aig_bytes(&clone), aig_bytes(&first));
+
+    let prepared = prepare_network(&first, &cold_config);
+    let checkpoint = FlowCheckpoint::capture(&saturate_network(&prepared, &cold_config));
+    let restored = checkpoint.restore().unwrap();
+    for submitted in [&first, &clone] {
+        let (extracted, _) = extract_network(&restored, &config);
+        let (final_aig, netlist, verified) =
+            verify_and_map(&prepared, extracted, &config, |resynthesized| {
+                check_equivalence_swept(submitted, resynthesized, &config.cec, &config.sweep)
+            });
+        let mut qor = netlist.qor();
+        qor.name = submitted.name().to_string();
+
+        let server = SynthesisServer::start(&ServerOptions { workers: 1 });
+        let cold = server.submit(JobRequest::new(first.clone(), cold_config.clone()));
+        assert_eq!(server.wait(cold).unwrap().state, JobState::Completed);
+        let job = server.submit(JobRequest::new(submitted.clone(), config.clone()));
+        let job = server.wait(job).unwrap();
+        assert_eq!(job.state, JobState::Completed);
+        assert!(!job.cache_hit);
+        let served = job.result.unwrap();
+        assert!(served.reused_checkpoint);
+        assert_eq!(aig_bytes(&served.final_aig), aig_bytes(&final_aig));
+        assert_eq!(served.qor, qor);
+        assert_eq!(served.verified, verified);
+        assert!(verified);
+        assert_eq!(server.stats().saturations, 1);
+    }
 }
