@@ -1,8 +1,7 @@
 //! Bit-parallel (64 patterns per word) simulation of AIGs.
 //!
-//! Simulation is used for candidate-equivalence detection in SAT sweeping,
-//! for random functional checks in tests, and for feature extraction in the
-//! learned cost model.
+//! Simulation is used for candidate-equivalence detection in SAT sweeping
+//! and for random functional checks in tests.
 
 use crate::{Aig, AigNode, Lit};
 use rand::rngs::StdRng;

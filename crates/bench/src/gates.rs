@@ -8,7 +8,6 @@ use aig::io::{read_aiger, read_eqn, write_aiger, write_eqn};
 use audit::{audit_aig, audit_solver, AuditLevel, AuditReport};
 use benchgen::{BenchCircuit, SuiteScale};
 use cec::{check_equivalence_swept, AigCnf, CecOptions, CecResult, SweepOptions};
-use costmodel::{CostEvaluator, TechMapCost};
 use emorphic::extract::sa::{SaEngine, SaOptions};
 use emorphic::extract::{
     BottomUpEngine, ExtractBudget, ExtractionCost, ExtractionEngine, GlobalGreedyDagEngine,
@@ -19,9 +18,10 @@ use emorphic::{try_selection_to_aig, ExtractorKind};
 use emorphic_server::{JobRequest, JobState, ServerOptions, SynthesisServer};
 use sat::dimacs::CnfFormula;
 use sat::{ClauseSink, Lit as SLit};
-use std::sync::Arc;
 use std::time::Instant;
+use techmap::cell::map_to_cells;
 use techmap::library::asap7_like;
+use techmap::MapOptions;
 use window::WindowOptions;
 
 /// Choice-aware vs choice-free mapping under the area-first objective.
@@ -128,14 +128,12 @@ pub(crate) fn extract(run: &mut Run) {
         ),
     };
     let library = asap7_like();
-    let mapper = TechMapCost::new(library.clone());
-    let evaluator: Arc<dyn CostEvaluator> = Arc::new(mapper.clone());
     let engines = || -> Vec<Box<dyn ExtractionEngine>> {
         vec![
             Box::new(BottomUpEngine::new(ExtractionCost::Size)),
             Box::new(GlobalGreedyDagEngine::new()),
             Box::new(SlackAwareEngine::new()),
-            Box::new(SaEngine::new(sa.clone(), evaluator.clone())),
+            Box::new(SaEngine::new(sa.clone(), library.clone())),
         ]
     };
     let cec_options = CecOptions {
@@ -200,7 +198,7 @@ pub(crate) fn extract(run: &mut Run) {
                 &aig_audit,
                 aig_audit.is_clean(),
             );
-            let qor = mapper.qor(&extracted);
+            let qor = map_to_cells(&extracted, &library, &MapOptions::default()).qor();
             // Swept, as the flows verify: the monolithic check cannot close
             // the `hyp` miter within the budget.
             let verdict =

@@ -17,7 +17,6 @@ pub mod esyn;
 mod gates;
 mod paper;
 mod sat_gate;
-mod training;
 
 use benchgen::{BenchCircuit, SuiteScale};
 use emorphic::extract::sa::SaOptions;
@@ -27,7 +26,6 @@ use emorphic::flow::{
 use emorphic::report::FlowReport;
 use serde::Serialize;
 use std::collections::BTreeMap;
-pub use training::{structural_variants, train_learned_model};
 
 /// One experiment of the runner: its subcommand name, what it reproduces or
 /// gates, and the function that runs it.
@@ -43,7 +41,7 @@ pub struct Experiment {
 pub const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "table2",
-        what: "Table II: QoR and runtime, baseline vs E-morphic vs E-morphic+ML",
+        what: "Table II: QoR and runtime, baseline vs E-morphic",
         run: paper::table2,
     },
     Experiment {
@@ -65,11 +63,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         name: "ablation",
         what: "ablations: rewrite iterations, pruning, SA vs greedy, chains",
         run: paper::ablation,
-    },
-    Experiment {
-        name: "mlmodel",
-        what: "Section IV-D: learned cost model quality and runtime saving",
-        run: paper::mlmodel,
     },
     Experiment {
         name: "choices",
@@ -283,7 +276,6 @@ pub struct Run {
     /// `--paranoid`: the `audit` experiment runs at `AuditLevel::Paranoid`.
     pub paranoid: bool,
     experiment: &'static str,
-    sweep: Option<paper::ModelQuality>,
     /// Flow-shaped result rows.
     pub flows: Vec<FlowReport>,
     /// Gate checks, in the order they ran.
@@ -307,7 +299,6 @@ impl Run {
             smoke,
             paranoid,
             experiment: "",
-            sweep: None,
             flows: Vec::new(),
             gates: Vec::new(),
         }
@@ -512,29 +503,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn variants_are_distinct_and_equivalent() {
-        let circuit = benchgen::adder(5).aig;
-        let variants = structural_variants(&circuit, 6, 1);
-        assert_eq!(variants.len(), 6);
-        for variant in &variants {
-            let res = cec::check_equivalence(&circuit, variant, &cec::CecOptions::default());
-            assert!(res.is_equivalent());
-        }
-    }
-
-    #[test]
-    fn learned_model_training_produces_finite_metrics() {
-        use costmodel::CostEvaluator;
-        let circuits = vec![benchgen::adder(4).aig, benchgen::adder(6).aig];
-        let (model, predictions, truth) = train_learned_model(&circuits, 5);
-        assert!(!predictions.is_empty());
-        assert_eq!(predictions.len(), truth.len());
-        let mape = costmodel::metrics::mape(&predictions, &truth);
-        assert!(mape.is_finite());
-        let _ = model.evaluate(&benchgen::adder(5).aig);
-    }
-
-    #[test]
     fn scale_parsing_defaults_to_small() {
         assert_eq!(parse_scale(None), Ok(SuiteScale::Small));
         assert_eq!(parse_scale(Some("TINY")), Ok(SuiteScale::Tiny));
@@ -601,8 +569,8 @@ mod tests {
     #[test]
     fn every_accepted_name_dispatches_to_exactly_one_experiment() {
         let expected = [
-            "table2", "table3", "fig1", "fig9", "ablation", "mlmodel", "choices", "delay",
-            "extract", "sat", "window", "server", "audit",
+            "table2", "table3", "fig1", "fig9", "ablation", "choices", "delay", "extract", "sat",
+            "window", "server", "audit",
         ];
         let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
         assert_eq!(names, expected);

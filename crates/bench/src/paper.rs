@@ -1,89 +1,42 @@
-//! The paper's tables and figures. Table II, Fig. 9 and Section IV-D are
-//! three printers over one [`sweep`]; Table III, Fig. 1 and the ablations
-//! are self-contained.
+//! The paper's tables and figures. Table II and Fig. 9 are two printers over
+//! one [`sweep`]; Table III, Fig. 1 and the ablations are self-contained.
 
 use crate::esyn::{esyn_backward, esyn_forward, flattened_tree_size, EsynLimits};
-use crate::training::train_learned_model;
 use crate::{geomean, num, saturated, Run, Table};
 use benchgen::SuiteScale;
-use costmodel::metrics::{kendall_tau, mape};
-use costmodel::{CostEvaluator, TechMapCost};
 use egraph::{AstSize, Extractor};
 use emorphic::extract::sa::{SaEngine, SaOptions};
-use emorphic::extract::{
-    bottom_up_extract, BottomUpEngine, ExtractBudget, ExtractionCost, ExtractionEngine,
-};
+use emorphic::extract::{BottomUpEngine, ExtractBudget, ExtractionCost, ExtractionEngine};
 use emorphic::flow::{baseline_flow, emorphic_flow, FlowResult};
 use emorphic::report::FlowReport;
 use emorphic::{aig_to_egraph, selection_to_aig};
 use logic_opt::{balance, dch_like, refactor, rewrite, DchOptions};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
+use techmap::cell::map_to_cells;
 use techmap::library::asap7_like;
 use techmap::sop::sop_balance;
 use techmap::{MapOptions, Qor};
 
 const BASELINE: &str = "baseline";
-const QUALITY: &str = "emorphic";
-const ML: &str = "emorphic+ml";
+const EMORPHIC: &str = "emorphic";
 
-/// Held-out prediction quality of the learned model the sweep trained.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ModelQuality {
-    training_circuits: usize,
-    variants: usize,
-    training_s: f64,
-    mape: f64,
-    kendall_tau: f64,
-}
-
-/// The one experiment behind Table II, Fig. 9 and Section IV-D: the learned
-/// model is trained once (on the structural variants of the suite circuits
-/// under 3000 ANDs), then the baseline flow, the E-morphic flow in quality
-/// mode and the E-morphic flow with the learned model each run once per
-/// suite circuit. The flow rows go to `run.flows`; a second call is free.
-fn sweep(run: &mut Run) -> ModelQuality {
-    if let Some(quality) = run.sweep {
-        return quality;
+/// The one experiment behind Table II and Fig. 9: the baseline flow and the
+/// E-morphic flow each run once per suite circuit. The flow rows go to
+/// `run.flows`; a second call is free.
+fn sweep(run: &mut Run) {
+    if !rows_of(run, EMORPHIC).is_empty() {
+        return;
     }
-    let circuits = run.suite();
     let config = run.flow_config();
-    let training: Vec<aig::Aig> = circuits
-        .iter()
-        .filter(|c| c.aig.num_ands() < 3_000)
-        .map(|c| c.aig.clone())
-        .collect();
-    let variants = match run.scale {
-        SuiteScale::Tiny => 4,
-        SuiteScale::Small => 8,
-        SuiteScale::Default => 12,
-    };
-    eprintln!(
-        "[sweep] training on {} circuits x {variants} structural variants",
-        training.len()
-    );
-    let t0 = Instant::now();
-    let (model, predictions, truth) = train_learned_model(&training, variants);
-    let quality = ModelQuality {
-        training_circuits: training.len(),
-        variants,
-        training_s: t0.elapsed().as_secs_f64(),
-        mape: mape(&predictions, &truth),
-        kendall_tau: kendall_tau(&predictions, &truth),
-    };
-    let ml_config = config.clone().with_learned_model(model);
-    for circuit in &circuits {
+    for circuit in run.suite() {
         eprintln!("[sweep] {} ({} ANDs)", circuit.name, circuit.aig.num_ands());
         for (flow, result) in [
             (BASELINE, baseline_flow(&circuit.aig, &config)),
-            (QUALITY, emorphic_flow(&circuit.aig, &config)),
-            (ML, emorphic_flow(&circuit.aig, &ml_config)),
+            (EMORPHIC, emorphic_flow(&circuit.aig, &config)),
         ] {
             run.flows.push(flow_row(flow, &circuit.name, &result));
         }
     }
-    run.sweep = Some(quality);
-    quality
 }
 
 /// A flow result as a report row under the suite's circuit name.
@@ -112,19 +65,13 @@ fn total_runtime(rows: &[&FlowReport]) -> f64 {
     rows.iter().map(|r| r.runtime_s).sum()
 }
 
-/// Table II: QoR and runtime of the delay-oriented baseline, E-morphic
-/// without the ML model, and E-morphic with it.
+/// Table II: QoR and runtime of the delay-oriented baseline and E-morphic.
 pub(crate) fn table2(run: &mut Run) {
-    let quality = sweep(run);
-    println!(
-        "learned model: MAPE = {:.1}%, Kendall tau = {:.2}",
-        quality.mape, quality.kendall_tau
-    );
+    sweep(run);
     let mut geomeans = Vec::new();
     for (title, flow) in [
         ("SOP Balancing Baseline", BASELINE),
-        ("SOP Balancing + E-morphic (w/o ML model)", QUALITY),
-        ("SOP Balancing + E-morphic (w/ ML model)", ML),
+        ("SOP Balancing + E-morphic", EMORPHIC),
     ] {
         let rows = rows_of(run, flow);
         let mut table = Table::new(&["circuit", "area(um2)", "delay(ps)", "lev", "runtime(s)"]);
@@ -146,98 +93,41 @@ pub(crate) fn table2(run: &mut Run) {
         table.print(title);
         geomeans.push((geo, total_runtime(&rows)));
     }
-    let (base, rt_base) = &geomeans[0];
-    for (label, (geo, _)) in [("w/o ML", &geomeans[1]), ("w/ ML", &geomeans[2])] {
-        let gain = geo.improvement_over(base);
-        println!(
-            "E-morphic ({label}) over the baseline: area saving {:.2}%, delay reduction {:.2}%, \
-             level reduction {:.2}%",
-            gain.area_pct, gain.delay_pct, gain.level_pct
-        );
-    }
-    let (rt_em, rt_ml) = (geomeans[1].1, geomeans[2].1);
+    let ((base, rt_base), (emorphic, rt_em)) = (&geomeans[0], &geomeans[1]);
+    let gain = emorphic.improvement_over(base);
     println!(
-        "Runtime: baseline {rt_base:.1}s, E-morphic {rt_em:.1}s, E-morphic+ML {rt_ml:.1}s \
-         (ML saves {:.1}% of the E-morphic runtime)",
-        (rt_em - rt_ml) / rt_em.max(1e-9) * 100.0
+        "E-morphic over the baseline: area saving {:.2}%, delay reduction {:.2}%, \
+         level reduction {:.2}%",
+        gain.area_pct, gain.delay_pct, gain.level_pct
     );
+    println!("Runtime: baseline {rt_base:.1}s, E-morphic {rt_em:.1}s");
     println!("Paper (Table II, GEOMEAN): baseline 25274.02 um2 / 5620.01 ps / lev 292;");
-    println!("  E-morphic w/o ML 22104.32 / 5210.55 / 287 (12.54% area, 7.29% delay improvement);");
-    println!("  E-morphic w/ ML 24660.84 / 5390.13 / 295, with ~28% runtime saving vs w/o ML.");
+    println!("  E-morphic w/o ML 22104.32 / 5210.55 / 287 (12.54% area, 7.29% delay improvement).");
 }
 
-/// Figure 9: where the E-morphic runtime goes, for both cost models.
+/// Figure 9: where the E-morphic runtime goes.
 pub(crate) fn fig9(run: &mut Run) {
     sweep(run);
-    for (title, flow) in [
-        ("E-morphic with ABC-style mapping cost model", QUALITY),
-        ("E-morphic with ML cost model", ML),
-    ] {
-        let mut table = Table::new(&[
-            "circuit",
-            "delay-oriented flow %",
-            "egraph conversion %",
-            "SA extraction %",
-            "CEC %",
-        ]);
-        for row in rows_of(run, flow).iter().rev() {
-            table.row(vec![
-                row.circuit.clone(),
-                num(row.conventional_pct, 1),
-                num(row.conversion_pct, 1),
-                num(row.extraction_pct, 1),
-                num(row.verification_pct, 1),
-            ]);
-        }
-        table.print(title);
-    }
-    println!("Paper (Fig. 9): the conventional delay-oriented flow dominates the runtime, the");
-    println!("e-graph conversion is negligible, and the SA extraction share shrinks on the larger");
-    println!("circuits; the ML cost model further reduces the extraction share.");
-}
-
-/// Section IV-D: prediction quality of the learned model and the runtime it
-/// saves the E-morphic flow.
-pub(crate) fn mlmodel(run: &mut Run) {
-    let quality = sweep(run);
-    println!(
-        "Trained on {} circuits x {} structural variants in {:.1}s",
-        quality.training_circuits, quality.variants, quality.training_s
-    );
-    println!("Held-out delay prediction quality:");
-    println!("  MAPE        = {:.1}%   (paper: 25.2%)", quality.mape);
-    println!(
-        "  Kendall tau = {:.2}    (paper: 0.62)",
-        quality.kendall_tau
-    );
-    let (quality_rows, ml_rows) = (rows_of(run, QUALITY), rows_of(run, ML));
     let mut table = Table::new(&[
         "circuit",
-        "quality mode (s)",
-        "runtime mode (s)",
-        "saving %",
-        "delay (ps)",
-        "ML delay (ps)",
+        "delay-oriented flow %",
+        "egraph conversion %",
+        "SA extraction %",
+        "CEC %",
     ]);
-    for (q, ml) in quality_rows.iter().zip(&ml_rows) {
+    for row in rows_of(run, EMORPHIC).iter().rev() {
         table.row(vec![
-            q.circuit.clone(),
-            num(q.runtime_s, 2),
-            num(ml.runtime_s, 2),
-            num(
-                (q.runtime_s - ml.runtime_s) / q.runtime_s.max(1e-9) * 100.0,
-                1,
-            ),
-            num(q.delay_ps, 0),
-            num(ml.delay_ps, 0),
+            row.circuit.clone(),
+            num(row.conventional_pct, 1),
+            num(row.conversion_pct, 1),
+            num(row.extraction_pct, 1),
+            num(row.verification_pct, 1),
         ]);
     }
-    table.print("Runtime of the E-morphic flow: mapper-guided vs model-guided SA");
-    let (total_q, total_ml) = (total_runtime(&quality_rows), total_runtime(&ml_rows));
-    println!(
-        "Total runtime saving with the learned model: {:.1}% (paper reports ~28%)",
-        (total_q - total_ml) / total_q.max(1e-9) * 100.0
-    );
+    table.print("E-morphic with ABC-style mapping cost model");
+    println!("Paper (Fig. 9): the conventional delay-oriented flow dominates the runtime, the");
+    println!("e-graph conversion is negligible, and the SA extraction share shrinks on the larger");
+    println!("circuits.");
 }
 
 /// Table III: circuit <-> e-graph conversion, the E-Syn S-expression
@@ -334,8 +224,13 @@ pub(crate) fn fig1(run: &mut Run) {
         SuiteScale::Default => 16,
     };
     let circuit = benchgen::multiplier(width).aig;
-    let mapper = TechMapCost::new(asap7_like());
-    let initial = mapper.qor(&circuit).delay_ps;
+    let library = asap7_like();
+    let mapped_delay = |aig: &aig::Aig| {
+        map_to_cells(aig, &library, &MapOptions::default())
+            .qor()
+            .delay_ps
+    };
+    let initial = mapped_delay(&circuit);
     let mut table = Table::new(&["pass", "delay (ps)", "normalized"]);
     let mut point = |label: String, delay: f64| {
         table.row(vec![label, num(delay, 2), num(delay / initial, 3)]);
@@ -361,7 +256,7 @@ pub(crate) fn fig1(run: &mut Run) {
     let mut plateau = initial;
     for (i, (name, pass)) in passes.iter().enumerate() {
         current = pass(&current);
-        plateau = mapper.qor(&current).delay_ps;
+        plateau = mapped_delay(&current);
         point(format!("pass {} ({name})", i + 1), plateau);
     }
 
@@ -435,34 +330,29 @@ pub(crate) fn ablation(run: &mut Run) {
         evaluations[1] as f64 / evaluations[0].max(1) as f64
     );
 
-    let evaluator = Arc::new(TechMapCost::new(asap7_like()));
-    let (greedy, _) = bottom_up_extract(&state.egraph, ExtractionCost::Depth);
-    let greedy_cost = evaluator.evaluate(&selection_to_aig(
-        &state.egraph,
-        &greedy,
-        &state.roots,
-        &state.input_names,
-        &state.output_names,
-        "greedy",
-    ));
+    let library = asap7_like();
     let anneal = |iterations: usize, threads: usize| {
         let options = SaOptions::new()
             .with_iterations(iterations)
             .with_threads(threads);
         let t = Instant::now();
-        let result = SaEngine::new(options, evaluator.clone())
+        let result = SaEngine::new(options, library.clone())
             .anneal(&state.egraph, &state.roots, &budget)
             .expect("every adder output is realizable");
-        (result.best_cost, t.elapsed().as_secs_f64())
+        (result, t.elapsed().as_secs_f64())
     };
+    // Every chain starts from the greedy bottom-up `Depth` selection
+    // (`SaOptions::neighbor_cost`), so the seed's cost is the greedy row.
+    let annealed = [2, 4].map(|iterations| (iterations, anneal(iterations, 2).0));
+    let greedy_cost = annealed[0].1.initial_cost;
     let mut table = Table::new(&["extraction", "cost", "improvement over greedy %"]);
     table.row(vec![
         "greedy bottom-up".into(),
         num(greedy_cost, 2),
         "-".into(),
     ]);
-    for iterations in [2, 4] {
-        let (cost, _) = anneal(iterations, 2);
+    for (iterations, result) in &annealed {
+        let cost = result.best_cost;
         table.row(vec![
             format!("SA, {iterations} iterations"),
             num(cost, 2),
@@ -473,8 +363,12 @@ pub(crate) fn ablation(run: &mut Run) {
 
     let mut table = Table::new(&["threads", "best cost", "time (s)"]);
     for threads in [1usize, 2, 4, 8] {
-        let (cost, seconds) = anneal(3, threads);
-        table.row(vec![threads.to_string(), num(cost, 2), num(seconds, 2)]);
+        let (result, seconds) = anneal(3, threads);
+        table.row(vec![
+            threads.to_string(),
+            num(result.best_cost, 2),
+            num(seconds, 2),
+        ]);
     }
     table.print("[4] parallel annealing chains (best-of-batch quality)");
 }

@@ -9,8 +9,8 @@
 //!   subgraphs once (true DAG cost instead of tree cost).
 //! * [`SlackAwareEngine`] — depth/slack-driven selection: hold the critical
 //!   depth, spend per-class slack on smaller structures.
-//! * [`sa::SaEngine`] — the paper's simulated-annealing extractor guided by a
-//!   [`costmodel::CostEvaluator`].
+//! * [`sa::SaEngine`] — the paper's simulated-annealing extractor, scoring
+//!   every candidate by mapping it to the standard-cell library.
 //!
 //! [`PortfolioEngine`] races any set of them in parallel and picks the best
 //! result deterministically.

@@ -2,12 +2,11 @@
 //!
 //! The extractor starts from a greedy bottom-up solution, repeatedly
 //! generates neighboring solutions by re-selecting e-nodes bottom-up with a
-//! controlled amount of randomness, evaluates each candidate with a
-//! [`CostEvaluator`] (technology mapping or the learned model), and accepts
-//! or rejects moves with the Metropolis criterion under the Section IV-A
-//! cooling schedule. Several annealing chains run in parallel ([`egraph::pool`])
-//! and the best mapped solution wins. [`SaEngine`] is the extractor behind the
-//! [`ExtractionEngine`] trait.
+//! controlled amount of randomness, scores each candidate by mapping it to
+//! standard cells, and accepts or rejects moves with the Metropolis criterion
+//! under the Section IV-A cooling schedule. Several annealing chains run in
+//! parallel ([`egraph::pool`]) and the best mapped solution wins.
+//! [`SaEngine`] is the extractor behind the [`ExtractionEngine`] trait.
 
 use crate::convert::selection_to_aig;
 use crate::extract::engine::{
@@ -17,13 +16,17 @@ use crate::extract::{
     bottom_up_with_costs, cost_fixpoint, ExtractStats, ExtractionCost, ParentIndex, Selection,
 };
 use crate::lang::BoolLang;
-use costmodel::CostEvaluator;
 use egraph::pool::for_each_indexed;
 use egraph::{EGraph, FxHashMap, Id};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
+use techmap::cell::map_to_cells;
+use techmap::library::CellLibrary;
+use techmap::MapOptions;
+
+/// Weight of area (µm²) added to the mapped delay (ps) as a tie-breaker.
+const AREA_WEIGHT: f64 = 0.01;
 
 /// Options of the simulated-annealing extractor.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,8 +38,7 @@ pub struct SaOptions {
     /// Probability of rejecting an improving move during neighbor generation
     /// (`p_random` in Algorithm 1), which keeps structural diversity.
     pub p_random: f64,
-    /// Number of parallel annealing chains (4 in quality mode, 6 in runtime
-    /// mode in the paper).
+    /// Number of parallel annealing chains (4 in the paper).
     pub threads: usize,
     /// RNG seed; each chain derives its own stream from it.
     pub seed: u64,
@@ -132,7 +134,7 @@ pub struct ChainResult {
 pub struct SaResult {
     /// The best e-node selection across all chains.
     pub best_selection: Selection,
-    /// Its evaluator cost.
+    /// Its candidate cost (mapped delay plus the area tie-breaker).
     pub best_cost: f64,
     /// Cost of the greedy initial solution (before annealing).
     pub initial_cost: f64,
@@ -146,26 +148,31 @@ pub struct SaResult {
 }
 
 /// The core SA run. Port names are synthesized once for the candidate
-/// circuits (evaluators map the netlist; names are irrelevant to cost).
+/// circuits (the cost maps the netlist; names are irrelevant to it).
+///
+/// A candidate's cost is its mapped delay in ps plus [`AREA_WEIGHT`] times its
+/// mapped area in µm², under `library` and the default [`MapOptions`].
 fn anneal(
     egraph: &EGraph<BoolLang>,
     parents: &ParentIndex,
     roots: &[Id],
-    evaluator: &dyn CostEvaluator,
+    library: &CellLibrary,
     options: &SaOptions,
     iterations: usize,
 ) -> SaResult {
     let start = Instant::now();
     let (input_names, output_names) = synthetic_names(egraph, roots.len());
     let candidate_cost = |selection: &Selection| {
-        evaluator.evaluate(&selection_to_aig(
+        let candidate = selection_to_aig(
             egraph,
             selection,
             roots,
             &input_names,
             &output_names,
             "sa-extracted",
-        ))
+        );
+        let qor = map_to_cells(&candidate, library, &MapOptions::default()).qor();
+        qor.delay_ps + AREA_WEIGHT * qor.area_um2
     };
 
     let neighbor_of = |current: &Selection, rng: &mut StdRng| {
@@ -281,15 +288,17 @@ fn run_chain(
 /// across all chains by shortening each chain deterministically; the
 /// wall-clock backstop is not consulted (chains check no clocks, keeping
 /// results machine-independent).
+#[derive(Debug)]
 pub struct SaEngine {
     options: SaOptions,
-    evaluator: Arc<dyn CostEvaluator>,
+    library: CellLibrary,
 }
 
 impl SaEngine {
-    /// Creates an SA engine annealing under the given evaluator.
-    pub fn new(options: SaOptions, evaluator: Arc<dyn CostEvaluator>) -> Self {
-        SaEngine { options, evaluator }
+    /// Creates an SA engine that scores every candidate by mapping it to
+    /// `library`.
+    pub fn new(options: SaOptions, library: CellLibrary) -> Self {
+        SaEngine { options, library }
     }
 
     /// Runs the annealing and returns its detailed result (initial and best
@@ -336,20 +345,11 @@ impl SaEngine {
             egraph,
             &parents,
             roots,
-            self.evaluator.as_ref(),
+            &self.library,
             &self.options,
             iterations,
         );
         Ok((result, class_costs))
-    }
-}
-
-impl std::fmt::Debug for SaEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SaEngine")
-            .field("options", &self.options)
-            .field("evaluator", &self.evaluator.name())
-            .finish()
     }
 }
 
@@ -439,9 +439,8 @@ mod tests {
     use crate::rules::all_rules;
     use aig::Aig;
     use cec::{check_equivalence, CecOptions};
-    use costmodel::TechMapCost;
     use egraph::{Runner, Scheduler};
-    use techmap::library::asap7_like;
+    use techmap::library::{asap7_like, Cell};
 
     fn saturated_conversion(aig: &Aig, iters: usize) -> ConversionResult {
         let conv = aig_to_egraph(aig);
@@ -532,9 +531,41 @@ mod tests {
     }
 
     fn anneal_with(conv: &ConversionResult, options: SaOptions) -> SaResult {
-        SaEngine::new(options, Arc::new(TechMapCost::new(asap7_like())))
+        anneal_under(conv, options, asap7_like())
+    }
+
+    fn anneal_under(conv: &ConversionResult, options: SaOptions, library: CellLibrary) -> SaResult {
+        SaEngine::new(options, library)
             .anneal(&conv.egraph, &conv.roots, &ExtractBudget::unlimited())
             .unwrap()
+    }
+
+    /// The candidate cost, stated independently of `anneal`.
+    fn mapped_cost(aig: &Aig, library: &CellLibrary) -> f64 {
+        let qor = map_to_cells(aig, library, &MapOptions::default()).qor();
+        qor.delay_ps + 0.01 * qor.area_um2
+    }
+
+    fn realize(conv: &ConversionResult, selection: &Selection) -> Aig {
+        selection_to_aig(
+            &conv.egraph,
+            selection,
+            &conv.roots,
+            &conv.input_names,
+            &conv.output_names,
+            &conv.name,
+        )
+    }
+
+    fn and_chain(width: usize) -> Aig {
+        let mut aig = Aig::new(format!("chain{width}"));
+        let inputs = aig.add_inputs("x", width);
+        let mut acc = inputs[0];
+        for &lit in &inputs[1..] {
+            acc = aig.and(acc, lit);
+        }
+        aig.add_output(acc, "f");
+        aig
     }
 
     #[test]
@@ -551,17 +582,48 @@ mod tests {
         assert_eq!(result.stats.nodes_evaluated, 4);
         // The reported best selection realizes a circuit equivalent to the
         // input, at the reported best cost.
-        let realized = selection_to_aig(
-            &conv.egraph,
-            &result.best_selection,
-            &conv.roots,
-            &conv.input_names,
-            &conv.output_names,
-            &conv.name,
-        );
+        let realized = realize(&conv, &result.best_selection);
         assert!(check_equivalence(&aig, &realized, &CecOptions::default()).is_equivalent());
-        let realized_cost = TechMapCost::new(asap7_like()).evaluate(&realized);
-        assert_eq!(realized_cost, result.best_cost);
+        assert_eq!(mapped_cost(&realized, &asap7_like()), result.best_cost);
+    }
+
+    #[test]
+    fn sa_scores_candidates_under_the_library_it_is_handed() {
+        // The flow hands `config.library` to the engine, and the job server
+        // keys re-extractions on the whole config: a library change has to
+        // change the scores.
+        let conv = saturated_conversion(&benchgen::adder(5).aig, 3);
+        let fast = asap7_like();
+        let mut slow = CellLibrary::new();
+        for cell in fast.cells() {
+            slow.add(Cell::with_pin_delays(
+                cell.name.clone(),
+                cell.num_inputs,
+                cell.function,
+                cell.area_um2,
+                cell.pin_delays_ps.iter().map(|d| 2.0 * d).collect(),
+            ));
+        }
+        assert!(slow
+            .cells()
+            .zip(fast.cells())
+            .all(|(s, f)| s.delay_ps == 2.0 * f.delay_ps));
+        let mut costs = Vec::new();
+        for library in [fast, slow] {
+            let result = anneal_under(&conv, SaOptions::fast(), library.clone());
+            let realized = realize(&conv, &result.best_selection);
+            assert_eq!(result.best_cost, mapped_cost(&realized, &library));
+            costs.push(result.best_cost);
+        }
+        assert_ne!(costs[0], costs[1]);
+
+        // A deeper circuit costs more: the greedy seed of an unsaturated
+        // chain is the chain itself.
+        let seed_cost = |width: usize| {
+            let conv = aig_to_egraph(&and_chain(width));
+            anneal_with(&conv, SaOptions::fast().with_iterations(0)).initial_cost
+        };
+        assert!(seed_cost(32) > seed_cost(4));
     }
 
     #[test]
@@ -597,8 +659,7 @@ mod tests {
     fn sa_engine_is_budget_capped_and_equivalent() {
         let aig = benchgen::adder(4).aig;
         let conv = saturated_conversion(&aig, 3);
-        let evaluator: Arc<dyn CostEvaluator> = Arc::new(TechMapCost::new(asap7_like()));
-        let engine = SaEngine::new(SaOptions::fast().with_seed(11), evaluator);
+        let engine = SaEngine::new(SaOptions::fast().with_seed(11), asap7_like());
         // 2 threads × 2 iterations uncapped; a budget of 2 evaluations caps
         // each chain at 1 iteration.
         let capped = engine

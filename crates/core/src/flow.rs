@@ -7,8 +7,8 @@
 //! * [`emorphic_flow`] — the same flow with e-graph-based resynthesis
 //!   inserted before the final mapping round: DAG-to-DAG conversion, a small
 //!   number of Table-I rewriting iterations, and parallel simulated-annealing
-//!   extraction guided by either the technology mapper (quality mode) or the
-//!   learned cost model (runtime mode). The resynthesized network is checked
+//!   extraction guided by the technology mapper (the paper's
+//!   quality-prioritized mode). The resynthesized network is checked
 //!   with SAT-based CEC, mirroring the paper's use of `cec`, against the
 //!   *prepared* network it was saturated from — not against the flow's
 //!   input — and before the final `st; dch; map` round, which runs after the
@@ -55,7 +55,6 @@ use choices::{
     egraph_to_choices_with_selection, BoolNode, ChoiceConfig, ChoiceCost, ChoiceError,
     ClassSelection, ExportStats,
 };
-use costmodel::{CostEvaluator, LearnedCost, TechMapCost};
 use egraph::{EGraph, Id, Rewrite, Runner, Scheduler};
 use logic_opt::{dch_like, DchOptions};
 use std::sync::atomic::AtomicBool;
@@ -65,15 +64,6 @@ use techmap::cell::{map_to_cells, try_map_to_cells, try_map_to_cells_with_choice
 use techmap::library::{asap7_like, CellLibrary};
 use techmap::{sop::sop_balance, MapError, MapOptions, Qor};
 use window::{WindowError, WindowOptions};
-
-/// Which cost model guides the SA extraction (paper Section III-C).
-#[derive(Debug, Clone, PartialEq)]
-pub enum CostMode {
-    /// Quality-prioritized: evaluate candidates with the real mapper.
-    Quality,
-    /// Runtime-prioritized: evaluate candidates with a learned delay model.
-    Runtime(LearnedCost),
-}
 
 /// Configuration of the synthesis flows. Two configurations are equal when
 /// every knob holds the same value, which is the comparison the job server
@@ -86,7 +76,7 @@ pub struct FlowConfig {
     pub rounds: usize,
     /// Standard-cell mapping options.
     pub map_options: MapOptions,
-    /// The standard-cell library.
+    /// The standard-cell library (also the one SA maps its candidates to).
     pub library: CellLibrary,
     /// Number of e-graph rewriting iterations (5 in the paper).
     pub rewrite_iterations: usize,
@@ -108,8 +98,6 @@ pub struct FlowConfig {
     pub extractor: ExtractorKind,
     /// Work budget handed to the extraction engine.
     pub extract_budget: ExtractBudget,
-    /// Cost model used during extraction.
-    pub cost_mode: CostMode,
     /// Verify the resynthesized circuit against the input with CEC.
     pub verify: bool,
     /// CEC options used for verification. The conflict budget must stay
@@ -145,7 +133,7 @@ pub struct FlowConfig {
 
 impl FlowConfig {
     /// The paper's experimental configuration (Section IV-A), with the SA
-    /// extractor in quality-prioritized mode.
+    /// extractor.
     pub fn paper() -> Self {
         FlowConfig {
             rounds: 4,
@@ -162,7 +150,6 @@ impl FlowConfig {
             },
             extractor: ExtractorKind::Sa,
             extract_budget: ExtractBudget::unlimited(),
-            cost_mode: CostMode::Quality,
             verify: true,
             cec: CecOptions {
                 conflict_budget: Some(100_000),
@@ -197,15 +184,6 @@ impl FlowConfig {
             },
             ..FlowConfig::paper()
         }
-    }
-
-    /// Switches the flow to the runtime-prioritized (learned) cost model with
-    /// the paper's 6 parallel threads.
-    #[must_use]
-    pub fn with_learned_model(mut self, model: LearnedCost) -> Self {
-        self.cost_mode = CostMode::Runtime(model);
-        self.sa.threads = 6;
-        self
     }
 
     /// Selects the extraction engine.
@@ -270,13 +248,12 @@ pub struct SaturationKey {
 fn run_extraction(
     kind: ExtractorKind,
     config: &FlowConfig,
-    evaluator: Arc<dyn CostEvaluator>,
     structural_cost: ExtractionCost,
     delay_first: bool,
     egraph: &EGraph<BoolLang>,
     roots: &[Id],
 ) -> (Result<Extraction, ExtractError>, Vec<EngineReport>) {
-    let sa = || SaEngine::new(config.sa.clone(), Arc::clone(&evaluator));
+    let sa = || SaEngine::new(config.sa.clone(), config.library.clone());
     let engine: Box<dyn ExtractionEngine> = match kind {
         ExtractorKind::Sa => Box::new(sa()),
         ExtractorKind::BottomUp => Box::new(BottomUpEngine::new(structural_cost)),
@@ -440,16 +417,11 @@ pub fn extract_network(
     state: &SaturatedState,
     config: &FlowConfig,
 ) -> (Option<Aig>, Vec<EngineReport>) {
-    let evaluator: Arc<dyn CostEvaluator> = match &config.cost_mode {
-        CostMode::Quality => Arc::new(TechMapCost::new(config.library.clone())),
-        CostMode::Runtime(model) => Arc::new(model.clone()),
-    };
     // The flow is delay-oriented, so the portfolio scores candidates by
     // mapped (delay, area).
     let (extraction, mut engines) = run_extraction(
         config.extractor,
         config,
-        evaluator,
         ExtractionCost::Size,
         true,
         &state.egraph,
@@ -1082,11 +1054,9 @@ fn monolithic_choice_space(aig: &Aig, config: &MapFlowConfig) -> Result<ChoiceSp
         ChoiceCost::Size => ExtractionCost::Size,
         ChoiceCost::Depth => ExtractionCost::Depth,
     };
-    let evaluator: Arc<dyn CostEvaluator> = Arc::new(TechMapCost::new(config.flow.library.clone()));
     let (extraction, engines) = run_extraction(
         config.extractor,
         &config.flow,
-        evaluator,
         structural_cost,
         config.objective == MapObjective::Delay,
         &egraph,
@@ -1541,28 +1511,6 @@ mod tests {
                 assert_eq!(report.windows_skipped, report.windows);
             }
         }
-    }
-
-    #[test]
-    fn runtime_mode_uses_learned_model() {
-        let circuit = benchgen::adder(5).aig;
-        // Train a tiny model on adders of various widths.
-        let mapper = TechMapCost::new(asap7_like());
-        let samples: Vec<(Aig, f64)> = [3usize, 4, 6, 8]
-            .iter()
-            .map(|&w| {
-                let c = benchgen::adder(w).aig;
-                let delay = mapper.qor(&c).delay_ps;
-                (c, delay)
-            })
-            .collect();
-        let model = LearnedCost::train(&samples, 1e-3);
-        let config = FlowConfig::fast().with_learned_model(model);
-        assert!(matches!(config.cost_mode, CostMode::Runtime(_)));
-        assert_eq!(config.sa.threads, 6);
-        let result = emorphic_flow(&circuit, &config);
-        assert!(result.verified);
-        assert!(result.qor.delay_ps > 0.0);
     }
 
     #[test]

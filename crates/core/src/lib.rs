@@ -2,8 +2,7 @@
 //! logic synthesis.
 //!
 //! This crate implements the paper's primary contribution on top of the
-//! workspace substrates (`aig`, `egraph`, `logic-opt`, `techmap`, `cec`,
-//! `costmodel`):
+//! workspace substrates (`aig`, `egraph`, `logic-opt`, `techmap`, `cec`):
 //!
 //! * [`lang`] — the Boolean term language used inside the e-graph and the
 //!   Table-I rewrite-rule set ([`rules`]).

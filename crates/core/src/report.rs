@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 pub struct FlowReport {
     /// Circuit name.
     pub circuit: String,
-    /// Flow label (e.g. `"baseline"`, `"emorphic"`, `"emorphic+ml"`).
+    /// Flow label (`"baseline"`, `"emorphic"`, or an experiment's own, e.g. `"fig1"`).
     pub flow: String,
     /// Post-mapping area in µm².
     pub area_um2: f64,

@@ -14,13 +14,11 @@
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
 use aig::Aig;
-use costmodel::TechMapCost;
 use emorphic::extract::sa::{SaEngine, SaOptions};
 use emorphic::extract::{
     bottom_up_extract, try_selection_cost, ExtractBudget, ExtractionCost, ExtractionEngine,
 };
 use emorphic::{aig_to_egraph, try_selection_to_aig};
-use std::sync::Arc;
 use techmap::library::asap7_like;
 
 /// `acc = and(!acc, x_i)` for `i` in `1..=depth`, starting from `x_0`: one
@@ -94,7 +92,7 @@ fn annealing_chains_survive_20k_levels_on_pool_workers() {
     on_a_2mib_stack(|| {
         let space = aig_to_egraph(&alternating_chain(DEPTH));
         let options = SaOptions::new().with_threads(2).with_iterations(1);
-        let engine = SaEngine::new(options, Arc::new(TechMapCost::new(asap7_like())));
+        let engine = SaEngine::new(options, asap7_like());
         let extraction = engine
             .extract(&space.egraph, &space.roots, &ExtractBudget::unlimited())
             .unwrap();

@@ -4,7 +4,7 @@
 //! test pins every engine bit for bit on its own: four benchgen circuits,
 //! really saturated, pushed through [`BottomUpEngine`] (size / depth ×
 //! pruned / unpruned), [`GlobalGreedyDagEngine`], [`SlackAwareEngine`],
-//! [`SaEngine`] (2 chains, 4 iterations, fixed seed, [`TechMapCost`]) and a
+//! [`SaEngine`] (2 chains, 4 iterations, fixed seed, `asap7_like`) and a
 //! 16-step [`generate_neighbor`] chain at `p_random` 0.1 and 0.3 under both
 //! structural costs.
 //!
@@ -23,7 +23,6 @@
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
 use aig::{Aig, AigNode, FxHasher};
-use costmodel::TechMapCost;
 use egraph::{Id, Runner, Scheduler};
 use emorphic::convert::ConversionResult;
 use emorphic::extract::sa::{generate_neighbor, SaEngine, SaOptions};
@@ -36,7 +35,6 @@ use emorphic::{aig_to_egraph, all_rules, try_selection_to_aig, BoolLang};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hash::Hasher;
-use std::sync::Arc;
 use techmap::library::asap7_like;
 
 const COSTS: [ExtractionCost; 2] = [ExtractionCost::Size, ExtractionCost::Depth];
@@ -181,7 +179,7 @@ fn sa_digest(space: &ConversionResult) -> u64 {
         .with_threads(2)
         .with_iterations(4)
         .with_seed(0x5EED);
-    let engine = SaEngine::new(options, Arc::new(TechMapCost::new(asap7_like())));
+    let engine = SaEngine::new(options, asap7_like());
     engine_digest(space, &[&engine])
 }
 

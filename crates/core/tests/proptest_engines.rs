@@ -22,7 +22,6 @@
 // test relaxation does not reach them.
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
-use costmodel::TechMapCost;
 use egraph::{EGraph, FxHashMap, FxHashSet, Id, Language, Runner, Scheduler};
 use emorphic::extract::sa::{SaEngine, SaOptions};
 use emorphic::extract::{
@@ -31,7 +30,6 @@ use emorphic::extract::{
 };
 use emorphic::{aig_to_egraph, all_rules, try_selection_to_aig, BoolLang};
 use proptest::prelude::*;
-use std::sync::Arc;
 use techmap::library::asap7_like;
 
 /// Saturates a circuit and returns the rewritten conversion result.
@@ -62,10 +60,7 @@ fn all_engines() -> Vec<Box<dyn ExtractionEngine>> {
         Box::new(BottomUpEngine::new(ExtractionCost::Size)),
         Box::new(GlobalGreedyDagEngine::new()),
         Box::new(SlackAwareEngine::new()),
-        Box::new(SaEngine::new(
-            SaOptions::fast(),
-            Arc::new(TechMapCost::new(asap7_like())),
-        )),
+        Box::new(SaEngine::new(SaOptions::fast(), asap7_like())),
     ]
 }
 

@@ -16,9 +16,9 @@
 // deny on unwrap/expect/panic is relaxed here.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use costmodel::TechMapCost;
 use emorphic::flow::{emorphic_map_flow, MapFlowConfig, MapObjective};
 use logic_opt::{balance, rewrite};
+use techmap::cell::map_to_cells;
 use techmap::library::asap7_like;
 use techmap::sop::sop_balance;
 use techmap::MapOptions;
@@ -26,11 +26,16 @@ use techmap::MapOptions;
 fn main() {
     // A multiplier has heavy reconvergence and benefits from restructuring.
     let circuit = benchgen::multiplier(8).aig;
-    let mapper = TechMapCost::new(asap7_like());
+    let library = asap7_like();
+    let mapped_delay = |aig: &aig::Aig| {
+        map_to_cells(aig, &library, &MapOptions::default())
+            .qor()
+            .delay_ps
+    };
 
     println!("== conventional technology-independent optimization ==");
     let mut current = circuit.clone();
-    let mut last_delay = mapper.qor(&current).delay_ps;
+    let mut last_delay = mapped_delay(&current);
     println!(
         "initial:          delay = {last_delay:.1} ps, {} ANDs",
         current.num_ands()
@@ -46,7 +51,7 @@ fn main() {
         }),
     ] {
         current = pass(&current);
-        let delay = mapper.qor(&current).delay_ps;
+        let delay = mapped_delay(&current);
         println!(
             "after {name:<12}: delay = {delay:.1} ps ({:+.1}%), {} ANDs",
             (delay - last_delay) / last_delay * 100.0,

@@ -8,7 +8,6 @@
 pub use aig;
 pub use benchgen;
 pub use cec;
-pub use costmodel;
 pub use egraph;
 pub use emorphic;
 pub use logic_opt;
