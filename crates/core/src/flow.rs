@@ -8,13 +8,16 @@
 //!   inserted before the final mapping round: DAG-to-DAG conversion, a small
 //!   number of Table-I rewriting iterations, and parallel simulated-annealing
 //!   extraction guided by the technology mapper (the paper's
-//!   quality-prioritized mode). The resynthesized network is checked
-//!   with SAT-based CEC, mirroring the paper's use of `cec`, against the
-//!   *prepared* network it was saturated from — not against the flow's
-//!   input — and before the final `st; dch; map` round, which runs after the
-//!   check. Only [`emorphic_map_flow`] (on the mapped netlist) and the job
-//!   server (on the resynthesized network) verify against the circuit they
-//!   were given; see [`verify_and_map`].
+//!   quality-prioritized mode).
+//!
+//! Every driver verifies with one checker, the SAT-sweeping
+//! [`check_equivalence_swept`] (the role of the paper's `cec`); only what it
+//! checks against differs. [`emorphic_flow`] checks the resynthesized network
+//! against the *prepared* network it was saturated from, before the final
+//! `st; dch; map` round. The job server checks the resynthesized network
+//! against the circuit it was submitted, also before that round.
+//! [`emorphic_map_flow`] checks the mapped netlist against its input. See
+//! [`verify_and_map`].
 //!
 //! Both flows record a wall-clock breakdown (conventional optimization,
 //! e-graph conversion, SA extraction) used to regenerate Fig. 9.
@@ -47,10 +50,11 @@ use audit::{
     audit_aig_dag_only, audit_choices, audit_egraph, audit_netlist, audit_partition,
     audit_stitched, AuditLevel, AuditReport,
 };
-/// The verifier a driver that checks against the *submitted* circuit hands
-/// [`verify_and_map`] (the job server does).
+/// The one verifier of every driver: [`emorphic_flow`] and the job server
+/// hand it to [`verify_and_map`], [`emorphic_map_flow`] calls it on the
+/// mapped netlist.
 pub use cec::check_equivalence_swept;
-use cec::{check_equivalence, CecOptions, CecResult};
+use cec::{CecOptions, CecResult};
 use choices::{
     egraph_to_choices_with_selection, BoolNode, ChoiceConfig, ChoiceCost, ChoiceError,
     ClassSelection, ExportStats,
@@ -98,14 +102,18 @@ pub struct FlowConfig {
     pub extractor: ExtractorKind,
     /// Work budget handed to the extraction engine.
     pub extract_budget: ExtractBudget,
-    /// Verify the resynthesized circuit against the input with CEC.
+    /// Verify the result with [`check_equivalence_swept`]: the resynthesized
+    /// network against the prepared one in [`emorphic_flow`], against the
+    /// submitted circuit in the job server, the mapped netlist against the
+    /// input in [`emorphic_map_flow`].
     pub verify: bool,
-    /// CEC options used for verification. The conflict budget must stay
-    /// bounded: suite circuits include multipliers, whose miters plain CDCL
-    /// cannot close, and an unlimited budget wedges the whole flow.
+    /// CEC options used for verification: the conflict budget of the
+    /// checker's final output queries. It must stay bounded: a miter the
+    /// sweep does not collapse is left to monolithic CDCL, and an unlimited
+    /// budget on, say, a multiplier wedges the whole flow.
     pub cec: CecOptions,
-    /// Sweep options used by the fraig-style CEC gate, budgeted in lockstep
-    /// with [`FlowConfig::cec`] so the verification tail has one bound. The
+    /// Sweep options of the verifier, budgeted in lockstep with
+    /// [`FlowConfig::cec`] so the verification tail has one bound. The
     /// `dch` step of every conventional round does *not* read this field: it
     /// sweeps under [`DchOptions::default`], at `cec`'s default conflict
     /// budget (10 000) whatever this one says.
@@ -464,14 +472,13 @@ pub fn map_network(aig: &Aig, config: &FlowConfig) -> (Aig, Netlist) {
 /// pre-mapping network, the netlist and whether `verify` answered
 /// "equivalent" (`true` when the config skips verification).
 ///
-/// What `verified` proves is the caller's choice of `verify`:
-/// [`emorphic_flow`] checks against the prepared network with plain
-/// [`check_equivalence`], the job server against the circuit it was
-/// submitted, with [`check_equivalence_swept`]. Either way the check sees the
-/// network *before* the final round, whose `dch` and mapping run after it.
-/// An exhausted SAT budget keeps the resynthesized network (the simulation
-/// inside the checkers already failed to refute it) but leaves `verified`
-/// false.
+/// Both callers pass [`check_equivalence_swept`]; what `verified` proves is
+/// the reference they close over. [`emorphic_flow`] checks against the
+/// prepared network, the job server against the circuit it was submitted.
+/// Either way the check sees the network *before* the final round, whose
+/// `dch` and mapping run after it. An exhausted SAT budget keeps the
+/// resynthesized network (the simulation inside the checker already failed
+/// to refute it) but leaves `verified` false.
 pub fn verify_and_map(
     prepared: &Aig,
     extracted: Option<Aig>,
@@ -547,10 +554,11 @@ pub struct FlowResult {
     pub breakdown: RuntimeBreakdown,
     /// The technology-independent network right before the final mapping.
     pub final_aig: Aig,
-    /// Whether CEC *proved* the resynthesized network equivalent to the
-    /// prepared network ([`prepare_network`]'s result, which the e-graph was
-    /// built from) — not to the flow's input, and before the final
-    /// `st; dch; map` round that produces `final_aig` and the netlist.
+    /// Whether [`check_equivalence_swept`] *proved* the resynthesized network
+    /// equivalent to the prepared network ([`prepare_network`]'s result,
+    /// which the e-graph was built from) — not to the flow's input, and
+    /// before the final `st; dch; map` round that produces `final_aig` and
+    /// the netlist.
     /// Always `true` when verification is disabled and for the baseline
     /// flow, which resynthesizes nothing. `false` also covers an exhausted
     /// SAT budget: the resynthesized network is kept in that case — random
@@ -727,10 +735,13 @@ fn windowed_resynthesis_phase(
 /// Runs the E-morphic flow: the baseline rounds with e-graph resynthesis
 /// inserted before the final mapping round.
 ///
-/// `verified` in the result is the verdict of plain [`check_equivalence`] on
+/// `verified` in the result is the verdict of [`check_equivalence_swept`] on
 /// the resynthesized network against the *prepared* network (`aig` after the
 /// conventional rounds and `st; if -g`), taken before the final
-/// `st; dch; map` round: it covers the e-graph phase and nothing else.
+/// `st; dch; map` round: it covers the e-graph phase and nothing else. The
+/// sweep merges the cones the resynthesis left intact before any output is
+/// queried, so arithmetic circuits such as multipliers verify within the
+/// config's conflict budget.
 pub fn emorphic_flow(aig: &Aig, config: &FlowConfig) -> FlowResult {
     let start = Instant::now();
     let mut conventional_time = Duration::ZERO;
@@ -767,7 +778,8 @@ pub fn emorphic_flow(aig: &Aig, config: &FlowConfig) -> FlowResult {
     let (final_aig, netlist, verified) =
         verify_and_map(&current, extracted_aig, config, |resynthesized| {
             let t_verify = Instant::now();
-            let result = check_equivalence(&current, resynthesized, &config.cec);
+            let result =
+                check_equivalence_swept(&current, resynthesized, &config.cec, &config.sweep);
             verification_time = t_verify.elapsed();
             result
         });
@@ -1223,6 +1235,7 @@ fn map_choice_space(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cec::check_equivalence;
 
     #[test]
     fn baseline_flow_produces_sane_qor() {
@@ -1402,6 +1415,16 @@ mod tests {
         let result = emorphic_flow(&circuit, &config);
         let check = check_equivalence(&circuit, &result.final_aig, &CecOptions::default());
         assert!(check.is_equivalent(), "{check:?}");
+    }
+
+    #[test]
+    fn emorphic_flow_proves_a_multiplier() {
+        // Monolithic CDCL on this miter runs out of the fast config's 10 000
+        // conflicts and leaves `verified` false after ~20 s in release; the
+        // sweep merges the intact partial-product cones first.
+        let circuit = benchgen::multiplier(8).aig;
+        let result = emorphic_flow(&circuit, &FlowConfig::fast());
+        assert!(result.verified);
     }
 
     #[test]

@@ -258,14 +258,13 @@ fn synthesize_truth(aig: &mut Aig, truth: u64, leaves: &[Lit]) -> Lit {
 }
 
 /// The standard-cell cost model: a cut is implemented by the library's best
-/// NPN match of its function (memoized per 4-variable truth table), timed
-/// through the conservative sorted pin pairing of [`crate::timing`]; a
-/// complemented primary output costs one inverter.
+/// NPN match of its function, timed through the conservative sorted pin
+/// pairing of [`crate::timing`]; a complemented primary output costs one
+/// inverter.
 struct CellModel<'a> {
     library: &'a CellLibrary,
     /// `(delay_ps, area_um2)` of the library's inverter.
     inverter: (f64, f64),
-    matches: FxHashMap<u16, Option<usize>>,
 }
 
 impl CostModel for CellModel<'_> {
@@ -277,12 +276,8 @@ impl CostModel for CellModel<'_> {
         if cut.size() > 4 {
             return None;
         }
-        let tt4 = expand_to_4(cut.truth, cut.size());
-        let library = self.library;
-        *self
-            .matches
-            .entry(tt4)
-            .or_insert_with(|| library.match_function(tt4))
+        self.library
+            .match_function(expand_to_4(cut.truth, cut.size()))
     }
 
     fn arrival(&self, cell: usize, leaf_arrivals: &[f64]) -> f64 {
@@ -369,7 +364,6 @@ fn map_with_cuts(
     let mut model = CellModel {
         library,
         inverter: (inverter.delay_ps, inverter.area_um2),
-        matches: FxHashMap::default(),
     };
     let covering = cover(
         aig,

@@ -92,7 +92,8 @@ impl Cell {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellLibrary {
     cells: Vec<Cell>,
-    by_npn: FxHashMap<u16, Vec<usize>>,
+    /// The smallest-area cell of each NPN class, the first added on ties.
+    by_npn: FxHashMap<u16, usize>,
     inverter: Option<usize>,
     buffer: Option<usize>,
 }
@@ -106,8 +107,15 @@ impl CellLibrary {
     /// Adds a cell and indexes it by NPN class. Returns its index.
     pub fn add(&mut self, cell: Cell) -> usize {
         let idx = self.cells.len();
-        let class = cell.npn_class();
-        self.by_npn.entry(class).or_default().push(idx);
+        let cells = &self.cells;
+        self.by_npn
+            .entry(cell.npn_class())
+            .and_modify(|best| {
+                if cells[*best].area_um2 > cell.area_um2 {
+                    *best = idx;
+                }
+            })
+            .or_insert(idx);
         // Track special cells for phase fixing.
         if cell.num_inputs == 1 && cell.function == 0b01 {
             self.inverter.get_or_insert(idx);
@@ -149,19 +157,11 @@ impl CellLibrary {
         self.buffer
     }
 
-    /// Finds the best (smallest-area) cell matching the given 4-variable
-    /// truth table up to NPN equivalence, considering only cells with at
-    /// least `min_inputs` inputs used.
+    /// Finds the best (smallest-area, first added on ties) cell matching the
+    /// given 4-variable truth table up to NPN equivalence, or `None` if no
+    /// cell realizes its NPN class.
     pub fn match_function(&self, tt4: u16) -> Option<usize> {
-        let class = npn_canon4(tt4);
-        self.by_npn.get(&class).and_then(|candidates| {
-            candidates.iter().copied().min_by(|&a, &b| {
-                self.cells[a]
-                    .area_um2
-                    .partial_cmp(&self.cells[b].area_um2)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-        })
+        self.by_npn.get(&npn_canon4(tt4)).copied()
     }
 
     /// Total number of distinct NPN classes covered by the library.

@@ -4,6 +4,8 @@
 //! input minterm `m` (variable `i` contributes bit `i` of `m`). Functions of
 //! fewer than six variables only use the low `2^n` bits.
 
+use std::sync::atomic::{AtomicU16, Ordering};
+
 /// Standard projection masks: `VAR_MASK[i]` is the truth table of variable
 /// `i` over six variables.
 pub const VAR_MASK: [u64; 6] = [
@@ -245,11 +247,34 @@ const PERMS4: [[usize; 4]; 24] = [
     [3, 2, 1, 0],
 ];
 
+/// The complement of each 4-variable table's NPN representative, filled on
+/// first use. Stored complemented so the zero-initialised static reads as
+/// "not computed yet": a table or its output negation has bit 15 clear, so a
+/// representative is at most `0x7FFF` and its complement is never zero.
+static NPN4: [AtomicU16; 1 << 16] = [const { AtomicU16::new(0) }; 1 << 16];
+
 /// Computes the NPN-canonical representative of a 4-variable truth table:
 /// the minimum value over all input permutations, input negations and output
 /// negation. Functions of fewer variables should be zero-extended to four
 /// variables (i.e. made independent of the unused variables) first.
+///
+/// The 768-transform search runs once per table per process; later calls,
+/// from any thread, read the result from a shared table.
 pub fn npn_canon4(tt: u16) -> u16 {
+    // Relaxed: a slot publishes nothing but its own value, and threads racing
+    // on an empty slot compute and store the same one.
+    let slot = &NPN4[usize::from(tt)];
+    let stored = slot.load(Ordering::Relaxed);
+    if stored != 0 {
+        return !stored;
+    }
+    let canon = npn_search4(tt);
+    slot.store(!canon, Ordering::Relaxed);
+    canon
+}
+
+/// The minimum over all 768 NPN transforms of `tt`.
+fn npn_search4(tt: u16) -> u16 {
     let mut best = u16::MAX;
     for perm in &PERMS4 {
         for flips in 0..16u8 {
