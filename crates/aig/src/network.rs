@@ -223,11 +223,6 @@ impl Aig {
         self.reduce_balanced(lits, Lit::FALSE, Self::or)
     }
 
-    /// Creates a balanced XOR over an arbitrary number of literals.
-    pub fn xor_many(&mut self, lits: &[Lit]) -> Lit {
-        self.reduce_balanced(lits, Lit::FALSE, Self::xor)
-    }
-
     fn reduce_balanced(
         &mut self,
         lits: &[Lit],

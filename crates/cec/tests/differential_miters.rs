@@ -16,6 +16,7 @@ use cec::AigCnf;
 use proptest::prelude::*;
 use sat::dimacs::CnfFormula;
 use sat::{ClauseSink, Lit as SLit, SatResult};
+use sat_oracle::ReferenceSolver;
 
 struct MiterInstance {
     cnf: CnfFormula,
@@ -47,7 +48,8 @@ fn clauses_satisfied(cnf: &CnfFormula, value: impl Fn(SLit) -> Option<bool>) -> 
 /// Runs the two-phase output-pair query on both engines and cross-checks.
 fn check_pair(instance: &MiterInstance, oa: usize, ob: usize) -> Result<(), TestCaseError> {
     let mut solver = instance.cnf.to_solver();
-    let mut oracle = instance.cnf.to_reference_solver();
+    let mut oracle = ReferenceSolver::new();
+    instance.cnf.load_into(&mut oracle);
     let (a, b) = (instance.outputs_a[oa], instance.outputs_b[ob]);
     let mut any_sat = false;
     for (pa, pb) in [(true, false), (false, true)] {

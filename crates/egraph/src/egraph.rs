@@ -27,8 +27,8 @@
 //! The cost of a `rebuild` is therefore proportional to the **changed region
 //! of the graph** — the classes touched by unions and their immediate
 //! parents — not to the total graph size. A rebuild with an empty worklist
-//! is O(1). The previous pass-based implementation is retained as
-//! [`EGraph::rebuild_reference`] so property tests can diff the two.
+//! is O(1). The differential property tests hold it to a congruence closure
+//! they compute from scratch over their own operation log.
 //!
 //! The e-graph also maintains an **operator discriminator index** mapping
 //! [`Language::op_key`] values to the classes containing a node with that
@@ -347,73 +347,6 @@ impl<L: Language> EGraph<L> {
             ids.sort_unstable();
             ids.dedup();
         }
-    }
-
-    /// The whole-graph canonicalization rebuild this crate used before the
-    /// worklist algorithm, retained as a reference implementation ("oracle")
-    /// for differential property tests and debugging. Semantically equivalent
-    /// to [`EGraph::rebuild`] but O(total graph size) per pass.
-    pub fn rebuild_reference(&mut self) -> usize {
-        let mut congruence_unions = 0;
-        loop {
-            // Detect congruent nodes across classes under the current
-            // union-find and merge their classes.
-            let mut seen: FxHashMap<L, Id> = FxHashMap::default();
-            let mut to_union: Vec<(Id, Id)> = Vec::new();
-            for (&id, class) in &self.classes {
-                for node in &class.nodes {
-                    let canon = node.map_children(|c| self.unionfind.find(c));
-                    match seen.get(&canon) {
-                        Some(&other) => {
-                            if self.unionfind.find(other) != self.unionfind.find(id) {
-                                to_union.push((other, id));
-                            }
-                        }
-                        None => {
-                            seen.insert(canon, id);
-                        }
-                    }
-                }
-            }
-            if to_union.is_empty() {
-                break;
-            }
-            for (a, b) in to_union {
-                let (_, merged) = self.union(a, b);
-                if merged {
-                    congruence_unions += 1;
-                }
-            }
-        }
-        // Canonicalize node and parent lists and rebuild the hashcons from
-        // scratch.
-        let uf = &self.unionfind;
-        let mut memo: FxHashMap<L, Id> = FxHashMap::default();
-        let mut live = 0;
-        for (&id, class) in self.classes.iter_mut() {
-            class.id = id;
-            for node in &mut class.nodes {
-                node.update_children(|c| uf.find(c));
-            }
-            class.nodes.sort_unstable();
-            class.nodes.dedup();
-            live += class.nodes.len();
-            for node in &class.nodes {
-                memo.insert(node.clone(), id);
-            }
-            for (node, pclass) in &mut class.parents {
-                node.update_children(|c| uf.find(c));
-                *pclass = uf.find(*pclass);
-            }
-            class.parents.sort_unstable();
-            class.parents.dedup();
-        }
-        self.memo = memo;
-        self.live_nodes = live;
-        self.pending.clear();
-        self.stale_nodes.clear();
-        self.compact_indexes_if_bloated();
-        congruence_unions
     }
 
     /// Returns `true` if unions have been performed since the last rebuild.
@@ -889,31 +822,6 @@ mod tests {
         assert_eq!(fs.len(), 1);
         assert_eq!(fs[0], eg.find(fa));
         assert_eq!(eg.find(fa), eg.find(fb));
-    }
-
-    #[test]
-    fn incremental_and_reference_rebuild_agree() {
-        // Drive two graphs through the same workload; rebuild one
-        // incrementally and one with the whole-graph reference passes.
-        let build = |_reference: bool| -> EGraph<SymbolLang> { EGraph::new() };
-        let mut inc = build(false);
-        let mut refe = build(true);
-        for eg in [&mut inc, &mut refe] {
-            let a = leaf(eg, "a");
-            let b = leaf(eg, "b");
-            let fa = eg.add(SymbolLang::new("f", vec![a]));
-            let fb = eg.add(SymbolLang::new("f", vec![b]));
-            let _g = eg.add(SymbolLang::new("g", vec![fa, fb]));
-            eg.union(a, b);
-        }
-        let u1 = inc.rebuild();
-        let u2 = refe.rebuild_reference();
-        assert_eq!(u1, u2);
-        assert_eq!(inc.num_classes(), refe.num_classes());
-        assert_eq!(inc.total_nodes(), refe.total_nodes());
-        assert_eq!(inc.num_unions(), refe.num_unions());
-        inc.check_invariants().unwrap();
-        refe.check_invariants().unwrap();
     }
 
     #[test]

@@ -283,14 +283,6 @@ impl<'a, L: Language, CF: CostFunction<L>> Extractor<'a, L, CF> {
             .map(|(c, _)| c.clone())
     }
 
-    /// Returns the chosen (cheapest) node of a class.
-    ///
-    /// # Panics
-    /// Panics if the class is unreachable from any leaf (no finite cost).
-    pub fn find_best_node(&self, id: Id) -> &L {
-        &self.costs[&self.egraph.find(id)].1
-    }
-
     /// Extracts the best term rooted at `root`.
     ///
     /// # Panics

@@ -1,10 +1,11 @@
 //! Differential property tests.
 //!
 //! 1. The incremental worklist rebuild ([`EGraph::rebuild`]) must agree with
-//!    the retained whole-graph reference rebuild
-//!    ([`EGraph::rebuild_reference`]) on every observable outcome — class
-//!    partitions, canonical node forms, and union counts — under random
-//!    interleavings of `add`, `union` and `rebuild`.
+//!    [`Closure`], a congruence closure computed from scratch over the test's
+//!    own op log that shares no code with the e-graph, on every observable
+//!    outcome — class partitions, canonical node forms, node and union
+//!    counts — at every rebuild point of random interleavings of `add`,
+//!    `union` and `rebuild`.
 //! 2. The [`Runner`]'s parallel sharded search must be *bit-identical* to the
 //!    serial path: identical per-iteration reports (matches found and applied,
 //!    `search_complete`, node/class counts), stop reasons, and final class
@@ -24,11 +25,9 @@
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
 use audit::{audit_egraph, AuditLevel};
-use egraph::{
-    EGraph, FxHashMap, Id, Language, MatchScratch, Pattern, Rewrite, Runner, Scheduler, SymbolLang,
-};
+use egraph::{EGraph, Id, Language, MatchScratch, Pattern, Rewrite, Runner, Scheduler, SymbolLang};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Every e-graph invariant, through the typed auditor with all of its rules
 /// on; the failure text lists each diagnostic.
@@ -59,19 +58,11 @@ fn workload() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(op, 5..120)
 }
 
-/// Replays a workload, rebuilding either incrementally or with the reference
-/// whole-graph passes at every `Rebuild` op and once at the end. Returns the
-/// final graph and the id returned by each add, in op order.
-fn apply(ops: &[Op], reference: bool) -> (EGraph<SymbolLang>, Vec<Id>) {
+/// Replays a workload, rebuilding at every `Rebuild` op and once at the end.
+/// Returns the final graph and the id returned by each add, in op order.
+fn apply(ops: &[Op]) -> (EGraph<SymbolLang>, Vec<Id>) {
     let mut egraph: EGraph<SymbolLang> = EGraph::new();
     let mut ids: Vec<Id> = vec![egraph.add(SymbolLang::leaf("seed"))];
-    let rebuild = |eg: &mut EGraph<SymbolLang>| {
-        if reference {
-            eg.rebuild_reference()
-        } else {
-            eg.rebuild()
-        }
-    };
     for op in ops {
         match op {
             Op::Leaf(l) => ids.push(egraph.add(SymbolLang::leaf(format!("v{l}")))),
@@ -86,26 +77,135 @@ fn apply(ops: &[Op], reference: bool) -> (EGraph<SymbolLang>, Vec<Id>) {
                 egraph.union(a, b);
             }
             Op::Rebuild => {
-                rebuild(&mut egraph);
+                egraph.rebuild();
             }
         }
     }
-    rebuild(&mut egraph);
+    egraph.rebuild();
     (egraph, ids)
 }
 
-/// Renumbers the canonical classes of `ids` by first occurrence, giving an
-/// implementation-independent name for every class (representative ids may
-/// legitimately differ between the two rebuild strategies).
-fn renumber(egraph: &EGraph<SymbolLang>, ids: &[Id]) -> (FxHashMap<Id, usize>, Vec<usize>) {
-    let mut map: FxHashMap<Id, usize> = FxHashMap::default();
-    let mut sequence = Vec::with_capacity(ids.len());
-    for &id in ids {
-        let canon = egraph.find(id);
-        let next = map.len();
-        let index = *map.entry(canon).or_insert(next);
-        sequence.push(index);
+/// The rebuild's oracle: the congruence closure of an op log, computed from
+/// scratch and sharing no code with [`EGraph`]. Every add is an element of
+/// its own — hash-consing is congruence too, of equal leaves and of equal
+/// operators over congruent children — and a plain union-find over the add
+/// indices merges each union's operands, then any two adds with the same
+/// operator and congruent children, until a pass merges nothing.
+struct Closure {
+    /// Per add, in op order: its operator and the adds of its children.
+    nodes: Vec<(String, Vec<usize>)>,
+    parent: Vec<usize>,
+}
+
+impl Closure {
+    fn new(ops: &[Op]) -> Closure {
+        let mut nodes = vec![("seed".to_string(), Vec::new())];
+        let mut unions = Vec::new();
+        for op in ops {
+            let n = nodes.len();
+            match op {
+                Op::Leaf(l) => nodes.push((format!("v{l}"), Vec::new())),
+                Op::Node(o, a, b) => nodes.push((format!("f{o}"), vec![a % n, b % n])),
+                Op::Union(a, b) => unions.push((a % n, b % n)),
+                Op::Rebuild => {}
+            }
+        }
+        let parent = (0..nodes.len()).collect();
+        let mut closure = Closure { nodes, parent };
+        for (a, b) in unions {
+            closure.merge(a, b);
+        }
+        loop {
+            let mut merged = false;
+            let mut seen: BTreeMap<(String, Vec<usize>), usize> = BTreeMap::new();
+            for i in 0..closure.nodes.len() {
+                let (op, children) = &closure.nodes[i];
+                let key = (
+                    op.clone(),
+                    children.iter().map(|&c| closure.find(c)).collect(),
+                );
+                match seen.get(&key) {
+                    Some(&j) => merged |= closure.merge(i, j),
+                    None => {
+                        seen.insert(key, i);
+                    }
+                }
+            }
+            if !merged {
+                return closure;
+            }
+        }
     }
+
+    fn find(&self, mut i: usize) -> usize {
+        while self.parent[i] != i {
+            i = self.parent[i];
+        }
+        i
+    }
+
+    fn merge(&mut self, a: usize, b: usize) -> bool {
+        let (a, b) = (self.find(a), self.find(b));
+        self.parent[a] = b;
+        a != b
+    }
+
+    /// Per class number, the distinct forms of its adds — operator over the
+    /// numbers of the children's classes — in order.
+    fn signatures(&self, numbering: &[usize]) -> BTreeMap<usize, Vec<(String, Vec<usize>)>> {
+        let mut out: BTreeMap<usize, BTreeSet<(String, Vec<usize>)>> = BTreeMap::new();
+        for (i, (op, children)) in self.nodes.iter().enumerate() {
+            let children = children.iter().map(|&c| numbering[c]).collect();
+            out.entry(numbering[i])
+                .or_default()
+                .insert((op.clone(), children));
+        }
+        out.into_iter()
+            .map(|(class, forms)| (class, forms.into_iter().collect()))
+            .collect()
+    }
+}
+
+/// Where a replay of `ops` stands after a rebuild: past each `Rebuild` op,
+/// and at the end. A prefix of the log replays to the graph the whole log
+/// had there.
+fn rebuild_points(ops: &[Op]) -> impl Iterator<Item = usize> + '_ {
+    (1..=ops.len()).filter(|&end| end == ops.len() || matches!(ops[end - 1], Op::Rebuild))
+}
+
+/// Replays `ops` and holds the rebuilt e-graph to the closure of the same
+/// log: the same partition of the adds, the same canonical forms class by
+/// class, and node and union counts that agree with both.
+fn matches_closure(ops: &[Op]) -> Result<(), TestCaseError> {
+    let (egraph, ids) = apply(ops);
+    let expected = Closure::new(ops);
+    let (numbering, sequence) = renumber(ids.iter().map(|&id| egraph.find(id)));
+    let (_, expected_sequence) = renumber((0..ids.len()).map(|i| expected.find(i)));
+    prop_assert_eq!(&sequence, &expected_sequence, "class partitions diverge");
+    let classes = numbering.len();
+    prop_assert_eq!(egraph.num_classes(), classes, "class counts diverge");
+    let forms = class_signatures(&egraph, &numbering);
+    let signatures = expected.signatures(&expected_sequence);
+    prop_assert_eq!(&forms, &signatures, "canonical forms diverge");
+    let nodes: usize = signatures.values().map(Vec::len).sum();
+    prop_assert_eq!(egraph.total_nodes(), nodes, "node counts diverge");
+    // Each union that merged two classes retired one the adds created.
+    let created = ids.iter().collect::<BTreeSet<_>>().len();
+    prop_assert_eq!(egraph.num_unions(), created - classes, "unions diverge");
+    Ok(())
+}
+
+/// Numbers the classes of the adds (one entry per add) by first occurrence:
+/// a name for every class that does not depend on whose representatives —
+/// the e-graph's ids or the closure's add indices — they are.
+fn renumber<T: Ord>(classes: impl Iterator<Item = T>) -> (BTreeMap<T, usize>, Vec<usize>) {
+    let mut map = BTreeMap::new();
+    let sequence = classes
+        .map(|class| {
+            let next = map.len();
+            *map.entry(class).or_insert(next)
+        })
+        .collect();
     (map, sequence)
 }
 
@@ -114,7 +214,7 @@ fn renumber(egraph: &EGraph<SymbolLang>, ids: &[Id]) -> (FxHashMap<Id, usize>, V
 /// must agree on exactly.
 fn class_signatures(
     egraph: &EGraph<SymbolLang>,
-    numbering: &FxHashMap<Id, usize>,
+    numbering: &BTreeMap<Id, usize>,
 ) -> BTreeMap<usize, Vec<(String, Vec<usize>)>> {
     let mut out = BTreeMap::new();
     for class in egraph.classes() {
@@ -396,7 +496,7 @@ fn run_signature(
     match_limit: usize,
     ban_length: usize,
 ) -> RunSignature {
-    let (egraph, ids) = apply(ops, false);
+    let (egraph, ids) = apply(ops);
     let runner = Runner::with_egraph(egraph)
         .with_iter_limit(iter_limit)
         .with_node_limit(3_000)
@@ -451,46 +551,22 @@ fn run_signature(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-    /// The headline differential property: identical canonical forms, class
-    /// partitions and union counts between the two rebuild strategies.
+    /// The headline differential property: at every rebuild point the graph
+    /// is the congruence closure of the ops so far.
     #[test]
     fn incremental_rebuild_matches_reference(ops in workload()) {
-        let (inc, inc_ids) = apply(&ops, false);
-        let (refe, ref_ids) = apply(&ops, true);
-
-        prop_assert_eq!(inc_ids.len(), ref_ids.len());
-        prop_assert_eq!(inc.num_classes(), refe.num_classes(), "class counts diverge");
-        prop_assert_eq!(inc.total_nodes(), refe.total_nodes(), "node counts diverge");
-        prop_assert_eq!(inc.num_unions(), refe.num_unions(), "union counts diverge");
-
-        // Identical partitions of the tracked ids...
-        let (inc_map, inc_seq) = renumber(&inc, &inc_ids);
-        let (ref_map, ref_seq) = renumber(&refe, &ref_ids);
-        prop_assert_eq!(&inc_seq, &ref_seq, "class partitions diverge");
-        // ...and identical canonical node forms class by class.
-        prop_assert_eq!(
-            class_signatures(&inc, &inc_map),
-            class_signatures(&refe, &ref_map),
-            "canonical forms diverge"
-        );
-
-        check_invariants(&inc).map_err(|e| TestCaseError(format!("incremental: {e}")))?;
-        check_invariants(&refe).map_err(|e| TestCaseError(format!("reference: {e}")))?;
+        for end in rebuild_points(&ops) {
+            matches_closure(&ops[..end])?;
+        }
     }
 
-    /// An incremental rebuild after a reference rebuild (and vice versa) on
-    /// the *same* graph is a no-op: the two strategies restore the same
-    /// invariant state, not merely isomorphic ones.
+    /// A rebuild of a clean graph is a no-op: it finds nothing to union and
+    /// leaves every invariant in place.
     #[test]
     fn strategies_interchange_on_one_graph(ops in workload()) {
-        let (mut egraph, _) = apply(&ops, false);
-        prop_assert_eq!(egraph.rebuild_reference(), 0);
+        let (mut egraph, _) = apply(&ops);
+        prop_assert!(!egraph.is_dirty());
         prop_assert_eq!(egraph.rebuild(), 0);
-        check_invariants(&egraph).map_err(TestCaseError)?;
-
-        let (mut egraph, _) = apply(&ops, true);
-        prop_assert_eq!(egraph.rebuild(), 0);
-        prop_assert_eq!(egraph.rebuild_reference(), 0);
         check_invariants(&egraph).map_err(TestCaseError)?;
     }
 
@@ -543,7 +619,7 @@ proptest! {
     ) {
         // A few rounds of rewriting fill classes with same-shaped nodes, so
         // one class yields many matches and the caps bite at inner levels.
-        let (egraph, ids) = apply(&ops, false);
+        let (egraph, ids) = apply(&ops);
         let egraph = Runner::with_egraph(egraph)
             .with_iter_limit(grow)
             .with_node_limit(3_000)
@@ -594,38 +670,12 @@ proptest! {
         }
     }
 
-    /// Interleaving the strategies op-by-op (alternating which one handles
-    /// each rebuild point) still converges to the same invariant state.
+    /// Every invariant the auditor knows holds at each rebuild point, not
+    /// only after the last.
     #[test]
     fn alternating_strategies_preserve_invariants(ops in workload()) {
-        let mut egraph: EGraph<SymbolLang> = EGraph::new();
-        let mut ids: Vec<Id> = vec![egraph.add(SymbolLang::leaf("seed"))];
-        let mut flip = false;
-        for op in &ops {
-            match op {
-                Op::Leaf(l) => ids.push(egraph.add(SymbolLang::leaf(format!("v{l}")))),
-                Op::Node(o, a, b) => {
-                    let a = ids[a % ids.len()];
-                    let b = ids[b % ids.len()];
-                    ids.push(egraph.add(SymbolLang::new(format!("f{o}"), vec![a, b])));
-                }
-                Op::Union(a, b) => {
-                    let a = ids[a % ids.len()];
-                    let b = ids[b % ids.len()];
-                    egraph.union(a, b);
-                }
-                Op::Rebuild => {
-                    if flip {
-                        egraph.rebuild_reference();
-                    } else {
-                        egraph.rebuild();
-                    }
-                    flip = !flip;
-                    check_invariants(&egraph).map_err(TestCaseError)?;
-                }
-            }
+        for end in rebuild_points(&ops) {
+            check_invariants(&apply(&ops[..end]).0).map_err(TestCaseError)?;
         }
-        egraph.rebuild();
-        check_invariants(&egraph).map_err(TestCaseError)?;
     }
 }

@@ -1,6 +1,6 @@
 //! The original minimal CDCL solver, kept as a differential oracle.
 //!
-//! This is the solver the crate shipped before the modern engine in
+//! This is the solver `sat` shipped before the modern engine in its
 //! `solver.rs` replaced it: bare clause-index watch lists, a lazy
 //! duplicate-pushing `BinaryHeap` for VSIDS, no clause deletion and no
 //! learnt-clause minimization. It is deliberately left untouched so property
@@ -12,7 +12,7 @@
 //! down over time, and `SolverStats::learnt_clauses` is a monotone counter
 //! here (the reference never deletes, so `deleted_clauses` stays 0).
 
-use crate::{Lit, SatResult, SolverStats, Var};
+use sat::{ClauseSink, Lit, SatResult, SolverStats, Var};
 use std::collections::BinaryHeap;
 
 #[derive(Debug, Clone)]
@@ -506,6 +506,15 @@ impl ReferenceSolver {
             });
             self.enqueue(asserting, Some(idx));
         }
+    }
+}
+
+impl ClauseSink for ReferenceSolver {
+    fn new_var(&mut self) -> Var {
+        ReferenceSolver::new_var(self)
+    }
+    fn add_clause(&mut self, lits: &[Lit]) -> bool {
+        ReferenceSolver::add_clause(self, lits)
     }
 }
 

@@ -3,8 +3,8 @@
 //! These helpers add the clauses that define a fresh output literal as a
 //! Boolean function of input literals, which is how AIGs are translated to
 //! CNF by the `cec` crate. They are generic over [`ClauseSink`], so the same
-//! encoding can target the main [`Solver`], the [`crate::ReferenceSolver`]
-//! differential oracle, or a plain [`crate::dimacs::CnfFormula`].
+//! encoding can target the main [`Solver`], a plain
+//! [`crate::dimacs::CnfFormula`], or a solver outside this crate.
 
 use crate::{Lit, Solver, Var};
 
@@ -23,15 +23,6 @@ impl ClauseSink for Solver {
     }
     fn add_clause(&mut self, lits: &[Lit]) -> bool {
         Solver::add_clause(self, lits)
-    }
-}
-
-impl ClauseSink for crate::ReferenceSolver {
-    fn new_var(&mut self) -> Var {
-        crate::ReferenceSolver::new_var(self)
-    }
-    fn add_clause(&mut self, lits: &[Lit]) -> bool {
-        crate::ReferenceSolver::add_clause(self, lits)
     }
 }
 

@@ -8,7 +8,11 @@
 //! so callers can react programmatically.
 
 use crate::cnf::ClauseSink;
-use crate::{Lit, ReferenceSolver, Solver, Var};
+use crate::{Lit, Solver, Var};
+
+/// The most variables a [`Lit`] can encode: a literal is `2 · var + negated`
+/// in a `u32`, and `2 · (MAX_VARS − 1) + 1` is `u32::MAX`.
+const MAX_VARS: usize = 1 << 31;
 
 /// Errors produced while parsing DIMACS text.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,6 +23,8 @@ pub enum DimacsError {
     BadHeader(String),
     /// More than one `p cnf` header line.
     DuplicateHeader,
+    /// A header declaring more variables than a [`Lit`] can encode (2³¹).
+    TooManyVariables(usize),
     /// A clause token that is not an integer literal.
     BadLiteral(String),
     /// A literal whose variable exceeds the header's variable count.
@@ -43,6 +49,10 @@ impl std::fmt::Display for DimacsError {
             DimacsError::DuplicateHeader => {
                 write!(f, "dimacs error: duplicate 'p cnf' header")
             }
+            DimacsError::TooManyVariables(n) => write!(
+                f,
+                "dimacs error: {n} variables exceed the {MAX_VARS} a literal can encode"
+            ),
             DimacsError::BadLiteral(tok) => write!(f, "dimacs error: bad literal: {tok}"),
             DimacsError::LiteralOutOfRange { literal, num_vars } => write!(
                 f,
@@ -83,8 +93,9 @@ impl CnfFormula {
     /// Parses DIMACS CNF text.
     ///
     /// # Errors
-    /// Returns a [`DimacsError`] on malformed or missing headers, malformed
-    /// or out-of-range literals, and clauses missing their terminating `0`.
+    /// Returns a [`DimacsError`] on malformed or missing headers, headers
+    /// declaring more variables than a [`Lit`] can encode, malformed or
+    /// out-of-range literals, and clauses missing their terminating `0`.
     pub fn parse(text: &str) -> Result<Self, DimacsError> {
         let mut num_vars = 0usize;
         let mut clauses = Vec::new();
@@ -106,6 +117,9 @@ impl CnfFormula {
                 num_vars = parts[1]
                     .parse()
                     .map_err(|_| DimacsError::BadHeader(line.to_string()))?;
+                if num_vars > MAX_VARS {
+                    return Err(DimacsError::TooManyVariables(num_vars));
+                }
                 parts[2]
                     .parse::<usize>()
                     .map_err(|_| DimacsError::BadHeader(line.to_string()))?;
@@ -158,13 +172,6 @@ impl CnfFormula {
     /// Loads the formula into a fresh solver.
     pub fn to_solver(&self) -> Solver {
         let mut solver = Solver::new();
-        self.load_into(&mut solver);
-        solver
-    }
-
-    /// Loads the formula into a fresh reference (oracle) solver.
-    pub fn to_reference_solver(&self) -> ReferenceSolver {
-        let mut solver = ReferenceSolver::new();
         self.load_into(&mut solver);
         solver
     }
@@ -247,6 +254,5 @@ mod tests {
         ClauseSink::add_clause(&mut cnf, &[a, b]);
         ClauseSink::add_clause(&mut cnf, &[!a]);
         assert_eq!(cnf.to_solver().solve(), SatResult::Sat);
-        assert_eq!(cnf.to_reference_solver().solve(), SatResult::Sat);
     }
 }

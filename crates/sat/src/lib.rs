@@ -10,9 +10,9 @@
 //! [`Solver::failed_assumptions`] exposes an unsatisfiable assumption core
 //! after an `Unsat`-under-assumptions answer.
 //!
-//! The previous-generation solver is kept as [`ReferenceSolver`]: an
-//! independent implementation used as a differential-testing oracle by the
-//! property tests and by the `repro sat` gate.
+//! The previous-generation solver lives outside this crate, in the
+//! workspace's `sat-oracle` crate: an independent implementation the
+//! property tests and the `repro sat` gate check this one against.
 //!
 //! # Example
 //!
@@ -35,10 +35,8 @@
 pub mod cnf;
 pub mod dimacs;
 mod literal;
-mod reference;
 mod solver;
 
 pub use cnf::ClauseSink;
 pub use literal::{Lit, Var};
-pub use reference::ReferenceSolver;
 pub use solver::{SatResult, Solver, SolverAudit, SolverStats};

@@ -26,8 +26,8 @@
 //!   (final-conflict analysis), so incremental callers can learn *why* a
 //!   query failed.
 //!
-//! The solver this module replaced is preserved unmodified as
-//! [`crate::ReferenceSolver`] and serves as a differential testing oracle.
+//! The solver this module replaced lives on unmodified in the workspace's
+//! `sat-oracle` crate as a differential testing oracle.
 
 use crate::{Lit, Var};
 

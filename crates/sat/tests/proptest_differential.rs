@@ -1,5 +1,6 @@
 //! Differential property tests: the modern CDCL engine ([`sat::Solver`])
-//! against the retained first-generation oracle ([`sat::ReferenceSolver`]).
+//! against the first-generation solver kept as its oracle
+//! ([`sat_oracle::ReferenceSolver`]).
 //!
 //! On random CNFs, with and without assumptions, across incremental
 //! clause-addition/solve interleavings:
@@ -13,7 +14,8 @@
 //! Run with `PROPTEST_CASES=2000` (or higher) for the PR gate.
 
 use proptest::prelude::*;
-use sat::{Lit, ReferenceSolver, SatResult, Solver, Var};
+use sat::{Lit, SatResult, Solver, Var};
+use sat_oracle::ReferenceSolver;
 
 type RawClause = Vec<(u32, bool)>;
 

@@ -11,6 +11,7 @@
 use proptest::prelude::*;
 use sat::dimacs::{CnfFormula, DimacsError};
 use sat::{ClauseSink, Lit, SatResult, Var};
+use sat_oracle::ReferenceSolver;
 
 fn formula_strategy() -> impl Strategy<Value = (u32, Vec<Vec<(u32, bool)>>)> {
     (1u32..25).prop_flat_map(|num_vars| {
@@ -141,10 +142,27 @@ fn rejection_cases_are_typed() {
     );
 }
 
+/// More variables than a [`Lit`] encodes. Read modulo the encoding, 2³² + 1
+/// aliases onto variable 1 (`1 0 / -4294967297 0` becomes x₁ ∧ ¬x₁, a
+/// satisfiable formula read as UNSAT) and 2³¹ + 1 overflows the literal.
+#[test]
+fn header_beyond_the_literal_encoding_is_rejected() {
+    for n in [(1u64 << 31) + 1, (1u64 << 32) + 1] {
+        assert_eq!(
+            CnfFormula::parse(&format!("p cnf {n} 2\n1 0\n-{n} 0\n")),
+            Err(DimacsError::TooManyVariables(n as usize))
+        );
+    }
+    let largest = CnfFormula::parse("p cnf 2147483648 1\n-2147483648 0\n").unwrap();
+    assert_eq!(largest.clauses, vec![vec![Lit(u32::MAX)]]);
+}
+
 #[test]
 fn parsed_formula_loads_into_both_engines() {
     let text = "p cnf 3 3\n1 -2 0\n2 3 0\n-3 0\n";
     let cnf = CnfFormula::parse(text).unwrap();
     assert_eq!(cnf.to_solver().solve(), SatResult::Sat);
-    assert_eq!(cnf.to_reference_solver().solve(), SatResult::Sat);
+    let mut oracle = ReferenceSolver::new();
+    cnf.load_into(&mut oracle);
+    assert_eq!(oracle.solve(), SatResult::Sat);
 }
