@@ -2,17 +2,14 @@
 //! concrete design out of the saturated e-space, plus the deterministic
 //! [`PortfolioEngine`] that races several engines in parallel.
 
-use crate::extract::{
-    bottom_up_unpruned, bottom_up_with_costs, try_selection_cost, ExtractStats, ExtractionCost,
-    Selection,
-};
+use crate::extract::{try_selection_cost, CostGraph, ExtractStats, ExtractionCost, Selection};
 use crate::lang::BoolLang;
 use egraph::pool::for_each_indexed;
 use egraph::{EGraph, FxHashMap, Id, SelectionError};
 use std::time::{Duration, Instant};
-use techmap::cell::map_to_cells;
+use techmap::cell::try_map_cost;
 use techmap::library::CellLibrary;
-use techmap::MapOptions;
+use techmap::{MapError, MapOptions};
 
 /// Work limits handed to an engine.
 ///
@@ -76,6 +73,9 @@ pub enum ExtractError {
     /// The produced selection was incomplete or cyclic (an engine bug
     /// surfaced by the checked cost/conversion paths).
     Selection(SelectionError),
+    /// A candidate could not be mapped to score it (a library without an
+    /// inverter or that cannot realize AND2).
+    Map(MapError),
     /// A portfolio was run with no member engines.
     NoEngines,
     /// Every portfolio member failed; the message lists the per-engine
@@ -90,6 +90,7 @@ impl std::fmt::Display for ExtractError {
                 write!(f, "root class {id} has no realizable term")
             }
             ExtractError::Selection(e) => write!(f, "invalid selection: {e}"),
+            ExtractError::Map(e) => write!(f, "candidate could not be mapped: {e}"),
             ExtractError::NoEngines => write!(f, "portfolio has no engines"),
             ExtractError::AllEnginesFailed(msg) => {
                 write!(f, "every portfolio engine failed: {msg}")
@@ -103,6 +104,12 @@ impl std::error::Error for ExtractError {}
 impl From<SelectionError> for ExtractError {
     fn from(e: SelectionError) -> Self {
         ExtractError::Selection(e)
+    }
+}
+
+impl From<MapError> for ExtractError {
+    fn from(e: MapError) -> Self {
+        ExtractError::Map(e)
     }
 }
 
@@ -324,11 +331,13 @@ impl ExtractionEngine for BottomUpEngine {
         _budget: &ExtractBudget,
     ) -> Result<Extraction, ExtractError> {
         let start = Instant::now();
-        let (selection, class_costs, mut stats) = if self.pruned {
-            bottom_up_with_costs(egraph, &egraph.parent_index(), self.cost)
+        let graph = CostGraph::new(egraph);
+        let costed = if self.pruned {
+            graph.bottom_up(self.cost)
         } else {
-            bottom_up_unpruned(egraph, self.cost)
+            graph.bottom_up_unpruned(self.cost)
         };
+        let (selection, class_costs, mut stats) = costed.into_parts();
         for &root in roots {
             let root = egraph.find(root);
             if !selection.choices.contains_key(&root) {
@@ -351,8 +360,9 @@ pub enum PortfolioScorer {
     /// one). Cheap and fully deterministic.
     Structural(ExtractionCost),
     /// Technology-mapped score: each candidate is rebuilt as an AIG
-    /// (synthetic port names; mapping ignores names) and mapped against the
-    /// library. `delay_first` picks `(delay, area)` vs `(area, delay)`.
+    /// (synthetic port names; mapping ignores names) and costed by
+    /// [`try_map_cost`] against the library. `delay_first` picks `(delay,
+    /// area)` vs `(area, delay)`.
     Mapped {
         /// The standard-cell library to map against.
         library: CellLibrary,
@@ -390,11 +400,11 @@ impl PortfolioScorer {
                 delay_first,
             } => {
                 let aig = selection_to_named_aig(egraph, roots, &extraction.selection)?;
-                let qor = map_to_cells(&aig, library, &MapOptions::default()).qor();
+                let (delay, area) = try_map_cost(&aig, library, &MapOptions::default())?;
                 Ok(if *delay_first {
-                    (qor.delay_ps, qor.area_um2)
+                    (delay, area)
                 } else {
-                    (qor.area_um2, qor.delay_ps)
+                    (area, delay)
                 })
             }
         }
@@ -687,6 +697,8 @@ mod tests {
         assert!(ExtractError::NoEngines.to_string().contains("no engines"));
         let unrealizable = ExtractError::Unrealizable(egraph::Id(7));
         assert!(unrealizable.to_string().contains("no realizable term"));
+        let unmappable = ExtractError::from(MapError::MissingInverter);
+        assert!(unmappable.to_string().contains("inverter"));
     }
 
     #[test]
@@ -762,6 +774,32 @@ mod tests {
         );
         assert!(matches!(result, Err(ExtractError::NoEngines)));
         assert!(reports.is_empty());
+    }
+
+    #[test]
+    fn the_mapped_scorer_reports_an_unmappable_library_as_a_typed_error() {
+        let aig = benchgen::adder(4).aig;
+        let (egraph, roots) = saturated_egraph(&aig, 2);
+        let budget = ExtractBudget::unlimited();
+        let scorer = PortfolioScorer::Mapped {
+            library: crate::extract::test_util::library_without_inverter(),
+            delay_first: true,
+        };
+        let extraction = BottomUpEngine::new(ExtractionCost::Size)
+            .extract(&egraph, &roots, &budget)
+            .unwrap();
+        assert_eq!(
+            scorer.score(&egraph, &roots, &extraction),
+            Err(ExtractError::Map(MapError::MissingInverter))
+        );
+        // Every member is unscorable, so the race has no winner.
+        let result = default_portfolio()
+            .with_scorer(scorer)
+            .extract(&egraph, &roots, &budget);
+        assert!(
+            matches!(&result, Err(ExtractError::AllEnginesFailed(_))),
+            "{result:?}"
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::extract::engine::{ExtractBudget, ExtractError, Extraction, ExtractionEngine};
 use crate::extract::{
-    bottom_up_with_costs, node_cost, selection_heights, ExtractStats, ExtractionCost, Selection,
+    node_cost, selection_heights, CostGraph, ExtractStats, ExtractionCost, Selection,
 };
 use crate::lang::BoolLang;
 use egraph::{EGraph, FxHashMap, Id, Language};
@@ -215,8 +215,9 @@ impl GlobalGreedyDagEngine {
         budget: &ExtractBudget,
     ) -> Result<(Extraction, Heights), ExtractError> {
         let start = Instant::now();
-        let (base, class_costs, base_stats) =
-            bottom_up_with_costs(egraph, &egraph.parent_index(), ExtractionCost::Size);
+        let (base, class_costs, base_stats) = CostGraph::new(egraph)
+            .bottom_up(ExtractionCost::Size)
+            .into_parts();
         let mut selection = base.choices;
         let roots: Vec<Id> = roots.iter().map(|&r| egraph.find(r)).collect();
         for &root in &roots {

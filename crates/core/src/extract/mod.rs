@@ -32,32 +32,38 @@
 //!
 //! # The kernel: costing the e-graph
 //!
-//! The pruned DP (`bottom_up_with_costs`) and Algorithm 1's neighbour
+//! The pruned DP ([`CostGraph::bottom_up`]) and Algorithm 1's neighbour
 //! generation ([`sa::generate_neighbor`]) are the same least-fixpoint
-//! worklist, `cost_fixpoint`, under two acceptance rules:
+//! worklist, `CostGraph::fixpoint`, under two acceptance rules. It runs over
+//! a [`CostGraph`] — the e-graph numbered densely once per engine run, which
+//! the engine builds and lends to every fixpoint it runs (SA to its
+//! realizability check, its greedy seed and every neighbour of every chain)
+//! — with costs and picks in plain vectors, a queue of node indices, and
+//! the [`Selection`] written once at the end of the run.
 //!
 //! * **Seed order.** The queue starts with every leaf e-node, classes in
 //!   `classes_in_seed_order` and nodes in class order. That function is the
 //!   single place the extraction order depends on the e-graph's container,
-//!   hence the single site a deterministic class order has to pin.
-//! * **Pop.** Work items `(class, node)` leave the queue first in, first
-//!   out. A node with an uncosted child is dropped — that child's first cost
-//!   enqueues it again. Otherwise `combine` prices it from its children
-//!   (sum or max, plus the node's own gate) and the caller's
-//!   `accept(previous cost of the class, new cost)` decides.
+//!   hence the single site a deterministic class order has to pin; the
+//!   graph numbers classes in it.
+//! * **Pop.** Nodes leave the queue first in, first out. A node with an
+//!   uncosted child is dropped — that child's first cost enqueues it again.
+//!   Otherwise `combine` prices it from its children (sum or max, plus the
+//!   node's own gate) and the caller's `accept(previous cost of the class,
+//!   new cost)` decides.
 //! * **Tie-break.** The DP accepts strict improvements only, so among
 //!   equally cheap nodes of a class the first one popped stays selected.
 //!   The neighbour generator additionally vetoes an improvement with
 //!   probability `p_random`; it draws from the RNG exactly once per popped
 //!   node that strictly improves an already-costed class, and at no other
 //!   point.
-//! * **Propagate.** An accepted node becomes the class's selection and the
-//!   class's parents, from a parent index the caller built and lends
-//!   ([`EGraph::parent_index`], in that index's order), join the queue.
+//! * **Propagate.** An accepted node becomes the class's pick and the
+//!   class's parents join the queue, in [`EGraph::parent_index`] order (the
+//!   graph keeps that index's lists as node indices).
 //!
 //! The unpruned sweeps `BottomUpEngine::with_pruning(false)` runs are the
-//! Fig. 6 ablation's reference and deliberately not the kernel; they share
-//! its seed order and its `combine`.
+//! Fig. 6 ablation's reference and deliberately not the kernel; they run
+//! over the same graph and share its seed order and its `combine`.
 
 pub mod engine;
 pub mod greedy_dag;
@@ -79,14 +85,6 @@ use std::time::Duration;
 
 /// A concrete choice of one e-node per e-class over the Boolean language.
 pub type Selection = DagSelection<BoolLang>;
-
-/// [`EGraph::parent_index`] over the Boolean language: for every class, the
-/// `(parent class, parent node)` pairs that reference it.
-pub(crate) type ParentIndex = FxHashMap<Id, Vec<(Id, BoolLang)>>;
-
-/// What a cost fixpoint produces: the selection, the per-class costs it
-/// realizes, and the work it took.
-pub(crate) type Costed = (Selection, FxHashMap<Id, u64>, ExtractStats);
 
 /// The structural cost driving bottom-up extraction and neighbor generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,100 +122,303 @@ fn classes_in_seed_order(egraph: &EGraph<BoolLang>) -> impl Iterator<Item = &ECl
     egraph.classes()
 }
 
-/// Prices `node` from the costs of its children — their sum or their
-/// maximum, plus the node's own gate. `None` while a child is uncosted.
-fn combine(
-    egraph: &EGraph<BoolLang>,
-    costs: &FxHashMap<Id, u64>,
-    cost_kind: ExtractionCost,
-    node: &BoolLang,
-) -> Option<u64> {
-    let mut combined = 0u64;
-    for &child in node.children() {
-        let cost = *costs.get(&egraph.find(child))?;
-        combined = match cost_kind {
-            ExtractionCost::Size => combined.saturating_add(cost),
-            ExtractionCost::Depth => combined.max(cost),
-        };
-    }
-    Some(combined.saturating_add(node_cost(node)))
+/// A class no node has been picked for (and so has no cost) yet.
+const UNPICKED: u32 = u32::MAX;
+
+/// One e-node as the kernel reads it.
+#[derive(Debug, Clone)]
+struct CostNode {
+    /// Dense index of the node's class.
+    class: u32,
+    /// The canonical node with its children renumbered to dense class
+    /// indices ([`CostGraph::term`] turns it back).
+    node: BoolLang,
 }
 
-/// The worklist kernel (contract in the module docs): the least fixpoint of
-/// per-class costs under `accept`, written over `selection`.
-pub(crate) fn cost_fixpoint(
-    egraph: &EGraph<BoolLang>,
-    parents: &ParentIndex,
-    cost_kind: ExtractionCost,
-    mut selection: Selection,
-    mut accept: impl FnMut(Option<u64>, u64) -> bool,
-) -> Costed {
-    let mut costs: FxHashMap<Id, u64> = FxHashMap::default();
-    let mut stats = ExtractStats::default();
-    let mut queue: VecDeque<(Id, BoolLang)> = VecDeque::new();
-    for class in classes_in_seed_order(egraph) {
-        let leaves = class.nodes.iter().filter(|node| node.is_leaf());
-        queue.extend(leaves.map(|node| (class.id, node.clone())));
-    }
-    while let Some((class_id, node)) = queue.pop_front() {
-        let Some(new_cost) = combine(egraph, &costs, cost_kind, &node) else {
-            continue;
-        };
-        stats.nodes_evaluated += 1;
-        if accept(costs.get(&class_id).copied(), new_cost) {
-            costs.insert(class_id, new_cost);
-            selection.set(class_id, node);
-            stats.improvements += 1;
-            queue.extend(parents.get(&class_id).into_iter().flatten().cloned());
+/// The e-graph the way the kernel reads it, built once per engine run and
+/// lent to every fixpoint over it:
+///
+/// * classes numbered densely in `classes_in_seed_order`;
+/// * every class's nodes, canonical, in class order, with children
+///   renumbered to dense class indices;
+/// * each class's parents as a CSR list of node indices, in
+///   [`EGraph::parent_index`] order — built from the node lists, which a
+///   clean e-graph's parent lists agree with (`egraph`'s invariant tests);
+/// * the leaf nodes in seed order.
+#[derive(Debug, Clone)]
+pub struct CostGraph {
+    /// Dense class index → canonical class id.
+    class_ids: Vec<Id>,
+    /// Class `c`'s nodes are `class_nodes[c]..class_nodes[c + 1]`.
+    class_nodes: Vec<u32>,
+    nodes: Vec<CostNode>,
+    /// Class `c`'s parents are `parents[parent_offsets[c]..parent_offsets[c + 1]]`.
+    parent_offsets: Vec<u32>,
+    parents: Vec<u32>,
+    leaves: Vec<u32>,
+}
+
+/// Narrows a kernel index; the kernel numbers classes and nodes in `u32`.
+fn dense(index: usize) -> u32 {
+    u32::try_from(index).unwrap_or_else(|_| unreachable!("more than 2^32 e-nodes"))
+}
+
+impl CostGraph {
+    /// Numbers `egraph` for the kernel (it must be clean, like
+    /// [`EGraph::parent_index`] demands).
+    pub fn new(egraph: &EGraph<BoolLang>) -> Self {
+        let class_ids: Vec<Id> = classes_in_seed_order(egraph).map(|c| c.id).collect();
+        let id_bound = class_ids.iter().map(|id| id.index() + 1).max().unwrap_or(0);
+        // Ids that name no class stay out of range: only canonical children
+        // are looked up.
+        let mut index_of = vec![u32::MAX; id_bound];
+        for (index, id) in (0..).zip(&class_ids) {
+            index_of[id.index()] = index;
         }
+        let mut class_nodes = vec![0];
+        let mut nodes = Vec::new();
+        let mut leaves = Vec::new();
+        for (class, eclass) in (0..).zip(classes_in_seed_order(egraph)) {
+            for node in &eclass.nodes {
+                if node.is_leaf() {
+                    leaves.push(dense(nodes.len()));
+                }
+                let node = node.map_children(|child| Id(index_of[egraph.find(child).index()]));
+                nodes.push(CostNode { class, node });
+            }
+            class_nodes.push(dense(nodes.len()));
+        }
+        let mut graph = CostGraph {
+            class_ids,
+            class_nodes,
+            nodes,
+            parent_offsets: Vec::new(),
+            parents: Vec::new(),
+            leaves,
+        };
+        graph.index_parents();
+        graph
     }
-    (selection, costs, stats)
-}
 
-/// The shared bottom-up dynamic program with **solution-space pruning**
-/// (Fig. 6): per-class least-fixpoint cost and the node realizing it. A
-/// class's parents are only re-examined when the class's best cost improves,
-/// and e-nodes are never re-evaluated when none of their children changed.
-pub(crate) fn bottom_up_with_costs(
-    egraph: &EGraph<BoolLang>,
-    parents: &ParentIndex,
-    cost_kind: ExtractionCost,
-) -> Costed {
-    let empty = Selection {
-        choices: FxHashMap::default(),
-    };
-    cost_fixpoint(egraph, parents, cost_kind, empty, |previous, new_cost| {
-        previous.is_none_or(|prev| new_cost < prev)
-    })
-}
+    /// Lists every node under each class it has as a child, ordered and
+    /// deduplicated by `(parent class id, node)` as
+    /// [`EGraph::parent_index`] orders its lists.
+    fn index_parents(&mut self) {
+        let mut offsets = vec![0u32; self.num_classes() + 1];
+        for node in &self.nodes {
+            for child in distinct_children(&node.node) {
+                offsets[child.index() + 1] += 1;
+            }
+        }
+        for class in 0..self.num_classes() {
+            offsets[class + 1] += offsets[class];
+        }
+        let mut parents = vec![0u32; offsets[self.num_classes()] as usize];
+        let mut cursor = offsets.clone();
+        for (index, node) in (0..).zip(&self.nodes) {
+            for child in distinct_children(&node.node) {
+                parents[cursor[child.index()] as usize] = index;
+                cursor[child.index()] += 1;
+            }
+        }
+        let key = |index: u32| {
+            let class = self.nodes[index as usize].class as usize;
+            (self.class_ids[class], self.term(index))
+        };
+        let mut kept = 0;
+        let mut parent_offsets = vec![0];
+        for class in 0..self.num_classes() {
+            let segment = &mut parents[offsets[class] as usize..offsets[class + 1] as usize];
+            segment.sort_unstable_by_key(|&index| key(index));
+            let start = kept;
+            for read in offsets[class] as usize..offsets[class + 1] as usize {
+                if kept == start || key(parents[kept - 1]) != key(parents[read]) {
+                    parents[kept] = parents[read];
+                    kept += 1;
+                }
+            }
+            parent_offsets.push(dense(kept));
+        }
+        parents.truncate(kept);
+        self.parent_offsets = parent_offsets;
+        self.parents = parents;
+    }
 
-/// The unpruned baseline the Fig. 6 ablation contrasts against: sweep every
-/// e-node of every class until nothing changes, re-evaluating node costs
-/// even when nothing changed underneath. Converges to the same per-class
-/// costs as [`bottom_up_with_costs`].
-pub(crate) fn bottom_up_unpruned(egraph: &EGraph<BoolLang>, cost_kind: ExtractionCost) -> Costed {
-    let mut stats = ExtractStats::default();
-    let mut costs: FxHashMap<Id, u64> = FxHashMap::default();
-    let mut choices: FxHashMap<Id, BoolLang> = FxHashMap::default();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for class in classes_in_seed_order(egraph) {
-            for node in &class.nodes {
-                let Some(new_cost) = combine(egraph, &costs, cost_kind, node) else {
-                    continue;
-                };
-                stats.nodes_evaluated += 1;
-                if costs.get(&class.id).is_none_or(|&prev| new_cost < prev) {
-                    costs.insert(class.id, new_cost);
-                    choices.insert(class.id, node.clone());
-                    stats.improvements += 1;
-                    changed = true;
+    fn num_classes(&self) -> usize {
+        self.class_ids.len()
+    }
+
+    /// The canonical e-node behind node `index`, as a selection records it.
+    fn term(&self, index: u32) -> BoolLang {
+        let node = &self.nodes[index as usize].node;
+        node.map_children(|child| self.class_ids[child.index()])
+    }
+
+    fn parents_of(&self, class: usize) -> &[u32] {
+        let range = self.parent_offsets[class] as usize..self.parent_offsets[class + 1] as usize;
+        &self.parents[range]
+    }
+
+    /// The worklist kernel (contract in the module docs): the least fixpoint
+    /// of per-class costs under `accept`, written over `selection`.
+    pub(crate) fn fixpoint(
+        &self,
+        cost_kind: ExtractionCost,
+        selection: Selection,
+        mut accept: impl FnMut(Option<u64>, u64) -> bool,
+    ) -> Costed<'_> {
+        let mut costs = vec![0u64; self.num_classes()];
+        let mut picks = vec![UNPICKED; self.num_classes()];
+        let mut stats = ExtractStats::default();
+        let mut queue: VecDeque<u32> = self.leaves.iter().copied().collect();
+        while let Some(index) = queue.pop_front() {
+            let node = &self.nodes[index as usize];
+            let Some(new_cost) = combine(&costs, &picks, cost_kind, node) else {
+                continue;
+            };
+            stats.nodes_evaluated += 1;
+            let class = node.class as usize;
+            let previous = (picks[class] != UNPICKED).then_some(costs[class]);
+            if accept(previous, new_cost) {
+                costs[class] = new_cost;
+                picks[class] = index;
+                stats.improvements += 1;
+                queue.extend(self.parents_of(class));
+            }
+        }
+        self.costed(selection, costs, picks, stats)
+    }
+
+    /// The shared bottom-up dynamic program with **solution-space pruning**
+    /// (Fig. 6): per-class least-fixpoint cost and the node realizing it. A
+    /// class's parents are only re-examined when the class's best cost
+    /// improves, and e-nodes are never re-evaluated when none of their
+    /// children changed.
+    pub fn bottom_up(&self, cost_kind: ExtractionCost) -> Costed<'_> {
+        self.fixpoint(cost_kind, empty_selection(), |previous, new_cost| {
+            previous.is_none_or(|prev| new_cost < prev)
+        })
+    }
+
+    /// The unpruned baseline the Fig. 6 ablation contrasts against: sweep
+    /// every e-node of every class until nothing changes, re-evaluating node
+    /// costs even when nothing changed underneath. Converges to the same
+    /// per-class costs as [`CostGraph::bottom_up`].
+    pub(crate) fn bottom_up_unpruned(&self, cost_kind: ExtractionCost) -> Costed<'_> {
+        let mut costs = vec![0u64; self.num_classes()];
+        let mut picks = vec![UNPICKED; self.num_classes()];
+        let mut stats = ExtractStats::default();
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for class in 0..self.num_classes() {
+                for index in self.class_nodes[class]..self.class_nodes[class + 1] {
+                    let node = &self.nodes[index as usize];
+                    let Some(new_cost) = combine(&costs, &picks, cost_kind, node) else {
+                        continue;
+                    };
+                    stats.nodes_evaluated += 1;
+                    if picks[class] == UNPICKED || new_cost < costs[class] {
+                        costs[class] = new_cost;
+                        picks[class] = index;
+                        stats.improvements += 1;
+                        changed = true;
+                    }
                 }
             }
         }
+        self.costed(empty_selection(), costs, picks, stats)
     }
-    (Selection { choices }, costs, stats)
+
+    /// Writes the picks over `selection`, once, at the end of a run.
+    fn costed(
+        &self,
+        mut selection: Selection,
+        costs: Vec<u64>,
+        picks: Vec<u32>,
+        stats: ExtractStats,
+    ) -> Costed<'_> {
+        for (&id, &pick) in self.class_ids.iter().zip(&picks) {
+            if pick != UNPICKED {
+                selection.set(id, self.term(pick));
+            }
+        }
+        Costed {
+            selection,
+            stats,
+            graph: self,
+            costs,
+            picks,
+        }
+    }
+}
+
+/// The children of `node`, a child it has twice listed once.
+fn distinct_children(node: &BoolLang) -> &[Id] {
+    match node.children() {
+        [a, b] if a == b => std::slice::from_ref(a),
+        children => children,
+    }
+}
+
+fn empty_selection() -> Selection {
+    Selection {
+        choices: FxHashMap::default(),
+    }
+}
+
+/// Prices `node` from the costs of its children — their sum or their
+/// maximum, plus the node's own gate. `None` while a child is uncosted.
+fn combine(
+    costs: &[u64],
+    picks: &[u32],
+    cost_kind: ExtractionCost,
+    node: &CostNode,
+) -> Option<u64> {
+    let mut combined = 0u64;
+    for child in node.node.children() {
+        let child = child.index();
+        if picks[child] == UNPICKED {
+            return None;
+        }
+        combined = match cost_kind {
+            ExtractionCost::Size => combined.saturating_add(costs[child]),
+            ExtractionCost::Depth => combined.max(costs[child]),
+        };
+    }
+    Some(combined.saturating_add(node_cost(&node.node)))
+}
+
+/// What one run of the kernel produces: the selection, the per-class costs
+/// it realizes, and the work it took.
+#[derive(Debug)]
+pub struct Costed<'g> {
+    /// The run's selection: the one it started from, with every class it
+    /// costed set to the node realizing that cost.
+    pub selection: Selection,
+    /// The work the run took (`runtime` is not measured).
+    pub stats: ExtractStats,
+    graph: &'g CostGraph,
+    costs: Vec<u64>,
+    picks: Vec<u32>,
+}
+
+impl Costed<'_> {
+    /// The cost of every class the run costed, by canonical class id.
+    pub fn class_costs(&self) -> FxHashMap<Id, u64> {
+        let costed = self.picks.iter().map(|&pick| pick != UNPICKED);
+        let ids = self.graph.class_ids.iter().zip(&self.costs).zip(costed);
+        ids.filter(|(_, costed)| *costed)
+            .map(|((&id, &cost), _)| (id, cost))
+            .collect()
+    }
+
+    /// The selection, the class costs and the statistics, letting go of the
+    /// graph.
+    pub fn into_parts(self) -> (Selection, FxHashMap<Id, u64>, ExtractStats) {
+        let class_costs = self.class_costs();
+        (self.selection, class_costs, self.stats)
+    }
 }
 
 /// Greedy bottom-up extraction with **solution-space pruning** (Fig. 6).
@@ -229,8 +430,9 @@ pub fn bottom_up_extract(
     egraph: &EGraph<BoolLang>,
     cost_kind: ExtractionCost,
 ) -> (Selection, ExtractStats) {
-    let (selection, _, stats) = bottom_up_with_costs(egraph, &egraph.parent_index(), cost_kind);
-    (selection, stats)
+    let graph = CostGraph::new(egraph);
+    let costed = graph.bottom_up(cost_kind);
+    (costed.selection, costed.stats)
 }
 
 /// Computes the structural cost of a selection at the given roots, reporting
@@ -352,6 +554,18 @@ pub(crate) mod test_util {
         let roots = conv.roots.iter().map(|&r| runner.egraph.find(r)).collect();
         (runner.egraph, roots)
     }
+
+    /// `asap7_like` without its inverter: every mapping of it fails.
+    pub(crate) fn library_without_inverter() -> techmap::CellLibrary {
+        let mut library = techmap::CellLibrary::new();
+        for cell in techmap::library::asap7_like().cells() {
+            if !(cell.num_inputs == 1 && cell.function == 0b01) {
+                library.add(cell.clone());
+            }
+        }
+        assert_eq!(library.inverter(), None);
+        library
+    }
 }
 
 #[cfg(test)]
@@ -403,7 +617,9 @@ mod tests {
         let aig = benchgen::adder(4).aig;
         let (egraph, roots) = saturated_egraph(&aig, 3);
         let (sel_p, _) = bottom_up_extract(&egraph, ExtractionCost::Depth);
-        let (sel_u, _, _) = bottom_up_unpruned(&egraph, ExtractionCost::Depth);
+        let sel_u = CostGraph::new(&egraph)
+            .bottom_up_unpruned(ExtractionCost::Depth)
+            .selection;
         let cost_p = try_selection_cost(&egraph, &sel_p, &roots, ExtractionCost::Depth);
         let cost_u = try_selection_cost(&egraph, &sel_u, &roots, ExtractionCost::Depth);
         assert!(cost_p.is_ok());
@@ -415,7 +631,9 @@ mod tests {
         let aig = benchgen::adder(5).aig;
         let (egraph, _roots) = saturated_egraph(&aig, 3);
         let (_, stats_p) = bottom_up_extract(&egraph, ExtractionCost::Size);
-        let (_, _, stats_u) = bottom_up_unpruned(&egraph, ExtractionCost::Size);
+        let stats_u = CostGraph::new(&egraph)
+            .bottom_up_unpruned(ExtractionCost::Size)
+            .stats;
         assert!(
             stats_p.nodes_evaluated < stats_u.nodes_evaluated,
             "pruned {} vs unpruned {}",

@@ -7,23 +7,29 @@
 //! under the Section IV-A cooling schedule. Several annealing chains run in
 //! parallel ([`egraph::pool`]) and the best mapped solution wins.
 //! [`SaEngine`] is the extractor behind the [`ExtractionEngine`] trait.
+//!
+//! A run numbers the e-graph once as a [`CostGraph`] and lends it to the
+//! realizability check, the greedy seed and every chain: each neighbour is
+//! one run of the cost kernel over it (see the module docs of
+//! [`crate::extract`]). A candidate's score is the cost-only mapping
+//! [`try_map_cost`] — the delay and area `map_to_cells` would report, bit for
+//! bit, without emitting the netlist nobody reads. A library the candidates
+//! cannot be mapped to is an [`ExtractError::Map`].
 
 use crate::convert::selection_to_aig;
 use crate::extract::engine::{
     synthetic_names, ExtractBudget, ExtractError, Extraction, ExtractionEngine,
 };
-use crate::extract::{
-    bottom_up_with_costs, cost_fixpoint, ExtractStats, ExtractionCost, ParentIndex, Selection,
-};
+use crate::extract::{CostGraph, Costed, ExtractStats, ExtractionCost, Selection};
 use crate::lang::BoolLang;
 use egraph::pool::for_each_indexed;
 use egraph::{EGraph, FxHashMap, Id};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::time::{Duration, Instant};
-use techmap::cell::map_to_cells;
+use techmap::cell::try_map_cost;
 use techmap::library::CellLibrary;
-use techmap::MapOptions;
+use techmap::{MapError, MapOptions};
 
 /// Weight of area (µm²) added to the mapped delay (ps) as a tie-breaker.
 const AREA_WEIGHT: f64 = 0.01;
@@ -152,14 +158,17 @@ pub struct SaResult {
 ///
 /// A candidate's cost is its mapped delay in ps plus [`AREA_WEIGHT`] times its
 /// mapped area in µm², under `library` and the default [`MapOptions`].
+///
+/// # Errors
+/// The first [`MapError`] a candidate's mapping hits, in chain order.
 fn anneal(
     egraph: &EGraph<BoolLang>,
-    parents: &ParentIndex,
+    graph: &CostGraph,
     roots: &[Id],
     library: &CellLibrary,
     options: &SaOptions,
     iterations: usize,
-) -> SaResult {
+) -> Result<SaResult, MapError> {
     let start = Instant::now();
     let (input_names, output_names) = synthetic_names(egraph, roots.len());
     let candidate_cost = |selection: &Selection| {
@@ -171,24 +180,17 @@ fn anneal(
             &output_names,
             "sa-extracted",
         );
-        let qor = map_to_cells(&candidate, library, &MapOptions::default()).qor();
-        qor.delay_ps + AREA_WEIGHT * qor.area_um2
+        let (delay, area) = try_map_cost(&candidate, library, &MapOptions::default())?;
+        Ok(delay + AREA_WEIGHT * area)
     };
 
     let neighbor_of = |current: &Selection, rng: &mut StdRng| {
-        generate_neighbor(
-            egraph,
-            parents,
-            current,
-            options.neighbor_cost,
-            options.p_random,
-            rng,
-        )
+        generate_neighbor(graph, current, options.neighbor_cost, options.p_random, rng).selection
     };
 
     // Greedy initial solution shared by all chains.
-    let (initial_selection, _, _) = bottom_up_with_costs(egraph, parents, options.neighbor_cost);
-    let initial_cost = candidate_cost(&initial_selection);
+    let initial_selection = graph.bottom_up(options.neighbor_cost).selection;
+    let initial_cost = candidate_cost(&initial_selection)?;
 
     // One worker per chain; every chain returns `Some`.
     let chain_count = options.threads.max(1);
@@ -213,7 +215,8 @@ fn anneal(
     let mut best_cost = initial_cost;
     let mut chains = Vec::with_capacity(chain_count);
     let mut stats = ExtractStats::default();
-    for (selection, chain) in chain_outputs.into_iter().flatten() {
+    for output in chain_outputs.into_iter().flatten() {
+        let (selection, chain) = output?;
         if chain.best_cost < best_cost {
             best_cost = chain.best_cost;
             best_selection = selection;
@@ -225,25 +228,25 @@ fn anneal(
     let runtime = start.elapsed();
     stats.runtime = runtime;
 
-    SaResult {
+    Ok(SaResult {
         best_selection,
         best_cost,
         initial_cost,
         chains,
         stats,
         runtime,
-    }
+    })
 }
 
 fn run_chain(
     neighbor_of: &(dyn Fn(&Selection, &mut StdRng) -> Selection + Sync),
-    candidate_cost: &(dyn Fn(&Selection) -> f64 + Sync),
+    candidate_cost: &(dyn Fn(&Selection) -> Result<f64, MapError> + Sync),
     initial_selection: &Selection,
     initial_cost: f64,
     options: &SaOptions,
     iterations: usize,
     chain_index: usize,
-) -> (Selection, ChainResult) {
+) -> Result<(Selection, ChainResult), MapError> {
     let mut rng =
         StdRng::seed_from_u64(options.seed ^ (chain_index as u64).wrapping_mul(0x9E37_79B9));
     let mut current_selection = initial_selection.clone();
@@ -255,7 +258,7 @@ fn run_chain(
 
     for iteration in 1..=iterations {
         let neighbor = neighbor_of(&current_selection, &mut rng);
-        let neighbor_cost = candidate_cost(&neighbor);
+        let neighbor_cost = candidate_cost(&neighbor)?;
         stats.nodes_evaluated += 1;
         let delta = neighbor_cost - current_cost;
 
@@ -279,7 +282,7 @@ fn run_chain(
         temperature = cooled_temperature(temperature, delta, iteration, iterations);
     }
 
-    (best_selection, ChainResult { best_cost, stats })
+    Ok((best_selection, ChainResult { best_cost, stats }))
 }
 
 /// The SA extractor, as an [`ExtractionEngine`].
@@ -306,7 +309,8 @@ impl SaEngine {
     /// the best selection.
     ///
     /// # Errors
-    /// [`ExtractError::Unrealizable`] if a root class has no realizable term.
+    /// [`ExtractError::Unrealizable`] if a root class has no realizable term,
+    /// [`ExtractError::Map`] if a candidate cannot be mapped to the library.
     pub fn anneal(
         &self,
         egraph: &EGraph<BoolLang>,
@@ -328,13 +332,12 @@ impl SaEngine {
             Some(max) => (max as usize / threads).min(self.options.iterations),
             None => self.options.iterations,
         };
-        // One parent-index build per run, lent to the realizability check,
-        // the greedy seed and every chain's neighbor generation.
-        let parents = egraph.parent_index();
+        // One cost graph per run, lent to the realizability check, the
+        // greedy seed and every chain's neighbor generation.
+        let graph = CostGraph::new(egraph);
         // Realizability check up front: SA's greedy seed panics on
         // unrealizable roots, the engine API reports them as typed errors.
-        let (seed_selection, class_costs, _) =
-            bottom_up_with_costs(egraph, &parents, ExtractionCost::Size);
+        let (seed_selection, class_costs, _) = graph.bottom_up(ExtractionCost::Size).into_parts();
         for &root in roots {
             let root = egraph.find(root);
             if !seed_selection.choices.contains_key(&root) {
@@ -343,12 +346,12 @@ impl SaEngine {
         }
         let result = anneal(
             egraph,
-            &parents,
+            &graph,
             roots,
             &self.library,
             &self.options,
             iterations,
-        );
+        )?;
         Ok((result, class_costs))
     }
 }
@@ -411,24 +414,24 @@ fn cooled_temperature(
 /// bottom-up from the leaves, re-selecting e-nodes that improve the cached
 /// class cost, with probability `p_random` of skipping an improvement.
 ///
-/// `parent_index` is the e-graph's [`EGraph::parent_index`]; callers that
-/// generate many neighbors (the annealing chains) build it once and reuse it
-/// across calls instead of paying for it per neighbor.
-pub fn generate_neighbor(
-    egraph: &EGraph<BoolLang>,
-    parent_index: &egraph::FxHashMap<Id, Vec<(Id, BoolLang)>>,
+/// `graph` is the e-graph's [`CostGraph`]; callers that generate many
+/// neighbors (the annealing chains) build it once and reuse it across calls
+/// instead of paying for it per neighbor. The neighbor is the result's
+/// `selection`: `current` with every class the run costed re-selected.
+pub fn generate_neighbor<'g>(
+    graph: &'g CostGraph,
     current: &Selection,
     cost_kind: ExtractionCost,
     p_random: f64,
     rng: &mut StdRng,
-) -> Selection {
+) -> Costed<'g> {
     // Line 15 of Algorithm 1: accept the update when the class is uncosted,
     // or when it improves and the random draw does not veto it.
     let accept = |previous: Option<u64>, new_cost: u64| match previous {
         None => true,
         Some(prev) => new_cost < prev && rng.random::<f64>() >= p_random,
     };
-    cost_fixpoint(egraph, parent_index, cost_kind, current.clone(), accept).0
+    graph.fixpoint(cost_kind, current.clone(), accept)
 }
 
 #[cfg(test)]
@@ -440,6 +443,7 @@ mod tests {
     use aig::Aig;
     use cec::{check_equivalence, CecOptions};
     use egraph::{Runner, Scheduler};
+    use techmap::cell::map_to_cells;
     use techmap::library::{asap7_like, Cell};
 
     fn saturated_conversion(aig: &Aig, iters: usize) -> ConversionResult {
@@ -507,16 +511,11 @@ mod tests {
         let aig = benchgen::adder(4).aig;
         let conv = saturated_conversion(&aig, 3);
         let (initial, _) = bottom_up_extract(&conv.egraph, ExtractionCost::Depth);
+        let graph = CostGraph::new(&conv.egraph);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..5 {
-            let neighbor = generate_neighbor(
-                &conv.egraph,
-                &conv.egraph.parent_index(),
-                &initial,
-                ExtractionCost::Depth,
-                0.3,
-                &mut rng,
-            );
+            let neighbor =
+                generate_neighbor(&graph, &initial, ExtractionCost::Depth, 0.3, &mut rng).selection;
             let back = selection_to_aig(
                 &conv.egraph,
                 &neighbor,
@@ -653,6 +652,21 @@ mod tests {
         // The single-thread chain is one of the four (same seed), so the
         // parallel best can only be equal or better.
         assert!(quad.best_cost <= single.best_cost + 1e-9);
+    }
+
+    #[test]
+    fn sa_reports_a_library_without_an_inverter_as_a_typed_error() {
+        let conv = saturated_conversion(&benchgen::adder(4).aig, 2);
+        let library = crate::extract::test_util::library_without_inverter();
+        let result = SaEngine::new(SaOptions::fast(), library).extract(
+            &conv.egraph,
+            &conv.roots,
+            &ExtractBudget::unlimited(),
+        );
+        assert_eq!(
+            result.unwrap_err(),
+            ExtractError::Map(MapError::MissingInverter)
+        );
     }
 
     #[test]

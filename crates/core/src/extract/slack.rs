@@ -4,7 +4,7 @@
 
 use crate::extract::engine::{ExtractBudget, ExtractError, Extraction, ExtractionEngine};
 use crate::extract::{
-    bottom_up_with_costs, node_cost, selection_heights, ExtractStats, ExtractionCost, Selection,
+    node_cost, selection_heights, CostGraph, ExtractStats, ExtractionCost, Selection,
 };
 use crate::lang::BoolLang;
 use egraph::{EGraph, FxHashMap, Id, Language};
@@ -59,11 +59,11 @@ impl ExtractionEngine for SlackAwareEngine {
         budget: &ExtractBudget,
     ) -> Result<Extraction, ExtractError> {
         let start = Instant::now();
-        let parents = egraph.parent_index();
-        let (depth_sel, arrivals, depth_stats) =
-            bottom_up_with_costs(egraph, &parents, ExtractionCost::Depth);
-        let (_, size_costs, size_stats) =
-            bottom_up_with_costs(egraph, &parents, ExtractionCost::Size);
+        let ((depth_sel, arrivals, depth_stats), (_, size_costs, size_stats)) = {
+            let graph = CostGraph::new(egraph);
+            let depth = graph.bottom_up(ExtractionCost::Depth).into_parts();
+            (depth, graph.bottom_up(ExtractionCost::Size).into_parts())
+        };
         let mut selection = depth_sel.choices;
         let roots: Vec<Id> = roots.iter().map(|&r| egraph.find(r)).collect();
         for &root in &roots {

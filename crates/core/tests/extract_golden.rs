@@ -27,7 +27,7 @@ use egraph::{Id, Runner, Scheduler};
 use emorphic::convert::ConversionResult;
 use emorphic::extract::sa::{generate_neighbor, SaEngine, SaOptions};
 use emorphic::extract::{
-    bottom_up_extract, try_selection_cost, BottomUpEngine, ExtractBudget, Extraction,
+    bottom_up_extract, try_selection_cost, BottomUpEngine, CostGraph, ExtractBudget, Extraction,
     ExtractionCost, ExtractionEngine, GlobalGreedyDagEngine, Selection, SlackAwareEngine,
 };
 use emorphic::flow::{prepare_network, saturate_network, FlowConfig};
@@ -187,20 +187,13 @@ fn sa_digest(space: &ConversionResult) -> u64 {
 /// `p_random` ∈ {0.1, 0.3} and structural cost, every step folded.
 fn neighbor_digest(space: &ConversionResult) -> u64 {
     let mut h = FxHasher::default();
-    let parent_index = space.egraph.parent_index();
+    let graph = CostGraph::new(&space.egraph);
     for p_random in [0.1, 0.3] {
         for cost in COSTS {
             let mut rng = StdRng::seed_from_u64(0xC4A1);
             let (mut current, _) = bottom_up_extract(&space.egraph, cost);
             for _ in 0..16 {
-                current = generate_neighbor(
-                    &space.egraph,
-                    &parent_index,
-                    &current,
-                    cost,
-                    p_random,
-                    &mut rng,
-                );
+                current = generate_neighbor(&graph, &current, cost, p_random, &mut rng).selection;
                 fold_selection(&mut h, space, &current);
             }
         }

@@ -15,6 +15,11 @@
 //!    its heights per accepted switch, makes the decisions of the refinement
 //!    loop that recomputes heights and liveness from scratch — kept here as
 //!    the reference — down to the selection and both counters.
+//! 5. **The dense cost kernel is the hash-map kernel**: the bottom-up DP
+//!    (pruned and unpruned) and 16-step neighbour chains over a
+//!    [`CostGraph`] reproduce the hash-map fixpoint they replaced — kept here
+//!    verbatim as the reference — selection, class costs and statistics
+//!    alike, and draw the same random numbers.
 //!
 //! `PROPTEST_CASES` scales the random-circuit coverage.
 
@@ -22,14 +27,18 @@
 // test relaxation does not reach them.
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
-use egraph::{EGraph, FxHashMap, FxHashSet, Id, Language, Runner, Scheduler};
-use emorphic::extract::sa::{SaEngine, SaOptions};
+use egraph::{EClass, EGraph, FxHashMap, FxHashSet, Id, Language, Runner, Scheduler};
+use emorphic::extract::sa::{generate_neighbor, SaEngine, SaOptions};
 use emorphic::extract::{
-    bottom_up_extract, try_selection_cost, BottomUpEngine, ExtractBudget, ExtractionCost,
-    ExtractionEngine, GlobalGreedyDagEngine, PortfolioEngine, SlackAwareEngine,
+    bottom_up_extract, try_selection_cost, BottomUpEngine, CostGraph, ExtractBudget, ExtractStats,
+    ExtractionCost, ExtractionEngine, GlobalGreedyDagEngine, PortfolioEngine, Selection,
+    SlackAwareEngine,
 };
 use emorphic::{aig_to_egraph, all_rules, try_selection_to_aig, BoolLang};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+use std::collections::VecDeque;
 use techmap::library::asap7_like;
 
 /// Saturates a circuit and returns the rewritten conversion result.
@@ -156,6 +165,131 @@ fn reference_greedy_dag(
     }
 }
 
+// The hash-map cost kernel the dense `CostGraph` kernel replaced, verbatim
+// but for visibility, as the reference of the last property below.
+
+/// [`EGraph::parent_index`] over the Boolean language: for every class, the
+/// `(parent class, parent node)` pairs that reference it.
+type ParentIndex = FxHashMap<Id, Vec<(Id, BoolLang)>>;
+
+/// What a cost fixpoint produces: the selection, the per-class costs it
+/// realizes, and the work it took.
+type Costed = (Selection, FxHashMap<Id, u64>, ExtractStats);
+
+/// Per-node gate cost: AND/OR count as one gate, inverters and leaves are free
+/// (inverters are edge attributes in the AIG back-end).
+fn node_cost(node: &BoolLang) -> u64 {
+    match node {
+        BoolLang::And(_) | BoolLang::Or(_) => 1,
+        BoolLang::Not(_) | BoolLang::Const(_) | BoolLang::Var(_) => 0,
+    }
+}
+
+/// The class order every cost fixpoint is seeded and swept in (see the
+/// module docs): today the e-graph's own iteration order.
+fn classes_in_seed_order(egraph: &EGraph<BoolLang>) -> impl Iterator<Item = &EClass<BoolLang>> {
+    egraph.classes()
+}
+
+/// Prices `node` from the costs of its children — their sum or their
+/// maximum, plus the node's own gate. `None` while a child is uncosted.
+fn combine(
+    egraph: &EGraph<BoolLang>,
+    costs: &FxHashMap<Id, u64>,
+    cost_kind: ExtractionCost,
+    node: &BoolLang,
+) -> Option<u64> {
+    let mut combined = 0u64;
+    for &child in node.children() {
+        let cost = *costs.get(&egraph.find(child))?;
+        combined = match cost_kind {
+            ExtractionCost::Size => combined.saturating_add(cost),
+            ExtractionCost::Depth => combined.max(cost),
+        };
+    }
+    Some(combined.saturating_add(node_cost(node)))
+}
+
+/// The worklist kernel (contract in the module docs): the least fixpoint of
+/// per-class costs under `accept`, written over `selection`.
+fn cost_fixpoint(
+    egraph: &EGraph<BoolLang>,
+    parents: &ParentIndex,
+    cost_kind: ExtractionCost,
+    mut selection: Selection,
+    mut accept: impl FnMut(Option<u64>, u64) -> bool,
+) -> Costed {
+    let mut costs: FxHashMap<Id, u64> = FxHashMap::default();
+    let mut stats = ExtractStats::default();
+    let mut queue: VecDeque<(Id, BoolLang)> = VecDeque::new();
+    for class in classes_in_seed_order(egraph) {
+        let leaves = class.nodes.iter().filter(|node| node.is_leaf());
+        queue.extend(leaves.map(|node| (class.id, node.clone())));
+    }
+    while let Some((class_id, node)) = queue.pop_front() {
+        let Some(new_cost) = combine(egraph, &costs, cost_kind, &node) else {
+            continue;
+        };
+        stats.nodes_evaluated += 1;
+        if accept(costs.get(&class_id).copied(), new_cost) {
+            costs.insert(class_id, new_cost);
+            selection.set(class_id, node);
+            stats.improvements += 1;
+            queue.extend(parents.get(&class_id).into_iter().flatten().cloned());
+        }
+    }
+    (selection, costs, stats)
+}
+
+/// The unpruned baseline the Fig. 6 ablation contrasts against: sweep every
+/// e-node of every class until nothing changes, re-evaluating node costs
+/// even when nothing changed underneath. Converges to the same per-class
+/// costs as [`bottom_up_with_costs`].
+fn bottom_up_unpruned(egraph: &EGraph<BoolLang>, cost_kind: ExtractionCost) -> Costed {
+    let mut stats = ExtractStats::default();
+    let mut costs: FxHashMap<Id, u64> = FxHashMap::default();
+    let mut choices: FxHashMap<Id, BoolLang> = FxHashMap::default();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for class in classes_in_seed_order(egraph) {
+            for node in &class.nodes {
+                let Some(new_cost) = combine(egraph, &costs, cost_kind, node) else {
+                    continue;
+                };
+                stats.nodes_evaluated += 1;
+                if costs.get(&class.id).is_none_or(|&prev| new_cost < prev) {
+                    costs.insert(class.id, new_cost);
+                    choices.insert(class.id, node.clone());
+                    stats.improvements += 1;
+                    changed = true;
+                }
+            }
+        }
+    }
+    (Selection { choices }, costs, stats)
+}
+
+/// The shared bottom-up dynamic program with **solution-space pruning**
+/// (Fig. 6): per-class least-fixpoint cost and the node realizing it. A
+/// class's parents are only re-examined when the class's best cost improves,
+/// and e-nodes are never re-evaluated when none of their children changed.
+fn bottom_up_with_costs(
+    egraph: &EGraph<BoolLang>,
+    parents: &ParentIndex,
+    cost_kind: ExtractionCost,
+) -> Costed {
+    let empty = Selection {
+        choices: FxHashMap::default(),
+    };
+    cost_fixpoint(egraph, parents, cost_kind, empty, |previous, new_cost| {
+        previous.is_none_or(|prev| new_cost < prev)
+    })
+}
+
+/// Steps of every neighbour chain the kernel property walks.
+const CHAIN_STEPS: usize = 16;
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
@@ -269,5 +403,67 @@ proptest! {
             &parallel.selection.choices,
             "portfolio winner depends on thread count"
         );
+    }
+
+    /// The dense kernel over a [`CostGraph`] is the hash-map kernel: the
+    /// pruned and unpruned DP under both costs, and a chain of neighbours per
+    /// `p_random` ∈ {0, 0.1, 0.5}, each generated from the previous one —
+    /// selection, class costs and statistics of every run, and the random
+    /// numbers the chain drew.
+    #[test]
+    fn dense_cost_kernel_matches_the_hash_map_reference(
+        seed in 0u64..10_000,
+        num_ands in 8usize..80,
+        num_inputs in 3usize..7,
+    ) {
+        let circuit = benchgen::random_aig(num_inputs, num_ands, 2, seed);
+        let saturated = saturate(&circuit);
+        let egraph = &saturated.egraph;
+        let parents = egraph.parent_index();
+        let graph = CostGraph::new(egraph);
+        for cost in [ExtractionCost::Size, ExtractionCost::Depth] {
+            let dp = graph.bottom_up(cost);
+            let (selection, costs, stats) = bottom_up_with_costs(egraph, &parents, cost);
+            prop_assert_eq!(&dp.selection.choices, &selection.choices);
+            prop_assert_eq!(dp.class_costs(), costs);
+            prop_assert_eq!(dp.stats, stats);
+
+            let unpruned = BottomUpEngine::new(cost)
+                .with_pruning(false)
+                .extract(egraph, &saturated.roots, &ExtractBudget::unlimited())
+                .expect("unpruned DP extracts");
+            let (u_selection, u_costs, u_stats) = bottom_up_unpruned(egraph, cost);
+            prop_assert_eq!(&unpruned.selection.choices, &u_selection.choices);
+            prop_assert_eq!(&unpruned.class_costs, &u_costs);
+            prop_assert_eq!(unpruned.stats.nodes_evaluated, u_stats.nodes_evaluated);
+            prop_assert_eq!(unpruned.stats.improvements, u_stats.improvements);
+
+            for p_random in [0.0, 0.1, 0.5] {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut reference_rng = StdRng::seed_from_u64(seed);
+                let mut current = selection.clone();
+                for step in 0..CHAIN_STEPS {
+                    let neighbor = generate_neighbor(&graph, &current, cost, p_random, &mut rng);
+                    let accept = |previous: Option<u64>, new_cost: u64| match previous {
+                        None => true,
+                        Some(prev) => new_cost < prev && reference_rng.random::<f64>() >= p_random,
+                    };
+                    let (n_selection, n_costs, n_stats) =
+                        cost_fixpoint(egraph, &parents, cost, current.clone(), accept);
+                    prop_assert_eq!(
+                        &neighbor.selection.choices, &n_selection.choices,
+                        "{:?} p_random {} step {}", cost, p_random, step
+                    );
+                    prop_assert_eq!(neighbor.class_costs(), n_costs);
+                    prop_assert_eq!(neighbor.stats, n_stats);
+                    current = n_selection;
+                }
+                prop_assert_eq!(
+                    rng.random::<u64>(),
+                    reference_rng.random::<u64>(),
+                    "{:?} p_random {}: the chains drew differently", cost, p_random
+                );
+            }
+        }
     }
 }

@@ -7,16 +7,26 @@
 //! turns the kept cover into a timing-annotated [`Netlist`]. Complemented
 //! edges internal to a cut are absorbed into the matched cell function; only
 //! complemented primary outputs require explicit inverters.
+//!
+//! The model matches every cut against the library once per mapping (the
+//! covering core keeps the match, one NPN class slot per cut, for all its
+//! passes) and times cells through pin delays the library sorted when the
+//! cell was added. [`try_map_cost`] stops after the cover: it returns the
+//! netlist's delay and area without emitting it, for callers that score
+//! many mappings and keep none — the annealing extractor scores every
+//! candidate with it. [`try_map_to_cells`] is the same cover plus the
+//! emitter.
 
-use crate::cover::{cover, CostModel};
+use crate::cover::{cover, CostModel, Covering};
 use crate::cuts::{try_enumerate, Cut, CutSet, CutsOptions, MAX_CUT_LEAVES};
 use crate::library::CellLibrary;
 use crate::qor::Qor;
-use crate::timing::{assign_pin_delays, gate_arrival};
+use crate::timing::{assign_sorted_pin_delays, gate_arrival_sorted};
 use crate::truth::{expand_to_4, full_mask};
 use crate::{MapError, MapOptions};
 use aig::{Aig, AigNode, FxHashMap, Lit, NodeId};
 use choices::ChoiceAig;
+use std::num::NonZeroU8;
 
 /// One instantiated cell in the mapped netlist.
 #[derive(Debug, Clone)]
@@ -259,42 +269,87 @@ fn synthesize_truth(aig: &mut Aig, truth: u64, leaves: &[Lit]) -> Lit {
 
 /// The standard-cell cost model: a cut is implemented by the library's best
 /// NPN match of its function, timed through the conservative sorted pin
-/// pairing of [`crate::timing`]; a complemented primary output costs one
-/// inverter.
+/// pairing of [`crate::timing`] over the library's pre-sorted pin delays; a
+/// complemented primary output costs one inverter.
 struct CellModel<'a> {
     library: &'a CellLibrary,
     /// `(delay_ps, area_um2)` of the library's inverter.
     inverter: (f64, f64),
 }
 
-impl CostModel for CellModel<'_> {
-    /// Index of the matched cell in the library.
-    type Impl = usize;
+impl<'a> CellModel<'a> {
+    /// The model of `library`, which must have an inverter.
+    fn new(library: &'a CellLibrary) -> Result<Self, MapError> {
+        let inverter = library.cell(library.inverter().ok_or(MapError::MissingInverter)?);
+        Ok(CellModel {
+            library,
+            inverter: (inverter.delay_ps, inverter.area_um2),
+        })
+    }
+}
 
-    fn implement(&mut self, cut: &Cut) -> Option<usize> {
+impl CostModel for CellModel<'_> {
+    /// The matched NPN class's slot in the library
+    /// ([`CellLibrary::slot_cell`] names the cell).
+    type Impl = NonZeroU8;
+
+    fn implement(&self, cut: &Cut) -> Option<NonZeroU8> {
         // NPN tables are `u16`: matching is 4-input limited.
         if cut.size() > 4 {
             return None;
         }
-        self.library
-            .match_function(expand_to_4(cut.truth, cut.size()))
+        self.library.match_slot(expand_to_4(cut.truth, cut.size()))
     }
 
-    fn arrival(&self, cell: usize, leaf_arrivals: &[f64]) -> f64 {
-        gate_arrival(leaf_arrivals, &self.library.cell(cell).pin_delays_ps)
+    fn arrival(&self, slot: NonZeroU8, leaf_arrivals: &[f64]) -> f64 {
+        let pins = self.library.sorted_pins(self.library.slot_cell(slot));
+        gate_arrival_sorted(leaf_arrivals, pins)
     }
 
-    fn area(&self, cell: usize) -> f64 {
-        self.library.cell(cell).area_um2
+    fn area(&self, slot: NonZeroU8) -> f64 {
+        self.library.cell(self.library.slot_cell(slot)).area_um2
     }
 
-    fn leaf_delays(&self, cell: usize, leaf_arrivals: &[f64]) -> [f64; MAX_CUT_LEAVES] {
-        assign_pin_delays(leaf_arrivals, &self.library.cell(cell).pin_delays_ps)
+    fn leaf_delays(&self, slot: NonZeroU8, leaf_arrivals: &[f64]) -> [f64; MAX_CUT_LEAVES] {
+        let pins = self.library.sorted_pins(self.library.slot_cell(slot));
+        assign_sorted_pin_delays(leaf_arrivals, pins)
     }
 
     fn output_inverter(&self) -> (f64, f64) {
         self.inverter
     }
+}
+
+/// A network covered under the [`CellModel`]: what [`try_map_cost`] reads
+/// its cost from and [`try_map_to_cells`] emits.
+struct CellCover<'a> {
+    cuts: CutSet,
+    model: CellModel<'a>,
+    covering: Covering<NonZeroU8>,
+}
+
+/// Enumerates the cuts of `aig` (pooled over `choices` when given) and
+/// covers it under the [`CellModel`] of `library`.
+fn cover_cells<'a>(
+    aig: &Aig,
+    choices: Option<&ChoiceAig>,
+    library: &'a CellLibrary,
+    options: &MapOptions,
+) -> Result<CellCover<'a>, MapError> {
+    let cuts = try_enumerate(aig, choices, &cell_cut_options(options))?;
+    let model = CellModel::new(library)?;
+    let covering = cover(
+        aig,
+        &cuts,
+        &model,
+        options.area_passes,
+        options.delay_target_ps,
+    )?;
+    Ok(CellCover {
+        cuts,
+        model,
+        covering,
+    })
 }
 
 /// Maps an AIG onto the given standard-cell library.
@@ -323,8 +378,24 @@ pub fn try_map_to_cells(
     library: &CellLibrary,
     options: &MapOptions,
 ) -> Result<Netlist, MapError> {
-    let cuts = try_enumerate(aig, None, &cell_cut_options(options))?;
-    map_with_cuts(aig, &cuts, library, options)
+    cover_cells(aig, None, library, options).map(|covered| emit(aig, &covered))
+}
+
+/// The cost of mapping an AIG onto the library: `(delay_ps, area_um2)` of
+/// the netlist [`try_map_to_cells`] would return — bit for bit its
+/// [`Netlist::qor`] delay and area — from the same cover, without emitting
+/// the netlist or annotating its required times. For callers that score
+/// mappings and throw the netlist away.
+///
+/// # Errors
+/// Returns a [`MapError`] under the conditions of [`try_map_to_cells`].
+pub fn try_map_cost(
+    aig: &Aig,
+    library: &CellLibrary,
+    options: &MapOptions,
+) -> Result<(f64, f64), MapError> {
+    let cover = cover_cells(aig, None, library, options)?.covering.cover;
+    Ok((cover.delay, cover.area))
 }
 
 /// Maps a choice network onto the given standard-cell library: cuts are
@@ -340,8 +411,8 @@ pub fn try_map_to_cells_with_choices(
     library: &CellLibrary,
     options: &MapOptions,
 ) -> Result<Netlist, MapError> {
-    let cuts = try_enumerate(choices.aig(), Some(choices), &cell_cut_options(options))?;
-    map_with_cuts(choices.aig(), &cuts, library, options)
+    let aig = choices.aig();
+    cover_cells(aig, Some(choices), library, options).map(|covered| emit(aig, &covered))
 }
 
 /// Standard-cell matching is 4-input limited (NPN tables are `u16`).
@@ -352,32 +423,20 @@ fn cell_cut_options(options: &MapOptions) -> CutsOptions {
     }
 }
 
-/// Covers `aig` over `cuts` under the [`CellModel`] and emits the kept cover
-/// as a netlist with per-gate timing annotation.
-fn map_with_cuts(
-    aig: &Aig,
-    cuts: &CutSet,
-    library: &CellLibrary,
-    options: &MapOptions,
-) -> Result<Netlist, MapError> {
-    let inverter = library.cell(library.inverter().ok_or(MapError::MissingInverter)?);
-    let mut model = CellModel {
-        library,
-        inverter: (inverter.delay_ps, inverter.area_um2),
-    };
-    let covering = cover(
-        aig,
+/// Emits a kept cover as a netlist with per-gate timing annotation.
+fn emit(aig: &Aig, covered: &CellCover<'_>) -> Netlist {
+    let CellCover {
         cuts,
-        &mut model,
-        options.area_passes,
-        options.delay_target_ps,
-    )?;
-
+        model,
+        covering,
+    } = covered;
+    let library = model.library;
     let mut gates = Vec::new();
     let mut gate_index: FxHashMap<NodeId, usize> = FxHashMap::default();
     let mut arrival_ps = Vec::new();
     let mut level = vec![0u32; aig.num_nodes()];
-    for (id, cut, cell_index) in covering.roots(aig, cuts) {
+    for (id, cut, slot) in covering.roots(aig, cuts) {
+        let cell_index = library.slot_cell(slot);
         let cell = library.cell(cell_index);
         level[id.index()] = 1 + cut
             .leaves()
@@ -422,10 +481,10 @@ fn map_with_cuts(
         outputs.push(driver);
     }
 
-    let required = covering.required(aig, cuts, &model);
+    let required = covering.required(aig, cuts, model);
     let required_ps: Vec<f64> = gates.iter().map(|g| required[g.root.index()]).collect();
 
-    Ok(Netlist {
+    Netlist {
         name: aig.name().to_string(),
         gates,
         outputs,
@@ -437,7 +496,7 @@ fn map_with_cuts(
         required_ps,
         target_ps: covering.target,
         gate_index,
-    })
+    }
 }
 
 #[cfg(test)]

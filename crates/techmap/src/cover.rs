@@ -31,11 +31,14 @@ const EPS: f64 = 1e-9;
 
 /// What the covering core asks of a mapping target.
 pub(crate) trait CostModel {
-    /// How a cut is implemented (a library cell; nothing for a LUT).
+    /// How a cut is implemented (a library cell's NPN class slot; nothing
+    /// for a LUT). [`cover`] keeps an `Option` of it per cut, so it should
+    /// leave that a byte.
     type Impl: Copy;
 
-    /// The implementation of `cut`, or `None` if the target has none.
-    fn implement(&mut self, cut: &Cut) -> Option<Self::Impl>;
+    /// The implementation of `cut`, or `None` if the target has none. Asked
+    /// once per cut and mapping.
+    fn implement(&self, cut: &Cut) -> Option<Self::Impl>;
 
     /// Arrival time at the output of `imp` given its leaves' arrivals.
     fn arrival(&self, imp: Self::Impl, leaf_arrivals: &[f64]) -> f64;
@@ -150,17 +153,18 @@ fn gather_leaf_arrivals<'a>(
 pub(crate) fn cover<M: CostModel>(
     aig: &Aig,
     cuts: &CutSet,
-    model: &mut M,
+    model: &M,
     area_passes: usize,
     delay_target: Option<f64>,
 ) -> Result<Covering<M::Impl>, MapError> {
     let fanouts = aig.fanout_counts();
+    let matches = match_cuts(aig, cuts, model);
     let mut state = State {
         pick: vec![None; aig.num_nodes()],
         arrival: vec![0.0; aig.num_nodes()],
         area_flow: vec![0.0; aig.num_nodes()],
     };
-    select(aig, cuts, &fanouts, model, &mut state, None)?;
+    select(aig, cuts, &matches, &fanouts, model, &mut state, None)?;
 
     // The delay-optimal cover is the initial best snapshot; its critical
     // path floors the effective target (a tighter request cannot be met by
@@ -171,7 +175,15 @@ pub(crate) fn cover<M: CostModel>(
 
     for _ in 0..area_passes {
         let required = compute_required(aig, cuts, model, &state.pick, &state.arrival, target);
-        select(aig, cuts, &fanouts, model, &mut state, Some(&required))?;
+        select(
+            aig,
+            cuts,
+            &matches,
+            &fanouts,
+            model,
+            &mut state,
+            Some(&required),
+        )?;
         let cover = derive_cover(aig, cuts, model, &state.pick);
         if cover.delay <= target + EPS && cover.area < best_cover.area - EPS {
             best_cover = cover;
@@ -191,6 +203,24 @@ pub(crate) fn cover<M: CostModel>(
     })
 }
 
+/// The model's implementation of every cut of every AND node, aligned with
+/// the cut arena ([`CutSet::arena_start`]); `None` for a cut the model does
+/// not implement, for the trivial cut (it cannot implement its own node),
+/// and for the arena's dead and non-AND sets. Every pass reads it instead of
+/// matching again.
+fn match_cuts<M: CostModel>(aig: &Aig, cuts: &CutSet, model: &M) -> Vec<Option<M::Impl>> {
+    let mut matches = vec![None; cuts.arena_len()];
+    for id in aig.and_ids() {
+        let start = cuts.arena_start(id);
+        for (slot, cut) in matches[start..].iter_mut().zip(cuts.cuts(id)) {
+            if cut.leaves() != [id] {
+                *slot = model.implement(cut);
+            }
+        }
+    }
+    matches
+}
+
 /// One candidate-selection pass in topological order. Without `required`
 /// it is the delay-optimal pass: every implementable cut competes on
 /// (arrival, area flow) and a node without one is an error. With `required`
@@ -200,18 +230,17 @@ pub(crate) fn cover<M: CostModel>(
 fn select<M: CostModel>(
     aig: &Aig,
     cuts: &CutSet,
+    matches: &[Option<M::Impl>],
     fanouts: &[u32],
-    model: &mut M,
+    model: &M,
     state: &mut State<M::Impl>,
     required: Option<&[f64]>,
 ) -> Result<(), MapError> {
     for id in aig.and_ids() {
         let mut best: Option<(Pick<M::Impl>, f64, f64)> = None;
-        for (cut_index, cut) in cuts.cuts(id).iter().enumerate() {
-            if cut.leaves() == [id] {
-                continue; // the trivial cut cannot implement the node
-            }
-            let Some(imp) = model.implement(cut) else {
+        let implemented = cuts.cuts(id).iter().zip(&matches[cuts.arena_start(id)..]);
+        for (cut_index, (cut, imp)) in implemented.enumerate() {
+            let Some(imp) = *imp else {
                 continue;
             };
             let mut buf = [0.0; MAX_CUT_LEAVES];

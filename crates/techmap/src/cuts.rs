@@ -200,6 +200,18 @@ impl CutSet {
         self.spans.iter().map(|span| span.len as usize).sum()
     }
 
+    /// Length of the arena behind [`CutSet::cuts`], dead sets included: the
+    /// size of an array aligned with it.
+    pub(crate) fn arena_len(&self) -> usize {
+        self.arena.len()
+    }
+
+    /// Arena position of `cuts(node)[0]`: `cuts(node)[i]` sits at
+    /// `arena_start(node) + i` of an array aligned with the arena.
+    pub(crate) fn arena_start(&self, node: NodeId) -> usize {
+        self.spans[node.index()].start as usize
+    }
+
     /// Appends one cut set to the arena and returns its range.
     /// `check_capacity` bounds the arena by `u32::MAX` cuts, so the offsets
     /// cannot truncate.

@@ -7,16 +7,18 @@
 //!   tables (the `if -K 6 -C 8` machinery), plain or pooled over choice
 //!   classes: an allocation-free kernel over inline-leaf cuts in one arena.
 //! * `cover` (crate-private) — the one statement of the covering algorithm
-//!   both mappers run: delay-optimal selection, backward required times,
-//!   area-flow recovery passes that are measured exactly and rolled back
-//!   unless they help. [`lut`] and [`cell`] are a cost model and an emitter
-//!   over it.
+//!   both mappers run: every cut matched once, then delay-optimal
+//!   selection, backward required times, area-flow recovery passes that are
+//!   measured exactly and rolled back unless they help. [`lut`] and [`cell`]
+//!   are a cost model and an emitter over it.
 //! * [`lut`] — delay-oriented LUT mapping with area-flow recovery.
 //! * [`sop`] — SOP balancing (`if -g`): delay-driven resynthesis of the
 //!   network from balanced sum-of-products forms of the selected cuts.
 //! * [`cell`] — standard-cell mapping by NPN Boolean matching against a
 //!   built-in 7-nm-style [`library`], producing area (µm²), delay (ps) and
-//!   level numbers — the QoR metrics reported throughout the paper.
+//!   level numbers — the QoR metrics reported throughout the paper. A
+//!   caller that only scores a mapping ([`cell::try_map_cost`]) gets the
+//!   delay and area without the netlist being emitted.
 //! * [`truth`] — small truth-table utilities (cofactors, NPN canonical forms,
 //!   irredundant sum-of-products).
 //!

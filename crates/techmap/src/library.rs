@@ -6,9 +6,13 @@
 //! the same ballpark as typical 7-nm standard cells. Only the Boolean
 //! function, the area and a single pin-to-output delay matter to the mapper.
 
+use crate::cuts::MAX_CUT_LEAVES;
+use crate::timing::sorted_pin_delays;
 use crate::truth::{expand_to_4, npn_canon4};
 use aig::FxHashMap;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
+use std::num::NonZeroU8;
 
 /// A combinational standard cell.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -92,8 +96,15 @@ impl Cell {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellLibrary {
     cells: Vec<Cell>,
-    /// The smallest-area cell of each NPN class, the first added on ties.
-    by_npn: FxHashMap<u16, usize>,
+    /// Each cell's pin delays in [`sorted_pin_delays`] form, computed once
+    /// here instead of on every timing evaluation.
+    sorted_pins: Vec<[f64; MAX_CUT_LEAVES]>,
+    /// The smallest-area cell of each NPN class, the first added on ties,
+    /// one slot per class in the order the classes first appeared.
+    npn_cells: Vec<usize>,
+    /// NPN class → its slot in `npn_cells`, counted from 1. Four inputs have
+    /// 222 NPN classes, so a slot fits a byte and leaves 0 to mean "none".
+    by_npn: FxHashMap<u16, NonZeroU8>,
     inverter: Option<usize>,
     buffer: Option<usize>,
 }
@@ -107,15 +118,24 @@ impl CellLibrary {
     /// Adds a cell and indexes it by NPN class. Returns its index.
     pub fn add(&mut self, cell: Cell) -> usize {
         let idx = self.cells.len();
-        let cells = &self.cells;
-        self.by_npn
-            .entry(cell.npn_class())
-            .and_modify(|best| {
-                if cells[*best].area_um2 > cell.area_um2 {
+        match self.by_npn.entry(cell.npn_class()) {
+            Entry::Occupied(slot) => {
+                let best = &mut self.npn_cells[usize::from(slot.get().get()) - 1];
+                if self.cells[*best].area_um2 > cell.area_um2 {
                     *best = idx;
                 }
-            })
-            .or_insert(idx);
+            }
+            Entry::Vacant(slot) => {
+                self.npn_cells.push(idx);
+                let next = u8::try_from(self.npn_cells.len())
+                    .ok()
+                    .and_then(NonZeroU8::new)
+                    .unwrap_or_else(|| unreachable!("at most 222 NPN classes of 4 inputs"));
+                slot.insert(next);
+            }
+        }
+        self.sorted_pins
+            .push(sorted_pin_delays(&cell.pin_delays_ps));
         // Track special cells for phase fixing.
         if cell.num_inputs == 1 && cell.function == 0b01 {
             self.inverter.get_or_insert(idx);
@@ -161,7 +181,24 @@ impl CellLibrary {
     /// given 4-variable truth table up to NPN equivalence, or `None` if no
     /// cell realizes its NPN class.
     pub fn match_function(&self, tt4: u16) -> Option<usize> {
+        self.match_slot(tt4).map(|slot| self.slot_cell(slot))
+    }
+
+    /// [`CellLibrary::match_function`] as the matched NPN class's slot: one
+    /// byte, `None` included, that the mapper stores per cut and resolves
+    /// with [`CellLibrary::slot_cell`].
+    pub(crate) fn match_slot(&self, tt4: u16) -> Option<NonZeroU8> {
         self.by_npn.get(&npn_canon4(tt4)).copied()
+    }
+
+    /// The cell an NPN class slot matches.
+    pub(crate) fn slot_cell(&self, slot: NonZeroU8) -> usize {
+        self.npn_cells[usize::from(slot.get()) - 1]
+    }
+
+    /// The pin delays of the cell at `index` in [`sorted_pin_delays`] form.
+    pub(crate) fn sorted_pins(&self, index: usize) -> &[f64; MAX_CUT_LEAVES] {
+        &self.sorted_pins[index]
     }
 
     /// Total number of distinct NPN classes covered by the library.

@@ -43,7 +43,7 @@ struct UnitModel;
 impl CostModel for UnitModel {
     type Impl = ();
 
-    fn implement(&mut self, _cut: &Cut) -> Option<()> {
+    fn implement(&self, _cut: &Cut) -> Option<()> {
         Some(())
     }
 
@@ -76,7 +76,7 @@ pub fn map_to_luts(aig: &Aig, options: &MapOptions) -> LutMapping {
         cut_limit: options.cut_limit,
     };
     let cuts = enumerate_cuts(aig, &cut_options);
-    let covering = cover(aig, &cuts, &mut UnitModel, options.area_passes, None)
+    let covering = cover(aig, &cuts, &UnitModel, options.area_passes, None)
         .unwrap_or_else(|_| unreachable!("every AND node has a non-trivial cut"));
     LutMapping {
         luts: covering

@@ -32,17 +32,19 @@ fn sort_desc(buf: &mut [f64; MAX_CUT_LEAVES], n: usize) {
     }
 }
 
-/// Copies the pin delays into a descending stack buffer, padded with the
-/// slowest pin up to `n` entries (a cut can have more leaves than the
-/// matched cell has pins when its function does not depend on every leaf;
-/// the extras conservatively get the slowest pin).
-fn sorted_pins(pin_delays_ps: &[f64], n: usize) -> [f64; MAX_CUT_LEAVES] {
+/// A cell's pin delays the way the pairing reads them: sorted descending and
+/// padded with the slowest pin to [`MAX_CUT_LEAVES`] entries (a cut can have
+/// more leaves than the matched cell has pins when its function does not
+/// depend on every leaf; the extras conservatively get the slowest pin).
+/// [`crate::library::CellLibrary`] keeps one per cell, so the mapper's inner
+/// loop never sorts.
+pub(crate) fn sorted_pin_delays(pin_delays_ps: &[f64]) -> [f64; MAX_CUT_LEAVES] {
     let mut pins = [0.0f64; MAX_CUT_LEAVES];
     let m = pin_delays_ps.len().min(MAX_CUT_LEAVES);
     pins[..m].copy_from_slice(&pin_delays_ps[..m]);
     sort_desc(&mut pins, m);
     let slowest = pins[0];
-    for slot in pins.iter_mut().take(n).skip(m.max(1)) {
+    for slot in pins.iter_mut().skip(m.max(1)) {
         *slot = slowest;
     }
     pins
@@ -62,6 +64,14 @@ fn sorted_pins(pin_delays_ps: &[f64], n: usize) -> [f64; MAX_CUT_LEAVES] {
 /// # Panics
 /// Panics if there are more than [`MAX_CUT_LEAVES`] leaves.
 pub fn assign_pin_delays(leaf_arrivals: &[f64], pin_delays_ps: &[f64]) -> [f64; MAX_CUT_LEAVES] {
+    assign_sorted_pin_delays(leaf_arrivals, &sorted_pin_delays(pin_delays_ps))
+}
+
+/// [`assign_pin_delays`] over pins already in [`sorted_pin_delays`] form.
+pub(crate) fn assign_sorted_pin_delays(
+    leaf_arrivals: &[f64],
+    pins: &[f64; MAX_CUT_LEAVES],
+) -> [f64; MAX_CUT_LEAVES] {
     let n = leaf_arrivals.len();
     assert!(
         n <= MAX_CUT_LEAVES,
@@ -77,7 +87,6 @@ pub fn assign_pin_delays(leaf_arrivals: &[f64], pin_delays_ps: &[f64]) -> [f64; 
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.cmp(&b))
     });
-    let pins = sorted_pins(pin_delays_ps, n);
     let mut assigned = [0.0; MAX_CUT_LEAVES];
     for (rank, &leaf) in order[..n].iter().enumerate() {
         assigned[leaf] = pins[rank];
@@ -95,6 +104,11 @@ pub fn assign_pin_delays(leaf_arrivals: &[f64], pin_delays_ps: &[f64]) -> [f64; 
 /// # Panics
 /// Panics if there are more than [`MAX_CUT_LEAVES`] leaves.
 pub fn gate_arrival(leaf_arrivals: &[f64], pin_delays_ps: &[f64]) -> f64 {
+    gate_arrival_sorted(leaf_arrivals, &sorted_pin_delays(pin_delays_ps))
+}
+
+/// [`gate_arrival`] over pins already in [`sorted_pin_delays`] form.
+pub(crate) fn gate_arrival_sorted(leaf_arrivals: &[f64], pins: &[f64; MAX_CUT_LEAVES]) -> f64 {
     let n = leaf_arrivals.len();
     assert!(
         n <= MAX_CUT_LEAVES,
@@ -103,7 +117,6 @@ pub fn gate_arrival(leaf_arrivals: &[f64], pin_delays_ps: &[f64]) -> f64 {
     let mut arrivals = [0.0f64; MAX_CUT_LEAVES];
     arrivals[..n].copy_from_slice(leaf_arrivals);
     sort_desc(&mut arrivals, n);
-    let pins = sorted_pins(pin_delays_ps, n);
     let mut worst = 0.0f64;
     for rank in 0..n {
         let sum = arrivals[rank] + pins[rank];

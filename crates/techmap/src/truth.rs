@@ -293,14 +293,15 @@ fn npn_search4(tt: u16) -> u16 {
 /// table that ignores the extra variables.
 pub fn expand_to_4(tt: u64, nvars: usize) -> u16 {
     assert!(nvars <= 4, "expand_to_4 requires at most 4 variables");
-    let bits = 1usize << nvars;
-    let mut out: u16 = 0;
-    for m in 0..16usize {
-        if tt >> (m % bits) & 1 == 1 {
-            out |= 1 << m;
-        }
+    // Minterm `m` reads bit `m mod 2^nvars`: the low `2^nvars` bits repeat
+    // across the 16, doubling the filled width each step.
+    let mut out = tt & full_mask(nvars);
+    let mut width = 1usize << nvars;
+    while width < 16 {
+        out |= out << width;
+        width *= 2;
     }
-    out
+    out as u16
 }
 
 #[cfg(test)]
@@ -438,5 +439,26 @@ mod tests {
         assert!(!depends_on(and4 as u64, 2, 4));
         assert!(!depends_on(and4 as u64, 3, 4));
         assert!(depends_on(and4 as u64, 0, 4));
+    }
+
+    #[test]
+    fn expand_to_4_is_the_minterm_definition_on_every_table() {
+        // Bits above the low `2^nvars` must not leak into the expansion.
+        let garbage = 0xA5A5_5A5A_C3C3_3C3C_u64;
+        for nvars in 0..=4usize {
+            let bits = 1usize << nvars;
+            for tt in 0..1u64 << bits {
+                let expected = (0..16usize).fold(0u16, |acc, m| {
+                    acc | (u16::from(tt >> (m % bits) & 1 == 1) << m)
+                });
+                let noisy = tt | (garbage & !full_mask(nvars));
+                assert_eq!(expand_to_4(tt, nvars), expected, "{nvars} vars, {tt:#x}");
+                assert_eq!(
+                    expand_to_4(noisy, nvars),
+                    expected,
+                    "{nvars} vars, {noisy:#x}"
+                );
+            }
+        }
     }
 }

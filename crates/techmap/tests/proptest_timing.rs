@@ -15,6 +15,10 @@
 //! generator feeds it too: the mapped LUT network computes the circuit's
 //! function, and one more recovery pass is never deeper and never larger.
 //!
+//! The cost-only mapping (`try_map_cost`) must report the emitted netlist's
+//! delay and area bit for bit, on the same random circuits and on benchgen
+//! circuits.
+//!
 //! `PROPTEST_CASES` scales the coverage (CI pins 2000).
 
 // Helper fns here run outside #[test] context, so the clippy.toml
@@ -24,7 +28,7 @@
 use aig::{Aig, NodeId};
 use proptest::prelude::*;
 use std::collections::HashMap;
-use techmap::cell::{try_map_to_cells, Netlist, OutputDriver};
+use techmap::cell::{try_map_cost, try_map_to_cells, Netlist, OutputDriver};
 use techmap::library::asap7_like;
 use techmap::lut::{evaluate_mapping, map_to_luts};
 use techmap::MapOptions;
@@ -204,5 +208,60 @@ proptest! {
         let options = MapOptions { cut_size: 6, area_passes: 2, ..MapOptions::default() };
         let netlist = try_map_to_cells(&circuit, &library, &options).expect("mappable");
         check_netlist_against_oracle(&circuit, &netlist, inv_delay);
+    }
+
+    /// The cost-only mapping is the emitted netlist's delay and area, bit
+    /// for bit, across cut limits, recovery passes and delay targets.
+    #[test]
+    fn cost_only_mapping_is_the_netlist_qor(
+        seed in 0u64..100_000,
+        num_ands in 4usize..80,
+        num_inputs in 2usize..8,
+        num_outputs in 1usize..4,
+        cut_limit in 2usize..10,
+        area_passes in 0usize..4,
+        target_scale in 0.0f64..3.0,
+    ) {
+        let circuit = benchgen::random_aig(num_inputs, num_ands, num_outputs, seed);
+        let library = asap7_like();
+        let options = MapOptions { cut_limit, area_passes, ..MapOptions::default() };
+        assert_cost_is_netlist_qor(&circuit, &options);
+        let target = try_map_cost(&circuit, &library, &options).expect("mappable").0 * target_scale;
+        assert_cost_is_netlist_qor(&circuit, &options.with_delay_target_ps(target));
+    }
+}
+
+/// `try_map_cost` against `try_map_to_cells(..).qor()` under `asap7_like`.
+fn assert_cost_is_netlist_qor(circuit: &Aig, options: &MapOptions) {
+    let library = asap7_like();
+    let (delay, area) = try_map_cost(circuit, &library, options).expect("mappable");
+    let qor = try_map_to_cells(circuit, &library, options)
+        .expect("mappable")
+        .qor();
+    assert_eq!(
+        (delay.to_bits(), area.to_bits()),
+        (qor.delay_ps.to_bits(), qor.area_um2.to_bits()),
+        "{} under {options:?}: cost ({delay}, {area}) vs netlist ({}, {})",
+        circuit.name(),
+        qor.delay_ps,
+        qor.area_um2
+    );
+}
+
+#[test]
+fn cost_only_mapping_is_the_netlist_qor_on_benchgen_circuits() {
+    let circuits = [
+        benchgen::adder(8).aig,
+        benchgen::multiplier(4).aig,
+        benchgen::arbiter(8).aig,
+        benchgen::square_root(8).aig,
+    ];
+    for circuit in &circuits {
+        for area_passes in [0, 1, 3] {
+            assert_cost_is_netlist_qor(
+                circuit,
+                &MapOptions::default().with_area_passes(area_passes),
+            );
+        }
     }
 }
