@@ -19,24 +19,48 @@
 //!   re-canonicalizes the parent entries, re-keys the hashcons, and unions
 //!   any two parents that collapse to the same canonical e-node (upward
 //!   congruence propagation). Unions performed during repair push new dirty
-//!   classes, so the loop runs to a fixpoint.
+//!   classes, so the loop runs to a fixpoint. A dirty class whose parent
+//!   entries are all canonical already is left as it is: re-keying it could
+//!   union nothing. Merging a rule's fresh right-hand side into the matched
+//!   class dirties exactly such a class.
 //! * Only classes whose nodes could have gone stale (parents of dirty
 //!   classes and union winners) have their node lists re-canonicalized and
 //!   deduplicated at the end of a rebuild.
 //!
-//! The cost of a `rebuild` is therefore proportional to the **changed region
-//! of the graph** — the classes touched by unions and their immediate
-//! parents — not to the total graph size. A rebuild with an empty worklist
+//! The cost of a `rebuild` is therefore proportional to the **stale parent
+//! entries** — those of classes touched by unions that name a merged-away
+//! class — not to the total graph size. A rebuild with an empty worklist
 //! is O(1). The differential property tests hold it to a congruence closure
 //! they compute from scratch over their own operation log.
+//!
+//! # The class store
+//!
+//! Classes live densely in a `Vec`, found through an id → slot table;
+//! `union` moves the last class into the loser's slot. Iteration does not
+//! follow the slots but `order`, a hash set of the canonical ids that
+//! reproduces the iteration order of the hash map this store replaced (see
+//! the field's docs for why that order must not move).
 //!
 //! The e-graph also maintains an **operator discriminator index** mapping
 //! [`Language::op_key`] values to the classes containing a node with that
 //! operator; [`crate::Pattern`] uses it so a rule only visits classes whose
-//! nodes can match its root symbol.
+//! nodes can match its root symbol. Below the root the matcher consults
+//! each class's **operator signature**, a 32-bit set of the operators its
+//! nodes have had, and skips a class that cannot hold the one it needs.
 
 use crate::{Id, Language, RecExpr, UnionFind};
 use fxhash::{FxHashMap, FxHashSet};
+
+/// The `slot` entry of an id whose class has been merged away.
+const DEAD: u32 = u32::MAX;
+
+/// The signature bit of an operator key: a class's signature is the OR of
+/// the bits of its nodes' [`Language::op_key`]s. Two keys may share a bit,
+/// so a set bit only says "maybe"; a clear bit says "no node with this key".
+#[inline]
+pub(crate) fn op_signature(key: u64) -> u32 {
+    1 << (key % 32)
+}
 
 /// An equivalence class of e-nodes.
 #[derive(Debug, Clone)]
@@ -50,6 +74,12 @@ pub struct EClass<L> {
     /// Entries may be stale between rebuilds (non-canonical child ids or
     /// class ids); canonicalize through [`EGraph::find`] before use.
     pub(crate) parents: Vec<(L, Id)>,
+    /// Operator signature: bit `op_key % 32` is set for the operator of
+    /// every node the class has held (see [`op_signature`]). A class whose
+    /// signature lacks an operator's bit holds no node with that operator,
+    /// so the matcher skips it. 32 bits fill the padding beside `id`, so the
+    /// signature adds no memory to a class.
+    pub(crate) sig: u32,
 }
 
 impl<L: Language> EClass<L> {
@@ -99,7 +129,23 @@ impl<L: Language> EClass<L> {
 pub struct EGraph<L: Language> {
     unionfind: UnionFind,
     memo: FxHashMap<L, Id>,
-    classes: FxHashMap<Id, EClass<L>>,
+    /// The live classes, packed densely in no meaningful order: `union`
+    /// moves the last class into the loser's place. Reach a class through
+    /// `slot`; iterate in `order`.
+    classes: Vec<EClass<L>>,
+    /// Id → index into `classes`; [`DEAD`] for every id that is not
+    /// canonical (merged away).
+    slot: Vec<u32>,
+    /// The canonical ids, kept only for their iteration order. The set sees
+    /// exactly the insert / remove sequence the id → class hash map this
+    /// store replaced saw (insert in `add`, remove of the loser in `union`),
+    /// and a hash table's layout depends only on its keys, its hasher and
+    /// that sequence, so [`EGraph::classes`] yields classes in the order it
+    /// always did. It exists because `emorphic::extract::classes_in_seed_order`
+    /// and [`crate::Extractor::new`] number classes in that order, and every
+    /// extraction result depends on the numbering. Pinning those to id
+    /// order deletes it.
+    order: FxHashSet<Id>,
     /// Operator discriminator index: `op_key` → classes that were created
     /// holding a node with that operator. Ids may be stale (canonicalize on
     /// read); `add` only appends, and rebuild compacts the index alongside
@@ -120,7 +166,9 @@ impl<L: Language> EGraph<L> {
         EGraph {
             unionfind: UnionFind::new(),
             memo: FxHashMap::default(),
-            classes: FxHashMap::default(),
+            classes: Vec::new(),
+            slot: Vec::new(),
+            order: FxHashSet::default(),
             classes_by_op: FxHashMap::default(),
             pending: Vec::new(),
             stale_nodes: FxHashSet::default(),
@@ -142,9 +190,36 @@ impl<L: Language> EGraph<L> {
     }
 
     /// Looks up an e-node, returning its class if it is already represented.
+    /// A node with a child id this graph never issued is not represented.
     pub fn lookup(&self, node: &L) -> Option<Id> {
+        if node.children().iter().any(|c| c.index() >= self.slot.len()) {
+            return None;
+        }
         let node = self.canonicalize(node);
         self.memo.get(&node).map(|&id| self.find(id))
+    }
+
+    /// The slot of the class stored under exactly `id`, if one is.
+    #[inline]
+    fn slot_of(&self, id: Id) -> Option<usize> {
+        match self.slot.get(id.index()) {
+            Some(&at) if at != DEAD => Some(at as usize),
+            _ => None,
+        }
+    }
+
+    /// The class stored under the canonical id `id`.
+    #[inline]
+    fn class_mut(&mut self, id: Id) -> &mut EClass<L> {
+        let at = self.slot[id.index()] as usize;
+        &mut self.classes[at]
+    }
+
+    /// The classes in `order`, with their ids.
+    fn ordered(&self) -> impl Iterator<Item = (Id, &EClass<L>)> {
+        self.order
+            .iter()
+            .map(move |&id| (id, &self.classes[self.slot[id.index()] as usize]))
     }
 
     /// Adds an e-node (hash-consed); returns the id of its e-class.
@@ -155,24 +230,18 @@ impl<L: Language> EGraph<L> {
         }
         let id = self.unionfind.make_set();
         for &child in node.children() {
-            self.classes
-                .get_mut(&child)
-                .unwrap_or_else(|| unreachable!("canonical child class must exist"))
-                .parents
-                .push((node.clone(), id));
+            self.class_mut(child).parents.push((node.clone(), id));
         }
-        self.classes_by_op
-            .entry(node.op_key())
-            .or_default()
-            .push(id);
-        self.classes.insert(
+        let key = node.op_key();
+        self.classes_by_op.entry(key).or_default().push(id);
+        self.slot.push(self.classes.len() as u32);
+        self.classes.push(EClass {
             id,
-            EClass {
-                id,
-                nodes: vec![node.clone()],
-                parents: Vec::new(),
-            },
-        );
+            nodes: vec![node.clone()],
+            parents: Vec::new(),
+            sig: op_signature(key),
+        });
+        self.order.insert(id);
         self.memo.insert(node, id);
         self.live_nodes += 1;
         id
@@ -203,14 +272,14 @@ impl<L: Language> EGraph<L> {
         }
         let root = self.unionfind.union(a, b);
         let loser = if root == a { b } else { a };
-        let loser_class = self
-            .classes
-            .remove(&loser)
-            .unwrap_or_else(|| unreachable!("loser class must exist"));
-        let winner = self
-            .classes
-            .get_mut(&root)
-            .unwrap_or_else(|| unreachable!("winner class must exist"));
+        let at = std::mem::replace(&mut self.slot[loser.index()], DEAD) as usize;
+        let loser_class = self.classes.swap_remove(at);
+        if let Some(moved) = self.classes.get(at) {
+            self.slot[moved.id.index()] = at as u32;
+        }
+        self.order.remove(&loser);
+        let winner = self.class_mut(root);
+        winner.sig |= loser_class.sig;
         winner.nodes.extend(loser_class.nodes);
         winner.parents.extend(loser_class.parents);
         self.n_unions += 1;
@@ -242,12 +311,28 @@ impl<L: Language> EGraph<L> {
     /// Repairs the parents of one dirty class: re-canonicalize each parent
     /// entry, re-key the hashcons, and union parents that collapse to the
     /// same canonical e-node. Returns the number of congruence unions.
+    ///
+    /// A class whose every parent entry is already canonical (parent class
+    /// and children) is left untouched: re-keying it would remove and
+    /// re-insert each entry under the same key, and no two entries of such a
+    /// list share a node with distinct classes (the repair that made them
+    /// canonical unioned those, leaving one of the two classes stale), so
+    /// the repair could union nothing. This is what a union with a fresh,
+    /// parentless class — every rule's right-hand side — dirties.
     fn repair(&mut self, class: Id) -> usize {
         let class = self.unionfind.find_mut(class);
-        let mut parents = match self.classes.get_mut(&class) {
-            Some(c) => std::mem::take(&mut c.parents),
-            None => return 0,
+        let Some(at) = self.slot_of(class) else {
+            return 0;
         };
+        let uf = &self.unionfind;
+        let canonical = |id: Id| uf.parent(id) == id;
+        let stale = self.classes[at].parents.iter().any(|(node, pclass)| {
+            !canonical(*pclass) || !node.children().iter().all(|&c| canonical(c))
+        });
+        if !stale {
+            return 0;
+        }
+        let mut parents = std::mem::take(&mut self.classes[at].parents);
         for (node, pclass) in &mut parents {
             let mut changed = false;
             self.memo.remove(node);
@@ -282,10 +367,7 @@ impl<L: Language> EGraph<L> {
         // A congruence union above may have merged `class` itself away;
         // reattach the repaired parent entries to the surviving class.
         let owner = self.unionfind.find_mut(class);
-        let owner_class = self
-            .classes
-            .get_mut(&owner)
-            .unwrap_or_else(|| unreachable!("canonical class must exist"));
+        let owner_class = self.class_mut(owner);
         if owner_class.parents.is_empty() {
             owner_class.parents = parents;
         } else {
@@ -308,15 +390,14 @@ impl<L: Language> EGraph<L> {
         stale.dedup();
         let uf = &self.unionfind;
         for id in stale {
-            if let Some(class) = self.classes.get_mut(&id) {
-                let before = class.nodes.len();
-                for node in &mut class.nodes {
-                    node.update_children(|c| uf.find(c));
-                }
-                class.nodes.sort_unstable();
-                class.nodes.dedup();
-                self.live_nodes -= before - class.nodes.len();
+            let class = &mut self.classes[self.slot[id.index()] as usize];
+            let before = class.nodes.len();
+            for node in &mut class.nodes {
+                node.update_children(|c| uf.find(c));
             }
+            class.nodes.sort_unstable();
+            class.nodes.dedup();
+            self.live_nodes -= before - class.nodes.len();
         }
     }
 
@@ -334,7 +415,8 @@ impl<L: Language> EGraph<L> {
         }
         self.memo.clear();
         self.classes_by_op.clear();
-        for class in self.classes.values() {
+        for &id in &self.order {
+            let class = &self.classes[self.slot[id.index()] as usize];
             for node in &class.nodes {
                 self.memo.insert(node.clone(), class.id);
                 let ids = self.classes_by_op.entry(node.op_key()).or_default();
@@ -366,7 +448,7 @@ impl<L: Language> EGraph<L> {
     /// Number of e-classes.
     #[inline]
     pub fn num_classes(&self) -> usize {
-        self.classes.len()
+        self.order.len()
     }
 
     /// Total number of e-nodes across all classes. On a dirty graph this
@@ -394,27 +476,30 @@ impl<L: Language> EGraph<L> {
     pub fn class(&self, id: Id) -> &EClass<L> {
         self.debug_assert_clean("class()");
         let id = self.find(id);
-        &self.classes[&id]
+        &self.classes[self.slot[id.index()] as usize]
     }
 
-    /// Returns the e-class with the given id, if it exists. Like
-    /// [`EGraph::class`], debug-asserts a clean graph.
+    /// Returns the e-class with the given id, if it exists: `None` for an id
+    /// this graph never issued. Like [`EGraph::class`], debug-asserts a
+    /// clean graph.
     pub fn get_class(&self, id: Id) -> Option<&EClass<L>> {
         self.debug_assert_clean("get_class()");
-        let id = self.find(id);
-        self.classes.get(&id)
+        if id.index() >= self.slot.len() {
+            return None;
+        }
+        self.slot_of(self.find(id)).map(|at| &self.classes[at])
     }
 
     /// Iterates over all e-classes. Debug-asserts a clean graph.
     pub fn classes(&self) -> impl Iterator<Item = &EClass<L>> {
         self.debug_assert_clean("classes()");
-        self.classes.values()
+        self.ordered().map(|(_, class)| class)
     }
 
     /// Iterates over all canonical class ids. Debug-asserts a clean graph.
     pub fn class_ids(&self) -> impl Iterator<Item = Id> + '_ {
         self.debug_assert_clean("class_ids()");
-        self.classes.keys().copied()
+        self.order.iter().copied()
     }
 
     /// Canonical class ids in ascending order. Consumers whose output must
@@ -424,7 +509,7 @@ impl<L: Language> EGraph<L> {
     /// clean graph.
     pub fn class_ids_sorted(&self) -> Vec<Id> {
         self.debug_assert_clean("class_ids_sorted()");
-        let mut ids: Vec<Id> = self.classes.keys().copied().collect();
+        let mut ids: Vec<Id> = self.order.iter().copied().collect();
         ids.sort_unstable();
         ids
     }
@@ -455,7 +540,7 @@ impl<L: Language> EGraph<L> {
     pub fn parent_index(&self) -> FxHashMap<Id, Vec<(Id, L)>> {
         self.debug_assert_clean("parent_index()");
         let mut parents: FxHashMap<Id, Vec<(Id, L)>> = FxHashMap::default();
-        for class in self.classes.values() {
+        for (_, class) in self.ordered() {
             if class.parents.is_empty() {
                 continue;
             }
@@ -487,16 +572,17 @@ impl<L: Language> EGraph<L> {
         self.memo.iter().map(|(node, &id)| (node, id))
     }
 
-    /// Iterates `(map key, class)` pairs without the clean-graph debug
-    /// assertion of [`EGraph::classes`].
+    /// Iterates `(store key, class)` pairs in [`EGraph::classes`] order
+    /// without its clean-graph debug assertion.
     pub fn raw_classes(&self) -> impl Iterator<Item = (Id, &EClass<L>)> {
-        self.classes.iter().map(|(&id, class)| (id, class))
+        self.ordered()
     }
 
     /// Returns the class stored under exactly this key (no canonicalization,
-    /// no clean-graph assertion).
+    /// no clean-graph assertion); `None` for a merged-away id or one this
+    /// graph never issued.
     pub fn raw_class(&self, id: Id) -> Option<&EClass<L>> {
-        self.classes.get(&id)
+        self.slot_of(id).map(|at| &self.classes[at])
     }
 
     /// The union-find over e-class ids.
@@ -530,12 +616,14 @@ impl<L: Language> EGraph<L> {
 
     #[doc(hidden)]
     pub fn tamper_class_nodes_mut(&mut self, id: Id) -> Option<&mut Vec<L>> {
-        self.classes.get_mut(&id).map(|class| &mut class.nodes)
+        let at = self.slot_of(id)?;
+        Some(&mut self.classes[at].nodes)
     }
 
     #[doc(hidden)]
     pub fn tamper_parents_mut(&mut self, id: Id) -> Option<&mut Vec<(L, Id)>> {
-        self.classes.get_mut(&id).map(|class| &mut class.parents)
+        let at = self.slot_of(id)?;
+        Some(&mut self.classes[at].parents)
     }
 
     #[doc(hidden)]
@@ -562,18 +650,21 @@ impl<L: Language> EGraph<L> {
     /// every class key is canonical, every node's children are canonical,
     /// no two distinct classes contain the same canonical node, the node
     /// counter matches the class lists, every canonical hashcons entry points
-    /// to the class holding its node, and every child edge is covered by the
-    /// child's parent list. Everything outside this crate asserts through
-    /// `audit::audit_egraph`, which a lib-test build of this crate cannot link.
+    /// to the class holding its node, every child edge is covered by the
+    /// child's parent list, the store's `order` and `slot` agree on the live
+    /// classes, and every class's signature covers its nodes' operators.
+    /// Everything outside this crate asserts through `audit::audit_egraph`,
+    /// which a lib-test build of this crate cannot link.
     #[cfg(test)]
     pub(crate) fn check_invariants(&self) -> Result<(), String> {
         if self.is_dirty() {
             return Err("e-graph is dirty; call rebuild() first".into());
         }
+        self.check_store()?;
         // Canonicalized views built once so the per-node checks below stay
         // O(1): the parent relation and the operator index.
         let mut parent_sets: FxHashMap<Id, FxHashSet<(L, Id)>> = FxHashMap::default();
-        for (&id, class) in &self.classes {
+        for (id, class) in self.ordered() {
             let set = class
                 .parents
                 .iter()
@@ -587,7 +678,7 @@ impl<L: Language> EGraph<L> {
         }
         let mut seen: FxHashMap<&L, Id> = FxHashMap::default();
         let mut counted = 0usize;
-        for (&id, class) in &self.classes {
+        for (id, class) in self.ordered() {
             if self.find(id) != id {
                 return Err(format!("class key {id} is not canonical"));
             }
@@ -659,10 +750,56 @@ impl<L: Language> EGraph<L> {
                 continue;
             }
             let class = self.find(id);
-            if !self.classes[&class].nodes.iter().any(|n| n == node) {
+            if !self.class(class).nodes.iter().any(|n| n == node) {
                 return Err(format!(
                     "hashcons entry {node:?} -> {id} not present in class {class}"
                 ));
+            }
+        }
+        Ok(())
+    }
+
+    /// The dense store's own invariants: `order` lists exactly the ids with
+    /// a live slot, each slot holds the class carrying its id, every
+    /// merged-away id's slot is dead, and each class's signature covers the
+    /// operator of every node it holds.
+    #[cfg(test)]
+    fn check_store(&self) -> Result<(), String> {
+        if self.slot.len() != self.unionfind.len() {
+            return Err(format!(
+                "{} ids issued, but {} slots",
+                self.unionfind.len(),
+                self.slot.len()
+            ));
+        }
+        for &id in &self.order {
+            match self.slot_of(id) {
+                Some(at) if self.classes[at].id == id => {}
+                Some(at) => {
+                    return Err(format!("slot of {id} holds class {}", self.classes[at].id))
+                }
+                None => return Err(format!("ordered id {id} has a dead slot")),
+            }
+        }
+        for index in 0..self.slot.len() {
+            let id = Id::from(index);
+            if self.find(id) != id && self.slot_of(id).is_some() {
+                return Err(format!("merged-away id {id} has a live slot"));
+            }
+        }
+        let live = self.slot.iter().filter(|&&at| at != DEAD).count();
+        if self.order.len() != live || self.classes.len() != live {
+            return Err(format!(
+                "{} ordered ids and {} stored classes, but {live} live slots",
+                self.order.len(),
+                self.classes.len()
+            ));
+        }
+        for (id, class) in self.ordered() {
+            for node in &class.nodes {
+                if class.sig & op_signature(node.op_key()) == 0 {
+                    return Err(format!("signature of {id} misses the operator of {node:?}"));
+                }
             }
         }
         Ok(())
@@ -832,6 +969,63 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<EGraph<SymbolLang>>();
         assert_send_sync::<crate::Rewrite<SymbolLang>>();
+    }
+
+    #[test]
+    fn ids_the_graph_never_issued_have_no_class() {
+        let mut eg: EGraph<SymbolLang> = EGraph::new();
+        let a = leaf(&mut eg, "a");
+        eg.rebuild();
+        let foreign = Id(1000);
+        assert!(eg.get_class(foreign).is_none());
+        assert!(eg.raw_class(foreign).is_none());
+        assert_eq!(eg.lookup(&SymbolLang::new("f", vec![a, foreign])), None);
+        assert_eq!(eg.get_class(a).map(|c| c.id), Some(a));
+    }
+
+    #[test]
+    fn store_invariants_hold_through_unions_and_rebuilds() {
+        // Leaves and binary nodes over a fixed pseudo-random stream, merged
+        // in batches, so `union` removes classes from every position of the
+        // dense store and repair meets both stale and canonical parent lists.
+        let mut eg: EGraph<SymbolLang> = EGraph::new();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let mut ids: Vec<Id> = (0..8).map(|i| leaf(&mut eg, &format!("x{i}"))).collect();
+        for round in 0..12 {
+            for _ in 0..10 {
+                let (a, b) = (ids[next(ids.len())], ids[next(ids.len())]);
+                let op = ["f", "g", "h"][next(3)];
+                ids.push(eg.add(SymbolLang::new(op, vec![a, b])));
+            }
+            for _ in 0..1 + round % 4 {
+                let (a, b) = (ids[next(ids.len())], ids[next(ids.len())]);
+                eg.union(a, b);
+            }
+            eg.rebuild();
+            eg.check_invariants().unwrap();
+        }
+        assert!(eg.num_classes() < ids.len());
+    }
+
+    #[test]
+    fn a_union_with_a_parentless_class_repairs_nothing() {
+        // A rule's right-hand side: a fresh class with no parents merged
+        // into one whose parent entries are all canonical.
+        let mut eg: EGraph<SymbolLang> = EGraph::new();
+        let a = leaf(&mut eg, "a");
+        let fa = eg.add(SymbolLang::new("f", vec![a]));
+        eg.rebuild();
+        let fresh = leaf(&mut eg, "b");
+        eg.union(a, fresh);
+        assert_eq!(eg.rebuild(), 0);
+        assert_eq!(eg.lookup(&SymbolLang::new("f", vec![fresh])), Some(fa));
+        eg.check_invariants().unwrap();
     }
 
     #[test]

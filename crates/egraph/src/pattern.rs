@@ -20,7 +20,10 @@
 //! The matcher runs the program over one reusable stack of rows
 //! ([`MatchScratch`], one per search worker): partial matches are rows on
 //! that stack, extended in place, and the only allocations are the matches
-//! returned.
+//! returned. A `Node` instruction carries its operator's signature bit and
+//! returns at once from a class whose operator signature lacks it; that
+//! class holds no matching e-node, so its scan would have charged no step
+//! and cut nothing, and the contract below is kept to the letter.
 //!
 //! # The order-and-budget contract
 //!
@@ -49,6 +52,7 @@
 //!   budget stopped a scan while candidates were left. A budget that reaches
 //!   zero exactly as the last enumeration ends is still a complete search.
 
+use crate::egraph::op_signature;
 use crate::language::parse_sexpr_into;
 use crate::{EGraph, FromOp, Id, Language, ParseError, RecExpr};
 use std::str::FromStr;
@@ -180,8 +184,9 @@ enum Insn<L> {
     /// Try every e-node of the class that [`Language::matches`] `op`, then
     /// its children against the sub-programs that follow, one per child of
     /// `op`. `end` is the index one past the last of them. The child ids
-    /// `op` itself holds are unused.
-    Node { op: L, end: usize },
+    /// `op` itself holds are unused. `sig` is `op`'s signature bit: a
+    /// class whose signature lacks it holds no node that matches `op`.
+    Node { op: L, end: usize, sig: u32 },
 }
 
 /// A syntactic pattern over language `L` with variables, compiled for
@@ -287,6 +292,7 @@ impl<L: Language> Compiler<'_, L> {
                 self.program.push(Insn::Node {
                     op: op.clone(),
                     end: 0,
+                    sig: op_signature(op.op_key()),
                 });
                 for &child in op.children() {
                     self.emit(child)?;
@@ -366,10 +372,15 @@ impl<L: Language> Machine<'_, L> {
                 self.push_copy(input);
                 1
             }
-            Insn::Node { op, .. } => {
+            Insn::Node { op, sig, .. } => {
                 let Some(class) = egraph.get_class(eclass) else {
                     return 0;
                 };
+                // The loop below would charge nothing and cut nothing on a
+                // class without a matching node; skip it without walking.
+                if class.sig & sig == 0 {
+                    return 0;
+                }
                 let out = self.rows.len();
                 let mut found = 0;
                 for (i, enode) in class.nodes.iter().enumerate() {
@@ -601,7 +612,7 @@ mod tests {
             .map(|insn| match insn {
                 Insn::Bind(slot) => format!("bind {slot}"),
                 Insn::Check(slot) => format!("check {slot}"),
-                Insn::Node { op, end } => format!("{} ..{end}", op.op),
+                Insn::Node { op, end, .. } => format!("{} ..{end}", op.op),
             })
             .collect();
         assert_eq!(kinds, ["+ ..5", "bind 0", "* ..5", "bind 1", "check 0"]);
