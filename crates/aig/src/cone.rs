@@ -69,20 +69,6 @@ pub struct Cone {
 /// otherwise the given nodes are treated as cut points and become the cone's
 /// primary inputs (in the given order).
 ///
-/// # Panics
-/// Panics when an explicit leaf set does not dominate the roots or a root
-/// lies outside the network. Callers that cannot rule out either condition —
-/// the windowed partitioner feeds machine-derived cuts through here — should
-/// use [`try_extract_cone`], which surfaces them as typed [`AigError`]s.
-pub fn extract_cone(aig: &Aig, roots: &[Lit], leaves: Option<&[NodeId]>) -> Cone {
-    match try_extract_cone(aig, roots, leaves) {
-        Ok(cone) => cone,
-        Err(e) => unreachable!("extract_cone on an invalid cut: {e}"),
-    }
-}
-
-/// Fallible variant of [`extract_cone`] for machine-derived cuts.
-///
 /// Not an [`Aig::rebuild`] rule: the walk is partial (the roots' fanin down to
 /// the cut, nothing else) and the cone's inputs are the cut leaves, not the
 /// host's inputs.
@@ -288,7 +274,7 @@ mod tests {
     fn extract_cone_to_primary_inputs() {
         let aig = sample();
         let f = aig.outputs()[0];
-        let cone = extract_cone(&aig, &[f], None);
+        let cone = try_extract_cone(&aig, &[f], None).expect("primary inputs cut every cone");
         assert_eq!(cone.aig.num_outputs(), 1);
         assert_eq!(cone.aig.num_inputs(), 3);
         // f = a & b & c
@@ -313,7 +299,8 @@ mod tests {
             _ => unreachable!(),
         };
         let c_node = aig.inputs()[2];
-        let cone = extract_cone(&aig, &[f], Some(&[ab_node, c_node]));
+        let cone = try_extract_cone(&aig, &[f], Some(&[ab_node, c_node]))
+            .expect("{ab, c} dominates the root");
         assert_eq!(cone.aig.num_inputs(), 2);
         assert_eq!(cone.aig.num_ands(), 1);
         assert_eq!(cone.leaf_map, vec![ab_node, c_node]);

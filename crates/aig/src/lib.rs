@@ -36,10 +36,13 @@ mod network;
 mod sim;
 mod stats;
 
-pub use cone::{extract_cone, mffc_size, tfi, try_extract_cone, Cone, TopoIter};
+pub use cone::{mffc_size, tfi, try_extract_cone, Cone, TopoIter};
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use lit::{Lit, NodeId};
-pub use network::{stack_over_shared_inputs, Aig, AigNode, RebuildView};
+pub use network::{
+    aig_catalog, audit_aig, audit_aig_dag_only, dag_catalog, stack_over_shared_inputs, Aig,
+    AigNode, RebuildView,
+};
 pub use sim::{small_truth_table, SimVector, Simulator};
 pub use stats::AigStats;
 

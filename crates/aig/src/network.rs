@@ -4,6 +4,10 @@ use crate::{AigError, Lit, NodeId, Result};
 use fxhash::FxHashMap;
 use serde::{Deserialize, Serialize};
 
+mod audit;
+
+pub use self::audit::{aig_catalog, audit_aig, audit_aig_dag_only, dag_catalog};
+
 /// A single node of an [`Aig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AigNode {
@@ -575,21 +579,6 @@ impl Aig {
             };
         }
         values
-    }
-
-    /// Raw mutable node storage. Bypasses structural hashing and every
-    /// construction invariant — the `audit` crate's mutation tests use this
-    /// to plant corruptions the auditor must detect. Never call from
-    /// production code.
-    #[doc(hidden)]
-    pub fn tamper_nodes_mut(&mut self) -> &mut Vec<AigNode> {
-        &mut self.nodes
-    }
-
-    /// Raw mutable output list (same caveats as [`Aig::tamper_nodes_mut`]).
-    #[doc(hidden)]
-    pub fn tamper_outputs_mut(&mut self) -> &mut Vec<Lit> {
-        &mut self.outputs
     }
 }
 

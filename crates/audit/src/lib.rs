@@ -1,74 +1,71 @@
-//! Cross-crate invariant auditor.
+//! The shared vocabulary of the workspace's invariant audits.
 //!
 //! Every artifact that crosses a phase boundary in the E-morphic pipeline —
-//! AIGs, e-graphs, choice networks, mapped netlists, SAT solver state — has
-//! structural invariants that, when silently violated, surface much later as
-//! wrong QoR numbers or verification failures. This crate is a static
-//! analysis over those *in-memory* structures: a catalog of typed checkers
-//! (one [`RuleId`] per invariant) that emit [`Diagnostic`]s into an
-//! [`AuditReport`] instead of panicking or returning stringly-typed errors.
+//! AIGs, e-graphs, choice networks, mapped netlists, window partitions, SAT
+//! solver state — has structural invariants that, when silently violated,
+//! surface much later as wrong QoR numbers or verification failures. The
+//! crate that owns a structure audits it: a private `audit` module beside
+//! the type holds one checker per invariant, the crate's catalog and its
+//! entry point (`aig::audit_aig`, `egraph::audit_egraph`,
+//! `sat::audit_solver`, `choices::audit_choices`, `techmap::audit_netlist`,
+//! `window::audit_partition` and `window::audit_stitched`). The checkers read
+//! the structure's private fields, and the unit tests of that module corrupt
+//! those fields and assert that exactly the expected rule fires.
+//!
+//! This crate holds only what the owning crates share, and it depends on no
+//! workspace crate: the typed diagnostic model ([`RuleId`], [`Severity`],
+//! [`Diagnostic`], [`AuditReport`]), the [`Check`] trait, and the cost gate
+//! ([`CheckCost`], [`AuditLevel`], [`run_checks`]).
 //!
 //! The flows thread an [`AuditLevel`] through
 //! (`emorphic::FlowConfig::audit_level`): `Off` costs nothing,
 //! `PhaseBoundaries` runs the [`CheckCost::Cheap`] checkers after each phase,
-//! and `Paranoid` adds the expensive simulation-based ones. Every rule in the
-//! catalog is *mutation-tested*: `tests/mutation_audit.rs` deliberately
-//! corrupts each structure (breaks a watch, reorders a choice member,
-//! stale-canonicalizes a hashcons key, skews one arrival) and asserts that
-//! exactly the expected rule fires.
+//! and `Paranoid` adds the expensive simulation-based ones.
 //!
 //! # Adding a checker
 //!
-//! Implement [`Check`] for the artifact type and add the instance to the
-//! matching catalog function (or pass your own catalog to [`run_checks`]):
+//! A checker lives in the crate that owns the structure it checks. Implement
+//! [`Check`] in that crate's `audit` module, add the instance to the catalog
+//! there, and plant the corruption it must catch in a unit test of the same
+//! module. A caller may also run a catalog of its own through
+//! [`run_checks`]:
 //!
 //! ```
-//! use aig::Aig;
 //! use audit::{run_checks, AuditLevel, AuditReport, Check, CheckCost, RuleId, Severity};
 //!
-//! /// Flags networks that drive no primary output at all.
+//! /// A toy artifact: a design summary.
+//! struct Design {
+//!     outputs: usize,
+//! }
+//!
+//! /// Flags designs that drive no primary output at all.
 //! struct HasOutputs;
 //!
-//! impl Check<Aig> for HasOutputs {
+//! impl Check<Design> for HasOutputs {
 //!     fn rule(&self) -> RuleId {
-//!         RuleId::Custom("aig-has-outputs")
+//!         RuleId::Custom("design-has-outputs")
 //!     }
 //!     fn cost(&self) -> CheckCost {
 //!         CheckCost::Cheap
 //!     }
-//!     fn check(&self, aig: &Aig, report: &mut AuditReport) {
-//!         if aig.num_outputs() == 0 {
-//!             report.push(self.rule(), Severity::Warning, "network", "no primary outputs");
+//!     fn check(&self, design: &Design, report: &mut AuditReport) {
+//!         if design.outputs == 0 {
+//!             report.push(self.rule(), Severity::Warning, "design", "no primary outputs");
 //!         }
 //!     }
 //! }
 //!
-//! let aig = Aig::new("empty");
-//! let checks: Vec<Box<dyn Check<Aig>>> = vec![Box::new(HasOutputs)];
-//! let report = run_checks(&aig, &checks, AuditLevel::PhaseBoundaries);
+//! let checks: Vec<Box<dyn Check<Design>>> = vec![Box::new(HasOutputs)];
+//! let report = run_checks(&Design { outputs: 0 }, &checks, AuditLevel::PhaseBoundaries);
 //! assert_eq!(report.checks_run, 1);
-//! assert_eq!(report.fired_rules(), vec![RuleId::Custom("aig-has-outputs")]);
+//! assert_eq!(report.fired_rules(), vec![RuleId::Custom("design-has-outputs")]);
 //! ```
 
 #![warn(missing_docs)]
 
-mod aig_checks;
-mod choice_checks;
-mod egraph_checks;
-mod netlist_checks;
 mod report;
-mod sat_checks;
-mod window_checks;
 
-pub use aig_checks::{aig_catalog, audit_aig, audit_aig_dag_only, dag_catalog};
-pub use choice_checks::{audit_choices, choice_catalog};
-pub use egraph_checks::{audit_egraph, egraph_catalog};
-pub use netlist_checks::{audit_netlist, netlist_catalog, MappedDesign};
 pub use report::{AuditLevel, AuditReport, CheckCost, Diagnostic, RuleId, Severity};
-pub use sat_checks::{audit_solver, sat_catalog};
-pub use window_checks::{
-    audit_partition, audit_stitched, stitch_catalog, window_catalog, PartitionedAig, StitchedDesign,
-};
 
 /// One invariant checker over artifact type `T`.
 ///

@@ -33,7 +33,8 @@ pub enum RuleId {
     /// The dirty worklists are empty (the e-graph has been rebuilt).
     EgraphDirty,
     /// Every class in the class map is keyed canonically, records its own
-    /// id, and is non-empty.
+    /// id, and is non-empty; the dense class store holds a live slot for
+    /// exactly the canonical ids.
     EgraphCanonicalClass,
     /// Every node stored in a rebuilt class has canonical children.
     EgraphCanonicalChildren,
@@ -46,7 +47,8 @@ pub enum RuleId {
     EgraphHashcons,
     /// Parent lists cover every child→user edge found by a full scan.
     EgraphParents,
-    /// The operator index covers every (op, class) pair of the live nodes.
+    /// The operator index covers every (op, class) pair of the live nodes,
+    /// and each class's operator signature covers the operators it holds.
     EgraphOpIndex,
     /// The live-node counter matches the summed class sizes.
     EgraphNodeCount,
@@ -98,8 +100,9 @@ pub enum RuleId {
     // ---- Windowed saturation ----
     /// Every AND gate of the host AIG belongs to at least one window volume.
     WindowCoverage,
-    /// Window leaves form a true cut: the root is interior, interior fanins
-    /// stay in `volume ∪ leaves ∪ {constant}`, and no leaf is interior.
+    /// Window leaves form a true cut: the root is interior and unique to its
+    /// window, interior fanins stay in `volume ∪ leaves ∪ {constant}`, no
+    /// leaf is interior, and the extracted cone matches the cut.
     WindowLeafCut,
     /// The stitch translation table maps every boundary literal (window
     /// leaves and roots, host inputs and output drivers).
@@ -108,7 +111,7 @@ pub enum RuleId {
     /// catalog.
     WindowChoiceDag,
 
-    /// An extension point for checkers defined outside this crate.
+    /// The rule of a checker outside the shipped catalogs.
     Custom(&'static str),
 }
 

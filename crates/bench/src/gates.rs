@@ -5,7 +5,8 @@
 
 use crate::{num, saturated, Run, Table};
 use aig::io::{read_aiger, read_eqn, write_aiger, write_eqn};
-use audit::{audit_aig, audit_solver, AuditLevel, AuditReport};
+use aig::{audit_aig, audit_aig_dag_only};
+use audit::{AuditLevel, AuditReport};
 use benchgen::{BenchCircuit, SuiteScale};
 use cec::{check_equivalence_swept, AigCnf, CecOptions, CecResult, SweepOptions};
 use emorphic::extract::sa::{SaEngine, SaOptions};
@@ -17,7 +18,7 @@ use emorphic::flow::{emorphic_flow, FlowConfig, MapFlowResult, MapObjective};
 use emorphic::{try_selection_to_aig, ExtractorKind};
 use emorphic_server::{JobRequest, JobState, ServerOptions, SynthesisServer};
 use sat::dimacs::CnfFormula;
-use sat::{ClauseSink, Lit as SLit};
+use sat::{audit_solver, ClauseSink, Lit as SLit};
 use std::time::Instant;
 use techmap::cell::map_to_cells;
 use techmap::library::asap7_like;
@@ -153,7 +154,7 @@ pub(crate) fn extract(run: &mut Run) {
     for BenchCircuit { name, aig } in run.suite() {
         eprintln!("[extract] {name}");
         let state = saturated(&aig, iterations, node_limit, 500);
-        let egraph_audit = audit::audit_egraph(&state.egraph, AuditLevel::Paranoid);
+        let egraph_audit = egraph::audit_egraph(&state.egraph, AuditLevel::Paranoid);
         audit_check(
             run,
             "egraph-audit-clean",
@@ -190,7 +191,7 @@ pub(crate) fn extract(run: &mut Run) {
             }
             run.check("extraction-succeeds", &label, extracted.is_ok(), &[]);
             let Ok(extracted) = extracted else { continue };
-            let aig_audit = audit::audit_aig_dag_only(&extracted, AuditLevel::Paranoid);
+            let aig_audit = audit_aig_dag_only(&extracted, AuditLevel::Paranoid);
             audit_check(
                 run,
                 "extracted-aig-audit-clean",

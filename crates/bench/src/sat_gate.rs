@@ -166,7 +166,7 @@ pub(crate) fn sat(run: &mut Run) {
         let new_stats = solver.stats();
         // The post-query solver state must satisfy every structural invariant
         // (watches, trail, heap, learnt LBDs).
-        let solver_audit = audit::audit_solver(&solver, audit::AuditLevel::Paranoid);
+        let solver_audit = sat::audit_solver(&solver, audit::AuditLevel::Paranoid);
         audit_check(
             run,
             "solver-audit-clean",

@@ -465,7 +465,6 @@ pub fn egraph_to_choices_with_selection<L: BoolNode>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::check_members_equivalent;
     use egraph::{RecExpr, SymbolLang};
 
     /// `SymbolLang` terms over `&`, `|`, `!`, `xN`, `true`/`false` read as
@@ -532,7 +531,8 @@ mod tests {
         let (choices, stats) = export(&eg, &[eg.find(root)], 3, &ChoiceConfig::default());
         assert_eq!(stats.classes, 1, "stats: {stats:?}");
         assert!(choices.num_alternatives() >= 1);
-        check_members_equivalent(&choices).unwrap();
+        let report = crate::audit_choices(&choices, audit::AuditLevel::Paranoid);
+        assert!(report.is_clean(), "{report}");
         // The representative network computes the function.
         let repr = choices.repr_network();
         for p in 0..8usize {

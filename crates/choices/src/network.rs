@@ -1,10 +1,12 @@
 //! The choice-annotated AIG network type.
 
 use crate::ChoiceError;
-#[cfg(test)]
-use aig::AigNode;
 use aig::{Aig, Lit, NodeId};
 use fxhash::{FxHashMap, FxHashSet};
+
+mod audit;
+
+pub use self::audit::{audit_choices, choice_catalog};
 
 /// DFS colors for the cycle-safe rebuild.
 const WHITE: u8 = 0;
@@ -171,21 +173,6 @@ impl ChoiceAig {
     #[inline]
     pub fn classes(&self) -> &[ChoiceClass] {
         &self.classes
-    }
-
-    /// Raw mutable class list. Bypasses every construction invariant — the
-    /// `audit` crate's mutation tests use this to plant corruptions the
-    /// auditor must detect. Never call from production code.
-    #[doc(hidden)]
-    pub fn tamper_classes_mut(&mut self) -> &mut Vec<ChoiceClass> {
-        &mut self.classes
-    }
-
-    /// Raw mutable underlying network (same caveats as
-    /// [`ChoiceAig::tamper_classes_mut`]).
-    #[doc(hidden)]
-    pub fn tamper_aig_mut(&mut self) -> &mut Aig {
-        &mut self.aig
     }
 
     /// The class represented by `node`, if it is a representative.
@@ -509,56 +496,6 @@ pub fn filter_ordering(classes: Vec<ChoiceClass>) -> (Vec<ChoiceClass>, usize) {
     (kept, dropped)
 }
 
-/// Checks (by exhaustive simulation, inputs ≤ 16) that every member of every
-/// class evaluates to the class function: the oracle of this crate's unit
-/// tests. Everything outside the crate asserts through `audit::audit_choices`
-/// at `AuditLevel::Paranoid`, which a lib-test build of this crate cannot
-/// link.
-#[cfg(test)]
-pub(crate) fn check_members_equivalent(choices: &ChoiceAig) -> Result<(), String> {
-    let aig = choices.aig();
-    assert!(aig.num_inputs() <= 16, "exhaustive check needs ≤16 inputs");
-    for pattern in 0..(1usize << aig.num_inputs()) {
-        let bits: Vec<bool> = (0..aig.num_inputs())
-            .map(|i| pattern >> i & 1 == 1)
-            .collect();
-        let values = node_values(aig, &bits);
-        for (index, class) in choices.classes().iter().enumerate() {
-            let repr = class.repr();
-            let expected = values[repr.node().index()] ^ repr.is_complemented();
-            for &member in class.alternatives() {
-                let got = values[member.node().index()] ^ member.is_complemented();
-                if got != expected {
-                    return Err(format!(
-                        "class {index}: member {} disagrees with representative {} on pattern \
-                         {pattern}",
-                        member.node(),
-                        repr.node()
-                    ));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Evaluates every node of `aig` on one input assignment.
-#[cfg(test)]
-fn node_values(aig: &Aig, inputs: &[bool]) -> Vec<bool> {
-    let mut values = vec![false; aig.num_nodes()];
-    for id in aig.node_ids() {
-        values[id.index()] = match aig.node(id) {
-            AigNode::Const => false,
-            AigNode::Input { index } => inputs[*index as usize],
-            AigNode::And { fanin0, fanin1 } => {
-                (values[fanin0.node().index()] ^ fanin0.is_complemented())
-                    && (values[fanin1.node().index()] ^ fanin1.is_complemented())
-            }
-        };
-    }
-    values
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -598,7 +535,8 @@ mod tests {
         assert_eq!(stats.classes, 1);
         assert_eq!(stats.alternatives, 1);
         assert_eq!(choices.num_classes(), 1);
-        check_members_equivalent(&choices).unwrap();
+        let report = audit_choices(&choices, ::audit::AuditLevel::Paranoid);
+        assert!(report.is_clean(), "{report}");
         // The representative cone must still compute (a & b) | c.
         let repr = choices.repr_network();
         for p in 0..8usize {

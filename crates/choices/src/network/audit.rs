@@ -1,19 +1,16 @@
-//! Checkers over [`choices::ChoiceAig`]: the class bookkeeping invariants
+//! The choice network's own checkers: the class bookkeeping invariants
 //! (repr-last ordering, member validity, phase/duplicate hygiene) plus the
-//! expensive exhaustive-simulation equivalence check (the public successor
-//! of the string-typed `check_members_equivalent`, now a private helper of
-//! the `choices` unit tests).
+//! expensive exhaustive-simulation equivalence check.
 
-use aig::NodeId;
-use choices::ChoiceAig;
+use ::audit::{run_checks, AuditLevel, AuditReport, Check, CheckCost, RuleId, Severity};
+use aig::{audit_aig_dag_only, NodeId};
 use fxhash::{FxHashMap, FxHashSet};
 
-use crate::report::{AuditReport, CheckCost, RuleId, Severity};
-use crate::Check;
+use super::{ChoiceAig, ChoiceClass};
 
 /// [`RuleId::ChoiceReprLast`]: the representative is the topologically last
 /// member of its class (every alternative has a strictly smaller node id).
-pub struct ReprLast;
+struct ReprLast;
 
 impl Check<ChoiceAig> for ReprLast {
     fn rule(&self) -> RuleId {
@@ -46,7 +43,7 @@ impl Check<ChoiceAig> for ReprLast {
 
 /// [`RuleId::ChoiceMemberValid`]: every class has a representative plus at
 /// least one alternative, and every member references an AND node in range.
-pub struct MemberValid;
+struct MemberValid;
 
 impl Check<ChoiceAig> for MemberValid {
     fn rule(&self) -> RuleId {
@@ -95,7 +92,7 @@ impl Check<ChoiceAig> for MemberValid {
 /// [`RuleId::ChoicePhaseConflict`]: within one class a node may occur with
 /// only one phase (a node equal to both `f` and `!f` would make `f`
 /// constant, which choice classes never record).
-pub struct PhaseConflict;
+struct PhaseConflict;
 
 impl Check<ChoiceAig> for PhaseConflict {
     fn rule(&self) -> RuleId {
@@ -124,7 +121,7 @@ impl Check<ChoiceAig> for PhaseConflict {
 
 /// [`RuleId::ChoiceDuplicateMember`]: no node appears twice in one class,
 /// and no node represents more than one class.
-pub struct DuplicateMember;
+struct DuplicateMember;
 
 impl Check<ChoiceAig> for DuplicateMember {
     fn rule(&self) -> RuleId {
@@ -165,7 +162,7 @@ impl Check<ChoiceAig> for DuplicateMember {
 
 /// [`RuleId::ChoiceMemberEquiv`]: exhaustive simulation proves every member
 /// equivalent to its representative. Expensive; skipped above 16 inputs.
-pub struct MemberEquiv;
+struct MemberEquiv;
 
 impl Check<ChoiceAig> for MemberEquiv {
     fn rule(&self) -> RuleId {
@@ -183,7 +180,7 @@ impl Check<ChoiceAig> for MemberEquiv {
         }
         // Range errors belong to MemberValid; simulate only classes whose
         // members all resolve.
-        let in_range = |class: &choices::ChoiceClass| {
+        let in_range = |class: &ChoiceClass| {
             class
                 .members
                 .iter()
@@ -238,11 +235,88 @@ pub fn choice_catalog() -> Vec<Box<dyn Check<ChoiceAig>>> {
 /// rules over the underlying member AIG (alternatives dangle by design, so
 /// the dangling-AND warning is excluded; cycle-freedom of the member DAGs is
 /// exactly [`RuleId::AigTopoOrder`] on that network).
-pub fn audit_choices(choices: &ChoiceAig, level: crate::AuditLevel) -> AuditReport {
-    let mut report = crate::run_checks(choices, &choice_catalog(), level);
-    report.absorb(
-        "member-aig",
-        crate::audit_aig_dag_only(choices.aig(), level),
-    );
+pub fn audit_choices(choices: &ChoiceAig, level: AuditLevel) -> AuditReport {
+    let mut report = run_checks(choices, &choice_catalog(), level);
+    report.absorb("member-aig", audit_aig_dag_only(choices.aig(), level));
     report
+}
+
+/// Mutation tests: each starts from a clean network, corrupts its private
+/// class list directly, and asserts the expected rule fires.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aig::{Aig, Lit};
+
+    /// One class with two genuinely equivalent structures for `a & b & c`:
+    /// representative `s2 = a & (b & c)` (node 7), alternative
+    /// `s1 = (a & b) & c` (node 5). Returns the network plus `[t1, s1, t2, s2]`.
+    fn choice_base() -> (ChoiceAig, [Lit; 4]) {
+        let mut aig = Aig::new("choice-mutant");
+        let a = aig.add_input("a");
+        let b = aig.add_input("b");
+        let c = aig.add_input("c");
+        let t1 = aig.and(a, b);
+        let s1 = aig.and(t1, c);
+        let t2 = aig.and(b, c);
+        let s2 = aig.and(a, t2);
+        aig.add_output(s2, "f");
+        let class = ChoiceClass {
+            members: vec![s2, s1],
+        };
+        let choices = ChoiceAig::new(aig, vec![class]).expect("valid choice network");
+        let report = audit_choices(&choices, AuditLevel::Paranoid);
+        assert!(report.is_clean(), "choice base audit not clean:\n{report}");
+        (choices, [t1, s1, t2, s2])
+    }
+
+    #[test]
+    fn choice_repr_last_fires_on_reordered_members() {
+        let (mut choices, _) = choice_base();
+        // The alternative (smaller node) becomes the representative.
+        choices.classes[0].members.swap(0, 1);
+        let report = audit_choices(&choices, AuditLevel::Paranoid);
+        assert_eq!(report.fired_rules(), vec![RuleId::ChoiceReprLast]);
+    }
+
+    #[test]
+    fn choice_member_valid_fires_on_non_and_member() {
+        let (mut choices, _) = choice_base();
+        // The alternative now names input node 1. PhaseBoundaries keeps the
+        // expensive equivalence check (which would also catch this) out of
+        // the fired set.
+        choices.classes[0].members[1] = Lit::from_raw(1 << 1);
+        let report = audit_choices(&choices, AuditLevel::PhaseBoundaries);
+        assert_eq!(report.fired_rules(), vec![RuleId::ChoiceMemberValid]);
+    }
+
+    #[test]
+    fn choice_phase_conflict_fires_on_both_phases() {
+        let (mut choices, [_, s1, _, _]) = choice_base();
+        // s1 joins its own complement: necessarily both a phase conflict and
+        // a duplicate node, so the fired pair is pinned exactly.
+        choices.classes[0].members.push(s1.not());
+        let report = audit_choices(&choices, AuditLevel::PhaseBoundaries);
+        assert_eq!(
+            report.fired_rules(),
+            vec![RuleId::ChoicePhaseConflict, RuleId::ChoiceDuplicateMember]
+        );
+    }
+
+    #[test]
+    fn choice_duplicate_member_fires_on_repeated_member() {
+        let (mut choices, [_, s1, _, _]) = choice_base();
+        choices.classes[0].members.push(s1);
+        let report = audit_choices(&choices, AuditLevel::Paranoid);
+        assert_eq!(report.fired_rules(), vec![RuleId::ChoiceDuplicateMember]);
+    }
+
+    #[test]
+    fn choice_member_equiv_fires_on_wrong_function() {
+        let (mut choices, [t1, ..]) = choice_base();
+        // t1 = a & b is a valid, well-ordered AND — but not a & b & c.
+        choices.classes[0].members[1] = t1;
+        let report = audit_choices(&choices, AuditLevel::Paranoid);
+        assert_eq!(report.fired_rules(), vec![RuleId::ChoiceMemberEquiv]);
+    }
 }

@@ -45,29 +45,26 @@ use crate::extract::{
 use crate::lang::BoolLang;
 use crate::rules::all_rules;
 use crate::windowed::{saturate_windows, windowed_resynthesis, WindowReport};
-use aig::Aig;
-use audit::{
-    audit_aig_dag_only, audit_choices, audit_egraph, audit_netlist, audit_partition,
-    audit_stitched, AuditLevel, AuditReport,
-};
+use aig::{audit_aig_dag_only, Aig};
+use audit::{AuditLevel, AuditReport};
 /// The one verifier of every driver: [`emorphic_flow`] and the job server
 /// hand it to [`verify_and_map`], [`emorphic_map_flow`] calls it on the
 /// mapped netlist.
 pub use cec::check_equivalence_swept;
 use cec::{CecOptions, CecResult};
 use choices::{
-    egraph_to_choices_with_selection, BoolNode, ChoiceConfig, ChoiceCost, ChoiceError,
-    ClassSelection, ExportStats,
+    audit_choices, egraph_to_choices_with_selection, BoolNode, ChoiceConfig, ChoiceCost,
+    ChoiceError, ClassSelection, ExportStats,
 };
-use egraph::{EGraph, Id, Rewrite, Runner, Scheduler};
+use egraph::{audit_egraph, EGraph, Id, Rewrite, Runner, Scheduler};
 use logic_opt::{dch_like, DchOptions};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use techmap::cell::{map_to_cells, try_map_to_cells, try_map_to_cells_with_choices, Netlist};
 use techmap::library::{asap7_like, CellLibrary};
-use techmap::{sop::sop_balance, MapError, MapOptions, Qor};
-use window::{WindowError, WindowOptions};
+use techmap::{audit_netlist, sop::sop_balance, MapError, MapOptions, Qor};
+use window::{audit_partition, audit_stitched, WindowError, WindowOptions};
 
 /// Configuration of the synthesis flows. Two configurations are equal when
 /// every knob holds the same value, which is the comparison the job server

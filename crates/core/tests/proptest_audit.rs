@@ -12,20 +12,20 @@
 // test relaxation does not reach them.
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
-use aig::Aig;
-use audit::{audit_aig, audit_choices, audit_egraph, audit_netlist, audit_solver, AuditLevel};
+use aig::{audit_aig, Aig};
+use audit::AuditLevel;
 use cec::AigCnf;
-use choices::{egraph_to_choices, ChoiceAig, ChoiceConfig};
-use egraph::{Runner, Scheduler};
+use choices::{audit_choices, egraph_to_choices, ChoiceAig, ChoiceConfig};
+use egraph::{audit_egraph, Runner, Scheduler};
 use emorphic::convert::ConversionResult;
 use emorphic::flow::{emorphic_flow, FlowConfig};
 use emorphic::{aig_to_egraph, all_rules};
 use proptest::prelude::*;
 use sat::dimacs::CnfFormula;
-use sat::{ClauseSink, Lit as SatLit};
+use sat::{audit_solver, ClauseSink, Lit as SatLit};
 use techmap::cell::map_to_cells;
 use techmap::library::asap7_like;
-use techmap::MapOptions;
+use techmap::{audit_netlist, MapOptions};
 
 /// Saturates a circuit with the paper's rule set at a budget small enough
 /// to keep thousands of cases tractable.

@@ -51,6 +51,12 @@
 use crate::{Id, Language, RecExpr, UnionFind};
 use fxhash::{FxHashMap, FxHashSet};
 
+mod audit;
+
+#[cfg(test)]
+pub(crate) use self::audit::assert_audit_clean;
+pub use self::audit::{audit_egraph, egraph_catalog};
+
 /// The `slot` entry of an id whose class has been merged away.
 const DEAD: u32 = u32::MAX;
 
@@ -555,255 +561,6 @@ impl<L: Language> EGraph<L> {
         }
         parents
     }
-
-    // ------------------------------------------------------------------
-    // Audit surface
-    //
-    // Raw read accessors for the `audit` crate's typed invariant checkers.
-    // Unlike `classes()`/`class()` these never debug-assert a clean graph,
-    // so an auditor can inspect a dirty or deliberately corrupted graph
-    // without tripping assertions on the way to its diagnosis.
-    // ------------------------------------------------------------------
-
-    /// Iterates the raw hashcons entries `(node, class-at-insert-time)`.
-    /// Keys may be stale (non-canonical) forms awaiting compaction; readers
-    /// must canonicalize.
-    pub fn memo_entries(&self) -> impl Iterator<Item = (&L, Id)> {
-        self.memo.iter().map(|(node, &id)| (node, id))
-    }
-
-    /// Iterates `(store key, class)` pairs in [`EGraph::classes`] order
-    /// without its clean-graph debug assertion.
-    pub fn raw_classes(&self) -> impl Iterator<Item = (Id, &EClass<L>)> {
-        self.ordered()
-    }
-
-    /// Returns the class stored under exactly this key (no canonicalization,
-    /// no clean-graph assertion); `None` for a merged-away id or one this
-    /// graph never issued.
-    pub fn raw_class(&self, id: Id) -> Option<&EClass<L>> {
-        self.slot_of(id).map(|at| &self.classes[at])
-    }
-
-    /// The union-find over e-class ids.
-    pub fn unionfind(&self) -> &UnionFind {
-        &self.unionfind
-    }
-
-    /// Iterates the operator-discriminator index entries; listed ids may be
-    /// stale (canonicalize on read).
-    pub fn op_index_entries(&self) -> impl Iterator<Item = (u64, &[Id])> {
-        self.classes_by_op
-            .iter()
-            .map(|(&key, ids)| (key, ids.as_slice()))
-    }
-
-    // ------------------------------------------------------------------
-    // Corruption hooks for the `audit` crate's mutation tests. Each one
-    // deliberately breaks a single structure so a test can prove the
-    // corresponding audit rule detects it. Never call from production code.
-    // ------------------------------------------------------------------
-
-    #[doc(hidden)]
-    pub fn tamper_memo_insert(&mut self, node: L, id: Id) {
-        self.memo.insert(node, id);
-    }
-
-    #[doc(hidden)]
-    pub fn tamper_memo_remove(&mut self, node: &L) {
-        self.memo.remove(node);
-    }
-
-    #[doc(hidden)]
-    pub fn tamper_class_nodes_mut(&mut self, id: Id) -> Option<&mut Vec<L>> {
-        let at = self.slot_of(id)?;
-        Some(&mut self.classes[at].nodes)
-    }
-
-    #[doc(hidden)]
-    pub fn tamper_parents_mut(&mut self, id: Id) -> Option<&mut Vec<(L, Id)>> {
-        let at = self.slot_of(id)?;
-        Some(&mut self.classes[at].parents)
-    }
-
-    #[doc(hidden)]
-    pub fn tamper_set_live_nodes(&mut self, n: usize) {
-        self.live_nodes = n;
-    }
-
-    #[doc(hidden)]
-    pub fn tamper_pending_push(&mut self, id: Id) {
-        self.pending.push(id);
-    }
-
-    #[doc(hidden)]
-    pub fn tamper_op_index_clear(&mut self) {
-        self.classes_by_op.clear();
-    }
-
-    #[doc(hidden)]
-    pub fn tamper_unionfind_mut(&mut self) -> &mut UnionFind {
-        &mut self.unionfind
-    }
-
-    /// Checks internal invariants (the oracle of this crate's unit tests):
-    /// every class key is canonical, every node's children are canonical,
-    /// no two distinct classes contain the same canonical node, the node
-    /// counter matches the class lists, every canonical hashcons entry points
-    /// to the class holding its node, every child edge is covered by the
-    /// child's parent list, the store's `order` and `slot` agree on the live
-    /// classes, and every class's signature covers its nodes' operators.
-    /// Everything outside this crate asserts through `audit::audit_egraph`,
-    /// which a lib-test build of this crate cannot link.
-    #[cfg(test)]
-    pub(crate) fn check_invariants(&self) -> Result<(), String> {
-        if self.is_dirty() {
-            return Err("e-graph is dirty; call rebuild() first".into());
-        }
-        self.check_store()?;
-        // Canonicalized views built once so the per-node checks below stay
-        // O(1): the parent relation and the operator index.
-        let mut parent_sets: FxHashMap<Id, FxHashSet<(L, Id)>> = FxHashMap::default();
-        for (id, class) in self.ordered() {
-            let set = class
-                .parents
-                .iter()
-                .map(|(node, pclass)| (self.canonicalize(node), self.find(*pclass)))
-                .collect();
-            parent_sets.insert(id, set);
-        }
-        let mut op_sets: FxHashMap<u64, FxHashSet<Id>> = FxHashMap::default();
-        for (&key, ids) in &self.classes_by_op {
-            op_sets.insert(key, ids.iter().map(|&i| self.find(i)).collect());
-        }
-        let mut seen: FxHashMap<&L, Id> = FxHashMap::default();
-        let mut counted = 0usize;
-        for (id, class) in self.ordered() {
-            if self.find(id) != id {
-                return Err(format!("class key {id} is not canonical"));
-            }
-            if class.id != id {
-                return Err(format!("class {id} carries wrong id {}", class.id));
-            }
-            if class.nodes.is_empty() {
-                return Err(format!("class {id} is empty"));
-            }
-            counted += class.nodes.len();
-            for node in &class.nodes {
-                for &child in node.children() {
-                    if self.find(child) != child {
-                        return Err(format!(
-                            "node {node:?} in class {id} has non-canonical child {child}"
-                        ));
-                    }
-                }
-                if let Some(&other) = seen.get(node) {
-                    if other != id {
-                        return Err(format!(
-                            "congruence violated: {node:?} appears in classes {other} and {id}"
-                        ));
-                    }
-                }
-                seen.insert(node, id);
-                match self.memo.get(node) {
-                    Some(&m) if self.find(m) == id => {}
-                    Some(&m) => {
-                        return Err(format!(
-                            "hashcons points {node:?} to {m} but it lives in {id}"
-                        ))
-                    }
-                    None => return Err(format!("node {node:?} missing from hashcons")),
-                }
-                // Every child edge must be covered by the child's parent
-                // list (entries may be stale; compare canonicalized).
-                for &child in node.children() {
-                    let covered = parent_sets
-                        .get(&child)
-                        .is_some_and(|set| set.contains(&(node.clone(), id)));
-                    if !covered {
-                        return Err(format!(
-                            "parent list of class {child} misses parent {node:?} (class {id})"
-                        ));
-                    }
-                }
-                // The operator index must cover the class under this node's key.
-                let indexed = op_sets
-                    .get(&node.op_key())
-                    .is_some_and(|ids| ids.contains(&id));
-                if !indexed {
-                    return Err(format!("op index misses class {id} for node {node:?}"));
-                }
-            }
-        }
-        if counted != self.live_nodes {
-            return Err(format!(
-                "node counter {} disagrees with class lists {counted}",
-                self.live_nodes
-            ));
-        }
-        // Canonical hashcons entries must point into the graph consistently;
-        // entries keyed under stale forms are unreachable garbage awaiting
-        // compaction and are exempt.
-        for (node, &id) in &self.memo {
-            let canonical = node.children().iter().all(|&c| self.find(c) == c);
-            if !canonical {
-                continue;
-            }
-            let class = self.find(id);
-            if !self.class(class).nodes.iter().any(|n| n == node) {
-                return Err(format!(
-                    "hashcons entry {node:?} -> {id} not present in class {class}"
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// The dense store's own invariants: `order` lists exactly the ids with
-    /// a live slot, each slot holds the class carrying its id, every
-    /// merged-away id's slot is dead, and each class's signature covers the
-    /// operator of every node it holds.
-    #[cfg(test)]
-    fn check_store(&self) -> Result<(), String> {
-        if self.slot.len() != self.unionfind.len() {
-            return Err(format!(
-                "{} ids issued, but {} slots",
-                self.unionfind.len(),
-                self.slot.len()
-            ));
-        }
-        for &id in &self.order {
-            match self.slot_of(id) {
-                Some(at) if self.classes[at].id == id => {}
-                Some(at) => {
-                    return Err(format!("slot of {id} holds class {}", self.classes[at].id))
-                }
-                None => return Err(format!("ordered id {id} has a dead slot")),
-            }
-        }
-        for index in 0..self.slot.len() {
-            let id = Id::from(index);
-            if self.find(id) != id && self.slot_of(id).is_some() {
-                return Err(format!("merged-away id {id} has a live slot"));
-            }
-        }
-        let live = self.slot.iter().filter(|&&at| at != DEAD).count();
-        if self.order.len() != live || self.classes.len() != live {
-            return Err(format!(
-                "{} ordered ids and {} stored classes, but {live} live slots",
-                self.order.len(),
-                self.classes.len()
-            ));
-        }
-        for (id, class) in self.ordered() {
-            for node in &class.nodes {
-                if class.sig & op_signature(node.op_key()) == 0 {
-                    return Err(format!("signature of {id} misses the operator of {node:?}"));
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -857,7 +614,7 @@ mod tests {
         let extra = eg.rebuild();
         assert!(extra >= 1);
         assert!(eg.same(fa, fb));
-        eg.check_invariants().unwrap();
+        assert_audit_clean(&eg);
     }
 
     #[test]
@@ -873,7 +630,7 @@ mod tests {
         eg.union(a, b);
         eg.rebuild();
         assert!(eg.same(gfa, gfb));
-        eg.check_invariants().unwrap();
+        assert_audit_clean(&eg);
     }
 
     #[test]
@@ -885,7 +642,7 @@ mod tests {
         assert_eq!(eg.num_classes(), 4);
         assert_eq!(eg.find(root), root);
         eg.rebuild();
-        eg.check_invariants().unwrap();
+        assert_audit_clean(&eg);
     }
 
     #[test]
@@ -978,7 +735,7 @@ mod tests {
         eg.rebuild();
         let foreign = Id(1000);
         assert!(eg.get_class(foreign).is_none());
-        assert!(eg.raw_class(foreign).is_none());
+        assert!(eg.slot_of(foreign).is_none());
         assert_eq!(eg.lookup(&SymbolLang::new("f", vec![a, foreign])), None);
         assert_eq!(eg.get_class(a).map(|c| c.id), Some(a));
     }
@@ -1008,7 +765,7 @@ mod tests {
                 eg.union(a, b);
             }
             eg.rebuild();
-            eg.check_invariants().unwrap();
+            assert_audit_clean(&eg);
         }
         assert!(eg.num_classes() < ids.len());
     }
@@ -1025,7 +782,7 @@ mod tests {
         eg.union(a, fresh);
         assert_eq!(eg.rebuild(), 0);
         assert_eq!(eg.lookup(&SymbolLang::new("f", vec![fresh])), Some(fa));
-        eg.check_invariants().unwrap();
+        assert_audit_clean(&eg);
     }
 
     #[test]
@@ -1041,6 +798,6 @@ mod tests {
         let parents = eg.parent_index();
         let merged = eg.find(a);
         assert_eq!(parents[&merged].len(), 2);
-        eg.check_invariants().unwrap();
+        assert_audit_clean(&eg);
     }
 }

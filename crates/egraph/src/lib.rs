@@ -52,7 +52,7 @@ mod runner;
 pub mod serialize;
 mod unionfind;
 
-pub use egraph::{EClass, EGraph};
+pub use egraph::{audit_egraph, egraph_catalog, EClass, EGraph};
 pub use extract::{AstDepth, AstSize, CostFunction, DagSelection, Extractor, SelectionError};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use id::Id;

@@ -91,7 +91,7 @@ mod tests {
         comm.run(&mut eg, usize::MAX);
         eg.rebuild();
         assert!(eg.same(r_ab, r_ba));
-        eg.check_invariants().unwrap();
+        crate::egraph::assert_audit_clean(&eg);
     }
 
     #[test]

@@ -12,9 +12,9 @@ use crate::Id;
 /// operation.
 #[derive(Debug, Clone, Default)]
 pub struct UnionFind {
-    parents: Vec<Id>,
+    pub(crate) parents: Vec<Id>,
     /// Set sizes, meaningful only at root indices.
-    sizes: Vec<u32>,
+    pub(crate) sizes: Vec<u32>,
 }
 
 impl UnionFind {
@@ -98,35 +98,12 @@ impl UnionFind {
     }
 
     /// The raw parent slot of `id` (one step, no root chase, no
-    /// compression). The `audit` crate's union-find checker walks parent
-    /// chains with a step budget through this, so it can diagnose a
-    /// corrupted structure on which [`UnionFind::find`] would not terminate.
+    /// compression). The e-graph's audit walks parent chains with a step
+    /// budget through this, so it can diagnose a corrupted structure on
+    /// which [`UnionFind::find`] would not terminate.
     #[inline]
-    pub fn parent(&self, id: Id) -> Id {
+    pub(crate) fn parent(&self, id: Id) -> Id {
         self.parents[id.index()]
-    }
-
-    /// Raw stored size slot of `id` (meaningful only at roots), without the
-    /// root chase of [`UnionFind::set_size`].
-    #[inline]
-    pub fn raw_size(&self, id: Id) -> u32 {
-        self.sizes[id.index()]
-    }
-
-    /// Corruption hook for the `audit` crate's mutation tests; never call
-    /// from production code.
-    #[doc(hidden)]
-    pub fn tamper_set_size(&mut self, id: Id, size: u32) {
-        self.sizes[id.index()] = size;
-    }
-
-    /// Corruption hook for the `audit` crate's mutation tests: overwrites a
-    /// raw parent slot, which can introduce cycles (on which [`Self::find`]
-    /// would not terminate) or out-of-range parents. Never call from
-    /// production code.
-    #[doc(hidden)]
-    pub fn tamper_set_parent(&mut self, id: Id, parent: Id) {
-        self.parents[id.index()] = parent;
     }
 }
 

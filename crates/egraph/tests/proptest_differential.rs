@@ -24,8 +24,11 @@
 // test relaxation does not reach them.
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
-use audit::{audit_egraph, AuditLevel};
-use egraph::{EGraph, Id, Language, MatchScratch, Pattern, Rewrite, Runner, Scheduler, SymbolLang};
+use audit::AuditLevel;
+use egraph::{
+    audit_egraph, EGraph, Id, Language, MatchScratch, Pattern, Rewrite, Runner, Scheduler,
+    SymbolLang,
+};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 

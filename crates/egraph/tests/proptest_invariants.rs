@@ -7,9 +7,10 @@
 // test relaxation does not reach them.
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
-use audit::{audit_egraph, AuditLevel};
+use audit::AuditLevel;
 use egraph::{
-    AstSize, EGraph, Extractor, FxHashMap, Id, Language, RecExpr, Rewrite, Runner, SymbolLang,
+    audit_egraph, AstSize, EGraph, Extractor, FxHashMap, Id, Language, RecExpr, Rewrite, Runner,
+    SymbolLang,
 };
 use proptest::prelude::*;
 

@@ -168,7 +168,7 @@ mod tests {
         // Every member literal evaluates to its class function. (Whether any
         // class survives depends on how different the rewritten structure
         // is; the invariants must hold either way.)
-        let report = audit::audit_choices(&network, audit::AuditLevel::Paranoid);
+        let report = choices::audit_choices(&network, audit::AuditLevel::Paranoid);
         assert!(report.is_clean(), "{report}");
         assert_eq!(rebuild.classes, network.num_classes());
         let _ = sweep;

@@ -39,4 +39,4 @@ mod solver;
 
 pub use cnf::ClauseSink;
 pub use literal::{Lit, Var};
-pub use solver::{SatResult, Solver, SolverAudit, SolverStats};
+pub use solver::{audit_solver, sat_catalog, SatResult, Solver, SolverStats};

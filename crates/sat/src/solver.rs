@@ -31,6 +31,10 @@
 
 use crate::{Lit, Var};
 
+mod audit;
+
+pub use self::audit::{audit_solver, sat_catalog};
+
 /// Result of a satisfiability query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SatResult {
@@ -1001,157 +1005,6 @@ impl Solver {
                 self.enqueue(asserting, Reason::Clause(cref));
             }
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Audit surface
-    // ------------------------------------------------------------------
-
-    /// Returns a read-only view of the solver's internal state for the
-    /// `audit` crate's invariant checkers (watch lists, trail, activity
-    /// heap, learnt metadata). The view borrows the solver; it cannot
-    /// mutate anything.
-    pub fn audit(&self) -> SolverAudit<'_> {
-        SolverAudit { solver: self }
-    }
-
-    /// Corruption hook for the `audit` crate's mutation tests: removes the
-    /// first watcher of `lit`'s long-clause watch list, leaving the clause
-    /// watched only once. Never call from production code.
-    #[doc(hidden)]
-    pub fn tamper_drop_first_watcher(&mut self, lit: Lit) {
-        if !self.watches[lit.code()].is_empty() {
-            self.watches[lit.code()].remove(0);
-        }
-    }
-
-    /// Corruption hook for the `audit` crate's mutation tests: overwrites
-    /// the stored decision level of `var`. Never call from production code.
-    #[doc(hidden)]
-    pub fn tamper_set_level(&mut self, var: Var, level: u32) {
-        self.level[var.index()] = level;
-    }
-
-    /// Corruption hook for the `audit` crate's mutation tests: swaps the
-    /// first two heap entries *without* updating `heap_pos`, desynchronizing
-    /// the index. Never call from production code.
-    #[doc(hidden)]
-    pub fn tamper_heap_swap_raw(&mut self) {
-        if self.heap.len() >= 2 {
-            self.heap.swap(0, 1);
-        }
-    }
-
-    /// Corruption hook for the `audit` crate's mutation tests: attaches a
-    /// long clause marked learnt with an arbitrary stored LBD, bypassing
-    /// `compute_lbd`. Returns the clause index. Never call from production
-    /// code.
-    #[doc(hidden)]
-    pub fn tamper_attach_learnt(&mut self, lits: &[Lit], lbd: u32) -> u32 {
-        let cref = self.attach_clause(lits.to_vec(), true, lbd);
-        self.learnts.push(cref);
-        cref
-    }
-}
-
-/// Read-only view of a [`Solver`]'s internals, produced by
-/// [`Solver::audit`] and consumed by the `audit` crate's SAT checkers.
-#[derive(Debug, Clone, Copy)]
-pub struct SolverAudit<'a> {
-    solver: &'a Solver,
-}
-
-impl<'a> SolverAudit<'a> {
-    /// Number of allocated variables.
-    pub fn num_vars(&self) -> usize {
-        self.solver.num_vars()
-    }
-
-    /// `false` once the formula is known unsatisfiable at level 0; most
-    /// structural invariants are only meaningful while the solver is `ok`.
-    pub fn is_ok(&self) -> bool {
-        self.solver.ok
-    }
-
-    /// Live long clauses as `(cref, literals, learnt, lbd)`. Deleted slots
-    /// (empty literal vectors on the free list) are skipped.
-    pub fn live_clauses(&self) -> impl Iterator<Item = (u32, &'a [Lit], bool, u32)> + 'a {
-        self.solver
-            .clauses
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.lits.is_empty())
-            .map(|(i, c)| (i as u32, c.lits.as_slice(), c.learnt, c.lbd))
-    }
-
-    /// The literal slice of one clause slot (empty when deleted), or `None`
-    /// when the index is out of range.
-    pub fn clause_lits(&self, cref: u32) -> Option<&'a [Lit]> {
-        self.solver
-            .clauses
-            .get(cref as usize)
-            .map(|c| c.lits.as_slice())
-    }
-
-    /// Long-clause watchers of `lit` as `(cref, blocker)` pairs.
-    pub fn watchers(&self, lit: Lit) -> impl Iterator<Item = (u32, Lit)> + 'a {
-        self.solver.watches[lit.code()]
-            .iter()
-            .map(|w| (w.cref, w.blocker))
-    }
-
-    /// Binary-clause partners of `lit`.
-    pub fn bin_watchers(&self, lit: Lit) -> &'a [Lit] {
-        &self.solver.bin_watches[lit.code()]
-    }
-
-    /// Number of live binary clauses.
-    pub fn num_binary(&self) -> usize {
-        self.solver.num_bin
-    }
-
-    /// The assignment trail in propagation order.
-    pub fn trail(&self) -> &'a [Lit] {
-        &self.solver.trail
-    }
-
-    /// Trail indices where each decision level starts.
-    pub fn trail_lim(&self) -> &'a [usize] {
-        &self.solver.trail_lim
-    }
-
-    /// Propagation-queue head (index into the trail).
-    pub fn qhead(&self) -> usize {
-        self.solver.qhead
-    }
-
-    /// Current assignment of a variable, `None` when unassigned.
-    pub fn assign(&self, var: Var) -> Option<bool> {
-        match self.solver.assigns[var.index()] {
-            1 => Some(true),
-            -1 => Some(false),
-            _ => None,
-        }
-    }
-
-    /// Stored decision level of a variable (meaningful while assigned).
-    pub fn level(&self, var: Var) -> u32 {
-        self.solver.level[var.index()]
-    }
-
-    /// The activity max-heap's backing array.
-    pub fn heap(&self) -> &'a [Var] {
-        &self.solver.heap
-    }
-
-    /// Position of `var` in the heap array, or -1 when absent.
-    pub fn heap_pos(&self, var: Var) -> i32 {
-        self.solver.heap_pos[var.index()]
-    }
-
-    /// VSIDS activity score of a variable.
-    pub fn activity(&self, var: Var) -> f64 {
-        self.solver.activity[var.index()]
     }
 }
 

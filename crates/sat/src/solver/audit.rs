@@ -1,16 +1,36 @@
-//! Checkers over [`sat::Solver`] internals, read through the
-//! [`sat::SolverAudit`] view: the two-watched-literal scheme, trail/level
-//! bookkeeping, the indexed activity heap, and learnt-clause LBD metadata.
+//! The solver's own checkers over its private state: the two-watched-literal
+//! scheme, trail/level bookkeeping, the indexed activity heap, and
+//! learnt-clause LBD metadata.
 
-use fxhash::FxHashMap;
-use sat::{Lit, Solver, Var};
+use ::audit::{run_checks, AuditLevel, AuditReport, Check, RuleId, Severity};
+use std::collections::BTreeMap;
 
-use crate::report::{AuditReport, RuleId, Severity};
-use crate::Check;
+use super::{Solver, Watcher};
+use crate::{Lit, Var};
 
 /// Iterates every literal of a solver with `n` variables.
 fn all_lits(n: usize) -> impl Iterator<Item = Lit> {
     (0..n as u32).flat_map(|v| [Lit::pos(Var(v)), Lit::neg(Var(v))])
+}
+
+/// Live long clauses as `(cref, literals, learnt, lbd)`. Deleted slots
+/// (empty literal vectors on the free list) are skipped.
+fn live_clauses(solver: &Solver) -> impl Iterator<Item = (u32, &[Lit], bool, u32)> {
+    solver
+        .clauses
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| !c.lits.is_empty())
+        .map(|(i, c)| (i as u32, c.lits.as_slice(), c.learnt, c.lbd))
+}
+
+/// Current assignment of a variable, `None` when unassigned.
+fn assign(solver: &Solver, var: Var) -> Option<bool> {
+    match solver.assigns[var.index()] {
+        1 => Some(true),
+        -1 => Some(false),
+        _ => None,
+    }
 }
 
 /// [`RuleId::SatWatchInvariant`]: every live long clause is watched exactly
@@ -18,7 +38,7 @@ fn all_lits(n: usize) -> impl Iterator<Item = Lit> {
 /// blockers are clause members; no watcher points at a dead or out-of-range
 /// clause; binary watch lists are symmetric and sum to twice the
 /// binary-clause count.
-pub struct WatchInvariant;
+struct WatchInvariant;
 
 impl Check<Solver> for WatchInvariant {
     fn rule(&self) -> RuleId {
@@ -26,13 +46,12 @@ impl Check<Solver> for WatchInvariant {
     }
 
     fn check(&self, solver: &Solver, report: &mut AuditReport) {
-        let audit = solver.audit();
-        let n = audit.num_vars();
+        let n = solver.num_vars();
         // (cref, watched-literal slot) -> times seen across all watch lists.
-        let mut watch_counts: FxHashMap<(u32, usize), usize> = FxHashMap::default();
+        let mut watch_counts: BTreeMap<(u32, usize), usize> = BTreeMap::new();
         for lit in all_lits(n) {
-            for (cref, blocker) in audit.watchers(lit) {
-                let Some(lits) = audit.clause_lits(cref) else {
+            for &Watcher { cref, blocker } in &solver.watches[lit.code()] {
+                let Some(clause) = solver.clauses.get(cref as usize) else {
                     report.push(
                         self.rule(),
                         Severity::Error,
@@ -41,6 +60,7 @@ impl Check<Solver> for WatchInvariant {
                     );
                     continue;
                 };
+                let lits = clause.lits.as_slice();
                 if lits.is_empty() {
                     report.push(
                         self.rule(),
@@ -74,7 +94,7 @@ impl Check<Solver> for WatchInvariant {
                 *watch_counts.entry((cref, slot)).or_insert(0) += 1;
             }
         }
-        for (cref, lits, _, _) in audit.live_clauses() {
+        for (cref, lits, _, _) in live_clauses(solver) {
             for slot in [0usize, 1] {
                 let count = watch_counts.get(&(cref, slot)).copied().unwrap_or(0);
                 if count != 1 {
@@ -93,7 +113,7 @@ impl Check<Solver> for WatchInvariant {
         // Binary watch lists: symmetric multiset, 2 entries per binary clause.
         let mut total_bin = 0usize;
         for lit in all_lits(n) {
-            let partners = audit.bin_watchers(lit);
+            let partners = &solver.bin_watches[lit.code()];
             total_bin += partners.len();
             for &partner in partners {
                 if partner.var().index() >= n {
@@ -105,8 +125,7 @@ impl Check<Solver> for WatchInvariant {
                     );
                     continue;
                 }
-                let back = audit
-                    .bin_watchers(partner)
+                let back = solver.bin_watches[partner.code()]
                     .iter()
                     .filter(|&&l| l == lit)
                     .count();
@@ -121,15 +140,15 @@ impl Check<Solver> for WatchInvariant {
                 }
             }
         }
-        if total_bin != 2 * audit.num_binary() {
+        if total_bin != 2 * solver.num_bin {
             report.push(
                 self.rule(),
                 Severity::Error,
                 "binary watches",
                 format!(
                     "{total_bin} binary watch entries for {} binary clauses (expected {})",
-                    audit.num_binary(),
-                    2 * audit.num_binary()
+                    solver.num_bin,
+                    2 * solver.num_bin
                 ),
             );
         }
@@ -140,7 +159,7 @@ impl Check<Solver> for WatchInvariant {
 /// once, every trail literal is assigned true at the level of its segment,
 /// every assigned variable is on the trail, and `qhead`/`trail_lim` stay in
 /// bounds.
-pub struct TrailConsistent;
+struct TrailConsistent;
 
 impl Check<Solver> for TrailConsistent {
     fn rule(&self) -> RuleId {
@@ -148,18 +167,17 @@ impl Check<Solver> for TrailConsistent {
     }
 
     fn check(&self, solver: &Solver, report: &mut AuditReport) {
-        let audit = solver.audit();
-        let n = audit.num_vars();
-        let trail = audit.trail();
-        let lim = audit.trail_lim();
-        if audit.qhead() > trail.len() {
+        let n = solver.num_vars();
+        let trail = &solver.trail;
+        let lim = &solver.trail_lim;
+        if solver.qhead > trail.len() {
             report.push(
                 self.rule(),
                 Severity::Error,
                 "qhead",
                 format!(
                     "propagation head {} beyond trail length {}",
-                    audit.qhead(),
+                    solver.qhead,
                     trail.len()
                 ),
             );
@@ -210,7 +228,7 @@ impl Check<Solver> for TrailConsistent {
                 );
             }
             on_trail[lit.var().index()] = true;
-            if audit.assign(lit.var()) != Some(!lit.is_neg()) {
+            if assign(solver, lit.var()) != Some(!lit.is_neg()) {
                 report.push(
                     self.rule(),
                     Severity::Error,
@@ -221,21 +239,21 @@ impl Check<Solver> for TrailConsistent {
             // The decision level of a trail position is the number of level
             // starts at or before it.
             let expected_level = lim.iter().filter(|&&start| start <= pos).count() as u32;
-            if audit.level(lit.var()) != expected_level {
+            if solver.level[lit.var().index()] != expected_level {
                 report.push(
                     self.rule(),
                     Severity::Error,
                     location,
                     format!(
                         "stored level {} disagrees with trail segment {expected_level}",
-                        audit.level(lit.var())
+                        solver.level[lit.var().index()]
                     ),
                 );
             }
         }
         for (index, &seen) in on_trail.iter().enumerate().take(n) {
             let var = Var(index as u32);
-            if audit.assign(var).is_some() && !seen {
+            if assign(solver, var).is_some() && !seen {
                 report.push(
                     self.rule(),
                     Severity::Error,
@@ -251,7 +269,7 @@ impl Check<Solver> for TrailConsistent {
 /// every unassigned variable is in the heap, and the max-heap property holds
 /// under the solver's ordering (higher activity wins, ties to the smaller
 /// variable index).
-pub struct HeapIndex;
+struct HeapIndex;
 
 impl Check<Solver> for HeapIndex {
     fn rule(&self) -> RuleId {
@@ -259,9 +277,8 @@ impl Check<Solver> for HeapIndex {
     }
 
     fn check(&self, solver: &Solver, report: &mut AuditReport) {
-        let audit = solver.audit();
-        let n = audit.num_vars();
-        let heap = audit.heap();
+        let n = solver.num_vars();
+        let heap = &solver.heap;
         for (i, &var) in heap.iter().enumerate() {
             if var.index() >= n {
                 report.push(
@@ -272,7 +289,7 @@ impl Check<Solver> for HeapIndex {
                 );
                 continue;
             }
-            if audit.heap_pos(var) != i as i32 {
+            if solver.heap_pos[var.index()] != i as i32 {
                 report.push(
                     self.rule(),
                     Severity::Error,
@@ -280,7 +297,7 @@ impl Check<Solver> for HeapIndex {
                     format!(
                         "variable {} has heap_pos {}, expected {i}",
                         var.index(),
-                        audit.heap_pos(var)
+                        solver.heap_pos[var.index()]
                     ),
                 );
             }
@@ -288,7 +305,7 @@ impl Check<Solver> for HeapIndex {
         // Mirrors the solver's `heap_better`: higher activity first, ties
         // broken toward the smaller variable index.
         let better = |a: Var, b: Var| {
-            let (aa, ba) = (audit.activity(a), audit.activity(b));
+            let (aa, ba) = (solver.activity[a.index()], solver.activity[b.index()]);
             aa > ba || (aa == ba && a.index() < b.index())
         };
         for i in 1..heap.len() {
@@ -308,7 +325,7 @@ impl Check<Solver> for HeapIndex {
         }
         for index in 0..n {
             let var = Var(index as u32);
-            let pos = audit.heap_pos(var);
+            let pos = solver.heap_pos[var.index()];
             if pos >= 0 && heap.get(pos as usize) != Some(&var) {
                 report.push(
                     self.rule(),
@@ -317,7 +334,7 @@ impl Check<Solver> for HeapIndex {
                     format!("heap_pos {pos} does not point back at the variable"),
                 );
             }
-            if audit.assign(var).is_none() && pos < 0 {
+            if assign(solver, var).is_none() && pos < 0 {
                 report.push(
                     self.rule(),
                     Severity::Error,
@@ -332,7 +349,7 @@ impl Check<Solver> for HeapIndex {
 /// [`RuleId::SatLbdBounds`]: every live learnt long clause stores a
 /// literal-block distance between 1 and its length (the LBD counts distinct
 /// decision levels among the clause's literals).
-pub struct LbdBounds;
+struct LbdBounds;
 
 impl Check<Solver> for LbdBounds {
     fn rule(&self) -> RuleId {
@@ -340,8 +357,7 @@ impl Check<Solver> for LbdBounds {
     }
 
     fn check(&self, solver: &Solver, report: &mut AuditReport) {
-        let audit = solver.audit();
-        for (cref, lits, learnt, lbd) in audit.live_clauses() {
+        for (cref, lits, learnt, lbd) in live_clauses(solver) {
             if !learnt {
                 continue;
             }
@@ -368,6 +384,80 @@ pub fn sat_catalog() -> Vec<Box<dyn Check<Solver>>> {
 }
 
 /// Audits a solver's internal state at the given level.
-pub fn audit_solver(solver: &Solver, level: crate::AuditLevel) -> AuditReport {
-    crate::run_checks(solver, &sat_catalog(), level)
+pub fn audit_solver(solver: &Solver, level: AuditLevel) -> AuditReport {
+    run_checks(solver, &sat_catalog(), level)
+}
+
+/// Mutation tests: each starts from a clean solver, corrupts one private
+/// field directly, and asserts the expected rule fires.
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn assert_clean(stage: &str, report: &AuditReport) {
+        assert!(report.is_clean(), "{stage} audit not clean:\n{report}");
+    }
+
+    fn solver_with_long_clause() -> (Solver, Vec<Var>) {
+        let mut solver = Solver::new();
+        let vars: Vec<Var> = (0..3).map(|_| solver.new_var()).collect();
+        assert!(solver.add_clause(&[Lit::pos(vars[0]), Lit::pos(vars[1]), Lit::pos(vars[2])]));
+        assert_clean("solver base", &audit_solver(&solver, AuditLevel::Paranoid));
+        (solver, vars)
+    }
+
+    #[test]
+    fn sat_watch_invariant_fires_on_dropped_watcher() {
+        let (mut solver, vars) = solver_with_long_clause();
+        // Drop the head watcher of every literal's list: the single long
+        // clause loses both of its watchers.
+        for &v in &vars {
+            for lit in [Lit::pos(v), Lit::neg(v)] {
+                let watchers = &mut solver.watches[lit.code()];
+                if !watchers.is_empty() {
+                    watchers.remove(0);
+                }
+            }
+        }
+        let report = audit_solver(&solver, AuditLevel::Paranoid);
+        assert_eq!(report.fired_rules(), vec![RuleId::SatWatchInvariant]);
+    }
+
+    #[test]
+    fn sat_trail_consistent_fires_on_wrong_level() {
+        let mut solver = Solver::new();
+        let v = solver.new_var();
+        assert!(solver.add_clause(&[Lit::pos(v)]));
+        assert_clean("solver base", &audit_solver(&solver, AuditLevel::Paranoid));
+
+        // The unit sits in the level-0 trail segment but claims level 3.
+        solver.level[v.index()] = 3;
+        let report = audit_solver(&solver, AuditLevel::Paranoid);
+        assert_eq!(report.fired_rules(), vec![RuleId::SatTrailConsistent]);
+    }
+
+    #[test]
+    fn sat_heap_index_fires_on_desynced_positions() {
+        let mut solver = Solver::new();
+        for _ in 0..3 {
+            solver.new_var();
+        }
+        assert_clean("solver base", &audit_solver(&solver, AuditLevel::Paranoid));
+        // Swap the first two heap entries without updating `heap_pos`.
+        solver.heap.swap(0, 1);
+        let report = audit_solver(&solver, AuditLevel::Paranoid);
+        assert_eq!(report.fired_rules(), vec![RuleId::SatHeapIndex]);
+    }
+
+    #[test]
+    fn sat_lbd_bounds_fires_on_absurd_lbd() {
+        let (mut solver, vars) = solver_with_long_clause();
+        // A learnt long clause attached with a stored LBD no clause of
+        // length 3 can have, bypassing `compute_lbd`.
+        let lits = vec![Lit::neg(vars[0]), Lit::neg(vars[1]), Lit::neg(vars[2])];
+        let cref = solver.attach_clause(lits, true, 99);
+        solver.learnts.push(cref);
+        let report = audit_solver(&solver, AuditLevel::Paranoid);
+        assert_eq!(report.fired_rules(), vec![RuleId::SatLbdBounds]);
+    }
 }

@@ -28,6 +28,10 @@ use aig::{Aig, AigNode, FxHashMap, Lit, NodeId};
 use choices::ChoiceAig;
 use std::num::NonZeroU8;
 
+mod audit;
+
+pub use self::audit::{audit_netlist, netlist_catalog, MappedDesign};
+
 /// One instantiated cell in the mapped netlist.
 #[derive(Debug, Clone)]
 pub struct MappedGate {
@@ -150,20 +154,6 @@ impl Netlist {
     /// Per-gate required times (aligned with [`Netlist::gates`]).
     pub fn gate_requireds_ps(&self) -> &[f64] {
         &self.required_ps
-    }
-
-    /// Corruption hook for the `audit` crate's mutation tests (skews stored
-    /// arrival annotations); never call from production code.
-    #[doc(hidden)]
-    pub fn tamper_arrival_ps_mut(&mut self) -> &mut Vec<f64> {
-        &mut self.arrival_ps
-    }
-
-    /// Corruption hook for the `audit` crate's mutation tests (skews stored
-    /// required-time annotations); never call from production code.
-    #[doc(hidden)]
-    pub fn tamper_required_ps_mut(&mut self) -> &mut Vec<f64> {
-        &mut self.required_ps
     }
 
     /// Returns the quality-of-results record of this netlist.

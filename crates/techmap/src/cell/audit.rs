@@ -1,14 +1,12 @@
-//! Checkers over mapped netlists. A [`Netlist`] only carries node ids into
-//! the AIG it was mapped from, so the checkers run over a [`MappedDesign`]
+//! The netlist's own checkers. A [`Netlist`] only carries node ids into the
+//! AIG it was mapped from, so the checkers run over a [`MappedDesign`]
 //! pairing the two.
 
-use aig::{Aig, NodeId};
-use fxhash::FxHashMap;
-use techmap::cell::OutputDriver;
-use techmap::{timing, Netlist};
+use ::audit::{run_checks, AuditLevel, AuditReport, Check, RuleId, Severity};
+use aig::{Aig, FxHashMap, NodeId};
 
-use crate::report::{AuditReport, RuleId, Severity};
-use crate::Check;
+use super::{Netlist, OutputDriver};
+use crate::{timing, MAX_CUT_LEAVES};
 
 /// A netlist together with the AIG it was mapped from (the netlist's gate
 /// roots and leaves index into that AIG's node space).
@@ -23,7 +21,7 @@ pub struct MappedDesign<'a> {
 /// [`RuleId::NetlistCoverLegal`]: every gate covers an AND node of the
 /// source AIG with in-range leaves, no root is covered twice, and gates are
 /// emitted in topological (ascending root id) order.
-pub struct CoverLegal;
+struct CoverLegal;
 
 impl Check<MappedDesign<'_>> for CoverLegal {
     fn rule(&self) -> RuleId {
@@ -95,7 +93,7 @@ impl Check<MappedDesign<'_>> for CoverLegal {
 /// itself mapped by an earlier gate (inputs and the constant are the only
 /// primary values), and every output driver resolves to a mapped node, an
 /// input, or a constant.
-pub struct FaninResolved;
+struct FaninResolved;
 
 impl Check<MappedDesign<'_>> for FaninResolved {
     fn rule(&self) -> RuleId {
@@ -151,7 +149,7 @@ impl Check<MappedDesign<'_>> for FaninResolved {
 /// (leaves at 0 ps for inputs/constant, [`timing::gate_arrival`] per gate)
 /// must reproduce the stored annotations *bitwise*, and no gate's required
 /// time may precede its arrival.
-pub struct TimingConsistent;
+struct TimingConsistent;
 
 impl Check<MappedDesign<'_>> for TimingConsistent {
     fn rule(&self) -> RuleId {
@@ -179,7 +177,7 @@ impl Check<MappedDesign<'_>> for TimingConsistent {
         }
         let mut recomputed: FxHashMap<NodeId, f64> = FxHashMap::default();
         for (i, gate) in netlist.gates.iter().enumerate() {
-            if gate.leaves.len() > techmap::MAX_CUT_LEAVES
+            if gate.leaves.len() > MAX_CUT_LEAVES
                 || gate.leaves.iter().any(|leaf| leaf.index() >= n)
             {
                 // Out of the timing model (CoverLegal owns shape errors) —
@@ -231,7 +229,70 @@ pub fn netlist_catalog<'a>() -> Vec<Box<dyn Check<MappedDesign<'a>>>> {
 }
 
 /// Audits a mapped netlist against its source AIG at the given level.
-pub fn audit_netlist(aig: &Aig, netlist: &Netlist, level: crate::AuditLevel) -> AuditReport {
+pub fn audit_netlist(aig: &Aig, netlist: &Netlist, level: AuditLevel) -> AuditReport {
     let design = MappedDesign { aig, netlist };
-    crate::run_checks(&design, &netlist_catalog(), level)
+    run_checks(&design, &netlist_catalog(), level)
+}
+
+/// Mutation tests: each starts from a clean mapping, corrupts the netlist
+/// (its private timing annotations included) directly, and asserts the
+/// expected rule fires.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cell::map_to_cells;
+    use crate::library::asap7_like;
+    use crate::MapOptions;
+    use aig::FxHashSet;
+
+    fn netlist_base() -> (Aig, Netlist) {
+        let aig = benchgen::adder(4).aig;
+        let netlist = map_to_cells(&aig, &asap7_like(), &MapOptions::default());
+        let report = audit_netlist(&aig, &netlist, AuditLevel::Paranoid);
+        assert!(report.is_clean(), "netlist base audit not clean:\n{report}");
+        (aig, netlist)
+    }
+
+    #[test]
+    fn netlist_cover_legal_fires_on_unsorted_gates() {
+        let (aig, mut netlist) = netlist_base();
+        // Swap two adjacent *independent* gates (annotations move along), so
+        // fanins still resolve and timing still recomputes bitwise — only the
+        // topological-order rule can fire.
+        let idx = (0..netlist.gates.len() - 1)
+            .find(|&i| {
+                let root = netlist.gates[i].root;
+                !netlist.gates[i + 1].leaves.contains(&root)
+            })
+            .expect("adder netlist has an adjacent independent gate pair");
+        netlist.gates.swap(idx, idx + 1);
+        netlist.arrival_ps.swap(idx, idx + 1);
+        netlist.required_ps.swap(idx, idx + 1);
+        let report = audit_netlist(&aig, &netlist, AuditLevel::Paranoid);
+        assert_eq!(report.fired_rules(), vec![RuleId::NetlistCoverLegal]);
+    }
+
+    #[test]
+    fn netlist_fanin_resolved_fires_on_unmapped_driver() {
+        let (aig, mut netlist) = netlist_base();
+        // K-feasible covers leave cut-interior ANDs unmapped; pointing an
+        // output at one leaves cover legality and gate timing untouched.
+        let roots: FxHashSet<NodeId> = netlist.gates.iter().map(|g| g.root).collect();
+        let unmapped = (1..aig.num_nodes())
+            .map(|i| NodeId(i as u32))
+            .find(|id| aig.node(*id).is_and() && !roots.contains(id))
+            .expect("mapper leaves cut-interior ANDs unmapped");
+        netlist.outputs[0] = OutputDriver::Direct(unmapped);
+        let report = audit_netlist(&aig, &netlist, AuditLevel::Paranoid);
+        assert_eq!(report.fired_rules(), vec![RuleId::NetlistFaninResolved]);
+    }
+
+    #[test]
+    fn netlist_timing_fires_on_skewed_arrival() {
+        let (aig, mut netlist) = netlist_base();
+        let last = netlist.gates.len() - 1;
+        netlist.arrival_ps[last] += 5.0;
+        let report = audit_netlist(&aig, &netlist, AuditLevel::Paranoid);
+        assert_eq!(report.fired_rules(), vec![RuleId::NetlistTiming]);
+    }
 }

@@ -54,7 +54,7 @@ pub mod timing;
 pub mod truth;
 pub mod verilog;
 
-pub use cell::{MappedGate, Netlist};
+pub use cell::{audit_netlist, netlist_catalog, MappedDesign, MappedGate, Netlist};
 pub use cuts::{Cut, CutSet, CutsOptions, MAX_CUT_LEAVES};
 pub use library::{Cell, CellLibrary};
 pub use lut::{Lut, LutMapping};

@@ -25,9 +25,13 @@
 
 #![warn(missing_docs)]
 
+mod audit;
 pub mod partition;
 pub mod stitch;
 
+pub use audit::{
+    audit_partition, audit_stitched, stitch_catalog, window_catalog, PartitionedAig, StitchedDesign,
+};
 pub use partition::{partition, Partition, PartitionStats, Window};
 pub use stitch::{stitch, StitchStats, Stitched, WindowChoiceSpace};
 

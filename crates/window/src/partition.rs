@@ -62,14 +62,6 @@ pub struct Partition {
     pub stats: PartitionStats,
 }
 
-impl Partition {
-    /// Mutable access to the window list, for audit mutation tests only.
-    #[doc(hidden)]
-    pub fn tamper_windows_mut(&mut self) -> &mut Vec<Window> {
-        &mut self.windows
-    }
-}
-
 /// Carves `aig` into reconvergence-bounded windows covering every AND gate.
 ///
 /// # Errors
@@ -236,44 +228,17 @@ fn grow_window(
 mod tests {
     use super::*;
 
-    fn check_invariants(aig: &Aig, part: &Partition) {
-        // Every AND covered by >= 1 volume.
-        let mut covered = vec![false; aig.num_nodes()];
-        for w in &part.windows {
-            assert!(w.volume.contains(&w.root));
-            for &v in &w.volume {
-                covered[v.index()] = true;
-                assert!(aig.node(v).is_and());
-                // Interior fanins stay inside the window.
-                let (f0, f1) = aig.fanins(v);
-                for f in [f0, f1] {
-                    let id = f.node();
-                    assert!(
-                        id == NodeId::CONST || w.volume.contains(&id) || w.leaves.contains(&id),
-                        "window {} interior {v} reads {id} outside volume+cut",
-                        w.id
-                    );
-                }
-            }
-            for &l in &w.leaves {
-                assert!(!w.volume.contains(&l), "leaf {l} is also interior");
-            }
-            assert_eq!(w.cone.leaf_map, w.leaves);
-            assert_eq!(w.cone.root_map, vec![w.root.lit()]);
-        }
-        for id in aig.and_ids() {
-            assert!(covered[id.index()], "AND {id} not covered");
-        }
-        // Roots are unique.
-        let roots: FxHashSet<NodeId> = part.windows.iter().map(|w| w.root).collect();
-        assert_eq!(roots.len(), part.windows.len());
+    /// The partition's own audit, every rule, at `Paranoid`.
+    fn assert_audit_clean(aig: &Aig, part: &Partition) {
+        let report = crate::audit_partition(aig, part, ::audit::AuditLevel::Paranoid);
+        assert!(report.is_clean(), "{report}");
     }
 
     #[test]
     fn covers_small_circuits() {
         for bc in benchgen::epfl_like_suite(benchgen::SuiteScale::Tiny) {
             let part = partition(&bc.aig, &WindowOptions::default()).unwrap();
-            check_invariants(&bc.aig, &part);
+            assert_audit_clean(&bc.aig, &part);
             assert_eq!(part.stats.covered_ands, part.stats.total_ands);
             assert!(part.stats.max_leaves <= 8);
             assert!(part.stats.max_volume <= 64);
@@ -289,7 +254,7 @@ mod tests {
             min_mffc: 1,
         };
         let part = partition(&aig, &opts).unwrap();
-        check_invariants(&aig, &part);
+        assert_audit_clean(&aig, &part);
         for w in &part.windows {
             assert!(w.leaves.len() <= 4 || w.volume.len() == 1);
             assert!(w.volume.len() <= 6);

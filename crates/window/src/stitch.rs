@@ -61,14 +61,6 @@ pub struct Stitched {
     pub stats: StitchStats,
 }
 
-impl Stitched {
-    /// Mutable access to the translation table, for audit mutation tests.
-    #[doc(hidden)]
-    pub fn tamper_table_mut(&mut self) -> &mut Vec<Option<Lit>> {
-        &mut self.table
-    }
-}
-
 /// Rebuilds `host` with every window's choice space linked in at its root.
 ///
 /// `spaces` may cover any subset of the partition's windows (windows whose

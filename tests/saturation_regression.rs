@@ -7,9 +7,9 @@
 //! * Randomized saturation runs over the Boolean logic language keep the
 //!   e-graph invariants intact after every single `rebuild()`.
 
-use audit::{audit_egraph, AuditLevel};
+use audit::AuditLevel;
 use cec::{check_equivalence, CecOptions};
-use egraph::{EGraph, Language};
+use egraph::{audit_egraph, EGraph, Language};
 use emorphic::flow::{emorphic_flow, FlowConfig};
 use emorphic::{aig_to_egraph, all_rules};
 use proptest::prelude::*;
