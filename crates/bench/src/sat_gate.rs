@@ -279,6 +279,7 @@ pub(crate) fn sat(run: &mut Run) {
         "resim",
         "splits",
         "calls/class",
+        "props/call",
         "sweep(s)",
     ]);
     for (name, golden, _) in &circuits {
@@ -310,6 +311,7 @@ pub(crate) fn sat(run: &mut Run) {
                 stats.resimulations.to_string(),
                 stats.cex_splits.to_string(),
                 num(per_class, 2),
+                num(stats.propagations as f64 / stats.sat_calls.max(1) as f64, 0),
                 num(sweep_s, 3),
             ]);
         }

@@ -6,12 +6,18 @@
 //! * [`check_equivalence`] builds a miter between two AIGs and decides output
 //!   equivalence with random simulation (fast refutation) followed by SAT
 //!   (proof), returning a counterexample when the circuits differ.
+//! * [`check_equivalence_swept`] stacks the two AIGs over shared inputs and
+//!   SAT-sweeps the stack first, so structurally related cones merge
+//!   bottom-up as small local proofs before the surviving output pairs are
+//!   decided.
 //! * [`SatSweeper`] detects internal functionally equivalent nodes of a
-//!   single AIG by simulation-guided candidate grouping plus SAT proofs —
-//!   the engine behind structural *choice* computation in `logic-opt`.
+//!   single AIG by simulation-guided candidate grouping plus SAT proofs,
+//!   each query scoped to the pair's own fanin cone — the engine behind the
+//!   swept check and behind structural *choice* computation in `logic-opt`.
 //!
 //! Every circuit that E-morphic produces is verified against the original
-//! with [`check_equivalence`], mirroring the paper's use of `cec` in ABC.
+//! with [`check_equivalence_swept`], mirroring the paper's use of `cec` in
+//! ABC.
 
 #![warn(missing_docs)]
 

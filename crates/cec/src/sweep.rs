@@ -40,14 +40,23 @@
 //! a node gets a variable only when a query needs its cone
 //! ([`ConeCnf::load`]), and the cone is encoded over canonical fanins, so
 //! merged logic never enters the formula. After a SAT proof the two (now
-//! loaded) roots are tied with `a ↔ b` clauses. Propagation thus never
-//! enters fanout that no query has asked about.
+//! loaded) roots are tied with `a ↔ b` clauses.
 //!
-//! **Counterexamples.** A `Sat` answer assigns only the loaded cones.
-//! Primary inputs without a variable are outside both cones and cannot
-//! influence either root, so the model is completed by reading them as
-//! `false`; the completed pattern is resimulated through the *original*
-//! network ([`Aig::evaluate_nodes`]) and must separate the pair. With
+//! **Cone-scoped queries.** Every query is a [`Solver::solve_within`] over
+//! the pair's own cone ([`ConeCnf::scope`]): the variables of both loaded
+//! cones, walked over the same canonical fanins they were encoded with. The
+//! solver decides only on those variables and propagates no implication out
+//! of them above level 0, so the rest of the loaded formula — other cones,
+//! their fanout, the ties — costs the query nothing. That set is
+//! fanin-closed, and every clause outside it defines a gate outside it or is
+//! implied (a learnt clause, a tie between proved-equal nodes), which is the
+//! contract under which a scoped `Sat` answer extends to a model.
+//!
+//! **Counterexamples.** A `Sat` answer assigns only the pair's cone.
+//! Primary inputs outside it cannot influence either root, so the model is
+//! completed by reading every input without a value as `false`; the
+//! completed pattern is resimulated through the *original* network
+//! ([`Aig::evaluate_nodes`]) and must separate the pair. With
 //! [`SweepOptions::cex_refinement`] (the default) the pattern then splits
 //! every candidate class, ABC-fraig style: in each class the members the
 //! walk has not reached yet that disagree with the representative move to a
@@ -58,7 +67,7 @@
 
 use crate::tseitin::{canonical, ConeCnf};
 use aig::{Aig, AigNode, FxHashMap, Lit as ALit, NodeId, Simulator};
-use sat::{Lit as SLit, SatResult, Solver};
+use sat::{Lit as SLit, SatResult, Solver, Var};
 use std::collections::BTreeMap;
 
 /// Most inner nodes a window proof expands before giving up.
@@ -115,6 +124,8 @@ pub struct SweepStats {
     pub cex_splits: usize,
     /// AIG nodes (constant, inputs, ANDs) that were given a SAT variable.
     pub cnf_nodes_loaded: usize,
+    /// Unit propagations the sweep's solver performed.
+    pub propagations: u64,
 }
 
 /// Groups of functionally equivalent literals.
@@ -177,7 +188,8 @@ impl SatSweeper {
             let a = cnf.load(&mut solver, aig, &repr, rep);
             let b = cnf.load(&mut solver, aig, &repr, id);
             let b = if phase { !b } else { b };
-            match prove_equal(&mut solver, a, b, &mut stats) {
+            let scope = cnf.scope(aig, &repr, [rep, id]);
+            match prove_equal(&mut solver, a, b, scope, &mut stats) {
                 Verdict::Equal => {
                     repr[id.index()] = ALit::new(rep, phase);
                     solver.add_clause(&[!a, b]);
@@ -186,8 +198,8 @@ impl SatSweeper {
                 Verdict::Unknown => {}
                 Verdict::Different if !self.options.cex_refinement => {}
                 Verdict::Different => {
-                    // Inputs outside the two loaded cones have no variable
-                    // and cannot influence either root: read them as false.
+                    // Inputs outside the pair's cone have no value and
+                    // cannot influence either root: read them as false.
                     let pattern: Vec<bool> = aig
                         .inputs()
                         .iter()
@@ -207,6 +219,7 @@ impl SatSweeper {
             }
         }
         stats.cnf_nodes_loaded = cnf.loaded();
+        stats.propagations = solver.stats().propagations;
 
         // `repr` is the whole result: members in id order under their
         // representative, classes in representative order.
@@ -261,12 +274,19 @@ enum Verdict {
     Unknown,
 }
 
-fn prove_equal(solver: &mut Solver, a: SLit, b: SLit, stats: &mut SweepStats) -> Verdict {
+/// Decides `a == b` with two queries scoped to `scope`, the pair's cone.
+fn prove_equal(
+    solver: &mut Solver,
+    a: SLit,
+    b: SLit,
+    scope: &[Var],
+    stats: &mut SweepStats,
+) -> Verdict {
     stats.sat_calls += 1;
     let mut unknown = false;
     for (pa, pb) in [(true, false), (false, true)] {
         let assumptions = [if pa { a } else { !a }, if pb { b } else { !b }];
-        match solver.solve_with_assumptions(&assumptions) {
+        match solver.solve_within(&assumptions, scope) {
             SatResult::Sat => {
                 stats.disproved += 1;
                 return Verdict::Different;

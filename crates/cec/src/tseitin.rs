@@ -4,7 +4,7 @@
 //! in the crate that writes a gate into clauses.
 
 use aig::{Aig, AigNode, Lit as ALit, NodeId};
-use sat::{cnf, ClauseSink, Lit as SLit};
+use sat::{cnf, ClauseSink, Lit as SLit, Var};
 
 /// A fresh variable pinned to constant false (AIG node 0).
 fn const_false<S: ClauseSink>(sink: &mut S) -> SLit {
@@ -131,6 +131,11 @@ pub(crate) struct ConeCnf {
     node_lits: Vec<Option<SLit>>,
     loaded: usize,
     stack: Vec<NodeId>,
+    /// Node index → the last [`ConeCnf::scope`] walk that visited it.
+    visited: Vec<u32>,
+    walk: u32,
+    /// The variables the last [`ConeCnf::scope`] walk collected.
+    scope: Vec<Var>,
 }
 
 impl ConeCnf {
@@ -140,6 +145,9 @@ impl ConeCnf {
             node_lits: vec![None; aig.num_nodes()],
             loaded: 0,
             stack: Vec::new(),
+            visited: vec![0; aig.num_nodes()],
+            walk: 0,
+            scope: Vec::new(),
         }
     }
 
@@ -200,6 +208,36 @@ impl ConeCnf {
         }
         self.get(root)
             .unwrap_or_else(|| unreachable!("root was just loaded"))
+    }
+
+    /// The variables of the loaded cones of `roots`, walked over the same
+    /// canonical fanins [`ConeCnf::load`] encoded: a fanin-closed set of gate
+    /// variables, the scope of a [`sat::Solver::solve_within`] query about
+    /// the roots. Both roots must be loaded, and `repr` must not have
+    /// changed for any node of their cones since they were.
+    pub(crate) fn scope(&mut self, aig: &Aig, repr: &[ALit], roots: [NodeId; 2]) -> &[Var] {
+        self.walk = self.walk.wrapping_add(1);
+        if self.walk == 0 {
+            self.visited.fill(0);
+            self.walk = 1;
+        }
+        self.scope.clear();
+        self.stack.extend(roots);
+        while let Some(node) = self.stack.pop() {
+            if self.visited[node.index()] == self.walk {
+                continue;
+            }
+            self.visited[node.index()] = self.walk;
+            let lit = self
+                .get(node)
+                .unwrap_or_else(|| unreachable!("the cone of a loaded root is loaded"));
+            self.scope.push(lit.var());
+            if let AigNode::And { fanin0, fanin1 } = aig.node(node) {
+                self.stack.push(canonical(repr, *fanin0).node());
+                self.stack.push(canonical(repr, *fanin1).node());
+            }
+        }
+        &self.scope
     }
 }
 

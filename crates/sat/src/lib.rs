@@ -8,7 +8,9 @@
 //! restarts and periodic deletion of inactive learnt clauses. Solving under
 //! assumptions is supported for incremental use, and
 //! [`Solver::failed_assumptions`] exposes an unsatisfiable assumption core
-//! after an `Unsat`-under-assumptions answer.
+//! after an `Unsat`-under-assumptions answer. [`Solver::solve_within`] runs
+//! the same search scoped to a variable set (a query's cone), deciding and
+//! propagating only there.
 //!
 //! The previous-generation solver lives outside this crate, in the
 //! workspace's `sat-oracle` crate: an independent implementation the

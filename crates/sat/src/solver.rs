@@ -25,6 +25,14 @@
 //!   the assumptions that is already unsatisfiable with the formula
 //!   (final-conflict analysis), so incremental callers can learn *why* a
 //!   query failed.
+//! * **Cone-scoped queries.** [`Solver::solve_within`] runs the same search
+//!   restricted to a caller-given variable set: it decides only on that set,
+//!   enqueues no implication outside it above level 0, and answers `Sat` as
+//!   soon as the set is fully assigned. On an incrementally grown formula
+//!   (the SAT sweeper's) a query then pays for the cone it asks about, not
+//!   for everything loaded so far. `Unsat`, the failed core and `Unknown`
+//!   are unconditional; the method states when a scoped `Sat` extends to a
+//!   model.
 //!
 //! The solver this module replaced lives on unmodified in the workspace's
 //! `sat-oracle` crate as a differential testing oracle.
@@ -154,6 +162,16 @@ pub struct Solver {
     lbd_counter: u64,
     /// Failed-assumption core of the last Unsat-under-assumptions answer.
     conflict_core: Vec<Lit>,
+    /// Is a [`Solver::solve_within`] query running?
+    scoped: bool,
+    /// Membership of the running query's scope; all `false` outside one,
+    /// and read only while `scoped`, so the plain query never touches it.
+    in_scope: Vec<bool>,
+    /// Scope variables not yet assigned (meaningful while `scoped`).
+    scope_unassigned: usize,
+    /// Unassigned out-of-scope variables a scoped query popped from the
+    /// heap; put back before it returns.
+    stash: Vec<Var>,
     ok: bool,
     /// Maximum number of conflicts before giving up (`None` = unlimited).
     conflict_budget: Option<u64>,
@@ -193,6 +211,10 @@ impl Solver {
             lbd_stamp: Vec::new(),
             lbd_counter: 0,
             conflict_core: Vec::new(),
+            scoped: false,
+            in_scope: Vec::new(),
+            scope_unassigned: 0,
+            stash: Vec::new(),
             ok: true,
             conflict_budget: None,
             conflicts_since_reduce: 0,
@@ -210,6 +232,7 @@ impl Solver {
         self.reason.push(Reason::None);
         self.activity.push(0.0);
         self.seen.push(false);
+        self.in_scope.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.bin_watches.push(Vec::new());
@@ -421,6 +444,16 @@ impl Solver {
         self.level[var] = self.decision_level();
         self.reason[var] = reason;
         self.trail.push(lit);
+        if self.scoped && self.in_scope[var] {
+            self.scope_unassigned -= 1;
+        }
+    }
+
+    /// May propagation enqueue `lit`? Always, except above level 0 in a
+    /// scoped query for a literal outside the scope.
+    #[inline]
+    fn may_imply(&self, lit: Lit) -> bool {
+        !self.scoped || self.in_scope[lit.var().index()] || self.decision_level() == 0
     }
 
     fn propagate(&mut self) -> Option<ConflictCause> {
@@ -440,7 +473,10 @@ impl Solver {
                         self.qhead = self.trail.len();
                         return Some(ConflictCause::Binary(false_lit, other));
                     }
-                    _ => self.enqueue(other, Reason::Binary(false_lit)),
+                    _ if self.may_imply(other) => {
+                        self.enqueue(other, Reason::Binary(false_lit));
+                    }
+                    _ => {}
                 }
             }
 
@@ -500,7 +536,13 @@ impl Solver {
                     self.qhead = self.trail.len();
                     return Some(ConflictCause::Clause(w.cref));
                 }
-                self.enqueue(first, Reason::Clause(w.cref));
+                // A unit on a literal outside the scope stays watched where
+                // it is: that literal is never assigned above level 0, so
+                // the clause can neither imply nor conflict until the
+                // search backtracks past it.
+                if self.may_imply(first) {
+                    self.enqueue(first, Reason::Clause(w.cref));
+                }
             }
             ws.truncate(j);
             self.watches[false_lit.code()] = ws;
@@ -604,11 +646,17 @@ impl Solver {
     fn pick_branch_var(&mut self) -> Option<Var> {
         // Assigned variables stay in the heap lazily and are skipped here;
         // every unassigned variable is in the heap (re-inserted on
-        // backtracking), so an empty heap means a full assignment.
+        // backtracking) or, in a scoped query, stashed, so an empty heap
+        // means a full assignment.
         while let Some(var) = self.heap_pop() {
-            if self.assigns[var.index()] == 0 {
-                return Some(var);
+            if self.assigns[var.index()] != 0 {
+                continue;
             }
+            if self.scoped && !self.in_scope[var.index()] {
+                self.stash.push(var);
+                continue;
+            }
+            return Some(var);
         }
         None
     }
@@ -881,6 +929,9 @@ impl Solver {
             let var = lit.var();
             self.assigns[var.index()] = 0;
             self.reason[var.index()] = Reason::None;
+            if self.scoped && self.in_scope[var.index()] {
+                self.scope_unassigned += 1;
+            }
             self.heap_insert(var);
         }
         self.trail_lim.truncate(target_level as usize);
@@ -975,6 +1026,9 @@ impl Solver {
                         }
                         continue;
                     }
+                    if self.scoped && self.scope_unassigned == 0 {
+                        return SatResult::Sat;
+                    }
                     match self.pick_branch_var() {
                         None => return SatResult::Sat,
                         Some(var) => {
@@ -987,6 +1041,53 @@ impl Solver {
                 }
             }
         }
+    }
+
+    /// Solves under `assumptions` like [`Solver::solve_with_assumptions`],
+    /// but searches only over the variables in `scope`: decisions are taken
+    /// on scope variables only, propagation above level 0 enqueues no
+    /// literal outside the scope (level-0 propagation stays complete), and
+    /// the answer is [`SatResult::Sat`] as soon as every scope variable is
+    /// assigned. Variables outside the scope are then unassigned unless
+    /// fixed at level 0, and [`Solver::value`] reads `None` for them.
+    ///
+    /// [`SatResult::Unsat`], the [failed core](Solver::failed_assumptions)
+    /// and [`SatResult::Unknown`] hold unconditionally: every conflict and
+    /// every learnt clause comes from the clauses themselves. A `Sat`
+    /// answer is sound — the scope assignment extends to a model of the
+    /// whole formula — when every assignment of `scope` that satisfies the
+    /// clauses over `scope` extends to a model. That is the case when
+    /// `scope` is a fanin-closed set of Tseitin gate variables and every
+    /// other clause either defines a gate outside it or is implied by the
+    /// rest (a learnt clause, or a tie `a ↔ b` between two gates proved
+    /// equal).
+    ///
+    /// Every assumption variable must be in `scope`. With `scope` holding
+    /// every variable the query is [`Solver::solve_with_assumptions`], step
+    /// for step.
+    pub fn solve_within(&mut self, assumptions: &[Lit], scope: &[Var]) -> SatResult {
+        self.cancel_until(0);
+        self.scope_unassigned = 0;
+        for &var in scope {
+            if !self.in_scope[var.index()] {
+                self.in_scope[var.index()] = true;
+                self.scope_unassigned += usize::from(self.assigns[var.index()] == 0);
+            }
+        }
+        debug_assert!(
+            assumptions.iter().all(|a| self.in_scope[a.var().index()]),
+            "every assumption variable must be in the scope"
+        );
+        self.scoped = true;
+        let result = self.solve_with_assumptions(assumptions);
+        self.scoped = false;
+        for &var in scope {
+            self.in_scope[var.index()] = false;
+        }
+        while let Some(var) = self.stash.pop() {
+            self.heap_insert(var);
+        }
+        result
     }
 
     fn learn(&mut self, learnt: Vec<Lit>, backtrack: u32, lbd: u32) {

@@ -393,6 +393,7 @@ pub fn audit_solver(solver: &Solver, level: AuditLevel) -> AuditReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SatResult;
 
     fn assert_clean(stage: &str, report: &AuditReport) {
         assert!(report.is_clean(), "{stage} audit not clean:\n{report}");
@@ -459,5 +460,56 @@ mod tests {
         solver.learnts.push(cref);
         let report = audit_solver(&solver, AuditLevel::Paranoid);
         assert_eq!(report.fired_rules(), vec![RuleId::SatLbdBounds]);
+    }
+
+    /// Four variables outside the scope — created first, so on equal
+    /// activity a scoped search pops them before any scope variable and
+    /// must stash them — each implied by a scope literal, then
+    /// pigeonhole(`pigeons`, `holes`) as the scope.
+    fn scoped_pigeonhole(pigeons: usize, holes: usize) -> (Solver, Vec<Var>, Vec<Var>) {
+        let mut solver = Solver::new();
+        let outside: Vec<Var> = (0..4).map(|_| solver.new_var()).collect();
+        let x: Vec<Vec<Lit>> = (0..pigeons)
+            .map(|_| (0..holes).map(|_| Lit::pos(solver.new_var())).collect())
+            .collect();
+        for pigeon in &x {
+            solver.add_clause(pigeon);
+        }
+        for (p1, row1) in x.iter().enumerate() {
+            for row2 in &x[(p1 + 1)..] {
+                for (&a, &b) in row1.iter().zip(row2) {
+                    solver.add_clause(&[!a, !b]);
+                }
+            }
+        }
+        for (i, &o) in outside.iter().enumerate() {
+            solver.add_clause(&[!x[0][i % holes], Lit::pos(o)]);
+        }
+        let scope = x.iter().flatten().map(|l| l.var()).collect();
+        (solver, scope, outside)
+    }
+
+    #[test]
+    fn scoped_solves_leave_a_clean_solver() {
+        for (pigeons, holes, budget, expected) in [
+            (2, 2, None, SatResult::Sat),
+            (4, 3, None, SatResult::Unsat),
+            (10, 9, Some(10), SatResult::Unknown),
+        ] {
+            let (mut solver, scope, outside) = scoped_pigeonhole(pigeons, holes);
+            solver.set_conflict_budget(budget);
+            assert_eq!(solver.solve_within(&[], &scope), expected);
+            assert_clean(
+                &format!("after a scoped {expected:?}"),
+                &audit_solver(&solver, AuditLevel::Paranoid),
+            );
+            if expected == SatResult::Sat {
+                // The model stops at the scope: nothing outside was decided
+                // or implied.
+                for &o in &outside {
+                    assert_eq!(solver.value(Lit::pos(o)), None);
+                }
+            }
+        }
     }
 }

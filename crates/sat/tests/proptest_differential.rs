@@ -11,6 +11,10 @@
 //! * every failed-assumption core returned by the new engine must itself be
 //!   unsatisfiable together with the formula (validated on both engines).
 //!
+//! A scoped query over every variable, `Solver::solve_within(a, all)`, must
+//! be `Solver::solve_with_assumptions(a)` bit for bit: verdict, every model
+//! value, failed core and `SolverStats`, one query after another.
+//!
 //! Run with `PROPTEST_CASES=2000` (or higher) for the PR gate.
 
 use proptest::prelude::*;
@@ -164,6 +168,53 @@ proptest! {
             if new_verdict == SatResult::Sat {
                 prop_assert!(model_satisfies(&added, |l| solver.value(l)));
             }
+        }
+    }
+
+    /// Two solvers fed the same clauses and assumption rounds, one asked
+    /// plainly, one scoped to every variable, must never diverge.
+    #[test]
+    fn scope_over_every_variable_is_the_plain_query(
+        cnf_input in cnf_strategy(),
+        assumption_rounds in proptest::collection::vec(assumption_strategy(16), 1..=4),
+    ) {
+        let (num_vars, clauses) = cnf_input;
+        let mut plain = Solver::new();
+        let mut scoped = Solver::new();
+        let all: Vec<Var> = (0..num_vars).map(|_| {
+            plain.new_var();
+            scoped.new_var()
+        }).collect();
+        let chunk = clauses.len().div_ceil(assumption_rounds.len());
+        for (round, raw_assumptions) in assumption_rounds.iter().enumerate() {
+            for cl in clauses.iter().skip(round * chunk).take(chunk) {
+                let lits: Vec<Lit> = cl
+                    .iter()
+                    .map(|&(v, neg)| Lit::new(Var(v), neg))
+                    .collect();
+                plain.add_clause(&lits);
+                scoped.add_clause(&lits);
+            }
+            let assumptions: Vec<Lit> = raw_assumptions
+                .iter()
+                .filter(|&&(v, _)| v < num_vars)
+                .map(|&(v, neg)| Lit::new(Var(v), neg))
+                .collect();
+            let verdict = plain.solve_with_assumptions(&assumptions);
+            prop_assert_eq!(
+                scoped.solve_within(&assumptions, &all),
+                verdict,
+                "round {} verdict", round
+            );
+            for &v in &all {
+                prop_assert_eq!(
+                    scoped.value(Lit::pos(v)),
+                    plain.value(Lit::pos(v)),
+                    "round {} value of {}", round, Lit::pos(v)
+                );
+            }
+            prop_assert_eq!(scoped.failed_assumptions(), plain.failed_assumptions());
+            prop_assert_eq!(scoped.stats(), plain.stats(), "round {} stats", round);
         }
     }
 }
