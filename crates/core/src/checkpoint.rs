@@ -10,8 +10,14 @@
 //! is the paper's Fig. 7 document of the initial e-graph; taken from the
 //! product of the (dominant) saturation phase it is a checkpoint, which can
 //! be restored any number of times and re-extracted / re-mapped under
-//! different [`crate::ExtractorKind`] / cost-function / delay-target knobs —
-//! what the synthesis server's checkpoint store amortizes.
+//! different [`crate::ExtractorKind`] / cost-function / delay-target knobs.
+//!
+//! Nothing in the flow or the job server goes through the document: the
+//! server keeps each saturation in memory, in the layout a restore would
+//! give it ([`SaturatedState::relayout`], which equals
+//! `FlowCheckpoint::capture(state).restore()` without building the
+//! document). The document and its JSON text are what leaves the process;
+//! their callers are the benchmark ledger's checkpoint probe and the tests.
 
 use crate::convert::ConversionResult;
 use crate::flow::SaturatedState;
@@ -211,6 +217,30 @@ mod tests {
             .recv_timeout(Duration::from_secs(60))
             .expect("parsing the checkpoint exceeded 60 s");
         assert_eq!(back.unwrap(), checkpoint);
+    }
+
+    /// A checkpoint whose snapshot repeats a class key is rejected, as
+    /// `SerializedEGraph::from_json` rejects the bare snapshot: decoding into
+    /// the class map would silently keep only the last body of the class.
+    #[test]
+    fn checkpoint_with_a_duplicate_class_key_is_rejected() {
+        let state = saturate_network(&benchgen::adder(3).aig, &FlowConfig::fast());
+        let checkpoint = FlowCheckpoint::capture(&state);
+        let json = checkpoint.to_json();
+        let mut classes = checkpoint.egraph.classes.iter();
+        let (&key, _) = classes.next().unwrap();
+        let (_, other) = classes.next().unwrap();
+        let body = serde_json::to_string(&egraph::serialize::SerializedClass {
+            id: key,
+            ..other.clone()
+        })
+        .unwrap();
+        let at = json.find(&format!("\"{key}\":")).unwrap();
+        let mut duplicated = json.clone();
+        duplicated.insert_str(at, &format!("\"{key}\": {body}, "));
+        let err = FlowCheckpoint::from_json(&duplicated).unwrap_err();
+        assert!(err.0.contains("duplicate class key"), "got: {}", err.0);
+        assert_eq!(FlowCheckpoint::from_json(&json).unwrap(), checkpoint);
     }
 
     #[test]

@@ -337,6 +337,29 @@ pub struct SaturatedState {
     pub saturation_time: Duration,
 }
 
+impl SaturatedState {
+    /// The state in the layout a checkpoint of it restores to: equal to
+    /// `FlowCheckpoint::capture(self).restore()` — the same e-graph, class
+    /// ids, iteration order and roots, so every extraction engine selects
+    /// the same — built by [`egraph::serialize::relayout`] without the
+    /// document. Like a restored state, it carries no saturation reports,
+    /// no stop reason and zero timings.
+    pub fn relayout(&self) -> SaturatedState {
+        let (egraph, roots) = egraph::serialize::relayout(&self.egraph, &self.roots);
+        SaturatedState {
+            egraph,
+            roots,
+            name: self.name.clone(),
+            input_names: self.input_names.clone(),
+            output_names: self.output_names.clone(),
+            saturation: Vec::new(),
+            stop_reason: None,
+            conversion_time: Duration::ZERO,
+            saturation_time: Duration::ZERO,
+        }
+    }
+}
+
 /// Converts `current` to an e-graph and saturates it with the Table-I rule
 /// set under the config's limits. The pure saturation phase of
 /// [`emorphic_flow`], exposed so a job server can snapshot the result and

@@ -7,8 +7,9 @@
 
 use crate::{EGraph, FromOp, Id, Language, ParseError};
 use fxhash::FxHashMap;
+use serde::value::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A structural defect in a serialized snapshot, found by
 /// [`SerializedEGraph::validate`].
@@ -100,12 +101,44 @@ pub struct SerializedClass {
 }
 
 /// A whole e-graph in serialized form, plus the root classes of interest.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Default)]
 pub struct SerializedEGraph {
     /// Classes keyed by id (ordered for stable output).
     pub classes: BTreeMap<u32, SerializedClass>,
     /// Root class ids (e.g. the circuit outputs).
     pub roots: Vec<u32>,
+}
+
+/// Decoding rejects a `classes` object that repeats a key with
+/// [`ValidationError::DuplicateClassKey`]: the JSON parser keeps every
+/// entry of an object, but a map decode would keep only the last body of
+/// the class. Every reader of a snapshot — [`SerializedEGraph::from_json`]
+/// and any document that embeds one — goes through this check.
+impl Deserialize for SerializedEGraph {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        fn field<T: Deserialize>(value: &Value, name: &str) -> Result<T, serde::Error> {
+            let Some(field) = value.get(name) else {
+                return Err(serde::Error(format!(
+                    "missing field `SerializedEGraph.{name}`"
+                )));
+            };
+            T::from_value(field).map_err(|e| serde::Error(format!("SerializedEGraph.{name}: {e}")))
+        }
+        if !matches!(value, Value::Object(_)) {
+            return Err(serde::Error::expected("object", value));
+        }
+        if let Some(Value::Object(classes)) = value.get("classes") {
+            let mut seen: BTreeSet<&str> = BTreeSet::new();
+            if let Some((key, _)) = classes.iter().find(|(key, _)| !seen.insert(key)) {
+                let duplicate = ValidationError::DuplicateClassKey(key.clone());
+                return Err(serde::Error::custom(duplicate));
+            }
+        }
+        Ok(SerializedEGraph {
+            classes: field(value, "classes")?,
+            roots: field(value, "roots")?,
+        })
+    }
 }
 
 impl SerializedEGraph {
@@ -127,38 +160,14 @@ impl SerializedEGraph {
 
     /// Parses from JSON and validates the snapshot's referential integrity.
     ///
-    /// Duplicate `classes` keys are rejected (a plain map deserialization
-    /// would silently drop all but one), as is any key that disagrees with
-    /// the embedded class id.
+    /// Duplicate `classes` keys are rejected (see the [`Deserialize`]
+    /// impl), as is any key that disagrees with the embedded class id.
     ///
     /// # Errors
     /// Returns a [`ParseError`] describing malformed JSON or (via
     /// [`ValidationError`]) a structurally invalid snapshot.
     pub fn from_json(text: &str) -> Result<Self, ParseError> {
-        // The vendored JSON parser preserves duplicate object keys at the
-        // `Value` level; typed deserialization into a `BTreeMap` would drop
-        // them, so check before converting.
-        let value = serde_json::parse_value_text(text).map_err(|e| ParseError(e.to_string()))?;
-        if let serde::value::Value::Object(entries) = &value {
-            for (key, field) in entries {
-                if key != "classes" {
-                    continue;
-                }
-                if let serde::value::Value::Object(classes) = field {
-                    let mut seen: std::collections::BTreeSet<&str> =
-                        std::collections::BTreeSet::new();
-                    for (class_key, _) in classes {
-                        if !seen.insert(class_key.as_str()) {
-                            return Err(
-                                ValidationError::DuplicateClassKey(class_key.clone()).into()
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        let parsed: Self =
-            serde::Deserialize::from_value(&value).map_err(|e| ParseError(e.to_string()))?;
+        let parsed: Self = serde_json::from_str(text).map_err(|e| ParseError(e.to_string()))?;
         parsed.validate()?;
         Ok(parsed)
     }
@@ -171,7 +180,20 @@ impl SerializedEGraph {
     /// Returns the first [`ValidationError`] found (classes are visited in
     /// ascending id order).
     pub fn validate(&self) -> Result<(), ValidationError> {
-        for (&key, class) in &self.classes {
+        self.flatten().map(drop)
+    }
+
+    /// Validates the snapshot as [`SerializedEGraph::validate`] describes
+    /// and lays it out for [`replay`]: the ascending class keys, whose
+    /// positions are the dense class indexes, the nodes in replay order, and
+    /// each node's operator.
+    fn flatten(&self) -> Result<(Vec<u32>, Flat, Vec<&str>), ValidationError> {
+        let keys: Vec<u32> = self.classes.keys().copied().collect();
+        let dense = |id: u32| keys.binary_search(&id).ok().map(|at| at as u32);
+        let mut flat = Flat::new(keys.len(), self.num_nodes());
+        let mut ops: Vec<&str> = Vec::with_capacity(self.num_nodes());
+        let mut children: Vec<u32> = Vec::new();
+        for (at, (&key, class)) in self.classes.iter().enumerate() {
             if key != class.id {
                 return Err(ValidationError::KeyMismatch { key, id: class.id });
             }
@@ -179,24 +201,23 @@ impl SerializedEGraph {
                 return Err(ValidationError::EmptyClass(key));
             }
             for node in &class.nodes {
+                children.clear();
                 for &child in &node.children {
-                    if !self.classes.contains_key(&child) {
-                        return Err(ValidationError::MissingChild { class: key, child });
-                    }
+                    let missing = ValidationError::MissingChild { class: key, child };
+                    children.push(dense(child).ok_or(missing)?);
                 }
+                flat.push(at, children.iter().copied());
+                ops.push(&node.op);
             }
-            for &parent in &class.parents {
-                if !self.classes.contains_key(&parent) {
-                    return Err(ValidationError::MissingParent { class: key, parent });
-                }
+            if let Some(&parent) = class.parents.iter().find(|&&p| dense(p).is_none()) {
+                return Err(ValidationError::MissingParent { class: key, parent });
             }
         }
         for &root in &self.roots {
-            if !self.classes.contains_key(&root) {
-                return Err(ValidationError::MissingRoot(root));
-            }
+            flat.roots
+                .push(dense(root).ok_or(ValidationError::MissingRoot(root))?);
         }
-        Ok(())
+        Ok((keys, flat, ops))
     }
 }
 
@@ -252,6 +273,131 @@ pub struct ReconstructionStats {
     pub node_attempts: usize,
 }
 
+/// What both front-ends hand to [`replay`]: the source's e-nodes in replay
+/// order — classes by ascending source id, each class's nodes in order —
+/// with every class named by its dense index in that order.
+struct Flat {
+    /// Number of classes.
+    classes: usize,
+    /// Per node, the dense index of its class.
+    class: Vec<u32>,
+    /// Per node, where its children start in `children`; one entry more
+    /// than there are nodes.
+    start: Vec<u32>,
+    /// The dense class of every child reference, node after node.
+    children: Vec<u32>,
+    /// The dense class of every root.
+    roots: Vec<u32>,
+}
+
+impl Flat {
+    fn new(classes: usize, nodes: usize) -> Self {
+        let mut start = Vec::with_capacity(nodes + 1);
+        start.push(0);
+        Flat {
+            classes,
+            class: Vec::with_capacity(nodes),
+            start,
+            children: Vec::with_capacity(2 * nodes),
+            roots: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, class: usize, children: impl IntoIterator<Item = u32>) {
+        self.class.push(class as u32);
+        self.children.extend(children);
+        self.start.push(self.children.len() as u32);
+    }
+
+    fn children(&self, node: usize) -> &[u32] {
+        &self.children[self.start[node] as usize..self.start[node + 1] as usize]
+    }
+
+    /// The roots in `egraph`, given the id [`replay`] gave each class; every
+    /// root class must have been materialized.
+    fn roots<L: Language>(&self, egraph: &EGraph<L>, ids: &[Id]) -> Vec<Id> {
+        self.roots
+            .iter()
+            .map(|&at| egraph.find(ids[at as usize]))
+            .collect()
+    }
+}
+
+/// A class [`replay`] has not materialized yet.
+const UNMATERIALIZED: Id = Id(u32::MAX);
+
+/// The replay both [`from_serialized`] and [`relayout`] run: one `add` per
+/// e-node and one `union` per further node of a class, in Kahn order, then
+/// one `rebuild`. `make` builds node `i` of `flat` over the new ids of its
+/// children.
+///
+/// Each node waits on a count of child references not yet materialized
+/// (all of them at the start; a repeated child counts once per occurrence).
+/// When a class gets its first node, every node blocked on it — the CSR
+/// waiter list, in node order — counts down, and a FIFO queue drains the
+/// nodes whose count reached zero. Every node and every child reference is
+/// handled exactly once, so the replay is linear whatever the graph's depth.
+///
+/// Returns the e-graph, per dense class the id of its first materialized
+/// node ([`UNMATERIALIZED`] for a class no node of which could be built),
+/// and the work done. `node_attempts` falls short of the node count exactly
+/// when some nodes wait on a cycle with no base case.
+fn replay<L: Language, E>(
+    flat: &Flat,
+    mut make: impl FnMut(usize, &[Id]) -> Result<L, E>,
+) -> Result<(EGraph<L>, Vec<Id>, ReconstructionStats), E> {
+    let nodes = flat.class.len();
+    let mut waiter_start = vec![0u32; flat.classes + 1];
+    for &child in &flat.children {
+        waiter_start[child as usize + 1] += 1;
+    }
+    for c in 0..flat.classes {
+        waiter_start[c + 1] += waiter_start[c];
+    }
+    let mut fill = waiter_start.clone();
+    let mut waiters = vec![0u32; flat.children.len()];
+    for node in 0..nodes {
+        for &child in flat.children(node) {
+            waiters[fill[child as usize] as usize] = node as u32;
+            fill[child as usize] += 1;
+        }
+    }
+    let mut missing: Vec<u32> = flat.start.windows(2).map(|w| w[1] - w[0]).collect();
+    let mut ready: Vec<u32> = Vec::with_capacity(nodes);
+    ready.extend((0..nodes as u32).filter(|&n| missing[n as usize] == 0));
+
+    let mut egraph: EGraph<L> = EGraph::new();
+    let mut ids = vec![UNMATERIALIZED; flat.classes];
+    let mut children: Vec<Id> = Vec::new();
+    let mut head = 0;
+    while let Some(&node) = ready.get(head) {
+        head += 1;
+        let node = node as usize;
+        children.clear();
+        children.extend(flat.children(node).iter().map(|&c| ids[c as usize]));
+        debug_assert!(!children.contains(&UNMATERIALIZED));
+        let new_id = egraph.add(make(node, &children)?);
+        let class = flat.class[node] as usize;
+        if ids[class] != UNMATERIALIZED {
+            egraph.union(ids[class], new_id);
+            continue;
+        }
+        ids[class] = new_id;
+        let blocked = waiter_start[class] as usize..waiter_start[class + 1] as usize;
+        for &waiter in &waiters[blocked] {
+            missing[waiter as usize] -= 1;
+            if missing[waiter as usize] == 0 {
+                ready.push(waiter);
+            }
+        }
+    }
+    egraph.rebuild();
+    let stats = ReconstructionStats {
+        node_attempts: head,
+    };
+    Ok((egraph, ids, stats))
+}
+
 /// Reconstructs an e-graph from a serialized snapshot.
 ///
 /// Returns the e-graph plus a mapping from serialized ids to new class ids
@@ -267,104 +413,68 @@ pub fn from_serialized<L: FromOp>(data: &SerializedEGraph) -> Result<Deserialize
 
 /// [`from_serialized`], also returning work-accounting statistics.
 ///
-/// Scheduling is Kahn-style: each serialized node carries a count of child
-/// classes not yet materialized, classes keep a waiter list of the nodes
-/// blocked on them, and a ready queue drains nodes whose children are all
-/// available. Every node and every child edge is processed exactly once, so
-/// reconstruction is linear in snapshot size regardless of graph depth.
+/// The document front-end of the replay [`relayout`] shares: it validates
+/// the snapshot while numbering its classes densely in ascending id order,
+/// and parses each operator as the replay reaches its node.
 ///
 /// # Errors
 /// Same conditions as [`from_serialized`].
 pub fn from_serialized_with_stats<L: FromOp>(
     data: &SerializedEGraph,
 ) -> Result<(Deserialized<L>, ReconstructionStats), ParseError> {
-    data.validate()?;
-    let mut egraph: EGraph<L> = EGraph::new();
-    let mut id_map: FxHashMap<u32, Id> = FxHashMap::default();
-
-    // Flatten (class, node) pairs in deterministic order: ascending class id
-    // (BTreeMap iteration), then node index.
-    let flat: Vec<(u32, &SerializedNode)> = data
-        .classes
-        .iter()
-        .flat_map(|(&cid, class)| class.nodes.iter().map(move |n| (cid, n)))
-        .collect();
-
-    // Per flattened node: number of child references whose class has not yet
-    // been materialized. Duplicate references to the same child class are
-    // counted (and later decremented) once per occurrence, which keeps the
-    // bookkeeping a plain counter.
-    let mut missing: Vec<usize> = vec![0; flat.len()];
-    let mut waiters: FxHashMap<u32, Vec<usize>> = FxHashMap::default();
-    let mut ready: VecDeque<usize> = VecDeque::new();
-    for (fi, (_, node)) in flat.iter().enumerate() {
-        let mut count = 0usize;
-        for &child in &node.children {
-            if !id_map.contains_key(&child) {
-                count += 1;
-                waiters.entry(child).or_default().push(fi);
-            }
-        }
-        missing[fi] = count;
-        if count == 0 {
-            ready.push_back(fi);
-        }
-    }
-
-    let mut stats = ReconstructionStats::default();
-    while let Some(fi) = ready.pop_front() {
-        let (cid, node) = flat[fi];
-        stats.node_attempts += 1;
-        let children: Vec<Id> = node
-            .children
-            .iter()
-            .map(|c| {
-                id_map.get(c).copied().ok_or_else(|| {
-                    ParseError(format!("class {c} scheduled before materialization"))
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        let enode = L::from_op(&node.op, children)?;
-        let new_id = egraph.add(enode);
-        match id_map.get(&cid).copied() {
-            Some(existing) => {
-                egraph.union(existing, new_id);
-            }
-            None => {
-                id_map.insert(cid, new_id);
-                // The class just became available: release every node that
-                // was blocked on it.
-                if let Some(blocked) = waiters.remove(&cid) {
-                    for w in blocked {
-                        missing[w] -= 1;
-                        if missing[w] == 0 {
-                            ready.push_back(w);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    if stats.node_attempts < flat.len() {
+    let (keys, flat, ops) = data.flatten()?;
+    let (egraph, ids, stats) = replay(&flat, |node, children| {
+        L::from_op(ops[node], children.to_vec())
+    })?;
+    if stats.node_attempts < ops.len() {
         return Err(ParseError(format!(
             "serialized e-graph has {} nodes that could not be reconstructed (cyclic without base case?)",
-            flat.len() - stats.node_attempts
+            ops.len() - stats.node_attempts
         )));
     }
-    egraph.rebuild();
-    let roots: Vec<Id> = data
-        .roots
-        .iter()
-        .map(|r| {
-            id_map
-                .get(r)
-                .copied()
-                .map(|id| egraph.find(id))
-                .ok_or_else(|| ParseError(format!("root class {r} missing")))
-        })
-        .collect::<Result<_, _>>()?;
+    let roots = flat.roots(&egraph, &ids);
+    let id_map = keys.into_iter().zip(ids).collect();
     Ok(((egraph, id_map, roots), stats))
+}
+
+/// Rebuilds `egraph` (which must be clean) in the layout a snapshot of it
+/// restores to, without building the snapshot: the result is exactly
+/// `from_serialized(&to_serialized(egraph, roots))`'s e-graph and roots,
+/// made by the same `add` / `union` / `rebuild` calls in the same order, so
+/// its classes, ids, iteration order and indexes are the restored ones.
+///
+/// The live front-end of the replay [`from_serialized`] runs: classes in
+/// ascending canonical id, each node cloned with its children renumbered.
+pub fn relayout<L: Language>(egraph: &EGraph<L>, roots: &[Id]) -> (EGraph<L>, Vec<Id>) {
+    let class_ids = egraph.class_ids_sorted();
+    let mut dense = vec![u32::MAX; class_ids.last().map_or(0, |id| id.index() + 1)];
+    for (at, id) in class_ids.iter().enumerate() {
+        dense[id.index()] = at as u32;
+    }
+    let mut flat = Flat::new(class_ids.len(), egraph.total_nodes());
+    let mut nodes: Vec<&L> = Vec::with_capacity(egraph.total_nodes());
+    for (at, &id) in class_ids.iter().enumerate() {
+        for node in &egraph.class(id).nodes {
+            let children = node.children().iter();
+            flat.push(at, children.map(|&c| dense[egraph.find(c).index()]));
+            nodes.push(node);
+        }
+    }
+    flat.roots = roots
+        .iter()
+        .map(|&r| dense[egraph.find(r).index()])
+        .collect();
+    let replayed = replay(&flat, |node, children| {
+        let mut node = nodes[node].clone();
+        node.children_mut().copy_from_slice(children);
+        Ok::<L, std::convert::Infallible>(node)
+    });
+    let (relaid, ids, _) = match replayed {
+        Ok(replayed) => replayed,
+        Err(never) => match never {},
+    };
+    let roots = flat.roots(&relaid, &ids);
+    (relaid, roots)
 }
 
 #[cfg(test)]

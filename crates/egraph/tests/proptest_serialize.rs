@@ -3,17 +3,21 @@
 //! partition, the canonical (cheapest) forms, and the root equivalences —
 //! all checked against an independent reference rebuild that materializes
 //! nodes by brute-force fixpoint scanning (the obviously-correct, slow
-//! oracle the linear Kahn-style reconstruction replaced).
+//! oracle the linear Kahn-style reconstruction replaced). `relayout`, the
+//! same replay fed from the live e-graph, must equal the round trip index
+//! for index.
 
 // Helper fns here run outside #[test] context, so the clippy.toml
 // test relaxation does not reach them.
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
 use egraph::serialize::{
-    from_serialized, from_serialized_with_stats, to_serialized, SerializedEGraph,
+    from_serialized, from_serialized_with_stats, relayout, to_serialized, SerializedEGraph,
+    SerializedNode,
 };
-use egraph::{AstSize, EGraph, Extractor, FromOp, FxHashMap, FxHashSet, Id, SymbolLang};
+use egraph::{AstSize, EGraph, Extractor, FromOp, FxHashMap, FxHashSet, Id, Language, SymbolLang};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -103,6 +107,79 @@ fn partition_pairs(
         }
     }
     pairs
+}
+
+/// The replay `from_serialized` ran before it shared its core with
+/// `relayout`, kept as it was: a hash-map id map, one waiter `Vec` per
+/// class and a FIFO ready queue over the snapshot's classes in ascending id
+/// order, one `add` per node, one `union` per further node of a class, and
+/// one `rebuild`.
+fn kahn_reference(data: &SerializedEGraph) -> (EGraph<SymbolLang>, Vec<Id>) {
+    let mut egraph: EGraph<SymbolLang> = EGraph::new();
+    let mut id_map: FxHashMap<u32, Id> = FxHashMap::default();
+    let flat: Vec<(u32, &SerializedNode)> = data
+        .classes
+        .iter()
+        .flat_map(|(&cid, class)| class.nodes.iter().map(move |n| (cid, n)))
+        .collect();
+    let mut missing: Vec<usize> = flat.iter().map(|(_, n)| n.children.len()).collect();
+    let mut waiters: FxHashMap<u32, Vec<usize>> = FxHashMap::default();
+    let mut ready: VecDeque<usize> = VecDeque::new();
+    for (fi, (_, node)) in flat.iter().enumerate() {
+        for &child in &node.children {
+            waiters.entry(child).or_default().push(fi);
+        }
+        if node.children.is_empty() {
+            ready.push_back(fi);
+        }
+    }
+    while let Some(fi) = ready.pop_front() {
+        let (cid, node) = flat[fi];
+        let children: Vec<Id> = node.children.iter().map(|c| id_map[c]).collect();
+        let new_id = egraph.add(SymbolLang::from_op(&node.op, children).unwrap());
+        match id_map.get(&cid).copied() {
+            Some(existing) => {
+                egraph.union(existing, new_id);
+            }
+            None => {
+                id_map.insert(cid, new_id);
+                for w in waiters.remove(&cid).unwrap_or_default() {
+                    missing[w] -= 1;
+                    if missing[w] == 0 {
+                        ready.push_back(w);
+                    }
+                }
+            }
+        }
+    }
+    egraph.rebuild();
+    let roots = data.roots.iter().map(|r| egraph.find(id_map[r])).collect();
+    (egraph, roots)
+}
+
+/// Everything `relayout_equals_the_round_trip` compares: `classes()` in
+/// order with ids and node lists, the roots, the counters,
+/// `classes_for_op` for every operator key and `parent_index()`.
+type Layout = (
+    Vec<(Id, Vec<SymbolLang>)>,
+    Vec<Id>,
+    (usize, usize, usize),
+    Vec<Vec<Id>>,
+    FxHashMap<Id, Vec<(Id, SymbolLang)>>,
+);
+
+fn layout(egraph: &EGraph<SymbolLang>, roots: Vec<Id>, op_keys: &[u64]) -> Layout {
+    (
+        egraph.classes().map(|c| (c.id, c.nodes.clone())).collect(),
+        roots,
+        (
+            egraph.num_unions(),
+            egraph.total_nodes(),
+            egraph.num_classes(),
+        ),
+        op_keys.iter().map(|&k| egraph.classes_for_op(k)).collect(),
+        egraph.parent_index(),
+    )
 }
 
 proptest! {
@@ -196,5 +273,31 @@ proptest! {
                 term_after
             );
         }
+    }
+
+    /// `relayout` makes the e-graph the round trip restores, without the
+    /// document: the same classes in the same iteration order with the same
+    /// ids and node lists, the same roots and counters, and the same
+    /// operator and parent indexes. Both run one replay, so both are also
+    /// held to `kahn_reference`, the replay as it stood before they shared
+    /// it.
+    #[test]
+    fn relayout_equals_the_round_trip(ops in workload()) {
+        let (egraph, ids) = apply(&ops);
+        let roots: Vec<Id> = ids.iter().step_by(3).copied().collect();
+        let mut keys: Vec<u64> = egraph
+            .classes()
+            .flat_map(|c| c.nodes.iter().map(Language::op_key))
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let ser = to_serialized(&egraph, &roots);
+
+        let (relaid, relaid_roots) = relayout(&egraph, &roots);
+        let (restored, _map, restored_roots) = from_serialized::<SymbolLang>(&ser).unwrap();
+        let (reference, reference_roots) = kahn_reference(&ser);
+        let relaid = layout(&relaid, relaid_roots, &keys);
+        prop_assert_eq!(&relaid, &layout(&restored, restored_roots, &keys));
+        prop_assert_eq!(&relaid, &layout(&reference, reference_roots, &keys));
     }
 }

@@ -11,14 +11,17 @@
 //!    submission is answered with the *same* result object.
 //! 2. **Checkpoints** — keyed on the same circuit and the config's
 //!    [`SaturationKey`], the knobs `prepare_network` and the saturation stage
-//!    run under, defined next to them. One saturation is snapshotted through
-//!    [`FlowCheckpoint`] and re-extracted / re-mapped under any other
-//!    extractor, cost function, delay target or library, amortizing the
-//!    dominant phase (paper Fig. 9). The network `prepare_network` made of
-//!    the circuit is stored beside the snapshot, so a hit costs restore,
-//!    extraction and verify + map: the key holds every knob
-//!    `prepare_network` reads, and the circuit half of it is the name- and
-//!    numbering-blind fingerprint the result boundary already trusts.
+//!    run under, defined next to them. One saturation is kept in memory and
+//!    re-extracted / re-mapped under any other extractor, cost function,
+//!    delay target or library, amortizing the dominant phase (paper Fig. 9).
+//!    It is stored in the layout a checkpoint of it restores to
+//!    ([`SaturatedState::relayout`]), built once by the job that saturates,
+//!    so every hit extracts exactly what a restored checkpoint would give
+//!    without any document in between. The network `prepare_network` made
+//!    of the circuit is stored beside it, so a hit costs extraction and
+//!    verify + map: the key holds every knob `prepare_network` reads, and
+//!    the circuit half of it is the name- and numbering-blind fingerprint
+//!    the result boundary already trusts.
 //!
 //! **Keys are compared by value**: two configs are one key when `==` says so,
 //! however they were built; nothing is rendered to text or hashed in place
@@ -29,8 +32,8 @@
 //! **Both boundaries are single-flight.** Of the jobs that want an absent key
 //! one computes it; the others sleep, each on its worker, until the value is
 //! published — duplicates are served the result, jobs sharing a saturation
-//! *restore* its checkpoint — or the claim is released, and then one of them
-//! takes the computation over. Keys are made at submission and a worker
+//! extract from the stored one — or the claim is released, and then one of
+//! them takes the computation over. Keys are made at submission and a worker
 //! takes a job's claims in the step that pops it, so claims are taken in
 //! submission order: which job of a batch saturates, and so what each one
 //! serves, does not depend on how the pool interleaves. A miss runs the flow
@@ -48,10 +51,9 @@
 //! are made, so a budgeted job is another key at both boundaries.
 
 use aig::Aig;
-use emorphic::checkpoint::FlowCheckpoint;
 use emorphic::flow::{
     check_equivalence_swept, extract_network, prepare_network, saturate_network_with_interrupt,
-    verify_and_map, FlowConfig, SaturationKey,
+    verify_and_map, FlowConfig, SaturatedState, SaturationKey,
 };
 use emorphic::rules::rule_set_id;
 use fxhash::FxHashMap;
@@ -153,10 +155,10 @@ pub struct SynthesisResult {
     /// Whether CEC *proved* the served network equivalent to the submitted
     /// input (`true` when verification is disabled by the config).
     pub verified: bool,
-    /// Whether this result was extracted from a restored checkpoint instead
-    /// of a fresh saturation.
+    /// Whether this result was extracted from a stored saturation (a
+    /// checkpoint hit) instead of a fresh one.
     pub reused_checkpoint: bool,
-    /// Number of e-nodes in the (restored or fresh) saturated e-graph.
+    /// Number of e-nodes in the (stored or fresh) saturated e-graph.
     pub egraph_nodes: usize,
 }
 
@@ -212,7 +214,8 @@ pub struct ServerStats {
     pub failed: u64,
     /// Jobs served straight from the result cache.
     pub cache_hits: u64,
-    /// Jobs that restored a checkpoint instead of saturating.
+    /// Jobs that extracted from a stored saturation (a checkpoint hit)
+    /// instead of saturating.
     pub checkpoint_hits: u64,
     /// Fresh saturations performed (checkpoint-store misses).
     pub saturations: u64,
@@ -255,14 +258,16 @@ fn num_ready<K, V>(slots: &Slots<K, V>) -> usize {
 }
 
 /// What the checkpoint boundary stores for a key, published in one piece by
-/// the job that saturates.
+/// the job that saturates. A hit reads both by reference; nothing is
+/// restored or copied.
 struct Saturation {
     /// The network `prepare_network` made of that job's circuit: what was
     /// saturated, and what a job falls back to when extraction yields nothing
     /// or the CEC refutes it.
     prepared: Aig,
-    /// The saturated e-graph.
-    checkpoint: FlowCheckpoint,
+    /// The saturated e-graph, in the layout a checkpoint of it restores to
+    /// ([`SaturatedState::relayout`]): every hit extracts from it as it is.
+    state: SaturatedState,
 }
 
 /// Picks one of the two boundaries out of the locked state.
@@ -516,7 +521,7 @@ impl SynthesisServer {
         num_ready(&lock(&self.inner.state).results)
     }
 
-    /// Number of stored saturation checkpoints.
+    /// Number of stored saturations.
     pub fn stored_checkpoints(&self) -> usize {
         num_ready(&lock(&self.inner.state).checkpoints)
     }
@@ -603,7 +608,8 @@ fn serve_job<'a>(
     let preempted = || JobStatus::in_state(JobState::Preempted);
 
     // Both boundaries before the lock is let go, so that of two jobs the one
-    // submitted first claims first: it saturates, the other restores.
+    // submitted first claims first: it saturates, the other extracts from its
+    // saturation.
     let result_key = (circuit, config);
     let (state, result) = acquire(inner, state, |s| &mut s.results, &result_key, cancel);
     let result_claim = match result {
@@ -625,14 +631,13 @@ fn serve_job<'a>(
         return preempted();
     };
 
-    let (stored, saturated, reused_checkpoint) = match checkpoint {
-        Acquired::Ready(stored) => match stored.checkpoint.restore() {
-            Ok(restored) => {
-                lock(&inner.state).stats.checkpoint_hits += 1;
-                (stored, restored, true)
-            }
-            Err(e) => return JobStatus::failed(format!("stored checkpoint: {e}")),
-        },
+    // A hit extracts from the stored state; the job that saturates extracts
+    // from its own fresh state and drops it.
+    let (stored, fresh) = match checkpoint {
+        Acquired::Ready(stored) => {
+            lock(&inner.state).stats.checkpoint_hits += 1;
+            (stored, None)
+        }
         Acquired::Claimed(claim) => {
             // Technology-independent prefix (conventional rounds + SOP
             // balancing).
@@ -647,20 +652,23 @@ fn serve_job<'a>(
             }
             lock(&inner.state).stats.saturations += 1;
             let stored = Arc::new(Saturation {
-                checkpoint: FlowCheckpoint::capture(&fresh),
+                state: fresh.relayout(),
                 prepared,
             });
             claim.publish(Arc::clone(&stored));
-            (stored, fresh, false)
+            (stored, Some(fresh))
         }
     };
+    let reused_checkpoint = fresh.is_none();
+    let saturated = fresh.as_ref().unwrap_or(&stored.state);
     let prepared = &stored.prepared;
     if cancel.load(Ordering::Relaxed) {
         return preempted();
     }
 
-    let (extracted, _reports) = extract_network(&saturated, config);
+    let (extracted, _reports) = extract_network(saturated, config);
     let egraph_nodes = saturated.egraph.total_nodes();
+    drop(fresh);
     if cancel.load(Ordering::Relaxed) {
         return preempted();
     }
