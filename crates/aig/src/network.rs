@@ -389,20 +389,6 @@ impl Aig {
         counts
     }
 
-    /// Returns, for every node, the list of AND nodes that use it as a fanin.
-    pub fn fanout_lists(&self) -> Vec<Vec<NodeId>> {
-        let mut lists = vec![Vec::new(); self.nodes.len()];
-        for (i, node) in self.nodes.iter().enumerate() {
-            if let AigNode::And { fanin0, fanin1 } = node {
-                lists[fanin0.node().index()].push(NodeId(i as u32));
-                if fanin1.node() != fanin0.node() {
-                    lists[fanin1.node().index()].push(NodeId(i as u32));
-                }
-            }
-        }
-        lists
-    }
-
     // ------------------------------------------------------------------
     // Rebuilding (the contract is stated once, on `try_rebuild`)
     // ------------------------------------------------------------------

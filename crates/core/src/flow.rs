@@ -30,8 +30,9 @@
 //! * **parallelism** — [`egraph::pool::for_each_indexed`]: search shards,
 //!   windows, annealing chains, portfolio engines; the thread-count
 //!   contract is stated there.
-//! * **windows** — `drive_windows` in [`crate::windowed`]: partition, carve
-//!   the limits, saturate per window on the pool.
+//! * **windows** — [`saturate_windows`]: partition, carve the node limit,
+//!   saturate per window on the pool, stitch. Only [`emorphic_map_flow`]
+//!   runs windows; [`emorphic_flow`] always builds one e-graph.
 //! * **extract** — `run_extraction`: one `match` from [`ExtractorKind`] to
 //!   engine, run through [`ExtractionEngine::extract_with_reports`].
 
@@ -44,7 +45,7 @@ use crate::extract::{
 };
 use crate::lang::BoolLang;
 use crate::rules::all_rules;
-use crate::windowed::{saturate_windows, windowed_resynthesis, WindowReport};
+use crate::windowed::{saturate_windows, WindowReport};
 use aig::{audit_aig_dag_only, Aig};
 use audit::{AuditLevel, AuditReport};
 /// The one verifier of every driver: [`emorphic_flow`] and the job server
@@ -88,7 +89,7 @@ pub struct FlowConfig {
     /// search every thread count sees the same per-shard budgets.
     pub match_limit: usize,
     /// Worker threads for the saturation search phase, or for racing whole
-    /// windows on the windowed path (1 = serial). Only wall-clock time
+    /// windows on the windowed map path (1 = serial). Only wall-clock time
     /// depends on it: see [`egraph::pool`] for the contract and its one
     /// exception, a wall-clock limit that fires mid-phase.
     pub search_threads: usize,
@@ -124,15 +125,17 @@ pub struct FlowConfig {
     /// Wall-clock limit for the saturation phase (`None` keeps the runner's
     /// default). The job server maps per-job budgets onto this knob; like
     /// any wall-clock limit, a run that actually hits it stops at a
-    /// timing-dependent point. On the windowed path it is a deadline for the
-    /// whole phase: each window gets the time left, later windows are
+    /// timing-dependent point. On the windowed map path it is a deadline for
+    /// the whole phase: each window gets the time left, later windows are
     /// skipped.
     pub saturation_time_limit: Option<Duration>,
-    /// When set, the resynthesis phase runs windowed instead of monolithic:
-    /// the design is carved into reconvergence-bounded windows, each window
-    /// is saturated as an independent e-graph on the worker pool, and the
-    /// results are recombined ([`crate::windowed`]). `None` keeps the
-    /// single-e-graph path.
+    /// When set, [`emorphic_map_flow`] saturates windowed instead of
+    /// monolithic: the design is carved into reconvergence-bounded windows,
+    /// each window is saturated as an independent e-graph on the worker
+    /// pool, and the per-window choice spaces are stitched into one network
+    /// ([`saturate_windows`]). [`emorphic_flow`] has no windowed path: with
+    /// this set it runs monolithic and reports so in
+    /// [`FlowResult::window`]. `None` keeps the single-e-graph path.
     pub partitioning: Option<WindowOptions>,
 }
 
@@ -205,7 +208,8 @@ impl FlowConfig {
         self
     }
 
-    /// Enables windowed saturation with the given partitioning knobs.
+    /// Enables windowed saturation in [`emorphic_map_flow`] with the given
+    /// partitioning knobs.
     #[must_use]
     pub fn with_partitioning(mut self, opts: WindowOptions) -> Self {
         self.partitioning = Some(opts);
@@ -597,10 +601,10 @@ pub struct FlowResult {
     /// Aggregated phase-boundary audit findings (empty at
     /// [`AuditLevel::Off`]; locations are prefixed with the phase name).
     pub audit: AuditReport,
-    /// Per-window statistics when the resynthesis phase ran windowed
-    /// (`None` on the monolithic and baseline paths). A populated `error`
-    /// field means the windowed path failed and the flow fell back to the
-    /// monolithic e-graph.
+    /// `None` unless the configuration asked for windows
+    /// ([`FlowConfig::partitioning`]). [`emorphic_flow`] has no windowed
+    /// path, so it then runs monolithic and returns a report whose only
+    /// populated field is `error`, saying so.
     pub window: Option<WindowReport>,
 }
 
@@ -658,100 +662,6 @@ pub fn baseline_flow(aig: &Aig, config: &FlowConfig) -> FlowResult {
     }
 }
 
-/// The resynthesis phase's product, shared by the monolithic and windowed
-/// paths of [`emorphic_flow`].
-struct ResynthPhase {
-    /// The resynthesized network (`None` keeps the pre-resynthesis one).
-    extracted: Option<Aig>,
-    conversion_time: Duration,
-    extraction_time: Duration,
-    egraph_nodes: usize,
-    egraph_classes: usize,
-    saturation: Vec<egraph::IterationReport>,
-    engines: Vec<EngineReport>,
-    window: Option<WindowReport>,
-}
-
-/// The monolithic resynthesis phase: one e-graph over the whole design,
-/// limited rewriting, engine-driven extraction.
-fn monolithic_resynthesis_phase(
-    current: &Aig,
-    config: &FlowConfig,
-    audit: &mut AuditReport,
-) -> ResynthPhase {
-    // `saturate_network` brackets `aig_to_egraph` with its own conversion
-    // timer, which already covers the forward pass the conversion measures
-    // internally as `forward_time`; adding `forward_time` on top would
-    // double-count it and inflate the conversion share of the Fig. 9
-    // breakdown. The saturation time plus the post-saturation bracket below
-    // together reproduce the old single `t_extract` interval.
-    let state = saturate_network(current, config);
-    let t_extract = Instant::now();
-    let egraph_nodes = state.egraph.total_nodes();
-    let egraph_classes = state.egraph.num_classes();
-    audit.absorb("saturate", audit_egraph(&state.egraph, config.audit_level));
-
-    // A failed extraction (unrealizable root, empty portfolio) falls back to
-    // the pre-resynthesis network, and so does a winning selection the
-    // backward conversion rejects — in that case the conversion error is
-    // recorded on the winning engine's report (and its win stripped, since
-    // its result was not kept) so the failure stays visible in the reports.
-    let (extracted, engines) = extract_network(&state, config);
-    if let Some(extracted) = &extracted {
-        audit.absorb("extract", audit_aig_dag_only(extracted, config.audit_level));
-    }
-    ResynthPhase {
-        extracted,
-        conversion_time: state.conversion_time,
-        extraction_time: state.saturation_time + t_extract.elapsed(),
-        egraph_nodes,
-        egraph_classes,
-        saturation: state.saturation,
-        engines,
-        window: None,
-    }
-}
-
-/// The windowed resynthesis phase: carve, saturate per window, commit the
-/// shrinking window extractions. A [`WindowError`] falls back to the
-/// monolithic phase, with the error surfaced on the returned
-/// [`WindowReport`] rather than silently masked.
-fn windowed_resynthesis_phase(
-    current: &Aig,
-    opts: &WindowOptions,
-    config: &FlowConfig,
-    audit: &mut AuditReport,
-) -> ResynthPhase {
-    let t_total = Instant::now();
-    match windowed_resynthesis(current, opts, config) {
-        Ok((rebuilt, part, report)) => {
-            audit.absorb(
-                "partition",
-                audit_partition(current, &part, config.audit_level),
-            );
-            audit.absorb("extract", audit_aig_dag_only(&rebuilt, config.audit_level));
-            ResynthPhase {
-                extracted: Some(rebuilt),
-                conversion_time: report.partition_time,
-                extraction_time: t_total.elapsed().saturating_sub(report.partition_time),
-                egraph_nodes: report.egraph_nodes,
-                egraph_classes: report.egraph_classes,
-                saturation: Vec::new(),
-                engines: Vec::new(),
-                window: Some(report),
-            }
-        }
-        Err(e) => {
-            let mut phase = monolithic_resynthesis_phase(current, config, audit);
-            phase.window = Some(WindowReport {
-                error: Some(e.to_string()),
-                ..WindowReport::default()
-            });
-            phase
-        }
-    }
-}
-
 /// Runs the E-morphic flow: the baseline rounds with e-graph resynthesis
 /// inserted before the final mapping round.
 ///
@@ -762,6 +672,10 @@ fn windowed_resynthesis_phase(
 /// sweep merges the cones the resynthesis left intact before any output is
 /// queried, so arithmetic circuits such as multipliers verify within the
 /// config's conflict budget.
+///
+/// The e-graph always covers the whole design. With
+/// [`FlowConfig::partitioning`] set the flow runs exactly the same way and
+/// says so through [`FlowResult::window`]'s `error`.
 pub fn emorphic_flow(aig: &Aig, config: &FlowConfig) -> FlowResult {
     let start = Instant::now();
     let mut conventional_time = Duration::ZERO;
@@ -773,22 +687,33 @@ pub fn emorphic_flow(aig: &Aig, config: &FlowConfig) -> FlowResult {
     let current = prepare_network(aig, config);
     conventional_time += t0.elapsed();
 
-    // E-graph resynthesis: monolithic (one e-graph over the whole design) or
-    // windowed (carve → saturate per window → commit), per the config.
-    let phase = match &config.partitioning {
-        Some(opts) => windowed_resynthesis_phase(&current, opts, config, &mut audit),
-        None => monolithic_resynthesis_phase(&current, config, &mut audit),
-    };
-    let ResynthPhase {
-        extracted: extracted_aig,
-        conversion_time,
-        extraction_time,
-        egraph_nodes,
-        egraph_classes,
-        saturation,
-        engines: extraction_engines,
-        window,
-    } = phase;
+    // E-graph resynthesis: one e-graph over the whole design, limited
+    // rewriting, engine-driven extraction. `saturate_network` brackets
+    // `aig_to_egraph` with its own conversion timer, which already covers the
+    // forward pass the conversion measures internally as `forward_time`;
+    // adding `forward_time` on top would double-count it and inflate the
+    // conversion share of the Fig. 9 breakdown. The extraction share is the
+    // saturation time plus the post-saturation bracket below.
+    let mut state = saturate_network(&current, config);
+    let t_extract = Instant::now();
+    let egraph_nodes = state.egraph.total_nodes();
+    let egraph_classes = state.egraph.num_classes();
+    audit.absorb("saturate", audit_egraph(&state.egraph, config.audit_level));
+
+    // A failed extraction (unrealizable root, empty portfolio) falls back to
+    // the pre-resynthesis network, and so does a winning selection the
+    // backward conversion rejects — in that case the conversion error is
+    // recorded on the winning engine's report (and its win stripped, since
+    // its result was not kept) so the failure stays visible in the reports.
+    let (extracted_aig, extraction_engines) = extract_network(&state, config);
+    if let Some(extracted) = &extracted_aig {
+        audit.absorb("extract", audit_aig_dag_only(extracted, config.audit_level));
+    }
+    let extraction_time = state.saturation_time + t_extract.elapsed();
+    // The e-graph is freed before verification and the final round.
+    let saturation = std::mem::take(&mut state.saturation);
+    let conversion_time = state.conversion_time;
+    drop(state);
 
     // Verify against the prepared network, fall back to it on a proven
     // mismatch, then run the final (st; dch; map) round. Backward conversion
@@ -828,7 +753,10 @@ pub fn emorphic_flow(aig: &Aig, config: &FlowConfig) -> FlowResult {
         saturation,
         extraction_engines,
         audit,
-        window,
+        window: config.partitioning.as_ref().map(|_| WindowReport {
+            error: Some("windowed resynthesis was removed; ran monolithic".into()),
+            ..WindowReport::default()
+        }),
     }
 }
 
@@ -1557,21 +1485,46 @@ mod tests {
     }
 
     #[test]
-    fn windowed_emorphic_flow_verifies_and_reports_windows() {
+    fn partitioned_emorphic_flow_runs_monolithic() {
         let circuit = benchgen::adder(8).aig;
-        let config = FlowConfig::fast().with_partitioning(WindowOptions::default());
-        let result = emorphic_flow(&circuit, &config);
-        assert!(result.verified, "windowed flow must stay equivalent");
-        assert!(result.qor.delay_ps > 0.0);
-        let report = result.window.expect("windowed path must report");
-        assert!(report.error.is_none(), "{:?}", report.error);
-        assert!(report.windows > 0);
-        assert!(report.covered_ands > 0);
-        // Monolithic and baseline paths report no window stats.
         let mono = emorphic_flow(&circuit, &FlowConfig::fast());
+        let config = FlowConfig::fast().with_partitioning(WindowOptions::default());
+        let partitioned = emorphic_flow(&circuit, &config);
+        assert_eq!(
+            partitioned.qor.area_um2.to_bits(),
+            mono.qor.area_um2.to_bits()
+        );
+        assert_eq!(
+            partitioned.qor.delay_ps.to_bits(),
+            mono.qor.delay_ps.to_bits()
+        );
+        assert_eq!(partitioned.qor.gates, mono.qor.gates);
+        assert_eq!(partitioned.final_aig.outputs(), mono.final_aig.outputs());
+        assert_eq!(partitioned.final_aig.num_ands(), mono.final_aig.num_ands());
+        assert_eq!(partitioned.verified, mono.verified);
+        // The ignored option is reported, never silently dropped.
+        let report = partitioned.window.expect("a partitioned run must report");
+        assert!(report.error.is_some());
         assert!(mono.window.is_none());
-        let base = baseline_flow(&circuit, &FlowConfig::fast());
-        assert!(base.window.is_none());
+        assert!(baseline_flow(&circuit, &config).window.is_none());
+    }
+
+    #[test]
+    fn windowed_map_flow_returns_window_errors() {
+        // The map flow has no monolithic fallback: bad window knobs are a
+        // typed error.
+        let circuit = benchgen::adder(4).aig;
+        let config = MapFlowConfig {
+            flow: FlowConfig::fast().with_partitioning(WindowOptions {
+                max_leaves: 1,
+                ..WindowOptions::default()
+            }),
+            ..MapFlowConfig::fast()
+        };
+        assert!(matches!(
+            emorphic_map_flow(&circuit, &config),
+            Err(MapFlowError::Window(WindowError::InvalidOptions(_)))
+        ));
     }
 
     #[test]

@@ -60,4 +60,4 @@ pub use flow::{
 };
 pub use lang::BoolLang;
 pub use rules::{all_rules, rule_set_id, table1_rules};
-pub use windowed::{saturate_windows, windowed_resynthesis, WindowReport};
+pub use windowed::{saturate_windows, WindowReport};

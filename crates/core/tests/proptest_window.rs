@@ -1,17 +1,9 @@
 //! Property tests for the windowed-saturation pipeline.
 //!
-//! Three guarantees are pinned here, on random circuits pushed through the
-//! real partition → saturate → stitch/commit machinery:
-//!
-//! 1. **Differential soundness**: the windowed flow's final network is
-//!    CEC-equivalent to the input — checked independently of the flow's own
-//!    `verified` flag, with the monolithic flow run on the same circuit as
-//!    the reference.
-//! 2. **Pinned area bound**: windowed resynthesis never grows the host
-//!    (each committed window is strictly net-negative by construction).
-//! 3. **Thread determinism**: the windowed decomposition is bit-identical
-//!    at 1 and 4 search threads — same stitched network, same statistics,
-//!    same committed rebuild.
+//! Pinned here, on random circuits pushed through the real partition →
+//! saturate → stitch machinery: **thread determinism** — the windowed
+//! decomposition is bit-identical at 1 and 4 search threads, with the same
+//! stitched network and the same statistics.
 //!
 //! `PROPTEST_CASES` scales the random-circuit coverage.
 
@@ -19,10 +11,9 @@
 // test relaxation does not reach them.
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
-use cec::{check_equivalence, CecOptions};
 use choices::ChoiceConfig;
-use emorphic::flow::{emorphic_flow, FlowConfig};
-use emorphic::{saturate_windows, windowed_resynthesis};
+use emorphic::flow::FlowConfig;
+use emorphic::saturate_windows;
 use proptest::prelude::*;
 use window::WindowOptions;
 
@@ -41,60 +32,8 @@ fn test_config() -> (FlowConfig, WindowOptions) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
-    /// The windowed flow and the monolithic flow both produce networks
-    /// CEC-equivalent to the input, and both runs report a completed proof.
-    #[test]
-    fn windowed_flow_matches_monolithic_function(
-        seed in 0u64..10_000,
-        num_ands in 10usize..80,
-        num_inputs in 3usize..8,
-    ) {
-        let circuit = benchgen::random_aig(num_inputs, num_ands, 2, seed);
-        let (config, opts) = test_config();
-        let windowed = emorphic_flow(&circuit, &config.clone().with_partitioning(opts));
-        let monolithic = emorphic_flow(&circuit, &config);
-        prop_assert!(windowed.verified, "windowed flow CEC incomplete");
-        prop_assert!(monolithic.verified, "monolithic flow CEC incomplete");
-        // Independent proof, not trusting the flow's internal verifier.
-        let res = check_equivalence(&circuit, &windowed.final_aig, &CecOptions::default());
-        prop_assert!(res.is_equivalent(), "windowed network differs: {res:?}");
-        let report = windowed.window.expect("windowed flow must report windows");
-        prop_assert!(report.error.is_none(), "fell back: {:?}", report.error);
-        // The conventional pre-passes can collapse tiny random circuits to
-        // constants; the partitioner only owes windows when ANDs survive.
-        prop_assert!(
-            report.windows > 0 || windowed.final_aig.num_ands() == 0,
-            "partitioner produced no windows on a non-trivial host"
-        );
-    }
-
-    /// Windowed resynthesis never grows the host network: every committed
-    /// window replacement is strictly smaller than the interior logic it
-    /// retires, so the rebuilt AND count is bounded by the strashed input.
-    #[test]
-    fn windowed_resynthesis_never_grows_host(
-        seed in 0u64..10_000,
-        num_ands in 10usize..80,
-        num_inputs in 3usize..8,
-    ) {
-        let circuit = benchgen::random_aig(num_inputs, num_ands, 2, seed);
-        let (config, opts) = test_config();
-        let host = circuit.strash_copy();
-        let (rebuilt, _part, report) =
-            windowed_resynthesis(&circuit, &opts, &config).expect("windowed resynthesis");
-        prop_assert!(
-            rebuilt.num_ands() <= host.num_ands(),
-            "host grew: {} -> {} ({} windows committed)",
-            host.num_ands(),
-            rebuilt.num_ands(),
-            report.windows_resynthesized
-        );
-        let res = check_equivalence(&circuit, &rebuilt, &CecOptions::default());
-        prop_assert!(res.is_equivalent(), "rebuilt host differs: {res:?}");
-    }
-
-    /// The whole windowed decomposition — stitched choice network and
-    /// committed rebuild — is bit-identical at 1 and 4 search threads.
+    /// The whole windowed decomposition — stitched choice network and its
+    /// statistics — is bit-identical at 1 and 4 search threads.
     #[test]
     fn windowed_decomposition_is_thread_deterministic(
         seed in 0u64..10_000,
@@ -126,12 +65,5 @@ proptest! {
         prop_assert_eq!(s_report.windows, p_report.windows);
         prop_assert_eq!(s_report.classes_exported, p_report.classes_exported);
         prop_assert_eq!(s_report.alternatives, p_report.alternatives);
-
-        let (a, _, _) =
-            windowed_resynthesis(&circuit, &opts, &serial).expect("serial rebuild");
-        let (b, _, _) =
-            windowed_resynthesis(&circuit, &opts, &parallel).expect("parallel rebuild");
-        prop_assert_eq!(a.num_nodes(), b.num_nodes(), "rebuilt node counts diverged");
-        prop_assert_eq!(a.outputs(), b.outputs(), "rebuilt output literals diverged");
     }
 }
