@@ -47,15 +47,25 @@
 //! nodes can match its root symbol. Below the root the matcher consults
 //! each class's **operator signature**, a 32-bit set of the operators its
 //! nodes have had, and skips a class that cannot hold the one it needs.
+//!
+//! # The matcher's snapshot
+//!
+//! The matcher does not read this store. At the start of each search phase
+//! the [`crate::Runner`] copies the clean graph once into a dense,
+//! id-indexed `Snapshot` (the `snapshot` module has its layout). All search
+//! workers share it, and it is dropped before the apply phase, so it costs
+//! one O(ids + nodes) copy per iteration and never goes stale.
 
 use crate::{Id, Language, RecExpr, UnionFind};
 use fxhash::{FxHashMap, FxHashSet};
 
 mod audit;
+mod snapshot;
 
 #[cfg(test)]
 pub(crate) use self::audit::assert_audit_clean;
 pub use self::audit::{audit_egraph, egraph_catalog};
+pub(crate) use self::snapshot::Snapshot;
 
 /// The `slot` entry of an id whose class has been merged away.
 const DEAD: u32 = u32::MAX;
@@ -528,10 +538,13 @@ impl<L: Language> EGraph<L> {
         self.debug_assert_clean("classes_for_op()");
         let mut out = Vec::new();
         if let Some(ids) = self.classes_by_op.get(&key) {
-            let mut seen: FxHashSet<Id> = FxHashSet::default();
+            // One bit per id marks the canonical ids already returned.
+            let mut seen = vec![0u64; self.slot.len().div_ceil(64)];
             for &id in ids {
                 let canon = self.find(id);
-                if seen.insert(canon) {
+                let (word, bit) = (canon.index() / 64, 1 << (canon.index() % 64));
+                if seen[word] & bit == 0 {
+                    seen[word] |= bit;
                     out.push(canon);
                 }
             }
@@ -720,11 +733,12 @@ mod tests {
 
     #[test]
     fn egraph_is_send_and_sync() {
-        // The Runner's parallel search shares `&EGraph` across scoped worker
-        // threads; `find` is compression-free on `&self`, so the whole graph
-        // is `Sync` as long as the language is.
+        // The Runner's parallel search shares one `&Snapshot` across scoped
+        // worker threads; the job server moves e-graphs between threads, and
+        // `find` is compression-free on `&self`, so the graph is `Sync` too.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<EGraph<SymbolLang>>();
+        assert_send_sync::<Snapshot<SymbolLang>>();
         assert_send_sync::<crate::Rewrite<SymbolLang>>();
     }
 

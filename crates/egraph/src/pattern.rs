@@ -25,6 +25,19 @@
 //! class holds no matching e-node, so its scan would have charged no step
 //! and cut nothing, and the contract below is kept to the letter.
 //!
+//! # The snapshot
+//!
+//! The matcher reads only a dense, read-only snapshot of the clean e-graph
+//! (`crate::egraph::Snapshot`): the canonical id of every id, one packed
+//! signature-and-offset word per id, and every class's nodes contiguous in
+//! id order. A `Node` step reads one word and scans a contiguous node range
+//! instead of walking union-find, slot table, class store and node list.
+//! Each *entry* class id is canonicalized through the snapshot; every id
+//! below it is a node's child, canonical after rebuild. The runner builds
+//! one snapshot per search phase and shares it between its workers;
+//! [`Pattern::search_classes`] builds its own, so a direct search runs the
+//! same matcher.
+//!
 //! # The order-and-budget contract
 //!
 //! [`Pattern::search_classes`] is a pure function of `(e-graph, pattern,
@@ -52,7 +65,7 @@
 //!   budget stopped a scan while candidates were left. A budget that reaches
 //!   zero exactly as the last enumeration ends is still a complete search.
 
-use crate::egraph::op_signature;
+use crate::egraph::{op_signature, Snapshot};
 use crate::language::parse_sexpr_into;
 use crate::{EGraph, FromOp, Id, Language, ParseError, RecExpr};
 use std::str::FromStr;
@@ -321,15 +334,15 @@ pub struct MatchScratch {
     rows: Vec<Id>,
 }
 
-/// The matcher: a compiled program running over one e-graph, with the
-/// budgets of one [`Pattern::search_classes`] call.
+/// The matcher: a compiled program running over one e-graph snapshot, with
+/// the budgets of one [`Pattern::search_classes`] call.
 ///
 /// A *row* is `width` consecutive ids in `rows`, addressed by the offset of
 /// its first id. Every instruction reads one input row and appends its
 /// output rows to the top of the stack; rows below the top at entry are never
 /// written.
 struct Machine<'a, L: Language> {
-    egraph: &'a EGraph<L>,
+    snapshot: &'a Snapshot<L>,
     program: &'a [Insn<L>],
     width: usize,
     rows: &'a mut Vec<Id>,
@@ -349,43 +362,43 @@ impl<L: Language> Machine<'_, L> {
         at
     }
 
-    /// Runs the instruction at `pc` (with its sub-programs) on `eclass`
-    /// under the row at `input`, appends the rows under which it matches to
-    /// the stack and returns how many it appended (at most `limit`).
+    /// Runs the instruction at `pc` (with its sub-programs) on the canonical
+    /// class `eclass` under the row at `input`, appends the rows under which
+    /// it matches to the stack and returns how many it appended (at most
+    /// `limit`).
     fn run(&mut self, pc: usize, eclass: Id, input: usize) -> usize {
         if self.steps == 0 {
             self.cut = true;
             return 0;
         }
         self.steps -= 1;
-        let (egraph, program, width, limit) = (self.egraph, self.program, self.width, self.limit);
+        let (snapshot, program, width, limit) =
+            (self.snapshot, self.program, self.width, self.limit);
         match &program[pc] {
             Insn::Bind(slot) => {
                 let at = self.push_copy(input);
-                self.rows[at + slot] = egraph.find(eclass);
+                self.rows[at + slot] = eclass;
                 1
             }
             Insn::Check(slot) => {
-                if self.rows[input + slot] != egraph.find(eclass) {
+                if self.rows[input + slot] != eclass {
                     return 0;
                 }
                 self.push_copy(input);
                 1
             }
             Insn::Node { op, sig, .. } => {
-                let Some(class) = egraph.get_class(eclass) else {
-                    return 0;
-                };
+                let (class_sig, nodes) = snapshot.class(eclass);
                 // The loop below would charge nothing and cut nothing on a
                 // class without a matching node; skip it without walking.
-                if class.sig & sig == 0 {
+                if class_sig & sig == 0 {
                     return 0;
                 }
                 let out = self.rows.len();
                 let mut found = 0;
-                for (i, enode) in class.nodes.iter().enumerate() {
+                for (i, enode) in nodes.iter().enumerate() {
                     if self.steps == 0 {
-                        self.cut |= class.nodes[i..].iter().any(|n| op.matches(n));
+                        self.cut |= nodes[i..].iter().any(|n| op.matches(n));
                         break;
                     }
                     if !op.matches(enode) {
@@ -427,8 +440,7 @@ impl<L: Language> Machine<'_, L> {
                     self.rows.truncate(dst + len);
                     found += count;
                     if found >= limit {
-                        self.cut |=
-                            found > limit || class.nodes[i + 1..].iter().any(|n| op.matches(n));
+                        self.cut |= found > limit || nodes[i + 1..].iter().any(|n| op.matches(n));
                         found = limit;
                         self.rows.truncate(out + limit * width);
                         break;
@@ -485,7 +497,9 @@ impl<L: Language> Pattern<L> {
 
     /// The search entry point: scans an explicit sequence of candidate
     /// classes, in order, under its own match budget (and the derived step
-    /// budget), using `scratch` as working memory.
+    /// budget), using `scratch` as working memory. It copies `egraph` into
+    /// a snapshot first (one O(ids + nodes) pass; see the module docs), as
+    /// the runner does once per search phase.
     ///
     /// This is a pure function of `(egraph, pattern, classes, match_limit)` —
     /// the module docs state the exact order and budget rules — which is what
@@ -505,12 +519,24 @@ impl<L: Language> Pattern<L> {
         match_limit: usize,
         scratch: &mut MatchScratch,
     ) -> (Vec<SearchMatches>, bool) {
+        self.search_snapshot(&egraph.snapshot(), classes, match_limit, scratch)
+    }
+
+    /// [`Pattern::search_classes`] on a snapshot the caller built, so the
+    /// runner's search workers share one.
+    pub(crate) fn search_snapshot(
+        &self,
+        snapshot: &Snapshot<L>,
+        classes: impl IntoIterator<Item = Id>,
+        match_limit: usize,
+        scratch: &mut MatchScratch,
+    ) -> (Vec<SearchMatches>, bool) {
         let width = self.vars.len();
         scratch.rows.clear();
         // The row every enumeration starts from: nothing bound.
         scratch.rows.resize(width, UNBOUND);
         let mut machine = Machine {
-            egraph,
+            snapshot,
             program: &self.program,
             width,
             rows: &mut scratch.rows,
@@ -523,7 +549,7 @@ impl<L: Language> Pattern<L> {
             if machine.limit == 0 || machine.steps == 0 {
                 return (results, false);
             }
-            let eclass = egraph.find(id);
+            let eclass = snapshot.find(id);
             let found = machine.run(0, eclass, 0);
             if found > 0 {
                 let substs = (0..found)

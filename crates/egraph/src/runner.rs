@@ -94,7 +94,8 @@ pub struct IterationReport {
     /// graph rather than its total size.
     pub rebuild_time: Duration,
     /// Wall-clock time of the (possibly parallel) search phase this
-    /// iteration.
+    /// iteration, including the one O(ids + nodes) copy of the e-graph
+    /// that the matcher reads (its snapshot) and the candidate-class lists.
     pub search_time: Duration,
     /// `true` when every rule was searched over all of its candidate classes
     /// this iteration (no budget exhaustion, no banned rules); only then can
@@ -160,9 +161,11 @@ struct SearchOutcome {
     incomplete: bool,
 }
 
-/// Searches all non-banned rules over the (immutable) e-graph, sharded into
-/// `(rule × class-range)` work items that run on [`crate::pool`], and merges
-/// the results in deterministic `(rule index, shard index)` order.
+/// Searches all non-banned rules over one snapshot of the (immutable)
+/// e-graph, sharded into `(rule × class-range)` work items that run on
+/// [`crate::pool`], and merges the results in deterministic `(rule index,
+/// shard index)` order. The snapshot is built here, shared by every worker
+/// and dropped on return, before anything is applied.
 ///
 /// Each rule's per-iteration match budget is split across its shards before
 /// any searching starts (quotas sum exactly to `match_limit`), so every
@@ -186,6 +189,8 @@ fn search_phase<L: Language>(
     // class count: if the class count divided the stride, every iteration
     // would restart the scan at the same class.
     const ROTATION_STRIDE: usize = 9973;
+
+    let snapshot = egraph.snapshot();
 
     // One candidate-class list per distinct left-hand-side root operator:
     // rules with the same root share it, each reading it from its own
@@ -247,8 +252,8 @@ fn search_phase<L: Language>(
         |i, scratch| {
             let job = &jobs[i];
             stop_requested().is_none().then(|| {
-                rewrites[job.rule].lhs.search_classes(
-                    egraph,
+                rewrites[job.rule].lhs.search_snapshot(
+                    &snapshot,
                     job.classes.iter().copied().flatten().copied(),
                     job.quota,
                     &mut scratch.borrow_mut(),
