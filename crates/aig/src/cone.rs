@@ -1,52 +1,7 @@
-//! Transitive-fanin cones, topological iteration and MFFC computation.
+//! Cone extraction and MFFC computation.
 
 use crate::{Aig, AigError, AigNode, Lit, NodeId};
 use fxhash::FxHashSet;
-
-/// Iterator over the nodes reachable from a set of roots, in topological
-/// order (fanins before fanouts).
-///
-/// Because [`Aig`] stores nodes in creation order, topological order is simply
-/// ascending node-id order restricted to the reachable set.
-pub struct TopoIter {
-    ids: std::vec::IntoIter<NodeId>,
-}
-
-impl TopoIter {
-    /// Builds a topological iterator over the transitive fanin of `roots`.
-    pub fn new(aig: &Aig, roots: impl IntoIterator<Item = NodeId>) -> Self {
-        let set = tfi(aig, roots);
-        let mut ids: Vec<NodeId> = set.into_iter().collect();
-        ids.sort_unstable();
-        TopoIter {
-            ids: ids.into_iter(),
-        }
-    }
-}
-
-impl Iterator for TopoIter {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<NodeId> {
-        self.ids.next()
-    }
-}
-
-/// Computes the transitive fanin (including the roots themselves).
-pub fn tfi(aig: &Aig, roots: impl IntoIterator<Item = NodeId>) -> FxHashSet<NodeId> {
-    let mut seen: FxHashSet<NodeId> = FxHashSet::default();
-    let mut stack: Vec<NodeId> = roots.into_iter().collect();
-    while let Some(id) = stack.pop() {
-        if !seen.insert(id) {
-            continue;
-        }
-        if let AigNode::And { fanin0, fanin1 } = aig.node(id) {
-            stack.push(fanin0.node());
-            stack.push(fanin1.node());
-        }
-    }
-    seen
-}
 
 /// A sub-circuit extracted from a host AIG.
 ///
@@ -246,28 +201,6 @@ mod tests {
         aig.add_output(abc, "f");
         aig.add_output(other, "g");
         aig
-    }
-
-    #[test]
-    fn tfi_contains_roots_and_inputs() {
-        let aig = sample();
-        let f = aig.outputs()[0];
-        let set = tfi(&aig, [f.node()]);
-        assert!(set.contains(&f.node()));
-        assert!(set.contains(&aig.inputs()[0]));
-        assert!(set.contains(&aig.inputs()[1]));
-        assert!(set.contains(&aig.inputs()[2]));
-    }
-
-    #[test]
-    fn topo_iter_is_sorted_and_complete() {
-        let aig = sample();
-        let f = aig.outputs()[0];
-        let ids: Vec<NodeId> = TopoIter::new(&aig, [f.node()]).collect();
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        assert_eq!(ids, sorted);
-        assert!(ids.contains(&f.node()));
     }
 
     #[test]

@@ -8,9 +8,7 @@
 //!   over `!`, `*`, `+`, `^` used by the E-morphic pre-/post-processing.
 
 pub mod aiger;
-pub mod bench;
 pub mod eqn;
 
 pub use aiger::{read_aiger, write_aiger};
-pub use bench::write_bench;
 pub use eqn::{read_eqn, write_eqn};

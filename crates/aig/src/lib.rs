@@ -28,15 +28,13 @@
 #![warn(missing_docs)]
 
 mod cone;
-pub mod dot;
 mod fingerprint;
 pub mod io;
 mod lit;
 mod network;
 mod sim;
-mod stats;
 
-pub use cone::{mffc_size, tfi, try_extract_cone, Cone, TopoIter};
+pub use cone::{mffc_size, try_extract_cone, Cone};
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use lit::{Lit, NodeId};
 pub use network::{
@@ -44,7 +42,6 @@ pub use network::{
     AigNode, RebuildView,
 };
 pub use sim::{small_truth_table, SimVector, Simulator};
-pub use stats::AigStats;
 
 /// Errors produced while parsing or manipulating AIGs.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -234,7 +234,10 @@ pub fn esyn_backward(
         .collect();
     let mut built = 0u64;
     for (root, name) in conversion.roots.iter().zip(output_names) {
-        let expr = extraction.selection.to_recexpr(&conversion.egraph, *root);
+        let expr = extraction
+            .selection
+            .try_to_recexpr(&conversion.egraph, *root)
+            .unwrap_or_else(|_| unreachable!("an extraction selects every class it reaches"));
         // Tree-expand the extracted term output by output.
         let mut lits: Vec<aig::Lit> = Vec::with_capacity(expr.len());
         for node in expr.as_ref() {

@@ -4,12 +4,11 @@
 use crate::esyn::{esyn_backward, esyn_forward, flattened_tree_size, EsynLimits};
 use crate::{geomean, num, saturated, Run, Table};
 use benchgen::SuiteScale;
-use egraph::{AstSize, Extractor};
 use emorphic::extract::sa::{SaEngine, SaOptions};
 use emorphic::extract::{BottomUpEngine, ExtractBudget, ExtractionCost, ExtractionEngine};
 use emorphic::flow::{baseline_flow, emorphic_flow, FlowResult};
 use emorphic::report::FlowReport;
-use emorphic::{aig_to_egraph, selection_to_aig};
+use emorphic::{aig_to_egraph, try_selection_to_aig};
 use logic_opt::{balance, dch_like, refactor, rewrite, DchOptions};
 use std::time::{Duration, Instant};
 use techmap::cell::map_to_cells;
@@ -155,20 +154,29 @@ pub(crate) fn table3(run: &mut Run) {
         let forward = t0.elapsed().as_secs_f64();
         let enodes = conversion.egraph.total_nodes();
         let t1 = Instant::now();
-        let extractor = Extractor::new(&conversion.egraph, AstSize);
-        let back = selection_to_aig(
-            &conversion.egraph,
-            &extractor.selection(),
-            &conversion.roots,
-            &conversion.input_names,
-            &conversion.output_names,
-            &conversion.name,
-        );
+        let back = BottomUpEngine::new(ExtractionCost::Size)
+            .extract(
+                &conversion.egraph,
+                &conversion.roots,
+                &ExtractBudget::unlimited(),
+            )
+            .ok()
+            .and_then(|extraction| {
+                try_selection_to_aig(
+                    &conversion.egraph,
+                    &extraction.selection,
+                    &conversion.roots,
+                    &conversion.input_names,
+                    &conversion.output_names,
+                    &conversion.name,
+                )
+                .ok()
+            });
         let backward = t1.elapsed().as_secs_f64();
         run.check(
             "roundtrip-keeps-outputs",
             &circuit.name,
-            back.num_outputs() == aig.num_outputs(),
+            back.is_some_and(|back| back.num_outputs() == aig.num_outputs()),
             &[
                 ("enodes", enodes as f64),
                 ("forward_s", forward),

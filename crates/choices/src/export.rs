@@ -130,8 +130,8 @@ fn expr_cost(
 /// A per-class selection driving the choice export: the representative
 /// realization (`best`) and its cost (`costs`) for every realizable class.
 ///
-/// Produced either by the exporter's own greedy sweep
-/// ([`greedy_class_selection`]) or by an external extraction engine whose
+/// Produced either by the exporter's own greedy sweep (the one
+/// [`egraph_to_choices`] runs) or by an external extraction engine whose
 /// per-class choices are translated to [`BoolExpr`]s — the dependency
 /// inversion that lets alternative extractors shape which class members a
 /// [`ChoiceAig`] keeps without this crate knowing about them.
@@ -147,7 +147,7 @@ pub struct ClassSelection {
 /// The exporter's default per-class selection: a greedy bottom-up sweep to
 /// the least-fixpoint cost under `config.cost` (the same selection a
 /// choice-free extraction would make).
-pub fn greedy_class_selection<L: BoolNode>(
+fn greedy_class_selection<L: BoolNode>(
     egraph: &EGraph<L>,
     config: &ChoiceConfig,
 ) -> ClassSelection {

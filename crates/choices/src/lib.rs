@@ -37,8 +37,8 @@ mod export;
 mod network;
 
 pub use export::{
-    egraph_to_choices, egraph_to_choices_with_selection, greedy_class_selection, BoolExpr,
-    BoolNode, ChoiceConfig, ChoiceCost, ClassSelection, ExportStats,
+    egraph_to_choices, egraph_to_choices_with_selection, BoolExpr, BoolNode, ChoiceConfig,
+    ChoiceCost, ClassSelection, ExportStats,
 };
 pub use network::{
     audit_choices, choice_catalog, filter_ordering, ChoiceAig, ChoiceClass, RebuildStats,

@@ -116,9 +116,9 @@ impl FlowCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convert::{aig_to_egraph, selection_to_aig};
+    use crate::convert::{aig_to_egraph, try_selection_to_aig};
+    use crate::extract::{CostGraph, ExtractionCost};
     use crate::flow::{extract_network, saturate_network, FlowConfig};
-    use egraph::{AstSize, Extractor};
 
     #[test]
     fn document_roundtrips_through_json() {
@@ -140,15 +140,16 @@ mod tests {
         let doc = FlowCheckpoint::from_conversion(&conv);
         let restored = doc.restore().unwrap();
         assert_eq!(restored.egraph.num_classes(), conv.egraph.num_classes());
-        let extractor = Extractor::new(&restored.egraph, AstSize);
-        let back = selection_to_aig(
+        let graph = CostGraph::new(&restored.egraph);
+        let back = try_selection_to_aig(
             &restored.egraph,
-            &extractor.selection(),
+            &graph.bottom_up(ExtractionCost::Size).selection,
             &restored.roots,
             &restored.input_names,
             &restored.output_names,
             &restored.name,
-        );
+        )
+        .unwrap();
         for p in 0..(1usize << aig.num_inputs()) {
             let bits: Vec<bool> = (0..aig.num_inputs()).map(|i| p >> i & 1 == 1).collect();
             assert_eq!(aig.evaluate(&bits), back.evaluate(&bits), "pattern {p}");

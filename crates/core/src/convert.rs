@@ -9,7 +9,7 @@
 
 use crate::lang::BoolLang;
 use aig::{Aig, AigNode, Lit, NodeId};
-use egraph::{DagSelection, EGraph, Id, RecExpr, SelectionError};
+use egraph::{DagSelection, EGraph, Id, SelectionError};
 use std::time::{Duration, Instant};
 
 /// The result of converting a circuit into an e-graph.
@@ -94,27 +94,6 @@ pub fn aig_to_egraph(aig: &Aig) -> ConversionResult {
 /// direction of the DAG-to-DAG conversion).
 ///
 /// `input_names` supplies the primary-input list; `Var(i)` maps to input `i`.
-/// Classes reachable from the roots must all have a selection.
-///
-/// # Panics
-/// Panics if a reachable class has no selected node or the selection is
-/// cyclic; [`try_selection_to_aig`] reports the same conditions as a typed
-/// [`SelectionError`] instead.
-pub fn selection_to_aig(
-    egraph: &EGraph<BoolLang>,
-    selection: &DagSelection<BoolLang>,
-    roots: &[Id],
-    input_names: &[String],
-    output_names: &[String],
-    name: &str,
-) -> Aig {
-    #[allow(clippy::panic)] // the panic is the documented contract of this wrapper
-    try_selection_to_aig(egraph, selection, roots, input_names, output_names, name)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Converts a per-class e-node selection back into an AIG, reporting missing
-/// or cyclic selections as a typed error instead of panicking.
 ///
 /// # Errors
 /// Returns a [`SelectionError`] if a class reachable from the roots has no
@@ -152,47 +131,26 @@ pub fn try_selection_to_aig(
     Ok(aig.cleanup())
 }
 
-/// Converts a tree-shaped term back into an AIG (used by the E-Syn baseline's
-/// backward path and by tests on extracted [`RecExpr`]s).
-pub fn recexpr_to_aig(
-    expr: &RecExpr<BoolLang>,
-    input_names: &[String],
-    output_name: &str,
-    name: &str,
-) -> Aig {
-    let mut aig = Aig::new(name.to_string());
-    let inputs: Vec<Lit> = input_names
-        .iter()
-        .map(|n| aig.add_input(n.clone()))
-        .collect();
-    let mut lits: Vec<Lit> = Vec::with_capacity(expr.len());
-    for node in expr.as_ref() {
-        let lit = match node {
-            BoolLang::Const(b) => {
-                if *b {
-                    Lit::TRUE
-                } else {
-                    Lit::FALSE
-                }
-            }
-            BoolLang::Var(i) => inputs[*i as usize],
-            BoolLang::Not(c) => lits[c.index()].not(),
-            BoolLang::And([a, b]) => aig.and(lits[a.index()], lits[b.index()]),
-            BoolLang::Or([a, b]) => aig.or(lits[a.index()], lits[b.index()]),
-        };
-        lits.push(lit);
-    }
-    let root = *lits
-        .last()
-        .unwrap_or_else(|| unreachable!("non-empty expression"));
-    aig.add_output(root, output_name);
-    aig.cleanup()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use egraph::{AstSize, Extractor, FxHashMap};
+    use crate::extract::{CostGraph, ExtractionCost};
+    use egraph::FxHashMap;
+
+    /// Converts `conv` back through its size-optimal selection.
+    fn size_roundtrip(conv: &ConversionResult) -> Aig {
+        let graph = CostGraph::new(&conv.egraph);
+        let selection = graph.bottom_up(ExtractionCost::Size).selection;
+        try_selection_to_aig(
+            &conv.egraph,
+            &selection,
+            &conv.roots,
+            &conv.input_names,
+            &conv.output_names,
+            &conv.name,
+        )
+        .unwrap()
+    }
 
     fn sample() -> Aig {
         let mut aig = Aig::new("sample");
@@ -231,16 +189,7 @@ mod tests {
     fn roundtrip_preserves_function() {
         let aig = sample();
         let conv = aig_to_egraph(&aig);
-        let extractor = Extractor::new(&conv.egraph, AstSize);
-        let selection = extractor.selection();
-        let back = selection_to_aig(
-            &conv.egraph,
-            &selection,
-            &conv.roots,
-            &conv.input_names,
-            &conv.output_names,
-            &conv.name,
-        );
+        let back = size_roundtrip(&conv);
         check_equiv_exhaustive(&aig, &back);
         assert_eq!(back.output_names(), aig.output_names());
     }
@@ -250,15 +199,7 @@ mod tests {
         for circuit in [benchgen::adder(6), benchgen::multiplier(4)] {
             let aig = circuit.aig;
             let conv = aig_to_egraph(&aig);
-            let extractor = Extractor::new(&conv.egraph, AstSize);
-            let back = selection_to_aig(
-                &conv.egraph,
-                &extractor.selection(),
-                &conv.roots,
-                &conv.input_names,
-                &conv.output_names,
-                &conv.name,
-            );
+            let back = size_roundtrip(&conv);
             check_equiv_exhaustive(&aig, &back);
         }
     }
@@ -293,15 +234,7 @@ mod tests {
         aig.add_output(Lit::TRUE, "one");
         aig.add_output(Lit::FALSE, "zero");
         let conv = aig_to_egraph(&aig);
-        let extractor = Extractor::new(&conv.egraph, AstSize);
-        let back = selection_to_aig(
-            &conv.egraph,
-            &extractor.selection(),
-            &conv.roots,
-            &conv.input_names,
-            &conv.output_names,
-            &conv.name,
-        );
+        let back = size_roundtrip(&conv);
         assert_eq!(back.evaluate(&[true]), vec![true, false]);
         assert_eq!(back.evaluate(&[false]), vec![true, false]);
     }
@@ -324,17 +257,5 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, SelectionError::Missing(_)));
-    }
-
-    #[test]
-    fn recexpr_conversion_matches_eval() {
-        let expr: RecExpr<BoolLang> = "(| (& x0 x1) (! x2))".parse().unwrap();
-        let names = vec!["a".to_string(), "b".to_string(), "c".to_string()];
-        let aig = recexpr_to_aig(&expr, &names, "f", "expr");
-        for p in 0..8usize {
-            let bits = [(p & 1) != 0, (p & 2) != 0, (p & 4) != 0];
-            let expected = (bits[0] && bits[1]) || !bits[2];
-            assert_eq!(aig.evaluate(&bits), vec![expected]);
-        }
     }
 }

@@ -681,14 +681,15 @@ mod tests {
         let conv = aig_to_egraph(&aig);
         let (egraph, roots) = saturated_egraph(&aig, 3);
         let (selection, _) = bottom_up_extract(&egraph, ExtractionCost::Size);
-        let back = crate::convert::selection_to_aig(
+        let back = crate::convert::try_selection_to_aig(
             &egraph,
             &selection,
             &roots,
             &conv.input_names,
             &conv.output_names,
             "extracted",
-        );
+        )
+        .unwrap();
         for p in 0..(1usize << aig.num_inputs()) {
             let bits: Vec<bool> = (0..aig.num_inputs()).map(|i| p >> i & 1 == 1).collect();
             assert_eq!(aig.evaluate(&bits), back.evaluate(&bits), "pattern {p}");

@@ -14,9 +14,10 @@
 //! [`crate::extract`]). A candidate's score is the cost-only mapping
 //! [`try_map_cost`] — the delay and area `map_to_cells` would report, bit for
 //! bit, without emitting the netlist nobody reads. A library the candidates
-//! cannot be mapped to is an [`ExtractError::Map`].
+//! cannot be mapped to is an [`ExtractError::Map`], a candidate that does not
+//! convert back into a circuit an [`ExtractError::Selection`].
 
-use crate::convert::selection_to_aig;
+use crate::convert::try_selection_to_aig;
 use crate::extract::engine::{
     synthetic_names, ExtractBudget, ExtractError, Extraction, ExtractionEngine,
 };
@@ -29,7 +30,7 @@ use rand::{RngExt, SeedableRng};
 use std::time::{Duration, Instant};
 use techmap::cell::try_map_cost;
 use techmap::library::CellLibrary;
-use techmap::{MapError, MapOptions};
+use techmap::MapOptions;
 
 /// Weight of area (µm²) added to the mapped delay (ps) as a tie-breaker.
 const AREA_WEIGHT: f64 = 0.01;
@@ -88,21 +89,6 @@ impl SaOptions {
         self
     }
 
-    /// Sets the initial temperature `T1`.
-    #[must_use]
-    pub fn with_initial_temperature(mut self, t1: f64) -> Self {
-        self.initial_temperature = t1;
-        self
-    }
-
-    /// Sets the probability of vetoing an improving move during neighbor
-    /// generation.
-    #[must_use]
-    pub fn with_p_random(mut self, p_random: f64) -> Self {
-        self.p_random = p_random;
-        self
-    }
-
     /// Sets the number of parallel annealing chains.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
@@ -114,13 +100,6 @@ impl SaOptions {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the structural cost used during neighbor generation.
-    #[must_use]
-    pub fn with_neighbor_cost(mut self, cost: ExtractionCost) -> Self {
-        self.neighbor_cost = cost;
         self
     }
 }
@@ -160,7 +139,8 @@ pub struct SaResult {
 /// mapped area in µm², under `library` and the default [`MapOptions`].
 ///
 /// # Errors
-/// The first [`MapError`] a candidate's mapping hits, in chain order.
+/// The first error a candidate hits, in chain order: its selection cannot be
+/// converted back into a circuit, or its mapping fails.
 fn anneal(
     egraph: &EGraph<BoolLang>,
     graph: &CostGraph,
@@ -168,18 +148,18 @@ fn anneal(
     library: &CellLibrary,
     options: &SaOptions,
     iterations: usize,
-) -> Result<SaResult, MapError> {
+) -> Result<SaResult, ExtractError> {
     let start = Instant::now();
     let (input_names, output_names) = synthetic_names(egraph, roots.len());
-    let candidate_cost = |selection: &Selection| {
-        let candidate = selection_to_aig(
+    let candidate_cost = |selection: &Selection| -> Result<f64, ExtractError> {
+        let candidate = try_selection_to_aig(
             egraph,
             selection,
             roots,
             &input_names,
             &output_names,
             "sa-extracted",
-        );
+        )?;
         let (delay, area) = try_map_cost(&candidate, library, &MapOptions::default())?;
         Ok(delay + AREA_WEIGHT * area)
     };
@@ -240,13 +220,13 @@ fn anneal(
 
 fn run_chain(
     neighbor_of: &(dyn Fn(&Selection, &mut StdRng) -> Selection + Sync),
-    candidate_cost: &(dyn Fn(&Selection) -> Result<f64, MapError> + Sync),
+    candidate_cost: &(dyn Fn(&Selection) -> Result<f64, ExtractError> + Sync),
     initial_selection: &Selection,
     initial_cost: f64,
     options: &SaOptions,
     iterations: usize,
     chain_index: usize,
-) -> Result<(Selection, ChainResult), MapError> {
+) -> Result<(Selection, ChainResult), ExtractError> {
     let mut rng =
         StdRng::seed_from_u64(options.seed ^ (chain_index as u64).wrapping_mul(0x9E37_79B9));
     let mut current_selection = initial_selection.clone();
@@ -310,7 +290,9 @@ impl SaEngine {
     ///
     /// # Errors
     /// [`ExtractError::Unrealizable`] if a root class has no realizable term,
-    /// [`ExtractError::Map`] if a candidate cannot be mapped to the library.
+    /// [`ExtractError::Selection`] if a candidate does not convert back into
+    /// a circuit, [`ExtractError::Map`] if a candidate cannot be mapped to
+    /// the library.
     pub fn anneal(
         &self,
         egraph: &EGraph<BoolLang>,
@@ -445,6 +427,7 @@ mod tests {
     use egraph::{Runner, Scheduler};
     use techmap::cell::map_to_cells;
     use techmap::library::{asap7_like, Cell};
+    use techmap::MapError;
 
     fn saturated_conversion(aig: &Aig, iters: usize) -> ConversionResult {
         let conv = aig_to_egraph(aig);
@@ -491,13 +474,15 @@ mod tests {
 
     #[test]
     fn builder_knobs_compose() {
-        let options = SaOptions::new()
-            .with_iterations(7)
-            .with_initial_temperature(500.0)
-            .with_p_random(0.25)
-            .with_threads(3)
-            .with_seed(42)
-            .with_neighbor_cost(ExtractionCost::Size);
+        let options = SaOptions {
+            initial_temperature: 500.0,
+            p_random: 0.25,
+            neighbor_cost: ExtractionCost::Size,
+            ..SaOptions::new()
+        }
+        .with_iterations(7)
+        .with_threads(3)
+        .with_seed(42);
         assert_eq!(options.iterations, 7);
         assert_eq!(options.initial_temperature, 500.0);
         assert_eq!(options.p_random, 0.25);
@@ -516,14 +501,15 @@ mod tests {
         for _ in 0..5 {
             let neighbor =
                 generate_neighbor(&graph, &initial, ExtractionCost::Depth, 0.3, &mut rng).selection;
-            let back = selection_to_aig(
+            let back = try_selection_to_aig(
                 &conv.egraph,
                 &neighbor,
                 &conv.roots,
                 &conv.input_names,
                 &conv.output_names,
                 "neighbor",
-            );
+            )
+            .unwrap();
             let res = check_equivalence(&aig, &back, &CecOptions::default());
             assert!(res.is_equivalent(), "{res:?}");
         }
@@ -546,7 +532,7 @@ mod tests {
     }
 
     fn realize(conv: &ConversionResult, selection: &Selection) -> Aig {
-        selection_to_aig(
+        try_selection_to_aig(
             &conv.egraph,
             selection,
             &conv.roots,
@@ -554,6 +540,7 @@ mod tests {
             &conv.output_names,
             &conv.name,
         )
+        .unwrap()
     }
 
     fn and_chain(width: usize) -> Aig {
@@ -688,7 +675,7 @@ mod tests {
             .extract(&conv.egraph, &conv.roots, &ExtractBudget::unlimited())
             .unwrap();
         assert_eq!(full.stats.nodes_evaluated, 4);
-        let back = crate::convert::try_selection_to_aig(
+        let back = try_selection_to_aig(
             &conv.egraph,
             &full.selection,
             &conv.roots,

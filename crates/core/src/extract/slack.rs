@@ -15,8 +15,8 @@ use std::time::Instant;
 /// Runs the depth DP to get per-class unit-delay arrival times `A` and the
 /// size DP for per-class tree-size estimates, then walks the depth-optimal
 /// selection top-down in strictly decreasing height order propagating
-/// **required times** `R` (root required time = critical arrival +
-/// `extra_levels`). At each class it picks the smallest admissible e-node
+/// **required times** `R` (root required time = the critical arrival). At
+/// each class it picks the smallest admissible e-node
 /// whose estimated arrival `max_child A + gate` still meets `R`, and tightens
 /// the children's required times accordingly — classic required-time area
 /// recovery, lifted from mapped netlists to the e-space.
@@ -26,24 +26,12 @@ use std::time::Instant;
 /// the realized depth never exceeds the target even if the budget cuts the
 /// walk short (unprocessed classes keep their depth-optimal nodes).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SlackAwareEngine {
-    /// Extra levels of depth the recovery is allowed to spend beyond the
-    /// depth-optimal critical path (0 = hold the optimal depth).
-    extra_levels: u64,
-}
+pub struct SlackAwareEngine;
 
 impl SlackAwareEngine {
     /// A slack-aware engine that holds the depth-optimal critical path.
     pub fn new() -> Self {
-        SlackAwareEngine::default()
-    }
-
-    /// Allows the recovery to relax the depth target by `levels` gate levels,
-    /// buying more room for area recovery.
-    #[must_use]
-    pub fn with_extra_levels(mut self, levels: u64) -> Self {
-        self.extra_levels = levels;
-        self
+        SlackAwareEngine
     }
 }
 
@@ -80,13 +68,12 @@ impl ExtractionEngine for SlackAwareEngine {
         let base_selection = selection.clone();
         let heights = selection_heights(egraph, &selection);
 
-        // Required times, seeded at the roots with the relaxed target.
+        // Required times, seeded at the roots with the critical arrival.
         let target = roots
             .iter()
             .filter_map(|r| arrivals.get(r).copied())
             .max()
-            .unwrap_or(0)
-            .saturating_add(self.extra_levels);
+            .unwrap_or(0);
         let mut required: FxHashMap<Id, u64> = FxHashMap::default();
         for &root in &roots {
             required.insert(root, target);
@@ -246,40 +233,6 @@ mod tests {
             s_slack <= s_opt,
             "slack-aware should recover area: {s_slack} vs {s_opt}"
         );
-    }
-
-    #[test]
-    fn extra_levels_relax_the_target() {
-        let aig = benchgen::adder(6).aig;
-        let (egraph, roots) = saturated_egraph(&aig, 3);
-        let budget = ExtractBudget::unlimited();
-        let tight = SlackAwareEngine::new()
-            .extract(&egraph, &roots, &budget)
-            .unwrap();
-        let relaxed = SlackAwareEngine::new()
-            .with_extra_levels(2)
-            .extract(&egraph, &roots, &budget)
-            .unwrap();
-        let d_tight =
-            try_selection_cost(&egraph, &tight.selection, &roots, ExtractionCost::Depth).unwrap();
-        let d_relaxed =
-            try_selection_cost(&egraph, &relaxed.selection, &roots, ExtractionCost::Depth).unwrap();
-        // The relaxed run may go deeper, but never beyond the relaxed target
-        // (the tight run realizes exactly the optimal depth).
-        assert!(d_relaxed <= d_tight + 2);
-        // Both runs keep-best against the depth-DP base, so neither can lose
-        // DAG size versus it.
-        let base = BottomUpEngine::new(ExtractionCost::Depth)
-            .extract(&egraph, &roots, &budget)
-            .unwrap();
-        let s_base =
-            try_selection_cost(&egraph, &base.selection, &roots, ExtractionCost::Size).unwrap();
-        let s_tight =
-            try_selection_cost(&egraph, &tight.selection, &roots, ExtractionCost::Size).unwrap();
-        let s_relaxed =
-            try_selection_cost(&egraph, &relaxed.selection, &roots, ExtractionCost::Size).unwrap();
-        assert!(s_tight <= s_base);
-        assert!(s_relaxed <= s_base);
     }
 
     #[test]

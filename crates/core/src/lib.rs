@@ -46,7 +46,7 @@ pub mod windowed;
 
 pub use audit::{AuditLevel, AuditReport};
 pub use checkpoint::FlowCheckpoint;
-pub use convert::{aig_to_egraph, selection_to_aig, try_selection_to_aig, ConversionResult};
+pub use convert::{aig_to_egraph, try_selection_to_aig, ConversionResult};
 pub use extract::sa::{SaEngine, SaOptions, SaResult};
 pub use extract::{
     bottom_up_extract, BottomUpEngine, EngineReport, ExtractBudget, ExtractError, ExtractStats,

@@ -62,7 +62,7 @@ pub fn table1_rules() -> Vec<Rewrite<BoolLang>> {
 /// idempotence, complementation, absorption and double negation. These keep
 /// the e-graph from filling up with trivially reducible terms and let the
 /// extractor find genuinely smaller circuits.
-pub fn simplification_rules() -> Vec<Rewrite<BoolLang>> {
+fn simplification_rules() -> Vec<Rewrite<BoolLang>> {
     vec![
         rule("and-true", "(& ?a true)", "?a"),
         rule("and-false", "(& ?a false)", "false"),
@@ -113,8 +113,19 @@ pub fn rule_set_id() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::extract::{CostGraph, ExtractionCost};
     use crate::lang::eval_expr;
-    use egraph::{AstSize, Extractor, RecExpr, Runner, Scheduler};
+    use egraph::{EGraph, Id, RecExpr, Runner, Scheduler};
+
+    /// The gate count of the size-optimal term of `root`, and the term.
+    fn smallest(egraph: &EGraph<BoolLang>, root: Id) -> (u64, RecExpr<BoolLang>) {
+        let graph = CostGraph::new(egraph);
+        let (selection, costs, _) = graph.bottom_up(ExtractionCost::Size).into_parts();
+        (
+            costs[&root],
+            selection.try_to_recexpr(egraph, root).unwrap(),
+        )
+    }
 
     /// Every rule must be a sound Boolean identity: check LHS == RHS by
     /// substituting all assignments of concrete variables for the pattern
@@ -180,23 +191,21 @@ mod tests {
             .with_expr(&expr)
             .with_iter_limit(6)
             .run(&all_rules());
-        let extractor = Extractor::new(&runner.egraph, AstSize);
-        let (cost, best) = extractor.find_best(runner.roots[0]);
+        let (gates, best) = smallest(&runner.egraph, runner.roots[0]);
         assert_eq!(best.to_string(), "x0");
-        assert_eq!(cost, 1);
+        assert_eq!(gates, 0);
     }
 
     #[test]
     fn distributivity_exposes_factored_form() {
-        // x*y + x*z has a 4-node factored equivalent x*(y+z).
+        // x*y + x*z (three gates) has a two-gate factored equivalent x*(y+z).
         let expr: RecExpr<BoolLang> = "(| (& x0 x1) (& x0 x2))".parse().unwrap();
         let runner = Runner::default()
             .with_expr(&expr)
             .with_iter_limit(4)
             .run(&all_rules());
-        let extractor = Extractor::new(&runner.egraph, AstSize);
-        let (cost, _best) = extractor.find_best(runner.roots[0]);
-        assert!(cost <= 5, "expected the factored form, got cost {cost}");
+        let (gates, best) = smallest(&runner.egraph, runner.roots[0]);
+        assert!(gates <= 2, "expected the factored form, got {best}");
     }
 
     #[test]

@@ -158,9 +158,8 @@ pub struct EGraph<L: Language> {
     /// and a hash table's layout depends only on its keys, its hasher and
     /// that sequence, so [`EGraph::classes`] yields classes in the order it
     /// always did. It exists because `emorphic::extract::classes_in_seed_order`
-    /// and [`crate::Extractor::new`] number classes in that order, and every
-    /// extraction result depends on the numbering. Pinning those to id
-    /// order deletes it.
+    /// numbers classes in that order, and every extraction result depends
+    /// on the numbering. Pinning that one numbering to id order deletes it.
     order: FxHashSet<Id>,
     /// Operator discriminator index: `op_key` → classes that were created
     /// holding a node with that operator. Ids may be stale (canonicalize on

@@ -1,65 +1,12 @@
-//! Cost-based extraction of a best term from an e-graph.
+//! DAG selections: one chosen e-node per e-class, the form in which
+//! E-morphic extracts and converts straight back into a circuit.
 //!
-//! The [`Extractor`] implements the standard greedy bottom-up algorithm: it
-//! computes, for every e-class, the cheapest e-node whose children already
-//! have known costs, iterating to a fixpoint. E-morphic replaces this with a
-//! simulated-annealing extractor (in the `emorphic` crate) but uses this
-//! greedy pass to produce initial solutions.
+//! The engines that pick the nodes live in the `emorphic` crate; this module
+//! holds the selection itself and [`DagSelection::try_fold`], the one walk
+//! every reader of a selection is written in.
 
 use crate::{EGraph, Id, Language, RecExpr};
 use fxhash::FxHashMap;
-use std::fmt::Debug;
-
-/// A cost function over e-nodes.
-///
-/// `costs` gives access to the (already computed) cost of each child class.
-pub trait CostFunction<L: Language> {
-    /// The cost type; must be totally ordered for the classes being compared.
-    type Cost: PartialOrd + Clone + Debug;
-
-    /// Computes the cost of `enode` given a lookup for child-class costs.
-    fn cost<C>(&mut self, enode: &L, costs: C) -> Self::Cost
-    where
-        C: FnMut(Id) -> Self::Cost;
-}
-
-/// Term size (number of nodes, counting shared nodes once per use).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AstSize;
-
-impl<L: Language> CostFunction<L> for AstSize {
-    type Cost = u64;
-
-    fn cost<C>(&mut self, enode: &L, mut costs: C) -> u64
-    where
-        C: FnMut(Id) -> u64,
-    {
-        enode
-            .children()
-            .iter()
-            .fold(1u64, |acc, &c| acc.saturating_add(costs(c)))
-    }
-}
-
-/// Term depth (longest path from the root to a leaf).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AstDepth;
-
-impl<L: Language> CostFunction<L> for AstDepth {
-    type Cost = u64;
-
-    fn cost<C>(&mut self, enode: &L, mut costs: C) -> u64
-    where
-        C: FnMut(Id) -> u64,
-    {
-        1 + enode
-            .children()
-            .iter()
-            .map(|&c| costs(c))
-            .max()
-            .unwrap_or(0)
-    }
-}
 
 /// Errors produced while materializing a [`DagSelection`] into a term.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,20 +48,6 @@ impl<L: Language> DagSelection<L> {
     /// Overrides the chosen node for a class.
     pub fn set(&mut self, id: Id, node: L) {
         self.choices.insert(id, node);
-    }
-
-    /// Builds the term rooted at `root` following the selection.
-    ///
-    /// # Panics
-    /// Panics if a reachable class has no selection or the selection is
-    /// cyclic; [`DagSelection::try_to_recexpr`] reports the same conditions
-    /// as a typed [`SelectionError`] instead.
-    // The panic is the documented contract; `try_to_recexpr` is the
-    // non-panicking form.
-    #[allow(clippy::panic)]
-    pub fn to_recexpr(&self, egraph: &EGraph<L>, root: Id) -> RecExpr<L> {
-        self.try_to_recexpr(egraph, root)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The one walk over a selection: an iterative post-order fold from
@@ -237,129 +170,15 @@ impl<L: Language> DagSelection<L> {
     }
 }
 
-/// Greedy bottom-up extractor: computes the cheapest representative of every
-/// e-class under a [`CostFunction`].
-pub struct Extractor<'a, L: Language, CF: CostFunction<L>> {
-    egraph: &'a EGraph<L>,
-    costs: FxHashMap<Id, (CF::Cost, L)>,
-}
-
-impl<'a, L: Language, CF: CostFunction<L>> Extractor<'a, L, CF> {
-    /// Computes best costs for every class of a (rebuilt) e-graph.
-    pub fn new(egraph: &'a EGraph<L>, mut cost_fn: CF) -> Self {
-        let mut costs: FxHashMap<Id, (CF::Cost, L)> = FxHashMap::default();
-        // Fixpoint: keep sweeping until no class improves. Each sweep only
-        // evaluates nodes whose children all have costs.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for class in egraph.classes() {
-                for node in &class.nodes {
-                    let ready = node
-                        .children()
-                        .iter()
-                        .all(|&c| costs.contains_key(&egraph.find(c)));
-                    if !ready {
-                        continue;
-                    }
-                    let cost = cost_fn.cost(node, |c| costs[&egraph.find(c)].0.clone());
-                    match costs.get(&class.id) {
-                        Some((best, _)) if *best <= cost => {}
-                        _ => {
-                            costs.insert(class.id, (cost, node.clone()));
-                            changed = true;
-                        }
-                    }
-                }
-            }
-        }
-        Extractor { egraph, costs }
-    }
-
-    /// Returns the best cost of a class, if one was computed.
-    pub fn find_best_cost(&self, id: Id) -> Option<CF::Cost> {
-        self.costs
-            .get(&self.egraph.find(id))
-            .map(|(c, _)| c.clone())
-    }
-
-    /// Extracts the best term rooted at `root`.
-    ///
-    /// # Panics
-    /// Panics if no finite-cost term exists for `root`.
-    pub fn find_best(&self, root: Id) -> (CF::Cost, RecExpr<L>) {
-        let root = self.egraph.find(root);
-        let cost = self.costs[&root].0.clone();
-        let expr = self.selection().to_recexpr(self.egraph, root);
-        (cost, expr)
-    }
-
-    /// Returns the whole per-class selection (for DAG-style reconstruction).
-    pub fn selection(&self) -> DagSelection<L> {
-        let choices = self
-            .costs
-            .iter()
-            .map(|(&id, (_, node))| (id, node.clone()))
-            .collect();
-        DagSelection { choices }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Rewrite, Runner, SymbolLang};
+    use crate::SymbolLang;
 
-    #[test]
-    fn ast_size_picks_smallest_equivalent() {
-        let expr: RecExpr<SymbolLang> = "(+ (* a 1) 0)".parse().unwrap();
-        let rules = vec![
-            Rewrite::parse("mul-one", "(* ?x 1)", "?x").unwrap(),
-            Rewrite::parse("add-zero", "(+ ?x 0)", "?x").unwrap(),
-        ];
-        let runner = Runner::default().with_expr(&expr).run(&rules);
-        let ex = Extractor::new(&runner.egraph, AstSize);
-        let (cost, best) = ex.find_best(runner.roots[0]);
-        assert_eq!(best.to_string(), "a");
-        assert_eq!(cost, 1);
-    }
-
-    #[test]
-    fn ast_depth_prefers_balanced_form() {
-        // (+ (+ (+ a b) c) d) can be rebalanced to depth 3 via associativity.
-        let expr: RecExpr<SymbolLang> = "(+ (+ (+ a b) c) d)".parse().unwrap();
-        let rules = vec![
-            Rewrite::parse("assoc", "(+ (+ ?a ?b) ?c)", "(+ ?a (+ ?b ?c))").unwrap(),
-            Rewrite::parse("assoc-rev", "(+ ?a (+ ?b ?c))", "(+ (+ ?a ?b) ?c)").unwrap(),
-            Rewrite::parse("comm", "(+ ?a ?b)", "(+ ?b ?a)").unwrap(),
-        ];
-        let runner = Runner::default()
-            .with_expr(&expr)
-            .with_iter_limit(6)
-            .run(&rules);
-        let size_before: u64 = {
-            let ex = Extractor::new(&runner.egraph, AstDepth);
-            ex.find_best_cost(runner.roots[0]).unwrap()
-        };
-        // Depth 4 flat chain must improve to at most... the balanced tree has
-        // depth 3 (leaves count as depth 1).
-        assert!(size_before <= 4);
-        assert!(size_before >= 3);
-    }
-
-    #[test]
-    fn extractor_covers_all_reachable_classes() {
-        let expr: RecExpr<SymbolLang> = "(f (g a) (h b c))".parse().unwrap();
-        let mut eg: EGraph<SymbolLang> = EGraph::new();
-        let root = eg.add_expr(&expr);
-        eg.rebuild();
-        let ex = Extractor::new(&eg, AstSize);
-        for id in eg.class_ids() {
-            assert!(ex.find_best_cost(id).is_some(), "class {id} missing cost");
-        }
-        let (cost, best) = ex.find_best(root);
-        assert_eq!(cost, 6);
-        assert_eq!(best.to_string(), "(f (g a) (h b c))");
+    /// Selects the first node of every class.
+    fn first_nodes(eg: &EGraph<SymbolLang>) -> DagSelection<SymbolLang> {
+        let choices = eg.classes().map(|c| (c.id, c.nodes[0].clone())).collect();
+        DagSelection { choices }
     }
 
     #[test]
@@ -368,12 +187,11 @@ mod tests {
         let mut eg: EGraph<SymbolLang> = EGraph::new();
         let root = eg.add_expr(&expr);
         eg.rebuild();
-        let ex = Extractor::new(&eg, AstSize);
-        let sel = ex.selection();
+        let sel = first_nodes(&eg);
         // Classes: a, b, (* a b), (+ ..): 4 distinct.
         assert_eq!(sel.try_dag_size(&eg, &[root]), Ok(4));
         assert_eq!(sel.try_depth(&eg, &[root]), Ok(3));
-        let expr_back = sel.to_recexpr(&eg, root);
+        let expr_back = sel.try_to_recexpr(&eg, root).unwrap();
         assert_eq!(expr_back.to_string(), "(+ (* a b) (* a b))");
     }
 
@@ -383,7 +201,7 @@ mod tests {
         let root = eg.add_expr(&"(+ (* a b) (- b (* a b)))".parse().unwrap());
         let other = eg.add_expr(&"(- b (* a b))".parse().unwrap());
         eg.rebuild();
-        let sel = Extractor::new(&eg, AstSize).selection();
+        let sel = first_nodes(&eg);
         let mut order = Vec::new();
         let sizes = sel
             .try_fold(&eg, &[root, other, root], |node, children: &[u64]| {
@@ -451,11 +269,12 @@ mod tests {
         let b = eg.add(SymbolLang::leaf("b"));
         eg.union(a, b);
         eg.rebuild();
-        let ex = Extractor::new(&eg, AstSize);
-        let mut sel = ex.selection();
         let class = eg.find(a);
+        let mut sel = first_nodes(&eg);
+        sel.set(class, SymbolLang::leaf("a"));
+        assert_eq!(sel.try_to_recexpr(&eg, class).unwrap().to_string(), "a");
         sel.set(class, SymbolLang::leaf("b"));
-        let expr = sel.to_recexpr(&eg, class);
+        let expr = sel.try_to_recexpr(&eg, class).unwrap();
         assert_eq!(expr.to_string(), "b");
     }
 }

@@ -16,15 +16,16 @@
 //! * [`pool`] — the one indexed worker pool every parallel stage of the
 //!   workspace runs on, and the home of the thread-count-independence
 //!   contract.
-//! * [`Extractor`] with pluggable [`CostFunction`]s — greedy bottom-up
-//!   extraction of a best term per the chosen cost.
+//! * [`DagSelection`] — one chosen e-node per e-class, and
+//!   [`DagSelection::try_fold`], the one walk over it. The extraction
+//!   engines that choose the nodes live in the `emorphic` crate.
 //! * [`serialize`] — a JSON-serializable snapshot of an e-graph, the basis of
 //!   E-morphic's intermediate DSL (paper Fig. 7).
 //!
 //! # Example
 //!
 //! ```
-//! use egraph::{EGraph, Pattern, RecExpr, Rewrite, Runner, SymbolLang, Extractor, AstSize};
+//! use egraph::{DagSelection, RecExpr, Rewrite, Runner, SymbolLang};
 //!
 //! // (/ (* a 2) 2)  ==>  a, via commutativity and cancellation
 //! let rules = vec![
@@ -33,10 +34,14 @@
 //! ];
 //! let expr: RecExpr<SymbolLang> = "(/ (* 2 a) 2)".parse().unwrap();
 //! let runner = Runner::default().with_expr(&expr).run(&rules);
-//! let extractor = Extractor::new(&runner.egraph, AstSize);
-//! let (cost, best) = extractor.find_best(runner.roots[0]);
-//! assert_eq!(best.to_string(), "a");
-//! assert_eq!(cost, 1);
+//! let root = runner.roots[0];
+//! // The leaf `a` now sits in the root's class ...
+//! let a = SymbolLang::leaf("a");
+//! assert_eq!(runner.egraph.lookup(&a), Some(root));
+//! // ... so a selection may pick it there.
+//! let mut selection = DagSelection { choices: Default::default() };
+//! selection.set(root, a);
+//! assert_eq!(selection.try_to_recexpr(&runner.egraph, root).unwrap().to_string(), "a");
 //! ```
 
 #![warn(missing_docs)]
@@ -53,7 +58,7 @@ pub mod serialize;
 mod unionfind;
 
 pub use egraph::{audit_egraph, egraph_catalog, EClass, EGraph};
-pub use extract::{AstDepth, AstSize, CostFunction, DagSelection, Extractor, SelectionError};
+pub use extract::{DagSelection, SelectionError};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use id::Id;
 pub use language::{op_key_of, FromOp, Language, RecExpr, SymbolLang};

@@ -553,7 +553,7 @@ impl<L: Language> Runner<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AstSize, Extractor, SymbolLang};
+    use crate::SymbolLang;
 
     fn arith_rules() -> Vec<Rewrite<SymbolLang>> {
         vec![
@@ -573,10 +573,8 @@ mod tests {
             runner.stop_reason,
             Some(StopReason::Saturated) | Some(StopReason::IterationLimit)
         ));
-        let extractor = Extractor::new(&runner.egraph, AstSize);
-        let (cost, best) = extractor.find_best(runner.roots[0]);
-        assert_eq!(best.to_string(), "foo");
-        assert_eq!(cost, 1);
+        let foo = runner.egraph.lookup(&SymbolLang::leaf("foo"));
+        assert_eq!(foo, Some(runner.roots[0]));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Round-trip property tests of the serialize layer: for random e-graphs,
 //! `to_serialized` → JSON → `from_serialized` must preserve the class
-//! partition, the canonical (cheapest) forms, and the root equivalences —
+//! partition, every class's canonical nodes, and the root equivalences —
 //! all checked against an independent reference rebuild that materializes
 //! nodes by brute-force fixpoint scanning (the obviously-correct, slow
 //! oracle the linear Kahn-style reconstruction replaced). `relayout`, the
@@ -15,7 +15,7 @@ use egraph::serialize::{
     from_serialized, from_serialized_with_stats, relayout, to_serialized, SerializedEGraph,
     SerializedNode,
 };
-use egraph::{AstSize, EGraph, Extractor, FromOp, FxHashMap, FxHashSet, Id, Language, SymbolLang};
+use egraph::{EGraph, FromOp, FxHashMap, FxHashSet, Id, Language, SymbolLang};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -247,11 +247,11 @@ proptest! {
         }
     }
 
-    /// Canonical forms: the cheapest term extractable from every class is
-    /// equally cheap before and after the round trip (the restored graph
-    /// lost no node and invented none).
+    /// Canonical forms: every class holds the same canonical nodes before
+    /// and after the round trip, read through the restore map (the restored
+    /// graph lost no node and invented none).
     #[test]
-    fn extraction_costs_survive_round_trip(ops in workload()) {
+    fn canonical_nodes_survive_round_trip(ops in workload()) {
         let (egraph, ids) = apply(&ops);
         let roots: Vec<Id> = ids.iter().step_by(5).copied().collect();
         let ser = to_serialized(&egraph, &roots);
@@ -259,19 +259,16 @@ proptest! {
         let parsed = SerializedEGraph::from_json(&json).unwrap();
         let (restored, map, _roots) = from_serialized::<SymbolLang>(&parsed).unwrap();
 
-        let before = Extractor::new(&egraph, AstSize);
-        let after = Extractor::new(&restored, AstSize);
         for class in egraph.classes() {
-            let (cost_before, term_before) = before.find_best(class.id);
-            let (cost_after, term_after) = after.find_best(map[&class.id.0]);
-            prop_assert_eq!(
-                cost_before,
-                cost_after,
-                "class {} extracts {} before but {} after",
-                class.id.0,
-                term_before,
-                term_after
-            );
+            let before: FxHashSet<SymbolLang> = class
+                .nodes
+                .iter()
+                .map(|n| restored.canonicalize(&n.map_children(|c| map[&egraph.find(c).0])))
+                .collect();
+            let target = restored.find(map[&class.id.0]);
+            let after: FxHashSet<SymbolLang> =
+                restored.class(target).nodes.iter().map(|n| restored.canonicalize(n)).collect();
+            prop_assert_eq!(before, after, "class {} changed its nodes", class.id.0);
         }
     }
 

@@ -13,8 +13,9 @@
 //! * [`dch_choices`] — the same machinery, but the proved equivalences are
 //!   *kept* as a `choices::ChoiceAig` so a choice-aware mapper can pick
 //!   between the original and the rewritten structure per cut.
-//! * [`OptScript`] — composition of passes, used to express the paper's
-//!   `(st; if -g -K 6 -C 8)(st; dch; map)` style sequences.
+//!
+//! The flows in the `emorphic` crate call the passes in the paper's
+//! `(st; if -g -K 6 -C 8)(st; dch; map)` order directly.
 
 #![warn(missing_docs)]
 
@@ -22,10 +23,8 @@ mod balance;
 mod choices;
 mod factor;
 mod resynth;
-mod script;
 
 pub use balance::balance;
 pub use choices::{dch_choices, dch_like, DchOptions};
 pub use factor::{factor_cover, FactorTree};
 pub use resynth::{refactor, rewrite};
-pub use script::{OptScript, Pass};

@@ -52,7 +52,6 @@ mod qor;
 pub mod sop;
 pub mod timing;
 pub mod truth;
-pub mod verilog;
 
 pub use cell::{audit_netlist, netlist_catalog, MappedDesign, MappedGate, Netlist};
 pub use cuts::{Cut, CutSet, CutsOptions, MAX_CUT_LEAVES};

@@ -39,18 +39,6 @@ impl Qor {
         })
     }
 
-    /// The `(area, delay)` pair, the two axes every timing-driven flow
-    /// trades against each other.
-    pub fn pair(&self) -> (f64, f64) {
-        (self.area_um2, self.delay_ps)
-    }
-
-    /// Returns `true` if `self` is Pareto-no-worse than `other` on the
-    /// (area, delay) pair: at most `eps` worse on both axes.
-    pub fn pareto_no_worse(&self, other: &Qor, eps: f64) -> bool {
-        self.area_um2 <= other.area_um2 + eps && self.delay_ps <= other.delay_ps + eps
-    }
-
     /// Relative improvement of `self` over `baseline` in percent, per metric
     /// (positive = better, i.e. smaller).
     pub fn improvement_over(&self, baseline: &Qor) -> QorImprovement {
@@ -134,17 +122,6 @@ mod tests {
         let worse = q("x", 250.0, 120.0, 12);
         let imp2 = worse.improvement_over(&base);
         assert!(imp2.area_pct < 0.0);
-    }
-
-    #[test]
-    fn pareto_comparison() {
-        let base = q("x", 200.0, 100.0, 10);
-        assert_eq!(base.pair(), (200.0, 100.0));
-        assert!(q("a", 150.0, 90.0, 9).pareto_no_worse(&base, 1e-9));
-        assert!(base.pareto_no_worse(&base, 1e-9));
-        // Better area but worse delay is not Pareto-no-worse.
-        assert!(!q("b", 150.0, 110.0, 9).pareto_no_worse(&base, 1e-9));
-        assert!(!q("c", 210.0, 90.0, 9).pareto_no_worse(&base, 1e-9));
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub fn full_mask(nvars: usize) -> u64 {
 /// Positive cofactor with respect to variable `var` (result is independent of
 /// `var`, replicated across both halves).
 #[inline]
-pub fn cofactor1(tt: u64, var: usize) -> u64 {
+fn cofactor1(tt: u64, var: usize) -> u64 {
     let shift = 1usize << var;
     let hi = tt & VAR_MASK[var];
     hi | (hi >> shift)
@@ -38,7 +38,7 @@ pub fn cofactor1(tt: u64, var: usize) -> u64 {
 
 /// Negative cofactor with respect to variable `var`.
 #[inline]
-pub fn cofactor0(tt: u64, var: usize) -> u64 {
+fn cofactor0(tt: u64, var: usize) -> u64 {
     let shift = 1usize << var;
     let lo = tt & !VAR_MASK[var];
     lo | (lo << shift)
@@ -46,7 +46,7 @@ pub fn cofactor0(tt: u64, var: usize) -> u64 {
 
 /// Returns `true` if the function depends on variable `var`.
 #[inline]
-pub fn depends_on(tt: u64, var: usize, nvars: usize) -> bool {
+fn depends_on(tt: u64, var: usize, nvars: usize) -> bool {
     let mask = full_mask(nvars);
     (cofactor0(tt, var) ^ cofactor1(tt, var)) & mask != 0
 }
@@ -183,11 +183,6 @@ fn isop_rec(l: u64, u: u64, nvars: usize) -> (Vec<Cube>, u64) {
     (cubes, cover)
 }
 
-/// Evaluates a cube cover back into a truth table (used for verification).
-pub fn cover_truth(cubes: &[Cube], nvars: usize) -> u64 {
-    cubes.iter().fold(0u64, |acc, c| acc | c.truth(nvars))
-}
-
 // ---------------------------------------------------------------------------
 // NPN canonicalization for functions of up to four variables
 // ---------------------------------------------------------------------------
@@ -307,6 +302,11 @@ pub fn expand_to_4(tt: u64, nvars: usize) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Evaluates a cube cover back into a truth table.
+    fn cover_truth(cubes: &[Cube], nvars: usize) -> u64 {
+        cubes.iter().fold(0u64, |acc, c| acc | c.truth(nvars))
+    }
 
     const AND2: u64 = 0b1000;
     const OR2: u64 = 0b1110;

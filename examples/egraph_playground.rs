@@ -1,6 +1,6 @@
 //! The e-graph engine on its own: build an e-graph from Boolean expressions,
 //! apply the Table I rewrite rules, inspect the equivalence classes, extract
-//! with different cost functions, and dump the Fig. 7 intermediate DSL.
+//! under the two structural costs, and dump the Fig. 7 intermediate DSL.
 //!
 //! Run with: `cargo run --example egraph_playground --release`
 
@@ -8,7 +8,8 @@
 // deny on unwrap/expect/panic is relaxed here.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use egraph::{AstDepth, AstSize, EGraph, Extractor, RecExpr, Runner, StopReason};
+use egraph::{EGraph, RecExpr, Runner, StopReason};
+use emorphic::extract::{CostGraph, ExtractionCost};
 use emorphic::lang::BoolLang;
 use emorphic::FlowCheckpoint;
 use emorphic::{aig_to_egraph, all_rules, table1_rules};
@@ -42,13 +43,21 @@ fn main() {
         runner.egraph.same(id_distributed, id_factored)
     );
 
-    // 3. Extraction under different cost functions.
-    let size_extractor = Extractor::new(&runner.egraph, AstSize);
-    let (size_cost, smallest) = size_extractor.find_best(id_distributed);
-    let depth_extractor = Extractor::new(&runner.egraph, AstDepth);
-    let (depth_cost, shallowest) = depth_extractor.find_best(id_distributed);
-    println!("smallest equivalent term  (size {size_cost}): {smallest}");
-    println!("shallowest equivalent term (depth {depth_cost}): {shallowest}");
+    // 3. Extraction under the two structural costs of Algorithm 1: gate
+    //    count and gate depth (inverters are free).
+    let root = runner.egraph.find(id_distributed);
+    let graph = CostGraph::new(&runner.egraph);
+    for (label, cost) in [
+        ("smallest", ExtractionCost::Size),
+        ("shallowest", ExtractionCost::Depth),
+    ] {
+        let (selection, costs, _) = graph.bottom_up(cost).into_parts();
+        let term = selection.try_to_recexpr(&runner.egraph, root).unwrap();
+        println!(
+            "{label} equivalent term ({cost:?} {}): {term}",
+            costs[&root]
+        );
+    }
 
     // 4. The same machinery applied to a whole circuit via DAG-to-DAG
     //    conversion, plus the Fig. 7 intermediate DSL.

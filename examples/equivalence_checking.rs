@@ -10,7 +10,7 @@
 
 use aig::io::{read_eqn, write_aiger};
 use cec::{check_equivalence, CecOptions, SatSweeper};
-use logic_opt::OptScript;
+use logic_opt::{balance, refactor, rewrite};
 
 fn main() {
     // Parse a circuit from the ABC-style equation format.
@@ -31,11 +31,11 @@ g = (a * b * d) + (t1 * !c);
         golden.num_ands()
     );
 
-    // Optimize it with a resyn-style script and check equivalence.
-    let optimized = OptScript::resyn().run(&golden);
+    // Optimize it with the resyn-style sequence `st; rw; b; rf; b` and check
+    // equivalence.
+    let optimized = balance(&refactor(&balance(&rewrite(&golden.strash_copy()))));
     println!(
-        "after '{}': {} AND nodes (was {})",
-        OptScript::resyn().to_command_string(),
+        "after 'st; rw; b; rf; b': {} AND nodes (was {})",
         optimized.num_ands(),
         golden.num_ands()
     );

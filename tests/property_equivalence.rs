@@ -4,8 +4,9 @@
 use aig::Simulator;
 use benchgen::random_aig;
 use cec::{check_equivalence, CecOptions};
-use egraph::{AstSize, Extractor, Runner, Scheduler};
-use emorphic::{aig_to_egraph, all_rules, selection_to_aig};
+use egraph::{Runner, Scheduler};
+use emorphic::extract::{BottomUpEngine, ExtractBudget, ExtractionCost, ExtractionEngine};
+use emorphic::{aig_to_egraph, all_rules, try_selection_to_aig};
 use logic_opt::{balance, dch_like, refactor, rewrite, DchOptions};
 use proptest::prelude::*;
 use techmap::cell::map_to_cells;
@@ -84,16 +85,19 @@ proptest! {
             .with_node_limit(10_000)
             .with_scheduler(Scheduler::Backoff { match_limit: 300, ban_length: 2 })
             .run(&all_rules());
-        let extractor = Extractor::new(&runner.egraph, AstSize);
         let roots: Vec<_> = conversion.roots.iter().map(|&r| runner.egraph.find(r)).collect();
-        let back = selection_to_aig(
+        let extraction = BottomUpEngine::new(ExtractionCost::Size)
+            .extract(&runner.egraph, &roots, &ExtractBudget::unlimited())
+            .unwrap();
+        let back = try_selection_to_aig(
             &runner.egraph,
-            &extractor.selection(),
+            &extraction.selection,
             &roots,
             &conversion.input_names,
             &conversion.output_names,
             "roundtrip",
-        );
+        )
+        .unwrap();
         prop_assert!(functionally_equal(&circuit, &back));
     }
 
