@@ -38,8 +38,7 @@ pub use cone::{mffc_size, try_extract_cone, Cone};
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use lit::{Lit, NodeId};
 pub use network::{
-    aig_catalog, audit_aig, audit_aig_dag_only, dag_catalog, stack_over_shared_inputs, Aig,
-    AigNode, RebuildView,
+    audit_aig, audit_aig_dag_only, stack_over_shared_inputs, Aig, AigNode, RebuildView,
 };
 pub use sim::{small_truth_table, SimVector, Simulator};
 

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 mod audit;
 
-pub use self::audit::{aig_catalog, audit_aig, audit_aig_dag_only, dag_catalog};
+pub use self::audit::{audit_aig, audit_aig_dag_only};
 
 /// A single node of an [`Aig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

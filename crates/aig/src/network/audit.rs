@@ -1,7 +1,7 @@
 //! The AIG's own checkers: fanin sanity, topological order,
 //! structural-hash consistency, dangling/duplicate/trivial ANDs.
 
-use ::audit::{run_checks, AuditLevel, AuditReport, Check, RuleId, Severity};
+use ::audit::{AuditLevel, AuditReport, RuleId, Severity};
 use fxhash::FxHashMap;
 
 use crate::{Aig, AigNode, Lit, NodeId};
@@ -17,36 +17,28 @@ fn ands(aig: &Aig) -> impl Iterator<Item = (NodeId, Lit, Lit)> + '_ {
 
 /// [`RuleId::AigFaninRange`]: every fanin and output literal references an
 /// existing node.
-struct FaninRange;
-
-impl Check<Aig> for FaninRange {
-    fn rule(&self) -> RuleId {
-        RuleId::AigFaninRange
-    }
-
-    fn check(&self, aig: &Aig, report: &mut AuditReport) {
-        let n = aig.num_nodes();
-        for (id, f0, f1) in ands(aig) {
-            for (pin, fanin) in [(0, f0), (1, f1)] {
-                if fanin.node().index() >= n {
-                    report.push(
-                        self.rule(),
-                        Severity::Error,
-                        format!("node {}", id.index()),
-                        format!("fanin{pin} references node {} of {n}", fanin.node().index()),
-                    );
-                }
-            }
-        }
-        for (i, output) in aig.outputs().iter().enumerate() {
-            if output.node().index() >= n {
+fn fanin_range(aig: &Aig, report: &mut AuditReport) {
+    let n = aig.num_nodes();
+    for (id, f0, f1) in ands(aig) {
+        for (pin, fanin) in [(0, f0), (1, f1)] {
+            if fanin.node().index() >= n {
                 report.push(
-                    self.rule(),
+                    RuleId::AigFaninRange,
                     Severity::Error,
-                    format!("output {i}"),
-                    format!("references node {} of {n}", output.node().index()),
+                    format!("node {}", id.index()),
+                    format!("fanin{pin} references node {} of {n}", fanin.node().index()),
                 );
             }
+        }
+    }
+    for (i, output) in aig.outputs().iter().enumerate() {
+        if output.node().index() >= n {
+            report.push(
+                RuleId::AigFaninRange,
+                Severity::Error,
+                format!("output {i}"),
+                format!("references node {} of {n}", output.node().index()),
+            );
         }
     }
 }
@@ -54,28 +46,20 @@ impl Check<Aig> for FaninRange {
 /// [`RuleId::AigTopoOrder`]: fanins reference strictly smaller ids. The node
 /// array is creation-ordered, so a forward (or self) reference is the only
 /// way a combinational cycle can exist — this check subsumes acyclicity.
-struct TopoOrder;
-
-impl Check<Aig> for TopoOrder {
-    fn rule(&self) -> RuleId {
-        RuleId::AigTopoOrder
-    }
-
-    fn check(&self, aig: &Aig, report: &mut AuditReport) {
-        for (id, f0, f1) in ands(aig) {
-            for (pin, fanin) in [(0, f0), (1, f1)] {
-                if fanin.node().index() >= id.index() {
-                    report.push(
-                        self.rule(),
-                        Severity::Error,
-                        format!("node {}", id.index()),
-                        format!(
-                            "fanin{pin} references node {} (not strictly below); \
-                             the id order is the topological order",
-                            fanin.node().index()
-                        ),
-                    );
-                }
+fn topo_order(aig: &Aig, report: &mut AuditReport) {
+    for (id, f0, f1) in ands(aig) {
+        for (pin, fanin) in [(0, f0), (1, f1)] {
+            if fanin.node().index() >= id.index() {
+                report.push(
+                    RuleId::AigTopoOrder,
+                    Severity::Error,
+                    format!("node {}", id.index()),
+                    format!(
+                        "fanin{pin} references node {} (not strictly below); \
+                         the id order is the topological order",
+                        fanin.node().index()
+                    ),
+                );
             }
         }
     }
@@ -83,61 +67,45 @@ impl Check<Aig> for TopoOrder {
 
 /// [`RuleId::AigFaninOrder`]: fanin pairs are stored normalized
 /// (`fanin0.raw() <= fanin1.raw()`), which strash relies on.
-struct FaninOrder;
-
-impl Check<Aig> for FaninOrder {
-    fn rule(&self) -> RuleId {
-        RuleId::AigFaninOrder
-    }
-
-    fn check(&self, aig: &Aig, report: &mut AuditReport) {
-        for (id, f0, f1) in ands(aig) {
-            if f0.raw() > f1.raw() {
-                report.push(
-                    self.rule(),
-                    Severity::Error,
-                    format!("node {}", id.index()),
-                    format!(
-                        "fanins ({}, {}) are not in normalized order",
-                        f0.raw(),
-                        f1.raw()
-                    ),
-                );
-            }
+fn fanin_order(aig: &Aig, report: &mut AuditReport) {
+    for (id, f0, f1) in ands(aig) {
+        if f0.raw() > f1.raw() {
+            report.push(
+                RuleId::AigFaninOrder,
+                Severity::Error,
+                format!("node {}", id.index()),
+                format!(
+                    "fanins ({}, {}) are not in normalized order",
+                    f0.raw(),
+                    f1.raw()
+                ),
+            );
         }
     }
 }
 
 /// [`RuleId::AigDuplicateAnd`]: structural hashing must have deduplicated
 /// ANDs, so no two nodes may share a normalized fanin pair.
-struct DuplicateAnd;
-
-impl Check<Aig> for DuplicateAnd {
-    fn rule(&self) -> RuleId {
-        RuleId::AigDuplicateAnd
-    }
-
-    fn check(&self, aig: &Aig, report: &mut AuditReport) {
-        let mut seen: FxHashMap<(u32, u32), NodeId> = FxHashMap::default();
-        for (id, f0, f1) in ands(aig) {
-            let key = if f0.raw() <= f1.raw() {
-                (f0.raw(), f1.raw())
-            } else {
-                (f1.raw(), f0.raw())
-            };
-            if let Some(first) = seen.get(&key) {
-                report.push(
-                    self.rule(),
-                    Severity::Error,
-                    format!("node {}", id.index()),
-                    format!(
-                        "duplicates the fanin pair of node {} (strash broken)",
-                        first.index()
-                    ),
-                );
-            } else {
-                seen.insert(key, id);
-            }
+fn duplicate_and(aig: &Aig, report: &mut AuditReport) {
+    let mut seen: FxHashMap<(u32, u32), NodeId> = FxHashMap::default();
+    for (id, f0, f1) in ands(aig) {
+        let key = if f0.raw() <= f1.raw() {
+            (f0.raw(), f1.raw())
+        } else {
+            (f1.raw(), f0.raw())
+        };
+        if let Some(first) = seen.get(&key) {
+            report.push(
+                RuleId::AigDuplicateAnd,
+                Severity::Error,
+                format!("node {}", id.index()),
+                format!(
+                    "duplicates the fanin pair of node {} (strash broken)",
+                    first.index()
+                ),
+            );
+        } else {
+            seen.insert(key, id);
         }
     }
 }
@@ -145,115 +113,91 @@ impl Check<Aig> for DuplicateAnd {
 /// [`RuleId::AigTrivialAnd`]: an AND over identical, complementary or
 /// constant fanins computes a simpler function and should have been folded
 /// by the builder (warning).
-struct TrivialAnd;
-
-impl Check<Aig> for TrivialAnd {
-    fn rule(&self) -> RuleId {
-        RuleId::AigTrivialAnd
-    }
-
-    fn check(&self, aig: &Aig, report: &mut AuditReport) {
-        for (id, f0, f1) in ands(aig) {
-            let reason = if f0.node() == f1.node() {
-                Some(if f0 == f1 {
-                    "identical fanins"
-                } else {
-                    "complementary fanins"
-                })
-            } else if f0.is_const() || f1.is_const() {
-                Some("constant fanin")
+fn trivial_and(aig: &Aig, report: &mut AuditReport) {
+    for (id, f0, f1) in ands(aig) {
+        let reason = if f0.node() == f1.node() {
+            Some(if f0 == f1 {
+                "identical fanins"
             } else {
-                None
-            };
-            if let Some(reason) = reason {
-                report.push(
-                    self.rule(),
-                    Severity::Warning,
-                    format!("node {}", id.index()),
-                    format!("{reason}; the builder should have simplified this gate"),
-                );
-            }
+                "complementary fanins"
+            })
+        } else if f0.is_const() || f1.is_const() {
+            Some("constant fanin")
+        } else {
+            None
+        };
+        if let Some(reason) = reason {
+            report.push(
+                RuleId::AigTrivialAnd,
+                Severity::Warning,
+                format!("node {}", id.index()),
+                format!("{reason}; the builder should have simplified this gate"),
+            );
         }
     }
 }
 
 /// [`RuleId::AigDanglingAnd`]: an AND from which no primary output is
-/// reachable (warning). Excluded from the choice-network catalog, where
+/// reachable (warning). Not run on a choice network's member AIG, where
 /// alternatives dangle by design.
-struct DanglingAnd;
-
-impl Check<Aig> for DanglingAnd {
-    fn rule(&self) -> RuleId {
-        RuleId::AigDanglingAnd
-    }
-
-    fn check(&self, aig: &Aig, report: &mut AuditReport) {
-        let n = aig.num_nodes();
-        let mut reachable = vec![false; n];
-        let mut stack: Vec<NodeId> = Vec::new();
-        for output in aig.outputs() {
-            let node = output.node();
-            if node.index() < n && !reachable[node.index()] {
-                reachable[node.index()] = true;
-                stack.push(node);
-            }
+fn dangling_and(aig: &Aig, report: &mut AuditReport) {
+    let n = aig.num_nodes();
+    let mut reachable = vec![false; n];
+    let mut stack: Vec<NodeId> = Vec::new();
+    for output in aig.outputs() {
+        let node = output.node();
+        if node.index() < n && !reachable[node.index()] {
+            reachable[node.index()] = true;
+            stack.push(node);
         }
-        while let Some(id) = stack.pop() {
-            if let AigNode::And { fanin0, fanin1 } = *aig.node(id) {
-                for fanin in [fanin0, fanin1] {
-                    let child = fanin.node();
-                    if child.index() < n && !reachable[child.index()] {
-                        reachable[child.index()] = true;
-                        stack.push(child);
-                    }
+    }
+    while let Some(id) = stack.pop() {
+        if let AigNode::And { fanin0, fanin1 } = *aig.node(id) {
+            for fanin in [fanin0, fanin1] {
+                let child = fanin.node();
+                if child.index() < n && !reachable[child.index()] {
+                    reachable[child.index()] = true;
+                    stack.push(child);
                 }
             }
         }
-        for (id, _, _) in ands(aig) {
-            if !reachable[id.index()] {
-                report.push(
-                    self.rule(),
-                    Severity::Warning,
-                    format!("node {}", id.index()),
-                    "AND is reachable from no primary output",
-                );
-            }
+    }
+    for (id, _, _) in ands(aig) {
+        if !reachable[id.index()] {
+            report.push(
+                RuleId::AigDanglingAnd,
+                Severity::Warning,
+                format!("node {}", id.index()),
+                "AND is reachable from no primary output",
+            );
         }
     }
 }
 
-/// The full AIG catalog (all six rules, dangling included).
-pub fn aig_catalog() -> Vec<Box<dyn Check<Aig>>> {
-    vec![
-        Box::new(FaninRange),
-        Box::new(TopoOrder),
-        Box::new(FaninOrder),
-        Box::new(DuplicateAnd),
-        Box::new(TrivialAnd),
-        Box::new(DanglingAnd),
-    ]
-}
-
-/// The DAG-shape rules only (no dangling/trivial warnings): the right
-/// catalog for networks where unused or unsimplified nodes are expected,
-/// such as the member AIG underlying a choice network.
-pub fn dag_catalog() -> Vec<Box<dyn Check<Aig>>> {
-    vec![
-        Box::new(FaninRange),
-        Box::new(TopoOrder),
-        Box::new(FaninOrder),
-        Box::new(DuplicateAnd),
-    ]
-}
-
-/// Audits an AIG with the full catalog at the given level.
+/// Audits an AIG with all six rules at the given level (every one is
+/// cheap).
 pub fn audit_aig(aig: &Aig, level: AuditLevel) -> AuditReport {
-    run_checks(aig, &aig_catalog(), level)
+    let mut report = audit_aig_dag_only(aig, level);
+    if level != AuditLevel::Off {
+        report.run(|r| trivial_and(aig, r));
+        report.run(|r| dangling_and(aig, r));
+    }
+    report
 }
 
-/// Audits an AIG with the DAG-shape rules only (see [`dag_catalog`]).
+/// Audits an AIG with the four DAG-shape rules only, without the trivial
+/// and dangling warnings: the right audit for networks where unused or
+/// unsimplified nodes are expected, such as the member AIG underlying a
+/// choice network.
 pub fn audit_aig_dag_only(aig: &Aig, level: AuditLevel) -> AuditReport {
-    run_checks(aig, &dag_catalog(), level)
+    let mut report = AuditReport::new();
+    if level != AuditLevel::Off {
+        report.run(|r| fanin_range(aig, r));
+        report.run(|r| topo_order(aig, r));
+        report.run(|r| fanin_order(aig, r));
+        report.run(|r| duplicate_and(aig, r));
+    }
+    report
 }
 
 /// Mutation tests: each starts from a clean network, corrupts its private

@@ -3,12 +3,11 @@
 
 use std::fmt;
 
-/// Identifies one auditable invariant. Every checker in the catalog owns
-/// exactly one `RuleId`, and every diagnostic it emits carries it, so a
-/// mutation test can corrupt a structure and assert that precisely the
-/// expected rule fires.
+/// Identifies one auditable invariant. Every checker owns exactly one
+/// `RuleId`, and every diagnostic it emits carries it, so a mutation test
+/// can corrupt a structure and assert that precisely the expected rule
+/// fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[non_exhaustive]
 pub enum RuleId {
     // ---- AIG ----
     /// Every fanin literal of an AND references an existing node.
@@ -108,11 +107,8 @@ pub enum RuleId {
     /// leaves and roots, host inputs and output drivers).
     WindowStitchTable,
     /// The stitched global choice network's AIG passes the structural DAG
-    /// catalog.
+    /// rules.
     WindowChoiceDag,
-
-    /// The rule of a checker outside the shipped catalogs.
-    Custom(&'static str),
 }
 
 impl RuleId {
@@ -150,7 +146,6 @@ impl RuleId {
             RuleId::WindowLeafCut => "window-leaf-cut",
             RuleId::WindowStitchTable => "window-stitch-table",
             RuleId::WindowChoiceDag => "window-choice-dag",
-            RuleId::Custom(name) => name,
         }
     }
 }
@@ -170,36 +165,17 @@ pub enum Severity {
     Error,
 }
 
-/// How expensive a checker is, deciding which [`AuditLevel`] runs it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum CheckCost {
-    /// Linear-ish in the artifact size; runs at `PhaseBoundaries` and above.
-    Cheap,
-    /// Super-linear or simulation-based; runs only at `Paranoid`.
-    Expensive,
-}
-
 /// How much auditing the flows perform.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AuditLevel {
     /// No auditing (the default; zero overhead).
     #[default]
     Off,
-    /// Run the [`CheckCost::Cheap`] checkers after each flow phase.
+    /// Run the cheap checkers after each flow phase: every checker but the
+    /// exhaustive simulation of [`RuleId::ChoiceMemberEquiv`].
     PhaseBoundaries,
-    /// Run every checker, including exhaustive-simulation ones.
+    /// Run every checker, including the exhaustive-simulation one.
     Paranoid,
-}
-
-impl AuditLevel {
-    /// Whether a checker of the given cost runs at this level.
-    pub fn runs(&self, cost: CheckCost) -> bool {
-        match self {
-            AuditLevel::Off => false,
-            AuditLevel::PhaseBoundaries => cost == CheckCost::Cheap,
-            AuditLevel::Paranoid => true,
-        }
-    }
 }
 
 /// One finding: a violated (or suspicious) invariant at a location.
@@ -243,6 +219,12 @@ impl AuditReport {
     /// An empty report.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Runs one checker against this report and counts it in `checks_run`.
+    pub fn run(&mut self, check: impl FnOnce(&mut AuditReport)) {
+        self.checks_run += 1;
+        check(self);
     }
 
     /// Records a finding.
@@ -340,14 +322,6 @@ mod tests {
         assert_eq!(outer.diagnostics[0].location, "extract: node 7");
         assert!(!outer.is_clean());
         assert_eq!(outer.fired_rules(), vec![RuleId::AigTopoOrder]);
-    }
-
-    #[test]
-    fn levels_gate_costs() {
-        assert!(!AuditLevel::Off.runs(CheckCost::Cheap));
-        assert!(AuditLevel::PhaseBoundaries.runs(CheckCost::Cheap));
-        assert!(!AuditLevel::PhaseBoundaries.runs(CheckCost::Expensive));
-        assert!(AuditLevel::Paranoid.runs(CheckCost::Expensive));
     }
 
     #[test]

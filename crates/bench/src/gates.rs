@@ -1,6 +1,6 @@
 //! The gate experiments over the flows: choice-aware mapping (area- and
 //! delay-first), the extraction portfolio, windowed saturation, the
-//! synthesis server and the audit catalog. Every assertion is a named
+//! synthesis server and the audits. Every assertion is a named
 //! [`Run::check`]; nothing here exits or panics on a violated contract.
 
 use crate::{num, saturated, Run, Table};
@@ -560,8 +560,8 @@ pub(crate) fn server(run: &mut Run) {
     );
 }
 
-/// The audit catalog over parsed inputs (EQN and ASCII-AIGER round trips,
-/// full AIG catalog), over both flows with every phase boundary audited in
+/// The audits over parsed inputs (EQN and ASCII-AIGER round trips, all six
+/// AIG rules), over both flows with every phase boundary audited in
 /// place, and over the post-solve CDCL state of a DIMACS round trip. Only
 /// error-severity diagnostics (or a parse/flow failure) fail the gate.
 pub(crate) fn audit(run: &mut Run) {

@@ -22,7 +22,7 @@
 
 mod circuits;
 mod random;
-pub mod words;
+mod words;
 
 pub use circuits::{
     adder, arbiter, crossbar, divider, hypotenuse, log2, mem_ctrl, multiplier, sine, square,

@@ -25,13 +25,6 @@ pub fn ripple_sub(aig: &mut Aig, a: &[Lit], b: &[Lit]) -> (Vec<Lit>, Lit) {
     (diff, carry.not())
 }
 
-/// Two's-complement negation of a word.
-pub fn negate(aig: &mut Aig, a: &[Lit]) -> Vec<Lit> {
-    let zeros = vec![Lit::FALSE; a.len()];
-    let (diff, _) = ripple_sub(aig, &zeros, a);
-    diff
-}
-
 /// Bitwise multiplexer between two words: `sel ? t : e`.
 pub fn mux_word(aig: &mut Aig, sel: Lit, t: &[Lit], e: &[Lit]) -> Vec<Lit> {
     assert_eq!(t.len(), e.len());
@@ -223,6 +216,13 @@ mod tests {
                 assert_eq!(from_bits(&out), expect);
             }
         }
+    }
+
+    /// Two's-complement negation of a word: `0 - a`.
+    fn negate(aig: &mut Aig, a: &[Lit]) -> Vec<Lit> {
+        let zeros = vec![Lit::FALSE; a.len()];
+        let (diff, _) = ripple_sub(aig, &zeros, a);
+        diff
     }
 
     #[test]

@@ -40,9 +40,7 @@ pub use export::{
     egraph_to_choices, egraph_to_choices_with_selection, BoolExpr, BoolNode, ChoiceConfig,
     ChoiceCost, ClassSelection, ExportStats,
 };
-pub use network::{
-    audit_choices, choice_catalog, filter_ordering, ChoiceAig, ChoiceClass, RebuildStats,
-};
+pub use network::{audit_choices, filter_ordering, ChoiceAig, ChoiceClass, RebuildStats};
 
 /// Errors produced while building or validating a choice network.
 #[derive(Debug, Clone, PartialEq, Eq)]

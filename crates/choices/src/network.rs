@@ -6,7 +6,7 @@ use fxhash::{FxHashMap, FxHashSet};
 
 mod audit;
 
-pub use self::audit::{audit_choices, choice_catalog};
+pub use self::audit::audit_choices;
 
 /// DFS colors for the cycle-safe rebuild.
 const WHITE: u8 = 0;

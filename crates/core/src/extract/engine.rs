@@ -629,7 +629,9 @@ mod tests {
         let extraction = engine
             .extract(&egraph, &roots, &ExtractBudget::unlimited())
             .unwrap();
-        let (free, _) = crate::extract::bottom_up_extract(&egraph, ExtractionCost::Size);
+        let free = CostGraph::new(&egraph)
+            .bottom_up(ExtractionCost::Size)
+            .selection;
         assert_eq!(extraction.selection.choices, free.choices);
         // The cost map covers the selection and runtime was measured.
         for id in extraction.selection.choices.keys() {

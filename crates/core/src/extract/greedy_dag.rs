@@ -521,7 +521,9 @@ mod tests {
         eg.rebuild();
 
         let roots = vec![eg.find(root)];
-        let (tree, _) = crate::extract::bottom_up_extract(&eg, ExtractionCost::Size);
+        let tree = CostGraph::new(&eg)
+            .bottom_up(ExtractionCost::Size)
+            .selection;
         let tree_size = try_selection_cost(&eg, &tree, &roots, ExtractionCost::Size).unwrap();
         let extraction = GlobalGreedyDagEngine::new()
             .extract(&eg, &roots, &ExtractBudget::unlimited())

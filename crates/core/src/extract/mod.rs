@@ -421,20 +421,6 @@ impl Costed<'_> {
     }
 }
 
-/// Greedy bottom-up extraction with **solution-space pruning** (Fig. 6).
-///
-/// Kept as a plain function for the tests and the bench harness; external
-/// callers should go through [`BottomUpEngine`], which also reports the
-/// per-class cost map.
-pub fn bottom_up_extract(
-    egraph: &EGraph<BoolLang>,
-    cost_kind: ExtractionCost,
-) -> (Selection, ExtractStats) {
-    let graph = CostGraph::new(egraph);
-    let costed = graph.bottom_up(cost_kind);
-    (costed.selection, costed.stats)
-}
-
 /// Computes the structural cost of a selection at the given roots, reporting
 /// a reachable class without a selected node as a typed error instead of
 /// silently treating it as free (which would let an engine bug masquerade as
@@ -616,7 +602,9 @@ mod tests {
         // tree cost, so equally-optimal selections may differ in DAG sharing).
         let aig = benchgen::adder(4).aig;
         let (egraph, roots) = saturated_egraph(&aig, 3);
-        let (sel_p, _) = bottom_up_extract(&egraph, ExtractionCost::Depth);
+        let sel_p = CostGraph::new(&egraph)
+            .bottom_up(ExtractionCost::Depth)
+            .selection;
         let sel_u = CostGraph::new(&egraph)
             .bottom_up_unpruned(ExtractionCost::Depth)
             .selection;
@@ -630,7 +618,9 @@ mod tests {
     fn pruning_reduces_evaluations() {
         let aig = benchgen::adder(5).aig;
         let (egraph, _roots) = saturated_egraph(&aig, 3);
-        let (_, stats_p) = bottom_up_extract(&egraph, ExtractionCost::Size);
+        let stats_p = CostGraph::new(&egraph)
+            .bottom_up(ExtractionCost::Size)
+            .stats;
         let stats_u = CostGraph::new(&egraph)
             .bottom_up_unpruned(ExtractionCost::Size)
             .stats;
@@ -646,7 +636,9 @@ mod tests {
     fn every_reachable_class_gets_a_choice() {
         let aig = benchgen::multiplier(3).aig;
         let (egraph, roots) = saturated_egraph(&aig, 2);
-        let (selection, _) = bottom_up_extract(&egraph, ExtractionCost::Depth);
+        let selection = CostGraph::new(&egraph)
+            .bottom_up(ExtractionCost::Depth)
+            .selection;
         // Walk the selection from the roots: every visited class has a node.
         let mut stack: Vec<Id> = roots.clone();
         let mut seen = egraph::FxHashSet::default();
@@ -667,8 +659,12 @@ mod tests {
     fn depth_extraction_not_deeper_than_size_extraction() {
         let aig = benchgen::adder(6).aig;
         let (egraph, roots) = saturated_egraph(&aig, 4);
-        let (sel_depth, _) = bottom_up_extract(&egraph, ExtractionCost::Depth);
-        let (sel_size, _) = bottom_up_extract(&egraph, ExtractionCost::Size);
+        let sel_depth = CostGraph::new(&egraph)
+            .bottom_up(ExtractionCost::Depth)
+            .selection;
+        let sel_size = CostGraph::new(&egraph)
+            .bottom_up(ExtractionCost::Size)
+            .selection;
         let d_depth =
             try_selection_cost(&egraph, &sel_depth, &roots, ExtractionCost::Depth).unwrap();
         let d_size = try_selection_cost(&egraph, &sel_size, &roots, ExtractionCost::Depth).unwrap();
@@ -680,7 +676,9 @@ mod tests {
         let aig = benchgen::adder(4).aig;
         let conv = aig_to_egraph(&aig);
         let (egraph, roots) = saturated_egraph(&aig, 3);
-        let (selection, _) = bottom_up_extract(&egraph, ExtractionCost::Size);
+        let selection = CostGraph::new(&egraph)
+            .bottom_up(ExtractionCost::Size)
+            .selection;
         let back = crate::convert::try_selection_to_aig(
             &egraph,
             &selection,
@@ -708,7 +706,9 @@ mod tests {
             assert!(matches!(err, SelectionError::Missing(_)), "{err}");
         }
         // A complete selection reports Ok: at least one gate per root class.
-        let (selection, _) = bottom_up_extract(&egraph, ExtractionCost::Size);
+        let selection = CostGraph::new(&egraph)
+            .bottom_up(ExtractionCost::Size)
+            .selection;
         let ok = try_selection_cost(&egraph, &selection, &roots, ExtractionCost::Size).unwrap();
         assert!(ok > 0);
     }

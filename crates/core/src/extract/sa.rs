@@ -420,7 +420,6 @@ pub fn generate_neighbor<'g>(
 mod tests {
     use super::*;
     use crate::convert::{aig_to_egraph, ConversionResult};
-    use crate::extract::bottom_up_extract;
     use crate::rules::all_rules;
     use aig::Aig;
     use cec::{check_equivalence, CecOptions};
@@ -495,8 +494,8 @@ mod tests {
     fn neighbor_generation_preserves_function() {
         let aig = benchgen::adder(4).aig;
         let conv = saturated_conversion(&aig, 3);
-        let (initial, _) = bottom_up_extract(&conv.egraph, ExtractionCost::Depth);
         let graph = CostGraph::new(&conv.egraph);
+        let initial = graph.bottom_up(ExtractionCost::Depth).selection;
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..5 {
             let neighbor =

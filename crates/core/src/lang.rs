@@ -1,7 +1,7 @@
 //! The Boolean term language used inside E-morphic's e-graphs.
 
 use choices::{BoolExpr, BoolNode};
-use egraph::{FromOp, Id, Language, ParseError, RecExpr};
+use egraph::{FromOp, Id, Language, ParseError};
 
 /// A Boolean operator node.
 ///
@@ -152,9 +152,10 @@ impl FromOp for BoolLang {
     }
 }
 
-/// Evaluates a [`RecExpr`] over the Boolean language on a variable assignment
-/// (`inputs[i]` is the value of `Var(i)`).
-pub fn eval_expr(expr: &RecExpr<BoolLang>, inputs: &[bool]) -> bool {
+/// Evaluates a `RecExpr` over the Boolean language on a variable assignment
+/// (`inputs[i]` is the value of `Var(i)`): the rule tests' semantic oracle.
+#[cfg(test)]
+pub(crate) fn eval_expr(expr: &egraph::RecExpr<BoolLang>, inputs: &[bool]) -> bool {
     let mut values: Vec<bool> = Vec::with_capacity(expr.len());
     for node in expr.as_ref() {
         let value = match node {
@@ -174,6 +175,7 @@ pub fn eval_expr(expr: &RecExpr<BoolLang>, inputs: &[bool]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use egraph::RecExpr;
 
     #[test]
     fn parse_and_print() {

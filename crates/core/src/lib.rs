@@ -49,9 +49,9 @@ pub use checkpoint::FlowCheckpoint;
 pub use convert::{aig_to_egraph, try_selection_to_aig, ConversionResult};
 pub use extract::sa::{SaEngine, SaOptions, SaResult};
 pub use extract::{
-    bottom_up_extract, BottomUpEngine, EngineReport, ExtractBudget, ExtractError, ExtractStats,
-    Extraction, ExtractionCost, ExtractionEngine, ExtractorKind, GlobalGreedyDagEngine,
-    PortfolioEngine, PortfolioScorer, Selection, SlackAwareEngine,
+    BottomUpEngine, EngineReport, ExtractBudget, ExtractError, ExtractStats, Extraction,
+    ExtractionCost, ExtractionEngine, ExtractorKind, GlobalGreedyDagEngine, PortfolioEngine,
+    PortfolioScorer, Selection, SlackAwareEngine,
 };
 pub use flow::{
     baseline_flow, emorphic_flow, emorphic_map_flow, extract_network, map_network, prepare_network,

@@ -1,11 +1,11 @@
-//! Serializable reports of flow runs, for logging experiments and feeding
-//! external plotting scripts.
+//! Serializable reports of flow runs: the flow rows the `repro` runner
+//! writes into `BENCH_repro.json`.
 
 use crate::flow::FlowResult;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A flat, serializable summary of one flow run on one circuit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FlowReport {
     /// Circuit name.
     pub circuit: String,
@@ -58,70 +58,5 @@ impl FlowReport {
             egraph_classes: result.egraph_classes,
             verified: result.verified,
         }
-    }
-
-    /// Serializes a list of reports as a JSON array.
-    pub fn to_json(reports: &[FlowReport]) -> String {
-        serde_json::to_string_pretty(reports)
-            .unwrap_or_else(|_| unreachable!("report serialization cannot fail"))
-    }
-
-    /// Parses a list of reports from JSON.
-    ///
-    /// # Errors
-    /// Returns the serde error message on malformed input.
-    pub fn from_json(text: &str) -> Result<Vec<FlowReport>, String> {
-        serde_json::from_str(text).map_err(|e| e.to_string())
-    }
-
-    /// Renders a CSV header matching [`FlowReport::to_csv_row`].
-    pub fn csv_header() -> String {
-        "circuit,flow,area_um2,delay_ps,levels,gates,runtime_s,conventional_pct,conversion_pct,extraction_pct,verification_pct,egraph_nodes,egraph_classes,verified".to_string()
-    }
-
-    /// Renders the report as one CSV row.
-    pub fn to_csv_row(&self) -> String {
-        format!(
-            "{},{},{:.3},{:.3},{},{},{:.3},{:.1},{:.1},{:.1},{:.1},{},{},{}",
-            self.circuit,
-            self.flow,
-            self.area_um2,
-            self.delay_ps,
-            self.levels,
-            self.gates,
-            self.runtime_s,
-            self.conventional_pct,
-            self.conversion_pct,
-            self.extraction_pct,
-            self.verification_pct,
-            self.egraph_nodes,
-            self.egraph_classes,
-            self.verified
-        )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::flow::{baseline_flow, FlowConfig};
-
-    #[test]
-    fn report_roundtrips_through_json_and_csv() {
-        let circuit = benchgen::adder(5).aig;
-        let result = baseline_flow(&circuit, &FlowConfig::fast());
-        let report = FlowReport::new("baseline", &result);
-        assert_eq!(report.circuit, "adder");
-        assert!(report.verified);
-        let json = FlowReport::to_json(std::slice::from_ref(&report));
-        let parsed = FlowReport::from_json(&json).unwrap();
-        assert_eq!(parsed, vec![report.clone()]);
-        assert!(FlowReport::from_json("not json").is_err());
-        let csv = report.to_csv_row();
-        assert_eq!(
-            csv.split(',').count(),
-            FlowReport::csv_header().split(',').count()
-        );
-        assert!(csv.starts_with("adder,baseline,"));
     }
 }

@@ -16,7 +16,7 @@
 use aig::Aig;
 use emorphic::extract::sa::{SaEngine, SaOptions};
 use emorphic::extract::{
-    bottom_up_extract, try_selection_cost, ExtractBudget, ExtractionCost, ExtractionEngine,
+    try_selection_cost, CostGraph, ExtractBudget, ExtractionCost, ExtractionEngine,
 };
 use emorphic::{aig_to_egraph, try_selection_to_aig};
 use techmap::library::asap7_like;
@@ -50,7 +50,9 @@ fn every_selection_walk_survives_100k_levels_on_a_2mib_stack() {
     const DEPTH: usize = 100_000;
     on_a_2mib_stack(|| {
         let space = aig_to_egraph(&alternating_chain(DEPTH));
-        let (selection, _) = bottom_up_extract(&space.egraph, ExtractionCost::Size);
+        let selection = CostGraph::new(&space.egraph)
+            .bottom_up(ExtractionCost::Size)
+            .selection;
         for cost in [ExtractionCost::Size, ExtractionCost::Depth] {
             let measured = try_selection_cost(&space.egraph, &selection, &space.roots, cost);
             assert_eq!(measured, Ok(DEPTH as u64), "{cost:?}");

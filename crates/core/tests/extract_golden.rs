@@ -27,8 +27,8 @@ use egraph::{Id, Runner, Scheduler};
 use emorphic::convert::ConversionResult;
 use emorphic::extract::sa::{generate_neighbor, SaEngine, SaOptions};
 use emorphic::extract::{
-    bottom_up_extract, try_selection_cost, BottomUpEngine, CostGraph, ExtractBudget, Extraction,
-    ExtractionCost, ExtractionEngine, GlobalGreedyDagEngine, Selection, SlackAwareEngine,
+    try_selection_cost, BottomUpEngine, CostGraph, ExtractBudget, Extraction, ExtractionCost,
+    ExtractionEngine, GlobalGreedyDagEngine, Selection, SlackAwareEngine,
 };
 use emorphic::flow::{prepare_network, saturate_network, FlowConfig};
 use emorphic::{aig_to_egraph, all_rules, try_selection_to_aig, BoolLang};
@@ -191,7 +191,7 @@ fn neighbor_digest(space: &ConversionResult) -> u64 {
     for p_random in [0.1, 0.3] {
         for cost in COSTS {
             let mut rng = StdRng::seed_from_u64(0xC4A1);
-            let (mut current, _) = bottom_up_extract(&space.egraph, cost);
+            let mut current = graph.bottom_up(cost).selection;
             for _ in 0..16 {
                 current = generate_neighbor(&graph, &current, cost, p_random, &mut rng).selection;
                 fold_selection(&mut h, space, &current);

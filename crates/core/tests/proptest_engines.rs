@@ -30,9 +30,8 @@
 use egraph::{EClass, EGraph, FxHashMap, FxHashSet, Id, Language, Runner, Scheduler};
 use emorphic::extract::sa::{generate_neighbor, SaEngine, SaOptions};
 use emorphic::extract::{
-    bottom_up_extract, try_selection_cost, BottomUpEngine, CostGraph, ExtractBudget, ExtractStats,
-    ExtractionCost, ExtractionEngine, GlobalGreedyDagEngine, PortfolioEngine, Selection,
-    SlackAwareEngine,
+    try_selection_cost, BottomUpEngine, CostGraph, ExtractBudget, ExtractStats, ExtractionCost,
+    ExtractionEngine, GlobalGreedyDagEngine, PortfolioEngine, Selection, SlackAwareEngine,
 };
 use emorphic::{aig_to_egraph, all_rules, try_selection_to_aig, BoolLang};
 use proptest::prelude::*;
@@ -122,9 +121,10 @@ fn reference_greedy_dag(
     egraph: &EGraph<BoolLang>,
     roots: &[Id],
 ) -> (FxHashMap<Id, BoolLang>, usize, usize) {
-    let (base, base_stats) = bottom_up_extract(egraph, ExtractionCost::Size);
-    let mut selection = base.choices;
-    let mut evaluated = base_stats.nodes_evaluated;
+    let graph = CostGraph::new(egraph);
+    let base = graph.bottom_up(ExtractionCost::Size);
+    let mut selection = base.selection.choices;
+    let mut evaluated = base.stats.nodes_evaluated;
     let mut accepted = 0;
     loop {
         let accepted_before_pass = accepted;

@@ -64,7 +64,7 @@ mod snapshot;
 
 #[cfg(test)]
 pub(crate) use self::audit::assert_audit_clean;
-pub use self::audit::{audit_egraph, egraph_catalog};
+pub use self::audit::audit_egraph;
 pub(crate) use self::snapshot::Snapshot;
 
 /// The `slot` entry of an id whose class has been merged away.

@@ -8,7 +8,7 @@
 //! union-find cycle, on which `find` would not terminate) is diagnosed
 //! instead of crashed on.
 
-use ::audit::{run_checks, AuditLevel, AuditReport, Check, RuleId, Severity};
+use ::audit::{AuditLevel, AuditReport, RuleId, Severity};
 use fxhash::{FxHashMap, FxHashSet};
 
 use super::{op_signature, EClass, EGraph, DEAD};
@@ -35,7 +35,7 @@ fn safe_find(uf: &UnionFind, mut id: Id) -> Option<Id> {
 }
 
 /// The classes in `order` with their ids, skipping an ordered id whose slot
-/// is dead or out of range ([`CanonicalClass`] reports it).
+/// is dead or out of range ([`canonical_class`] reports it).
 fn stored<L: Language>(egraph: &EGraph<L>) -> impl Iterator<Item = (Id, &EClass<L>)> {
     egraph.order.iter().filter_map(|&id| {
         let class = egraph.classes.get(egraph.slot_of(id)?)?;
@@ -55,72 +55,56 @@ fn safe_canonicalize<L: Language>(uf: &UnionFind, node: &L) -> Option<L> {
 
 /// [`RuleId::EgraphDirty`]: the worklists must be empty at a phase boundary
 /// (the graph has been rebuilt).
-struct Dirty;
-
-impl<L: Language> Check<EGraph<L>> for Dirty {
-    fn rule(&self) -> RuleId {
-        RuleId::EgraphDirty
-    }
-
-    fn check(&self, egraph: &EGraph<L>, report: &mut AuditReport) {
-        if egraph.is_dirty() {
-            report.push(
-                RuleId::EgraphDirty,
-                Severity::Error,
-                "worklists",
-                "e-graph is dirty (pending repairs); rebuild() must run before the phase boundary",
-            );
-        }
+fn dirty<L: Language>(egraph: &EGraph<L>, report: &mut AuditReport) {
+    if egraph.is_dirty() {
+        report.push(
+            RuleId::EgraphDirty,
+            Severity::Error,
+            "worklists",
+            "e-graph is dirty (pending repairs); rebuild() must run before the phase boundary",
+        );
     }
 }
 
 /// [`RuleId::EgraphUnionFind`]: parent slots are in range, chains terminate,
 /// and root sizes match the member count of each set.
-struct UnionFindSane;
-
-impl<L: Language> Check<EGraph<L>> for UnionFindSane {
-    fn rule(&self) -> RuleId {
-        RuleId::EgraphUnionFind
-    }
-
-    fn check(&self, egraph: &EGraph<L>, report: &mut AuditReport) {
-        let uf = &egraph.unionfind;
-        let n = uf.len();
-        let mut members: FxHashMap<Id, u32> = FxHashMap::default();
-        for index in 0..n {
-            let id = Id::from(index);
-            if uf.parent(id).index() >= n {
-                report.push(
-                    RuleId::EgraphUnionFind,
-                    Severity::Error,
-                    format!("id {index}"),
-                    format!(
-                        "parent slot {} is out of range ({n} ids)",
-                        uf.parent(id).index()
-                    ),
-                );
-                continue;
-            }
-            match safe_find(uf, id) {
-                Some(root) => *members.entry(root).or_insert(0) += 1,
-                None => report.push(
-                    RuleId::EgraphUnionFind,
-                    Severity::Error,
-                    format!("id {index}"),
-                    "parent chain does not terminate (cycle or budget exceeded)",
+fn union_find<L: Language>(egraph: &EGraph<L>, report: &mut AuditReport) {
+    let uf = &egraph.unionfind;
+    let n = uf.len();
+    let mut members: FxHashMap<Id, u32> = FxHashMap::default();
+    for index in 0..n {
+        let id = Id::from(index);
+        if uf.parent(id).index() >= n {
+            report.push(
+                RuleId::EgraphUnionFind,
+                Severity::Error,
+                format!("id {index}"),
+                format!(
+                    "parent slot {} is out of range ({n} ids)",
+                    uf.parent(id).index()
                 ),
-            }
+            );
+            continue;
         }
-        for (root, count) in members {
-            let stored = uf.sizes[root.index()];
-            if stored != count {
-                report.push(
-                    RuleId::EgraphUnionFind,
-                    Severity::Error,
-                    format!("root {root}"),
-                    format!("stored size {stored} disagrees with {count} reachable members"),
-                );
-            }
+        match safe_find(uf, id) {
+            Some(root) => *members.entry(root).or_insert(0) += 1,
+            None => report.push(
+                RuleId::EgraphUnionFind,
+                Severity::Error,
+                format!("id {index}"),
+                "parent chain does not terminate (cycle or budget exceeded)",
+            ),
+        }
+    }
+    for (root, count) in members {
+        let stored = uf.sizes[root.index()];
+        if stored != count {
+            report.push(
+                RuleId::EgraphUnionFind,
+                Severity::Error,
+                format!("root {root}"),
+                format!("stored size {stored} disagrees with {count} reachable members"),
+            );
         }
     }
 }
@@ -130,111 +114,95 @@ impl<L: Language> Check<EGraph<L>> for UnionFindSane {
 /// with the canonical ids: one slot per issued id, a live slot for every
 /// ordered id and for no merged-away one, and as many stored classes as
 /// live slots.
-struct CanonicalClass;
-
-impl<L: Language> Check<EGraph<L>> for CanonicalClass {
-    fn rule(&self) -> RuleId {
-        RuleId::EgraphCanonicalClass
+fn canonical_class<L: Language>(egraph: &EGraph<L>, report: &mut AuditReport) {
+    let uf = &egraph.unionfind;
+    if egraph.slot.len() != uf.len() {
+        report.push(
+            RuleId::EgraphCanonicalClass,
+            Severity::Error,
+            "store",
+            format!("{} ids issued, but {} slots", uf.len(), egraph.slot.len()),
+        );
     }
-
-    fn check(&self, egraph: &EGraph<L>, report: &mut AuditReport) {
-        let uf = &egraph.unionfind;
-        if egraph.slot.len() != uf.len() {
+    for &id in &egraph.order {
+        if egraph
+            .slot_of(id)
+            .is_none_or(|at| at >= egraph.classes.len())
+        {
             report.push(
                 RuleId::EgraphCanonicalClass,
                 Severity::Error,
-                "store",
-                format!("{} ids issued, but {} slots", uf.len(), egraph.slot.len()),
+                format!("class {id}"),
+                "ordered id has a dead slot",
             );
         }
-        for &id in &egraph.order {
-            if egraph
-                .slot_of(id)
-                .is_none_or(|at| at >= egraph.classes.len())
-            {
-                report.push(
-                    RuleId::EgraphCanonicalClass,
-                    Severity::Error,
-                    format!("class {id}"),
-                    "ordered id has a dead slot",
-                );
-            }
-        }
-        for (index, &at) in egraph.slot.iter().enumerate() {
-            let id = Id::from(index);
-            if at != DEAD && safe_find(uf, id) != Some(id) {
-                report.push(
-                    RuleId::EgraphCanonicalClass,
-                    Severity::Error,
-                    format!("id {index}"),
-                    "merged-away id has a live slot",
-                );
-            }
-        }
-        let live = egraph.slot.iter().filter(|&&at| at != DEAD).count();
-        if egraph.order.len() != live || egraph.classes.len() != live {
+    }
+    for (index, &at) in egraph.slot.iter().enumerate() {
+        let id = Id::from(index);
+        if at != DEAD && safe_find(uf, id) != Some(id) {
             report.push(
                 RuleId::EgraphCanonicalClass,
                 Severity::Error,
-                "store",
-                format!(
-                    "{} ordered ids and {} stored classes, but {live} live slots",
-                    egraph.order.len(),
-                    egraph.classes.len()
-                ),
+                format!("id {index}"),
+                "merged-away id has a live slot",
             );
         }
-        for (id, class) in stored(egraph) {
-            if safe_find(uf, id) != Some(id) {
-                report.push(
-                    RuleId::EgraphCanonicalClass,
-                    Severity::Error,
-                    format!("class {id}"),
-                    "class-map key is not a canonical id",
-                );
-            }
-            if class.id != id {
-                report.push(
-                    RuleId::EgraphCanonicalClass,
-                    Severity::Error,
-                    format!("class {id}"),
-                    format!("class records wrong id {}", class.id),
-                );
-            }
-            if class.nodes.is_empty() {
-                report.push(
-                    RuleId::EgraphCanonicalClass,
-                    Severity::Error,
-                    format!("class {id}"),
-                    "class is empty",
-                );
-            }
+    }
+    let live = egraph.slot.iter().filter(|&&at| at != DEAD).count();
+    if egraph.order.len() != live || egraph.classes.len() != live {
+        report.push(
+            RuleId::EgraphCanonicalClass,
+            Severity::Error,
+            "store",
+            format!(
+                "{} ordered ids and {} stored classes, but {live} live slots",
+                egraph.order.len(),
+                egraph.classes.len()
+            ),
+        );
+    }
+    for (id, class) in stored(egraph) {
+        if safe_find(uf, id) != Some(id) {
+            report.push(
+                RuleId::EgraphCanonicalClass,
+                Severity::Error,
+                format!("class {id}"),
+                "class-map key is not a canonical id",
+            );
+        }
+        if class.id != id {
+            report.push(
+                RuleId::EgraphCanonicalClass,
+                Severity::Error,
+                format!("class {id}"),
+                format!("class records wrong id {}", class.id),
+            );
+        }
+        if class.nodes.is_empty() {
+            report.push(
+                RuleId::EgraphCanonicalClass,
+                Severity::Error,
+                format!("class {id}"),
+                "class is empty",
+            );
         }
     }
 }
 
 /// [`RuleId::EgraphCanonicalChildren`]: after a rebuild every stored node
 /// has canonical children.
-struct CanonicalChildren;
-
-impl<L: Language> Check<EGraph<L>> for CanonicalChildren {
-    fn rule(&self) -> RuleId {
-        RuleId::EgraphCanonicalChildren
-    }
-
-    fn check(&self, egraph: &EGraph<L>, report: &mut AuditReport) {
-        let uf = &egraph.unionfind;
-        for (id, class) in stored(egraph) {
-            for node in &class.nodes {
-                for &child in node.children() {
-                    if safe_find(uf, child) != Some(child) {
-                        report.push(
-                            RuleId::EgraphCanonicalChildren,
-                            Severity::Error,
-                            format!("class {id}"),
-                            format!("node {node:?} has non-canonical child {child}"),
-                        );
-                    }
+fn canonical_children<L: Language>(egraph: &EGraph<L>, report: &mut AuditReport) {
+    let uf = &egraph.unionfind;
+    for (id, class) in stored(egraph) {
+        for node in &class.nodes {
+            for &child in node.children() {
+                if safe_find(uf, child) != Some(child) {
+                    report.push(
+                        RuleId::EgraphCanonicalChildren,
+                        Severity::Error,
+                        format!("class {id}"),
+                        format!("node {node:?} has non-canonical child {child}"),
+                    );
                 }
             }
         }
@@ -243,31 +211,23 @@ impl<L: Language> Check<EGraph<L>> for CanonicalChildren {
 
 /// [`RuleId::EgraphCongruence`]: no two distinct classes contain the same
 /// canonical node form.
-struct Congruence;
-
-impl<L: Language> Check<EGraph<L>> for Congruence {
-    fn rule(&self) -> RuleId {
-        RuleId::EgraphCongruence
-    }
-
-    fn check(&self, egraph: &EGraph<L>, report: &mut AuditReport) {
-        let uf = &egraph.unionfind;
-        let mut seen: FxHashMap<L, Id> = FxHashMap::default();
-        for (id, class) in stored(egraph) {
-            for node in &class.nodes {
-                let Some(canon) = safe_canonicalize(uf, node) else {
-                    continue; // UnionFindSane reports the broken chain
-                };
-                match seen.get(&canon) {
-                    Some(&other) if other != id => report.push(
-                        RuleId::EgraphCongruence,
-                        Severity::Error,
-                        format!("class {id}"),
-                        format!("congruence violated: {node:?} also appears in class {other}"),
-                    ),
-                    _ => {
-                        seen.insert(canon, id);
-                    }
+fn congruence<L: Language>(egraph: &EGraph<L>, report: &mut AuditReport) {
+    let uf = &egraph.unionfind;
+    let mut seen: FxHashMap<L, Id> = FxHashMap::default();
+    for (id, class) in stored(egraph) {
+        for node in &class.nodes {
+            let Some(canon) = safe_canonicalize(uf, node) else {
+                continue; // `union_find` reports the broken chain
+            };
+            match seen.get(&canon) {
+                Some(&other) if other != id => report.push(
+                    RuleId::EgraphCongruence,
+                    Severity::Error,
+                    format!("class {id}"),
+                    format!("congruence violated: {node:?} also appears in class {other}"),
+                ),
+                _ => {
+                    seen.insert(canon, id);
                 }
             }
         }
@@ -277,55 +237,47 @@ impl<L: Language> Check<EGraph<L>> for Congruence {
 /// [`RuleId::EgraphHashcons`]: every stored node resolves through the memo
 /// to its owning class, and every canonically-keyed memo entry is present in
 /// the class it names (stale-keyed entries await compaction and are exempt).
-struct Hashcons;
-
-impl<L: Language> Check<EGraph<L>> for Hashcons {
-    fn rule(&self) -> RuleId {
-        RuleId::EgraphHashcons
-    }
-
-    fn check(&self, egraph: &EGraph<L>, report: &mut AuditReport) {
-        let uf = &egraph.unionfind;
-        let memo: FxHashMap<&L, Id> = egraph.memo.iter().map(|(node, &id)| (node, id)).collect();
-        for (id, class) in stored(egraph) {
-            for node in &class.nodes {
-                match memo.get(node) {
-                    Some(&m) if safe_find(uf, m) == Some(id) => {}
-                    Some(&m) => report.push(
-                        RuleId::EgraphHashcons,
-                        Severity::Error,
-                        format!("class {id}"),
-                        format!("hashcons points {node:?} to {m}, but it lives in {id}"),
-                    ),
-                    None => report.push(
-                        RuleId::EgraphHashcons,
-                        Severity::Error,
-                        format!("class {id}"),
-                        format!("node {node:?} is missing from the hashcons"),
-                    ),
-                }
-            }
-        }
-        for (node, &id) in &egraph.memo {
-            let canonical = node.children().iter().all(|&c| safe_find(uf, c) == Some(c));
-            if !canonical {
-                continue;
-            }
-            let Some(class_id) = safe_find(uf, id) else {
-                continue;
-            };
-            let present = egraph
-                .slot_of(class_id)
-                .and_then(|at| egraph.classes.get(at))
-                .is_some_and(|class| class.nodes.iter().any(|n| n == node));
-            if !present {
-                report.push(
+fn hashcons<L: Language>(egraph: &EGraph<L>, report: &mut AuditReport) {
+    let uf = &egraph.unionfind;
+    let memo: FxHashMap<&L, Id> = egraph.memo.iter().map(|(node, &id)| (node, id)).collect();
+    for (id, class) in stored(egraph) {
+        for node in &class.nodes {
+            match memo.get(node) {
+                Some(&m) if safe_find(uf, m) == Some(id) => {}
+                Some(&m) => report.push(
                     RuleId::EgraphHashcons,
                     Severity::Error,
-                    format!("class {class_id}"),
-                    format!("canonical hashcons entry {node:?} -> {id} is absent from its class"),
-                );
+                    format!("class {id}"),
+                    format!("hashcons points {node:?} to {m}, but it lives in {id}"),
+                ),
+                None => report.push(
+                    RuleId::EgraphHashcons,
+                    Severity::Error,
+                    format!("class {id}"),
+                    format!("node {node:?} is missing from the hashcons"),
+                ),
             }
+        }
+    }
+    for (node, &id) in &egraph.memo {
+        let canonical = node.children().iter().all(|&c| safe_find(uf, c) == Some(c));
+        if !canonical {
+            continue;
+        }
+        let Some(class_id) = safe_find(uf, id) else {
+            continue;
+        };
+        let present = egraph
+            .slot_of(class_id)
+            .and_then(|at| egraph.classes.get(at))
+            .is_some_and(|class| class.nodes.iter().any(|n| n == node));
+        if !present {
+            report.push(
+                RuleId::EgraphHashcons,
+                Severity::Error,
+                format!("class {class_id}"),
+                format!("canonical hashcons entry {node:?} -> {id} is absent from its class"),
+            );
         }
     }
 }
@@ -333,45 +285,37 @@ impl<L: Language> Check<EGraph<L>> for Hashcons {
 /// [`RuleId::EgraphParents`]: the incrementally maintained parent lists
 /// cover every child→user edge a full scan finds (compared canonicalized,
 /// since entries may be stale in form).
-struct Parents;
-
-impl<L: Language> Check<EGraph<L>> for Parents {
-    fn rule(&self) -> RuleId {
-        RuleId::EgraphParents
+fn parents<L: Language>(egraph: &EGraph<L>, report: &mut AuditReport) {
+    let uf = &egraph.unionfind;
+    let mut parent_sets: FxHashMap<Id, FxHashSet<(L, Id)>> = FxHashMap::default();
+    for (id, class) in stored(egraph) {
+        let set = class
+            .parents()
+            .filter_map(|(node, pclass)| {
+                Some((safe_canonicalize(uf, node)?, safe_find(uf, pclass)?))
+            })
+            .collect();
+        parent_sets.insert(id, set);
     }
-
-    fn check(&self, egraph: &EGraph<L>, report: &mut AuditReport) {
-        let uf = &egraph.unionfind;
-        let mut parent_sets: FxHashMap<Id, FxHashSet<(L, Id)>> = FxHashMap::default();
-        for (id, class) in stored(egraph) {
-            let set = class
-                .parents()
-                .filter_map(|(node, pclass)| {
-                    Some((safe_canonicalize(uf, node)?, safe_find(uf, pclass)?))
-                })
-                .collect();
-            parent_sets.insert(id, set);
-        }
-        for (id, class) in stored(egraph) {
-            for node in &class.nodes {
-                let Some(canon) = safe_canonicalize(uf, node) else {
-                    continue; // UnionFindSane reports the broken chain
+    for (id, class) in stored(egraph) {
+        for node in &class.nodes {
+            let Some(canon) = safe_canonicalize(uf, node) else {
+                continue; // `union_find` reports the broken chain
+            };
+            for &child in node.children() {
+                let Some(child) = safe_find(uf, child) else {
+                    continue;
                 };
-                for &child in node.children() {
-                    let Some(child) = safe_find(uf, child) else {
-                        continue;
-                    };
-                    let covered = parent_sets
-                        .get(&child)
-                        .is_some_and(|set| set.contains(&(canon.clone(), id)));
-                    if !covered {
-                        report.push(
-                            RuleId::EgraphParents,
-                            Severity::Error,
-                            format!("class {child}"),
-                            format!("parent list misses user {node:?} (class {id})"),
-                        );
-                    }
+                let covered = parent_sets
+                    .get(&child)
+                    .is_some_and(|set| set.contains(&(canon.clone(), id)));
+                if !covered {
+                    report.push(
+                        RuleId::EgraphParents,
+                        Severity::Error,
+                        format!("class {child}"),
+                        format!("parent list misses user {node:?} (class {id})"),
+                    );
                 }
             }
         }
@@ -381,40 +325,32 @@ impl<L: Language> Check<EGraph<L>> for Parents {
 /// [`RuleId::EgraphOpIndex`]: the operator index covers every (op, class)
 /// pair of the live nodes (listed ids may be stale; compared canonicalized),
 /// and every class's operator signature covers the operators of its nodes.
-struct OpIndex;
-
-impl<L: Language> Check<EGraph<L>> for OpIndex {
-    fn rule(&self) -> RuleId {
-        RuleId::EgraphOpIndex
+fn op_index<L: Language>(egraph: &EGraph<L>, report: &mut AuditReport) {
+    let uf = &egraph.unionfind;
+    let mut op_sets: FxHashMap<u64, FxHashSet<Id>> = FxHashMap::default();
+    for (&key, ids) in &egraph.classes_by_op {
+        op_sets.insert(key, ids.iter().filter_map(|&i| safe_find(uf, i)).collect());
     }
-
-    fn check(&self, egraph: &EGraph<L>, report: &mut AuditReport) {
-        let uf = &egraph.unionfind;
-        let mut op_sets: FxHashMap<u64, FxHashSet<Id>> = FxHashMap::default();
-        for (&key, ids) in &egraph.classes_by_op {
-            op_sets.insert(key, ids.iter().filter_map(|&i| safe_find(uf, i)).collect());
-        }
-        for (id, class) in stored(egraph) {
-            for node in &class.nodes {
-                let indexed = op_sets
-                    .get(&node.op_key())
-                    .is_some_and(|ids| ids.contains(&id));
-                if !indexed {
-                    report.push(
-                        RuleId::EgraphOpIndex,
-                        Severity::Error,
-                        format!("class {id}"),
-                        format!("operator index misses this class for node {node:?}"),
-                    );
-                }
-                if class.sig & op_signature(node.op_key()) == 0 {
-                    report.push(
-                        RuleId::EgraphOpIndex,
-                        Severity::Error,
-                        format!("class {id}"),
-                        format!("operator signature misses the operator of node {node:?}"),
-                    );
-                }
+    for (id, class) in stored(egraph) {
+        for node in &class.nodes {
+            let indexed = op_sets
+                .get(&node.op_key())
+                .is_some_and(|ids| ids.contains(&id));
+            if !indexed {
+                report.push(
+                    RuleId::EgraphOpIndex,
+                    Severity::Error,
+                    format!("class {id}"),
+                    format!("operator index misses this class for node {node:?}"),
+                );
+            }
+            if class.sig & op_signature(node.op_key()) == 0 {
+                report.push(
+                    RuleId::EgraphOpIndex,
+                    Severity::Error,
+                    format!("class {id}"),
+                    format!("operator signature misses the operator of node {node:?}"),
+                );
             }
         }
     }
@@ -422,48 +358,37 @@ impl<L: Language> Check<EGraph<L>> for OpIndex {
 
 /// [`RuleId::EgraphNodeCount`]: the incrementally maintained live-node
 /// counter equals the sum of the class node lists.
-struct NodeCount;
-
-impl<L: Language> Check<EGraph<L>> for NodeCount {
-    fn rule(&self) -> RuleId {
-        RuleId::EgraphNodeCount
-    }
-
-    fn check(&self, egraph: &EGraph<L>, report: &mut AuditReport) {
-        let counted: usize = stored(egraph).map(|(_, class)| class.nodes.len()).sum();
-        if counted != egraph.total_nodes() {
-            report.push(
-                RuleId::EgraphNodeCount,
-                Severity::Error,
-                "node counter",
-                format!(
-                    "counter says {} live nodes, class lists hold {counted}",
-                    egraph.total_nodes()
-                ),
-            );
-        }
+fn node_count<L: Language>(egraph: &EGraph<L>, report: &mut AuditReport) {
+    let counted: usize = stored(egraph).map(|(_, class)| class.nodes.len()).sum();
+    if counted != egraph.total_nodes() {
+        report.push(
+            RuleId::EgraphNodeCount,
+            Severity::Error,
+            "node counter",
+            format!(
+                "counter says {} live nodes, class lists hold {counted}",
+                egraph.total_nodes()
+            ),
+        );
     }
 }
 
-/// The full e-graph catalog (all nine rules; every one is cheap — linear in
-/// the graph with hashing).
-pub fn egraph_catalog<L: Language>() -> Vec<Box<dyn Check<EGraph<L>>>> {
-    vec![
-        Box::new(Dirty),
-        Box::new(UnionFindSane),
-        Box::new(CanonicalClass),
-        Box::new(CanonicalChildren),
-        Box::new(Congruence),
-        Box::new(Hashcons),
-        Box::new(Parents),
-        Box::new(OpIndex),
-        Box::new(NodeCount),
-    ]
-}
-
-/// Audits an e-graph with the full catalog at the given level.
+/// Audits an e-graph with all nine rules at the given level (every one is
+/// cheap: linear in the graph with hashing).
 pub fn audit_egraph<L: Language>(egraph: &EGraph<L>, level: AuditLevel) -> AuditReport {
-    run_checks(egraph, &egraph_catalog(), level)
+    let mut report = AuditReport::new();
+    if level != AuditLevel::Off {
+        report.run(|r| dirty(egraph, r));
+        report.run(|r| union_find(egraph, r));
+        report.run(|r| canonical_class(egraph, r));
+        report.run(|r| canonical_children(egraph, r));
+        report.run(|r| congruence(egraph, r));
+        report.run(|r| hashcons(egraph, r));
+        report.run(|r| parents(egraph, r));
+        report.run(|r| op_index(egraph, r));
+        report.run(|r| node_count(egraph, r));
+    }
+    report
 }
 
 /// Panics with the report unless `egraph` audits clean at

@@ -57,7 +57,7 @@ mod runner;
 pub mod serialize;
 mod unionfind;
 
-pub use egraph::{audit_egraph, egraph_catalog, EClass, EGraph};
+pub use egraph::{audit_egraph, EClass, EGraph};
 pub use extract::{DagSelection, SelectionError};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use id::Id;

@@ -41,4 +41,4 @@ mod solver;
 
 pub use cnf::ClauseSink;
 pub use literal::{Lit, Var};
-pub use solver::{audit_solver, sat_catalog, SatResult, Solver, SolverStats};
+pub use solver::{audit_solver, SatResult, Solver, SolverStats};

@@ -41,7 +41,7 @@ use crate::{Lit, Var};
 
 mod audit;
 
-pub use self::audit::{audit_solver, sat_catalog};
+pub use self::audit::audit_solver;
 
 /// Result of a satisfiability query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

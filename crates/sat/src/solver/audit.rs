@@ -2,7 +2,7 @@
 //! scheme, trail/level bookkeeping, the indexed activity heap, and
 //! learnt-clause LBD metadata.
 
-use ::audit::{run_checks, AuditLevel, AuditReport, Check, RuleId, Severity};
+use ::audit::{AuditLevel, AuditReport, RuleId, Severity};
 use std::collections::BTreeMap;
 
 use super::{Solver, Watcher};
@@ -38,120 +38,113 @@ fn assign(solver: &Solver, var: Var) -> Option<bool> {
 /// blockers are clause members; no watcher points at a dead or out-of-range
 /// clause; binary watch lists are symmetric and sum to twice the
 /// binary-clause count.
-struct WatchInvariant;
-
-impl Check<Solver> for WatchInvariant {
-    fn rule(&self) -> RuleId {
-        RuleId::SatWatchInvariant
+fn watch_invariant(solver: &Solver, report: &mut AuditReport) {
+    let n = solver.num_vars();
+    // (cref, watched-literal slot) -> times seen across all watch lists.
+    let mut watch_counts: BTreeMap<(u32, usize), usize> = BTreeMap::new();
+    for lit in all_lits(n) {
+        for &Watcher { cref, blocker } in &solver.watches[lit.code()] {
+            let Some(clause) = solver.clauses.get(cref as usize) else {
+                report.push(
+                    RuleId::SatWatchInvariant,
+                    Severity::Error,
+                    format!("watch {lit}"),
+                    format!("watcher references clause slot {cref} out of range"),
+                );
+                continue;
+            };
+            let lits = clause.lits.as_slice();
+            if lits.is_empty() {
+                report.push(
+                    RuleId::SatWatchInvariant,
+                    Severity::Error,
+                    format!("watch {lit}"),
+                    format!("watcher references deleted clause {cref}"),
+                );
+                continue;
+            }
+            let slot = match (lits.first(), lits.get(1)) {
+                (Some(&w0), _) if w0 == lit => 0,
+                (_, Some(&w1)) if w1 == lit => 1,
+                _ => {
+                    report.push(
+                        RuleId::SatWatchInvariant,
+                        Severity::Error,
+                        format!("clause {cref}"),
+                        format!("watched on {lit}, which is not one of its first two literals"),
+                    );
+                    continue;
+                }
+            };
+            if !lits.contains(&blocker) {
+                report.push(
+                    RuleId::SatWatchInvariant,
+                    Severity::Error,
+                    format!("clause {cref}"),
+                    format!("blocker {blocker} is not a member of the clause"),
+                );
+            }
+            *watch_counts.entry((cref, slot)).or_insert(0) += 1;
+        }
     }
-
-    fn check(&self, solver: &Solver, report: &mut AuditReport) {
-        let n = solver.num_vars();
-        // (cref, watched-literal slot) -> times seen across all watch lists.
-        let mut watch_counts: BTreeMap<(u32, usize), usize> = BTreeMap::new();
-        for lit in all_lits(n) {
-            for &Watcher { cref, blocker } in &solver.watches[lit.code()] {
-                let Some(clause) = solver.clauses.get(cref as usize) else {
-                    report.push(
-                        self.rule(),
-                        Severity::Error,
-                        format!("watch {lit}"),
-                        format!("watcher references clause slot {cref} out of range"),
-                    );
-                    continue;
-                };
-                let lits = clause.lits.as_slice();
-                if lits.is_empty() {
-                    report.push(
-                        self.rule(),
-                        Severity::Error,
-                        format!("watch {lit}"),
-                        format!("watcher references deleted clause {cref}"),
-                    );
-                    continue;
-                }
-                let slot = match (lits.first(), lits.get(1)) {
-                    (Some(&w0), _) if w0 == lit => 0,
-                    (_, Some(&w1)) if w1 == lit => 1,
-                    _ => {
-                        report.push(
-                            self.rule(),
-                            Severity::Error,
-                            format!("clause {cref}"),
-                            format!("watched on {lit}, which is not one of its first two literals"),
-                        );
-                        continue;
-                    }
-                };
-                if !lits.contains(&blocker) {
-                    report.push(
-                        self.rule(),
-                        Severity::Error,
-                        format!("clause {cref}"),
-                        format!("blocker {blocker} is not a member of the clause"),
-                    );
-                }
-                *watch_counts.entry((cref, slot)).or_insert(0) += 1;
+    for (cref, lits, _, _) in live_clauses(solver) {
+        for slot in [0usize, 1] {
+            let count = watch_counts.get(&(cref, slot)).copied().unwrap_or(0);
+            if count != 1 {
+                report.push(
+                    RuleId::SatWatchInvariant,
+                    Severity::Error,
+                    format!("clause {cref}"),
+                    format!(
+                        "literal {} (slot {slot}) carries {count} watcher(s); expected exactly 1",
+                        lits.get(slot)
+                            .map_or_else(|| "?".to_string(), Lit::to_string)
+                    ),
+                );
             }
         }
-        for (cref, lits, _, _) in live_clauses(solver) {
-            for slot in [0usize, 1] {
-                let count = watch_counts.get(&(cref, slot)).copied().unwrap_or(0);
-                if count != 1 {
-                    report.push(
-                        self.rule(),
-                        Severity::Error,
-                        format!("clause {cref}"),
-                        format!(
-                            "literal {} (slot {slot}) carries {count} watcher(s); expected exactly 1",
-                            lits.get(slot).map_or_else(|| "?".to_string(), Lit::to_string)
-                        ),
-                    );
-                }
+    }
+    // Binary watch lists: symmetric multiset, 2 entries per binary clause.
+    let mut total_bin = 0usize;
+    for lit in all_lits(n) {
+        let partners = &solver.bin_watches[lit.code()];
+        total_bin += partners.len();
+        for &partner in partners {
+            if partner.var().index() >= n {
+                report.push(
+                    RuleId::SatWatchInvariant,
+                    Severity::Error,
+                    format!("binary watch {lit}"),
+                    format!("partner {partner} uses an unknown variable"),
+                );
+                continue;
+            }
+            let back = solver.bin_watches[partner.code()]
+                .iter()
+                .filter(|&&l| l == lit)
+                .count();
+            let forth = partners.iter().filter(|&&l| l == partner).count();
+            if back != forth {
+                report.push(
+                    RuleId::SatWatchInvariant,
+                    Severity::Error,
+                    format!("binary watch {lit}"),
+                    format!("{lit} lists {partner} {forth} time(s) but {partner} lists {lit} {back} time(s)"),
+                );
             }
         }
-        // Binary watch lists: symmetric multiset, 2 entries per binary clause.
-        let mut total_bin = 0usize;
-        for lit in all_lits(n) {
-            let partners = &solver.bin_watches[lit.code()];
-            total_bin += partners.len();
-            for &partner in partners {
-                if partner.var().index() >= n {
-                    report.push(
-                        self.rule(),
-                        Severity::Error,
-                        format!("binary watch {lit}"),
-                        format!("partner {partner} uses an unknown variable"),
-                    );
-                    continue;
-                }
-                let back = solver.bin_watches[partner.code()]
-                    .iter()
-                    .filter(|&&l| l == lit)
-                    .count();
-                let forth = partners.iter().filter(|&&l| l == partner).count();
-                if back != forth {
-                    report.push(
-                        self.rule(),
-                        Severity::Error,
-                        format!("binary watch {lit}"),
-                        format!("{lit} lists {partner} {forth} time(s) but {partner} lists {lit} {back} time(s)"),
-                    );
-                }
-            }
-        }
-        if total_bin != 2 * solver.num_bin {
-            report.push(
-                self.rule(),
-                Severity::Error,
-                "binary watches",
-                format!(
-                    "{total_bin} binary watch entries for {} binary clauses (expected {})",
-                    solver.num_bin,
-                    2 * solver.num_bin
-                ),
-            );
-        }
+    }
+    if total_bin != 2 * solver.num_bin {
+        report.push(
+            RuleId::SatWatchInvariant,
+            Severity::Error,
+            "binary watches",
+            format!(
+                "{total_bin} binary watch entries for {} binary clauses (expected {})",
+                solver.num_bin,
+                2 * solver.num_bin
+            ),
+        );
     }
 }
 
@@ -159,108 +152,100 @@ impl Check<Solver> for WatchInvariant {
 /// once, every trail literal is assigned true at the level of its segment,
 /// every assigned variable is on the trail, and `qhead`/`trail_lim` stay in
 /// bounds.
-struct TrailConsistent;
-
-impl Check<Solver> for TrailConsistent {
-    fn rule(&self) -> RuleId {
-        RuleId::SatTrailConsistent
+fn trail_consistent(solver: &Solver, report: &mut AuditReport) {
+    let n = solver.num_vars();
+    let trail = &solver.trail;
+    let lim = &solver.trail_lim;
+    if solver.qhead > trail.len() {
+        report.push(
+            RuleId::SatTrailConsistent,
+            Severity::Error,
+            "qhead",
+            format!(
+                "propagation head {} beyond trail length {}",
+                solver.qhead,
+                trail.len()
+            ),
+        );
     }
-
-    fn check(&self, solver: &Solver, report: &mut AuditReport) {
-        let n = solver.num_vars();
-        let trail = &solver.trail;
-        let lim = &solver.trail_lim;
-        if solver.qhead > trail.len() {
+    for window in lim.windows(2) {
+        if window[0] > window[1] {
             report.push(
-                self.rule(),
-                Severity::Error,
-                "qhead",
-                format!(
-                    "propagation head {} beyond trail length {}",
-                    solver.qhead,
-                    trail.len()
-                ),
-            );
-        }
-        for window in lim.windows(2) {
-            if window[0] > window[1] {
-                report.push(
-                    self.rule(),
-                    Severity::Error,
-                    "trail_lim",
-                    format!(
-                        "level starts {} and {} are not monotone",
-                        window[0], window[1]
-                    ),
-                );
-            }
-        }
-        if lim.last().is_some_and(|&last| last > trail.len()) {
-            report.push(
-                self.rule(),
+                RuleId::SatTrailConsistent,
                 Severity::Error,
                 "trail_lim",
                 format!(
-                    "last level start {} beyond trail length {}",
-                    lim[lim.len() - 1],
-                    trail.len()
+                    "level starts {} and {} are not monotone",
+                    window[0], window[1]
                 ),
             );
         }
-        let mut on_trail = vec![false; n];
-        for (pos, &lit) in trail.iter().enumerate() {
-            let location = format!("trail[{pos}]");
-            if lit.var().index() >= n {
-                report.push(
-                    self.rule(),
-                    Severity::Error,
-                    location,
-                    format!("literal {lit} uses an unknown variable"),
-                );
-                continue;
-            }
-            if on_trail[lit.var().index()] {
-                report.push(
-                    self.rule(),
-                    Severity::Error,
-                    location.clone(),
-                    format!("variable of {lit} appears twice on the trail"),
-                );
-            }
-            on_trail[lit.var().index()] = true;
-            if assign(solver, lit.var()) != Some(!lit.is_neg()) {
-                report.push(
-                    self.rule(),
-                    Severity::Error,
-                    location.clone(),
-                    format!("{lit} is on the trail but not assigned true"),
-                );
-            }
-            // The decision level of a trail position is the number of level
-            // starts at or before it.
-            let expected_level = lim.iter().filter(|&&start| start <= pos).count() as u32;
-            if solver.level[lit.var().index()] != expected_level {
-                report.push(
-                    self.rule(),
-                    Severity::Error,
-                    location,
-                    format!(
-                        "stored level {} disagrees with trail segment {expected_level}",
-                        solver.level[lit.var().index()]
-                    ),
-                );
-            }
+    }
+    if lim.last().is_some_and(|&last| last > trail.len()) {
+        report.push(
+            RuleId::SatTrailConsistent,
+            Severity::Error,
+            "trail_lim",
+            format!(
+                "last level start {} beyond trail length {}",
+                lim[lim.len() - 1],
+                trail.len()
+            ),
+        );
+    }
+    let mut on_trail = vec![false; n];
+    for (pos, &lit) in trail.iter().enumerate() {
+        let location = format!("trail[{pos}]");
+        if lit.var().index() >= n {
+            report.push(
+                RuleId::SatTrailConsistent,
+                Severity::Error,
+                location,
+                format!("literal {lit} uses an unknown variable"),
+            );
+            continue;
         }
-        for (index, &seen) in on_trail.iter().enumerate().take(n) {
-            let var = Var(index as u32);
-            if assign(solver, var).is_some() && !seen {
-                report.push(
-                    self.rule(),
-                    Severity::Error,
-                    format!("var {index}"),
-                    "variable is assigned but absent from the trail",
-                );
-            }
+        if on_trail[lit.var().index()] {
+            report.push(
+                RuleId::SatTrailConsistent,
+                Severity::Error,
+                location.clone(),
+                format!("variable of {lit} appears twice on the trail"),
+            );
+        }
+        on_trail[lit.var().index()] = true;
+        if assign(solver, lit.var()) != Some(!lit.is_neg()) {
+            report.push(
+                RuleId::SatTrailConsistent,
+                Severity::Error,
+                location.clone(),
+                format!("{lit} is on the trail but not assigned true"),
+            );
+        }
+        // The decision level of a trail position is the number of level
+        // starts at or before it.
+        let expected_level = lim.iter().filter(|&&start| start <= pos).count() as u32;
+        if solver.level[lit.var().index()] != expected_level {
+            report.push(
+                RuleId::SatTrailConsistent,
+                Severity::Error,
+                location,
+                format!(
+                    "stored level {} disagrees with trail segment {expected_level}",
+                    solver.level[lit.var().index()]
+                ),
+            );
+        }
+    }
+    for (index, &seen) in on_trail.iter().enumerate().take(n) {
+        let var = Var(index as u32);
+        if assign(solver, var).is_some() && !seen {
+            report.push(
+                RuleId::SatTrailConsistent,
+                Severity::Error,
+                format!("var {index}"),
+                "variable is assigned but absent from the trail",
+            );
         }
     }
 }
@@ -269,79 +254,71 @@ impl Check<Solver> for TrailConsistent {
 /// every unassigned variable is in the heap, and the max-heap property holds
 /// under the solver's ordering (higher activity wins, ties to the smaller
 /// variable index).
-struct HeapIndex;
-
-impl Check<Solver> for HeapIndex {
-    fn rule(&self) -> RuleId {
-        RuleId::SatHeapIndex
+fn heap_index(solver: &Solver, report: &mut AuditReport) {
+    let n = solver.num_vars();
+    let heap = &solver.heap;
+    for (i, &var) in heap.iter().enumerate() {
+        if var.index() >= n {
+            report.push(
+                RuleId::SatHeapIndex,
+                Severity::Error,
+                format!("heap[{i}]"),
+                format!("holds unknown variable {}", var.index()),
+            );
+            continue;
+        }
+        if solver.heap_pos[var.index()] != i as i32 {
+            report.push(
+                RuleId::SatHeapIndex,
+                Severity::Error,
+                format!("heap[{i}]"),
+                format!(
+                    "variable {} has heap_pos {}, expected {i}",
+                    var.index(),
+                    solver.heap_pos[var.index()]
+                ),
+            );
+        }
     }
-
-    fn check(&self, solver: &Solver, report: &mut AuditReport) {
-        let n = solver.num_vars();
-        let heap = &solver.heap;
-        for (i, &var) in heap.iter().enumerate() {
-            if var.index() >= n {
-                report.push(
-                    self.rule(),
-                    Severity::Error,
-                    format!("heap[{i}]"),
-                    format!("holds unknown variable {}", var.index()),
-                );
-                continue;
-            }
-            if solver.heap_pos[var.index()] != i as i32 {
-                report.push(
-                    self.rule(),
-                    Severity::Error,
-                    format!("heap[{i}]"),
-                    format!(
-                        "variable {} has heap_pos {}, expected {i}",
-                        var.index(),
-                        solver.heap_pos[var.index()]
-                    ),
-                );
-            }
+    // Mirrors the solver's `heap_better`: higher activity first, ties
+    // broken toward the smaller variable index.
+    let better = |a: Var, b: Var| {
+        let (aa, ba) = (solver.activity[a.index()], solver.activity[b.index()]);
+        aa > ba || (aa == ba && a.index() < b.index())
+    };
+    for i in 1..heap.len() {
+        let parent = (i - 1) / 2;
+        if heap[i].index() < n && heap[parent].index() < n && better(heap[i], heap[parent]) {
+            report.push(
+                RuleId::SatHeapIndex,
+                Severity::Error,
+                format!("heap[{i}]"),
+                format!(
+                    "variable {} outranks its parent {} (max-heap property violated)",
+                    heap[i].index(),
+                    heap[parent].index()
+                ),
+            );
         }
-        // Mirrors the solver's `heap_better`: higher activity first, ties
-        // broken toward the smaller variable index.
-        let better = |a: Var, b: Var| {
-            let (aa, ba) = (solver.activity[a.index()], solver.activity[b.index()]);
-            aa > ba || (aa == ba && a.index() < b.index())
-        };
-        for i in 1..heap.len() {
-            let parent = (i - 1) / 2;
-            if heap[i].index() < n && heap[parent].index() < n && better(heap[i], heap[parent]) {
-                report.push(
-                    self.rule(),
-                    Severity::Error,
-                    format!("heap[{i}]"),
-                    format!(
-                        "variable {} outranks its parent {} (max-heap property violated)",
-                        heap[i].index(),
-                        heap[parent].index()
-                    ),
-                );
-            }
+    }
+    for index in 0..n {
+        let var = Var(index as u32);
+        let pos = solver.heap_pos[var.index()];
+        if pos >= 0 && heap.get(pos as usize) != Some(&var) {
+            report.push(
+                RuleId::SatHeapIndex,
+                Severity::Error,
+                format!("var {index}"),
+                format!("heap_pos {pos} does not point back at the variable"),
+            );
         }
-        for index in 0..n {
-            let var = Var(index as u32);
-            let pos = solver.heap_pos[var.index()];
-            if pos >= 0 && heap.get(pos as usize) != Some(&var) {
-                report.push(
-                    self.rule(),
-                    Severity::Error,
-                    format!("var {index}"),
-                    format!("heap_pos {pos} does not point back at the variable"),
-                );
-            }
-            if assign(solver, var).is_none() && pos < 0 {
-                report.push(
-                    self.rule(),
-                    Severity::Error,
-                    format!("var {index}"),
-                    "unassigned variable is missing from the decision heap",
-                );
-            }
+        if assign(solver, var).is_none() && pos < 0 {
+            report.push(
+                RuleId::SatHeapIndex,
+                Severity::Error,
+                format!("var {index}"),
+                "unassigned variable is missing from the decision heap",
+            );
         }
     }
 }
@@ -349,43 +326,33 @@ impl Check<Solver> for HeapIndex {
 /// [`RuleId::SatLbdBounds`]: every live learnt long clause stores a
 /// literal-block distance between 1 and its length (the LBD counts distinct
 /// decision levels among the clause's literals).
-struct LbdBounds;
-
-impl Check<Solver> for LbdBounds {
-    fn rule(&self) -> RuleId {
-        RuleId::SatLbdBounds
-    }
-
-    fn check(&self, solver: &Solver, report: &mut AuditReport) {
-        for (cref, lits, learnt, lbd) in live_clauses(solver) {
-            if !learnt {
-                continue;
-            }
-            if lbd < 1 || lbd as usize > lits.len() {
-                report.push(
-                    self.rule(),
-                    Severity::Error,
-                    format!("clause {cref}"),
-                    format!("learnt clause of length {} stores LBD {lbd}", lits.len()),
-                );
-            }
+fn lbd_bounds(solver: &Solver, report: &mut AuditReport) {
+    for (cref, lits, learnt, lbd) in live_clauses(solver) {
+        if !learnt {
+            continue;
+        }
+        if lbd < 1 || lbd as usize > lits.len() {
+            report.push(
+                RuleId::SatLbdBounds,
+                Severity::Error,
+                format!("clause {cref}"),
+                format!("learnt clause of length {} stores LBD {lbd}", lits.len()),
+            );
         }
     }
 }
 
-/// The SAT-solver catalog (four rules, all cheap relative to solving).
-pub fn sat_catalog() -> Vec<Box<dyn Check<Solver>>> {
-    vec![
-        Box::new(WatchInvariant),
-        Box::new(TrailConsistent),
-        Box::new(HeapIndex),
-        Box::new(LbdBounds),
-    ]
-}
-
-/// Audits a solver's internal state at the given level.
+/// Audits a solver's internal state with all four rules at the given level
+/// (every one is cheap relative to solving).
 pub fn audit_solver(solver: &Solver, level: AuditLevel) -> AuditReport {
-    run_checks(solver, &sat_catalog(), level)
+    let mut report = AuditReport::new();
+    if level != AuditLevel::Off {
+        report.run(|r| watch_invariant(solver, r));
+        report.run(|r| trail_consistent(solver, r));
+        report.run(|r| heap_index(solver, r));
+        report.run(|r| lbd_bounds(solver, r));
+    }
+    report
 }
 
 /// Mutation tests: each starts from a clean solver, corrupts one private

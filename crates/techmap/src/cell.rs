@@ -2,9 +2,10 @@
 //!
 //! Every AND node is covered by a library cell implementing the function of
 //! one of its (at most 4-input) cuts, mirroring the paper's `(st; dch; map)`
-//! step: [`crate::cover`] — the one statement of the *map → required →
-//! recover* algorithm — run under the cell model below, and an emitter that
-//! turns the kept cover into a timing-annotated [`Netlist`]. Complemented
+//! step: the crate-private `cover` module — the one statement of the
+//! *map → required → recover* algorithm — run under the cell model below,
+//! and an emitter that turns the kept cover into a timing-annotated
+//! [`Netlist`]. Complemented
 //! edges internal to a cut are absorbed into the matched cell function; only
 //! complemented primary outputs require explicit inverters.
 //!
@@ -30,7 +31,7 @@ use std::num::NonZeroU8;
 
 mod audit;
 
-pub use self::audit::{audit_netlist, netlist_catalog, MappedDesign};
+pub use self::audit::audit_netlist;
 
 /// One instantiated cell in the mapped netlist.
 #[derive(Debug, Clone)]

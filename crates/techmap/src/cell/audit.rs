@@ -1,89 +1,70 @@
 //! The netlist's own checkers. A [`Netlist`] only carries node ids into the
-//! AIG it was mapped from, so the checkers run over a [`MappedDesign`]
-//! pairing the two.
+//! AIG it was mapped from, so every checker reads the two together.
 
-use ::audit::{run_checks, AuditLevel, AuditReport, Check, RuleId, Severity};
+use ::audit::{AuditLevel, AuditReport, RuleId, Severity};
 use aig::{Aig, FxHashMap, NodeId};
 
 use super::{Netlist, OutputDriver};
 use crate::{timing, MAX_CUT_LEAVES};
 
-/// A netlist together with the AIG it was mapped from (the netlist's gate
-/// roots and leaves index into that AIG's node space).
-#[derive(Debug, Clone, Copy)]
-pub struct MappedDesign<'a> {
-    /// The source network.
-    pub aig: &'a Aig,
-    /// The mapped result.
-    pub netlist: &'a Netlist,
-}
-
 /// [`RuleId::NetlistCoverLegal`]: every gate covers an AND node of the
 /// source AIG with in-range leaves, no root is covered twice, and gates are
 /// emitted in topological (ascending root id) order.
-struct CoverLegal;
-
-impl Check<MappedDesign<'_>> for CoverLegal {
-    fn rule(&self) -> RuleId {
-        RuleId::NetlistCoverLegal
-    }
-
-    fn check(&self, design: &MappedDesign<'_>, report: &mut AuditReport) {
-        let n = design.aig.num_nodes();
-        let mut previous: Option<NodeId> = None;
-        let mut seen: FxHashMap<NodeId, usize> = FxHashMap::default();
-        for (i, gate) in design.netlist.gates.iter().enumerate() {
-            let location = format!("gate {i}");
-            if gate.root.index() >= n {
+fn cover_legal(aig: &Aig, netlist: &Netlist, report: &mut AuditReport) {
+    let n = aig.num_nodes();
+    let mut previous: Option<NodeId> = None;
+    let mut seen: FxHashMap<NodeId, usize> = FxHashMap::default();
+    for (i, gate) in netlist.gates.iter().enumerate() {
+        let location = format!("gate {i}");
+        if gate.root.index() >= n {
+            report.push(
+                RuleId::NetlistCoverLegal,
+                Severity::Error,
+                location,
+                format!("root references node {} of {n}", gate.root.index()),
+            );
+            continue;
+        }
+        if !aig.node(gate.root).is_and() {
+            report.push(
+                RuleId::NetlistCoverLegal,
+                Severity::Error,
+                location.clone(),
+                format!("root {} is not an AND node", gate.root),
+            );
+        }
+        if let Some(&first) = seen.get(&gate.root) {
+            report.push(
+                RuleId::NetlistCoverLegal,
+                Severity::Error,
+                location.clone(),
+                format!("root {} is already covered by gate {first}", gate.root),
+            );
+        } else {
+            seen.insert(gate.root, i);
+        }
+        if let Some(prev) = previous {
+            if gate.root <= prev {
                 report.push(
-                    self.rule(),
-                    Severity::Error,
-                    location,
-                    format!("root references node {} of {n}", gate.root.index()),
-                );
-                continue;
-            }
-            if !design.aig.node(gate.root).is_and() {
-                report.push(
-                    self.rule(),
+                    RuleId::NetlistCoverLegal,
                     Severity::Error,
                     location.clone(),
-                    format!("root {} is not an AND node", gate.root),
+                    format!(
+                        "root {} does not follow {prev} (gates must be topologically ordered)",
+                        gate.root
+                    ),
                 );
             }
-            if let Some(&first) = seen.get(&gate.root) {
+        }
+        previous = Some(gate.root);
+        for leaf in &gate.leaves {
+            if leaf.index() >= n {
                 report.push(
-                    self.rule(),
+                    RuleId::NetlistCoverLegal,
                     Severity::Error,
                     location.clone(),
-                    format!("root {} is already covered by gate {first}", gate.root),
+                    format!("leaf references node {} of {n}", leaf.index()),
                 );
-            } else {
-                seen.insert(gate.root, i);
-            }
-            if let Some(prev) = previous {
-                if gate.root <= prev {
-                    report.push(
-                        self.rule(),
-                        Severity::Error,
-                        location.clone(),
-                        format!(
-                            "root {} does not follow {prev} (gates must be topologically ordered)",
-                            gate.root
-                        ),
-                    );
-                }
-            }
-            previous = Some(gate.root);
-            for leaf in &gate.leaves {
-                if leaf.index() >= n {
-                    report.push(
-                        self.rule(),
-                        Severity::Error,
-                        location.clone(),
-                        format!("leaf references node {} of {n}", leaf.index()),
-                    );
-                }
             }
         }
     }
@@ -93,54 +74,46 @@ impl Check<MappedDesign<'_>> for CoverLegal {
 /// itself mapped by an earlier gate (inputs and the constant are the only
 /// primary values), and every output driver resolves to a mapped node, an
 /// input, or a constant.
-struct FaninResolved;
-
-impl Check<MappedDesign<'_>> for FaninResolved {
-    fn rule(&self) -> RuleId {
-        RuleId::NetlistFaninResolved
-    }
-
-    fn check(&self, design: &MappedDesign<'_>, report: &mut AuditReport) {
-        let n = design.aig.num_nodes();
-        let mut mapped: FxHashMap<NodeId, usize> = FxHashMap::default();
-        for (i, gate) in design.netlist.gates.iter().enumerate() {
-            for leaf in &gate.leaves {
-                if leaf.index() >= n {
-                    continue; // CoverLegal reports the range error
-                }
-                if design.aig.node(*leaf).is_and() && !mapped.contains_key(leaf) {
-                    report.push(
-                        self.rule(),
-                        Severity::Error,
-                        format!("gate {i}"),
-                        format!("leaf {} is an AND with no earlier covering gate", leaf),
-                    );
-                }
+fn fanin_resolved(aig: &Aig, netlist: &Netlist, report: &mut AuditReport) {
+    let n = aig.num_nodes();
+    let mut mapped: FxHashMap<NodeId, usize> = FxHashMap::default();
+    for (i, gate) in netlist.gates.iter().enumerate() {
+        for leaf in &gate.leaves {
+            if leaf.index() >= n {
+                continue; // `cover_legal` reports the range error
             }
-            mapped.insert(gate.root, i);
+            if aig.node(*leaf).is_and() && !mapped.contains_key(leaf) {
+                report.push(
+                    RuleId::NetlistFaninResolved,
+                    Severity::Error,
+                    format!("gate {i}"),
+                    format!("leaf {} is an AND with no earlier covering gate", leaf),
+                );
+            }
         }
-        for (i, driver) in design.netlist.outputs.iter().enumerate() {
-            let node = match driver {
-                OutputDriver::Direct(node) | OutputDriver::Inverted(node) => *node,
-                OutputDriver::Constant(_) => continue,
-            };
-            if node.index() >= n {
-                report.push(
-                    self.rule(),
-                    Severity::Error,
-                    format!("output {i}"),
-                    format!("driver references node {} of {n}", node.index()),
-                );
-                continue;
-            }
-            if design.aig.node(node).is_and() && !mapped.contains_key(&node) {
-                report.push(
-                    self.rule(),
-                    Severity::Error,
-                    format!("output {i}"),
-                    format!("driver {} is an AND with no covering gate", node),
-                );
-            }
+        mapped.insert(gate.root, i);
+    }
+    for (i, driver) in netlist.outputs.iter().enumerate() {
+        let node = match driver {
+            OutputDriver::Direct(node) | OutputDriver::Inverted(node) => *node,
+            OutputDriver::Constant(_) => continue,
+        };
+        if node.index() >= n {
+            report.push(
+                RuleId::NetlistFaninResolved,
+                Severity::Error,
+                format!("output {i}"),
+                format!("driver references node {} of {n}", node.index()),
+            );
+            continue;
+        }
+        if aig.node(node).is_and() && !mapped.contains_key(&node) {
+            report.push(
+                RuleId::NetlistFaninResolved,
+                Severity::Error,
+                format!("output {i}"),
+                format!("driver {} is an AND with no covering gate", node),
+            );
         }
     }
 }
@@ -149,89 +122,75 @@ impl Check<MappedDesign<'_>> for FaninResolved {
 /// (leaves at 0 ps for inputs/constant, [`timing::gate_arrival`] per gate)
 /// must reproduce the stored annotations *bitwise*, and no gate's required
 /// time may precede its arrival.
-struct TimingConsistent;
-
-impl Check<MappedDesign<'_>> for TimingConsistent {
-    fn rule(&self) -> RuleId {
-        RuleId::NetlistTiming
+fn timing_consistent(aig: &Aig, netlist: &Netlist, report: &mut AuditReport) {
+    let n = aig.num_nodes();
+    let arrivals = netlist.gate_arrivals_ps();
+    let requireds = netlist.gate_requireds_ps();
+    if arrivals.len() != netlist.gates.len() || requireds.len() != netlist.gates.len() {
+        report.push(
+            RuleId::NetlistTiming,
+            Severity::Error,
+            "annotations",
+            format!(
+                "{} gates but {} arrival / {} required entries",
+                netlist.gates.len(),
+                arrivals.len(),
+                requireds.len()
+            ),
+        );
+        return;
     }
-
-    fn check(&self, design: &MappedDesign<'_>, report: &mut AuditReport) {
-        let n = design.aig.num_nodes();
-        let netlist = design.netlist;
-        let arrivals = netlist.gate_arrivals_ps();
-        let requireds = netlist.gate_requireds_ps();
-        if arrivals.len() != netlist.gates.len() || requireds.len() != netlist.gates.len() {
+    let mut recomputed: FxHashMap<NodeId, f64> = FxHashMap::default();
+    for (i, gate) in netlist.gates.iter().enumerate() {
+        if gate.leaves.len() > MAX_CUT_LEAVES || gate.leaves.iter().any(|leaf| leaf.index() >= n) {
+            // Out of the timing model (`cover_legal` owns shape errors) —
+            // trust the stored annotation so downstream propagation
+            // still compares against something meaningful.
+            recomputed.insert(gate.root, arrivals[i]);
+            continue;
+        }
+        let leaf_arrivals: Vec<f64> = gate
+            .leaves
+            .iter()
+            .map(|leaf| recomputed.get(leaf).copied().unwrap_or(0.0))
+            .collect();
+        let arrival = timing::gate_arrival(&leaf_arrivals, &gate.pin_delays_ps);
+        recomputed.insert(gate.root, arrival);
+        if arrival.to_bits() != arrivals[i].to_bits() {
             report.push(
-                self.rule(),
+                RuleId::NetlistTiming,
                 Severity::Error,
-                "annotations",
+                format!("gate {i}"),
                 format!(
-                    "{} gates but {} arrival / {} required entries",
-                    netlist.gates.len(),
-                    arrivals.len(),
-                    requireds.len()
+                    "stored arrival {} ps disagrees with recomputed {arrival} ps at root {}",
+                    arrivals[i], gate.root
                 ),
             );
-            return;
         }
-        let mut recomputed: FxHashMap<NodeId, f64> = FxHashMap::default();
-        for (i, gate) in netlist.gates.iter().enumerate() {
-            if gate.leaves.len() > MAX_CUT_LEAVES
-                || gate.leaves.iter().any(|leaf| leaf.index() >= n)
-            {
-                // Out of the timing model (CoverLegal owns shape errors) —
-                // trust the stored annotation so downstream propagation
-                // still compares against something meaningful.
-                recomputed.insert(gate.root, arrivals[i]);
-                continue;
-            }
-            let leaf_arrivals: Vec<f64> = gate
-                .leaves
-                .iter()
-                .map(|leaf| recomputed.get(leaf).copied().unwrap_or(0.0))
-                .collect();
-            let arrival = timing::gate_arrival(&leaf_arrivals, &gate.pin_delays_ps);
-            recomputed.insert(gate.root, arrival);
-            if arrival.to_bits() != arrivals[i].to_bits() {
-                report.push(
-                    self.rule(),
-                    Severity::Error,
-                    format!("gate {i}"),
-                    format!(
-                        "stored arrival {} ps disagrees with recomputed {arrival} ps at root {}",
-                        arrivals[i], gate.root
-                    ),
-                );
-            }
-            if requireds[i] < arrivals[i] - 1e-9 {
-                report.push(
-                    self.rule(),
-                    Severity::Error,
-                    format!("gate {i}"),
-                    format!(
-                        "required time {} ps precedes arrival {} ps at root {}",
-                        requireds[i], arrivals[i], gate.root
-                    ),
-                );
-            }
+        if requireds[i] < arrivals[i] - 1e-9 {
+            report.push(
+                RuleId::NetlistTiming,
+                Severity::Error,
+                format!("gate {i}"),
+                format!(
+                    "required time {} ps precedes arrival {} ps at root {}",
+                    requireds[i], arrivals[i], gate.root
+                ),
+            );
         }
     }
 }
 
-/// The netlist catalog (three rules, all cheap).
-pub fn netlist_catalog<'a>() -> Vec<Box<dyn Check<MappedDesign<'a>>>> {
-    vec![
-        Box::new(CoverLegal),
-        Box::new(FaninResolved),
-        Box::new(TimingConsistent),
-    ]
-}
-
-/// Audits a mapped netlist against its source AIG at the given level.
+/// Audits a mapped netlist against its source AIG with all three rules at
+/// the given level (every one is cheap).
 pub fn audit_netlist(aig: &Aig, netlist: &Netlist, level: AuditLevel) -> AuditReport {
-    let design = MappedDesign { aig, netlist };
-    run_checks(&design, &netlist_catalog(), level)
+    let mut report = AuditReport::new();
+    if level != AuditLevel::Off {
+        report.run(|r| cover_legal(aig, netlist, r));
+        report.run(|r| fanin_resolved(aig, netlist, r));
+        report.run(|r| timing_consistent(aig, netlist, r));
+    }
+    report
 }
 
 /// Mutation tests: each starts from a clean mapping, corrupts the netlist

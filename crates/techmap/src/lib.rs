@@ -53,7 +53,7 @@ pub mod sop;
 pub mod timing;
 pub mod truth;
 
-pub use cell::{audit_netlist, netlist_catalog, MappedDesign, MappedGate, Netlist};
+pub use cell::{audit_netlist, MappedGate, Netlist};
 pub use cuts::{Cut, CutSet, CutsOptions, MAX_CUT_LEAVES};
 pub use library::{Cell, CellLibrary};
 pub use lut::{Lut, LutMapping};

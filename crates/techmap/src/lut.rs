@@ -1,9 +1,9 @@
 //! Delay-oriented K-LUT mapping with area-flow recovery.
 //!
-//! This is the `if -K k -C c` analogue: [`crate::cover`] — the one statement
-//! of the *map → required → recover* algorithm — run over K-feasible cuts
-//! under the unit model (every LUT costs one level and one unit of area, and
-//! a complemented output is free: LUTs absorb inverters).
+//! This is the `if -K k -C c` analogue: the crate-private `cover` module —
+//! the one statement of the *map → required → recover* algorithm — run over
+//! K-feasible cuts under the unit model (every LUT costs one level and one
+//! unit of area, and a complemented output is free: LUTs absorb inverters).
 
 use crate::cover::{cover, CostModel};
 use crate::cuts::{enumerate_cuts, Cut, CutsOptions, MAX_CUT_LEAVES};

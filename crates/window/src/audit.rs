@@ -1,62 +1,33 @@
 //! The window crate's own checkers over partitions and stitched choice
 //! networks. A [`Partition`] only carries node ids into the host AIG it was
-//! carved from, so the checkers run over view structs pairing the two.
+//! carved from, so every checker reads the host beside it.
 
-use ::audit::{run_checks, AuditLevel, AuditReport, Check, RuleId, Severity};
-use aig::{dag_catalog, Aig, NodeId};
+use ::audit::{AuditLevel, AuditReport, RuleId, Severity};
+use aig::{audit_aig_dag_only, Aig, NodeId};
 use fxhash::FxHashSet;
 
 use crate::{Partition, Stitched};
 
-/// A partition together with the host AIG it was carved from.
-#[derive(Debug, Clone, Copy)]
-pub struct PartitionedAig<'a> {
-    /// The host network.
-    pub aig: &'a Aig,
-    /// The window cover.
-    pub partition: &'a Partition,
-}
-
-/// A stitched choice network together with the host AIG and the partition
-/// that produced it.
-#[derive(Debug, Clone, Copy)]
-pub struct StitchedDesign<'a> {
-    /// The host network the stitch rebuilt.
-    pub aig: &'a Aig,
-    /// The window cover the choice spaces came from.
-    pub partition: &'a Partition,
-    /// The stitch product (global choice network + translation table).
-    pub stitched: &'a Stitched,
-}
-
 /// [`RuleId::WindowCoverage`]: every AND gate of the host belongs to at
 /// least one window volume (the partition is a cover, not a sample).
-struct Coverage;
-
-impl Check<PartitionedAig<'_>> for Coverage {
-    fn rule(&self) -> RuleId {
-        RuleId::WindowCoverage
-    }
-
-    fn check(&self, design: &PartitionedAig<'_>, report: &mut AuditReport) {
-        let n = design.aig.num_nodes();
-        let mut covered = vec![false; n];
-        for window in &design.partition.windows {
-            for v in &window.volume {
-                if v.index() < n {
-                    covered[v.index()] = true;
-                }
+fn coverage(aig: &Aig, partition: &Partition, report: &mut AuditReport) {
+    let n = aig.num_nodes();
+    let mut covered = vec![false; n];
+    for window in &partition.windows {
+        for v in &window.volume {
+            if v.index() < n {
+                covered[v.index()] = true;
             }
         }
-        for id in design.aig.and_ids() {
-            if !covered[id.index()] {
-                report.push(
-                    self.rule(),
-                    Severity::Error,
-                    format!("node {id}"),
-                    "AND gate is covered by no window volume",
-                );
-            }
+    }
+    for id in aig.and_ids() {
+        if !covered[id.index()] {
+            report.push(
+                RuleId::WindowCoverage,
+                Severity::Error,
+                format!("node {id}"),
+                "AND gate is covered by no window volume",
+            );
         }
     }
 }
@@ -66,103 +37,95 @@ impl Check<PartitionedAig<'_>> for Coverage {
 /// fanins stay inside `volume ∪ leaves ∪ {constant}`, no leaf is also
 /// interior, and the extracted cone's leaf and root maps match the declared
 /// leaves and root.
-struct LeafCut;
-
-impl Check<PartitionedAig<'_>> for LeafCut {
-    fn rule(&self) -> RuleId {
-        RuleId::WindowLeafCut
-    }
-
-    fn check(&self, design: &PartitionedAig<'_>, report: &mut AuditReport) {
-        let n = design.aig.num_nodes();
-        let mut roots: FxHashSet<NodeId> = FxHashSet::default();
-        for window in &design.partition.windows {
-            let location = format!("window {}", window.id);
-            if !roots.insert(window.root) {
+fn leaf_cut(aig: &Aig, partition: &Partition, report: &mut AuditReport) {
+    let n = aig.num_nodes();
+    let mut roots: FxHashSet<NodeId> = FxHashSet::default();
+    for window in &partition.windows {
+        let location = format!("window {}", window.id);
+        if !roots.insert(window.root) {
+            report.push(
+                RuleId::WindowLeafCut,
+                Severity::Error,
+                location.clone(),
+                format!("root {} already roots another window", window.root),
+            );
+        }
+        if !window.volume.contains(&window.root) {
+            report.push(
+                RuleId::WindowLeafCut,
+                Severity::Error,
+                location.clone(),
+                format!("root {} is not in its own volume", window.root),
+            );
+        }
+        for leaf in &window.leaves {
+            if leaf.index() >= n {
                 report.push(
-                    self.rule(),
+                    RuleId::WindowLeafCut,
                     Severity::Error,
                     location.clone(),
-                    format!("root {} already roots another window", window.root),
+                    format!("leaf {leaf} references node {} of {n}", leaf.index()),
                 );
             }
-            if !window.volume.contains(&window.root) {
+            if window.volume.contains(leaf) {
                 report.push(
-                    self.rule(),
+                    RuleId::WindowLeafCut,
                     Severity::Error,
                     location.clone(),
-                    format!("root {} is not in its own volume", window.root),
+                    format!("leaf {leaf} is also interior (cut crosses the volume)"),
                 );
             }
-            for leaf in &window.leaves {
-                if leaf.index() >= n {
-                    report.push(
-                        self.rule(),
-                        Severity::Error,
-                        location.clone(),
-                        format!("leaf {leaf} references node {} of {n}", leaf.index()),
-                    );
-                }
-                if window.volume.contains(leaf) {
-                    report.push(
-                        self.rule(),
-                        Severity::Error,
-                        location.clone(),
-                        format!("leaf {leaf} is also interior (cut crosses the volume)"),
-                    );
-                }
-            }
-            for v in &window.volume {
-                if v.index() >= n {
-                    report.push(
-                        self.rule(),
-                        Severity::Error,
-                        location.clone(),
-                        format!("interior {v} references node {} of {n}", v.index()),
-                    );
-                    continue;
-                }
-                if !design.aig.node(*v).is_and() {
-                    report.push(
-                        self.rule(),
-                        Severity::Error,
-                        location.clone(),
-                        format!("interior {v} is not an AND gate"),
-                    );
-                    continue;
-                }
-                let (f0, f1) = design.aig.fanins(*v);
-                for f in [f0, f1] {
-                    let id = f.node();
-                    if id != NodeId::CONST
-                        && !window.volume.contains(&id)
-                        && !window.leaves.contains(&id)
-                    {
-                        report.push(
-                            self.rule(),
-                            Severity::Error,
-                            location.clone(),
-                            format!("interior {v} reads {id} from outside volume and cut"),
-                        );
-                    }
-                }
-            }
-            if window.cone.leaf_map != window.leaves {
+        }
+        for v in &window.volume {
+            if v.index() >= n {
                 report.push(
-                    self.rule(),
+                    RuleId::WindowLeafCut,
                     Severity::Error,
                     location.clone(),
-                    "extracted cone's leaf map disagrees with the declared leaves",
+                    format!("interior {v} references node {} of {n}", v.index()),
                 );
+                continue;
             }
-            if window.cone.root_map != [window.root.lit()] {
+            if !aig.node(*v).is_and() {
                 report.push(
-                    self.rule(),
+                    RuleId::WindowLeafCut,
                     Severity::Error,
-                    location,
-                    "extracted cone's root map is not the window root",
+                    location.clone(),
+                    format!("interior {v} is not an AND gate"),
                 );
+                continue;
             }
+            let (f0, f1) = aig.fanins(*v);
+            for f in [f0, f1] {
+                let id = f.node();
+                if id != NodeId::CONST
+                    && !window.volume.contains(&id)
+                    && !window.leaves.contains(&id)
+                {
+                    report.push(
+                        RuleId::WindowLeafCut,
+                        Severity::Error,
+                        location.clone(),
+                        format!("interior {v} reads {id} from outside volume and cut"),
+                    );
+                }
+            }
+        }
+        if window.cone.leaf_map != window.leaves {
+            report.push(
+                RuleId::WindowLeafCut,
+                Severity::Error,
+                location.clone(),
+                "extracted cone's leaf map disagrees with the declared leaves",
+            );
+        }
+        if window.cone.root_map != [window.root.lit()] {
+            report.push(
+                RuleId::WindowLeafCut,
+                Severity::Error,
+                location,
+                "extracted cone's root map is not the window root",
+            );
         }
     }
 }
@@ -170,116 +133,90 @@ impl Check<PartitionedAig<'_>> for LeafCut {
 /// [`RuleId::WindowStitchTable`]: the stitch translation table maps every
 /// boundary literal — each window's leaves and root, the host's inputs and
 /// output drivers — and is sized to the host node space.
-struct StitchTable;
-
-impl Check<StitchedDesign<'_>> for StitchTable {
-    fn rule(&self) -> RuleId {
-        RuleId::WindowStitchTable
+fn stitch_table(aig: &Aig, partition: &Partition, stitched: &Stitched, report: &mut AuditReport) {
+    let table = &stitched.table;
+    if table.len() != aig.num_nodes() {
+        report.push(
+            RuleId::WindowStitchTable,
+            Severity::Error,
+            "table",
+            format!(
+                "table covers {} node slots but the host has {}",
+                table.len(),
+                aig.num_nodes()
+            ),
+        );
+        return;
     }
-
-    fn check(&self, design: &StitchedDesign<'_>, report: &mut AuditReport) {
-        let table = &design.stitched.table;
-        if table.len() != design.aig.num_nodes() {
+    let mapped = |id: NodeId| table.get(id.index()).copied().flatten().is_some();
+    for &input in aig.inputs() {
+        if !mapped(input) {
             report.push(
-                self.rule(),
+                RuleId::WindowStitchTable,
                 Severity::Error,
-                "table",
-                format!(
-                    "table covers {} node slots but the host has {}",
-                    table.len(),
-                    design.aig.num_nodes()
-                ),
+                format!("input {input}"),
+                "host input has no stitched literal",
             );
-            return;
         }
-        let mapped = |id: NodeId| table.get(id.index()).copied().flatten().is_some();
-        for &input in design.aig.inputs() {
-            if !mapped(input) {
-                report.push(
-                    self.rule(),
-                    Severity::Error,
-                    format!("input {input}"),
-                    "host input has no stitched literal",
-                );
-            }
+    }
+    for (i, out) in aig.outputs().iter().enumerate() {
+        if !mapped(out.node()) {
+            report.push(
+                RuleId::WindowStitchTable,
+                Severity::Error,
+                format!("output {i}"),
+                format!("output driver {} has no stitched literal", out.node()),
+            );
         }
-        for (i, out) in design.aig.outputs().iter().enumerate() {
-            if !mapped(out.node()) {
-                report.push(
-                    self.rule(),
-                    Severity::Error,
-                    format!("output {i}"),
-                    format!("output driver {} has no stitched literal", out.node()),
-                );
-            }
+    }
+    for window in &partition.windows {
+        let location = format!("window {}", window.id);
+        if !mapped(window.root) {
+            report.push(
+                RuleId::WindowStitchTable,
+                Severity::Error,
+                location.clone(),
+                format!("root {} has no stitched literal", window.root),
+            );
         }
-        for window in &design.partition.windows {
-            let location = format!("window {}", window.id);
-            if !mapped(window.root) {
+        for leaf in &window.leaves {
+            if !mapped(*leaf) {
                 report.push(
-                    self.rule(),
+                    RuleId::WindowStitchTable,
                     Severity::Error,
                     location.clone(),
-                    format!("root {} has no stitched literal", window.root),
+                    format!("boundary leaf {leaf} has no stitched literal"),
                 );
-            }
-            for leaf in &window.leaves {
-                if !mapped(*leaf) {
-                    report.push(
-                        self.rule(),
-                        Severity::Error,
-                        location.clone(),
-                        format!("boundary leaf {leaf} has no stitched literal"),
-                    );
-                }
             }
         }
     }
 }
 
 /// [`RuleId::WindowChoiceDag`]: the stitched choice network's underlying
-/// AIG satisfies the structural DAG catalog (fanin ranges, topological
-/// order, normalized fanins, strash dedup). Violations found by the
-/// delegated catalog are re-emitted under this rule so a stitch bug is
+/// AIG satisfies the structural DAG rules of [`audit_aig_dag_only`] (fanin
+/// ranges, topological order, normalized fanins, strash dedup). Violations
+/// it finds are re-emitted under this rule so a stitch bug is
 /// attributable to the stitcher, not to a generic AIG check.
-struct ChoiceDag;
-
-impl Check<StitchedDesign<'_>> for ChoiceDag {
-    fn rule(&self) -> RuleId {
-        RuleId::WindowChoiceDag
-    }
-
-    fn check(&self, design: &StitchedDesign<'_>, report: &mut AuditReport) {
-        let inner = run_checks(
-            design.stitched.network.aig(),
-            &dag_catalog(),
-            AuditLevel::PhaseBoundaries,
+fn choice_dag(stitched: &Stitched, report: &mut AuditReport) {
+    let inner = audit_aig_dag_only(stitched.network.aig(), AuditLevel::PhaseBoundaries);
+    for diag in inner.diagnostics {
+        report.push(
+            RuleId::WindowChoiceDag,
+            diag.severity,
+            format!("stitched {}", diag.location),
+            format!("[{}] {}", diag.rule, diag.message),
         );
-        for diag in inner.diagnostics {
-            report.push(
-                self.rule(),
-                diag.severity,
-                format!("stitched {}", diag.location),
-                format!("[{}] {}", diag.rule, diag.message),
-            );
-        }
     }
-}
-
-/// The partition-invariant catalog.
-pub fn window_catalog<'a>() -> Vec<Box<dyn Check<PartitionedAig<'a>>>> {
-    vec![Box::new(Coverage), Box::new(LeafCut)]
-}
-
-/// The stitch-invariant catalog.
-pub fn stitch_catalog<'a>() -> Vec<Box<dyn Check<StitchedDesign<'a>>>> {
-    vec![Box::new(StitchTable), Box::new(ChoiceDag)]
 }
 
 /// Audits a window partition against its host AIG at the given level.
 pub fn audit_partition(aig: &Aig, partition: &Partition, level: AuditLevel) -> AuditReport {
-    let design = PartitionedAig { aig, partition };
-    run_checks(&design, &window_catalog(), level)
+    let mut report = AuditReport::new();
+    if level != AuditLevel::Off {
+        report.run(|r| coverage(aig, partition, r));
+        report.run(|r| leaf_cut(aig, partition, r));
+    }
+    report
 }
 
 /// Audits a stitched choice network against its host and partition at the
@@ -290,12 +227,12 @@ pub fn audit_stitched(
     stitched: &Stitched,
     level: AuditLevel,
 ) -> AuditReport {
-    let design = StitchedDesign {
-        aig,
-        partition,
-        stitched,
-    };
-    run_checks(&design, &stitch_catalog(), level)
+    let mut report = AuditReport::new();
+    if level != AuditLevel::Off {
+        report.run(|r| stitch_table(aig, partition, stitched, r));
+        report.run(|r| choice_dag(stitched, r));
+    }
+    report
 }
 
 /// Mutation tests: each starts from a clean partition or stitch, corrupts it
@@ -392,7 +329,7 @@ mod tests {
         let (aig, part, mut stitched) = stitched_fixture();
         // Swap one AND's fanins inside the stitched network: the raw order
         // invariant of the underlying AIG breaks, which the delegated DAG
-        // catalog reports and the stitch checker re-emits under its own rule.
+        // audit reports and the stitch checker re-emits under its own rule.
         // From outside the `aig` crate the raw node vector is reachable only
         // through the network's serialized form.
         let inner = stitched.network.aig();

@@ -8,7 +8,7 @@
 //! the per-window choice spaces back into one global [`choices::ChoiceAig`]
 //! through a boundary-literal translation table.
 //!
-//! The two halves live in [`partition`] and [`stitch`]:
+//! The two halves live in [`mod@partition`] and [`mod@stitch`]:
 //!
 //! * [`partition()`] seeds windows at MFFC roots (output drivers and
 //!   multi-fanout nodes), grows each window downward while the cut stays
@@ -29,9 +29,7 @@ mod audit;
 pub mod partition;
 pub mod stitch;
 
-pub use audit::{
-    audit_partition, audit_stitched, stitch_catalog, window_catalog, PartitionedAig, StitchedDesign,
-};
+pub use audit::{audit_partition, audit_stitched};
 pub use partition::{partition, Partition, PartitionStats, Window};
 pub use stitch::{stitch, StitchStats, Stitched, WindowChoiceSpace};
 
