@@ -8,7 +8,8 @@
 //! no cover happens to pick it. Modes: plain enumeration at (K, C) = (4, 8),
 //! (6, 8) and (3, 2), and choice-aware enumeration at (4, 8) and (6, 8) over
 //! a `ChoiceAig` exported from a really saturated e-graph of the same
-//! circuit.
+//! circuit. One more choice network, saturated under wider limits, is
+//! thirteen times the largest of those (release-only).
 //!
 //! Which of two derivations of one leaf set supplies the stored truth table
 //! (they can differ on leaf combinations the network cannot produce) is only
@@ -71,12 +72,17 @@ fn cut_set_digest(aig: &Aig, cuts: &CutSet) -> u64 {
 /// Saturates a circuit for three iterations and exports it with up to eight
 /// members per class.
 fn saturated_choices(aig: &Aig) -> ChoiceAig {
+    saturated_choices_within(aig, 8_000, 400)
+}
+
+/// [`saturated_choices`] under the given e-node and per-rule match limits.
+fn saturated_choices_within(aig: &Aig, node_limit: usize, match_limit: usize) -> ChoiceAig {
     let conversion = aig_to_egraph(aig);
     let runner = Runner::with_egraph(conversion.egraph)
         .with_iter_limit(3)
-        .with_node_limit(8_000)
+        .with_node_limit(node_limit)
         .with_scheduler(Scheduler::Backoff {
-            match_limit: 400,
+            match_limit,
             ban_length: 2,
         })
         .run(&all_rules());
@@ -231,4 +237,42 @@ fn choice_aware_enumeration_reproduces_the_recorded_digests() {
         ));
     }
     assert_eq!(got, GOLDEN_CHOICES, "got {got:#x?}");
+}
+
+/// `(name, network nodes, classes, alternatives, choice-aware digests in
+/// CHOICE_MODES order)` of a choice network thirteen times the nodes and
+/// cuts of the largest one above — the scale of the choice mapper's cut
+/// arena on the windowed flow — recorded at `72de363`, the last commit that
+/// stored every cut in the 40-byte six-leaf record.
+const GOLDEN_LARGE_CHOICES: (&str, usize, usize, usize, [u64; 2]) = (
+    "multiplier10",
+    24_847,
+    723,
+    1_591,
+    [0x1e8e_1dd2_76a4_362a, 0x204f_56a6_f5d1_8134],
+);
+
+/// Release-only: ~1 s in release, far longer in a debug build.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn choice_aware_enumeration_reproduces_the_recorded_digests_at_scale() {
+    let network = saturated_choices_within(&benchgen::multiplier(10).aig, 200_000, 20_000);
+    let digests = CHOICE_MODES.map(|(cut_size, cut_limit)| {
+        let options = CutsOptions {
+            cut_size,
+            cut_limit,
+        };
+        cut_set_digest(
+            network.aig(),
+            &enumerate_cuts_with_choices(&network, &options),
+        )
+    });
+    let got = (
+        "multiplier10",
+        network.aig().num_nodes(),
+        network.num_classes(),
+        network.num_alternatives(),
+        digests,
+    );
+    assert_eq!(got, GOLDEN_LARGE_CHOICES, "got {got:#x?}");
 }
