@@ -57,8 +57,18 @@ pub(crate) trait CostModel {
 /// The cut selected for a node and its implementation.
 #[derive(Clone, Copy)]
 struct Pick<I> {
-    cut_index: usize,
+    /// Index into the node's cuts: `check_capacity` bounds a cut set by
+    /// `u16` and the arena by `u32`. The narrow index halves the `pick`
+    /// array every recovery pass clones.
+    cut_index: u32,
     imp: I,
+}
+
+impl<I> Pick<I> {
+    /// The leaves of the picked cut of `node`.
+    fn leaves<'a>(&self, cuts: &'a CutSet, node: NodeId) -> &'a [NodeId] {
+        cuts.leaves(node, self.cut_index as usize)
+    }
 }
 
 /// The dynamic program's state: a selection for every AND node (on or off
@@ -101,12 +111,12 @@ impl<I: Copy> Covering<I> {
         &'a self,
         aig: &'a Aig,
         cuts: &'a CutSet,
-    ) -> impl Iterator<Item = (NodeId, &'a Cut, I)> + 'a {
+    ) -> impl Iterator<Item = (NodeId, Cut, I)> + 'a {
         aig.and_ids()
             .filter(|id| self.cover.needed[id.index()])
             .map(|id| {
                 let pick = picked(&self.pick, id);
-                (id, &cuts.cuts(id)[pick.cut_index], pick.imp)
+                (id, cuts.cut(id, pick.cut_index as usize), pick.imp)
             })
     }
 
@@ -136,14 +146,14 @@ fn picked<I: Copy>(pick: &[Option<Pick<I>>], id: NodeId) -> Pick<I> {
 
 /// Gathers a cut's leaf arrivals into a caller-provided stack buffer.
 fn gather_leaf_arrivals<'a>(
-    cut: &Cut,
+    leaves: &[NodeId],
     arrival: &[f64],
     buf: &'a mut [f64; MAX_CUT_LEAVES],
 ) -> &'a [f64] {
-    for (slot, leaf) in buf.iter_mut().zip(cut.leaves()) {
+    for (slot, leaf) in buf.iter_mut().zip(leaves) {
         *slot = arrival[leaf.index()];
     }
-    &buf[..cut.leaves().len()]
+    &buf[..leaves.len()]
 }
 
 /// Covers `aig` with cuts from `cuts` under `model`.
@@ -214,7 +224,7 @@ fn match_cuts<M: CostModel>(aig: &Aig, cuts: &CutSet, model: &M) -> Vec<Option<M
         let start = cuts.arena_start(id);
         for (slot, cut) in matches[start..].iter_mut().zip(cuts.cuts(id)) {
             if cut.leaves() != [id] {
-                *slot = model.implement(cut);
+                *slot = model.implement(&cut);
             }
         }
     }
@@ -238,19 +248,18 @@ fn select<M: CostModel>(
 ) -> Result<(), MapError> {
     for id in aig.and_ids() {
         let mut best: Option<(Pick<M::Impl>, f64, f64)> = None;
-        let implemented = cuts.cuts(id).iter().zip(&matches[cuts.arena_start(id)..]);
-        for (cut_index, (cut, imp)) in implemented.enumerate() {
+        let implemented = cuts.leaf_sets(id).zip(&matches[cuts.arena_start(id)..]);
+        for (cut_index, (leaves, imp)) in (0..).zip(implemented) {
             let Some(imp) = *imp else {
                 continue;
             };
             let mut buf = [0.0; MAX_CUT_LEAVES];
-            let arr = model.arrival(imp, gather_leaf_arrivals(cut, &state.arrival, &mut buf));
+            let arr = model.arrival(imp, gather_leaf_arrivals(leaves, &state.arrival, &mut buf));
             if required.is_some_and(|required| arr > required[id.index()] + EPS) {
                 continue;
             }
             let af = model.area(imp)
-                + cut
-                    .leaves()
+                + leaves
                     .iter()
                     .map(|l| state.area_flow[l.index()] / f64::max(1.0, fanouts[l.index()] as f64))
                     .sum::<f64>();
@@ -295,7 +304,7 @@ fn derive_cover<M: CostModel>(
             continue;
         }
         needed[id.index()] = true;
-        for leaf in cuts.cuts(id)[picked(pick, id).cut_index].leaves() {
+        for leaf in picked(pick, id).leaves(cuts, id) {
             if aig.node(*leaf).is_and() {
                 stack.push(*leaf);
             }
@@ -307,11 +316,11 @@ fn derive_cover<M: CostModel>(
         if !needed[id.index()] {
             continue;
         }
-        let Pick { cut_index, imp } = picked(pick, id);
+        let pick = picked(pick, id);
         let mut buf = [0.0; MAX_CUT_LEAVES];
-        let leaf_arrivals = gather_leaf_arrivals(&cuts.cuts(id)[cut_index], &arrival, &mut buf);
-        arrival[id.index()] = model.arrival(imp, leaf_arrivals);
-        area += model.area(imp);
+        let leaf_arrivals = gather_leaf_arrivals(pick.leaves(cuts, id), &arrival, &mut buf);
+        arrival[id.index()] = model.arrival(pick.imp, leaf_arrivals);
+        area += model.area(pick.imp);
     }
     let (inv_delay, inv_area) = model.output_inverter();
     let mut delay = 0f64;
@@ -366,11 +375,11 @@ fn compute_required<M: CostModel>(
         if !required[id.index()].is_finite() {
             continue;
         }
-        let Pick { cut_index, imp } = picked(pick, id);
-        let cut = &cuts.cuts(id)[cut_index];
+        let pick = picked(pick, id);
+        let leaves = pick.leaves(cuts, id);
         let mut buf = [0.0; MAX_CUT_LEAVES];
-        let delays = model.leaf_delays(imp, gather_leaf_arrivals(cut, arrival, &mut buf));
-        for (leaf, d) in cut.leaves().iter().zip(delays) {
+        let delays = model.leaf_delays(pick.imp, gather_leaf_arrivals(leaves, arrival, &mut buf));
+        for (leaf, d) in leaves.iter().zip(delays) {
             let req = required[id.index()] - d;
             if required[leaf.index()] > req {
                 required[leaf.index()] = req;

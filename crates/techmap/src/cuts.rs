@@ -44,8 +44,15 @@
 //! # How it stays cheap
 //!
 //! Nothing is allocated per cut. A [`Cut`] is `Copy` with its leaves inline;
-//! a [`CutSet`] is one arena of cuts plus a `(start, len)` range per node.
-//! Finalizing a class appends the pooled set and re-points the
+//! a [`CutSet`] is one arena of cut records plus a `(start, len)` range per
+//! node. The record follows `cut_size`: up to four leaves it is 20 bytes
+//! (four `u32` leaf slots, a `u16` table, the length), which covers the cell
+//! mapper and `rewrite`; at five or six leaves it is the 40-byte [`Cut`]
+//! itself (six slots, a `u64` table). The kernel is generic over the record,
+//! so it reads fanin sets in place either way, and [`CutSet::cuts`] hands out
+//! [`Cut`] values rebuilt from them. On the windowed flow's stitched choice
+//! network this arena is what the process peaks on, so a unit test pins the
+//! record sizes. Finalizing a class appends the pooled set and re-points the
 //! representative's range (the superseded range stays in the arena, dead,
 //! and is not counted). Candidates live in per-enumeration scratch reused
 //! across nodes.
@@ -73,8 +80,12 @@ use choices::ChoiceAig;
 /// The most leaves a cut can carry: truth tables are stored in a `u64`.
 /// Every per-cut stack buffer of the crate — a [`Cut`]'s inline leaves, the
 /// covering core's arrival scratch, [`crate::timing`]'s pin pairing — has
-/// this size.
+/// this size. (A [`CutSet`] of at most four-leaf cuts stores them in a
+/// narrower record, but hands them out as [`Cut`]s.)
 pub const MAX_CUT_LEAVES: usize = 6;
+
+/// The most leaves of the narrow record: its table fits a `u16`.
+const NARROW_LEAVES: usize = 4;
 
 /// The largest `cut_limit` the kernel accepts: a full cut set (the limit
 /// plus the trivial cut) must be indexable by the `u16` parent-pair indices.
@@ -143,6 +154,87 @@ impl std::fmt::Debug for Cut {
     }
 }
 
+/// How the arena stores a cut: the kernel is generic over it, so it reads
+/// stored cuts in place.
+trait Record: Copy {
+    fn pack(cut: &Cut) -> Self;
+    fn unpack(&self) -> Cut;
+    fn leaves(&self) -> &[NodeId];
+    fn truth(&self) -> u64;
+    /// The arena of a finished enumeration.
+    fn into_arena(records: Vec<Self>) -> Arena;
+}
+
+/// Cuts of up to six leaves are stored as they are.
+impl Record for Cut {
+    fn pack(cut: &Cut) -> Self {
+        *cut
+    }
+
+    fn unpack(&self) -> Cut {
+        *self
+    }
+
+    fn leaves(&self) -> &[NodeId] {
+        Cut::leaves(self)
+    }
+
+    fn truth(&self) -> u64 {
+        self.truth
+    }
+
+    fn into_arena(records: Vec<Self>) -> Arena {
+        Arena::Wide(records)
+    }
+}
+
+/// How a [`CutSet`] of at most [`NARROW_LEAVES`]-leaf cuts stores a cut: 20
+/// bytes where a [`Cut`] takes 40.
+#[derive(Debug, Clone, Copy)]
+struct NarrowCut {
+    /// `Cut::leaves` without its last two slots.
+    leaves: [NodeId; NARROW_LEAVES],
+    /// `Cut::truth`, whose bits from `2^len` on are zero.
+    truth: u16,
+    len: u8,
+}
+
+impl Record for NarrowCut {
+    fn pack(cut: &Cut) -> Self {
+        assert!(
+            cut.size() <= NARROW_LEAVES && cut.truth >> 16 == 0,
+            "a narrow record holds at most four leaves and a 16-bit table"
+        );
+        let mut leaves = [NodeId::CONST; NARROW_LEAVES];
+        leaves.copy_from_slice(&cut.leaves[..NARROW_LEAVES]);
+        NarrowCut {
+            leaves,
+            truth: cut.truth as u16,
+            len: cut.len,
+        }
+    }
+
+    fn unpack(&self) -> Cut {
+        let mut cut = Cut::EMPTY;
+        cut.leaves[..NARROW_LEAVES].copy_from_slice(&self.leaves);
+        cut.len = self.len;
+        cut.truth = u64::from(self.truth);
+        cut
+    }
+
+    fn leaves(&self) -> &[NodeId] {
+        &self.leaves[..usize::from(self.len)]
+    }
+
+    fn truth(&self) -> u64 {
+        u64::from(self.truth)
+    }
+
+    fn into_arena(records: Vec<Self>) -> Arena {
+        Arena::Narrow(records)
+    }
+}
+
 fn is_subset(leaves: &[NodeId], of: &[NodeId]) -> bool {
     leaves.iter().all(|l| of.contains(l))
 }
@@ -179,11 +271,19 @@ impl Span {
     }
 }
 
+/// Every cut set ever stored, back to back, in the record `cut_size` needs.
+#[derive(Debug, Clone)]
+enum Arena {
+    /// `cut_size <= 4`.
+    Narrow(Vec<NarrowCut>),
+    /// `cut_size` 5 or 6.
+    Wide(Vec<Cut>),
+}
+
 /// Cut sets for every node of an AIG.
 #[derive(Debug, Clone)]
 pub struct CutSet {
-    /// Every cut set ever stored, back to back.
-    arena: Vec<Cut>,
+    arena: Arena,
     /// The live range of each node.
     spans: Vec<Span>,
 }
@@ -191,8 +291,18 @@ pub struct CutSet {
 impl CutSet {
     /// Returns the cuts of a node (the last one is always the trivial cut,
     /// except for primary inputs and the constant which only have it).
-    pub fn cuts(&self, node: NodeId) -> &[Cut] {
-        &self.arena[self.spans[node.index()].range()]
+    pub fn cuts(&self, node: NodeId) -> Cuts<'_> {
+        let range = self.spans[node.index()].range();
+        match &self.arena {
+            Arena::Narrow(arena) => Cuts {
+                narrow: &arena[range],
+                wide: &[],
+            },
+            Arena::Wide(arena) => Cuts {
+                narrow: &[],
+                wide: &arena[range],
+            },
+        }
     }
 
     /// Total number of stored cuts.
@@ -203,7 +313,10 @@ impl CutSet {
     /// Length of the arena behind [`CutSet::cuts`], dead sets included: the
     /// size of an array aligned with it.
     pub(crate) fn arena_len(&self) -> usize {
-        self.arena.len()
+        match &self.arena {
+            Arena::Narrow(arena) => arena.len(),
+            Arena::Wide(arena) => arena.len(),
+        }
     }
 
     /// Arena position of `cuts(node)[0]`: `cuts(node)[i]` sits at
@@ -212,18 +325,108 @@ impl CutSet {
         self.spans[node.index()].start as usize
     }
 
-    /// Appends one cut set to the arena and returns its range.
-    /// `check_capacity` bounds the arena by `u32::MAX` cuts, so the offsets
-    /// cannot truncate.
-    fn store(&mut self, cuts: impl Iterator<Item = Cut>) -> Span {
-        let start = self.arena.len();
-        self.arena.extend(cuts);
-        Span {
-            start: start as u32,
-            len: (self.arena.len() - start) as u32,
+    /// Cut `index` of `node`.
+    pub(crate) fn cut(&self, node: NodeId, index: usize) -> Cut {
+        let at = self.arena_start(node) + index;
+        match &self.arena {
+            Arena::Narrow(arena) => arena[at].unpack(),
+            Arena::Wide(arena) => arena[at],
+        }
+    }
+
+    /// The leaves of cut `index` of `node`, read in place.
+    pub(crate) fn leaves(&self, node: NodeId, index: usize) -> &[NodeId] {
+        let at = self.arena_start(node) + index;
+        match &self.arena {
+            Arena::Narrow(arena) => arena[at].leaves(),
+            Arena::Wide(arena) => arena[at].leaves(),
+        }
+    }
+
+    /// The leaves of every cut of `node` in order, read in place.
+    pub(crate) fn leaf_sets(&self, node: NodeId) -> impl Iterator<Item = &[NodeId]> {
+        let Cuts { narrow, wide } = self.cuts(node);
+        let narrow = narrow.iter().map(Record::leaves);
+        narrow.chain(wide.iter().map(Cut::leaves))
+    }
+
+    /// Bytes the arena spends on one stored cut.
+    #[cfg(test)]
+    pub(crate) fn stored_bytes_per_cut(&self) -> usize {
+        match &self.arena {
+            Arena::Narrow(_) => std::mem::size_of::<NarrowCut>(),
+            Arena::Wide(_) => std::mem::size_of::<Cut>(),
         }
     }
 }
+
+/// The cuts of one node, as [`CutSet::cuts`] reads them out of the arena.
+/// One of the two slices is empty: which one is the arena's record.
+#[derive(Clone, Copy)]
+pub struct Cuts<'a> {
+    narrow: &'a [NarrowCut],
+    wide: &'a [Cut],
+}
+
+impl<'a> Cuts<'a> {
+    /// Number of cuts.
+    pub fn len(&self) -> usize {
+        self.narrow.len() + self.wide.len()
+    }
+
+    /// `true` if the node has no cut (never, for a node of the set).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The cuts in order.
+    pub fn iter(&self) -> CutIter<'a> {
+        CutIter {
+            narrow: self.narrow.iter(),
+            wide: self.wide.iter(),
+        }
+    }
+}
+
+impl std::fmt::Debug for Cuts<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for Cuts<'a> {
+    type Item = Cut;
+    type IntoIter = CutIter<'a>;
+
+    fn into_iter(self) -> CutIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over the [`Cut`]s of a [`Cuts`] view.
+#[derive(Clone)]
+pub struct CutIter<'a> {
+    narrow: std::slice::Iter<'a, NarrowCut>,
+    wide: std::slice::Iter<'a, Cut>,
+}
+
+impl Iterator for CutIter<'_> {
+    type Item = Cut;
+
+    fn next(&mut self) -> Option<Cut> {
+        match self.narrow.next() {
+            Some(record) => Some(record.unpack()),
+            None => self.wide.next().copied(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.narrow.len() + self.wide.len();
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for CutIter<'_> {}
 
 /// Refuses what the kernel's narrowed indices cannot hold: a cut set longer
 /// than `u16` parent-pair indices reach, or more cuts than `u32` arena
@@ -312,9 +515,9 @@ fn expand_truth(truth: u64, from: &[NodeId], to: &[NodeId]) -> u64 {
 
 /// The table of an AND node over `leaves`, the union of one cut of each
 /// fanin.
-fn and_truth(c0: &Cut, c1: &Cut, fanin0: Lit, fanin1: Lit, leaves: &[NodeId]) -> u64 {
-    let mut t0 = expand_truth(c0.truth, c0.leaves(), leaves);
-    let mut t1 = expand_truth(c1.truth, c1.leaves(), leaves);
+fn and_truth<R: Record>(c0: &R, c1: &R, fanin0: Lit, fanin1: Lit, leaves: &[NodeId]) -> u64 {
+    let mut t0 = expand_truth(c0.truth(), c0.leaves(), leaves);
+    let mut t1 = expand_truth(c1.truth(), c1.leaves(), leaves);
     if fanin0.is_complemented() {
         t0 = !t0;
     }
@@ -378,9 +581,13 @@ fn anchor_leaves(fanin0: Lit, fanin1: Lit) -> Cut {
 
 /// The state of one enumeration: the cut sets stored so far, the estimates
 /// that rank candidates, and scratch reused across nodes.
-struct Kernel<'a> {
+struct Kernel<'a, R> {
     options: &'a CutsOptions,
-    set: CutSet,
+    /// Every cut set stored so far, back to back: the future `CutSet`'s
+    /// arena.
+    arena: Vec<R>,
+    /// The live range of each node visited so far.
+    spans: Vec<Span>,
     est: Estimates,
     /// The current node's candidates, de-duplicated by leaf set.
     candidates: Vec<Candidate>,
@@ -390,6 +597,17 @@ struct Kernel<'a> {
     sigs: Vec<u64>,
     /// Which nodes `finalize_class` has already visited.
     finalized: Vec<bool>,
+}
+
+/// Appends one cut set to `arena` and returns its range. `check_capacity`
+/// bounds the arena by `u32::MAX` cuts, so the offsets cannot truncate.
+fn store<R: Record>(arena: &mut Vec<R>, cuts: impl Iterator<Item = Cut>) -> Span {
+    let start = arena.len();
+    arena.extend(cuts.map(|cut| R::pack(&cut)));
+    Span {
+        start: start as u32,
+        len: (arena.len() - start) as u32,
+    }
 }
 
 /// Adds a candidate unless its leaf set is already present (first wins).
@@ -408,18 +626,20 @@ fn offer(candidates: &mut Vec<Candidate>, est: &Estimates, cut: Cut, sig: u64, p
     }
 }
 
-impl Kernel<'_> {
+impl<R: Record> Kernel<'_, R> {
     /// Stores a node that has exactly one cut (an input or the constant).
     fn single_cut(&mut self, cut: Cut) {
-        let span = self.set.store(std::iter::once(cut));
-        self.set.spans.push(span);
+        let span = store(&mut self.arena, std::iter::once(cut));
+        self.spans.push(span);
     }
 
     /// Stores the kept cuts followed by `id`'s trivial cut.
     fn store_kept(&mut self, id: NodeId) -> Span {
         let kept = self.kept.iter().map(|k| k.cut);
-        self.set
-            .store(kept.chain(std::iter::once(Cut::trivial(id))))
+        store(
+            &mut self.arena,
+            kept.chain(std::iter::once(Cut::trivial(id))),
+        )
     }
 
     /// Computes the non-trivial cuts of an AND node by merging its fanins'
@@ -427,8 +647,8 @@ impl Kernel<'_> {
     /// applied; the trivial cut is appended last.
     fn and_node_cuts(&mut self, id: NodeId, fanin0: Lit, fanin1: Lit) {
         let cut_size = self.options.cut_size;
-        let cuts0 = &self.set.arena[self.set.spans[fanin0.node().index()].range()];
-        let cuts1 = &self.set.arena[self.set.spans[fanin1.node().index()].range()];
+        let cuts0 = &self.arena[self.spans[fanin0.node().index()].range()];
+        let cuts1 = &self.arena[self.spans[fanin1.node().index()].range()];
         self.candidates.clear();
         self.sigs.clear();
         self.sigs
@@ -450,15 +670,15 @@ impl Kernel<'_> {
         let anchor = anchor_leaves(fanin0, fanin1);
         self.prune_and_cap(id, Some(anchor.leaves()));
         // Only now, for the few survivors, the tables.
-        let cuts0 = &self.set.arena[self.set.spans[fanin0.node().index()].range()];
-        let cuts1 = &self.set.arena[self.set.spans[fanin1.node().index()].range()];
+        let cuts0 = &self.arena[self.spans[fanin0.node().index()].range()];
+        let cuts1 = &self.arena[self.spans[fanin1.node().index()].range()];
         for kept in &mut self.kept {
             let c0 = &cuts0[usize::from(kept.pair.0)];
             let c1 = &cuts1[usize::from(kept.pair.1)];
             kept.cut.truth = and_truth(c0, c1, fanin0, fanin1, kept.cut.leaves());
         }
         let span = self.store_kept(id);
-        self.set.spans.push(span);
+        self.spans.push(span);
     }
 
     /// Three-dimensional dominance pruning (inputs × area × arrival) of
@@ -539,18 +759,18 @@ impl Kernel<'_> {
             // relative phase below re-expresses each cut in terms of the
             // representative.
             let adjust = member.is_complemented() ^ repr.is_complemented();
-            for cut in &self.set.arena[self.set.spans[member.node().index()].range()] {
+            for cut in &self.arena[self.spans[member.node().index()].range()] {
                 if cut.leaves() == [member.node()] && member.node() != node {
                     continue; // a non-representative trivial cut leaks the member
                 }
                 if cut.leaves() == [node] {
                     continue; // the representative's trivial cut is re-appended
                 }
-                let mut pooled = *cut;
+                let mut pooled = cut.unpack();
                 if adjust {
-                    pooled.truth = !cut.truth & full_mask(cut.size());
+                    pooled.truth = !pooled.truth & full_mask(pooled.size());
                 }
-                let sig = signature(cut.leaves());
+                let sig = signature(pooled.leaves());
                 offer(&mut self.candidates, &self.est, pooled, sig, (0, 0));
             }
         }
@@ -566,7 +786,7 @@ impl Kernel<'_> {
         self.prune_and_cap(node, anchor.as_ref().map(Cut::leaves));
         // The pooled set supersedes the representative's own: append it and
         // re-point the range.
-        self.set.spans[node.index()] = self.store_kept(node);
+        self.spans[node.index()] = self.store_kept(node);
     }
 }
 
@@ -621,14 +841,22 @@ pub(crate) fn try_enumerate(
         "cut size is limited to 6 leaves"
     );
     assert!(options.cut_size >= 2, "cut size must be at least 2");
+    let classes = choices.map_or(0, ChoiceAig::num_classes);
+    check_capacity(aig.num_nodes(), classes, options)?;
+    Ok(if options.cut_size <= NARROW_LEAVES {
+        enumerate::<NarrowCut>(aig, choices, options)
+    } else {
+        enumerate::<Cut>(aig, choices, options)
+    })
+}
+
+/// [`try_enumerate`] into an arena of `R` records.
+fn enumerate<R: Record>(aig: &Aig, choices: Option<&ChoiceAig>, options: &CutsOptions) -> CutSet {
     let nodes = aig.num_nodes();
-    check_capacity(nodes, choices.map_or(0, ChoiceAig::num_classes), options)?;
-    let mut kernel = Kernel {
+    let mut kernel = Kernel::<R> {
         options,
-        set: CutSet {
-            arena: Vec::new(),
-            spans: Vec::with_capacity(nodes),
-        },
+        arena: Vec::new(),
+        spans: Vec::with_capacity(nodes),
         est: Estimates {
             arr: vec![0; nodes],
             area: vec![0.0; nodes],
@@ -658,7 +886,10 @@ pub(crate) fn try_enumerate(
             kernel.finalize_class(node, choices);
         }
     }
-    Ok(kernel.set)
+    CutSet {
+        arena: R::into_arena(kernel.arena),
+        spans: kernel.spans,
+    }
 }
 
 #[cfg(test)]
@@ -685,7 +916,7 @@ mod tests {
         let cuts = enumerate_cuts(&aig, &CutsOptions::default());
         for &pi in aig.inputs() {
             assert_eq!(cuts.cuts(pi).len(), 1);
-            assert_eq!(cuts.cuts(pi)[0].leaves(), [pi]);
+            assert_eq!(cuts.cuts(pi).iter().next(), Some(Cut::trivial(pi)));
         }
     }
 
@@ -779,7 +1010,7 @@ mod tests {
         let cut_area =
             |c: &Cut, area: &[f64]| 1.0 + c.leaves().iter().map(|l| area[l.index()]).sum::<f64>();
         for id in aig.and_ids() {
-            let non_trivial: Vec<&Cut> = cuts
+            let non_trivial: Vec<Cut> = cuts
                 .cuts(id)
                 .iter()
                 .filter(|c| c.leaves() != [id])
@@ -824,7 +1055,7 @@ mod tests {
         let choices = ChoiceAig::trivial(aig.clone());
         let with_choices = enumerate_cuts_with_choices(&choices, &options);
         for id in aig.node_ids() {
-            assert_eq!(plain.cuts(id), with_choices.cuts(id), "node {id}");
+            assert!(plain.cuts(id).iter().eq(with_choices.cuts(id)), "node {id}");
         }
     }
 
@@ -1129,10 +1360,10 @@ mod tests {
             pooled.total_cuts() - pooled.cuts(repr).len(),
             plain.total_cuts() - plain.cuts(repr).len()
         );
-        assert_eq!(plain.total_cuts(), plain.arena.len());
+        assert_eq!(plain.total_cuts(), plain.arena_len());
         // ... while the arena still holds the range finalization superseded.
         assert_eq!(
-            pooled.arena.len(),
+            pooled.arena_len(),
             pooled.total_cuts() + plain.cuts(repr).len()
         );
     }
@@ -1147,7 +1378,7 @@ mod tests {
         let widest = try_enumerate(&aig, None, &at(MAX_CUT_LIMIT)).unwrap();
         let default = enumerate_cuts(&aig, &at(8));
         for id in aig.node_ids() {
-            assert_eq!(widest.cuts(id), default.cuts(id));
+            assert!(widest.cuts(id).iter().eq(default.cuts(id)));
         }
         assert_eq!(
             try_enumerate(&aig, None, &at(MAX_CUT_LIMIT + 1)).unwrap_err(),
@@ -1157,6 +1388,36 @@ mod tests {
             }
         );
         assert!(try_enumerate(&aig, None, &at(usize::MAX)).is_err());
+    }
+
+    #[test]
+    fn the_arena_stores_a_cut_in_at_most_20_bytes_up_to_four_leaves() {
+        // The choice mapper's arena is the windowed flow's memory peak: a
+        // field added to a record has to show up here first.
+        let (aig, f) = sample();
+        for cut_size in 2..=MAX_CUT_LEAVES {
+            let cuts = enumerate_cuts(
+                &aig,
+                &CutsOptions {
+                    cut_size,
+                    cut_limit: 8,
+                },
+            );
+            let budget = if cut_size <= 4 { 20 } else { 40 };
+            assert!(
+                cuts.stored_bytes_per_cut() <= budget,
+                "{} bytes per cut at cut_size {cut_size}",
+                cuts.stored_bytes_per_cut()
+            );
+            // The narrow record loses nothing: the four-leaf cut and its
+            // table read back whole.
+            let inputs = aig.inputs().to_vec();
+            let full = cuts.cuts(f.node()).iter().find(|c| c.leaves() == inputs);
+            assert_eq!(
+                full.map(|c| c.truth),
+                (cut_size >= 4).then(|| small_truth_table(&aig, 0))
+            );
+        }
     }
 
     #[test]

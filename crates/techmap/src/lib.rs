@@ -5,7 +5,9 @@
 //!
 //! * [`cuts`] — K-feasible *priority cut* enumeration with per-cut truth
 //!   tables (the `if -K 6 -C 8` machinery), plain or pooled over choice
-//!   classes: an allocation-free kernel over inline-leaf cuts in one arena.
+//!   classes: an allocation-free kernel over inline-leaf cuts in one arena,
+//!   20 bytes a cut up to four leaves (the cell mapper's) and 40 at five or
+//!   six.
 //! * `cover` (crate-private) — the one statement of the covering algorithm
 //!   both mappers run: every cut matched once, then delay-optimal
 //!   selection, backward required times, area-flow recovery passes that are

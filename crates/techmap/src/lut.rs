@@ -81,7 +81,7 @@ pub fn map_to_luts(aig: &Aig, options: &MapOptions) -> LutMapping {
     LutMapping {
         luts: covering
             .roots(aig, &cuts)
-            .map(|(root, cut, ())| Lut { root, cut: *cut })
+            .map(|(root, cut, ())| Lut { root, cut })
             .collect(),
         // Levels are small integers, exact in `f64`.
         depth: covering.cover.delay as u32,
