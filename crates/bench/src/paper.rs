@@ -9,7 +9,7 @@ use emorphic::extract::{BottomUpEngine, ExtractBudget, ExtractionCost, Extractio
 use emorphic::flow::{baseline_flow, emorphic_flow, FlowResult};
 use emorphic::report::FlowReport;
 use emorphic::{aig_to_egraph, try_selection_to_aig};
-use logic_opt::{balance, dch_like, refactor, rewrite, DchOptions};
+use logic_opt::{balance, dch_like, refactor, rewrite};
 use std::time::{Duration, Instant};
 use techmap::cell::map_to_cells;
 use techmap::library::asap7_like;
@@ -249,7 +249,7 @@ pub(crate) fn fig1(run: &mut Run) {
     // flattens as they reach a local optimum.
     type Pass = fn(&aig::Aig) -> aig::Aig;
     let sop: Pass = |a| sop_balance(a, &MapOptions::lut6());
-    let dch: Pass = |a| dch_like(a, &DchOptions::default());
+    let dch: Pass = dch_like;
     let passes: [(&str, Pass); 8] = [
         ("balance", balance),
         ("sop balance", sop),

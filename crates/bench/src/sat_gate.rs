@@ -7,7 +7,8 @@
 //!   the same two-phase assumption queries the CEC uses. Both engines answer
 //!   the identical query sequence.
 //! * **Sweeps** — `SatSweeper::find_equivalences` over a choice-rich stacked
-//!   network, with counterexample-guided class refinement on vs off.
+//!   network, reported per circuit (SAT calls, counterexample splits,
+//!   propagations per call).
 
 use crate::gates::audit_check;
 use crate::{num, Run, Table};
@@ -267,10 +268,10 @@ pub(crate) fn sat(run: &mut Run) {
     table.print("modern CDCL vs reference oracle, identical query plans");
 
     // Sweep workload: a choice-rich network (circuit stacked with two of its
-    // restructurings) swept with and without counterexample refinement.
+    // restructurings). One simulation word (64 patterns) leaves plenty of
+    // aliased candidates for SAT to refute and counterexamples to split.
     let mut table = Table::new(&[
         "circuit",
-        "cex",
         "sat_calls",
         "windows",
         "cnf_nodes",
@@ -285,45 +286,27 @@ pub(crate) fn sat(run: &mut Run) {
     for (name, golden, _) in &circuits {
         let stacked = aig::stack_over_shared_inputs(golden, &logic_opt::balance(golden), "_b");
         let stacked = aig::stack_over_shared_inputs(&stacked, &logic_opt::rewrite(&stacked), "_c");
-        let mut calls_per_class = Vec::new();
-        for cex_refinement in [true, false] {
-            // One simulation word (64 patterns) leaves plenty of aliased
-            // candidates for SAT to refute — the regime where refinement pays.
-            let sweeper = SatSweeper::new(SweepOptions {
-                cex_refinement,
-                sim_words: 1,
-                ..SweepOptions::default()
-            });
-            let t = Instant::now();
-            let (classes, stats) = sweeper.find_equivalences(&stacked);
-            let sweep_s = t.elapsed().as_secs_f64();
-            let proved = classes.classes.len();
-            let per_class = stats.sat_calls as f64 / proved.max(1) as f64;
-            calls_per_class.push(per_class);
-            table.row(vec![
-                name.clone(),
-                if cex_refinement { "on" } else { "off" }.into(),
-                stats.sat_calls.to_string(),
-                stats.window_proofs.to_string(),
-                stats.cnf_nodes_loaded.to_string(),
-                proved.to_string(),
-                classes.num_redundant().to_string(),
-                stats.resimulations.to_string(),
-                stats.cex_splits.to_string(),
-                num(per_class, 2),
-                num(stats.propagations as f64 / stats.sat_calls.max(1) as f64, 0),
-                num(sweep_s, 3),
-            ]);
-        }
-        run.check(
-            "cex-refinement-never-more-calls-per-class",
-            name,
-            calls_per_class[0] <= calls_per_class[1],
-            &[
-                ("refined", calls_per_class[0]),
-                ("unrefined", calls_per_class[1]),
-            ],
-        );
+        let sweeper = SatSweeper::new(SweepOptions {
+            sim_words: 1,
+            ..SweepOptions::default()
+        });
+        let t = Instant::now();
+        let (classes, stats) = sweeper.find_equivalences(&stacked);
+        let sweep_s = t.elapsed().as_secs_f64();
+        let proved = classes.classes.len();
+        table.row(vec![
+            name.clone(),
+            stats.sat_calls.to_string(),
+            stats.window_proofs.to_string(),
+            stats.cnf_nodes_loaded.to_string(),
+            proved.to_string(),
+            classes.num_redundant().to_string(),
+            stats.resimulations.to_string(),
+            stats.cex_splits.to_string(),
+            num(stats.sat_calls as f64 / proved.max(1) as f64, 2),
+            num(stats.propagations as f64 / stats.sat_calls.max(1) as f64, 0),
+            num(sweep_s, 3),
+        ]);
     }
-    table.print("SAT sweeping with and without counterexample-guided refinement");
+    table.print("SAT sweeping with counterexample-guided refinement");
 }

@@ -56,14 +56,12 @@
 //! Primary inputs outside it cannot influence either root, so the model is
 //! completed by reading every input without a value as `false`; the
 //! completed pattern is resimulated through the *original* network
-//! ([`Aig::evaluate_nodes`]) and must separate the pair. With
-//! [`SweepOptions::cex_refinement`] (the default) the pattern then splits
-//! every candidate class, ABC-fraig style: in each class the members the
-//! walk has not reached yet that disagree with the representative move to a
-//! class of their own (members already passed stay where they are — their
-//! verdict is in), so one refuted pair prunes every candidate pair the
-//! pattern distinguishes without further SAT calls. With refinement off a
-//! refuted member is simply left unproved.
+//! ([`Aig::evaluate_nodes`]) and must separate the pair. The pattern then
+//! splits every candidate class, ABC-fraig style: in each class the members
+//! the walk has not reached yet that disagree with the representative move
+//! to a class of their own (members already passed stay where they are —
+//! their verdict is in), so one refuted pair prunes every candidate pair the
+//! pattern distinguishes without further SAT calls.
 
 use crate::tseitin::{canonical, ConeCnf};
 use aig::{Aig, AigNode, FxHashMap, Lit as ALit, NodeId, Simulator};
@@ -86,9 +84,6 @@ pub struct SweepOptions {
     pub sim_words: usize,
     /// Conflict budget per SAT proof (`None` = unlimited).
     pub conflict_budget: Option<u64>,
-    /// Resimulate SAT counterexamples to split remaining candidate classes
-    /// before spending further SAT calls on them.
-    pub cex_refinement: bool,
 }
 
 impl Default for SweepOptions {
@@ -96,7 +91,6 @@ impl Default for SweepOptions {
         SweepOptions {
             sim_words: 8,
             conflict_budget: Some(crate::DEFAULT_CONFLICT_BUDGET),
-            cex_refinement: true,
         }
     }
 }
@@ -196,7 +190,6 @@ impl SatSweeper {
                     solver.add_clause(&[a, !b]);
                 }
                 Verdict::Unknown => {}
-                Verdict::Different if !self.options.cex_refinement => {}
                 Verdict::Different => {
                     // Inputs outside the pair's cone have no value and
                     // cannot influence either root: read them as false.

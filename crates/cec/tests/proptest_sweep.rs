@@ -4,9 +4,9 @@
 //! unlimited budget [`SatSweeper::find_equivalences`] must return exactly
 //! it — nothing merged that the oracle separates (a wrongly accepted window
 //! proof or a wrong `repr` would show here), nothing the oracle equates left
-//! unmerged, and in the shape `ChoiceAig::from_network_with_classes` relies
-//! on: representative first, lowest id, uncomplemented; member phases
-//! relative to it; classes sorted by representative.
+//! unmerged, and in the shape [`SatSweeper::sweep`] merges by:
+//! representative first, lowest id, uncomplemented; member phases relative
+//! to it; classes sorted by representative.
 //!
 //! Run with `PROPTEST_CASES=2000` (or higher) for the PR gate.
 
@@ -42,8 +42,7 @@ fn candidate_groups(aig: &Aig, options: &SweepOptions) -> Vec<Vec<ALit>> {
 }
 
 /// What an exact sweep returns: each candidate group split by full truth
-/// table. Without counterexample refinement only the members equal to the
-/// group's first node are found; the rest of the group is left unproved.
+/// table.
 fn oracle_classes(aig: &Aig, options: &SweepOptions) -> Vec<Vec<ALit>> {
     let exact = Simulator::exhaustive(aig);
     let mut classes = Vec::new();
@@ -56,7 +55,7 @@ fn oracle_classes(aig: &Aig, options: &SweepOptions) -> Vec<Vec<ALit>> {
                 .push(member);
         }
         for members in by_function.into_values() {
-            if members.len() < 2 || (!options.cex_refinement && members[0] != group[0]) {
+            if members.len() < 2 {
                 continue;
             }
             let rep = members[0];
@@ -111,9 +110,6 @@ fn check_against_oracle(stacked: &Aig, options: SweepOptions) -> Result<SweepSta
         stats
     );
     prop_assert_eq!(stats.proved, found.num_redundant());
-    if !options.cex_refinement {
-        prop_assert_eq!(stats.resimulations, 0);
-    }
 
     let (swept, _) = sweeper.sweep(stacked);
     prop_assert_eq!(
@@ -124,10 +120,9 @@ fn check_against_oracle(stacked: &Aig, options: SweepOptions) -> Result<SweepSta
     Ok(stats)
 }
 
-fn options(sim_words: usize, cex_refinement: bool) -> SweepOptions {
+fn options(sim_words: usize) -> SweepOptions {
     SweepOptions {
         sim_words,
-        cex_refinement,
         conflict_budget: None,
     }
 }
@@ -153,9 +148,7 @@ proptest! {
         };
         let stacked = aig::stack_over_shared_inputs(&base, &other, "_b");
         for sim_words in [1, 8] {
-            for cex_refinement in [true, false] {
-                check_against_oracle(&stacked, options(sim_words, cex_refinement))?;
-            }
+            check_against_oracle(&stacked, options(sim_words))?;
         }
     }
 
@@ -171,9 +164,7 @@ proptest! {
     ) {
         let base = benchgen::random_aig(num_inputs, num_ands, 3, seed);
         let stacked = aig::stack_over_shared_inputs(&base, &flip_one_fanin(&base, which), "_b");
-        for cex_refinement in [true, false] {
-            check_against_oracle(&stacked, options(1, cex_refinement))?;
-        }
+        check_against_oracle(&stacked, options(1))?;
     }
 }
 
@@ -192,9 +183,9 @@ fn arithmetic_sweeps_are_exact_with_every_kind_of_verdict() {
     ] {
         let other = logic_opt::rewrite(&logic_opt::balance(&golden));
         let stacked = aig::stack_over_shared_inputs(&golden, &other, "_b");
-        for (sim_words, cex_refinement) in [(8, true), (1, true), (1, false)] {
-            let stats = check_against_oracle(&stacked, options(sim_words, cex_refinement))
-                .expect("oracle check failed");
+        for sim_words in [8, 1] {
+            let stats =
+                check_against_oracle(&stacked, options(sim_words)).expect("oracle check failed");
             assert!(stats.cnf_nodes_loaded <= stacked.num_nodes());
             windows += stats.window_proofs;
             sat_proofs += stats.proved - stats.window_proofs;

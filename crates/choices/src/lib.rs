@@ -10,17 +10,15 @@
 //! `techmap::cell::try_map_to_cells_with_choices`) can pick the best
 //! structure per cut instead of per circuit.
 //!
-//! Two choice sources are supported behind the same type:
+//! Two builders produce it:
 //!
 //! * [`egraph_to_choices`] exports a saturated e-graph: each live e-class
 //!   becomes a class of top-K representatives ranked by a configurable
 //!   structural cost, realized cycle-safely against the class-representative
 //!   DAG and structurally hashed into one network.
-//! * [`ChoiceAig::from_network_with_classes`] ingests proved equivalence
-//!   classes over an existing network (the `dch`/SAT-sweeping route; see
-//!   `logic_opt::dch_choices`), rebuilding the network so that the choice
-//!   ordering invariant holds and dropping members that would create
-//!   combinational cycles.
+//! * `window::stitch` replays the choice spaces of many small window
+//!   e-graphs into one host network and validates the result through
+//!   [`ChoiceAig::new`] after [`filter_ordering`].
 //!
 //! # The choice ordering invariant
 //!
@@ -40,7 +38,7 @@ pub use export::{
     egraph_to_choices, egraph_to_choices_with_selection, BoolExpr, BoolNode, ChoiceConfig,
     ChoiceCost, ClassSelection, ExportStats,
 };
-pub use network::{audit_choices, filter_ordering, ChoiceAig, ChoiceClass, RebuildStats};
+pub use network::{audit_choices, filter_ordering, ChoiceAig, ChoiceClass};
 
 /// Errors produced while building or validating a choice network.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,9 +58,6 @@ pub enum ChoiceError {
     NoSelection(String),
     /// The e-graph references a primary input outside the provided name list.
     UnknownInput(String),
-    /// The e-graph contains an operator the Boolean exporter cannot
-    /// interpret.
-    UnsupportedOp(String),
 }
 
 impl std::fmt::Display for ChoiceError {
@@ -78,7 +73,6 @@ impl std::fmt::Display for ChoiceError {
             }
             ChoiceError::NoSelection(msg) => write!(f, "no selection: {msg}"),
             ChoiceError::UnknownInput(msg) => write!(f, "unknown input: {msg}"),
-            ChoiceError::UnsupportedOp(msg) => write!(f, "unsupported operator: {msg}"),
         }
     }
 }

@@ -58,7 +58,7 @@ use choices::{
     ChoiceError, ClassSelection, ExportStats,
 };
 use egraph::{audit_egraph, EGraph, Id, Rewrite, Runner, Scheduler};
-use logic_opt::{dch_like, DchOptions};
+use logic_opt::dch_like;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -73,8 +73,8 @@ use window::{audit_partition, audit_stitched, WindowError, WindowOptions};
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowConfig {
     /// Number of `(st; if -g)(st; dch; map)` rounds (4 in the paper). SOP
-    /// balancing always runs as `if -g -K 6 -C 8` and `dch` under
-    /// [`DchOptions::default`].
+    /// balancing always runs as `if -g -K 6 -C 8` and `dch` as
+    /// [`dch_like`].
     pub rounds: usize,
     /// Standard-cell mapping options.
     pub map_options: MapOptions,
@@ -113,8 +113,8 @@ pub struct FlowConfig {
     /// Sweep options of the verifier, budgeted in lockstep with
     /// [`FlowConfig::cec`] so the verification tail has one bound. The
     /// `dch` step of every conventional round does *not* read this field: it
-    /// sweeps under [`DchOptions::default`], at `cec`'s default conflict
-    /// budget (10 000) whatever this one says.
+    /// sweeps under `SweepOptions::default` (see [`dch_like`]), at `cec`'s
+    /// default conflict budget (10 000) whatever this one says.
     pub sweep: cec::SweepOptions,
     /// How much invariant auditing the flow performs at phase boundaries
     /// (saturate, extract, choice-export, map): [`AuditLevel::Off`] costs
@@ -616,7 +616,7 @@ fn restructure(aig: &Aig, with_sop: bool) -> Aig {
     if with_sop {
         current = sop_balance(&current, &MapOptions::lut6());
     }
-    dch_like(&current.strash_copy(), &DchOptions::default())
+    dch_like(&current.strash_copy())
 }
 
 fn conventional_round(aig: &Aig, config: &FlowConfig, with_sop: bool) -> (Aig, Netlist) {
@@ -839,10 +839,13 @@ pub struct MapFlowConfig {
     /// netlists. The kept netlist is never worse than the baseline on this
     /// metric, and never worse on the secondary one at equal primary.
     pub objective: MapObjective,
-    /// Which extraction engine picks the class representatives the choice
-    /// export is built around. The default [`ExtractorKind::BottomUp`] is the
-    /// greedy selection the exporter historically made inline; any other
-    /// engine reshapes which members every choice class keeps.
+    /// Which extraction engine picks the class representatives the
+    /// monolithic choice export is built around. The default
+    /// [`ExtractorKind::BottomUp`] is the greedy selection the exporter
+    /// historically made inline; any other engine reshapes which members
+    /// every choice class keeps. The windowed path (a config with
+    /// [`FlowConfig::with_partitioning`]) ignores it: every window is
+    /// exported with [`choices::egraph_to_choices`]'s own greedy selection.
     pub extractor: ExtractorKind,
 }
 
@@ -869,7 +872,8 @@ impl MapFlowConfig {
         }
     }
 
-    /// Selects the extraction engine driving the class representatives.
+    /// Selects the extraction engine driving the class representatives of
+    /// the monolithic choice export.
     #[must_use]
     pub fn with_extractor(mut self, extractor: ExtractorKind) -> Self {
         self.extractor = extractor;

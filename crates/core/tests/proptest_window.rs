@@ -24,7 +24,6 @@ fn test_config() -> (FlowConfig, WindowOptions) {
     let opts = WindowOptions {
         max_leaves: 6,
         max_volume: 24,
-        min_mffc: 1,
     };
     (config, opts)
 }

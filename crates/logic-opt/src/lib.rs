@@ -10,9 +10,6 @@
 //! * [`dch_like`] — the structural-choice substitute for ABC `dch`: random
 //!   simulation plus SAT sweeping merges functionally equivalent nodes so the
 //!   mapper sees a functionally reduced network.
-//! * [`dch_choices`] — the same machinery, but the proved equivalences are
-//!   *kept* as a `choices::ChoiceAig` so a choice-aware mapper can pick
-//!   between the original and the rewritten structure per cut.
 //!
 //! The flows in the `emorphic` crate call the passes in the paper's
 //! `(st; if -g -K 6 -C 8)(st; dch; map)` order directly.
@@ -25,6 +22,6 @@ mod factor;
 mod resynth;
 
 pub use balance::balance;
-pub use choices::{dch_choices, dch_like, DchOptions};
+pub use choices::dch_like;
 pub use factor::{factor_cover, FactorTree};
 pub use resynth::{refactor, rewrite};

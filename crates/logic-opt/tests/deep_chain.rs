@@ -17,7 +17,7 @@
 
 use aig::{mffc_size, Aig, SimVector, Simulator};
 use emorphic::flow::{prepare_network, FlowConfig};
-use logic_opt::{balance, dch_like, rewrite, DchOptions};
+use logic_opt::{balance, dch_like, rewrite};
 
 /// `acc = and(acc, x_i)` for `i` in `1..=ands`, starting from `x_0`: one
 /// maximal AND tree, `ands` levels deep.
@@ -137,7 +137,7 @@ fn dch_like_survives_a_nand_chain_past_10k_levels() {
     const ANDS: usize = 12_000;
     on_a_2mib_stack(|| {
         let chain = nand_chain(ANDS);
-        let reduced = dch_like(&chain, &DchOptions::default());
+        let reduced = dch_like(&chain);
         assert!(reduced.num_ands() <= ANDS);
         assert_same_function_on_random_patterns(&chain, &reduced);
     });

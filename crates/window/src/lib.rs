@@ -10,9 +10,9 @@
 //!
 //! The two halves live in [`mod@partition`] and [`mod@stitch`]:
 //!
-//! * [`partition()`] seeds windows at MFFC roots (output drivers and
-//!   multi-fanout nodes), grows each window downward while the cut stays
-//!   within [`WindowOptions::max_leaves`] and the interior within
+//! * [`partition()`] seeds windows at output drivers and multi-fanout
+//!   nodes, grows each window downward while the cut stays within
+//!   [`WindowOptions::max_leaves`] and the interior within
 //!   [`WindowOptions::max_volume`], and guarantees every AND gate of the
 //!   host is covered by at least one window volume.
 //! * [`stitch()`] rebuilds the host network, replays each window's exported
@@ -42,18 +42,15 @@ use choices::ChoiceError;
 /// |------|---------|---------|
 /// | `max_leaves` | cut width ceiling (window input count) | 8 |
 /// | `max_volume` | interior AND-gate ceiling per window | 64 |
-/// | `min_mffc` | minimum MFFC size for a *primary* seed | 1 |
 ///
 /// Coverage is unconditional: ANDs left over after the primary seeding pass
-/// are swept up by fallback windows regardless of `min_mffc`.
+/// are swept up by fallback windows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowOptions {
     /// Maximum number of cut leaves (window inputs).
     pub max_leaves: usize,
     /// Maximum number of interior AND gates per window.
     pub max_volume: usize,
-    /// Minimum MFFC size for a primary seed (fallback coverage ignores it).
-    pub min_mffc: usize,
 }
 
 impl Default for WindowOptions {
@@ -61,7 +58,6 @@ impl Default for WindowOptions {
         WindowOptions {
             max_leaves: 8,
             max_volume: 64,
-            min_mffc: 1,
         }
     }
 }

@@ -1,4 +1,4 @@
-//! MFFC-seeded, reconvergence-bounded window extraction.
+//! Fanout-seeded, reconvergence-bounded window extraction.
 //!
 //! Seeds are chosen where committed resynthesis has the most room to help:
 //! output drivers and multi-fanout nodes, in descending id (top-down) order
@@ -10,7 +10,7 @@
 //! always covers the host network.
 
 use crate::{WindowError, WindowOptions};
-use aig::{mffc_size, try_extract_cone, Aig, Cone, NodeId};
+use aig::{try_extract_cone, Aig, Cone, NodeId};
 use fxhash::FxHashSet;
 
 /// One reconvergence-bounded window of the host AIG.
@@ -28,9 +28,6 @@ pub struct Window {
     /// The extracted sub-circuit: inputs are `leaves`, single output is the
     /// root function.
     pub cone: Cone,
-    /// MFFC size of the root at seeding time (1 when the seed pass did not
-    /// need to compute it, i.e. `min_mffc <= 1`).
-    pub mffc: usize,
 }
 
 /// Summary statistics of a [`Partition`].
@@ -86,7 +83,7 @@ pub fn partition(aig: &Aig, opts: &WindowOptions) -> Result<Partition, WindowErr
         ..PartitionStats::default()
     };
 
-    // Primary pass: top-down over MFFC-worthy seeds.
+    // Primary pass: top-down over output drivers and multi-fanout nodes.
     let mut and_ids: Vec<NodeId> = aig.and_ids().collect();
     and_ids.sort_unstable_by(|a, b| b.cmp(a));
     for &seed in &and_ids {
@@ -94,27 +91,8 @@ pub fn partition(aig: &Aig, opts: &WindowOptions) -> Result<Partition, WindowErr
         if !interesting || covered[seed.index()] {
             continue;
         }
-        // `mffc_size` copies the fanout vector (O(n)); every AND has an MFFC
-        // of at least 1 (itself), so skip the walk when the knob cannot
-        // filter anything.
-        let mffc = if opts.min_mffc > 1 {
-            mffc_size(aig, seed, &fanouts)
-        } else {
-            1
-        };
-        if mffc < opts.min_mffc {
-            continue;
-        }
         stats.seeds += 1;
-        grow_window(
-            aig,
-            seed,
-            mffc,
-            opts,
-            &mut covered,
-            &mut windows,
-            &mut stats,
-        )?;
+        grow_window(aig, seed, opts, &mut covered, &mut windows, &mut stats)?;
     }
 
     // Coverage fallback: every AND must belong to at least one volume.
@@ -122,7 +100,7 @@ pub fn partition(aig: &Aig, opts: &WindowOptions) -> Result<Partition, WindowErr
         if covered[seed.index()] {
             continue;
         }
-        grow_window(aig, seed, 1, opts, &mut covered, &mut windows, &mut stats)?;
+        grow_window(aig, seed, opts, &mut covered, &mut windows, &mut stats)?;
     }
 
     stats.windows = windows.len();
@@ -138,7 +116,6 @@ pub fn partition(aig: &Aig, opts: &WindowOptions) -> Result<Partition, WindowErr
 fn grow_window(
     aig: &Aig,
     root: NodeId,
-    mffc: usize,
     opts: &WindowOptions,
     covered: &mut [bool],
     windows: &mut Vec<Window>,
@@ -219,7 +196,6 @@ fn grow_window(
         leaves,
         volume: interior,
         cone,
-        mffc,
     });
     Ok(())
 }
@@ -251,7 +227,6 @@ mod tests {
         let opts = WindowOptions {
             max_leaves: 4,
             max_volume: 6,
-            min_mffc: 1,
         };
         let part = partition(&aig, &opts).unwrap();
         assert_audit_clean(&aig, &part);
@@ -259,23 +234,6 @@ mod tests {
             assert!(w.leaves.len() <= 4 || w.volume.len() == 1);
             assert!(w.volume.len() <= 6);
         }
-    }
-
-    #[test]
-    fn min_mffc_prunes_primary_seeds_but_not_coverage() {
-        let aig = benchgen::adder(8).aig;
-        let loose = partition(&aig, &WindowOptions::default()).unwrap();
-        let strict = partition(
-            &aig,
-            &WindowOptions {
-                min_mffc: 1000,
-                ..WindowOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(strict.stats.covered_ands, strict.stats.total_ands);
-        assert_eq!(strict.stats.seeds, 0);
-        assert!(loose.stats.seeds > 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use cec::{check_equivalence, CecOptions};
 use egraph::{Runner, Scheduler};
 use emorphic::extract::{BottomUpEngine, ExtractBudget, ExtractionCost, ExtractionEngine};
 use emorphic::{aig_to_egraph, all_rules, try_selection_to_aig};
-use logic_opt::{balance, dch_like, refactor, rewrite, DchOptions};
+use logic_opt::{balance, dch_like, refactor, rewrite};
 use proptest::prelude::*;
 use techmap::cell::map_to_cells;
 use techmap::library::asap7_like;
@@ -108,7 +108,7 @@ proptest! {
         seed in 0u64..500,
     ) {
         let circuit = random_aig(inputs, ands, 2, seed);
-        let choices = dch_like(&circuit, &DchOptions::default());
+        let choices = dch_like(&circuit);
         prop_assert!(functionally_equal(&circuit, &choices));
         let verdict = check_equivalence(&circuit, &choices, &CecOptions::default());
         prop_assert!(verdict.is_equivalent());
