@@ -125,7 +125,7 @@ pub(crate) fn extract(run: &mut Run) {
         SuiteScale::Default => (
             4,
             60_000,
-            SaOptions::new().with_iterations(3).with_threads(2),
+            SaOptions::default().with_iterations(3).with_threads(2),
         ),
     };
     let library = asap7_like();

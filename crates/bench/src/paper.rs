@@ -2,12 +2,11 @@
 //! one [`sweep`]; Table III, Fig. 1 and the ablations are self-contained.
 
 use crate::esyn::{esyn_backward, esyn_forward, flattened_tree_size, EsynLimits};
-use crate::{geomean, num, saturated, Run, Table};
+use crate::{geomean, num, saturated, FlowReport, Run, Table};
 use benchgen::SuiteScale;
 use emorphic::extract::sa::{SaEngine, SaOptions};
 use emorphic::extract::{BottomUpEngine, ExtractBudget, ExtractionCost, ExtractionEngine};
-use emorphic::flow::{baseline_flow, emorphic_flow, FlowResult};
-use emorphic::report::FlowReport;
+use emorphic::flow::{baseline_flow, emorphic_flow};
 use emorphic::{aig_to_egraph, try_selection_to_aig};
 use logic_opt::{balance, dch_like, refactor, rewrite};
 use std::time::{Duration, Instant};
@@ -33,16 +32,9 @@ fn sweep(run: &mut Run) {
             (BASELINE, baseline_flow(&circuit.aig, &config)),
             (EMORPHIC, emorphic_flow(&circuit.aig, &config)),
         ] {
-            run.flows.push(flow_row(flow, &circuit.name, &result));
+            run.flows
+                .push(FlowReport::new(flow, &circuit.name, &result));
         }
-    }
-}
-
-/// A flow result as a report row under the suite's circuit name.
-fn flow_row(flow: &str, circuit: &str, result: &FlowResult) -> FlowReport {
-    FlowReport {
-        circuit: circuit.to_string(),
-        ..FlowReport::new(flow, result)
     }
 }
 
@@ -271,8 +263,11 @@ pub(crate) fn fig1(run: &mut Run) {
     let result = emorphic_flow(&circuit, &run.flow_config());
     let delay = result.qor.delay_ps;
     point(format!("E-morphic (verified: {})", result.verified), delay);
-    run.flows
-        .push(flow_row("fig1", &format!("multiplier{width}"), &result));
+    run.flows.push(FlowReport::new(
+        "fig1",
+        &format!("multiplier{width}"),
+        &result,
+    ));
     table.print(&format!(
         "delay across independent passes, {width}-bit multiplier"
     ));
@@ -340,7 +335,7 @@ pub(crate) fn ablation(run: &mut Run) {
 
     let library = asap7_like();
     let anneal = |iterations: usize, threads: usize| {
-        let options = SaOptions::new()
+        let options = SaOptions::default()
             .with_iterations(iterations)
             .with_threads(threads);
         let t = Instant::now();
@@ -349,8 +344,8 @@ pub(crate) fn ablation(run: &mut Run) {
             .expect("every adder output is realizable");
         (result, t.elapsed().as_secs_f64())
     };
-    // Every chain starts from the greedy bottom-up `Depth` selection
-    // (`SaOptions::neighbor_cost`), so the seed's cost is the greedy row.
+    // Every chain starts from the greedy bottom-up `Depth` selection (SA's
+    // fixed neighbor cost), so the seed's cost is the greedy row.
     let annealed = [2, 4].map(|iterations| (iterations, anneal(iterations, 2).0));
     let greedy_cost = annealed[0].1.initial_cost;
     let mut table = Table::new(&["extraction", "cost", "improvement over greedy %"]);

@@ -6,7 +6,7 @@ use crate::extract::{try_selection_cost, CostGraph, ExtractStats, ExtractionCost
 use crate::lang::BoolLang;
 use egraph::pool::for_each_indexed;
 use egraph::{EGraph, FxHashMap, Id, SelectionError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use techmap::cell::try_map_cost;
 use techmap::library::CellLibrary;
 use techmap::{MapError, MapOptions};
@@ -14,20 +14,15 @@ use techmap::{MapError, MapOptions};
 /// Work limits handed to an engine.
 ///
 /// `max_evaluations` is expressed in abstract work units (candidate e-node
-/// evaluations), so a budgeted run is **deterministic** — the same budget
-/// always cuts the search at the same point regardless of machine speed.
-/// `time_limit` is a coarse wall-clock backstop; setting it trades that
-/// determinism for predictability of the wall time. Engines are *anytime*:
-/// refinement engines start from a complete bottom-up base selection, so an
-/// exhausted budget yields a valid (merely less optimized) extraction, never
-/// an error.
+/// evaluations) and no engine reads a clock, so a budgeted run is
+/// **deterministic** — the same budget always cuts the search at the same
+/// point regardless of machine speed. Engines are *anytime*: refinement
+/// engines start from a complete bottom-up base selection, so an exhausted
+/// budget yields a valid (merely less optimized) extraction, never an error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExtractBudget {
     /// Maximum candidate evaluations (`None` = unlimited).
     pub max_evaluations: Option<u64>,
-    /// Wall-clock backstop, checked coarsely (`None` = unlimited). Using it
-    /// makes budgeted results machine-dependent.
-    pub time_limit: Option<Duration>,
 }
 
 impl ExtractBudget {
@@ -43,25 +38,11 @@ impl ExtractBudget {
         self
     }
 
-    /// Adds a coarse wall-clock backstop (trades determinism for wall time).
-    #[must_use]
-    pub fn with_time_limit(mut self, limit: Duration) -> Self {
-        self.time_limit = Some(limit);
-        self
-    }
-
-    /// Returns `true` once `evaluations` work units exhaust the budget or the
-    /// elapsed time passes the backstop. Engines ask before every evaluation:
-    /// the cap is compared each time, so a budget of `n` admits exactly `n`,
-    /// and only the clock is read coarsely, every 256th evaluation.
-    pub(crate) fn exhausted(&self, evaluations: u64, started: Instant) -> bool {
-        if self.max_evaluations.is_some_and(|max| evaluations >= max) {
-            return true;
-        }
-        evaluations.is_multiple_of(256)
-            && self
-                .time_limit
-                .is_some_and(|limit| started.elapsed() >= limit)
+    /// Returns `true` once `evaluations` work units exhaust the budget.
+    /// Engines ask before every evaluation, so a budget of `n` admits
+    /// exactly `n`.
+    pub(crate) fn exhausted(&self, evaluations: u64) -> bool {
+        self.max_evaluations.is_some_and(|max| evaluations >= max)
     }
 }
 
@@ -209,21 +190,18 @@ pub trait ExtractionEngine: Send + Sync {
 }
 
 /// Which engine a flow uses (see `FlowConfig::extractor` and
-/// `MapFlowConfig::extractor`).
+/// `MapFlowConfig::extractor`). The slack-aware and portfolio engines are
+/// built directly through [`ExtractionEngine`] (as `repro extract` does).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExtractorKind {
     /// The simulated-annealing extractor guided by the flow's cost model
     /// (the paper's Algorithm 1; the historical default of `emorphic_flow`).
     #[default]
     Sa,
-    /// Exact bottom-up DP minimizing tree size.
+    /// Exact bottom-up DP minimizing the flow's structural tree cost.
     BottomUp,
     /// Greedy refinement under true DAG cost (shared subgraphs charged once).
     GlobalGreedyDag,
-    /// Depth-held, slack-driven area recovery.
-    SlackAware,
-    /// All of the above raced in parallel, best QoR wins deterministically.
-    Portfolio,
 }
 
 /// Per-engine outcome of a (portfolio) run.
@@ -806,12 +784,9 @@ mod tests {
 
     #[test]
     fn budget_builders_compose() {
-        let budget = ExtractBudget::unlimited()
-            .with_max_evaluations(100)
-            .with_time_limit(Duration::from_secs(1));
+        let budget = ExtractBudget::unlimited().with_max_evaluations(100);
         assert_eq!(budget.max_evaluations, Some(100));
-        assert_eq!(budget.time_limit, Some(Duration::from_secs(1)));
-        assert!(budget.exhausted(100, Instant::now()));
-        assert!(!budget.exhausted(99, Instant::now()));
+        assert!(budget.exhausted(100));
+        assert!(!budget.exhausted(99));
     }
 }

@@ -246,7 +246,7 @@ impl GlobalGreedyDagEngine {
                     continue;
                 }
                 for node in &egraph.class(class_id).nodes {
-                    if budget.exhausted(evaluations, start) {
+                    if budget.exhausted(evaluations) {
                         break 'refine;
                     }
                     evaluations += 1;

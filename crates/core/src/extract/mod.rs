@@ -39,7 +39,10 @@
 //! the engine builds and lends to every fixpoint it runs (SA to its
 //! realizability check, its greedy seed and every neighbour of every chain)
 //! — with costs and picks in plain vectors, a queue of node indices, and
-//! the [`Selection`] written once at the end of the run.
+//! the [`Selection`] written once at the end of the run, starting from an
+//! empty one: it holds exactly the classes the run costed. Both rules accept
+//! every first cost of a class, so both runs cost every realizable class,
+//! and a neighbour reads nothing of the selection it replaces.
 //!
 //! * **Seed order.** The queue starts with every leaf e-node, classes in
 //!   `classes_in_seed_order` and nodes in class order. That function is the
@@ -260,11 +263,10 @@ impl CostGraph {
     }
 
     /// The worklist kernel (contract in the module docs): the least fixpoint
-    /// of per-class costs under `accept`, written over `selection`.
+    /// of per-class costs under `accept`.
     pub(crate) fn fixpoint(
         &self,
         cost_kind: ExtractionCost,
-        selection: Selection,
         mut accept: impl FnMut(Option<u64>, u64) -> bool,
     ) -> Costed<'_> {
         let mut costs = vec![0u64; self.num_classes()];
@@ -286,7 +288,7 @@ impl CostGraph {
                 queue.extend(self.parents_of(class));
             }
         }
-        self.costed(selection, costs, picks, stats)
+        self.costed(costs, picks, stats)
     }
 
     /// The shared bottom-up dynamic program with **solution-space pruning**
@@ -295,7 +297,7 @@ impl CostGraph {
     /// improves, and e-nodes are never re-evaluated when none of their
     /// children changed.
     pub fn bottom_up(&self, cost_kind: ExtractionCost) -> Costed<'_> {
-        self.fixpoint(cost_kind, empty_selection(), |previous, new_cost| {
+        self.fixpoint(cost_kind, |previous, new_cost| {
             previous.is_none_or(|prev| new_cost < prev)
         })
     }
@@ -327,17 +329,18 @@ impl CostGraph {
                 }
             }
         }
-        self.costed(empty_selection(), costs, picks, stats)
+        self.costed(costs, picks, stats)
     }
 
-    /// Writes the picks over `selection`, once, at the end of a run.
-    fn costed(
-        &self,
-        mut selection: Selection,
-        costs: Vec<u64>,
-        picks: Vec<u32>,
-        stats: ExtractStats,
-    ) -> Costed<'_> {
+    /// Writes the picks into a selection, once, at the end of a run. The map
+    /// is sized for every class up front: grown from empty it would rehash
+    /// about log2(classes) times per run, and neighbour generation runs once
+    /// per annealing candidate. (No result depends on its bucket order:
+    /// consumers walk from the roots, sort, or key a map by class.)
+    fn costed(&self, costs: Vec<u64>, picks: Vec<u32>, stats: ExtractStats) -> Costed<'_> {
+        let mut selection = Selection {
+            choices: FxHashMap::with_capacity_and_hasher(picks.len(), Default::default()),
+        };
         for (&id, &pick) in self.class_ids.iter().zip(&picks) {
             if pick != UNPICKED {
                 selection.set(id, self.term(pick));
@@ -358,12 +361,6 @@ fn distinct_children(node: &BoolLang) -> &[Id] {
     match node.children() {
         [a, b] if a == b => std::slice::from_ref(a),
         children => children,
-    }
-}
-
-fn empty_selection() -> Selection {
-    Selection {
-        choices: FxHashMap::default(),
     }
 }
 
@@ -393,8 +390,8 @@ fn combine(
 /// it realizes, and the work it took.
 #[derive(Debug)]
 pub struct Costed<'g> {
-    /// The run's selection: the one it started from, with every class it
-    /// costed set to the node realizing that cost.
+    /// The run's selection: every class it costed, set to the node realizing
+    /// that cost.
     pub selection: Selection,
     /// The work the run took (`runtime` is not measured).
     pub stats: ExtractStats,

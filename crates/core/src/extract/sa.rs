@@ -27,7 +27,7 @@ use egraph::pool::for_each_indexed;
 use egraph::{EGraph, FxHashMap, Id};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use techmap::cell::try_map_cost;
 use techmap::library::CellLibrary;
 use techmap::MapOptions;
@@ -35,44 +35,42 @@ use techmap::MapOptions;
 /// Weight of area (µm²) added to the mapped delay (ps) as a tie-breaker.
 const AREA_WEIGHT: f64 = 0.01;
 
-/// Options of the simulated-annealing extractor.
+/// Initial temperature `T1` of every chain (the paper's 2000).
+const INITIAL_TEMPERATURE: f64 = 2000.0;
+
+/// Probability of rejecting an improving move during neighbor generation
+/// (`p_random` in Algorithm 1, the paper's 0.1), which keeps structural
+/// diversity.
+const P_RANDOM: f64 = 0.1;
+
+/// Structural cost of the greedy seed and of neighbor generation (Algorithm
+/// 1's "depth cost").
+const NEIGHBOR_COST: ExtractionCost = ExtractionCost::Depth;
+
+/// Options of the simulated-annealing extractor. `Default` is the paper's
+/// configuration; `T1`, `p_random` and the neighbor cost are fixed at the
+/// paper's values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SaOptions {
     /// Number of annealing iterations per chain (the paper uses 4).
     pub iterations: usize,
-    /// Initial temperature `T1` (the paper uses 2000).
-    pub initial_temperature: f64,
-    /// Probability of rejecting an improving move during neighbor generation
-    /// (`p_random` in Algorithm 1), which keeps structural diversity.
-    pub p_random: f64,
     /// Number of parallel annealing chains (4 in the paper).
     pub threads: usize,
     /// RNG seed; each chain derives its own stream from it.
     pub seed: u64,
-    /// Structural cost used during neighbor generation ("sum" or "depth").
-    pub neighbor_cost: ExtractionCost,
 }
 
 impl Default for SaOptions {
     fn default() -> Self {
         SaOptions {
             iterations: 4,
-            initial_temperature: 2000.0,
-            p_random: 0.1,
             threads: 4,
             seed: 0xE40,
-            neighbor_cost: ExtractionCost::Depth,
         }
     }
 }
 
 impl SaOptions {
-    /// The paper's default configuration (alias of `Default`), as a starting
-    /// point for the `with_*` builders.
-    pub fn new() -> Self {
-        SaOptions::default()
-    }
-
     /// A reduced configuration for unit tests and examples.
     pub fn fast() -> Self {
         SaOptions {
@@ -128,8 +126,6 @@ pub struct SaResult {
     /// Aggregate statistics over all chains (runtime is wall-clock, not the
     /// sum of chain times).
     pub stats: ExtractStats,
-    /// Total wall-clock time of the extraction.
-    pub runtime: Duration,
 }
 
 /// The core SA run. Port names are synthesized once for the candidate
@@ -164,12 +160,11 @@ fn anneal(
         Ok(delay + AREA_WEIGHT * area)
     };
 
-    let neighbor_of = |current: &Selection, rng: &mut StdRng| {
-        generate_neighbor(graph, current, options.neighbor_cost, options.p_random, rng).selection
-    };
+    let neighbor_of =
+        |rng: &mut StdRng| generate_neighbor(graph, NEIGHBOR_COST, P_RANDOM, rng).selection;
 
     // Greedy initial solution shared by all chains.
-    let initial_selection = graph.bottom_up(options.neighbor_cost).selection;
+    let initial_selection = graph.bottom_up(NEIGHBOR_COST).selection;
     let initial_cost = candidate_cost(&initial_selection)?;
 
     // One worker per chain; every chain returns `Some`.
@@ -184,7 +179,7 @@ fn anneal(
                 &candidate_cost,
                 &initial_selection,
                 initial_cost,
-                options,
+                options.seed,
                 iterations,
                 chain_index,
             ))
@@ -205,8 +200,7 @@ fn anneal(
         stats.improvements += chain.stats.improvements;
         chains.push(chain);
     }
-    let runtime = start.elapsed();
-    stats.runtime = runtime;
+    stats.runtime = start.elapsed();
 
     Ok(SaResult {
         best_selection,
@@ -214,33 +208,30 @@ fn anneal(
         initial_cost,
         chains,
         stats,
-        runtime,
     })
 }
 
 fn run_chain(
-    neighbor_of: &(dyn Fn(&Selection, &mut StdRng) -> Selection + Sync),
+    neighbor_of: &(dyn Fn(&mut StdRng) -> Selection + Sync),
     candidate_cost: &(dyn Fn(&Selection) -> Result<f64, ExtractError> + Sync),
     initial_selection: &Selection,
     initial_cost: f64,
-    options: &SaOptions,
+    seed: u64,
     iterations: usize,
     chain_index: usize,
 ) -> Result<(Selection, ChainResult), ExtractError> {
-    let mut rng =
-        StdRng::seed_from_u64(options.seed ^ (chain_index as u64).wrapping_mul(0x9E37_79B9));
-    let mut current_selection = initial_selection.clone();
+    let mut rng = StdRng::seed_from_u64(seed ^ (chain_index as u64).wrapping_mul(0x9E37_79B9));
     let mut current_cost = initial_cost;
     let mut best_selection = initial_selection.clone();
     let mut best_cost = initial_cost;
-    let mut temperature = options.initial_temperature;
+    let mut temperature = INITIAL_TEMPERATURE;
     let mut stats = ExtractStats::default();
 
     for iteration in 1..=iterations {
-        let neighbor = neighbor_of(&current_selection, &mut rng);
-        let neighbor_cost = candidate_cost(&neighbor)?;
+        let neighbor = neighbor_of(&mut rng);
+        let cost = candidate_cost(&neighbor)?;
         stats.nodes_evaluated += 1;
-        let delta = neighbor_cost - current_cost;
+        let delta = cost - current_cost;
 
         let accept = if delta < 0.0 {
             true
@@ -250,12 +241,11 @@ fn run_chain(
             rng.random::<f64>() < prob
         };
         if accept {
-            current_selection = neighbor;
-            current_cost = neighbor_cost;
+            current_cost = cost;
             stats.improvements += 1;
-            if neighbor_cost < best_cost {
-                best_cost = neighbor_cost;
-                best_selection = current_selection.clone();
+            if cost < best_cost {
+                best_cost = cost;
+                best_selection = neighbor;
             }
         }
 
@@ -268,9 +258,7 @@ fn run_chain(
 /// The SA extractor, as an [`ExtractionEngine`].
 ///
 /// The budget's `max_evaluations` caps the total candidate evaluations
-/// across all chains by shortening each chain deterministically; the
-/// wall-clock backstop is not consulted (chains check no clocks, keeping
-/// results machine-independent).
+/// across all chains by shortening each chain deterministically.
 #[derive(Debug)]
 pub struct SaEngine {
     options: SaOptions,
@@ -399,10 +387,11 @@ fn cooled_temperature(
 /// `graph` is the e-graph's [`CostGraph`]; callers that generate many
 /// neighbors (the annealing chains) build it once and reuse it across calls
 /// instead of paying for it per neighbor. The neighbor is the result's
-/// `selection`: `current` with every class the run costed re-selected.
+/// `selection`, which picks a node for every realizable class: a class's
+/// first cost is always accepted. It reads the graph and the RNG and nothing
+/// else — not the solution the chain currently holds.
 pub fn generate_neighbor<'g>(
     graph: &'g CostGraph,
-    current: &Selection,
     cost_kind: ExtractionCost,
     p_random: f64,
     rng: &mut StdRng,
@@ -413,7 +402,7 @@ pub fn generate_neighbor<'g>(
         None => true,
         Some(prev) => new_cost < prev && rng.random::<f64>() >= p_random,
     };
-    graph.fixpoint(cost_kind, current.clone(), accept)
+    graph.fixpoint(cost_kind, accept)
 }
 
 #[cfg(test)]
@@ -473,21 +462,13 @@ mod tests {
 
     #[test]
     fn builder_knobs_compose() {
-        let options = SaOptions {
-            initial_temperature: 500.0,
-            p_random: 0.25,
-            neighbor_cost: ExtractionCost::Size,
-            ..SaOptions::new()
-        }
-        .with_iterations(7)
-        .with_threads(3)
-        .with_seed(42);
+        let options = SaOptions::default()
+            .with_iterations(7)
+            .with_threads(3)
+            .with_seed(42);
         assert_eq!(options.iterations, 7);
-        assert_eq!(options.initial_temperature, 500.0);
-        assert_eq!(options.p_random, 0.25);
         assert_eq!(options.threads, 3);
         assert_eq!(options.seed, 42);
-        assert_eq!(options.neighbor_cost, ExtractionCost::Size);
     }
 
     #[test]
@@ -495,11 +476,10 @@ mod tests {
         let aig = benchgen::adder(4).aig;
         let conv = saturated_conversion(&aig, 3);
         let graph = CostGraph::new(&conv.egraph);
-        let initial = graph.bottom_up(ExtractionCost::Depth).selection;
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..5 {
             let neighbor =
-                generate_neighbor(&graph, &initial, ExtractionCost::Depth, 0.3, &mut rng).selection;
+                generate_neighbor(&graph, ExtractionCost::Depth, 0.3, &mut rng).selection;
             let back = try_selection_to_aig(
                 &conv.egraph,
                 &neighbor,
@@ -615,7 +595,7 @@ mod tests {
     fn deterministic_given_seed_and_single_thread() {
         let aig = benchgen::adder(4).aig;
         let conv = saturated_conversion(&aig, 2);
-        let options = SaOptions::new()
+        let options = SaOptions::default()
             .with_threads(1)
             .with_iterations(2)
             .with_seed(7);
@@ -632,7 +612,7 @@ mod tests {
     fn more_threads_never_hurt_best_cost() {
         let aig = benchgen::adder(4).aig;
         let conv = saturated_conversion(&aig, 3);
-        let options = SaOptions::new().with_iterations(2).with_seed(3);
+        let options = SaOptions::default().with_iterations(2).with_seed(3);
         let single = anneal_with(&conv, options.clone().with_threads(1));
         let quad = anneal_with(&conv, options.with_threads(4));
         // The single-thread chain is one of the four (same seed), so the

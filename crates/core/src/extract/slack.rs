@@ -101,7 +101,7 @@ impl ExtractionEngine for SlackAwareEngine {
             // Pick the smallest admissible node that still meets R.
             let mut best: Option<(u64, usize)> = None;
             for (pos, node) in egraph.class(class_id).nodes.iter().enumerate() {
-                if budget.exhausted(evaluations, start) {
+                if budget.exhausted(evaluations) {
                     break 'walk;
                 }
                 evaluations += 1;

@@ -28,7 +28,7 @@
 //!   threads, deadline, interrupt), behind [`saturate_network`], the
 //!   monolithic map path and every window.
 //! * **parallelism** — [`egraph::pool::for_each_indexed`]: search shards,
-//!   windows, annealing chains, portfolio engines; the thread-count
+//!   windows, annealing chains; the thread-count
 //!   contract is stated there.
 //! * **windows** — [`saturate_windows`]: partition, carve the node limit,
 //!   saturate per window on the pool, stitch. Only [`emorphic_map_flow`]
@@ -40,8 +40,7 @@ use crate::convert::aig_to_egraph;
 use crate::extract::sa::{SaEngine, SaOptions};
 use crate::extract::{
     BottomUpEngine, EngineReport, ExtractBudget, ExtractError, Extraction, ExtractionCost,
-    ExtractionEngine, ExtractorKind, GlobalGreedyDagEngine, PortfolioEngine, PortfolioScorer,
-    SlackAwareEngine,
+    ExtractionEngine, ExtractorKind, GlobalGreedyDagEngine,
 };
 use crate::lang::BoolLang;
 use crate::rules::all_rules;
@@ -151,11 +150,7 @@ impl FlowConfig {
             node_limit: 200_000,
             match_limit: 2_000,
             search_threads: 4,
-            sa: SaOptions {
-                iterations: 4,
-                threads: 4,
-                ..SaOptions::default()
-            },
+            sa: SaOptions::default(),
             extractor: ExtractorKind::Sa,
             extract_budget: ExtractBudget::unlimited(),
             verify: true,
@@ -252,34 +247,18 @@ pub struct SaturationKey {
 }
 
 /// Runs the extraction engine `kind` names under `config`'s SA options,
-/// library and budget, and returns its result plus one report per engine
-/// involved (one row for a single engine, one per member for a portfolio).
+/// library and budget, and returns its result plus the engine's report.
 fn run_extraction(
     kind: ExtractorKind,
     config: &FlowConfig,
     structural_cost: ExtractionCost,
-    delay_first: bool,
     egraph: &EGraph<BoolLang>,
     roots: &[Id],
 ) -> (Result<Extraction, ExtractError>, Vec<EngineReport>) {
-    let sa = || SaEngine::new(config.sa.clone(), config.library.clone());
     let engine: Box<dyn ExtractionEngine> = match kind {
-        ExtractorKind::Sa => Box::new(sa()),
+        ExtractorKind::Sa => Box::new(SaEngine::new(config.sa.clone(), config.library.clone())),
         ExtractorKind::BottomUp => Box::new(BottomUpEngine::new(structural_cost)),
         ExtractorKind::GlobalGreedyDag => Box::new(GlobalGreedyDagEngine::new()),
-        ExtractorKind::SlackAware => Box::new(SlackAwareEngine::new()),
-        ExtractorKind::Portfolio => Box::new(
-            PortfolioEngine::new(vec![
-                Box::new(BottomUpEngine::new(structural_cost)),
-                Box::new(GlobalGreedyDagEngine::new()),
-                Box::new(SlackAwareEngine::new()),
-                Box::new(sa()),
-            ])
-            .with_scorer(PortfolioScorer::Mapped {
-                library: config.library.clone(),
-                delay_first,
-            }),
-        ),
     };
     engine.extract_with_reports(egraph, roots, &config.extract_budget)
 }
@@ -449,13 +428,10 @@ pub fn extract_network(
     state: &SaturatedState,
     config: &FlowConfig,
 ) -> (Option<Aig>, Vec<EngineReport>) {
-    // The flow is delay-oriented, so the portfolio scores candidates by
-    // mapped (delay, area).
     let (extraction, mut engines) = run_extraction(
         config.extractor,
         config,
         ExtractionCost::Size,
-        true,
         &state.egraph,
         &state.roots,
     );
@@ -595,8 +571,8 @@ pub struct FlowResult {
     /// Per-iteration reports of the saturation phase (empty for the baseline
     /// flow), including e-node counts and incremental-rebuild timings.
     pub saturation: Vec<egraph::IterationReport>,
-    /// One report per extraction engine involved (a single row for one
-    /// engine, one per member for a portfolio; empty for the baseline flow).
+    /// The extraction engine's report (one row; empty for the baseline
+    /// flow).
     pub extraction_engines: Vec<EngineReport>,
     /// Aggregated phase-boundary audit findings (empty at
     /// [`AuditLevel::Off`]; locations are prefixed with the phase name).
@@ -700,8 +676,8 @@ pub fn emorphic_flow(aig: &Aig, config: &FlowConfig) -> FlowResult {
     let egraph_classes = state.egraph.num_classes();
     audit.absorb("saturate", audit_egraph(&state.egraph, config.audit_level));
 
-    // A failed extraction (unrealizable root, empty portfolio) falls back to
-    // the pre-resynthesis network, and so does a winning selection the
+    // A failed extraction (an unrealizable root, an unmappable library)
+    // falls back to the pre-resynthesis network, and so does a selection the
     // backward conversion rejects — in that case the conversion error is
     // recorded on the winning engine's report (and its win stripped, since
     // its result was not kept) so the failure stays visible in the reports.
@@ -931,8 +907,8 @@ pub struct MapFlowResult {
     pub verified: bool,
     /// Choice-export statistics (live classes, alternatives, rejections).
     pub export: ExportStats,
-    /// One report per extraction engine involved in picking the class
-    /// representatives.
+    /// The report of the extraction engine that picked the class
+    /// representatives (one row).
     pub engines: Vec<EngineReport>,
     /// E-nodes after saturation.
     pub egraph_nodes: usize,
@@ -1022,7 +998,6 @@ fn monolithic_choice_space(aig: &Aig, config: &MapFlowConfig) -> Result<ChoiceSp
         config.extractor,
         &config.flow,
         structural_cost,
-        config.objective == MapObjective::Delay,
         &egraph,
         &roots,
     );

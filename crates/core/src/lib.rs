@@ -40,7 +40,6 @@ pub mod convert;
 pub mod extract;
 pub mod flow;
 pub mod lang;
-pub mod report;
 pub mod rules;
 pub mod windowed;
 

@@ -93,7 +93,7 @@ fn annealing_chains_survive_20k_levels_on_pool_workers() {
     const DEPTH: usize = 20_000;
     on_a_2mib_stack(|| {
         let space = aig_to_egraph(&alternating_chain(DEPTH));
-        let options = SaOptions::new().with_threads(2).with_iterations(1);
+        let options = SaOptions::default().with_threads(2).with_iterations(1);
         let engine = SaEngine::new(options, asap7_like());
         let extraction = engine
             .extract(&space.egraph, &space.roots, &ExtractBudget::unlimited())

@@ -175,7 +175,7 @@ fn bottom_up_digest(space: &ConversionResult) -> u64 {
 }
 
 fn sa_digest(space: &ConversionResult) -> u64 {
-    let options = SaOptions::new()
+    let options = SaOptions::default()
         .with_threads(2)
         .with_iterations(4)
         .with_seed(0x5EED);
@@ -183,17 +183,17 @@ fn sa_digest(space: &ConversionResult) -> u64 {
     engine_digest(space, &[&engine])
 }
 
-/// A 16-step chain of neighbours (each generated from the previous one) per
-/// `p_random` ∈ {0.1, 0.3} and structural cost, every step folded.
+/// A 16-step chain of neighbours (each drawn from the RNG stream the previous
+/// one left) per `p_random` ∈ {0.1, 0.3} and structural cost, every step
+/// folded.
 fn neighbor_digest(space: &ConversionResult) -> u64 {
     let mut h = FxHasher::default();
     let graph = CostGraph::new(&space.egraph);
     for p_random in [0.1, 0.3] {
         for cost in COSTS {
             let mut rng = StdRng::seed_from_u64(0xC4A1);
-            let mut current = graph.bottom_up(cost).selection;
             for _ in 0..16 {
-                current = generate_neighbor(&graph, &current, cost, p_random, &mut rng).selection;
+                let current = generate_neighbor(&graph, cost, p_random, &mut rng).selection;
                 fold_selection(&mut h, space, &current);
             }
         }

@@ -443,7 +443,7 @@ proptest! {
                 let mut reference_rng = StdRng::seed_from_u64(seed);
                 let mut current = selection.clone();
                 for step in 0..CHAIN_STEPS {
-                    let neighbor = generate_neighbor(&graph, &current, cost, p_random, &mut rng);
+                    let neighbor = generate_neighbor(&graph, cost, p_random, &mut rng);
                     let accept = |previous: Option<u64>, new_cost: u64| match previous {
                         None => true,
                         Some(prev) => new_cost < prev && reference_rng.random::<f64>() >= p_random,

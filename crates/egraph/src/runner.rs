@@ -46,11 +46,10 @@ impl Default for RunnerLimits {
     }
 }
 
-/// Match-throttling strategy applied per rule per iteration.
+/// Match-throttling strategy applied per rule per iteration. A `match_limit`
+/// of `usize::MAX` applies every match and never bans.
 #[derive(Debug, Clone)]
 pub enum Scheduler {
-    /// Apply every match of every rule each iteration.
-    Simple,
     /// Cap matches per rule and temporarily ban rules that exceed the cap,
     /// doubling the ban length on repeated offences (egg's backoff scheduler).
     Backoff {
@@ -396,11 +395,6 @@ impl<L: Language> Runner<L> {
         self
     }
 
-    /// Returns the configured limits.
-    pub fn limits(&self) -> &RunnerLimits {
-        &self.limits
-    }
-
     /// Runs equality saturation with the given rewrites until saturation or a
     /// limit is reached. Consumes and returns the runner so results can be
     /// inspected fluently.
@@ -436,10 +430,10 @@ impl<L: Language> Runner<L> {
                 break;
             }
 
-            let match_limit = match self.scheduler {
-                Scheduler::Simple => usize::MAX,
-                Scheduler::Backoff { match_limit, .. } => match_limit,
-            };
+            let Scheduler::Backoff {
+                match_limit,
+                ban_length,
+            } = self.scheduler;
 
             // Search phase: collect matches for all non-banned rules before
             // applying anything, so the search sees a consistent e-graph.
@@ -468,17 +462,11 @@ impl<L: Language> Runner<L> {
                 .map(|(rw, &total)| (rw.name.clone(), total))
                 .collect();
             // Backoff banning from the deterministic per-rule match totals.
-            if let Scheduler::Backoff {
-                match_limit,
-                ban_length,
-            } = self.scheduler
-            {
-                for (ri, &total) in outcome.totals.iter().enumerate() {
-                    if !banned[ri] && total >= match_limit {
-                        let stats = rule_stats.entry(ri).or_default();
-                        stats.bans += 1;
-                        stats.banned_until = backoff_ban_until(iteration, ban_length, stats.bans);
-                    }
+            for (ri, &total) in outcome.totals.iter().enumerate() {
+                if !banned[ri] && total >= match_limit {
+                    let stats = rule_stats.entry(ri).or_default();
+                    stats.bans += 1;
+                    stats.banned_until = backoff_ban_until(iteration, ban_length, stats.bans);
                 }
             }
 
@@ -601,7 +589,10 @@ mod tests {
             .with_expr(&expr)
             .with_node_limit(500)
             .with_iter_limit(100)
-            .with_scheduler(Scheduler::Simple)
+            .with_scheduler(Scheduler::Backoff {
+                match_limit: usize::MAX,
+                ban_length: 2,
+            })
             .run(&rules);
         assert_eq!(runner.stop_reason, Some(StopReason::NodeLimit));
         assert!(runner.egraph.total_nodes() > 500);
